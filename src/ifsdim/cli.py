@@ -57,6 +57,7 @@ from .systems import (
     borderline_family,
     cantor_system,
     continued_fraction_system,
+    ensure_separation,
     gdms_system,
     golden_family,
 )
@@ -226,9 +227,12 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
         incidence = tuple(rows)
     label = cfg.get_str("system.label", default="custom")
     try:
-        return gdms_system(((0.0, 1.0),), maps, incidence=incidence, label=label)
+        system = gdms_system(((0.0, 1.0),), maps, incidence=incidence, label=label)
+        # overlapping images make every pressure root meaningless as a dimension
+        ensure_separation(system)
     except InvalidSystem as err:
         raise ConfigError(f"system: {err}") from None
+    return system
 
 
 def _build_source(cfg: RunConfig) -> Union[SimilitudeFamily, SystemSpec]:

@@ -41,7 +41,6 @@ import numpy as np
 from .pressure import ConvergenceFailure
 from .symbolic import Word, enumerate_admissible
 from .systems import (
-    MapDescriptor,
     SimilitudeFamily,
     SystemSpec,
     cantor_system,
@@ -521,17 +520,10 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
     return lo[idx] + frac * (hi[idx] - lo[idx])
 
 
-def _map_matrix(mp: MapDescriptor) -> tuple[float, float, float, float]:
-    """(a, b, c, d) with the branch acting as x -> (a x + b)/(c x + d)."""
-    if mp.kind == "moebius-1d":
-        return 0.0, 1.0, 1.0, float(mp.q)
-    return float(mp.ratio), float(mp.offset), 0.0, 1.0
-
-
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     sys_ = measure.system
     m = sys_.alphabet_size
-    mats = np.array([_map_matrix(mp) for mp in sys_.maps])  # m x 4
+    mats = np.array([mp.matrix for mp in sys_.maps])  # m x 4
 
     A = np.ones(count)
     B = np.zeros(count)

@@ -111,15 +111,6 @@ class IncidenceMatrix:
     def is_full(self) -> bool:
         return all(all(v == 1 for v in row) for row in self.rows)
 
-    def boolean_power(self, p: int) -> np.ndarray:
-        """Entrywise truth of 'a length-p path exists' (p >= 0; p=0 is identity)."""
-        n = self.size
-        acc = np.eye(n, dtype=bool)
-        step = self.as_array().astype(bool)
-        for _ in range(p):
-            acc = (acc.astype(np.int64) @ step.astype(np.int64)) > 0
-        return acc
-
 
 def enumerate_admissible(
     matrix: Optional[IncidenceMatrix],

@@ -8,12 +8,14 @@ which.  Two map kinds are supported:
 * ``moebius``: x -> 1/(q+x) on [0, 1] with integer q >= 1
   (|derivative| = 1/(q+x)^2, the continued-fraction branches).
 
+Every branch is held as one 2x2 matrix (a, b, c, d), acting as
+x -> (a x + b)/(c x + d) with |derivative| |ad - bc| / (c x + d)^2.
 Everything downstream (pressure, conformal measures, transfer operators)
-consumes certified per-word derivative bounds produced here.  Bounds come
-from interval arithmetic propagated over a fixed subdivision of the base
-interval (64 cells by default); since every branch and every |derivative|
-is monotone on its domain, the only looseness is the lost correlation
-between chain-rule factors, which the subdivision controls.
+consumes the certified per-word derivative bounds produced here.  A word's
+composite is again such a map, so its |derivative| is monotone on the word's
+domain and its sup and inf are the two endpoint values, evaluated exactly by
+the chain rule.  They carry a relative outward rounding of ``_OUTWARD``
+unless the derivative is constant, as it is on similitude words.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ __all__ = [
     "SeparationError",
     "MapDescriptor",
     "SystemSpec",
-    "WordGeometry",
     "LevelGeometry",
     "SimilitudeFamily",
     "SeparationReport",
-    "compose_geometry",
     "check_separation",
     "ensure_separation",
     "truncate",
@@ -49,7 +49,6 @@ __all__ = [
     "gdms_system",
 ]
 
-DEFAULT_GRID = 64
 _OUTWARD = 1e-15  # relative inflation applied to final certified bounds
 
 
@@ -76,6 +75,8 @@ class MapDescriptor:
     q: int = 0  # moebius denominator shift
     domain_vertex: int = 0
     image_vertex: int = 0
+    # (a, b, c, d): the branch acts as x -> (a x + b) / (c x + d)
+    matrix: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind in ("similitude", "affine-1d"):
@@ -83,35 +84,41 @@ class MapDescriptor:
                 raise InvalidSystem(
                     f"{self.kind} ratio must satisfy 0 < |a| < 1, got {self.ratio}"
                 )
+            matrix = (float(self.ratio), float(self.offset), 0.0, 1.0)
         elif self.kind == "moebius-1d":
             if int(self.q) != self.q or self.q < 1:
                 raise InvalidSystem(f"moebius parameter must be an integer >= 1, got {self.q}")
+            matrix = (0.0, 1.0, 1.0, float(self.q))
         else:
             raise InvalidSystem(f"unknown map kind {self.kind!r}")
+        object.__setattr__(self, "matrix", matrix)
 
-    # All branches are monotone, so interval images are endpoint images.
+    @property
+    def affine(self) -> bool:
+        """c == 0: the branch is x -> a x + b, with constant derivative."""
+        return self.matrix[2] == 0.0
 
-    def apply(self, x):
-        if self.kind == "moebius-1d":
-            return 1.0 / (self.q + x)
-        return self.ratio * x + self.offset
+    def at(self, x):
+        """The branch and its |derivative| at x (elementwise on arrays):
+        (a x + b) / (c x + d) and |ad - bc| / (c x + d)^2."""
+        a, b, c, d = self.matrix
+        den = c * x + d
+        return (a * x + b) / den, abs(a * d - b * c) / den**2
+
+    # Both are monotone on a domain, so their extremes are endpoint values.
 
     def apply_interval(self, lo, hi):
-        """Exact image of [lo, hi] (works elementwise on arrays)."""
-        if self.kind == "moebius-1d":
-            return 1.0 / (self.q + hi), 1.0 / (self.q + lo)
-        if self.ratio >= 0:
-            return self.ratio * lo + self.offset, self.ratio * hi + self.offset
-        return self.ratio * hi + self.offset, self.ratio * lo + self.offset
+        """Exact image of [lo, hi]."""
+        y0, y1 = self.at(lo)[0], self.at(hi)[0]
+        return (y0, y1) if y0 <= y1 else (y1, y0)
 
     def deriv_abs_bounds(self, lo, hi):
-        """Exact [min, max] of |derivative| over [lo, hi] (monotone)."""
-        if self.kind == "moebius-1d":
-            return 1.0 / (self.q + hi) ** 2, 1.0 / (self.q + lo) ** 2
-        a = abs(self.ratio)
-        return a * np.ones_like(np.asarray(lo, dtype=float)), a * np.ones_like(
-            np.asarray(hi, dtype=float)
-        )
+        """Exact [min, max] of |derivative| over [lo, hi]."""
+        # `at` written out: build_operator calls this once per state
+        a, b, c, d = self.matrix
+        det = abs(a * d - b * c)
+        v0, v1 = det / (c * lo + d) ** 2, det / (c * hi + d) ** 2
+        return (v0, v1) if v0 <= v1 else (v1, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +195,10 @@ class SystemSpec:
         return IncidenceMatrix.full(self.alphabet_size)
 
     def is_similitude(self) -> bool:
-        return all(m.kind in ("similitude", "affine-1d") for m in self.maps)
+        return all(m.affine for m in self.maps)
 
     def domain_of(self, symbol: int) -> tuple[float, float]:
         return self.vertex_spaces[self.maps[symbol].domain_vertex]
-
-
-@dataclass(frozen=True)
-class WordGeometry:
-    """Certified geometry of one cylinder word: derivative bounds over the
-    word's whole base interval, and the exact image interval."""
-
-    word: Word
-    deriv_sup: float
-    deriv_inf: float
-    image: tuple[float, float]
-
-    @property
-    def image_length(self) -> float:
-        return self.image[1] - self.image[0]
-
-    @property
-    def distortion(self) -> float:
-        return self.deriv_sup / self.deriv_inf
 
 
 # ---------------------------------------------------------------------------
@@ -227,81 +215,60 @@ class LevelGeometry:
     log_inf: np.ndarray
     image_lo: np.ndarray
     image_hi: np.ndarray
-    first_symbol: np.ndarray
 
     @property
     def count(self) -> int:
         return self.log_sup.shape[0]
 
 
-def _level_arrays(system: SystemSpec, depth: int, grid: int):
-    """Prepend-BFS over admissible words.  State arrays have one row per
-    word and one column per base-grid cell; build order is lexicographic."""
-    m = system.alphabet_size
-    inc = system.incidence
-    rows = None if inc is None else np.array(inc.rows, dtype=bool)
-
-    # depth-1 init: each symbol's domain subdivided into `grid` cells
-    first = np.arange(m, dtype=np.int64)
-    i_lo = np.empty((m, grid))
-    i_hi = np.empty((m, grid))
-    d_lo = np.empty((m, grid))
-    d_hi = np.empty((m, grid))
-    for e, mp in enumerate(system.maps):
-        lo, hi = system.domain_of(e)
-        edges = np.linspace(lo, hi, grid + 1)
-        base_lo, base_hi = edges[:-1], edges[1:]
-        i_lo[e], i_hi[e] = mp.apply_interval(base_lo, base_hi)
-        d_lo[e], d_hi[e] = mp.deriv_abs_bounds(base_lo, base_hi)
-
-    for _ in range(depth - 1):
-        parts = []
-        for e, mp in enumerate(system.maps):
-            mask = slice(None) if rows is None else rows[e][first]
-            sl, sh = i_lo[mask], i_hi[mask]
-            if sl.shape[0] == 0:
-                continue
-            nl, nh = mp.apply_interval(sl, sh)
-            flo, fhi = mp.deriv_abs_bounds(sl, sh)
-            parts.append((np.full(sl.shape[0], e, dtype=np.int64),
-                          nl, nh, d_lo[mask] * flo, d_hi[mask] * fhi))
-        first = np.concatenate([p[0] for p in parts])
-        i_lo = np.concatenate([p[1] for p in parts])
-        i_hi = np.concatenate([p[2] for p in parts])
-        d_lo = np.concatenate([p[3] for p in parts])
-        d_hi = np.concatenate([p[4] for p in parts])
-    return first, i_lo, i_hi, d_lo, d_hi
-
-
 @functools.lru_cache(maxsize=64)
-def level_geometry(system: SystemSpec, depth: int, grid: int = DEFAULT_GRID) -> LevelGeometry:
-    """Certified derivative bounds and exact images for all depth-n words.
+def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
+    """Exact images and certified derivative bounds for all depth-n words.
 
-    For pure similitude systems the derivative is constant per word, so the
-    grid is skipped and sup == inf exactly.
+    One prepend pass, in lexicographic order, carries each word's images of
+    the two endpoints of its last symbol's domain and, by the chain rule,
+    |s_w'| there.  The composite s_w has a matrix M_w, so
+    |s_w'(x)| = |det M_w| / (c_w x + d_w)^2 is monotone on that domain and
+    the endpoint values are its sup and inf.  The running products have
+    positive factors and cannot cancel.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if system.is_similitude():
-        first, i_lo, i_hi, d_lo, d_hi = _level_arrays(system, depth, grid=1)
-        log_d = np.log(d_lo[:, 0])
-        return LevelGeometry(depth, log_d, log_d.copy(), i_lo[:, 0], i_hi[:, 0], first)
+    rows = None if system.incidence is None else np.array(system.incidence.rows, dtype=bool)
+    affine = np.array([mp.affine for mp in system.maps])
 
-    # exact image intervals: single-cell pass (monotone maps -> exact endpoints)
-    first, j_lo, j_hi, _, _ = _level_arrays(system, depth, grid=1)
-    _, _, _, d_lo, d_hi = _level_arrays(system, depth, grid)
-    sup = d_hi.max(axis=1) * (1.0 + _OUTWARD)
-    inf = d_lo.min(axis=1) * (1.0 - _OUTWARD)
-    return LevelGeometry(depth, np.log(sup), np.log(inf), j_lo[:, 0], j_hi[:, 0], first)
+    # per word: images y and |s_w'| g at the two domain endpoints, and
+    # whether every branch is affine (a constant derivative)
+    first = np.arange(system.alphabet_size)
+    y, g = np.array(
+        [mp.at(np.array(system.domain_of(e))) for e, mp in enumerate(system.maps)]
+    ).transpose(1, 0, 2)
+    flat = affine
+    for _ in range(depth - 1):
+        parts = []
+        for e, mp in enumerate(system.maps):
+            keep = slice(None) if rows is None else rows[e][first]
+            ye, de = mp.at(y[keep])
+            parts.append((np.full(ye.shape[0], e), ye, g[keep] * de, flat[keep] & affine[e]))
+        first, y, g, flat = (np.concatenate(col) for col in zip(*parts))
+
+    # a constant derivative is one product of ratios, so it keeps sup == inf
+    outward = np.where(flat, 0.0, _OUTWARD)
+    sup = g.max(axis=1) * (1.0 + outward)
+    inf = g.min(axis=1) * (1.0 - outward)
+    return LevelGeometry(depth, np.log(sup), np.log(inf), y.min(axis=1), y.max(axis=1))
 
 
 def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
     """Exact image interval of one word (maps composed innermost-first)."""
     _check_word(system, word)
+    # the domain endpoints' images, ordered once at the end; written out
+    # rather than through `at`, since build_operator calls this per state
     lo, hi = system.domain_of(word.symbols[-1])
     for s in reversed(word.symbols):
-        lo, hi = system.maps[s].apply_interval(lo, hi)
-    return float(lo), float(hi)
+        a, b, c, d = system.maps[s].matrix
+        lo, hi = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
+    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 def _check_word(system: SystemSpec, word: Word) -> None:
@@ -313,32 +280,6 @@ def _check_word(system: SystemSpec, word: Word) -> None:
         for a, b in zip(word.symbols, word.symbols[1:]):
             if not inc.allows(a, b):
                 raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
-
-
-def compose_geometry(system: SystemSpec, word: Word, grid: int = DEFAULT_GRID) -> WordGeometry:
-    """Certified derivative bounds and exact image for a single word."""
-    _check_word(system, word)
-    image = word_image(system, word)
-    if system.is_similitude():
-        d = 1.0
-        for s in word.symbols:
-            d *= abs(system.maps[s].ratio)
-        return WordGeometry(word, d, d, image)
-
-    lo, hi = system.domain_of(word.symbols[-1])
-    edges = np.linspace(lo, hi, grid + 1)
-    i_lo, i_hi = edges[:-1].copy(), edges[1:].copy()
-    d_lo = np.ones(grid)
-    d_hi = np.ones(grid)
-    for s in reversed(word.symbols):
-        mp = system.maps[s]
-        flo, fhi = mp.deriv_abs_bounds(i_lo, i_hi)
-        d_lo *= flo
-        d_hi *= fhi
-        i_lo, i_hi = mp.apply_interval(i_lo, i_hi)
-    sup = float(d_hi.max()) * (1.0 + _OUTWARD)
-    inf = float(d_lo.min()) * (1.0 - _OUTWARD)
-    return WordGeometry(word, sup, inf, image)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +358,7 @@ def truncate(source: Union["SimilitudeFamily", SystemSpec], n: int) -> SystemSpe
 def _contraction(maps: Sequence[MapDescriptor], vertex_spaces) -> float:
     """gamma with sup|s_w'| <= gamma^floor(|w|/2) (word-level two-step bound);
     for pure similitudes the sharper one-step max|a| is returned."""
-    if all(m.kind in ("similitude", "affine-1d") for m in maps):
+    if all(m.affine for m in maps):
         return max(abs(m.ratio) for m in maps)
     worst = 0.0
     for e, me in enumerate(maps):
@@ -609,8 +550,7 @@ def gdms_system(
         inc = IncidenceMatrix(rows)
     else:
         inc = IncidenceMatrix(tuple(tuple(int(v) for v in row) for row in incidence))
-    kinds = {m.kind for m in maps}
-    K = 1.0 if kinds <= {"similitude", "affine-1d"} else 4.0
+    K = 1.0 if all(m.affine for m in maps) else 4.0
     return SystemSpec(
         flavor="gdms",
         vertex_spaces=vs,

@@ -98,10 +98,6 @@ class OperatorMatrix:
     def __len__(self) -> int:
         return len(self.words)
 
-    def spectral_radius_estimate(self) -> float:
-        """Crude bracket-free estimate: max row sum (an upper bound)."""
-        return float(self.matrix.sum(axis=1).max())
-
 
 def build_operator(
     system: SystemSpec, potential: PotentialSpec, depth: int = 2

@@ -6,9 +6,16 @@ exit codes, report JSON, and CSV tables — the same surface a shell user sees.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ifsdim
 from ifsdim.cli import main
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
@@ -121,6 +128,73 @@ def test_scan_needs_a_family_exit_2(tmp_path):
         "system.family = cantor\nsystem.ratios = 0.3, 0.3\nscan.levels = 2:4\n",
     )
     assert code == 2
+
+
+def test_bowen_overlapping_custom_system_exit_2(tmp_path, capsys):
+    # without the separation check this ran and reported h = 1.357 > 1
+    code, report = run(
+        tmp_path,
+        "bowen",
+        "system.family = custom\nsystem.maps = similitude:0.6:0; similitude:0.6:0.4\n",
+    )
+    assert code == 2 and report is None
+    assert "overlap" in capsys.readouterr().err
+    assert [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")] == []
+
+
+def custom_bowen(maps):
+    text = "system.family = custom\nsystem.maps = " + "; ".join(
+        f"similitude:{a!r}:{b!r}" for a, b in maps
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        code, report = run(Path(tmp), "bowen", text + "\n")
+        written = [p.name for p in Path(tmp).iterdir() if p.suffix in (".json", ".csv")]
+    return code, report, written
+
+
+@st.composite
+def separated_similitudes(draw):
+    """2-4 similitudes of either orientation, images laid left to right in
+    [0, 1] with equal gaps."""
+    ratios = draw(st.lists(st.floats(0.05, 0.5), min_size=2, max_size=4))
+    ratios = [r * min(1.0, 0.95 / sum(ratios)) for r in ratios]
+    gap = (1.0 - sum(ratios)) / len(ratios)
+    maps, left = [], 0.0
+    for r in ratios:
+        flip = draw(st.booleans())
+        maps.append((-r, left + r) if flip else (r, left))
+        left += r + gap
+    return maps
+
+
+@given(separated_similitudes())
+@settings(max_examples=25, deadline=None)
+def test_bowen_separated_similitudes_match_closed_form(maps):
+    code, report, _ = custom_bowen(maps)
+    assert code == 0
+    h = report["results"]["h"]
+    assert h <= 1.0
+    assert sum(abs(a) ** h for a, _ in maps) == pytest.approx(1.0, abs=1e-9)
+
+
+@given(st.floats(0.1, 0.6), st.floats(0.1, 0.4), st.floats(0.0, 0.95))
+@settings(max_examples=25, deadline=None)
+def test_bowen_overlapping_similitude_pair_exit_2(r1, r2, start):
+    # the second image starts inside the first, and both stay in [0, 1]
+    code, report, written = custom_bowen([(r1, 0.0), (r2, start * r1)])
+    assert code == 2 and report is None and written == []
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ifsdim.cli", "gallery-list"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_error_writes_no_files(tmp_path):

@@ -14,7 +14,6 @@ from ifsdim.systems import (
     borderline_family,
     cantor_system,
     check_separation,
-    compose_geometry,
     continued_fraction_system,
     gdms_system,
     golden_family,
@@ -127,10 +126,9 @@ def test_word_image_exact():
     sys_ = cantor_system((1 / 3, 1 / 3))
     lo, hi = word_image(sys_, Word.of(0, 1))
     assert (lo, hi) == (pytest.approx(2 / 9), pytest.approx(1 / 3))
-    g = compose_geometry(sys_, Word.of(0, 1))
-    assert g.deriv_sup == g.deriv_inf == pytest.approx(1 / 9)
-    assert g.image == (lo, hi)
-    assert g.distortion == 1.0
+    lg = level_geometry(sys_, 2)  # words 00, 01, 10, 11
+    assert lg.log_sup[1] == lg.log_inf[1] == pytest.approx(math.log(1 / 9))
+    assert (lg.image_lo[1], lg.image_hi[1]) == (lo, hi)
 
 
 def test_level_geometry_similitude_is_exact():
@@ -139,11 +137,9 @@ def test_level_geometry_similitude_is_exact():
     assert lg.count == 9
     assert np.array_equal(lg.log_sup, lg.log_inf)
     for k, w in enumerate(enumerate_admissible(None, 3, 2)):
-        g = compose_geometry(sys_, w)
-        assert lg.log_sup[k] == pytest.approx(math.log(g.deriv_sup), abs=1e-12)
-        assert lg.image_lo[k] == pytest.approx(g.image[0])
-        assert lg.image_hi[k] == pytest.approx(g.image[1])
-        assert lg.first_symbol[k] == w[0]
+        ratio = sys_.maps[w[0]].ratio * sys_.maps[w[1]].ratio
+        assert lg.log_sup[k] == pytest.approx(math.log(ratio), abs=1e-12)
+        assert (lg.image_lo[k], lg.image_hi[k]) == word_image(sys_, w)
 
 
 @given(
@@ -176,12 +172,13 @@ def test_continued_fraction_layout():
 
 def test_moebius_word_bounds_bracket_truth():
     sys_ = continued_fraction_system(2)
-    g = compose_geometry(sys_, Word.of(0, 0))
-    # |d/dx 1/(1 + 1/(1+x))| ranges over [1/9, 1/4] for x in [0, 1]
-    assert g.deriv_sup >= 0.25 and g.deriv_sup <= 0.25 * 1.03
-    assert g.deriv_inf <= 1 / 9 and g.deriv_inf >= (1 / 9) * 0.97
-    assert g.image == (pytest.approx(0.5), pytest.approx(2 / 3))
-    assert g.distortion < sys_.distortion_bound
+    lg = level_geometry(sys_, 2)  # word 00 comes first
+    # |d/dx 1/(1 + 1/(1+x))| ranges over exactly [1/9, 1/4] for x in [0, 1]
+    assert math.log(1 / 9) >= lg.log_inf[0] and lg.log_sup[0] >= math.log(0.25)
+    assert math.exp(lg.log_sup[0]) == pytest.approx(0.25, rel=1e-14)
+    assert math.exp(lg.log_inf[0]) == pytest.approx(1 / 9, rel=1e-14)
+    assert (lg.image_lo[0], lg.image_hi[0]) == (pytest.approx(0.5), pytest.approx(2 / 3))
+    assert lg.log_sup[0] - lg.log_inf[0] < math.log(sys_.distortion_bound)
 
 
 def test_moebius_image_is_exact_fixed_points():
@@ -194,17 +191,64 @@ def test_moebius_image_is_exact_fixed_points():
         assert hi - lo < 0.5 ** (depth // 2)
 
 
-def test_level_geometry_matches_per_word_composition():
-    sys_ = continued_fraction_system(2)
-    lg = level_geometry(sys_, 3)
-    words = list(enumerate_admissible(None, 2, 3))
-    assert lg.count == len(words) == 8
+def chain_rule_derivatives(system: SystemSpec, words, points: int = 257) -> np.ndarray:
+    """|s_w'| at `points` equally spaced points of each word's domain,
+    endpoints included, by the chain rule on the map parameters."""
+    kinds = np.array([m.kind == "moebius-1d" for m in system.maps])
+    q = np.array([m.q if m.kind == "moebius-1d" else 1 for m in system.maps], dtype=float)
+    ratio = np.array([m.ratio for m in system.maps])
+    offset = np.array([m.offset for m in system.maps])
+    symbols = np.array([w.symbols for w in words])
+    domains = np.array([system.domain_of(w.symbols[-1]) for w in words])
+    x = domains[:, :1] + (domains[:, 1:] - domains[:, :1]) * np.linspace(0.0, 1.0, points)
+    deriv = np.ones_like(x)
+    for s in symbols.T[::-1]:
+        mo, qs = kinds[s][:, None], q[s][:, None]
+        deriv *= np.where(mo, 1.0 / (qs + x) ** 2, np.abs(ratio[s])[:, None])
+        x = np.where(mo, 1.0 / (qs + x), ratio[s][:, None] * x + offset[s][:, None])
+    return deriv
+
+
+@st.composite
+def branch_systems(draw):
+    """Continued-fraction prefixes, and custom systems of moebius:q maps,
+    similitudes of either orientation, or both kinds mixed."""
+    kind = draw(st.sampled_from(["cf", "moebius", "similitude", "mixed"]))
+    if kind == "cf":
+        return continued_fraction_system(draw(st.integers(2, 4)))
+    size = draw(st.integers(2, 3))
+    qs = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True))
+    moebius = [MapDescriptor("moebius-1d", q=q) for q in qs]
+    similitudes = [
+        MapDescriptor(
+            "similitude",
+            ratio=draw(st.floats(0.05, 0.45)) * draw(st.sampled_from([-1.0, 1.0])),
+            offset=draw(st.floats(0.45, 0.55)),
+        )
+        for _ in range(size)
+    ]
+    maps = {"moebius": moebius, "similitude": similitudes, "mixed": moebius[:1] + similitudes[1:]}
+    return gdms_system(((0.0, 1.0),), maps[kind], label=kind)
+
+
+@given(branch_systems(), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_level_geometry_matches_per_word_composition(sys_, depth):
+    lg = level_geometry(sys_, depth)
+    words = list(enumerate_admissible(sys_.incidence, sys_.alphabet_size, depth))
+    assert lg.count == len(words)
+    deriv = chain_rule_derivatives(sys_, words)
+    sup, inf = np.exp(lg.log_sup), np.exp(lg.log_inf)
+    # 1e-14 covers the reference's own rounding and the exp/log round trip
+    assert np.all(deriv <= sup[:, None] * (1 + 1e-14))
+    assert np.all(deriv >= inf[:, None] * (1 - 1e-14))
+    ends = deriv[:, [0, -1]]
+    np.testing.assert_allclose(ends.max(axis=1), sup, rtol=1e-14)
+    np.testing.assert_allclose(ends.min(axis=1), inf, rtol=1e-14)
+    if sys_.is_similitude():
+        assert np.array_equal(lg.log_sup, lg.log_inf)
     for k, w in enumerate(words):
-        g = compose_geometry(sys_, w)
-        assert lg.log_sup[k] == pytest.approx(math.log(g.deriv_sup), abs=1e-12)
-        assert lg.log_inf[k] == pytest.approx(math.log(g.deriv_inf), abs=1e-12)
-        assert lg.image_lo[k] == pytest.approx(g.image[0], abs=1e-15)
-        assert lg.image_hi[k] == pytest.approx(g.image[1], abs=1e-15)
+        assert (lg.image_lo[k], lg.image_hi[k]) == word_image(sys_, w)
 
 
 def test_word_contraction_bounds_word_derivatives():
@@ -229,7 +273,7 @@ def test_admissibility_checked_on_word_helpers():
     with pytest.raises(ValueError):
         word_image(sys_, Word.of(0, 0))  # 0 cannot follow 0 here
     with pytest.raises(ValueError):
-        compose_geometry(sys_, Word.of(5))
+        word_image(sys_, Word.of(5))
 
 
 # --- graph-directed systems -------------------------------------------------
@@ -255,8 +299,8 @@ def test_gdms_derived_incidence():
     lg = level_geometry(sys_, 2)
     assert lg.count == len(words)
     for k, w in enumerate(words):
-        g = compose_geometry(sys_, w)
-        assert lg.log_sup[k] == pytest.approx(math.log(g.deriv_sup), abs=1e-12)
+        log_ratio = sum(math.log(sys_.maps[s].ratio) for s in w.symbols)
+        assert lg.log_sup[k] == pytest.approx(log_ratio, abs=1e-12)
 
 
 def test_gdms_rejects_vertex_mismatch():
