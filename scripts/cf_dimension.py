@@ -2,17 +2,18 @@
 """Dimension of the continued-fraction set with digits {1, ..., n}.
 
 Two routes to the same number: the word-pressure bracket at a fixed cylinder
-depth, and the transfer-operator spectral root across context lengths.  The
-operator route converges much faster per unit of work because the eigenvalue
+depth, and the transfer-operator root across context lengths.  The operator
+route converges much faster per unit of work because the eigenvalue
 sees the variation-refined weights, not just midpoint masses.
 """
 
 import argparse
 import time
 
+from ifsdim.cli import GIBBS_MAX_STATES
 from ifsdim.pressure import bowen_solve
 from ifsdim.systems import continued_fraction_system
-from ifsdim.transfer import operator_bowen_solve
+from ifsdim.transfer import build_operator, operator_bowen_solve
 
 
 def main() -> None:
@@ -33,12 +34,12 @@ def main() -> None:
         f"  (midpoint {word.h:.10f}, gap {word.gap:.2e}, {t_word:.2f}s)"
     )
 
-    print(f"{'context':>8} {'spectral root':>16} {'seconds':>8}")
+    print(f"{'context':>8} {'operator root':>16} {'seconds':>8}")
     for k in range(1, args.max_context + 1):
-        if args.digits**k > 40_000:
+        if args.digits**k > GIBBS_MAX_STATES:
             break
         t0 = time.perf_counter()
-        sol = operator_bowen_solve(system, depth=k)
+        sol = operator_bowen_solve(build_operator(system, k))
         dt = time.perf_counter() - t0
         print(f"{k:>8} {sol.h:>16.12f} {dt:>8.2f}")
 

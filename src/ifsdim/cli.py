@@ -49,6 +49,7 @@ from .pressure import (
     bowen_solve,
     truncation_scan,
 )
+from .symbolic import count_admissible
 from .systems import (
     InvalidSystem,
     MapDescriptor,
@@ -63,7 +64,6 @@ from .systems import (
 )
 from .transfer import (
     DegenerateSystemError,
-    PotentialSpec,
     ReducibilityError,
     build_operator,
     eigenmeasure,
@@ -85,6 +85,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_IRREGULAR = 4
+
+# the dense gibbs operator holds states^2 floats (128 MiB here); 2^12 keeps
+# every size-2 depth that gibbs.depth accepts
+GIBBS_MAX_STATES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +570,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         label = f"{source.label}[conformal]"
         op_depth = 1 if source.is_similitude() else 2
         try:
-            state = eigenmeasure(build_operator(source, PotentialSpec(bowen_root), op_depth))
+            state = eigenmeasure(build_operator(source, op_depth), bowen_root)
             ratio = entropy_lyapunov(state).ratio
         except (ConvergenceFailure, ReducibilityError, DegenerateSystemError) as err:
             warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
@@ -650,17 +654,25 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         "gibbs.depth", default=1 if source.is_similitude() else 2, lo=1, hi=12
     )
     raw_exp = cfg.get_str("gibbs.exponent", default="bowen")
-    if raw_exp == "bowen":
-        exponent = operator_bowen_solve(source, depth=depth).h
-    else:
+    if raw_exp != "bowen":
         try:
             exponent = float(raw_exp)
         except ValueError:
             raise ConfigError(
                 f"gibbs.exponent: expected a number or 'bowen', got {raw_exp!r}"
             ) from None
-    operator = build_operator(source, PotentialSpec(exponent), depth=depth)
-    state = eigenmeasure(operator)
+        if not math.isfinite(exponent):
+            raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
+    states = count_admissible(source.incidence, source.alphabet_size, depth)
+    if states > GIBBS_MAX_STATES:
+        raise ConfigError(
+            f"gibbs.depth: {states} operator states at depth {depth} exceed "
+            f"the budget of {GIBBS_MAX_STATES}"
+        )
+    operator = build_operator(source, depth=depth)
+    if raw_exp == "bowen":
+        exponent = operator_bowen_solve(operator).h
+    state = eigenmeasure(operator, exponent)
     el = entropy_lyapunov(state)
     results = {
         "exponent": exponent,
@@ -685,7 +697,7 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             "residual": state.residual,
             "density_residual": state.density_residual,
             "iterations": state.iterations,
-            "variation_bound": operator.variation_bound,
+            "variation_bound": state.variation_bound,
             "shift_invariance_defect": state.shift_invariance_defect(),
         },
         tables={

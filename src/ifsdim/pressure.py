@@ -11,20 +11,20 @@ inf-sums supermultiplicative); with a nontrivial incidence matrix only the
 upper figure keeps that status and the lower one is a heuristic companion.
 The gap between them is at most t * log(distortion bound) / depth.
 
-The Hausdorff dimension of the limit set is the root of P(t) = 0.  Three
-solvers are provided:
+The Hausdorff dimension of the limit set is the root of P(t) = 0.  Two
+solvers are provided here:
 
 * ``bowen_solve``          — bisection on the midpoint of the depth-n bracket
                              (exact for full-shift similitudes at any depth);
 * ``analytic_bowen_solve`` — for countable similitude families with a closed
                              form for log sum |a_i|^t, including the irregular
                              ones whose pressure jumps past zero without a
-                             root;
-* ``spectral_bowen_solve`` — bisection on the log Perron eigenvalue of the
-                             depth-1 sup-weighted incidence matrix (the right
-                             tool for graph-directed similitude systems;
-                             useless for continued-fraction branches whose
-                             first branch has derivative 1 somewhere).
+                             root.
+
+``transfer.operator_bowen_solve`` bisects the log leading eigenvalue of a
+cylinder transfer operator with the same ``_bisect``; at depth 1 on a
+graph-directed similitude system it is the Perron root of the weighted
+incidence matrix.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "bowen_solve",
     "analytic_pressure",
     "analytic_bowen_solve",
-    "spectral_pressure",
-    "spectral_bowen_solve",
     "truncation_scan",
 ]
 
@@ -254,58 +252,6 @@ def analytic_bowen_solve(
         depth=0,
         iterations=evals,
         method="analytic",
-    )
-
-
-# ---------------------------------------------------------------------------
-# spectral path: depth-1 weighted incidence matrix
-
-
-def spectral_pressure(system: SystemSpec, t: float, tol: float = 1e-14) -> float:
-    """log of the Perron eigenvalue of M[e, e2] = A[e, e2] * sup|s_e2'|^t.
-
-    At t = 0 this is the log of the spectral radius of the incidence matrix
-    itself (topological entropy of the subshift).
-    """
-    lg = level_geometry(system, 1)
-    weights = np.exp(t * lg.log_sup)
-    A = np.array(system.incidence_or_full().rows, dtype=float)
-    M = A * weights[None, :]
-    v = np.ones(len(weights))
-    lam = 0.0
-    for _ in range(5000):
-        nv = M @ v
-        total = nv.sum()
-        if total <= 0.0:
-            raise ConvergenceFailure("spectral_pressure: matrix is not primitive")
-        new_lam = total / v.sum()
-        v = nv / total
-        if abs(new_lam - lam) <= tol * max(1.0, new_lam):
-            return math.log(new_lam)
-        lam = new_lam
-    raise ConvergenceFailure("spectral_pressure: power iteration did not settle")
-
-
-def spectral_bowen_solve(
-    system: SystemSpec,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> BowenSolution:
-    root, bracket, evals = _bisect(
-        lambda t: spectral_pressure(system, t),
-        tol,
-        max_iter,
-        f"spectral({system.label or 'system'})",
-    )
-    residual = spectral_pressure(system, root)
-    return BowenSolution(
-        h=root,
-        bracket=bracket,
-        residual=residual,
-        regular=True,
-        depth=1,
-        iterations=evals,
-        method="spectral",
     )
 
 

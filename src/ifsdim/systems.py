@@ -14,8 +14,9 @@ Everything downstream (pressure, conformal measures, transfer operators)
 consumes the certified per-word derivative bounds produced here.  A word's
 composite is again such a map, so its |derivative| is monotone on the word's
 domain and its sup and inf are the two endpoint values, evaluated exactly by
-the chain rule.  They carry a relative outward rounding of ``_OUTWARD``
-unless the derivative is constant, as it is on similitude words.
+the chain rule.  Their logs are padded outward by ``|log g| + 4 * depth``
+units of roundoff, except on similitude systems, whose derivatives are
+constant products of ratios.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "gdms_system",
 ]
 
-_OUTWARD = 1e-15  # relative inflation applied to final certified bounds
+_ROUNDOFF = 2.0**-53  # unit roundoff of float64
 
 
 class InvalidSystem(ValueError):
@@ -235,28 +236,32 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     rows = None if system.incidence is None else np.array(system.incidence.rows, dtype=bool)
-    affine = np.array([mp.affine for mp in system.maps])
 
-    # per word: images y and |s_w'| g at the two domain endpoints, and
-    # whether every branch is affine (a constant derivative)
+    # per word: images y and |s_w'| g at the two domain endpoints
     first = np.arange(system.alphabet_size)
     y, g = np.array(
         [mp.at(np.array(system.domain_of(e))) for e, mp in enumerate(system.maps)]
     ).transpose(1, 0, 2)
-    flat = affine
     for _ in range(depth - 1):
         parts = []
         for e, mp in enumerate(system.maps):
             keep = slice(None) if rows is None else rows[e][first]
             ye, de = mp.at(y[keep])
-            parts.append((np.full(ye.shape[0], e), ye, g[keep] * de, flat[keep] & affine[e]))
-        first, y, g, flat = (np.concatenate(col) for col in zip(*parts))
+            parts.append((np.full(ye.shape[0], e), ye, g[keep] * de))
+        first, y, g = (np.concatenate(col) for col in zip(*parts))
 
-    # a constant derivative is one product of ratios, so it keeps sup == inf
-    outward = np.where(flat, 0.0, _OUTWARD)
-    sup = g.max(axis=1) * (1.0 + outward)
-    inf = g.min(axis=1) * (1.0 - outward)
-    return LevelGeometry(depth, np.log(sup), np.log(inf), y.min(axis=1), y.max(axis=1))
+    # Outward pad in log space: |log g| roundoffs cover the log's own
+    # rounding (half an ulp), 4 per composition step the rounding of the
+    # endpoint images and of the derivative products; against exact rational
+    # values the error beyond the log's rounding stays under one per step.
+    # A similitude system's derivatives are products of ratios, reported as
+    # computed (floating-point identity), so they keep sup == inf.
+    roundoff = 0.0 if system.is_similitude() else _ROUNDOFF
+    log_sup = np.log(g.max(axis=1))
+    log_inf = np.log(g.min(axis=1))
+    log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
+    log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
+    return LevelGeometry(depth, log_sup, log_inf, y.min(axis=1), y.max(axis=1))
 
 
 def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:

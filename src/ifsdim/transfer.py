@@ -2,13 +2,16 @@
 
 The operator acts on functions that are constant on depth-``k`` cylinders.
 A state is an admissible depth-``k`` word ``w``; prepending a symbol ``e``
-gives the refinement step, and the weight attached to the prepended word is
-``exp(t * m)`` where ``m`` is the midpoint of the log-derivative bracket of
-map ``e`` over the exact image interval of the context ``w[:k-1]`` (the
-whole domain of ``e`` when ``k == 1``).  Power iteration on the transpose
-produces the eigenmeasure, the right eigenvector gives the density, and
-their product is the invariant (shift-stationary) measure, realised here as
-a stationary Markov chain on the states.
+gives the refinement step.  ``build_operator`` fixes everything that does
+not depend on the exponent: the states, their 0/1 transition pattern and
+each state's log-derivative midpoint ``m``, the midpoint of the
+log-derivative bracket of map ``e`` over the exact image interval of the
+context ``w[:k-1]`` (the whole domain of ``e`` when ``k == 1``).
+``eigenmeasure`` applies the exponent ``t``, weighting each transition out
+of a state by ``exp(t * m)``.  Power iteration on the transpose produces
+the eigenmeasure, the right eigenvector gives the density, and their
+product is the invariant (shift-stationary) measure, realised here as a
+stationary Markov chain on the states.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "DegenerateSystemError",
     "GibbsState",
     "OperatorMatrix",
-    "PotentialSpec",
     "ReducibilityError",
     "build_operator",
     "eigenmeasure",
@@ -47,62 +49,30 @@ class DegenerateSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """Geometric potential ``f = exponent * log|derivative|``.
-
-    ``holder_alpha`` is the Hoelder exponent used for the variation decay
-    estimate; geometric potentials of one-dimensional systems with bounded
-    distortion are Lipschitz in the symbolic metric, hence the default 1.
-    """
-
-    exponent: float
-    holder_alpha: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.exponent):
-            raise ValueError(f"exponent must be finite, got {self.exponent}")
-        if not (self.holder_alpha > 0):
-            raise ValueError(f"holder_alpha must be > 0, got {self.holder_alpha}")
-
-    def summability_bound(self, system: SystemSpec) -> float:
-        """sum_e sup |s_e'|^exponent over the alphabet (finite here)."""
-        total = 0.0
-        for e in range(system.alphabet_size):
-            lo, hi = system.domain_of(e)
-            _, sup = system.maps[e].deriv_abs_bounds(lo, hi)
-            total += float(sup) ** self.exponent
-        return total
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Matrix of the transfer operator on depth-``depth`` cylinder functions.
+    """Exponent-free transfer data on depth-``depth`` cylinder functions.
 
-    ``matrix[i, j]`` is the weight carried from state ``j`` into state ``i``:
-    it is nonzero exactly when prepending ``words[j][0]`` to ``words[i]``
-    reproduces ``words[j]`` up to depth (i.e. ``words[j][1:] == words[i][:-1]``
-    and the junction is admissible).  ``state_log_mid[j]`` is the midpoint of
-    the log-derivative bracket of the first symbol of state ``j`` over the
-    image of its context; ``variation_bound`` is the largest bracket width
-    times ``|exponent|`` — the resolution of this finite-rank truncation.
+    ``matrix[i, j]`` is 1 when state ``j`` carries weight into state ``i``
+    and 0 otherwise: prepending ``words[j][0]`` to ``words[i]`` reproduces
+    ``words[j]`` up to depth (i.e. ``words[j][1:] == words[i][:-1]`` and the
+    junction is admissible).  ``state_log_mid[j]`` is the midpoint of the
+    log-derivative bracket of the first symbol of state ``j`` over the
+    image of its context; ``log_width`` is the largest bracket width.
     """
 
     system: SystemSpec = field(repr=False)
-    potential: PotentialSpec
     depth: int
     words: tuple[Word, ...] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
     state_log_mid: np.ndarray = field(repr=False)
-    variation_bound: float
+    log_width: float
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-def build_operator(
-    system: SystemSpec, potential: PotentialSpec, depth: int = 2
-) -> OperatorMatrix:
-    """Assemble the finite transfer matrix on admissible depth-``depth`` words.
+def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
+    """Assemble the transition pattern on admissible depth-``depth`` words.
 
     Raises :class:`ReducibilityError` when the incidence matrix admits no
     finite primitivity witness (power iteration would not converge to a
@@ -126,7 +96,6 @@ def build_operator(
     index = {w.symbols: i for i, w in enumerate(words)}
     n = len(words)
 
-    t = potential.exponent
     log_mid = np.empty(n)
     log_gap = np.empty(n)
     for j, w in enumerate(words):
@@ -141,7 +110,6 @@ def build_operator(
         log_mid[j] = 0.5 * (lo_log + hi_log)
         log_gap[j] = hi_log - lo_log
 
-    weights = np.exp(t * log_mid)
     allows = system.incidence_or_full().allows
     matrix = np.zeros((n, n))
     for j, w in enumerate(words):
@@ -154,22 +122,21 @@ def build_operator(
                 continue
             row = index.get(body + (e,))
             if row is not None:
-                matrix[row, j] = weights[j]
+                matrix[row, j] = 1.0
 
     return OperatorMatrix(
         system=system,
-        potential=potential,
         depth=depth,
         words=words,
         matrix=matrix,
         state_log_mid=log_mid,
-        variation_bound=abs(t) * float(log_gap.max()),
+        log_width=float(log_gap.max()),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsState:
-    """Eigen-data of one finite transfer matrix.
+    """Eigen-data of one finite transfer matrix at one exponent.
 
     ``eigenmeasure`` is the left (transpose) eigenvector normalised to total
     mass one — the conformal-measure analogue on depth-``depth`` cylinders.
@@ -180,6 +147,7 @@ class GibbsState:
     """
 
     operator: OperatorMatrix = field(repr=False)
+    exponent: float
     eigenvalue: float
     eigenmeasure: np.ndarray = field(repr=False)
     density: np.ndarray = field(repr=False)
@@ -197,6 +165,12 @@ class GibbsState:
     def log_eigenvalue(self) -> float:
         return math.log(self.eigenvalue)
 
+    @property
+    def variation_bound(self) -> float:
+        """Largest log-derivative bracket width times ``|exponent|``: the
+        resolution of this finite-rank truncation."""
+        return abs(self.exponent) * self.operator.log_width
+
     def shift_invariance_defect(self) -> float:
         """max over depth-(k-1) words of |head marginal - tail marginal|."""
         if self.operator.depth == 1:
@@ -213,7 +187,7 @@ class GibbsState:
         return {
             "eigenvalue": self.eigenvalue,
             "depth": self.operator.depth,
-            "exponent": self.operator.potential.exponent,
+            "exponent": self.exponent,
             "masses": {
                 ".".join(map(str, w.symbols)): float(m)
                 for w, m in zip(self.words, self.eigenmeasure)
@@ -262,15 +236,21 @@ def _power_iterate(
 
 
 def eigenmeasure(
-    operator: OperatorMatrix, tol: float = 1e-13, max_iters: int = 5000
+    operator: OperatorMatrix, exponent: float, tol: float = 1e-13, max_iters: int = 5000
 ) -> GibbsState:
-    """Extract the positive eigenpair and the induced stationary chain.
+    """Extract the positive eigenpair at ``exponent`` and the induced
+    stationary chain.
 
-    The transpose iteration yields the eigenmeasure (total mass one) and the
-    forward iteration the density; both residuals — ``max |Mv - eig v|`` —
-    must come out below 1e-8 or a :class:`ConvergenceFailure` is raised.
+    The geometric potential ``exponent * log|derivative|`` weights every
+    transition out of state ``j`` by ``exp(exponent * state_log_mid[j])``;
+    a non-finite exponent raises ``ValueError``.  The transpose iteration
+    yields the eigenmeasure (total mass one) and the forward iteration the
+    density; both residuals — ``max |Mv - eig v|`` — must come out below
+    1e-8 or a :class:`ConvergenceFailure` is raised.
     """
-    mat = operator.matrix
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent}")
+    mat = operator.matrix * np.exp(exponent * operator.state_log_mid)[None, :]
     mu, lam, res_mu, it_mu = _power_iterate(mat.T, tol, max_iters)
     g, lam_g, res_g, it_g = _power_iterate(mat, tol, max_iters)
     worst = max(res_mu, res_g)
@@ -294,6 +274,7 @@ def eigenmeasure(
 
     return GibbsState(
         operator=operator,
+        exponent=exponent,
         eigenvalue=lam,
         eigenmeasure=mu,
         density=g,
@@ -341,33 +322,30 @@ def entropy_lyapunov(state: GibbsState) -> EntropyLyapunov:
 
 
 def operator_bowen_solve(
-    system: SystemSpec,
-    depth: int = 2,
+    operator: OperatorMatrix,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> BowenSolution:
     """Exponent where the operator's leading eigenvalue crosses one.
 
     Bisects ``t -> log eigenvalue(t)`` (strictly decreasing for uniformly
-    contracting systems).  The returned residual is the log-eigenvalue at
-    the root; the bracket is the final bisection interval.
+    contracting systems) on the given operator.  The returned residual is
+    the log-eigenvalue at the root; the bracket is the final bisection
+    interval.
     """
 
     def logeig(t: float) -> float:
-        op = build_operator(system, PotentialSpec(exponent=t), depth=depth)
-        state = eigenmeasure(op)
-        return state.log_eigenvalue
+        return eigenmeasure(operator, t).log_eigenvalue
 
     h, bracket, iterations = _bisect(
         logeig, tol=tol, max_iter=max_iter, label="operator eigenvalue"
     )
-    residual = logeig(h)
     return BowenSolution(
         h=h,
         bracket=bracket,
-        residual=residual,
+        residual=logeig(h),
         regular=True,
-        depth=depth,
+        depth=operator.depth,
         iterations=iterations,
         method="operator",
     )

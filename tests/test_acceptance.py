@@ -34,7 +34,6 @@ from ifsdim.systems import (
     level_geometry,
 )
 from ifsdim.transfer import (
-    PotentialSpec,
     build_operator,
     eigenmeasure,
     entropy_lyapunov,
@@ -178,13 +177,13 @@ def test_c7_operator_eigenvalue_and_ratio_at_the_root():
     for n in range(2, 9):
         system = family.truncate(n)
         h_n = bowen_solve(system, depth=1).h
-        state = eigenmeasure(build_operator(system, PotentialSpec(h_n), depth=1))
+        state = eigenmeasure(build_operator(system, depth=1), h_n)
         assert abs(state.eigenvalue - 1.0) < 1e-6, f"golden n={n}"
         assert abs(entropy_lyapunov(state).ratio - h_n) < 1e-6, f"golden n={n}"
     for n in (2, 3):
         system = continued_fraction_system(n)
-        root = operator_bowen_solve(system, depth=4).h
-        state = eigenmeasure(build_operator(system, PotentialSpec(root), depth=4))
+        op = build_operator(system, depth=4)
+        state = eigenmeasure(op, operator_bowen_solve(op).h)
         assert abs(state.eigenvalue - 1.0) < 1e-6, f"digits {{1..{n}}}"
     assert time.perf_counter() - t0 < 10.0
 

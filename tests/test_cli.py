@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifsdim
+import ifsdim.transfer
 from ifsdim.cli import main
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
@@ -469,6 +470,52 @@ def test_gibbs_continued_fraction_operator_root(tmp_path):
     res = report["results"]
     assert abs(res["eigenvalue"] - 1.0) < 1e-6
     assert res["exponent"] == pytest.approx(CF2_H, abs=5e-3)
+
+
+def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
+    # the root solve and the final state share one operator, so the states
+    # are enumerated once
+    calls = []
+    real = ifsdim.transfer.enumerate_admissible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ifsdim.transfer, "enumerate_admissible", counted)
+    code, report = run(
+        tmp_path,
+        "gibbs",
+        "system.family = continued-fraction\nsystem.size = 2\n"
+        "gibbs.depth = 4\ngibbs.exponent = bowen\n",
+    )
+    assert code == 0
+    assert report["results"]["exponent"] == pytest.approx(CF2_H, abs=5e-3)
+    assert len(calls) == 1
+
+
+def test_gibbs_state_budget_exit_2(tmp_path):
+    # 3^12 = 531,441 states would need a dense matrix of about 2.3 TB
+    code, report = run(
+        tmp_path,
+        "gibbs",
+        "system.family = continued-fraction\nsystem.size = 3\n"
+        "gibbs.depth = 12\ngibbs.exponent = 0.5\n",
+    )
+    assert code == 2 and report is None
+    assert [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")] == []
+
+
+@pytest.mark.parametrize("exponent", ["nan", "inf", "-inf"])
+def test_gibbs_non_finite_exponent_exit_2(tmp_path, exponent):
+    code, report = run(
+        tmp_path,
+        "gibbs",
+        "system.family = cantor\nsystem.ratios = 0.5, 0.5\n"
+        f"gibbs.exponent = {exponent}\ngibbs.depth = 1\n",
+    )
+    assert code == 2 and report is None
+    assert [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")] == []
 
 
 # ---------------------------------------------------------------------------

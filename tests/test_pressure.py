@@ -14,8 +14,6 @@ from ifsdim.pressure import (
     bowen_solve,
     partition_sum,
     pressure,
-    spectral_bowen_solve,
-    spectral_pressure,
     truncation_scan,
 )
 from ifsdim.symbolic import IncidenceMatrix
@@ -187,60 +185,6 @@ def test_word_pressure_gap_respects_distortion_budget():
         est = pressure(sys_, 0.5, depth=depth)
         assert est.gap <= 0.5 * math.log(4.0) / depth * (1 + 1e-9)
         assert est.gap > 0
-
-
-def test_spectral_pressure_matches_exact_bernoulli():
-    sys_ = cantor_system((1 / 3, 1 / 3))
-    for t in (0.0, 0.5, 1.0):
-        assert spectral_pressure(sys_, t) == pytest.approx(
-            math.log(2.0 * 3.0**-t), abs=1e-12
-        )
-    sol = spectral_bowen_solve(sys_, tol=1e-12)
-    assert sol.h == pytest.approx(TERNARY_DIM, abs=1e-10)
-    assert sol.method == "spectral"
-
-
-def fibonacci_system():
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.5),
-    )
-    return gdms_system(((0.0, 1.0),), maps, incidence=((1, 1), (1, 0)), label="fibonacci")
-
-
-def test_spectral_entropy_of_fibonacci_shift():
-    # at exponent 0 the Perron eigenvalue of the incidence matrix appears
-    assert spectral_pressure(fibonacci_system(), 0.0) == pytest.approx(
-        math.log((1 + math.sqrt(5)) / 2), abs=1e-12
-    )
-
-
-def test_spectral_root_is_exact_on_similitude_subshift():
-    sys_ = fibonacci_system()
-    spectral = spectral_bowen_solve(sys_, tol=1e-12)
-    # independent closed form: eigenvalue 1 of [[.4^t, .3^t], [.4^t, 0]]
-    # happens exactly when 0.4^t + 0.12^t = 1
-    lo, hi = 0.0, 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if 0.4**mid + 0.12**mid > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    assert spectral.h == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-    # the word-level partition pressure only converges O(1/depth) on a
-    # subshift, and from above; watch it drift toward the spectral answer
-    errs = [bowen_solve(sys_, depth=d, tol=1e-10).h - spectral.h for d in (4, 8, 16)]
-    assert all(e > 0 for e in errs)
-    assert errs == sorted(errs, reverse=True)
-    assert errs[-1] < 0.02
-
-
-def test_spectral_has_no_root_for_continued_fractions():
-    # sup|derivative| = 1 on the first branch, so the depth-1 eigenvalue
-    # never drops below 1 — the solver must refuse rather than fabricate
-    with pytest.raises(ConvergenceFailure):
-        spectral_bowen_solve(continued_fraction_system(2))
 
 
 def test_bowen_solve_iteration_budget():

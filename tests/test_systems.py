@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,8 +266,78 @@ def test_distortion_bound_certified_on_words():
     for depth in (1, 2, 4, 6):
         lg = level_geometry(sys_, depth)
         worst = np.exp(lg.log_sup - lg.log_inf).max()
-        # the certified bounds carry a deliberate outward rounding of ~1e-15
+        # the certified bounds carry a deliberate outward pad of ~1e-14
         assert worst <= sys_.distortion_bound * (1 + 1e-12)
+
+
+def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
+    """log |s_w'| at both endpoints of each admissible depth-n word's domain,
+    by the chain rule in exact integer ratios, as 60-digit Decimal logs."""
+    allows = system.incidence_or_full().allows
+    # the branch matrices scaled to integers: the same maps, and
+    # |ad - bc| / (c y + d)^2 is unchanged by the scale
+    mats = []
+    for mp in system.maps:
+        entries = [Fraction(v) for v in mp.matrix]
+        scale = math.lcm(*(f.denominator for f in entries))
+        mats.append([int(f * scale) for f in entries])
+
+    def prepend(e, end):
+        # y = p / r and g = n / m, kept unreduced
+        (p, r), (n, m) = end
+        a, b, c, d = mats[e]
+        den = c * p + d * r
+        return (a * p + b * r, den), (n * abs(a * d - b * c) * r * r, m * den * den)
+
+    level = {
+        (e,): [prepend(e, (float(x).as_integer_ratio(), (1, 1))) for x in system.domain_of(e)]
+        for e in range(system.alphabet_size)
+    }
+    for _ in range(depth - 1):
+        level = {
+            (e,) + w: [prepend(e, end) for end in ends]
+            for w, ends in level.items()
+            for e in range(system.alphabet_size)
+            if allows(e, w[0])
+        }
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return {
+            w: [(Decimal(n) / Decimal(m)).ln() for _, (n, m) in ends]
+            for w, ends in level.items()
+        }
+
+
+MIXED_MAPS = (
+    MapDescriptor("moebius-1d", q=2),
+    MapDescriptor("moebius-1d", q=3),
+    MapDescriptor("similitude", ratio=0.2, offset=0.0),
+    MapDescriptor("similitude", ratio=-0.3, offset=0.9),
+)
+
+
+@pytest.mark.parametrize(
+    "system, depth",
+    [
+        (continued_fraction_system(2), 12),
+        (continued_fraction_system(3), 6),
+        (gdms_system(((0.0, 1.0),), MIXED_MAPS, label="mixed"), 6),
+    ],
+    ids=["cf12@12", "cf123@6", "mixed@6"],
+)
+def test_log_brackets_contain_exact_endpoint_logs(system, depth):
+    lg = level_geometry(system, depth)
+    exact = exact_log_derivatives(system, depth)
+    words = [w.symbols for w in enumerate_admissible(system.incidence, system.alphabet_size, depth)]
+    assert lg.count == len(exact) == len(words)
+    misses = 0
+    for k, w in enumerate(words):
+        lo, hi = min(exact[w]), max(exact[w])
+        misses += not (Decimal(float(lg.log_inf[k])) <= lo and hi <= Decimal(float(lg.log_sup[k])))
+        # the pad stays a few hundred roundoffs, far inside any real slack
+        assert float(Decimal(float(lg.log_sup[k])) - hi) < 1e-13
+        assert float(lo - Decimal(float(lg.log_inf[k]))) < 1e-13
+    assert misses == 0
 
 
 def test_admissibility_checked_on_word_helpers():

@@ -16,7 +16,6 @@ from ifsdim.systems import (
 )
 from ifsdim.transfer import (
     DegenerateSystemError,
-    PotentialSpec,
     ReducibilityError,
     build_operator,
     eigenmeasure,
@@ -41,13 +40,13 @@ def fibonacci_system():
 
 
 def test_zero_potential_full_shift_gives_all_ones_matrix():
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), PotentialSpec(0.0), depth=1)
+    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
     assert op.matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
-    assert op.variation_bound == 0.0
+    assert eigenmeasure(op, 0.0).variation_bound == 0.0
 
 
 def test_state_enumeration_matches_admissible_words():
-    op = build_operator(fibonacci_system(), PotentialSpec(0.5), depth=3)
+    op = build_operator(fibonacci_system(), depth=3)
     symbols = [w.symbols for w in op.words]
     # lexicographic, and no word contains the forbidden 1->1 junction
     assert symbols == sorted(symbols)
@@ -57,9 +56,10 @@ def test_state_enumeration_matches_admissible_words():
 
 def test_similitude_weights_are_exact_ratio_powers():
     t = 0.7
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), PotentialSpec(t), depth=2)
-    nonzero = op.matrix[op.matrix > 0]
-    assert nonzero == pytest.approx([3.0**-t] * nonzero.size, rel=1e-15)
+    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=2)
+    assert set(op.matrix.flat) == {0.0, 1.0}
+    weights = np.exp(t * op.state_log_mid)
+    assert weights == pytest.approx([3.0**-t] * weights.size, rel=1e-15)
 
 
 def test_reducible_incidence_is_rejected():
@@ -69,31 +69,23 @@ def test_reducible_incidence_is_rejected():
     )
     two_islands = gdms_system(((0.0, 1.0),), maps, incidence=((1, 0), (0, 1)))
     with pytest.raises(ReducibilityError):
-        build_operator(two_islands, PotentialSpec(0.5))
+        build_operator(two_islands)
 
 
 def test_operator_argument_validation():
     sys_ = cantor_system((1 / 3, 1 / 3))
     with pytest.raises(ValueError):
-        build_operator(sys_, PotentialSpec(0.5), depth=0)
-    with pytest.raises(ValueError):
-        PotentialSpec(math.inf)
-    with pytest.raises(ValueError):
-        PotentialSpec(0.5, holder_alpha=0.0)
-
-
-def test_summability_bound_is_ratio_power_sum():
-    fam = golden_family()
-    sys5 = fam.truncate(5)
-    t = 0.8
-    want = sum(0.5 ** ((i + 2) * t) for i in range(5))
-    assert PotentialSpec(t).summability_bound(sys5) == pytest.approx(want, rel=1e-15)
+        build_operator(sys_, depth=0)
+    op = build_operator(sys_, depth=1)
+    for exponent in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            eigenmeasure(op, exponent)
 
 
 def test_variation_bound_shrinks_with_state_depth():
     cf = continued_fraction_system(2)
     bounds = [
-        build_operator(cf, PotentialSpec(0.5), depth=k).variation_bound
+        eigenmeasure(build_operator(cf, depth=k), 0.5).variation_bound
         for k in (1, 2, 3, 4)
     ]
     assert all(b > 0 for b in bounds)
@@ -105,22 +97,20 @@ def test_variation_bound_shrinks_with_state_depth():
 
 
 def test_zero_potential_eigenvalue_counts_branches():
-    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), PotentialSpec(0.0), depth=1))
+    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), depth=1), 0.0)
     assert state.eigenvalue == pytest.approx(2.0, abs=1e-12)
     assert state.eigenmeasure == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_fibonacci_zero_potential_eigenpair_is_golden_ratio():
-    state = eigenmeasure(build_operator(fibonacci_system(), PotentialSpec(0.0), depth=1))
+    state = eigenmeasure(build_operator(fibonacci_system(), depth=1), 0.0)
     assert state.eigenvalue == pytest.approx(PHI, abs=1e-8)
     assert state.eigenmeasure[0] / state.eigenmeasure[1] == pytest.approx(PHI, abs=1e-8)
     assert state.density[0] / state.density[1] == pytest.approx(PHI, abs=1e-8)
 
 
 def test_eigenvalue_is_one_at_the_dimension_exponent():
-    state = eigenmeasure(
-        build_operator(cantor_system((1 / 3, 1 / 3)), PotentialSpec(TERNARY_H), depth=1)
-    )
+    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), depth=1), TERNARY_H)
     assert state.eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert state.residual < 1e-8 and state.density_residual < 1e-8
 
@@ -129,14 +119,14 @@ def test_eigenvalue_is_one_at_the_dimension_exponent():
 def test_golden_truncations_cross_one_at_their_bowen_roots(n):
     sys_n = golden_family().truncate(n)
     h_n = bowen_solve(sys_n, depth=1).h
-    state = eigenmeasure(build_operator(sys_n, PotentialSpec(h_n), depth=1))
+    state = eigenmeasure(build_operator(sys_n, depth=1), h_n)
     assert abs(state.eigenvalue - 1.0) < 1e-6
 
 
 def test_invariant_masses_match_conformal_cylinders_for_similitudes():
     sys3 = golden_family().truncate(3)
     h3 = bowen_solve(sys3, depth=1).h
-    state = eigenmeasure(build_operator(sys3, PotentialSpec(h3), depth=2))
+    state = eigenmeasure(build_operator(sys3, depth=2), h3)
     conformal = conformal_cylinder_measure(sys3, h3, depth=2)
     masses = np.array([conformal.mass_of(w) for w in state.words])
     assert np.abs(state.invariant - masses).max() < 1e-12
@@ -148,7 +138,7 @@ def test_invariant_masses_match_conformal_cylinders_for_similitudes():
     "system", [cantor_system((0.4, 0.25)), continued_fraction_system(2)], ids=["sim", "cf"]
 )
 def test_invariant_mass_is_shift_stationary(system):
-    state = eigenmeasure(build_operator(system, PotentialSpec(0.6), depth=2))
+    state = eigenmeasure(build_operator(system, depth=2), 0.6)
     assert state.invariant.sum() == pytest.approx(1.0, abs=1e-12)
     assert state.shift_invariance_defect() < 1e-8
     rows = state.transition.sum(axis=1)
@@ -158,22 +148,22 @@ def test_invariant_mass_is_shift_stationary(system):
 def test_spectral_and_word_pressure_agree_within_bracket():
     cf3 = continued_fraction_system(3)
     for t in (0.55, 0.7):
-        state = eigenmeasure(build_operator(cf3, PotentialSpec(t), depth=2))
+        state = eigenmeasure(build_operator(cf3, depth=2), t)
         est = pressure(cf3, t, depth=8)
         assert abs(state.log_eigenvalue - est.value) <= est.gap + 1e-6
 
 
 def test_eigenmeasure_iteration_budget_is_enforced():
-    op = build_operator(continued_fraction_system(2), PotentialSpec(0.5), depth=2)
+    op = build_operator(continued_fraction_system(2), depth=2)
     with pytest.raises(ConvergenceFailure):
-        eigenmeasure(op, max_iters=2)
+        eigenmeasure(op, 0.5, max_iters=2)
 
 
 def test_truncated_eigenmeasures_stabilise_as_the_alphabet_grows():
     # same potential, growing truncation: the per-state masses settle down
     fam = golden_family()
     t = 0.694241913630617
-    states = {n: eigenmeasure(build_operator(fam.truncate(n), PotentialSpec(t), depth=1)) for n in (3, 4, 5, 6, 7)}
+    states = {n: eigenmeasure(build_operator(fam.truncate(n), depth=1), t) for n in (3, 4, 5, 6, 7)}
     diffs = []
     for n in (3, 4, 5, 6):
         a = states[n].eigenmeasure
@@ -188,9 +178,7 @@ def test_truncated_eigenmeasures_stabilise_as_the_alphabet_grows():
 
 
 def test_ternary_entropy_and_lyapunov_are_the_classic_logs():
-    state = eigenmeasure(
-        build_operator(cantor_system((1 / 3, 1 / 3)), PotentialSpec(TERNARY_H), depth=1)
-    )
+    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), depth=1), TERNARY_H)
     el = entropy_lyapunov(state)
     assert el.entropy == pytest.approx(math.log(2.0), abs=1e-12)
     assert el.lyapunov == pytest.approx(math.log(3.0), abs=1e-12)
@@ -200,7 +188,7 @@ def test_ternary_entropy_and_lyapunov_are_the_classic_logs():
 def test_unequal_bernoulli_ratio_matches_closed_form():
     # weights (0.4, 0.2) at exponent one give branch probabilities (2/3, 1/3)
     sys_ = cantor_system((0.4, 0.2))
-    state = eigenmeasure(build_operator(sys_, PotentialSpec(1.0), depth=1))
+    state = eigenmeasure(build_operator(sys_, depth=1), 1.0)
     assert state.eigenvalue == pytest.approx(0.6, abs=1e-12)
     p = np.array([2 / 3, 1 / 3])
     want_entropy = float(-(p * np.log(p)).sum())
@@ -214,7 +202,7 @@ def test_unequal_bernoulli_ratio_matches_closed_form():
 def test_dimension_ratio_reproduces_the_bowen_root(n):
     sys_n = golden_family().truncate(n)
     h_n = bowen_solve(sys_n, depth=1).h
-    el = entropy_lyapunov(eigenmeasure(build_operator(sys_n, PotentialSpec(h_n), depth=1)))
+    el = entropy_lyapunov(eigenmeasure(build_operator(sys_n, depth=1), h_n))
     assert abs(el.ratio - h_n) < 1e-6
     assert el.entropy >= 0.0
     assert 0.0 <= el.ratio <= 1.0
@@ -223,15 +211,15 @@ def test_dimension_ratio_reproduces_the_bowen_root(n):
 def test_deep_truncation_ratio_approaches_the_family_limit():
     sys12 = golden_family().truncate(12)
     h12 = bowen_solve(sys12, depth=1).h
-    el = entropy_lyapunov(eigenmeasure(build_operator(sys12, PotentialSpec(h12), depth=1)))
+    el = entropy_lyapunov(eigenmeasure(build_operator(sys12, depth=1), h12))
     assert abs(el.ratio - 0.694241913630617) < 1e-2
 
 
 def test_zero_contraction_is_reported_as_degenerate():
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), PotentialSpec(0.0), depth=1)
+    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
     flat = dataclasses.replace(op, state_log_mid=np.zeros(len(op)))
     with pytest.raises(DegenerateSystemError):
-        entropy_lyapunov(eigenmeasure(flat))
+        entropy_lyapunov(eigenmeasure(flat, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +228,7 @@ def test_zero_contraction_is_reported_as_degenerate():
 
 def test_operator_root_of_similitude_system_matches_word_root():
     sys5 = golden_family().truncate(5)
-    assert operator_bowen_solve(sys5, depth=1).h == pytest.approx(
+    assert operator_bowen_solve(build_operator(sys5, depth=1)).h == pytest.approx(
         bowen_solve(sys5, depth=1).h, abs=1e-9
     )
 
@@ -248,8 +236,8 @@ def test_operator_root_of_similitude_system_matches_word_root():
 @pytest.mark.parametrize("n", [2, 3])
 def test_operator_root_brings_the_eigenvalue_to_one(n):
     cf = continued_fraction_system(n)
-    sol = operator_bowen_solve(cf, depth=2)
-    state = eigenmeasure(build_operator(cf, PotentialSpec(sol.h), depth=2))
+    sol = operator_bowen_solve(build_operator(cf, depth=2))
+    state = eigenmeasure(build_operator(cf, depth=2), sol.h)
     assert abs(state.eigenvalue - 1.0) < 1e-6
     assert sol.method == "operator"
 
@@ -258,11 +246,43 @@ def test_operator_root_sharpens_as_states_deepen():
     # reference value from the depth-16 cylinder-refinement solve
     target = 0.531280506367
     errs = [
-        abs(operator_bowen_solve(continued_fraction_system(2), depth=k).h - target)
+        abs(operator_bowen_solve(build_operator(continued_fraction_system(2), depth=k)).h - target)
         for k in (2, 4, 6)
     ]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-3
+
+
+def test_depth_one_operator_matches_exact_bernoulli():
+    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
+    for t in (0.0, 0.5, 1.0):
+        assert eigenmeasure(op, t).log_eigenvalue == pytest.approx(
+            math.log(2.0 * 3.0**-t), abs=1e-12
+        )
+    sol = operator_bowen_solve(op, tol=1e-12)
+    assert sol.h == pytest.approx(TERNARY_H, abs=1e-10)
+    assert sol.method == "operator"
+
+
+def test_operator_root_is_exact_on_similitude_subshift():
+    sys_ = fibonacci_system()
+    root = operator_bowen_solve(build_operator(sys_, depth=1), tol=1e-12).h
+    # independent closed form: eigenvalue 1 of [[.4^t, .3^t], [.4^t, 0]]
+    # happens exactly when 0.4^t + 0.12^t = 1
+    lo, hi = 0.0, 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if 0.4**mid + 0.12**mid > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    assert root == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+    # the word-level partition pressure only converges O(1/depth) on a
+    # subshift, and from above; watch it drift toward the operator answer
+    errs = [bowen_solve(sys_, depth=d, tol=1e-10).h - root for d in (4, 8, 16)]
+    assert all(e > 0 for e in errs)
+    assert errs == sorted(errs, reverse=True)
+    assert errs[-1] < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +291,7 @@ def test_operator_root_sharpens_as_states_deepen():
 
 def test_gibbs_state_json_export_is_complete_and_loadable():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    state = eigenmeasure(build_operator(sys_, PotentialSpec(TERNARY_H), depth=2))
+    state = eigenmeasure(build_operator(sys_, depth=2), TERNARY_H)
     blob = json.loads(state.to_json())
     assert set(blob) == {
         "eigenvalue",
