@@ -34,14 +34,14 @@ def main() -> None:
         f"  (midpoint {word.h:.10f}, gap {word.gap:.2e}, {t_word:.2f}s)"
     )
 
-    print(f"{'context':>8} {'operator root':>16} {'seconds':>8}")
+    print(f"{'context':>8} {'operator root':>16} {'evals':>6} {'seconds':>8}")
     for k in range(1, args.max_context + 1):
         if args.digits**k > GIBBS_MAX_STATES:
             break
         t0 = time.perf_counter()
         sol = operator_bowen_solve(build_operator(system, k))
         dt = time.perf_counter() - t0
-        print(f"{k:>8} {sol.h:>16.12f} {dt:>8.2f}")
+        print(f"{k:>8} {sol.h:>16.12f} {sol.iterations:>6} {dt:>8.2f}")
 
 
 if __name__ == "__main__":

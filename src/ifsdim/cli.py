@@ -670,8 +670,11 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             f"the budget of {GIBBS_MAX_STATES}"
         )
     operator = build_operator(source, depth=depth)
+    root_diagnostics = {}
     if raw_exp == "bowen":
-        exponent = operator_bowen_solve(operator).h
+        sol = operator_bowen_solve(operator)
+        exponent = sol.h
+        root_diagnostics["root_evaluations"] = sol.iterations
     state = eigenmeasure(operator, exponent)
     el = entropy_lyapunov(state)
     results = {
@@ -699,6 +702,7 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             "iterations": state.iterations,
             "variation_bound": state.variation_bound,
             "shift_invariance_defect": state.shift_invariance_defect(),
+            **root_diagnostics,
         },
         tables={
             "masses": _csv_table(["word", "eigenmeasure", "invariant"], mass_rows)

@@ -149,12 +149,6 @@ class LineMeasure:
         wanted = set(float(p) for p in points)
         return sum(w for loc, w in self.atoms if loc in wanted)
 
-    def cdf(self, x: float) -> float:
-        m = sum(w for loc, w in self.atoms if loc <= x)
-        for lo, hi, d in self.pieces:
-            m += d * max(0.0, min(x, hi) - lo)
-        return m
-
     def moment(self, p: int) -> float:
         """Exact integral of x^p."""
         if p < 0:
@@ -598,9 +592,6 @@ class MeasureFamily:
         if n < 1:
             raise ValueError(f"family index must be >= 1, got {n}")
         return self.member(n)
-
-    def sequence(self, upto: int) -> list[LineMeasure]:
-        return [self.at(n) for n in range(1, upto + 1)]
 
 
 def _alternating_collapse(n: int) -> LineMeasure:

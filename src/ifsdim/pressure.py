@@ -21,10 +21,12 @@ solvers are provided here:
                              ones whose pressure jumps past zero without a
                              root.
 
-``transfer.operator_bowen_solve`` bisects the log leading eigenvalue of a
-cylinder transfer operator with the same ``_bisect``; at depth 1 on a
-graph-directed similitude system it is the Perron root of the weighted
-incidence matrix.
+Both bisect with ``_find_root``.  ``transfer.operator_bowen_solve`` finds
+the zero of the log leading eigenvalue of a cylinder transfer operator with
+the same ``_find_root``; that function is convex and comes with its slope
+(minus the Lyapunov exponent), so there the finder takes safeguarded Newton
+steps.  At depth 1 on a graph-directed similitude system the operator root
+is the Perron root of the weighted incidence matrix.
 """
 
 from __future__ import annotations
@@ -141,46 +143,74 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.sort(np.exp(a - m)).sum()))
 
 
-def _bisect(
-    f: Callable[[float], float],
+def _find_root(
+    f: Callable[[float], Union[float, tuple[float, float]]],
     tol: float,
     max_iter: int,
     label: str,
 ) -> tuple[float, tuple[float, float], int]:
     """Find the sign change of a decreasing f on [0, inf); f may return +inf
-    (counted as positive).  Returns (root, bracket, evaluations)."""
-    evals = 0
+    (counted as positive).  Returns (root, bracket, evaluations).
 
-    def val(t: float) -> float:
-        nonlocal evals
+    The bracket starts at [0, hi], with hi the first of 1, 2, 4, ... where
+    f <= 0, and shrinks to width <= tol.  An f that returns a bare value is
+    bisected, and the root is the midpoint of the final bracket.  An f that
+    returns ``(value, slope)`` is stepped by Newton from each evaluated point
+    whenever the Newton point lies strictly inside the bracket, by the
+    midpoint otherwise.  A Newton step shorter than tol/2 means the iterates
+    have converged from one side, so the next evaluation lands tol/2 past the
+    last one, on the other side, to close the bracket.  Both bracket ends are
+    then evaluated points, and the root is the evaluated point with the
+    smallest |f|.
+    """
+    evals = 0
+    best = (math.inf, math.nan)  # (|f|, t) over the evaluated points
+
+    def val(t: float) -> tuple[float, float | None]:
+        nonlocal evals, best
         evals += 1
         if evals > max_iter:
             raise ConvergenceFailure(
                 f"{label}: needs more than {max_iter} evaluations for tolerance {tol}"
             )
-        return f(t)
+        out = f(t)
+        value, slope = out if isinstance(out, tuple) else (out, None)
+        if abs(value) < best[0]:
+            best = (abs(value), t)
+        return value, slope
 
     hi = 1.0
-    fhi = val(hi)
+    fhi, slope = val(hi)
+    has_slope = slope is not None
     while fhi > 0.0:
         if abs(fhi) < EXACT_ZERO:
             return hi, (hi, hi), evals
         if hi > 2.0**40:
             raise ConvergenceFailure(f"{label}: pressure stays positive out to t = {hi}")
         hi *= 2.0
-        fhi = val(hi)
+        fhi, slope = val(hi)
     if abs(fhi) < EXACT_ZERO:
         return hi, (hi, hi), evals
     lo = 0.0
+    t, ft = hi, fhi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = val(mid)
-        if abs(fm) < EXACT_ZERO:
-            return mid, (mid, mid), evals
-        if fm > 0.0:
-            lo = mid
+        nxt = 0.5 * (lo + hi)
+        if slope:
+            step = -ft / slope
+            if abs(step) <= 0.5 * tol:
+                step = 0.5 * tol if ft > 0.0 else -0.5 * tol
+            if lo < t + step < hi:
+                nxt = t + step
+        t = nxt
+        ft, slope = val(t)
+        if abs(ft) < EXACT_ZERO:
+            return t, (t, t), evals
+        if ft > 0.0:
+            lo = t
         else:
-            hi = mid
+            hi = t
+    if has_slope:
+        return best[1], (lo, hi), evals
     return 0.5 * (lo + hi), (lo, hi), evals
 
 
@@ -202,7 +232,7 @@ def bowen_solve(
         est_cache[t] = pressure(system, t, depth)
         return est_cache[t].value
 
-    root, bracket, evals = _bisect(f, tol, max_iter, f"bowen_solve({system.label or 'system'})")
+    root, bracket, evals = _find_root(f, tol, max_iter, f"bowen_solve({system.label or 'system'})")
     final = est_cache.get(root) or pressure(system, root, depth)
     return BowenSolution(
         h=root,
@@ -237,7 +267,7 @@ def analytic_bowen_solve(
     bisection also localizes the finiteness threshold of irregular families,
     which come back with regular=False and a negative residual.
     """
-    root, bracket, evals = _bisect(
+    root, bracket, evals = _find_root(
         lambda t: analytic_pressure(family, t), tol, max_iter, f"analytic({family.name})"
     )
     lo, hi = bracket

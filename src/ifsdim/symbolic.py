@@ -108,9 +108,6 @@ class IncidenceMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
 
-    def is_full(self) -> bool:
-        return all(all(v == 1 for v in row) for row in self.rows)
-
 
 def enumerate_admissible(
     matrix: Optional[IncidenceMatrix],

@@ -11,11 +11,14 @@ context ``w[:k-1]`` (the whole domain of ``e`` when ``k == 1``).
 of a state by ``exp(t * m)``.  Power iteration on the transpose produces
 the eigenmeasure, the right eigenvector gives the density, and their
 product is the invariant (shift-stationary) measure, realised here as a
-stationary Markov chain on the states.
+stationary Markov chain on the states.  The invariant measure's Lyapunov
+exponent is minus the slope of ``log eigenvalue`` in ``t``, which lets
+``operator_bowen_solve`` find the Bowen root by Newton steps.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pressure import BowenSolution, ConvergenceFailure, _bisect
+from .pressure import BowenSolution, ConvergenceFailure, _find_root
 from .symbolic import Word, enumerate_admissible, finitely_primitive_witness
 from .systems import SystemSpec, word_image
 
@@ -69,6 +72,11 @@ class OperatorMatrix:
 
     def __len__(self) -> int:
         return len(self.words)
+
+    def weighted(self, exponent: float) -> np.ndarray:
+        """The matrix at ``exponent``: column ``j`` scaled by
+        ``exp(exponent * state_log_mid[j])``."""
+        return self.matrix * np.exp(exponent * self.state_log_mid)[None, :]
 
 
 def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
@@ -143,7 +151,8 @@ class GibbsState:
     ``density`` is the right eigenvector scaled so that
     ``sum(eigenmeasure * density) == 1``; ``invariant`` is their product,
     the stationary law of the Markov chain with matrix ``transition`` whose
-    move from state ``w`` prepends one admissible symbol.
+    move from state ``w`` prepends one admissible symbol.  ``transition`` is
+    formed on first read: the root solve never reads it.
     """
 
     operator: OperatorMatrix = field(repr=False)
@@ -152,7 +161,6 @@ class GibbsState:
     eigenmeasure: np.ndarray = field(repr=False)
     density: np.ndarray = field(repr=False)
     invariant: np.ndarray = field(repr=False)
-    transition: np.ndarray = field(repr=False)
     residual: float
     density_residual: float
     iterations: int
@@ -164,6 +172,24 @@ class GibbsState:
     @property
     def log_eigenvalue(self) -> float:
         return math.log(self.eigenvalue)
+
+    @property
+    def lyapunov(self) -> float:
+        """``-sum_j invariant[j] * state_log_mid[j]``: the Lyapunov exponent
+        of the invariant measure, and minus the slope of ``log_eigenvalue``
+        in the exponent."""
+        return float(-(self.invariant * self.operator.state_log_mid).sum())
+
+    @functools.cached_property
+    def transition(self) -> np.ndarray:
+        mat = self.operator.weighted(self.exponent)
+        g = self.density
+        with np.errstate(divide="ignore", invalid="ignore"):
+            transition = (mat * g[None, :]) / (self.eigenvalue * g[:, None])
+        transition = np.where(mat > 0, transition, 0.0)
+        rows = transition.sum(axis=1)
+        transition /= rows[:, None]
+        return transition
 
     @property
     def variation_bound(self) -> float:
@@ -250,7 +276,7 @@ def eigenmeasure(
     """
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
-    mat = operator.matrix * np.exp(exponent * operator.state_log_mid)[None, :]
+    mat = operator.weighted(exponent)
     mu, lam, res_mu, it_mu = _power_iterate(mat.T, tol, max_iters)
     g, lam_g, res_g, it_g = _power_iterate(mat, tol, max_iters)
     worst = max(res_mu, res_g)
@@ -266,12 +292,6 @@ def eigenmeasure(
     g = g / scale
     invariant = mu * g
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        transition = (mat * g[None, :]) / (lam * g[:, None])
-    transition = np.where(mat > 0, transition, 0.0)
-    rows = transition.sum(axis=1)
-    transition /= rows[:, None]
-
     return GibbsState(
         operator=operator,
         exponent=exponent,
@@ -279,7 +299,6 @@ def eigenmeasure(
         eigenmeasure=mu,
         density=g,
         invariant=invariant,
-        transition=transition,
         residual=res_mu,
         density_residual=res_g,
         iterations=max(it_mu, it_g),
@@ -312,7 +331,7 @@ def entropy_lyapunov(state: GibbsState) -> EntropyLyapunov:
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
     entropy = float(-(pi[:, None] * plogp).sum())
-    lyapunov = float(-(pi * state.operator.state_log_mid).sum())
+    lyapunov = state.lyapunov
     if lyapunov <= 1e-12:
         raise DegenerateSystemError(
             f"Lyapunov exponent {lyapunov:.3e} is not positive; "
@@ -328,22 +347,30 @@ def operator_bowen_solve(
 ) -> BowenSolution:
     """Exponent where the operator's leading eigenvalue crosses one.
 
-    Bisects ``t -> log eigenvalue(t)`` (strictly decreasing for uniformly
-    contracting systems) on the given operator.  The returned residual is
-    the log-eigenvalue at the root; the bracket is the final bisection
-    interval.
+    Finds the zero of ``t -> log eigenvalue(t)``, which is convex and, for
+    uniformly contracting systems, strictly decreasing, on the given
+    operator.  Each evaluation is one :func:`eigenmeasure`, whose invariant
+    measure gives the slope ``-lyapunov``, so ``_find_root`` takes
+    safeguarded Newton steps, about five evaluations at ``tol = 1e-10``.
+    ``h`` is the evaluated exponent with the smallest ``|log eigenvalue|``
+    and ``residual`` that log-eigenvalue.  ``bracket`` holds two evaluated
+    exponents, ``log eigenvalue(lo) > 0 >= log eigenvalue(hi)``, at most
+    ``tol`` apart (equal on an exact hit).
     """
+    values: dict[float, float] = {}
 
-    def logeig(t: float) -> float:
-        return eigenmeasure(operator, t).log_eigenvalue
+    def logeig(t: float) -> tuple[float, float]:
+        state = eigenmeasure(operator, t)
+        values[t] = state.log_eigenvalue
+        return values[t], -state.lyapunov
 
-    h, bracket, iterations = _bisect(
+    h, bracket, iterations = _find_root(
         logeig, tol=tol, max_iter=max_iter, label="operator eigenvalue"
     )
     return BowenSolution(
         h=h,
         bracket=bracket,
-        residual=logeig(h),
+        residual=values[h],
         regular=True,
         depth=operator.depth,
         iterations=iterations,

@@ -494,6 +494,16 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):
+    system = "system.family = continued-fraction\nsystem.size = 2\ngibbs.depth = 4\n"
+    code, report = run(tmp_path, "gibbs", system)
+    assert code == 0
+    assert 1 <= report["diagnostics"]["root_evaluations"] <= 8
+    code, report = run(tmp_path, "gibbs", system + "gibbs.exponent = 0.5\n")
+    assert code == 0
+    assert "root_evaluations" not in report["diagnostics"]
+
+
 def test_gibbs_state_budget_exit_2(tmp_path):
     # 3^12 = 531,441 states would need a dense matrix of about 2.3 TB
     code, report = run(

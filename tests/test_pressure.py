@@ -15,6 +15,7 @@ from ifsdim.pressure import (
     partition_sum,
     pressure,
     truncation_scan,
+    _find_root,
 )
 from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
@@ -215,3 +216,21 @@ def test_truncation_scan_attaches_irregular_limit():
     assert scan.limit == pytest.approx(0.5, abs=1e-6)
     assert scan.limit_regular is False
     assert all(row.regular for row in scan)  # every finite stage still solves
+
+
+def test_root_finder_newton_steps_and_bisection_share_one_bracket_contract():
+    # convex and decreasing with its root at log 2
+    def f(t):
+        return 2.0 * math.exp(-t) - 1.0
+
+    tol = 1e-10
+    root, (lo, hi), evals = _find_root(f, tol, 200, "plain")
+    assert evals == 35 and hi - lo <= tol and root == 0.5 * (lo + hi)
+    # a useless slope falls back to the midpoint at every step
+    nan_root, nan_bracket, nan_evals = _find_root(lambda t: (f(t), math.nan), tol, 200, "nan")
+    assert (nan_bracket, nan_evals) == ((lo, hi), evals)
+    assert nan_root in nan_bracket
+    root, (lo, hi), evals = _find_root(lambda t: (f(t), -2.0 * math.exp(-t)), tol, 200, "newton")
+    assert evals <= 8
+    assert 0.0 < hi - lo <= tol and f(lo) > 0.0 >= f(hi)
+    assert root in (lo, hi) and abs(root - math.log(2.0)) <= tol

@@ -31,3 +31,5 @@ def test_cf_dimension_prints_one_operator_row_per_context():
     rows = [line.split() for line in lines[header + 1 :]]
     assert [row[0] for row in rows] == ["1", "2", "3"]
     assert all(0.5 < float(row[1]) < 0.61 for row in rows)
+    # safeguarded Newton steps need a handful of eigen-solves per root
+    assert all(int(row[2]) <= 8 for row in rows)

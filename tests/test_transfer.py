@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifsdim.measures import conformal_cylinder_measure
 from ifsdim.pressure import ConvergenceFailure, bowen_solve, pressure
@@ -283,6 +284,58 @@ def test_operator_root_is_exact_on_similitude_subshift():
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 0.02
+
+
+@st.composite
+def cf_digit_systems(draw):
+    """Continued-fraction maps x -> 1/(q+x) for 2-3 distinct digits q in 1..9."""
+    digits = sorted(draw(st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True)))
+    maps = [MapDescriptor("moebius-1d", q=q) for q in digits]
+    return gdms_system(((0.0, 1.0),), maps, label=f"cf{digits}")
+
+
+@given(cf_digit_systems(), st.integers(1, 5))
+@settings(max_examples=25, deadline=None)
+def test_operator_root_brackets_the_log_eigenvalue_zero(system, depth):
+    op = build_operator(system, depth=depth)
+    tol = 1e-10
+    sol = operator_bowen_solve(op, tol=tol)
+
+    def logeig(t):
+        return eigenmeasure(op, t).log_eigenvalue
+
+    lo, hi = sol.bracket
+    assert 0.0 <= hi - lo <= tol
+    if lo < hi:
+        assert logeig(lo) > 0.0 >= logeig(hi)
+    assert sol.residual == logeig(sol.h)
+    assert abs(sol.residual) <= min(abs(logeig(lo)), abs(logeig(hi)))
+    # independent reference: plain bisection on the same log-eigenvalue
+    a, b = 0.0, 1.0
+    assert logeig(b) <= 0.0
+    while b - a > 1e-13:
+        mid = 0.5 * (a + b)
+        if logeig(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    assert abs(sol.h - 0.5 * (a + b)) <= tol
+
+
+@pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
+def test_lyapunov_is_minus_the_log_eigenvalue_slope(t):
+    op = build_operator(continued_fraction_system(2), depth=4)
+    step = 1e-4
+    central = (
+        eigenmeasure(op, t + step).log_eigenvalue - eigenmeasure(op, t - step).log_eigenvalue
+    ) / (2 * step)
+    assert -eigenmeasure(op, t).lyapunov == pytest.approx(central, abs=1e-6)
+
+
+def test_operator_root_takes_a_handful_of_evaluations():
+    # bisection to the default tol 1e-10 takes 35
+    sol = operator_bowen_solve(build_operator(continued_fraction_system(2), 8))
+    assert sol.iterations <= 8
 
 
 # ---------------------------------------------------------------------------
