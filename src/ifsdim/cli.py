@@ -198,13 +198,13 @@ def _parse_map(entry: str) -> MapDescriptor:
     parts = [p.strip() for p in entry.split(":")]
     kind = parts[0]
     try:
-        if kind in ("similitude", "affine-1d"):
+        if kind == "similitude":
             if len(parts) != 3:
                 raise ConfigError(
-                    f"system.maps: {entry!r} must be '{kind}:ratio:offset'"
+                    f"system.maps: {entry!r} must be 'similitude:ratio:offset'"
                 )
             return MapDescriptor(kind, ratio=float(parts[1]), offset=float(parts[2]))
-        if kind in ("moebius", "moebius-1d"):
+        if kind == "moebius":
             if len(parts) != 2:
                 raise ConfigError(f"system.maps: {entry!r} must be 'moebius:q'")
             return MapDescriptor("moebius-1d", q=int(parts[1]))
@@ -477,7 +477,7 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
     for n in levels:
         nu = fam.at(n)
         tv = tv_distance(nu, fam.limit)
-        weak = weak_discrepancy(nu, fam.limit, moments=8)
+        weak = weak_discrepancy(nu, fam.limit)
         if nu.atoms:
             sets: list = [("points", tuple(loc for loc, _ in nu.atoms))]
         else:
@@ -673,9 +673,10 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
     root_diagnostics = {}
     if raw_exp == "bowen":
         sol = operator_bowen_solve(operator)
-        exponent = sol.h
+        exponent, state = sol.h, sol.state
         root_diagnostics["root_evaluations"] = sol.iterations
-    state = eigenmeasure(operator, exponent)
+    else:
+        state = eigenmeasure(operator, exponent)
     el = entropy_lyapunov(state)
     results = {
         "exponent": exponent,

@@ -249,17 +249,19 @@ def density_field(
     return DensityField(points=pts, lower=lower, upper=upper, inside=inside, radii=radii)
 
 
+YOUNG_BAND = 0.05  # half-width of the band around c that counts as pinned
+
+
 @dataclass(frozen=True)
 class YoungCriterion:
     """Empirical exact-dimensionality check: one exponent carries the mass."""
 
     c: float
     fraction: float
-    band: float
 
 
-def young_criterion(fld: DensityField, band: float = 0.05) -> YoungCriterion:
-    """Median midpoint exponent and the mass fraction pinned to it.
+def young_criterion(fld: DensityField) -> YoungCriterion:
+    """Median midpoint exponent and the mass fraction within YOUNG_BAND of it.
 
     A fraction near one says the per-point exponent intervals concentrate
     at a single value c — the empirical shadow of exact dimensionality; a
@@ -271,8 +273,8 @@ def young_criterion(fld: DensityField, band: float = 0.05) -> YoungCriterion:
     lower, upper = fld.lower[mask], fld.upper[mask]
     mid = 0.5 * (lower + upper)
     c = float(np.median(mid))
-    hit = (lower >= c - band) & (upper <= c + band)
-    return YoungCriterion(c=c, fraction=float(hit.mean()), band=band)
+    hit = (lower >= c - YOUNG_BAND) & (upper <= c + YOUNG_BAND)
+    return YoungCriterion(c=c, fraction=float(hit.mean()))
 
 
 @dataclass(frozen=True)
@@ -281,26 +283,27 @@ class ScalingBounds:
 
     lower: float
     upper: float
-    quantile: float
 
 
-def scaling_quantile_bounds(fld: DensityField, quantile: float = 0.05) -> ScalingBounds:
+SCALING_QUANTILE = 0.05  # tail mass cut from each end of the exponent range
+
+
+def scaling_quantile_bounds(fld: DensityField) -> ScalingBounds:
     """Robust [gamma_lower, gamma_upper] bracket from the field quantiles.
 
     The q-quantile of the per-point lower exponents bounds the dimension
-    from below, the (1-q)-quantile of the uppers from above; q = 0.05 is a
-    robustness choice, surfaced so callers can tighten it.
+    from below, the (1-q)-quantile of the uppers from above, with
+    q = SCALING_QUANTILE, a robustness choice.
     """
+    quantile = SCALING_QUANTILE
     mask = fld.inside
     if not mask.any():
         raise ValueError("density field has no points inside the support")
-    if not (0.0 <= quantile < 0.5):
-        raise ValueError(f"quantile must lie in [0, 0.5), got {quantile}")
     finite_upper = fld.upper[mask]
     finite_upper = finite_upper[np.isfinite(finite_upper)]
     upper = float(np.quantile(finite_upper, 1.0 - quantile)) if finite_upper.size else math.inf
     lower = float(np.quantile(fld.lower[mask], quantile))
-    return ScalingBounds(lower=lower, upper=max(upper, lower), quantile=quantile)
+    return ScalingBounds(lower=lower, upper=max(upper, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,6 @@ class FlatnessCurve:
     exponents: np.ndarray = field(repr=False)
     bounds: np.ndarray = field(repr=False)
     fired: bool
-    threshold: float
 
     def as_csv(self) -> str:
         lines = ["r,bound,exponent"]
@@ -353,19 +355,17 @@ def _left_interval_bound(measure: LineMeasure, s: float, r: float) -> float:
     return inf_ball * measure.mass_of_interval(0.0, s, closed=True)
 
 
-def flatness_detector(
-    measure: LineMeasure,
-    radii: Sequence[float],
-    candidates: Optional[Sequence[float]] = None,
-    threshold: float = 0.25,
-) -> FlatnessCurve:
+FLATNESS_THRESHOLD = 0.25  # smallest-radius exponent at which flatness fires
+
+
+def flatness_detector(measure: LineMeasure, radii: Sequence[float]) -> FlatnessCurve:
     """Scan a radius ladder for mass concentration near the left endpoint.
 
-    Candidate cut points default to the measure's own geometry (piece
-    edges, atom locations, the full interval) plus r/2 for each radius —
-    enough to realise the optimal cut for staircase-type measures without
-    searching a continuum.  ``fired`` reports whether the exponent at the
-    smallest radius dropped below ``threshold``.
+    Candidate cut points are the measure's own geometry (piece edges, atom
+    locations, the full interval) plus r/2 for each radius — enough to
+    realise the optimal cut for staircase-type measures without searching a
+    continuum.  ``fired`` reports whether the exponent at the smallest
+    radius dropped to ``FLATNESS_THRESHOLD`` or below.
     """
     lo_supp, hi_supp = measure.support_bounds
     if lo_supp < 0.0 or hi_supp > 1.0:
@@ -376,12 +376,10 @@ def flatness_detector(
     if radii.size == 0 or not ((radii > 0.0) & (radii < 1.0)).all():
         raise ValueError("radii must be a nonempty ladder inside (0, 1)")
 
-    if candidates is None:
-        base = {1.0}
-        base.update(a for a, _ in measure.atoms)
-        for lo, hi, _ in measure.pieces:
-            base.update((lo, hi))
-        candidates = base
+    candidates = {1.0}
+    candidates.update(a for a, _ in measure.atoms)
+    for lo, hi, _ in measure.pieces:
+        candidates.update((lo, hi))
     fixed = [s for s in candidates if 0.0 < s <= 1.0]
     if not fixed:
         raise ValueError("no candidate cut points in (0, 1]")
@@ -398,8 +396,7 @@ def flatness_detector(
         radii=radii,
         exponents=exponents,
         bounds=bounds,
-        fired=bool(exponents[tightest] <= threshold),
-        threshold=threshold,
+        fired=bool(exponents[tightest] <= FLATNESS_THRESHOLD),
     )
 
 

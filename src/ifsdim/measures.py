@@ -18,8 +18,9 @@ Three convergence gauges with strictly decreasing strength:
                              via the positive/negative parts of the signed
                              difference;
 * ``setwise_discrepancy``  — max disagreement over a finite family of test
-                             sets (intervals, point sets, or cylinder
-                             words); always a lower bound for TV;
+                             sets ((lo, hi) intervals and ("points", locs)
+                             sets, or cylinder Words); always a lower bound
+                             for TV;
 * ``weak_discrepancy``     — max disagreement of exact integrals over a
                              finite trigonometric + monomial dictionary, a
                              pragmatic stand-in for testing against every
@@ -31,15 +32,14 @@ from (source, seed) alone and independent of evaluation order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .pressure import ConvergenceFailure
-from .symbolic import Word, enumerate_admissible
+from .symbolic import Word
 from .systems import (
     SimilitudeFamily,
     SystemSpec,
@@ -172,27 +172,6 @@ class LineMeasure:
                 m += d * (math.cos(w_ * lo) - math.cos(w_ * hi)) / w_
         return m
 
-    # -- serialization -------------------------------------------------------
-
-    def json_dict(self) -> dict:
-        return {
-            "atoms": [[loc, w] for loc, w in self.atoms],
-            "pieces": [[lo, hi, d] for lo, hi, d in self.pieces],
-            "label": self.label,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LineMeasure":
-        raw = json.loads(text)
-        return cls(
-            atoms=tuple((a[0], a[1]) for a in raw.get("atoms", ())),
-            pieces=tuple((p[0], p[1], p[2]) for p in raw.get("pieces", ())),
-            label=raw.get("label", ""),
-        )
-
 
 # ---------------------------------------------------------------------------
 # exact total variation
@@ -247,13 +226,9 @@ def _set_mass(measure, spec: TestSet) -> float:
     if isinstance(spec, Word):
         if isinstance(measure, CylinderMeasure):
             return measure.mass_of(spec)
-        if isinstance(measure, Mapping):
-            return measure[spec]
         raise TypeError(f"{type(measure).__name__} cannot evaluate cylinder words")
     if not isinstance(measure, LineMeasure):
         raise TypeError(f"{type(measure).__name__} cannot evaluate {spec!r}")
-    if len(spec) == 3 and spec[0] == "interval":
-        return measure.mass_of_interval(float(spec[1]), float(spec[2]))
     if len(spec) == 2 and spec[0] == "points":
         return measure.mass_of_points(spec[1])
     if len(spec) == 2 and all(isinstance(v, (int, float)) for v in spec):
@@ -264,9 +239,10 @@ def _set_mass(measure, spec: TestSet) -> float:
 def setwise_discrepancy(m1, m2, sets: Iterable[TestSet]) -> float:
     """max over the finite test family of |m1(A) - m2(A)|.
 
-    Test sets are ("interval", lo, hi) or plain (lo, hi) pairs, ("points",
-    locations), or Word objects for cylinder measures.  Always a lower bound
-    for the total-variation distance.
+    Test sets are closed intervals as (lo, hi) pairs and ("points",
+    locations) pairs for LineMeasures, and Word objects (cylinders) for
+    CylinderMeasures.  Always a lower bound for the total-variation
+    distance.
     """
     worst = 0.0
     for spec in sets:
@@ -274,16 +250,17 @@ def setwise_discrepancy(m1, m2, sets: Iterable[TestSet]) -> float:
     return worst
 
 
-def weak_discrepancy(m1: LineMeasure, m2: LineMeasure, moments: int = 8) -> float:
+WEAK_MOMENTS = 8  # M, the largest frequency and power in the weak dictionary
+
+
+def weak_discrepancy(m1: LineMeasure, m2: LineMeasure) -> float:
     """max over {cos(2*pi*j*x), sin(2*pi*j*x) : j <= M} + {x^p : p <= M} of
     the exact integral difference — a dictionary proxy for weak convergence,
     reported as such (never as a true weak distance)."""
-    if moments < 1:
-        raise ValueError("moments must be >= 1")
     worst = 0.0
-    for p in range(moments + 1):
+    for p in range(WEAK_MOMENTS + 1):
         worst = max(worst, abs(m1.moment(p) - m2.moment(p)))
-    for j in range(1, moments + 1):
+    for j in range(1, WEAK_MOMENTS + 1):
         for kind in ("cos", "sin"):
             worst = max(worst, abs(m1.trig_moment(j, kind) - m2.trig_moment(j, kind)))
     return worst
@@ -313,18 +290,11 @@ class CylinderMeasure:
     masses: tuple[np.ndarray, ...]
     last_symbols: tuple[np.ndarray, ...]
     child_starts: tuple[np.ndarray, ...]
-    normalized: bool = True
 
     def level(self, d: int) -> np.ndarray:
         if not 1 <= d <= self.depth:
             raise ValueError(f"stored depths are 1..{self.depth}, got {d}")
         return self.masses[d - 1]
-
-    def words(self, d: int) -> Iterator[Word]:
-        """Depth-d admissible words in the same order as level(d)."""
-        if not 1 <= d <= self.depth:
-            raise ValueError(f"stored depths are 1..{self.depth}, got {d}")
-        return enumerate_admissible(self.system.incidence, self.system.alphabet_size, d)
 
     def mass_of(self, word: Word) -> float:
         if not 1 <= len(word) <= self.depth:
@@ -343,13 +313,13 @@ class CylinderMeasure:
         return float(self.masses[len(word) - 1][idx])
 
     def consistent(self, tol: float = 1e-12) -> bool:
-        """Additivity at every stored depth plus unit total when normalized."""
+        """Additivity at every stored depth plus unit total."""
         for d in range(1, self.depth):
             parents = self.masses[d - 1]
             sums = np.add.reduceat(self.masses[d], self.child_starts[d - 1][:-1])
             if not np.allclose(parents, sums, rtol=0.0, atol=tol):
                 return False
-        if self.normalized and abs(float(self.masses[0].sum()) - 1.0) > tol * 10:
+        if abs(float(self.masses[0].sum()) - 1.0) > tol * 10:
             return False
         return bool(all((lvl >= 0).all() for lvl in self.masses))
 
@@ -401,7 +371,6 @@ def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> Cyli
         masses=tuple(levels),
         last_symbols=tuple(last),
         child_starts=tuple(starts),
-        normalized=True,
     )
 
 
@@ -457,13 +426,6 @@ class SampleCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def as_text(self) -> str:
-        return "".join(f"{p:.17g}\n" for p in self.points)
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.as_text())
 
 
 def sample(measure, count: int, seed: int) -> SampleCloud:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -42,12 +42,10 @@ from .systems import SimilitudeFamily, SystemSpec, level_geometry
 
 __all__ = [
     "ConvergenceFailure",
-    "PartitionSum",
     "PressureEstimate",
     "BowenSolution",
     "ScanRow",
     "TruncationScan",
-    "partition_sum",
     "pressure",
     "bowen_solve",
     "analytic_pressure",
@@ -61,16 +59,6 @@ IRREGULAR_RESIDUAL = 1e-4  # larger leftover pressure at the root => no root
 
 class ConvergenceFailure(RuntimeError):
     """An iterative solve ran out of iterations before reaching tolerance."""
-
-
-@dataclass(frozen=True)
-class PartitionSum:
-    """Depth-n sum of derivative-bound powers, linear domain."""
-
-    t: float
-    depth: int
-    upper: float
-    lower: float
 
 
 @dataclass(frozen=True)
@@ -108,9 +96,14 @@ class BowenSolution:
     iterations: int
     method: str  # "word" | "analytic" | "operator"
     gap: float = 0.0  # pressure bracket width at the root (word method)
+    # the transfer.GibbsState evaluated at h (operator method)
+    state: object = field(default=None, repr=False, compare=False)
 
 
-def _log_partition(system: SystemSpec, t: float, depth: int) -> tuple[float, float]:
+def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
+    """(1/n) log of the sums of sup|s_w'|^t and of inf|s_w'|^t over the
+    admissible depth-n words, accumulated in the log domain; the two
+    figures coincide for similitudes."""
     if t < 0:
         raise ValueError(f"exponent must be >= 0, got {t}")
     if depth < 1:
@@ -118,21 +111,8 @@ def _log_partition(system: SystemSpec, t: float, depth: int) -> tuple[float, flo
     lg = level_geometry(system, depth)
     if lg.count == 0:
         raise ValueError(f"no admissible words at depth {depth}")
-    return _logsumexp(t * lg.log_sup), _logsumexp(t * lg.log_inf)
-
-
-def partition_sum(system: SystemSpec, t: float, depth: int) -> PartitionSum:
-    """Sum of sup|s_w'|^t (and of inf|s_w'|^t) over admissible depth-words.
-
-    Accumulated in the log domain; the two figures coincide for similitudes.
-    """
-    log_upper, log_lower = _log_partition(system, t, depth)
-    return PartitionSum(t=t, depth=depth, upper=math.exp(log_upper), lower=math.exp(log_lower))
-
-
-def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
-    log_upper, log_lower = _log_partition(system, t, depth)
-    return PressureEstimate(t=t, depth=depth, upper=log_upper / depth, lower=log_lower / depth)
+    upper, lower = _logsumexp(t * lg.log_sup), _logsumexp(t * lg.log_inf)
+    return PressureEstimate(t=t, depth=depth, upper=upper / depth, lower=lower / depth)
 
 
 def _logsumexp(a: np.ndarray) -> float:

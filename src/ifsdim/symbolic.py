@@ -1,5 +1,5 @@
-"""Finite words over an edge alphabet, incidence matrices, and the
-comparison metric used on the coding space.
+"""Finite words over an edge alphabet, incidence matrices, the comparison
+metric used on the coding space, and the finite-primitivity test.
 
 Symbols are 0-based integers indexing the maps of a system.  A word is an
 admissible string of symbols; admissibility is governed by an incidence
@@ -18,10 +18,8 @@ import numpy as np
 __all__ = [
     "Word",
     "IncidenceMatrix",
-    "PrimitivityWitness",
     "enumerate_admissible",
     "count_admissible",
-    "shift",
     "comparison_distance",
     "finitely_primitive_witness",
 ]
@@ -55,21 +53,8 @@ class Word:
         got = self.symbols[ix]
         return Word(got) if isinstance(ix, slice) else got
 
-    def prepend(self, symbol: int) -> "Word":
-        return Word((symbol,) + self.symbols)
-
-    def extend(self, symbol: int) -> "Word":
-        return Word(self.symbols + (symbol,))
-
     def __str__(self) -> str:
         return ".".join(str(s) for s in self.symbols)
-
-
-def shift(word: Word) -> Word:
-    """Drop the first symbol.  Shifting a length-1 word is an error."""
-    if len(word) <= 1:
-        raise ValueError("cannot shift a length-1 word (result would be empty)")
-    return Word(word.symbols[1:])
 
 
 @dataclass(frozen=True)
@@ -173,59 +158,22 @@ def comparison_distance(a: Word, b: Word) -> float:
     return math.exp(1 - (common + 1))
 
 
-@dataclass(frozen=True)
-class PrimitivityWitness:
-    """Evidence that the subshift is finitely primitive.
+PRIMITIVITY_MAX_LENGTH = 8  # longest connecting length searched
 
-    ``length`` is the smallest connecting-word length p such that every
-    ordered symbol pair (e, e') admits a word w of length exactly p with
-    e-w-e' admissible; ``words`` holds one such w per pair (lexicographically
-    smallest), keyed by (e, e').
+
+def finitely_primitive_witness(matrix: IncidenceMatrix) -> Optional[int]:
+    """The smallest connecting length p <= PRIMITIVITY_MAX_LENGTH, or None.
+
+    p works when every ordered symbol pair (e, e') admits a word w of length
+    exactly p with e-w-e' admissible, that is when every entry of A^(p+1) is
+    positive.  None means no p in range works (e.g. the identity matrix,
+    which is not primitive at all).
     """
-
-    length: int
-    words: dict[tuple[int, int], Word]
-
-    def word_set(self) -> tuple[Word, ...]:
-        return tuple(sorted(set(self.words.values()), key=lambda w: w.symbols))
-
-
-def finitely_primitive_witness(
-    matrix: IncidenceMatrix, max_length: int = 8
-) -> Optional[PrimitivityWitness]:
-    """Search for the smallest single connecting length p <= max_length.
-
-    A length p works exactly when every entry of A^(p+1) is positive.  For
-    each pair the witness word is reconstructed greedily, smallest symbol
-    first, so results are reproducible.  Returns None when no p in range
-    works (e.g. the identity matrix, which is not primitive at all).
-    """
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
-    n = matrix.size
-    arr = matrix.as_array().astype(bool)
-    # reach[j] = boolean matrix of 'path of exactly j transitions exists'
-    reach = [np.eye(n, dtype=bool)]
-    for _ in range(max_length + 1):
-        reach.append((reach[-1].astype(np.int64) @ arr.astype(np.int64)) > 0)
-
-    for p in range(1, max_length + 1):
-        if not reach[p + 1].all():
-            continue
-        words: dict[tuple[int, int], Word] = {}
-        for e in range(n):
-            for e2 in range(n):
-                prev = e
-                picked: list[int] = []
-                for pos in range(p):
-                    remaining = p - pos - 1  # symbols still to pick after this one
-                    for cand in range(n):
-                        if arr[prev][cand] and reach[remaining + 1][cand][e2]:
-                            picked.append(cand)
-                            prev = cand
-                            break
-                    else:  # pragma: no cover - reach[p+1].all() guarantees a path
-                        raise RuntimeError("witness reconstruction failed")
-                words[(e, e2)] = Word(tuple(picked))
-        return PrimitivityWitness(length=p, words=words)
+    arr = matrix.as_array()
+    reach = arr
+    for p in range(1, PRIMITIVITY_MAX_LENGTH + 1):
+        # 1 where a path of exactly p + 1 transitions exists
+        reach = ((reach @ arr) > 0).astype(np.int64)
+        if reach.all():
+            return p
     return None

@@ -4,8 +4,8 @@ A system is a finite collection of injective contractions between vertex
 intervals, together with an incidence matrix saying which map may follow
 which.  Two map kinds are supported:
 
-* ``similitude`` / ``affine``: x -> a*x + b with 0 < |a| < 1,
-* ``moebius``: x -> 1/(q+x) on [0, 1] with integer q >= 1
+* ``similitude``: x -> a*x + b with 0 < |a| < 1,
+* ``moebius-1d``: x -> 1/(q+x) on [0, 1] with integer q >= 1
   (|derivative| = 1/(q+x)^2, the continued-fraction branches).
 
 Every branch is held as one 2x2 matrix (a, b, c, d), acting as
@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .symbolic import IncidenceMatrix, Word, enumerate_admissible
+from .symbolic import IncidenceMatrix, Word
 
 __all__ = [
     "InvalidSystem",
@@ -40,7 +40,6 @@ __all__ = [
     "SeparationReport",
     "check_separation",
     "ensure_separation",
-    "truncate",
     "level_geometry",
     "word_image",
     "golden_family",
@@ -70,9 +69,9 @@ class MapDescriptor:
     """One branch map.  ``domain_vertex``/``image_vertex`` index the vertex
     spaces the map goes between (both 0 for a plain IFS)."""
 
-    kind: str  # "similitude" | "affine-1d" | "moebius-1d"
-    ratio: float = 0.0  # similitude/affine slope a
-    offset: float = 0.0  # similitude/affine intercept b
+    kind: str  # "similitude" | "moebius-1d"
+    ratio: float = 0.0  # similitude slope a
+    offset: float = 0.0  # similitude intercept b
     q: int = 0  # moebius denominator shift
     domain_vertex: int = 0
     image_vertex: int = 0
@@ -80,10 +79,10 @@ class MapDescriptor:
     matrix: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind in ("similitude", "affine-1d"):
+        if self.kind == "similitude":
             if not (0.0 < abs(self.ratio) < 1.0):
                 raise InvalidSystem(
-                    f"{self.kind} ratio must satisfy 0 < |a| < 1, got {self.ratio}"
+                    f"similitude ratio must satisfy 0 < |a| < 1, got {self.ratio}"
                 )
             matrix = (float(self.ratio), float(self.offset), 0.0, 1.0)
         elif self.kind == "moebius-1d":
@@ -144,7 +143,6 @@ class SystemSpec:
     distortion_bound: float
     word_contraction: float
     label: str = ""
-    level: Optional[int] = None  # truncation level when cut from a family
 
     def __post_init__(self) -> None:
         if self.flavor not in ("cifs", "gdms"):
@@ -222,7 +220,10 @@ class LevelGeometry:
         return self.log_sup.shape[0]
 
 
-@functools.lru_cache(maxsize=64)
+# One level: a command reuses its level across the root finder's
+# evaluations, the cylinder measure and the density field, in sequence,
+# while levels of earlier commands would only hold memory.
+@functools.lru_cache(maxsize=1)
 def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     """Exact images and certified derivative bounds for all depth-n words.
 
@@ -288,7 +289,7 @@ def _check_word(system: SystemSpec, word: Word) -> None:
 
 
 # ---------------------------------------------------------------------------
-# separation and truncation
+# separation
 
 
 @dataclass(frozen=True)
@@ -332,32 +333,6 @@ def ensure_separation(system: SystemSpec) -> None:
     report = check_separation(system)
     if not report.ok:
         raise SeparationError(report.detail)
-
-
-def truncate(source: Union["SimilitudeFamily", SystemSpec], n: int) -> SystemSpec:
-    """Sub-system on the first n maps.  n >= 2 (an IFS needs two elements)."""
-    if n < 2:
-        raise ValueError(f"truncation level must be >= 2, got {n}")
-    if isinstance(source, SimilitudeFamily):
-        return source.truncate(n)
-    if n > source.alphabet_size:
-        raise ValueError(
-            f"cannot truncate to {n} maps, system has {source.alphabet_size}"
-        )
-    inc = source.incidence
-    if inc is not None:
-        inc = IncidenceMatrix(tuple(tuple(row[:n]) for row in inc.rows[:n]))
-    sub = SystemSpec(
-        flavor=source.flavor,
-        vertex_spaces=source.vertex_spaces,
-        maps=source.maps[:n],
-        incidence=inc,
-        distortion_bound=source.distortion_bound,
-        word_contraction=_contraction(source.maps[:n], source.vertex_spaces),
-        label=f"{source.label or 'system'}[:{n}]",
-        level=n,
-    )
-    return sub
 
 
 def _contraction(maps: Sequence[MapDescriptor], vertex_spaces) -> float:
@@ -413,7 +388,6 @@ class SimilitudeFamily:
             distortion_bound=1.0,
             word_contraction=max(abs(m.ratio) for m in maps),
             label=f"{self.name}[:{n}]",
-            level=n,
         )
 
 
@@ -531,7 +505,6 @@ def continued_fraction_system(n: int) -> SystemSpec:
         distortion_bound=4.0,
         word_contraction=_contraction(maps, vs),
         label=f"continued-fraction[:{n}]",
-        level=n,
     )
 
 

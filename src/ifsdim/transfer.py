@@ -19,10 +19,8 @@ exponent is minus the slope of ``log eigenvalue`` in ``t``, which lets
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -209,28 +207,6 @@ class GibbsState:
         keys = set(head) | set(tail)
         return max(abs(head.get(k, 0.0) - tail.get(k, 0.0)) for k in keys)
 
-    def json_dict(self) -> dict:
-        return {
-            "eigenvalue": self.eigenvalue,
-            "depth": self.operator.depth,
-            "exponent": self.exponent,
-            "masses": {
-                ".".join(map(str, w.symbols)): float(m)
-                for w, m in zip(self.words, self.eigenmeasure)
-            },
-            "invariant_masses": {
-                ".".join(map(str, w.symbols)): float(m)
-                for w, m in zip(self.words, self.invariant)
-            },
-            "residuals": {
-                "eigenmeasure": self.residual,
-                "density": self.density_residual,
-            },
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.json_dict(), indent=indent, sort_keys=True)
-
 
 def _power_iterate(
     matrix: np.ndarray, tol: float, max_iters: int
@@ -352,17 +328,17 @@ def operator_bowen_solve(
     operator.  Each evaluation is one :func:`eigenmeasure`, whose invariant
     measure gives the slope ``-lyapunov``, so ``_find_root`` takes
     safeguarded Newton steps, about five evaluations at ``tol = 1e-10``.
-    ``h`` is the evaluated exponent with the smallest ``|log eigenvalue|``
-    and ``residual`` that log-eigenvalue.  ``bracket`` holds two evaluated
-    exponents, ``log eigenvalue(lo) > 0 >= log eigenvalue(hi)``, at most
-    ``tol`` apart (equal on an exact hit).
+    ``h`` is the evaluated exponent with the smallest ``|log eigenvalue|``,
+    ``state`` its :class:`GibbsState` and ``residual`` its log-eigenvalue.
+    ``bracket`` holds two evaluated exponents,
+    ``log eigenvalue(lo) > 0 >= log eigenvalue(hi)``, at most ``tol`` apart
+    (equal on an exact hit).
     """
-    values: dict[float, float] = {}
+    states: dict[float, GibbsState] = {}
 
     def logeig(t: float) -> tuple[float, float]:
-        state = eigenmeasure(operator, t)
-        values[t] = state.log_eigenvalue
-        return values[t], -state.lyapunov
+        state = states[t] = eigenmeasure(operator, t)
+        return state.log_eigenvalue, -state.lyapunov
 
     h, bracket, iterations = _find_root(
         logeig, tol=tol, max_iter=max_iter, label="operator eigenvalue"
@@ -370,9 +346,10 @@ def operator_bowen_solve(
     return BowenSolution(
         h=h,
         bracket=bracket,
-        residual=values[h],
+        residual=states[h].log_eigenvalue,
         regular=True,
         depth=operator.depth,
         iterations=iterations,
         method="operator",
+        state=states[h],
     )

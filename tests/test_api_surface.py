@@ -1,0 +1,71 @@
+"""Every public name of the package has a caller besides its unit tests.
+
+Each name in a module's ``__all__`` must be imported from that module by
+another module of the package or by a script under ``scripts/``, or be
+loaded by name in its own module outside its own definition.  A name that
+only tests call is surface with no user, and goes.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ifsdim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# acceptance criterion c8 checks that the coding-space metric is an ultrametric
+ALLOWED = {"comparison_distance"}
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _imported_from(module: str, paths) -> set[str]:
+    """Names imported from ``module`` (``.module`` or ``ifsdim.module``)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in (module, f"ifsdim.{module}"):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _loaded_outside_definition(tree: ast.Module, name: str) -> bool:
+    inside = {
+        id(node)
+        for definition in ast.walk(tree)
+        if isinstance(definition, (ast.FunctionDef, ast.ClassDef)) and definition.name == name
+        for node in ast.walk(definition)
+    }
+    return any(
+        isinstance(node, ast.Name)
+        and node.id == name
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in inside
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_every_public_name_has_a_caller_besides_its_tests(module):
+    tree = ast.parse(module.read_text())
+    exports = _exports(tree)
+    assert exports, f"{module.name} declares no __all__"
+    others = [p for p in PACKAGE.glob("*.py") if p != module]
+    imported = _imported_from(module.stem, others + sorted((ROOT / "scripts").glob("*.py")))
+    unused = [
+        name
+        for name in exports
+        if name not in imported
+        and not _loaded_outside_definition(tree, name)
+        and name not in ALLOWED
+    ]
+    assert unused == []

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifsdim
+import ifsdim.cli
 import ifsdim.transfer
 from ifsdim.cli import main
 
@@ -452,12 +453,19 @@ def test_gibbs_reducible_incidence_exit_4(tmp_path):
 
 
 def test_gibbs_bad_map_spec_exit_2(tmp_path):
-    code, _ = run(
-        tmp_path,
-        "gibbs",
-        "system.family = custom\nsystem.maps = parabola:0.4\ngibbs.exponent = 0\n",
-    )
-    assert code == 2
+    # only the README's spellings are map kinds
+    for maps in (
+        "parabola:0.4",
+        "affine-1d:0.4:0; affine-1d:0.3:0.6",
+        "moebius-1d:1; moebius-1d:2",
+    ):
+        out = tmp_path / maps.split(":")[0]
+        out.mkdir()
+        code, report = run(
+            out, "gibbs", f"system.family = custom\nsystem.maps = {maps}\ngibbs.exponent = 0\n"
+        )
+        assert code == 2 and report is None
+        assert [p.name for p in out.iterdir()] == ["run.cfg"]
 
 
 def test_gibbs_continued_fraction_operator_root(tmp_path):
@@ -483,6 +491,16 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ifsdim.transfer, "enumerate_admissible", counted)
+    # and the final state is the root's last evaluation, not a new eigen-solve
+    solves = []
+    real_eigenmeasure = ifsdim.transfer.eigenmeasure
+
+    def counted_eigenmeasure(*args, **kwargs):
+        solves.append(args)
+        return real_eigenmeasure(*args, **kwargs)
+
+    for module in (ifsdim.transfer, ifsdim.cli):
+        monkeypatch.setattr(module, "eigenmeasure", counted_eigenmeasure)
     code, report = run(
         tmp_path,
         "gibbs",
@@ -492,6 +510,7 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
     assert code == 0
     assert report["results"]["exponent"] == pytest.approx(CF2_H, abs=5e-3)
     assert len(calls) == 1
+    assert len(solves) == report["diagnostics"]["root_evaluations"]
 
 
 def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):
@@ -550,6 +569,32 @@ def test_reports_are_deterministic_up_to_timestamp(tmp_path):
     assert (out1 / "dimension-correlation.csv").read_text() == (
         out2 / "dimension-correlation.csv"
     ).read_text()
+
+
+SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("cfg", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_sample_configs_run_reproducibly(tmp_path, monkeypatch, cfg):
+    # each sample config is named <system>-<command>.cfg
+    command = cfg.stem.rsplit("-", 1)[1]
+    reports = []
+    write = ifsdim.cli.Report.write
+
+    def kept(report, out_dir, fmt):
+        reports.append(report)
+        return write(report, out_dir, fmt)
+
+    monkeypatch.setattr(ifsdim.cli.Report, "write", kept)
+    outs = (tmp_path / "first", tmp_path / "second")
+    for out in outs:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    first, second = reports
+    assert first.canonical_body() == second.canonical_body()
+    tables = [sorted(out.glob("*.csv")) for out in outs]
+    assert tables[0] and [p.name for p in tables[0]] == [p.name for p in tables[1]]
+    for a, b in zip(*tables):
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_json_format_embeds_tables_without_csv_files(tmp_path):

@@ -140,7 +140,7 @@ def test_cantor_conformal_density_concentrates_at_the_dimension():
     measure = conformal_cylinder_measure(system, TERNARY_H, depth=13)
     pts = sample(measure, 300, seed=7).points
     fld = density_field(measure, pts, 3.0**-12, 3.0**-4)
-    crit = young_criterion(fld, band=0.05)
+    crit = young_criterion(fld)
     assert crit.c == pytest.approx(TERNARY_H, abs=0.05)
     assert crit.fraction >= 0.95
     bounds = scaling_quantile_bounds(fld)
@@ -157,7 +157,7 @@ def test_two_block_measure_is_bimodal_for_any_single_exponent():
     left = np.array([(lo + hi) / 2 for lo, hi, _ in stage.pieces[:150]])
     right = np.random.default_rng(11).uniform(1.05, 1.95, 150)
     fld = density_field(measure, np.concatenate([left, right]), 4.0**-10, 4.0**-3)
-    crit = young_criterion(fld, band=0.05)
+    crit = young_criterion(fld)
     assert crit.fraction < 0.6
     bounds = scaling_quantile_bounds(fld)
     assert bounds.lower == pytest.approx(0.5, abs=0.1)
@@ -176,9 +176,6 @@ def test_density_ladder_validation():
         young_criterion(fld)
     with pytest.raises(ValueError):
         scaling_quantile_bounds(fld)
-    good = density_field(LEBESGUE, np.array([0.5]), 1e-4, 0.01)
-    with pytest.raises(ValueError):
-        scaling_quantile_bounds(good, quantile=0.7)
 
 
 def test_density_csv_lists_every_point():

@@ -12,7 +12,6 @@ from ifsdim.pressure import (
     analytic_bowen_solve,
     analytic_pressure,
     bowen_solve,
-    partition_sum,
     pressure,
     truncation_scan,
     _find_root,
@@ -26,7 +25,6 @@ from ifsdim.systems import (
     gdms_system,
     golden_family,
     level_geometry,
-    truncate,
 )
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
@@ -39,19 +37,20 @@ TERNARY_DIM = math.log(2.0) / math.log(3.0)
 
 
 def test_partition_sum_bernoulli_closed_forms():
-    ps = partition_sum(cantor_system((0.5, 0.5)), 1.0, depth=3)
-    assert ps.upper == pytest.approx(1.0, abs=1e-12)
-    assert ps.lower == pytest.approx(1.0, abs=1e-12)
-    ps2 = partition_sum(cantor_system((1 / 3, 1 / 3)), 1.0, depth=2)
-    assert ps2.upper == pytest.approx(4 / 9, abs=1e-12)
-    assert ps2.upper == ps2.lower
+    # depth * pressure is the log of the depth-n partition sum
+    est = pressure(cantor_system((0.5, 0.5)), 1.0, depth=3)
+    assert 3 * est.upper == pytest.approx(0.0, abs=1e-12)
+    assert 3 * est.lower == pytest.approx(0.0, abs=1e-12)
+    est2 = pressure(cantor_system((1 / 3, 1 / 3)), 1.0, depth=2)
+    assert math.exp(2 * est2.upper) == pytest.approx(4 / 9, abs=1e-12)
+    assert est2.upper == est2.lower
 
 
 def test_partition_sum_brackets_continued_fractions():
-    ps = partition_sum(continued_fraction_system(2), 0.6, depth=6)
-    assert 0.0 < ps.lower < ps.upper
-    # per-word sup <= K * inf, so the sums differ by at most K^t
-    assert ps.upper <= 4.0**0.6 * ps.lower * (1 + 1e-9)
+    est = pressure(continued_fraction_system(2), 0.6, depth=6)
+    assert -math.inf < est.lower < est.upper
+    # per-word sup <= K * inf, so the sums differ by at most a factor K^t
+    assert 6 * est.gap <= 0.6 * math.log(4.0) + 1e-9
 
 
 def test_partition_sum_rejects_empty_word_set():
@@ -61,7 +60,7 @@ def test_partition_sum_rejects_empty_word_set():
     )
     sys_ = gdms_system(((0.0, 1.0),), maps, incidence=((0, 1), (0, 0)), label="dead-end")
     with pytest.raises(ValueError):
-        partition_sum(sys_, 0.5, 3)
+        pressure(sys_, 0.5, 3)
 
 
 def test_pressure_is_depth_free_for_bernoulli_similitudes():
@@ -197,7 +196,7 @@ def test_truncation_scan_records_failures_and_continues():
     def source(n):
         if n == 3:
             raise ValueError("level 3 is broken on purpose")
-        return truncate(golden_family(), n)
+        return golden_family().truncate(n)
 
     scan = truncation_scan(source, [2, 3, 4], depth=1, tol=1e-10)
     assert [r.level for r in scan] == [2, 3, 4]

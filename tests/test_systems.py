@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,7 +22,6 @@ from ifsdim.systems import (
     gdms_system,
     golden_family,
     level_geometry,
-    truncate,
     word_image,
 )
 
@@ -29,13 +30,12 @@ from ifsdim.systems import (
 
 
 def test_golden_truncation_layout():
-    sys3 = truncate(golden_family(), 3)
+    sys3 = golden_family().truncate(3)
     assert [m.ratio for m in sys3.maps] == [0.25, 0.125, 0.0625]
     assert [m.offset for m in sys3.maps] == [0.0, 0.5, 0.75]
     images = [m.apply_interval(0.0, 1.0) for m in sys3.maps]
     assert images == [(0.0, 0.25), (0.5, 0.625), (0.75, 0.8125)]
     assert check_separation(sys3).ok
-    assert sys3.level == 3
     assert sys3.distortion_bound == 1.0
 
 
@@ -69,11 +69,8 @@ def test_cantor_rejects_bad_ratios():
 
 def test_truncate_bounds():
     with pytest.raises(ValueError):
-        truncate(golden_family(), 1)
-    sys4 = truncate(golden_family(), 4)
-    with pytest.raises(ValueError):
-        truncate(sys4, 5)
-    sys2 = truncate(sys4, 2)
+        golden_family().truncate(1)
+    sys2 = golden_family().truncate(2)
     assert sys2.alphabet_size == 2
     assert [m.ratio for m in sys2.maps] == [0.25, 0.125]
 
@@ -134,7 +131,7 @@ def test_word_image_exact():
 
 
 def test_level_geometry_similitude_is_exact():
-    sys_ = truncate(golden_family(), 3)
+    sys_ = golden_family().truncate(3)
     lg = level_geometry(sys_, 2)
     assert lg.count == 9
     assert np.array_equal(lg.log_sup, lg.log_inf)
@@ -156,6 +153,18 @@ def test_level_log_derivatives_are_sums(ratios, depth):
     logs = np.array([math.log(m.ratio) for m in sys_.maps])
     for k, w in enumerate(enumerate_admissible(None, sys_.alphabet_size, depth)):
         assert lg.log_sup[k] == pytest.approx(logs[list(w.symbols)].sum(), abs=1e-12)
+
+
+def test_level_geometry_cache_holds_one_level():
+    # a command reuses its level; a level of an earlier command is freed
+    sys_ = cantor_system((0.3, 0.25))
+    level = level_geometry(sys_, 4)
+    assert level_geometry(sys_, 4) is level
+    gone = weakref.ref(level)
+    del level
+    level_geometry(sys_, 5)
+    gc.collect()
+    assert gone() is None
 
 
 # --- word geometry: continued-fraction branches ----------------------------
@@ -385,8 +394,8 @@ def test_gdms_rejects_vertex_mismatch():
 
 
 def test_spec_is_hashable():
-    a = truncate(golden_family(), 3)
-    b = truncate(golden_family(), 3)
+    a = golden_family().truncate(3)
+    b = golden_family().truncate(3)
     assert hash(a) == hash(b) and a == b
 
 
@@ -395,7 +404,7 @@ def test_spec_is_hashable():
 
 def test_borderline_images_fit_their_slots():
     fam = borderline_family()
-    sys_ = truncate(fam, 40)
+    sys_ = fam.truncate(40)
     assert check_separation(sys_).ok
     for i in range(1, 41):
         a, b = fam.ratio_fn(i), fam.offset_fn(i)
@@ -425,5 +434,5 @@ def test_cylinder_images_nest_under_extension(sys_):
             for e in range(alphabet):
                 if not A.allows(word.symbols[-1], e):
                     continue
-                clo, chi = word_image(sys_, word.extend(e))
+                clo, chi = word_image(sys_, Word(word.symbols + (e,)))
                 assert lo - 1e-12 <= clo <= chi <= hi + 1e-12

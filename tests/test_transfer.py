@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -309,6 +308,11 @@ def test_operator_root_brackets_the_log_eigenvalue_zero(system, depth):
     if lo < hi:
         assert logeig(lo) > 0.0 >= logeig(hi)
     assert sol.residual == logeig(sol.h)
+    # the returned state is the evaluation at h, bit for bit
+    again = eigenmeasure(op, sol.h)
+    assert sol.state.exponent == sol.h
+    assert np.array_equal(sol.state.eigenmeasure, again.eigenmeasure)
+    assert np.array_equal(sol.state.invariant, again.invariant)
     assert abs(sol.residual) <= min(abs(logeig(lo)), abs(logeig(hi)))
     # independent reference: plain bisection on the same log-eigenvalue
     a, b = 0.0, 1.0
@@ -336,25 +340,3 @@ def test_operator_root_takes_a_handful_of_evaluations():
     # bisection to the default tol 1e-10 takes 35
     sol = operator_bowen_solve(build_operator(continued_fraction_system(2), 8))
     assert sol.iterations <= 8
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_gibbs_state_json_export_is_complete_and_loadable():
-    sys_ = cantor_system((1 / 3, 1 / 3))
-    state = eigenmeasure(build_operator(sys_, depth=2), TERNARY_H)
-    blob = json.loads(state.to_json())
-    assert set(blob) == {
-        "eigenvalue",
-        "depth",
-        "exponent",
-        "masses",
-        "invariant_masses",
-        "residuals",
-    }
-    assert blob["eigenvalue"] == pytest.approx(1.0, abs=1e-12)
-    assert set(blob["masses"]) == {"0.0", "0.1", "1.0", "1.1"}
-    assert sum(blob["masses"].values()) == pytest.approx(1.0, abs=1e-12)
-    assert blob["residuals"]["eigenmeasure"] < 1e-8
