@@ -68,8 +68,19 @@ class CorrelationCurve:
 
     def as_csv(self) -> str:
         lines = ["r,correlation"]
-        lines += [f"{r:.17g},{c:.17g}" for r, c in zip(self.radii, self.values)]
+        lines += [f"{r:.17g},{c:.17g}" for r, c in zip(self.radii.tolist(), self.values.tolist())]
         return "\n".join(lines) + "\n"
+
+
+def _query_rank_sum(runs: np.ndarray, queries_first: bool) -> int:
+    """Queries' positions summed in the stable merge of ``runs`` (sorted halves
+    of keys and queries): sum(searchsorted(keys, queries, side)) + n(n-1)/2,
+    side "left" when the queries are the first half and win ties, else "right"."""
+    n = runs.size // 2
+    perm = np.argsort(runs, kind="stable")
+    is_query = perm < n if queries_first else perm >= n
+    del perm  # one permutation alive at a time
+    return int(np.flatnonzero(is_query).sum())
 
 
 def correlation_curve(
@@ -86,8 +97,8 @@ def correlation_curve(
     cloud of fewer than a few hundred points gives a statistically
     meaningless slope; the hard floor here is two points.
     """
-    pts = np.sort(_as_points(cloud))
-    n = pts.size
+    points = _as_points(cloud)
+    n = points.size
     if n < 2:
         raise ValueError(f"need at least two points, got {n}")
     if not (0.0 < r_min < r_max):
@@ -97,10 +108,17 @@ def correlation_curve(
 
     radii = np.geomspace(r_min, r_max, count)
     counts = np.empty(count)
+    # runs holds the sorted points and a shifted copy, in either order
+    runs = np.concatenate((np.sort(points), np.empty(n)))
+    pts, shifted = runs[:n], runs[n:]
     for j, r in enumerate(radii):
-        hi = np.searchsorted(pts, pts + r, side="right")
-        lo = np.searchsorted(pts, pts - r, side="left")
-        counts[j] = float((hi - lo).sum())
+        # sum of searchsorted(pts, pts +- r, "right" / "left") differences
+        np.add(pts, r, out=shifted)
+        hi = _query_rank_sum(runs, queries_first=False)
+        shifted[:] = pts
+        np.subtract(shifted, r, out=pts)
+        counts[j] = float(hi - _query_rank_sum(runs, queries_first=True))
+        pts[:] = shifted
     values = counts / float(n) ** 2
 
     if fit_window is None:
@@ -153,9 +171,10 @@ class DensityField:
 
     def as_csv(self) -> str:
         lines = ["x,lower,upper,inside"]
+        cols = (self.points, self.lower, self.upper, self.inside)
         lines += [
             f"{x:.17g},{lo:.17g},{hi:.17g},{int(flag)}"
-            for x, lo, hi, flag in zip(self.points, self.lower, self.upper, self.inside)
+            for x, lo, hi, flag in zip(*(c.tolist() for c in cols))
         ]
         return "\n".join(lines) + "\n"
 
@@ -217,8 +236,9 @@ def density_field(
 
     if isinstance(measure, CylinderMeasure):
         los, his, pref = _cylinder_interval_table(measure)
+        order = np.argsort(pts, kind="stable")  # sorted queries search faster
         for j, r in enumerate(radii):
-            left, right = pts - r, pts + r
+            left, right = pts[order] - r, pts[order] + r
             outer = pref[np.searchsorted(los, right, side="right")] - pref[
                 np.searchsorted(his, left, side="left")
             ]
@@ -227,8 +247,8 @@ def density_field(
             ]
             inner = np.maximum(inner, 0.0)
             with np.errstate(divide="ignore"):
-                ratio_lo[:, j] = np.where(outer > 0, np.log(outer) / log_r[j], np.nan)
-                ratio_hi[:, j] = np.where(inner > 0, np.log(inner) / log_r[j], np.nan)
+                ratio_lo[order, j] = np.where(outer > 0, np.log(outer) / log_r[j], np.nan)
+                ratio_hi[order, j] = np.where(inner > 0, np.log(inner) / log_r[j], np.nan)
     else:
         mass = _line_ball_mass_matrix(measure, pts, radii)
         with np.errstate(divide="ignore"):
@@ -329,7 +349,7 @@ class FlatnessCurve:
         lines = ["r,bound,exponent"]
         lines += [
             f"{r:.17g},{b:.17g},{e:.17g}"
-            for r, b, e in zip(self.radii, self.bounds, self.exponents)
+            for r, b, e in zip(self.radii.tolist(), self.bounds.tolist(), self.exponents.tolist())
         ]
         return "\n".join(lines) + "\n"
 

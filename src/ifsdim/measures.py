@@ -433,10 +433,11 @@ def sample(measure, count: int, seed: int) -> SampleCloud:
 
     LineMeasure: inverse-CDF over the location-sorted atoms and pieces.
     CylinderMeasure: the stored levels fix the first digits exactly; beyond
-    the stored depth the word grows by the one-step conditional law of the
-    deepest two levels (exact for product-structure conformal masses,
-    first-order otherwise) until the word's image interval is shorter than
-    1e-9, and the midpoint is emitted.
+    the stored depth all words grow together, a digit per step by the
+    one-step conditional law of the deepest two levels (exact for
+    product-structure conformal masses, first-order otherwise), until the
+    widest image interval of the batch is shorter than 1e-9; then each
+    midpoint is emitted.  So every sample takes the batch's step count.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -477,35 +478,38 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
 
 
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
-    sys_ = measure.system
-    m = sys_.alphabet_size
-    mats = np.array([mp.matrix for mp in sys_.maps])  # m x 4
+    m = measure.system.alphabet_size
+    mats = np.array([mp.matrix for mp in measure.system.maps]).T.copy()  # rows a, b, c, d
 
-    A = np.ones(count)
-    B = np.zeros(count)
-    C = np.zeros(count)
-    D = np.ones(count)
+    def push(M: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """Each column (A, B, C, D) times its digit's matrix, over its max |entry|."""
+        (A, B, C, D), (a, b, c, d) = M, mats[:, digits]
+        out = np.empty_like(M)
+        np.add(A * a, B * c, out=out[0])
+        np.add(A * b, B * d, out=out[1])
+        np.add(C * a, D * c, out=out[2])
+        np.add(C * b, D * d, out=out[3])
+        scale = np.maximum(np.abs(out[0]), np.abs(out[1]))
+        np.maximum(scale, np.abs(out[2]), out=scale)
+        out /= np.maximum(scale, np.abs(out[3]), out=scale)
+        return out
 
-    def push(digits: np.ndarray) -> None:
-        nonlocal A, B, C, D
-        a, b, c, d = (mats[digits, k] for k in range(4))
-        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
-        scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D)])
-        A, B, C, D = A / scale, B / scale, C / scale, D / scale
-
-    # exact joint draw of the stored digits, level by level
-    cum1 = np.cumsum(measure.masses[0])
-    idx = np.searchsorted(cum1, rng.random(count) * cum1[-1], side="right")
-    idx = np.minimum(idx, len(cum1) - 1)
-    push(idx.astype(np.int64))
-    for d in range(2, measure.depth + 1):
-        cs = measure.child_starts[d - 2]
+    # exact joint draw of the stored digits, level by level from the empty
+    # word; each word's product is pushed once, and samples gather theirs
+    idx = np.zeros(count, dtype=np.int64)
+    words = np.eye(2).reshape(4, 1)
+    for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
         cum = np.concatenate(([0.0], np.cumsum(measure.masses[d - 1])))
-        base, top = cum[cs[idx]], cum[cs[idx + 1]]
-        target = base + rng.random(count) * (top - base)
-        nxt = np.searchsorted(cum, target, side="right") - 1
-        idx = np.clip(nxt, cs[idx], cs[idx + 1] - 1)
-        push(measure.last_symbols[d - 1][idx])
+        first, end = cs[idx], cs[idx + 1]
+        target = cum[first] + rng.random(count) * (cum[end] - cum[first])
+        # the clipped searchsorted(cum, target, "right") - 1 of a sorted cum
+        idx = first.copy()
+        for k in range(1, m):
+            idx += cum[np.minimum(first + k, end)] <= target
+        np.minimum(idx, end - 1, out=idx)
+        parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
+        words = push(words[:, parent], measure.last_symbols[d - 1])
+    M = words[:, idx]
 
     # one-step conditional extension beyond the stored depth
     if measure.depth >= 2:
@@ -516,22 +520,26 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
             P[e, measure.last_symbols[1][cs0[e] : cs0[e + 1]]] = block / measure.masses[0][e]
     else:
         P = np.tile(measure.masses[0] / measure.masses[0].sum(), (m, 1))
-    rowcum = np.cumsum(P, axis=1)
+    rowcum = np.cumsum(P, axis=1).T.copy()
     cur = measure.last_symbols[measure.depth - 1][idx]
     for _ in range(500):
+        A, B, C, D = M
         x0 = B / D
         x1 = (A + B) / (C + D)
-        if float(np.abs(x1 - x0).max()) < 1e-9:
+        if float(np.abs(x1 - x0).max(initial=0.0)) < 1e-9:
             return 0.5 * (x0 + x1)
         u = rng.random(count)
-        nxt = (u[:, None] > rowcum[cur]).sum(axis=1)
-        nxt = np.minimum(nxt, m - 1)
+        # count the row boundaries below u; rows are non-decreasing, so the
+        # last one would only add where the others all do, past m - 1
+        nxt = np.zeros(count, dtype=np.int64)
+        for k in range(m - 1):
+            nxt += u > rowcum[k][cur]
         for _bump in range(m):  # never settle on a forbidden transition
             bad = P[cur, nxt] == 0.0
             if not bad.any():
                 break
             nxt[bad] = np.maximum(nxt[bad] - 1, 0)
-        push(nxt)
+        M = push(M, nxt)
         cur = nxt
     raise ConvergenceFailure("cylinder images failed to contract below 1e-9")
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ifsdim.dimension import (
     DimensionReport,
@@ -65,6 +66,32 @@ def test_correlation_curve_invariants_hold_on_random_clouds():
         assert curve.values[-1] <= 1.0
         assert (curve.values >= 1.0 / n - 1e-15).all()
         assert -0.02 <= curve.slope <= 1.1
+
+
+@given(
+    st.lists(st.integers(-64, 64), min_size=2, max_size=150),
+    st.integers(1, 160),
+    st.integers(1, 160),
+    st.integers(2, 6),
+)
+@settings(max_examples=120, deadline=None)
+def test_correlation_counts_match_searchsorted_and_brute_force(ks, a, b, count):
+    # points on the grid k/64, so duplicates are common and every gap is
+    # exact; the end radii j/128 are exact gaps whenever j is even
+    assume(a != b)
+    pts = np.array(ks, dtype=float) / 64.0
+    r_lo, r_hi = sorted((a / 128.0, b / 128.0))
+    curve = correlation_curve(pts, r_lo, r_hi, count=count, fit_window=(r_lo, r_hi))
+    assert (curve.radii[0], curve.radii[-1]) == (r_lo, r_hi)
+    srt = np.sort(pts)
+    n = pts.size
+    for r, value in zip(curve.radii, curve.values):
+        hi = np.searchsorted(srt, srt + r, side="right")
+        lo = np.searchsorted(srt, srt - r, side="left")
+        pairs = int((hi - lo).sum())
+        assert value == pairs / float(n) ** 2
+        if r in (r_lo, r_hi):
+            assert pairs == int((np.abs(pts[:, None] - pts[None, :]) <= r).sum())
 
 
 def test_coincident_cloud_is_flagged_degenerate():
@@ -133,6 +160,24 @@ def test_density_field_invariants():
     assert (fld.lower <= fld.upper + 1e-12).all()
     assert (fld.lower >= 0.0).all()
     assert len(fld) == 41
+
+
+ORDER_MEASURE = conformal_cylinder_measure(cantor_system((0.3, 0.4)), 0.6, depth=6)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cylinder_density_rows_do_not_depend_on_query_order(seed):
+    rng = np.random.default_rng(seed)
+    base = sample(ORDER_MEASURE, 60, seed=seed).points
+    # duplicates, and points whose largest ball misses the support
+    pts = np.concatenate((base, base[rng.integers(0, 60, size=20)], [-0.5, 1.5, -0.5]))
+    perm = rng.permutation(pts.size)
+    fld = density_field(ORDER_MEASURE, pts, 1e-4, 0.2)
+    moved = density_field(ORDER_MEASURE, pts[perm], 1e-4, 0.2)
+    assert not fld.inside.all() and fld.inside.any()
+    for name in ("lower", "upper", "inside"):
+        assert getattr(moved, name).tobytes() == getattr(fld, name)[perm].tobytes()
 
 
 def test_cantor_conformal_density_concentrates_at_the_dimension():

@@ -339,6 +339,8 @@ def test_sampling_point_mass_and_empty_cloud():
     assert cloud.points.tolist() == [0.0] * 5
     empty = sample(LineMeasure.uniform(0.0, 1.0), 0, seed=1)
     assert len(empty) == 0
+    cylinders = conformal_cylinder_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 3)
+    assert len(sample(cylinders, 0, seed=1)) == 0
     with pytest.raises(ValueError):
         sample(LineMeasure.uniform(0.0, 1.0), -1, seed=1)
     with pytest.raises(ValueError):
@@ -406,6 +408,107 @@ def test_moebius_cylinder_sampling_stays_in_bounds():
     hi = math.sqrt(3.0) - 1.0
     assert float(cloud.points.min()) >= lo - 1e-9
     assert float(cloud.points.max()) <= hi + 1e-9
+
+
+def _per_sample_reference(measure, count, seed):
+    """The cylinder sampler as first written: every sample pushes its own
+    2x2 product at every stored level and searches the whole level's
+    cumulative masses.  The sampler must reproduce it bit for bit."""
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    m = measure.system.alphabet_size
+    mats = np.array([mp.matrix for mp in measure.system.maps])
+    A, B, C, D = np.ones(count), np.zeros(count), np.zeros(count), np.ones(count)
+
+    def push(digits):
+        nonlocal A, B, C, D
+        a, b, c, d = (mats[digits, k] for k in range(4))
+        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+        scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D)])
+        A, B, C, D = A / scale, B / scale, C / scale, D / scale
+
+    cum1 = np.cumsum(measure.masses[0])
+    idx = np.searchsorted(cum1, rng.random(count) * cum1[-1], side="right")
+    idx = np.minimum(idx, len(cum1) - 1)
+    push(idx)
+    for d in range(2, measure.depth + 1):
+        cs = measure.child_starts[d - 2]
+        cum = np.concatenate(([0.0], np.cumsum(measure.masses[d - 1])))
+        base, top = cum[cs[idx]], cum[cs[idx + 1]]
+        target = base + rng.random(count) * (top - base)
+        nxt = np.searchsorted(cum, target, side="right") - 1
+        idx = np.clip(nxt, cs[idx], cs[idx + 1] - 1)
+        push(measure.last_symbols[d - 1][idx])
+    if measure.depth >= 2:
+        P = np.zeros((m, m))
+        cs0 = measure.child_starts[0]
+        for e in range(m):
+            kids = slice(cs0[e], cs0[e + 1])
+            P[e, measure.last_symbols[1][kids]] = measure.masses[1][kids] / measure.masses[0][e]
+    else:
+        P = np.tile(measure.masses[0] / measure.masses[0].sum(), (m, 1))
+    rowcum = np.cumsum(P, axis=1)
+    cur = measure.last_symbols[measure.depth - 1][idx]
+    while True:
+        x0 = B / D
+        x1 = (A + B) / (C + D)
+        if float(np.abs(x1 - x0).max()) < 1e-9:
+            return 0.5 * (x0 + x1)
+        u = rng.random(count)
+        nxt = np.minimum((u[:, None] > rowcum[cur]).sum(axis=1), m - 1)
+        for _bump in range(m):
+            bad = P[cur, nxt] == 0.0
+            if not bad.any():
+                break
+            nxt[bad] = np.maximum(nxt[bad] - 1, 0)
+        push(nxt)
+        cur = nxt
+
+
+def _similitudes(*pairs):
+    return tuple(MapDescriptor("similitude", ratio=r, offset=o) for r, o in pairs)
+
+
+SAMPLER_SYSTEMS = {
+    "cf3": continued_fraction_system(3),
+    # Fibonacci incidences: words of 2 and 3 symbols with 1-3 children each
+    "fibonacci-2": gdms_system(
+        ((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), incidence=((1, 1), (1, 0))
+    ),
+    "fibonacci-3": gdms_system(
+        ((0.0, 1.0),),
+        _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
+        incidence=((1, 1, 1), (1, 0, 1), (0, 1, 0)),
+    ),
+    "mixed": gdms_system(
+        ((0.0, 1.0),),
+        (MapDescriptor("moebius-1d", q=2), MapDescriptor("moebius-1d", q=3))
+        + _similitudes((0.2, 0.0), (-0.3, 0.9)),
+    ),
+}
+
+
+@st.composite
+def sampler_systems(draw):
+    name = draw(st.sampled_from(sorted(SAMPLER_SYSTEMS) + ["cantor"]))
+    if name == "cantor":
+        return cantor_system(draw(st.lists(st.floats(0.05, 0.24), min_size=2, max_size=4)))
+    return SAMPLER_SYSTEMS[name]
+
+
+@given(
+    sampler_systems(),
+    st.integers(1, 7),
+    st.floats(0.1, 1.0),
+    st.integers(1, 300),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_cylinder_sampler_matches_the_per_sample_reference_bit_for_bit(
+    system, depth, h, count, seed
+):
+    measure = conformal_cylinder_measure(system, h, depth)
+    got = sample(measure, count, seed).points
+    assert got.tobytes() == _per_sample_reference(measure, count, seed).tobytes()
 
 
 # ---------------------------------------------------------------------------
