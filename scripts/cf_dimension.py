@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Dimension of the continued-fraction set with digits {1, ..., n}.
 
-Two routes to the same number: the word-pressure bracket at a fixed cylinder
-depth, and the transfer-operator root across context lengths.  The operator
+Two routes to the same number: the certified word-pressure bracket at a fixed
+cylinder depth, with the root of the midpoint pressure inside it, and the
+transfer-operator root across context lengths.  The operator
 route converges much faster per unit of work because the eigenvalue
 sees the variation-refined weights, not just midpoint masses.
 """
@@ -31,7 +32,8 @@ def main() -> None:
     print(
         f"word pressure, depth {word.depth}: h in "
         f"[{word.bracket[0]:.10f}, {word.bracket[1]:.10f}]"
-        f"  (midpoint {word.h:.10f}, gap {word.gap:.2e}, {t_word:.2f}s)"
+        f"  (midpoint-pressure root {word.h:.10f}, gap {word.gap:.2e},"
+        f" {word.iterations} evaluations, {t_word:.3f}s)"
     )
 
     print(f"{'context':>8} {'operator root':>16} {'evals':>6} {'seconds':>8}")

@@ -518,8 +518,11 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
         for e in range(m):
             block = measure.masses[1][cs0[e] : cs0[e + 1]]
             P[e, measure.last_symbols[1][cs0[e] : cs0[e + 1]]] = block / measure.masses[0][e]
-    else:
+    elif measure.system.incidence is None:
         P = np.tile(measure.masses[0] / measure.masses[0].sum(), (m, 1))
+    else:  # the depth-1 masses of each symbol's admissible successors
+        P = measure.masses[0] * np.array(measure.system.incidence.rows, dtype=bool)
+        P /= P.sum(axis=1, keepdims=True)
     rowcum = np.cumsum(P, axis=1).T.copy()
     cur = measure.last_symbols[measure.depth - 1][idx]
     for _ in range(500):

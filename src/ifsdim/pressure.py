@@ -14,19 +14,19 @@ The gap between them is at most t * log(distortion bound) / depth.
 The Hausdorff dimension of the limit set is the root of P(t) = 0.  Two
 solvers are provided here:
 
-* ``bowen_solve``          — bisection on the midpoint of the depth-n bracket
-                             (exact for full-shift similitudes at any depth);
+* ``bowen_solve``          — Newton steps on the midpoint of the depth-n
+                             pressures (exact for full-shift similitudes at
+                             any depth), bracketed by the lower and upper;
 * ``analytic_bowen_solve`` — for countable similitude families with a closed
                              form for log sum |a_i|^t, including the irregular
                              ones whose pressure jumps past zero without a
-                             root.
+                             root; it bisects, as that form has no slope.
 
-Both bisect with ``_find_root``.  ``transfer.operator_bowen_solve`` finds
+All roots come from ``_find_root``.  ``transfer.operator_bowen_solve`` finds
 the zero of the log leading eigenvalue of a cylinder transfer operator with
-the same ``_find_root``; that function is convex and comes with its slope
-(minus the Lyapunov exponent), so there the finder takes safeguarded Newton
-steps.  At depth 1 on a graph-directed similitude system the operator root
-is the Perron root of the weighted incidence matrix.
+the same Newton steps, its slope being minus the Lyapunov exponent.  At
+depth 1 on a graph-directed similitude system the operator root is the
+Perron root of the weighted incidence matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "BowenSolution",
     "ScanRow",
     "TruncationScan",
-    "pressure",
     "bowen_solve",
     "analytic_pressure",
     "analytic_bowen_solve",
@@ -58,7 +57,8 @@ IRREGULAR_RESIDUAL = 1e-4  # larger leftover pressure at the root => no root
 
 
 class ConvergenceFailure(RuntimeError):
-    """An iterative solve ran out of iterations before reaching tolerance."""
+    """An iterative solve ran out of iterations before reaching tolerance,
+    or its answer contradicts its own certificate."""
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,32 @@ def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
     figures coincide for similitudes."""
     if t < 0:
         raise ValueError(f"exponent must be >= 0, got {t}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    lg = level_geometry(system, depth)
-    if lg.count == 0:
-        raise ValueError(f"no admissible words at depth {depth}")
-    upper, lower = _logsumexp(t * lg.log_sup), _logsumexp(t * lg.log_inf)
+    lg = _level(system, depth)
+    upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
     return PressureEstimate(t=t, depth=depth, upper=upper / depth, lower=lower / depth)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    if a.size == 0:
-        return -math.inf
-    m = float(np.max(a))
-    # ascending sorted accumulation => result independent of enumeration order
-    return m + math.log(float(np.sort(np.exp(a - m)).sum()))
+def _level(system: SystemSpec, depth: int):
+    lg = level_geometry(system, depth)  # raises on depth < 1
+    if lg.count == 0:
+        raise ValueError(f"no admissible words at depth {depth}")
+    return lg
+
+
+def _log_sum(a: np.ndarray, t: float) -> tuple[float, float]:
+    """log sum_i exp(t a_i) and its t-derivative sum_i a_i w_i / sum_i w_i,
+    for an ascending, non-empty a and t >= 0.
+
+    t a is then ascending too, so its last entry is the maximum and the
+    shifted terms w_i = exp(t a_i - max) come out ascending: the sum is
+    accumulated in ascending order, independent of the order in which the
+    words were enumerated.  The slope is summed by numpy rather than BLAS,
+    so it does not depend on the BLAS thread count.
+    """
+    m = t * a[-1]
+    w = np.exp(t * a - m)
+    total = float(w.sum())
+    return float(m) + math.log(total), float((w * a).sum()) / total
 
 
 def _find_root(
@@ -200,27 +211,53 @@ def bowen_solve(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> BowenSolution:
-    """Bisect the midpoint of the two-sided depth-n pressure to its zero.
+    """Zero of the midpoint of the two-sided depth-n pressure, and a
+    certified bracket around it.
 
-    Exact (up to tol) for full-shift similitude systems; for distortion-
-    bounded systems the midpoint root sits within gap/(2 |dP/dt|) of the
-    true Bowen root, with gap <= t log K / depth.
+    Three safeguarded Newton solves, on the level's log-derivatives sorted
+    once: the midpoint pressure gives ``h``; the lower pressure alone gives
+    ``bracket[0]``, its last exponent with positive pressure; the upper
+    alone gives ``bracket[1]``, its last exponent with non-positive
+    pressure, or 1 if a word's sup |s_w'| reaches 1 so that the upper
+    pressure never vanishes.  Both ends are rigorous on a full shift, only
+    the upper one under an incidence matrix.  ``max_iter`` bounds each
+    solve and ``iterations`` counts all three.
+
+    ``h`` is exact (up to tol) for full-shift similitude systems, where the
+    three solves coincide; for distortion-bounded systems it sits within
+    gap/(2 |dP/dt|) of the true Bowen root, with gap <= t log K / depth.
+    The midpoint pressure lies between the other two, so an ``h`` outside
+    the bracket is a numerical fault: ``ConvergenceFailure``.
     """
-    est_cache: dict[float, PressureEstimate] = {}
+    lg = _level(system, depth)
+    sup, inf = np.sort(lg.log_sup), np.sort(lg.log_inf)
+    label = f"bowen_solve({system.label or 'system'})"
+    estimates: dict[float, PressureEstimate] = {}
 
-    def f(t: float) -> float:
-        est_cache[t] = pressure(system, t, depth)
-        return est_cache[t].value
+    def midpoint(t: float) -> tuple[float, float]:
+        (upper, up_slope), (lower, low_slope) = _log_sum(sup, t), _log_sum(inf, t)
+        est = estimates[t] = PressureEstimate(t, depth, upper / depth, lower / depth)
+        return est.value, 0.5 * (up_slope + low_slope) / depth
 
-    root, bracket, evals = _find_root(f, tol, max_iter, f"bowen_solve({system.label or 'system'})")
-    final = est_cache.get(root) or pressure(system, root, depth)
+    def alone(a: np.ndarray) -> Callable[[float], tuple[float, ...]]:
+        return lambda t: tuple(v / depth for v in _log_sum(a, t))
+
+    h, _, evals = _find_root(midpoint, tol, max_iter, label)
+    _, (lo, _), lower_evals = _find_root(alone(inf), tol, max_iter, f"{label} lower")
+    if sup[-1] < 0.0:
+        _, (_, hi), upper_evals = _find_root(alone(sup), tol, max_iter, f"{label} upper")
+    else:  # a word's sup |s_w'| reaches 1, so only the line's dimension bounds h
+        hi, upper_evals = 1.0, 0
+    if not lo <= h <= hi:
+        raise ConvergenceFailure(f"{label}: root {h!r} outside its certified bracket [{lo!r}, {hi!r}]")
+    final = estimates[h]
     return BowenSolution(
-        h=root,
-        bracket=bracket,
+        h=h,
+        bracket=(lo, hi),
         residual=final.value,
         regular=True,
         depth=depth,
-        iterations=evals,
+        iterations=evals + lower_evals + upper_evals,
         method="word",
         gap=final.gap,
     )

@@ -59,6 +59,29 @@ def test_bowen_golden_family_analytic(tmp_path):
     assert report["results"]["method"] == "analytic"
 
 
+ORACLES = Path(__file__).parent / "oracles"
+
+
+def test_bowen_brackets_hold_both_oracles(tmp_path):
+    cf = json.loads((ORACLES / "continued_fraction_dimension.json").read_text())
+    code, report = run(tmp_path, "bowen", "system.family = continued-fraction\nsystem.size = 2\n")
+    res = report["results"]
+    assert code == 0 and res["bracket_lo"] < cf["dimension"] < res["bracket_hi"]
+    assert res["bracket_lo"] <= res["h"] <= res["bracket_hi"]
+    assert report["diagnostics"]["bracket_width"] < 0.05
+    golden = json.loads((ORACLES / "golden_truncation_roots.json").read_text())
+    for level in range(2, 13):
+        code, report = run(tmp_path, "bowen", f"system.family = golden\nsystem.size = {level}\n")
+        res = report["results"]
+        # depth-1 similitude pressures are exact, and the bracket closes on
+        # the root's floating-point neighbourhood
+        assert code == 0 and res["bracket_lo"] - 1e-14 <= golden[str(level)] <= res["bracket_hi"] + 1e-14
+        assert res["bracket_lo"] <= res["h"] <= res["bracket_hi"]
+    code, report = run(tmp_path, "bowen", "system.family = golden\n")
+    res = report["results"]
+    assert code == 0 and res["bracket_lo"] <= golden["limit"] <= res["bracket_hi"]
+
+
 def test_bowen_borderline_is_irregular_exit_4(tmp_path):
     code, report = run(tmp_path, "bowen", "system.family = borderline\n")
     assert code == 4

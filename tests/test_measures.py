@@ -413,7 +413,8 @@ def test_moebius_cylinder_sampling_stays_in_bounds():
 def _per_sample_reference(measure, count, seed):
     """The cylinder sampler as first written: every sample pushes its own
     2x2 product at every stored level and searches the whole level's
-    cumulative masses.  The sampler must reproduce it bit for bit."""
+    cumulative masses.  Its depth-1 extension law keeps to the incidence
+    matrix.  The sampler must reproduce it bit for bit."""
     rng = np.random.Generator(np.random.Philox(int(seed)))
     m = measure.system.alphabet_size
     mats = np.array([mp.matrix for mp in measure.system.maps])
@@ -444,8 +445,11 @@ def _per_sample_reference(measure, count, seed):
         for e in range(m):
             kids = slice(cs0[e], cs0[e + 1])
             P[e, measure.last_symbols[1][kids]] = measure.masses[1][kids] / measure.masses[0][e]
-    else:
+    elif measure.system.incidence is None:
         P = np.tile(measure.masses[0] / measure.masses[0].sum(), (m, 1))
+    else:
+        P = measure.masses[0] * np.array(measure.system.incidence.rows, dtype=bool)
+        P /= P.sum(axis=1, keepdims=True)
     rowcum = np.cumsum(P, axis=1)
     cur = measure.last_symbols[measure.depth - 1][idx]
     while True:
@@ -485,6 +489,17 @@ SAMPLER_SYSTEMS = {
         + _similitudes((0.2, 0.0), (-0.3, 0.9)),
     ),
 }
+
+
+def test_depth_one_sampler_keeps_to_the_incidence_matrix():
+    # 1 -> 1 is forbidden, so no sample may land in the cylinder [1, 1],
+    # the image [0.65, 0.74]; a full-shift extension law put 21 % there
+    fib = SAMPLER_SYSTEMS["fibonacci-2"]
+    h = bowen_solve(fib, depth=1).h
+    points = sample(conformal_cylinder_measure(fib, h, 1), 20_000, seed=5).points
+    assert not np.any((points >= 0.65) & (points <= 0.74))
+    # the admissible cylinder [1, 0] = [0.5, 0.62] keeps its share
+    assert np.mean((points >= 0.5) & (points <= 0.62)) > 0.1
 
 
 @st.composite

@@ -18,6 +18,7 @@ from ifsdim.pressure import (
 )
 from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
+    _ROUNDOFF,
     MapDescriptor,
     borderline_family,
     cantor_system,
@@ -177,6 +178,8 @@ def test_continued_fraction_root_is_bracketed_and_accurate():
     assert upper_root - lower_root < 0.05
     sol = bowen_solve(sys_, depth=12, tol=1e-8)
     assert sol.h == pytest.approx(CF_DIMENSION, abs=5e-3)
+    # the reported bracket is those two roots
+    assert sol.bracket == pytest.approx((lower_root, upper_root), abs=1e-8)
 
 
 def test_word_pressure_gap_respects_distortion_budget():
@@ -188,8 +191,9 @@ def test_word_pressure_gap_respects_distortion_budget():
 
 
 def test_bowen_solve_iteration_budget():
+    # Newton needs more than two evaluations per solve on CF{1,2}
     with pytest.raises(ConvergenceFailure):
-        bowen_solve(cantor_system((1 / 3, 1 / 3)), depth=2, tol=1e-12, max_iter=5)
+        bowen_solve(continued_fraction_system(2), depth=6, tol=1e-12, max_iter=2)
 
 
 def test_truncation_scan_records_failures_and_continues():
@@ -233,3 +237,116 @@ def test_root_finder_newton_steps_and_bisection_share_one_bracket_contract():
     assert evals <= 8
     assert 0.0 < hi - lo <= tol and f(lo) > 0.0 >= f(hi)
     assert root in (lo, hi) and abs(root - math.log(2.0)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# sorted-once evaluations against the formulas they replaced
+
+
+def _similitudes(*pairs):
+    return tuple(MapDescriptor("similitude", ratio=r, offset=o) for r, o in pairs)
+
+
+FIBONACCI = {
+    "fibonacci-2": gdms_system(
+        ((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), incidence=((1, 1), (1, 0))
+    ),
+    "fibonacci-3": gdms_system(
+        ((0.0, 1.0),),
+        _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
+        incidence=((1, 1, 1), (1, 0, 1), (0, 1, 0)),
+    ),
+}
+
+
+@st.composite
+def word_systems(draw):
+    """Continued fractions on 2-3 digits in 1..9, Cantor systems of 2-4
+    ratios, and the two Fibonacci incidences."""
+    kind = draw(st.sampled_from(["cf", "cantor", *sorted(FIBONACCI)]))
+    if kind == "cf":
+        digits = sorted(draw(st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True)))
+        maps = tuple(MapDescriptor("moebius-1d", q=q) for q in digits)
+        return gdms_system(((0.0, 1.0),), maps, label=f"cf{digits}")
+    if kind == "cantor":
+        return cantor_system(draw(st.lists(st.floats(0.05, 0.24), min_size=2, max_size=4)))
+    return FIBONACCI[kind]
+
+
+def _sort_per_call_logsumexp(a):
+    """The log-sum-exp as first written: max, then the exponentials sorted
+    afresh at every call."""
+    m = float(np.max(a))
+    return m + math.log(float(np.sort(np.exp(a - m)).sum()))
+
+
+def _axis_reduction_geometry(system, depth):
+    """level_geometry as first written, with its extremes reduced along the
+    endpoint axis."""
+    rows = None if system.incidence is None else np.array(system.incidence.rows, dtype=bool)
+    first = np.arange(system.alphabet_size)
+    y, g = np.array(
+        [mp.at(np.array(system.domain_of(e))) for e, mp in enumerate(system.maps)]
+    ).transpose(1, 0, 2)
+    for _ in range(depth - 1):
+        parts = []
+        for e, mp in enumerate(system.maps):
+            keep = slice(None) if rows is None else rows[e][first]
+            ye, de = mp.at(y[keep])
+            parts.append((np.full(ye.shape[0], e), ye, g[keep] * de))
+        first, y, g = (np.concatenate(col) for col in zip(*parts))
+    roundoff = 0.0 if system.is_similitude() else _ROUNDOFF
+    log_sup = np.log(g.max(axis=1))
+    log_inf = np.log(g.min(axis=1))
+    log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
+    log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
+    return log_sup, log_inf, y.min(axis=1), y.max(axis=1)
+
+
+@given(word_systems(), st.integers(1, 7), st.floats(0.0, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_pressure_matches_the_sort_per_call_formula_bit_for_bit(system, depth, t):
+    est = pressure(system, t, depth)
+    lg = level_geometry(system, depth)
+    assert est.upper == _sort_per_call_logsumexp(t * lg.log_sup) / depth
+    assert est.lower == _sort_per_call_logsumexp(t * lg.log_inf) / depth
+
+
+@given(word_systems(), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_level_geometry_matches_axis_reductions_bit_for_bit(system, depth):
+    lg = level_geometry(system, depth)
+    got = (lg.log_sup, lg.log_inf, lg.image_lo, lg.image_hi)
+    for a, b in zip(got, _axis_reduction_geometry(system, depth)):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(word_systems(), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
+    tol = 1e-10
+    # max_iter bounds each of the three solves, the midpoint one included
+    sol = bowen_solve(system, depth=depth, tol=tol, max_iter=8)
+    lo, hi = sol.bracket
+    assert lo <= sol.h <= hi and sol.iterations <= 24
+    assert sol.residual == pressure(system, sol.h, depth).value
+    # independent reference: plain bisection on the midpoint pressure
+    a, b = 0.0, 1.0
+    while pressure(system, b, depth).value > 0.0:
+        a, b = b, 2.0 * b
+    while b - a > 1e-13:
+        mid = 0.5 * (a + b)
+        if pressure(system, mid, depth).value > 0.0:
+            a = mid
+        else:
+            b = mid
+    assert abs(sol.h - 0.5 * (a + b)) <= tol
+
+
+def test_bracket_falls_back_to_one_when_a_word_does_not_contract():
+    # x -> 1/(1 + x) has |derivative| 1 at 0: the depth-1 upper pressure
+    # never vanishes, while the midpoint and lower ones do
+    sol = bowen_solve(continued_fraction_system(2), depth=1)
+    lo, hi = sol.bracket
+    assert hi == 1.0 and lo < sol.h < hi
+    assert pressure(continued_fraction_system(2), lo, 1).lower > 0.0

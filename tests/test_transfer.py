@@ -326,6 +326,15 @@ def test_operator_root_brackets_the_log_eigenvalue_zero(system, depth):
     assert abs(sol.h - 0.5 * (a + b)) <= tol
 
 
+@given(cf_digit_systems())
+@settings(max_examples=8, deadline=None)
+def test_operator_root_lies_in_the_certified_word_bracket(system):
+    # two independent solvers: the word sums' bracket, certified on a full
+    # shift, holds the context-6 operator root
+    lo, hi = bowen_solve(system, depth=8).bracket
+    assert lo <= operator_bowen_solve(build_operator(system, 6)).h <= hi
+
+
 @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
 def test_lyapunov_is_minus_the_log_eigenvalue_slope(t):
     op = build_operator(continued_fraction_system(2), depth=4)
