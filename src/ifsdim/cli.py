@@ -357,7 +357,8 @@ def cmd_scan(cfg: RunConfig) -> Report:
         )
     scan = truncation_scan(source, levels, depth=depth, tol=tol)
     rows = [
-        [r.level, r.h, r.gap, r.residual, r.regular, r.depth, r.note] for r in scan.rows
+        [r.level, r.h, r.bracket_lo, r.bracket_hi, r.gap, r.residual, r.regular, r.depth, r.note]
+        for r in scan.rows
     ]
     hs = [r.h for r in scan.rows if not math.isnan(r.h)]
     results = {
@@ -377,7 +378,10 @@ def cmd_scan(cfg: RunConfig) -> Report:
         diagnostics={"worst_pressure_gap": max((r.gap for r in scan.rows if not math.isnan(r.gap)), default=None)},
         tables={
             "levels": _csv_table(
-                ["level", "h", "pressure_gap", "residual", "regular", "depth", "note"],
+                [
+                    "level", "h", "bracket_lo", "bracket_hi", "pressure_gap",
+                    "residual", "regular", "depth", "note",
+                ],
                 rows,
             )
         },
@@ -565,16 +569,24 @@ def cmd_dimension(cfg: RunConfig) -> Report:
             )
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
         word_depth = 1 if source.is_similitude() else 12
+        # the operator first: it reads a shallower level's geometry, which
+        # would evict from the one-level cache the level that the word solve,
+        # the cylinder measure and the density field share
+        try:
+            operator = build_operator(source, 1 if source.is_similitude() else 2)
+        except ReducibilityError as err:
+            operator, unavailable = None, err
         sol = bowen_solve(source, depth=word_depth)
         bowen_root = sol.h
         measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
         label = f"{source.label}[conformal]"
-        op_depth = 1 if source.is_similitude() else 2
-        try:
-            state = eigenmeasure(build_operator(source, op_depth), bowen_root)
-            ratio = entropy_lyapunov(state).ratio
-        except (ConvergenceFailure, ReducibilityError, DegenerateSystemError) as err:
-            warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
+        if operator is not None:
+            try:
+                ratio = entropy_lyapunov(eigenmeasure(operator, bowen_root)).ratio
+            except (ConvergenceFailure, DegenerateSystemError) as err:
+                unavailable = err
+        if ratio is None:
+            warnings.append(f"entropy/lyapunov ratio unavailable: {unavailable}")
 
     cloud = sample(measure, count, seed=seed)
     curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
@@ -691,8 +703,10 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         "regular": True,
     }
     mass_rows = [
-        [".".join(map(str, w.symbols)), float(m), float(inv)]
-        for w, m, inv in zip(state.words, state.eigenmeasure, state.invariant)
+        [".".join(map(str, w)), m, inv]
+        for w, m, inv in zip(
+            operator.symbols.tolist(), state.eigenmeasure.tolist(), state.invariant.tolist()
+        )
     ]
     return _report(
         "gibbs",

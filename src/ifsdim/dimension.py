@@ -37,6 +37,13 @@ __all__ = [
 PointSource = Union[SampleCloud, np.ndarray, Sequence[float]]
 
 
+def _csv(header: str, row: str, *columns: np.ndarray) -> str:
+    """``header``, then one ``row`` line per table row: a single %-format
+    over the columns' values in row-major order."""
+    values = np.column_stack(columns).ravel().tolist()
+    return header + "\n" + (row + "\n") * len(columns[0]) % tuple(values)
+
+
 def _as_points(source: PointSource) -> np.ndarray:
     pts = np.asarray(getattr(source, "points", source), dtype=float)
     if pts.ndim != 1:
@@ -67,9 +74,7 @@ class CorrelationCurve:
     degenerate: bool = False
 
     def as_csv(self) -> str:
-        lines = ["r,correlation"]
-        lines += [f"{r:.17g},{c:.17g}" for r, c in zip(self.radii.tolist(), self.values.tolist())]
-        return "\n".join(lines) + "\n"
+        return _csv("r,correlation", "%.17g,%.17g", self.radii, self.values)
 
 
 def _query_rank_sum(runs: np.ndarray, queries_first: bool) -> int:
@@ -170,13 +175,10 @@ class DensityField:
         return len(self.points)
 
     def as_csv(self) -> str:
-        lines = ["x,lower,upper,inside"]
-        cols = (self.points, self.lower, self.upper, self.inside)
-        lines += [
-            f"{x:.17g},{lo:.17g},{hi:.17g},{int(flag)}"
-            for x, lo, hi, flag in zip(*(c.tolist() for c in cols))
-        ]
-        return "\n".join(lines) + "\n"
+        return _csv(
+            "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d",
+            self.points, self.lower, self.upper, self.inside,
+        )
 
 
 def _dyadic_ladder(r_min: float, r_max: float) -> np.ndarray:
@@ -346,12 +348,7 @@ class FlatnessCurve:
     fired: bool
 
     def as_csv(self) -> str:
-        lines = ["r,bound,exponent"]
-        lines += [
-            f"{r:.17g},{b:.17g},{e:.17g}"
-            for r, b, e in zip(self.radii.tolist(), self.bounds.tolist(), self.exponents.tolist())
-        ]
-        return "\n".join(lines) + "\n"
+        return _csv("r,bound,exponent", "%.17g,%.17g,%.17g", self.radii, self.bounds, self.exponents)
 
 
 def _left_interval_bound(measure: LineMeasure, s: float, r: float) -> float:

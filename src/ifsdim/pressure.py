@@ -153,9 +153,23 @@ def _find_root(
     last one, on the other side, to close the bracket.  Both bracket ends are
     then evaluated points, and the root is the evaluated point with the
     smallest |f|.
+
+    An evaluation with |f| < EXACT_ZERO is an exact hit and ends the search
+    at that point.  f there is zero within its own rounding, taken to be
+    under EXACT_ZERO, so the true root lies within
+    (|f| + EXACT_ZERO) / |slope| of it to first order.  The bracket is that
+    interval rounded outward, or the hit's two neighbouring floats when f
+    has no slope.
     """
     evals = 0
     best = (math.inf, math.nan)  # (|f|, t) over the evaluated points
+
+    def hit(t: float, value: float, slope: float | None):
+        width = 0.0
+        if slope and math.isfinite(slope):
+            width = (abs(value) + EXACT_ZERO) / abs(slope)
+        bracket = (math.nextafter(t - width, -math.inf), math.nextafter(t + width, math.inf))
+        return t, bracket, evals
 
     def val(t: float) -> tuple[float, float | None]:
         nonlocal evals, best
@@ -175,13 +189,13 @@ def _find_root(
     has_slope = slope is not None
     while fhi > 0.0:
         if abs(fhi) < EXACT_ZERO:
-            return hi, (hi, hi), evals
+            return hit(hi, fhi, slope)
         if hi > 2.0**40:
             raise ConvergenceFailure(f"{label}: pressure stays positive out to t = {hi}")
         hi *= 2.0
         fhi, slope = val(hi)
     if abs(fhi) < EXACT_ZERO:
-        return hi, (hi, hi), evals
+        return hit(hi, fhi, slope)
     lo = 0.0
     t, ft = hi, fhi
     while hi - lo > tol:
@@ -195,7 +209,7 @@ def _find_root(
         t = nxt
         ft, slope = val(t)
         if abs(ft) < EXACT_ZERO:
-            return t, (t, t), evals
+            return hit(t, ft, slope)
         if ft > 0.0:
             lo = t
         else:
@@ -219,9 +233,10 @@ def bowen_solve(
     ``bracket[0]``, its last exponent with positive pressure; the upper
     alone gives ``bracket[1]``, its last exponent with non-positive
     pressure, or 1 if a word's sup |s_w'| reaches 1 so that the upper
-    pressure never vanishes.  Both ends are rigorous on a full shift, only
-    the upper one under an incidence matrix.  ``max_iter`` bounds each
-    solve and ``iterations`` counts all three.
+    pressure never vanishes.  An exact hit of either solve widens to the
+    interval its rounding leaves (see ``_find_root``).  Both ends are
+    rigorous on a full shift, only the upper one under an incidence matrix.
+    ``max_iter`` bounds each solve and ``iterations`` counts all three.
 
     ``h`` is exact (up to tol) for full-shift similitude systems, where the
     three solves coincide; for distortion-bounded systems it sits within
@@ -308,10 +323,14 @@ def analytic_bowen_solve(
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One truncation level of a scan; h is NaN when the solve failed."""
+    """One truncation level of a scan: the word root ``h`` and its certified
+    bracket, as :func:`bowen_solve` gives them; all NaN when the solve
+    failed."""
 
     level: int
     h: float
+    bracket_lo: float
+    bracket_hi: float
     residual: float
     gap: float
     regular: bool
@@ -368,6 +387,8 @@ def truncation_scan(
                 ScanRow(
                     level=n,
                     h=sol.h,
+                    bracket_lo=sol.bracket[0],
+                    bracket_hi=sol.bracket[1],
                     residual=sol.residual,
                     gap=sol.gap,
                     regular=sol.regular,
@@ -379,6 +400,8 @@ def truncation_scan(
                 ScanRow(
                     level=n,
                     h=math.nan,
+                    bracket_lo=math.nan,
+                    bracket_hi=math.nan,
                     residual=math.nan,
                     gap=math.nan,
                     regular=False,

@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "Word",
     "IncidenceMatrix",
-    "enumerate_admissible",
+    "admissible_level",
     "count_admissible",
     "comparison_distance",
     "finitely_primitive_witness",
@@ -102,7 +102,9 @@ def enumerate_admissible(
     """Yield all admissible words of the given depth in lexicographic order.
 
     The stream is lazy: callers can consume a prefix without paying for the
-    whole level.  With matrix=None the shift is full.
+    whole level.  With matrix=None the shift is full.  The package itself
+    works on whole levels (``admissible_level``); this one-word-at-a-time
+    walk is their reference.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -126,6 +128,28 @@ def enumerate_admissible(
             yield from walk(prefix + (s,))
 
     return walk(())
+
+
+def admissible_level(matrix: IncidenceMatrix, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """All admissible depth-n words at once, in lexicographic order.
+
+    Returns ``symbols``, an (count, n) int array whose rows are the words,
+    and ``tail``, for each word the row of its tail ``w[1:]`` among the
+    depth-(n-1) words (0 at depth 1, where every tail is the empty word).
+    One prepend pass, the one ``systems.level_geometry`` makes: the words
+    that start with e are e followed by the shorter words e may precede, in
+    their own order, so the row-major nonzeros of ``A[:, first symbols]``
+    are the (first symbol, tail) pairs in lexicographic order.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    allowed = matrix.as_array().astype(bool)
+    symbols = np.arange(matrix.size)[:, None]
+    tail = np.zeros(matrix.size, dtype=np.intp)
+    for _ in range(depth - 1):
+        first, tail = np.nonzero(allowed[:, symbols[:, 0]])
+        symbols = np.column_stack((first, symbols[tail]))
+    return symbols, tail
 
 
 def count_admissible(matrix: Optional[IncidenceMatrix], alphabet_size: int, depth: int) -> int:

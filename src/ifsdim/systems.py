@@ -41,7 +41,6 @@ __all__ = [
     "check_separation",
     "ensure_separation",
     "level_geometry",
-    "word_image",
     "golden_family",
     "borderline_family",
     "cantor_system",
@@ -114,10 +113,7 @@ class MapDescriptor:
 
     def deriv_abs_bounds(self, lo, hi):
         """Exact [min, max] of |derivative| over [lo, hi]."""
-        # `at` written out: build_operator calls this once per state
-        a, b, c, d = self.matrix
-        det = abs(a * d - b * c)
-        v0, v1 = det / (c * lo + d) ** 2, det / (c * hi + d) ** 2
+        v0, v1 = self.at(lo)[1], self.at(hi)[1]
         return (v0, v1) if v0 <= v1 else (v1, v0)
 
 
@@ -269,15 +265,13 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
 
 
 def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
-    """Exact image interval of one word (maps composed innermost-first)."""
+    """Exact image interval of one word (maps composed innermost-first), one
+    word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
     _check_word(system, word)
-    # the domain endpoints' images, ordered once at the end; written out
-    # rather than through `at`, since build_operator calls this per state
     lo, hi = system.domain_of(word.symbols[-1])
     for s in reversed(word.symbols):
-        a, b, c, d = system.maps[s].matrix
-        lo, hi = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
-    return (lo, hi) if lo <= hi else (hi, lo)
+        lo, hi = system.maps[s].apply_interval(lo, hi)
+    return lo, hi
 
 
 def _check_word(system: SystemSpec, word: Word) -> None:

@@ -3,17 +3,20 @@
 The operator acts on functions that are constant on depth-``k`` cylinders.
 A state is an admissible depth-``k`` word ``w``; prepending a symbol ``e``
 gives the refinement step.  ``build_operator`` fixes everything that does
-not depend on the exponent: the states, their 0/1 transition pattern and
-each state's log-derivative midpoint ``m``, the midpoint of the
-log-derivative bracket of map ``e`` over the exact image interval of the
-context ``w[:k-1]`` (the whole domain of ``e`` when ``k == 1``).
-``eigenmeasure`` applies the exponent ``t``, weighting each transition out
-of a state by ``exp(t * m)``.  Power iteration on the transpose produces
-the eigenmeasure, the right eigenvector gives the density, and their
-product is the invariant (shift-stationary) measure, realised here as a
-stationary Markov chain on the states.  The invariant measure's Lyapunov
-exponent is minus the slope of ``log eigenvalue`` in ``t``, which lets
-``operator_bowen_solve`` find the Bowen root by Newton steps.
+not depend on the exponent, as arrays over the lexicographic level: the
+states' symbols, the rows of their head ``w[:-1]`` and tail ``w[1:]`` among
+the depth-``(k-1)`` words, their 0/1 transition pattern, and each state's
+log-derivative midpoint ``m``, the midpoint of the log-derivative bracket
+of map ``e`` over the exact image interval of the context ``w[1:]``, read
+off ``level_geometry`` at depth ``k - 1`` (the whole domain of ``e`` when
+``k == 1``).  ``eigenmeasure`` applies the exponent ``t``, weighting each
+transition out of a state by ``exp(t * m)``.  Power iteration on the
+transpose produces the eigenmeasure, the right eigenvector gives the
+density, and their product is the invariant (shift-stationary) measure,
+realised here as a stationary Markov chain on the states.  The invariant
+measure's Lyapunov exponent is minus the slope of ``log eigenvalue`` in
+``t``, which lets ``operator_bowen_solve`` find the Bowen root by Newton
+steps.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pressure import BowenSolution, ConvergenceFailure, _find_root
-from .symbolic import Word, enumerate_admissible, finitely_primitive_witness
-from .systems import SystemSpec, word_image
+from .symbolic import admissible_level, finitely_primitive_witness
+from .systems import SystemSpec, level_geometry
 
 __all__ = [
     "DegenerateSystemError",
@@ -53,23 +56,29 @@ class DegenerateSystemError(RuntimeError):
 class OperatorMatrix:
     """Exponent-free transfer data on depth-``depth`` cylinder functions.
 
-    ``matrix[i, j]`` is 1 when state ``j`` carries weight into state ``i``
-    and 0 otherwise: prepending ``words[j][0]`` to ``words[i]`` reproduces
-    ``words[j]`` up to depth (i.e. ``words[j][1:] == words[i][:-1]`` and the
-    junction is admissible).  ``state_log_mid[j]`` is the midpoint of the
-    log-derivative bracket of the first symbol of state ``j`` over the
-    image of its context; ``log_width`` is the largest bracket width.
+    The states are the rows of ``symbols``, the admissible depth-``depth``
+    words in lexicographic order; ``head[j]`` and ``tail[j]`` are the rows
+    of ``w[:-1]`` and ``w[1:]`` among the depth-``(depth-1)`` words (all 0
+    at depth 1, the empty word).  ``matrix[i, j]`` is 1 when state ``j``
+    carries weight into state ``i`` and 0 otherwise: prepending
+    ``symbols[j, 0]`` to state ``i`` reproduces state ``j`` up to depth,
+    that is ``head[i] == tail[j]`` (at depth 1, when the incidence lets
+    symbol ``i`` follow symbol ``j``).  ``state_log_mid[j]`` is the midpoint
+    of the log-derivative bracket of the first symbol of state ``j`` over
+    the image of its tail; ``log_width`` is the largest bracket width.
     """
 
     system: SystemSpec = field(repr=False)
     depth: int
-    words: tuple[Word, ...] = field(repr=False)
+    symbols: np.ndarray = field(repr=False)
+    head: np.ndarray = field(repr=False)
+    tail: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
     state_log_mid: np.ndarray = field(repr=False)
     log_width: float
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.symbols)
 
     def weighted(self, exponent: float) -> np.ndarray:
         """The matrix at ``exponent``: column ``j`` scaled by
@@ -82,61 +91,56 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
 
     Raises :class:`ReducibilityError` when the incidence matrix admits no
     finite primitivity witness (power iteration would not converge to a
-    simple positive eigenpair), and ``ValueError`` when no admissible word
-    of the requested depth exists.
+    simple positive eigenpair).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    incidence = system.incidence
-    if incidence is not None and finitely_primitive_witness(incidence) is None:
+    incidence = system.incidence_or_full()
+    if system.incidence is not None and finitely_primitive_witness(incidence) is None:
         raise ReducibilityError(
             "incidence matrix is not finitely primitive; the transfer "
             "operator has no unique positive eigenpair"
         )
 
-    words = tuple(
-        enumerate_admissible(system.incidence_or_full(), system.alphabet_size, depth)
-    )
-    if not words:
-        raise ValueError(f"no admissible words of depth {depth}")
-    index = {w.symbols: i for i, w in enumerate(words)}
-    n = len(words)
+    symbols, tail = admissible_level(incidence, depth)
+    # A primitive incidence gives every word a child, so the heads w[:-1]
+    # of the lexicographic level run through the depth-(k-1) words in order.
+    head = np.concatenate(([0], np.cumsum((symbols[1:, :-1] != symbols[:-1, :-1]).any(axis=1))))
+    first = symbols[:, 0]
+    if depth == 1:
+        lo, hi = np.array([system.domain_of(e) for e in first]).T
+        # one-symbol states: j feeds i when symbol i may follow symbol j
+        matrix = incidence.as_array().T.astype(float)
+    else:
+        context = level_geometry(system, depth - 1)
+        lo, hi = context.image_lo[tail], context.image_hi[tail]
+        # matrix[i, j] = 1 where head(i) == tail(j).  The children of a word
+        # are contiguous rows, so column j holds one run, from the first
+        # child of tail(j) on; laid end to end the runs count up by one, and
+        # each is offset by its first child less its own start.
+        n = len(symbols)
+        children = np.bincount(head)
+        runs = children[tail]
+        cols = np.repeat(np.arange(n), runs)
+        rows = np.repeat(np.cumsum(children)[tail] - np.cumsum(runs), runs) + np.arange(cols.size)
+        matrix = np.zeros((n, n))
+        matrix[rows, cols] = 1.0
 
-    log_mid = np.empty(n)
-    log_gap = np.empty(n)
-    for j, w in enumerate(words):
-        first = w.symbols[0]
-        context = w.symbols[1:]
-        if context:
-            lo, hi = word_image(system, Word(context))
-        else:
-            lo, hi = system.domain_of(first)
-        dmin, dmax = system.maps[first].deriv_abs_bounds(lo, hi)
-        lo_log, hi_log = math.log(float(dmin)), math.log(float(dmax))
-        log_mid[j] = 0.5 * (lo_log + hi_log)
-        log_gap[j] = hi_log - lo_log
-
-    allows = system.incidence_or_full().allows
-    matrix = np.zeros((n, n))
-    for j, w in enumerate(words):
-        # states reachable from j under the shift: drop the first symbol of
-        # the prepended word, i.e. rows i with words[i][:-1] == w[1:].
-        last = w.symbols[-1]
-        body = w.symbols[1:]
-        for e in range(system.alphabet_size):
-            if not allows(last, e):
-                continue
-            row = index.get(body + (e,))
-            if row is not None:
-                matrix[row, j] = 1.0
-
+    # |s_e'| = |det| / (c x + d)^2 is monotone, so its bracket over the
+    # context image is the pair of endpoint values
+    a, b, c, d = np.array([mp.matrix for mp in system.maps])[first].T
+    det = np.abs(a * d - b * c)
+    v0, v1 = det / (c * lo + d) ** 2, det / (c * hi + d) ** 2
+    lo_log, hi_log = np.log(np.minimum(v0, v1)), np.log(np.maximum(v0, v1))
     return OperatorMatrix(
         system=system,
         depth=depth,
-        words=words,
+        symbols=symbols,
+        head=head,
+        tail=tail,
         matrix=matrix,
-        state_log_mid=log_mid,
-        log_width=float(log_gap.max()),
+        state_log_mid=0.5 * (lo_log + hi_log),
+        log_width=float((hi_log - lo_log).max()),
     )
 
 
@@ -162,10 +166,6 @@ class GibbsState:
     residual: float
     density_residual: float
     iterations: int
-
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return self.operator.words
 
     @property
     def log_eigenvalue(self) -> float:
@@ -196,16 +196,12 @@ class GibbsState:
         return abs(self.exponent) * self.operator.log_width
 
     def shift_invariance_defect(self) -> float:
-        """max over depth-(k-1) words of |head marginal - tail marginal|."""
-        if self.operator.depth == 1:
-            return 0.0
-        head: dict[tuple[int, ...], float] = {}
-        tail: dict[tuple[int, ...], float] = {}
-        for w, mass in zip(self.words, self.invariant):
-            head[w.symbols[:-1]] = head.get(w.symbols[:-1], 0.0) + float(mass)
-            tail[w.symbols[1:]] = tail.get(w.symbols[1:], 0.0) + float(mass)
-        keys = set(head) | set(tail)
-        return max(abs(head.get(k, 0.0) - tail.get(k, 0.0)) for k in keys)
+        """max over depth-(k-1) words of |head marginal - tail marginal|
+        (0 at depth 1, where both marginals are the total mass)."""
+        # every depth-(k-1) word is a head and a tail, so both have its length
+        head = np.bincount(self.operator.head, weights=self.invariant)
+        tail = np.bincount(self.operator.tail, weights=self.invariant)
+        return float(np.abs(head - tail).max())
 
 
 def _power_iterate(
@@ -331,8 +327,8 @@ def operator_bowen_solve(
     ``h`` is the evaluated exponent with the smallest ``|log eigenvalue|``,
     ``state`` its :class:`GibbsState` and ``residual`` its log-eigenvalue.
     ``bracket`` holds two evaluated exponents,
-    ``log eigenvalue(lo) > 0 >= log eigenvalue(hi)``, at most ``tol`` apart
-    (equal on an exact hit).
+    ``log eigenvalue(lo) > 0 >= log eigenvalue(hi)``, at most ``tol`` apart,
+    or on an exact hit the hit widened by its rounding (see ``_find_root``).
     """
     states: dict[float, GibbsState] = {}
 

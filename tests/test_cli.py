@@ -75,7 +75,7 @@ def test_bowen_brackets_hold_both_oracles(tmp_path):
         res = report["results"]
         # depth-1 similitude pressures are exact, and the bracket closes on
         # the root's floating-point neighbourhood
-        assert code == 0 and res["bracket_lo"] - 1e-14 <= golden[str(level)] <= res["bracket_hi"] + 1e-14
+        assert code == 0 and res["bracket_lo"] <= golden[str(level)] <= res["bracket_hi"]
         assert res["bracket_lo"] <= res["h"] <= res["bracket_hi"]
     code, report = run(tmp_path, "bowen", "system.family = golden\n")
     res = report["results"]
@@ -124,8 +124,14 @@ def test_scan_golden_monotone_to_limit(tmp_path):
     assert res["last_h"] == pytest.approx(0.692989243639961, abs=1e-8)
     assert 0.0 < res["final_gap_to_limit"] < 1e-2
     csv_text = (tmp_path / "scan-levels.csv").read_text()
-    assert csv_text.splitlines()[0] == "level,h,pressure_gap,residual,regular,depth,note"
-    assert len(csv_text.splitlines()) == 12  # header + 11 levels
+    lines = csv_text.splitlines()
+    assert lines[0] == "level,h,bracket_lo,bracket_hi,pressure_gap,residual,regular,depth,note"
+    assert len(lines) == 12  # header + 11 levels
+    # every level's frozen oracle root lies inside its row's bracket
+    golden = json.loads((ORACLES / "golden_truncation_roots.json").read_text())
+    for line in lines[1:]:
+        level, h, lo, hi = (float(v) for v in line.split(",")[:4])
+        assert lo <= golden[str(int(level))] <= hi and lo <= h <= hi
 
 
 def test_scan_continued_fraction_small_levels(tmp_path):
@@ -504,16 +510,15 @@ def test_gibbs_continued_fraction_operator_root(tmp_path):
 
 
 def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
-    # the root solve and the final state share one operator, so the states
-    # are enumerated once
+    # the root solve and the final state share one operator
     calls = []
-    real = ifsdim.transfer.enumerate_admissible
+    real = ifsdim.cli.build_operator
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ifsdim.transfer, "enumerate_admissible", counted)
+    monkeypatch.setattr(ifsdim.cli, "build_operator", counted)
     # and the final state is the root's last evaluation, not a new eigen-solve
     solves = []
     real_eigenmeasure = ifsdim.transfer.eigenmeasure

@@ -120,6 +120,8 @@ def test_golden_truncation_scan_matches_oracle():
         assert row.regular
         assert row.gap == pytest.approx(0.0, abs=1e-13)
         assert row.h == pytest.approx(GOLDEN_ROOTS[str(row.level)], abs=1e-10)
+        assert row.bracket_lo <= GOLDEN_ROOTS[str(row.level)] <= row.bracket_hi
+        assert row.bracket_lo <= row.h <= row.bracket_hi
     roots = [r.h for r in scan]
     assert roots == sorted(roots)  # truncations only gain mass
     assert scan.limit == pytest.approx(GOLDEN_ROOTS["limit"], abs=1e-11)
@@ -205,6 +207,7 @@ def test_truncation_scan_records_failures_and_continues():
     scan = truncation_scan(source, [2, 3, 4], depth=1, tol=1e-10)
     assert [r.level for r in scan] == [2, 3, 4]
     assert math.isnan(scan[1].h) and scan[1].note
+    assert math.isnan(scan[1].bracket_lo) and math.isnan(scan[1].bracket_hi)
     assert scan[0].regular and scan[2].regular
     assert scan.limit is None  # callable sources carry no closed form
 

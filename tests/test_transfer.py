@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from ifsdim.measures import conformal_cylinder_measure
 from ifsdim.pressure import ConvergenceFailure, bowen_solve, pressure
+from ifsdim.symbolic import Word, count_admissible, enumerate_admissible
 from ifsdim.systems import (
     MapDescriptor,
     cantor_system,
     continued_fraction_system,
     gdms_system,
     golden_family,
+    word_image,
 )
 from ifsdim.transfer import (
     DegenerateSystemError,
@@ -47,11 +49,79 @@ def test_zero_potential_full_shift_gives_all_ones_matrix():
 
 def test_state_enumeration_matches_admissible_words():
     op = build_operator(fibonacci_system(), depth=3)
-    symbols = [w.symbols for w in op.words]
+    symbols = [tuple(w) for w in op.symbols.tolist()]
     # lexicographic, and no word contains the forbidden 1->1 junction
     assert symbols == sorted(symbols)
     assert all((1, 1) not in zip(s, s[1:]) for s in symbols)
     assert len(symbols) == 5  # Fibonacci count at depth 3
+
+
+def _per_word_operator(system, depth):
+    """The operator one Word at a time: states from enumerate_admissible,
+    context images from word_image, successors through a dict."""
+    words = [w.symbols for w in enumerate_admissible(system.incidence, system.alphabet_size, depth)]
+    index = {w: i for i, w in enumerate(words)}
+    allows = system.incidence_or_full().allows
+    matrix = np.zeros((len(words), len(words)))
+    mid, width = [], []
+    for j, w in enumerate(words):
+        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else system.domain_of(w[0])
+        dmin, dmax = system.maps[w[0]].deriv_abs_bounds(lo, hi)
+        mid.append(0.5 * (math.log(dmin) + math.log(dmax)))
+        width.append(math.log(dmax) - math.log(dmin))
+        for e in range(system.alphabet_size):
+            if allows(w[-1], e) and w[1:] + (e,) in index:
+                matrix[index[w[1:] + (e,)], j] = 1.0
+    return np.array(words), matrix, np.array(mid), max(width)
+
+
+def _dict_defect(words, invariant):
+    head, tail = {}, {}
+    for w, mass in zip(words.tolist(), invariant.tolist()):
+        head[tuple(w[:-1])] = head.get(tuple(w[:-1]), 0.0) + mass
+        tail[tuple(w[1:])] = tail.get(tuple(w[1:]), 0.0) + mass
+    return max(abs(head.get(k, 0.0) - tail.get(k, 0.0)) for k in set(head) | set(tail))
+
+
+def _moebius(*digits):
+    return gdms_system(((0.0, 1.0),), [MapDescriptor("moebius-1d", q=q) for q in digits])
+
+
+# the config spelling `moebius:2; moebius:3; similitude:0.2:0; similitude:-0.3:0.9`
+MIXED = gdms_system(
+    ((0.0, 1.0),),
+    (
+        MapDescriptor("moebius-1d", q=2),
+        MapDescriptor("moebius-1d", q=3),
+        MapDescriptor("similitude", ratio=0.2, offset=0.0),
+        MapDescriptor("similitude", ratio=-0.3, offset=0.9),
+    ),
+)
+
+operator_systems = st.one_of(
+    st.integers(2, 5).map(continued_fraction_system),
+    st.lists(st.integers(1, 16), min_size=2, max_size=2, unique=True).map(
+        lambda qs: _moebius(*sorted(qs))
+    ),
+    st.lists(st.floats(0.1, 0.3), min_size=2, max_size=3).map(cantor_system),
+    st.just(fibonacci_system()),
+    st.just(MIXED),
+)
+
+
+@given(operator_systems, st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_array_operator_matches_the_per_word_reference(system, depth):
+    while count_admissible(system.incidence, system.alphabet_size, depth) > 1024:
+        depth -= 1
+    op = build_operator(system, depth)
+    words, matrix, mid, width = _per_word_operator(system, depth)
+    assert np.array_equal(op.symbols, words)
+    assert np.array_equal(op.matrix, matrix)
+    assert (np.abs(op.state_log_mid - mid) <= 1e-15 * np.abs(mid)).all()
+    assert abs(op.log_width - width) <= 1e-15 * width
+    state = eigenmeasure(op, 0.5)
+    assert state.shift_invariance_defect() == _dict_defect(words, state.invariant)
 
 
 def test_similitude_weights_are_exact_ratio_powers():
@@ -128,7 +198,7 @@ def test_invariant_masses_match_conformal_cylinders_for_similitudes():
     h3 = bowen_solve(sys3, depth=1).h
     state = eigenmeasure(build_operator(sys3, depth=2), h3)
     conformal = conformal_cylinder_measure(sys3, h3, depth=2)
-    masses = np.array([conformal.mass_of(w) for w in state.words])
+    masses = np.array([conformal.mass_of(Word(tuple(w))) for w in state.operator.symbols.tolist()])
     assert np.abs(state.invariant - masses).max() < 1e-12
     # for a Bernoulli similitude system the eigenmeasure itself is conformal
     assert np.abs(state.eigenmeasure - masses).max() < 1e-12
