@@ -182,19 +182,6 @@ def _report(command: str, cfg: RunConfig, **kwargs) -> Report:
 # system construction from config
 
 
-SYSTEM_KEYS = [
-    "system.family",
-    "system.size",
-    "system.ratios",
-    "system.maps",
-    "system.incidence",
-    "system.a",
-    "system.label",
-]
-OUTPUT_KEYS = ["out.dir", "out.format"]
-SAMPLE_KEYS = ["sample.count", "sample.seed"]
-
-
 def _parse_map(entry: str) -> MapDescriptor:
     parts = [p.strip() for p in entry.split(":")]
     kind = parts[0]
@@ -529,6 +516,8 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     count = cfg.get_int("sample.count", default=10_000, lo=100, hi=10_000_000)
     r_min = cfg.get_float("dimension.r_min", default=1e-4, lo=0.0)
     r_max = cfg.get_float("dimension.r_max", default=0.25)
+    if not 0.0 < r_min < r_max:
+        raise ConfigError(f"dimension.r_min: need 0 < r_min < r_max, got ({r_min}, {r_max})")
     r_count = cfg.get_int("dimension.r_count", default=24, lo=4, hi=400)
     fit_window = None
     if cfg.has("dimension.fit_lo") or cfg.has("dimension.fit_hi"):
@@ -588,27 +577,33 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         if ratio is None:
             warnings.append(f"entropy/lyapunov ratio unavailable: {unavailable}")
 
+    # the remaining keys are checked before anything is sampled
+    density_points = cfg.get_int("dimension.density_points", default=300, lo=1, hi=100_000)
+    d_rmin = cfg.get_float("dimension.density_r_min", default=max(r_min, 1e-12))
+    d_rmax = cfg.get_float("dimension.density_r_max", default=min(r_max, 0.4))
+    if not 0.0 < d_rmin < d_rmax < 1.0:
+        raise ConfigError(
+            f"dimension.density_r_min: need 0 < density_r_min < density_r_max < 1, "
+            f"got ({d_rmin}, {d_rmax})"
+        )
+    lo_supp, hi_supp = measure.support_bounds if isinstance(measure, LineMeasure) else (0.0, 1.0)
+    flat_default = isinstance(measure, LineMeasure) and 0.0 <= lo_supp and hi_supp <= 1.0
+    want_flatness = cfg.get_bool("dimension.flatness", default=flat_default)
+    if want_flatness and not isinstance(measure, LineMeasure):
+        raise ConfigError("dimension.flatness: only piecewise measures support the detector")
+
     cloud = sample(measure, count, seed=seed)
     curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
     if curve.degenerate:
         warnings.append("sample cloud is a single point; slope pinned to zero")
 
-    density_points = cfg.get_int("dimension.density_points", default=300, lo=1, hi=100_000)
-    d_rmin = cfg.get_float("dimension.density_r_min", default=max(r_min, 1e-12))
-    d_rmax = cfg.get_float("dimension.density_r_max", default=min(r_max, 0.4))
     fld = density_field(measure, cloud.points[:density_points], d_rmin, d_rmax)
     crit = young_criterion(fld)
     bounds = scaling_quantile_bounds(fld)
 
     flatness = None
     flat_csv = None
-    lo_supp, hi_supp = measure.support_bounds if isinstance(measure, LineMeasure) else (0.0, 1.0)
-    flat_default = isinstance(measure, LineMeasure) and 0.0 <= lo_supp and hi_supp <= 1.0
-    if cfg.get_bool("dimension.flatness", default=flat_default):
-        if not isinstance(measure, LineMeasure):
-            raise ConfigError(
-                "dimension.flatness: only piecewise measures support the detector"
-            )
+    if want_flatness:
         if family == "gallery:staircase":
             a = cfg.get_float("system.a", default=0.5)
             ladder = [a ** (k * k) for k in range(1, 9)]
@@ -702,12 +697,12 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         "states": len(operator),
         "regular": True,
     }
-    mass_rows = [
-        [".".join(map(str, w)), m, inv]
-        for w, m, inv in zip(
-            operator.symbols.tolist(), state.eigenmeasure.tolist(), state.invariant.tolist()
-        )
-    ]
+    # words hold only digits and dots, so no cell needs quoting
+    words = [".".join(map(str, w)) for w in operator.symbols.tolist()]
+    cells = zip(words, state.eigenmeasure.tolist(), state.invariant.tolist())
+    masses = "word,eigenmeasure,invariant\n" + "%s,%.17g,%.17g\n" * len(words) % tuple(
+        v for row in cells for v in row
+    )
     return _report(
         "gibbs",
         cfg,
@@ -720,9 +715,7 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             "shift_invariance_defect": state.shift_invariance_defect(),
             **root_diagnostics,
         },
-        tables={
-            "masses": _csv_table(["word", "eigenmeasure", "invariant"], mass_rows)
-        },
+        tables={"masses": masses},
     )
 
 

@@ -163,8 +163,11 @@ class RunConfig:
                         f"{key}: range {raw!r} is reversed (write low:high)"
                     )
                 return list(range(lo, hi + 1))
-            return [int(part) for part in raw.split(",") if part.strip()]
+            levels = [int(part) for part in raw.split(",") if part.strip()]
         except ConfigError:
             raise
         except ValueError:
             raise ConfigError(f"{key}: expected 'low:high' or a comma list, got {raw!r}") from None
+        if not levels:
+            raise ConfigError(f"{key}: empty list")
+        return levels

@@ -301,9 +301,9 @@ class CylinderMeasure:
             raise ValueError(f"word depth {len(word)} outside stored range 1..{self.depth}")
         A = self.system.incidence_or_full()
         m = self.system.alphabet_size
+        if max(word.symbols) >= m:
+            raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
         idx = word.symbols[0]
-        if not 0 <= idx < m:
-            raise ValueError(f"symbol {idx} outside alphabet")
         for d, e in enumerate(word.symbols[1:], start=2):
             prev = word.symbols[d - 2]
             if not A.allows(prev, e):
@@ -325,18 +325,18 @@ class CylinderMeasure:
 
 
 def _extension_tables(system: SystemSpec, depth: int):
-    """last_symbols and child_starts arrays for levels 1..depth."""
-    A = system.incidence_or_full()
-    m = system.alphabet_size
-    allowed = [np.array([e for e in range(m) if A.allows(s, e)], dtype=np.int64) for s in range(m)]
-    counts = np.array([len(a) for a in allowed], dtype=np.int64)
-    last = [np.arange(m, dtype=np.int64)]
+    """last_symbols and child_starts arrays for levels 1..depth, and each
+    symbol's successor count.  The extensions of a level are the row-major
+    nonzeros of the incidence rows of its last symbols."""
+    allowed = system.incidence_or_full().as_array().astype(bool)
+    counts = allowed.sum(axis=1)
+    last = [np.arange(system.alphabet_size, dtype=np.int64)]
     starts = []
     for _ in range(2, depth + 1):
         prev = last[-1]
         starts.append(np.concatenate(([0], np.cumsum(counts[prev]))))
-        last.append(np.concatenate([allowed[s] for s in prev]) if len(prev) else prev)
-    return last, starts, allowed, counts
+        last.append(np.nonzero(allowed[prev])[1])
+    return last, starts, counts
 
 
 def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> CylinderMeasure:
@@ -352,7 +352,7 @@ def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> Cyli
         raise ValueError(f"exponent must lie in [0, 1], got {h}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    last, starts, _, counts = _extension_tables(system, depth)
+    last, starts, counts = _extension_tables(system, depth)
     if (counts == 0).any():
         raise ValueError("system has a dead-end symbol; cylinder masses cannot be extended")
     lg = level_geometry(system, depth)

@@ -32,7 +32,6 @@ Perron root of the weighted incidence matrix.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
@@ -47,7 +46,6 @@ __all__ = [
     "ScanRow",
     "TruncationScan",
     "bowen_solve",
-    "analytic_pressure",
     "analytic_bowen_solve",
     "truncation_scan",
 ]
@@ -98,17 +96,6 @@ class BowenSolution:
     gap: float = 0.0  # pressure bracket width at the root (word method)
     # the transfer.GibbsState evaluated at h (operator method)
     state: object = field(default=None, repr=False, compare=False)
-
-
-def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
-    """(1/n) log of the sums of sup|s_w'|^t and of inf|s_w'|^t over the
-    admissible depth-n words, accumulated in the log domain; the two
-    figures coincide for similitudes."""
-    if t < 0:
-        raise ValueError(f"exponent must be >= 0, got {t}")
-    lg = _level(system, depth)
-    upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
-    return PressureEstimate(t=t, depth=depth, upper=upper / depth, lower=lower / depth)
 
 
 def _level(system: SystemSpec, depth: int):
@@ -282,13 +269,6 @@ def bowen_solve(
 # closed-form path for countable similitude families
 
 
-def analytic_pressure(family: SimilitudeFamily, t: float) -> float:
-    """log sum_i |a_i|^t over the whole countable family (may be +inf)."""
-    if family.log_mass is None:
-        raise ValueError(f"family {family.name!r} carries no closed-form mass")
-    return family.log_mass(t)
-
-
 def analytic_bowen_solve(
     family: SimilitudeFamily,
     tol: float = 1e-12,
@@ -297,14 +277,16 @@ def analytic_bowen_solve(
     """Root of the full-family pressure, or its jump point when no root
     exists.  Infinite pressure values are handled as 'positive' so the
     bisection also localizes the finiteness threshold of irregular families,
-    which come back with regular=False and a negative residual.
+    which come back with regular=False and a negative residual.  The
+    pressure is ``family.log_mass``, log sum_i |a_i|^t over the whole
+    family; a family without one raises ``ValueError``.
     """
-    root, bracket, evals = _find_root(
-        lambda t: analytic_pressure(family, t), tol, max_iter, f"analytic({family.name})"
-    )
+    if family.log_mass is None:
+        raise ValueError(f"family {family.name!r} carries no closed-form mass")
+    root, bracket, evals = _find_root(family.log_mass, tol, max_iter, f"analytic({family.name})")
     lo, hi = bracket
-    left = analytic_pressure(family, lo)
-    residual = analytic_pressure(family, hi)
+    left = family.log_mass(lo)
+    residual = family.log_mass(hi)
     regular = math.isfinite(left) and abs(residual) <= IRREGULAR_RESIDUAL
     return BowenSolution(
         h=root,
@@ -339,19 +321,13 @@ class ScanRow:
 
 
 @dataclass(frozen=True)
-class TruncationScan(SequenceABC):
+class TruncationScan:
     """Scan rows plus, when the source family has a closed-form pressure,
     the dimension of the full countable system the levels increase toward."""
 
     rows: tuple[ScanRow, ...]
     limit: float | None = None
     limit_regular: bool | None = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
 
 
 def truncation_scan(

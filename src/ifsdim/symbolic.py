@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -92,42 +92,6 @@ class IncidenceMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-
-def enumerate_admissible(
-    matrix: Optional[IncidenceMatrix],
-    alphabet_size: int,
-    depth: int,
-) -> Iterator[Word]:
-    """Yield all admissible words of the given depth in lexicographic order.
-
-    The stream is lazy: callers can consume a prefix without paying for the
-    whole level.  With matrix=None the shift is full.  The package itself
-    works on whole levels (``admissible_level``); this one-word-at-a-time
-    walk is their reference.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    if matrix is not None and matrix.size != alphabet_size:
-        raise ValueError(
-            f"matrix size {matrix.size} does not match alphabet size {alphabet_size}"
-        )
-
-    rows = None if matrix is None else matrix.rows
-
-    def walk(prefix: tuple[int, ...]) -> Iterator[Word]:
-        if len(prefix) == depth:
-            yield Word(prefix)
-            return
-        last = prefix[-1] if prefix else None
-        for s in range(alphabet_size):
-            if last is not None and rows is not None and rows[last][s] == 0:
-                continue
-            yield from walk(prefix + (s,))
-
-    return walk(())
 
 
 def admissible_level(matrix: IncidenceMatrix, depth: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .symbolic import IncidenceMatrix, Word
+from .symbolic import IncidenceMatrix
 
 __all__ = [
     "InvalidSystem",
@@ -37,8 +37,6 @@ __all__ = [
     "SystemSpec",
     "LevelGeometry",
     "SimilitudeFamily",
-    "SeparationReport",
-    "check_separation",
     "ensure_separation",
     "level_geometry",
     "golden_family",
@@ -132,7 +130,6 @@ class SystemSpec:
     sup |s_w'| <= gamma^floor(|w|/2) (gamma^|w| for pure similitudes).
     """
 
-    flavor: str  # "cifs" | "gdms"
     vertex_spaces: tuple[tuple[float, float], ...]
     maps: tuple[MapDescriptor, ...]
     incidence: Optional[IncidenceMatrix]
@@ -141,8 +138,6 @@ class SystemSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.flavor not in ("cifs", "gdms"):
-            raise InvalidSystem(f"unknown flavor {self.flavor!r}")
         if len(self.maps) < 2:
             raise InvalidSystem("a system needs at least two maps")
         if not self.vertex_spaces:
@@ -158,9 +153,6 @@ class SystemSpec:
                 lo, hi = self.vertex_spaces[m.domain_vertex]
                 if (lo, hi) != (0.0, 1.0):
                     raise InvalidSystem("moebius maps are defined on the vertex space [0, 1]")
-        if self.flavor == "cifs":
-            if any(m.domain_vertex != 0 or m.image_vertex != 0 for m in self.maps):
-                raise InvalidSystem("a plain IFS lives on a single vertex space")
         if self.incidence is None:
             if len({(m.domain_vertex, m.image_vertex) for m in self.maps}) > 1:
                 raise InvalidSystem("full-shift incidence needs all maps on one vertex pair")
@@ -264,72 +256,26 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     return LevelGeometry(depth, log_sup, log_inf, image_lo, image_hi)
 
 
-def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
-    """Exact image interval of one word (maps composed innermost-first), one
-    word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
-    _check_word(system, word)
-    lo, hi = system.domain_of(word.symbols[-1])
-    for s in reversed(word.symbols):
-        lo, hi = system.maps[s].apply_interval(lo, hi)
-    return lo, hi
-
-
-def _check_word(system: SystemSpec, word: Word) -> None:
-    m = system.alphabet_size
-    if any(s >= m for s in word.symbols):
-        raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
-    inc = system.incidence
-    if inc is not None:
-        for a, b in zip(word.symbols, word.symbols[1:]):
-            if not inc.allows(a, b):
-                raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
-
-
 # ---------------------------------------------------------------------------
 # separation
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    """Outcome of the depth-1 disjoint-interior check."""
-
-    ok: bool
-    pair: Optional[tuple[int, int]] = None
-    detail: str = ""
-
-
-def check_separation(system: SystemSpec) -> SeparationReport:
-    """Do the depth-1 images have pairwise disjoint interiors (within each
-    image vertex space)?  Returns a report naming the first offending pair."""
+def ensure_separation(system: SystemSpec) -> None:
+    """Raise SeparationError, naming the first offending map or pair, unless
+    every depth-1 image stays in its vertex space and the images within each
+    image vertex space have pairwise disjoint interiors."""
     by_vertex: dict[int, list[tuple[int, float, float]]] = {}
     for e, mp in enumerate(system.maps):
-        lo, hi = system.domain_of(e)
-        a, b = mp.apply_interval(lo, hi)
+        a, b = mp.apply_interval(*system.domain_of(e))
         vlo, vhi = system.vertex_spaces[mp.image_vertex]
         if a < vlo - 1e-12 or b > vhi + 1e-12:
-            return SeparationReport(
-                ok=False,
-                pair=(e, e),
-                detail=f"map {e} image [{a}, {b}] leaves its vertex space [{vlo}, {vhi}]",
-            )
+            raise SeparationError(f"map {e} image [{a}, {b}] leaves its vertex space [{vlo}, {vhi}]")
         by_vertex.setdefault(mp.image_vertex, []).append((e, float(a), float(b)))
     for items in by_vertex.values():
         items.sort(key=lambda t: (t[1], t[2]))
         for (e1, _, b1), (e2, a2, _) in zip(items, items[1:]):
             if a2 < b1 - 1e-12:
-                return SeparationReport(
-                    ok=False,
-                    pair=(min(e1, e2), max(e1, e2)),
-                    detail=f"images of maps {e1} and {e2} overlap ({a2} < {b1})",
-                )
-    return SeparationReport(ok=True)
-
-
-def ensure_separation(system: SystemSpec) -> None:
-    """Raise SeparationError unless check_separation passes."""
-    report = check_separation(system)
-    if not report.ok:
-        raise SeparationError(report.detail)
+                raise SeparationError(f"images of maps {e1} and {e2} overlap ({a2} < {b1})")
 
 
 def _contraction(maps: Sequence[MapDescriptor], vertex_spaces) -> float:
@@ -378,7 +324,6 @@ class SimilitudeFamily:
             for i in range(1, n + 1)
         )
         return SystemSpec(
-            flavor="cifs",
             vertex_spaces=((0.0, 1.0),),
             maps=maps,
             incidence=None,
@@ -474,7 +419,6 @@ def cantor_system(ratios: Sequence[float], label: str = "cantor") -> SystemSpec:
         maps.append(MapDescriptor("similitude", ratio=r, offset=pos))
         pos += r + gap
     return SystemSpec(
-        flavor="cifs",
         vertex_spaces=((0.0, 1.0),),
         maps=tuple(maps),
         incidence=None,
@@ -495,7 +439,6 @@ def continued_fraction_system(n: int) -> SystemSpec:
     maps = tuple(MapDescriptor("moebius-1d", q=q) for q in range(1, n + 1))
     vs = ((0.0, 1.0),)
     return SystemSpec(
-        flavor="cifs",
         vertex_spaces=vs,
         maps=maps,
         incidence=None,
@@ -527,7 +470,6 @@ def gdms_system(
         inc = IncidenceMatrix(tuple(tuple(int(v) for v in row) for row in incidence))
     K = 1.0 if all(m.affine for m in maps) else 4.0
     return SystemSpec(
-        flavor="gdms",
         vertex_spaces=vs,
         maps=maps,
         incidence=inc,

@@ -21,7 +21,6 @@ steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,11 +78,6 @@ class OperatorMatrix:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def weighted(self, exponent: float) -> np.ndarray:
-        """The matrix at ``exponent``: column ``j`` scaled by
-        ``exp(exponent * state_log_mid[j])``."""
-        return self.matrix * np.exp(exponent * self.state_log_mid)[None, :]
 
 
 def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
@@ -152,9 +146,8 @@ class GibbsState:
     mass one — the conformal-measure analogue on depth-``depth`` cylinders.
     ``density`` is the right eigenvector scaled so that
     ``sum(eigenmeasure * density) == 1``; ``invariant`` is their product,
-    the stationary law of the Markov chain with matrix ``transition`` whose
-    move from state ``w`` prepends one admissible symbol.  ``transition`` is
-    formed on first read: the root solve never reads it.
+    the stationary law of the Markov chain whose move from state ``w``
+    prepends one admissible symbol.
     """
 
     operator: OperatorMatrix = field(repr=False)
@@ -177,17 +170,6 @@ class GibbsState:
         of the invariant measure, and minus the slope of ``log_eigenvalue``
         in the exponent."""
         return float(-(self.invariant * self.operator.state_log_mid).sum())
-
-    @functools.cached_property
-    def transition(self) -> np.ndarray:
-        mat = self.operator.weighted(self.exponent)
-        g = self.density
-        with np.errstate(divide="ignore", invalid="ignore"):
-            transition = (mat * g[None, :]) / (self.eigenvalue * g[:, None])
-        transition = np.where(mat > 0, transition, 0.0)
-        rows = transition.sum(axis=1)
-        transition /= rows[:, None]
-        return transition
 
     @property
     def variation_bound(self) -> float:
@@ -248,7 +230,7 @@ def eigenmeasure(
     """
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
-    mat = operator.weighted(exponent)
+    mat = operator.matrix * np.exp(exponent * operator.state_log_mid)[None, :]
     mu, lam, res_mu, it_mu = _power_iterate(mat.T, tol, max_iters)
     g, lam_g, res_g, it_g = _power_iterate(mat, tol, max_iters)
     worst = max(res_mu, res_g)
@@ -293,16 +275,22 @@ def entropy_lyapunov(state: GibbsState) -> EntropyLyapunov:
     """Markov-chain entropy rate and cylinder-bracket Lyapunov exponent.
 
     Entropy is ``-sum_w pi_w sum_v P[w, v] log P[w, v]`` over the stationary
-    chain; the Lyapunov exponent integrates the (negated) first-symbol
-    log-derivative midpoints against the invariant masses.  A non-positive
-    exponent means the system does not contract along typical orbits and
-    the dimension ratio is undefined: :class:`DegenerateSystemError`.
+    chain, ``P[w, v] = M[w, v] g[v] / (eigenvalue g[w])`` with ``M`` the
+    weighted matrix and ``g`` the density, rows renormalised; the Lyapunov
+    exponent integrates the (negated) first-symbol log-derivative midpoints
+    against the invariant masses.  A non-positive exponent means the system
+    does not contract along typical orbits and the dimension ratio is
+    undefined: :class:`DegenerateSystemError`.
     """
-    pi = state.invariant
-    p = state.transition
+    op, g = state.operator, state.density
+    mat = op.matrix * np.exp(state.exponent * op.state_log_mid)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
+        p = (mat * g[None, :]) / (state.eigenvalue * g[:, None])
+        p = np.where(mat > 0, p, 0.0)
+        del mat  # at most three n x n arrays alive at a time
+        p /= p.sum(axis=1)[:, None]
         plogp = np.where(p > 0, p * np.log(p), 0.0)
-    entropy = float(-(pi[:, None] * plogp).sum())
+    entropy = float(-(state.invariant[:, None] * plogp).sum())
     lyapunov = state.lyapunov
     if lyapunov <= 1e-12:
         raise DegenerateSystemError(

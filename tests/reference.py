@@ -1,0 +1,84 @@
+"""Per-word reference implementations for the tests.
+
+The package works on whole levels of words at once (``admissible_level``,
+``level_geometry``, the sorted level sums in ``bowen_solve``).  These are
+the one-word-at-a-time versions the tests hold the level code to.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional
+
+import numpy as np
+
+from ifsdim.pressure import PressureEstimate, _level, _log_sum
+from ifsdim.symbolic import IncidenceMatrix, Word
+from ifsdim.systems import SystemSpec
+
+
+def enumerate_admissible(
+    matrix: Optional[IncidenceMatrix],
+    alphabet_size: int,
+    depth: int,
+) -> Iterator[Word]:
+    """Yield all admissible words of the given depth in lexicographic order.
+
+    The stream is lazy: callers can consume a prefix without paying for the
+    whole level.  With matrix=None the shift is full.  The reference for
+    ``symbolic.admissible_level``.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
+    if matrix is not None and matrix.size != alphabet_size:
+        raise ValueError(
+            f"matrix size {matrix.size} does not match alphabet size {alphabet_size}"
+        )
+
+    rows = None if matrix is None else matrix.rows
+
+    def walk(prefix: tuple[int, ...]) -> Iterator[Word]:
+        if len(prefix) == depth:
+            yield Word(prefix)
+            return
+        last = prefix[-1] if prefix else None
+        for s in range(alphabet_size):
+            if last is not None and rows is not None and rows[last][s] == 0:
+                continue
+            yield from walk(prefix + (s,))
+
+    return walk(())
+
+
+def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
+    """Exact image interval of one word (maps composed innermost-first), one
+    word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
+    _check_word(system, word)
+    lo, hi = system.domain_of(word.symbols[-1])
+    for s in reversed(word.symbols):
+        lo, hi = system.maps[s].apply_interval(lo, hi)
+    return lo, hi
+
+
+def _check_word(system: SystemSpec, word: Word) -> None:
+    m = system.alphabet_size
+    if any(s >= m for s in word.symbols):
+        raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
+    inc = system.incidence
+    if inc is not None:
+        for a, b in zip(word.symbols, word.symbols[1:]):
+            if not inc.allows(a, b):
+                raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
+
+
+def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
+    """(1/n) log of the sums of sup|s_w'|^t and of inf|s_w'|^t over the
+    admissible depth-n words, accumulated in the log domain; the two
+    figures coincide for similitudes.  One exponent per call: the reference
+    for the pressures ``bowen_solve`` evaluates on its once-sorted level."""
+    if t < 0:
+        raise ValueError(f"exponent must be >= 0, got {t}")
+    lg = _level(system, depth)
+    upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
+    return PressureEstimate(t=t, depth=depth, upper=upper / depth, lower=lower / depth)

@@ -26,7 +26,7 @@ from ifsdim.measures import (
     tv_distance,
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve, truncation_scan
-from ifsdim.symbolic import Word, comparison_distance, enumerate_admissible
+from ifsdim.symbolic import Word, comparison_distance
 from ifsdim.systems import (
     cantor_system,
     continued_fraction_system,
@@ -39,6 +39,8 @@ from ifsdim.transfer import (
     entropy_lyapunov,
     operator_bowen_solve,
 )
+
+from reference import enumerate_admissible
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 GOLDEN_LIMIT = math.log((1.0 + math.sqrt(5.0)) / 2.0) / math.log(2.0)

@@ -3,10 +3,12 @@
 Each name in a module's ``__all__`` must be imported from that module by
 another module of the package or by a script under ``scripts/``, or be
 loaded by name in its own module outside its own definition.  A name that
-only tests call is surface with no user, and goes.
+only tests call is surface with no user, and goes.  So does a module-level
+UPPER_CASE constant that nothing under ``src/`` or ``scripts/`` reads.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ifsdim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 # acceptance criterion c8 checks that the coding-space metric is an ultrametric
 ALLOWED = {"comparison_distance"}
@@ -69,3 +72,35 @@ def test_every_public_name_has_a_caller_besides_its_tests(module):
         and name not in ALLOWED
     ]
     assert unused == []
+
+
+def _constants(tree: ast.Module) -> list[str]:
+    """Module-level assignments to UPPER_CASE names (a leading _ allowed)."""
+    names = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names += [
+            t.id
+            for t in targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+        ]
+    return names
+
+
+def _loaded_names() -> set[str]:
+    """Every name read as a variable or an attribute under src/ and scripts/."""
+    loaded = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_every_module_constant_is_read(module):
+    loaded = _loaded_names()
+    unread = [name for name in _constants(ast.parse(module.read_text())) if name not in loaded]
+    assert unread == []

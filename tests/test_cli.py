@@ -152,6 +152,22 @@ def test_scan_reversed_levels_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("scan", "system.family = golden\nscan.levels = ,\n"),
+        ("converge", "system.family = golden\nconverge.levels = ,\n"),
+        ("converge", "system.family = gallery:leaking-block\nconverge.levels = ,\n"),
+    ],
+    ids=["scan", "converge", "converge-gallery"],
+)
+def test_empty_level_list_exits_2_naming_the_key(tmp_path, capsys, command, text):
+    code, report = run(tmp_path, command, text)
+    assert code == 2 and report is None
+    assert f"config error: {command}.levels: empty list" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_scan_needs_a_family_exit_2(tmp_path):
     code, _ = run(
         tmp_path,
@@ -417,6 +433,35 @@ def test_dimension_member_validation(tmp_path):
     assert run(tmp_path, "dimension", bad0)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "dimension.density_points = 0",
+        "dimension.r_min = 0",
+        "dimension.density_r_min = 0",
+        "dimension.density_r_max = 2",
+        "dimension.flatness = true",
+    ],
+)
+def test_dimension_rejects_bad_keys_before_sampling(tmp_path, monkeypatch, bad):
+    samples = []
+    real = ifsdim.cli.sample
+
+    def counted(*args, **kwargs):
+        samples.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ifsdim.cli, "sample", counted)
+    code, report = run(
+        tmp_path,
+        "dimension",
+        f"system.family = cantor\nsystem.ratios = 0.3, 0.3\nsample.seed = 1\n{bad}\n",
+    )
+    assert code == 2 and report is None
+    assert samples == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_dimension_family_without_size_exit_2(tmp_path):
     code, _ = run(tmp_path, "dimension", "system.family = golden\nsample.seed = 1\n")
     assert code == 2
@@ -539,6 +584,38 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
     assert report["results"]["exponent"] == pytest.approx(CF2_H, abs=5e-3)
     assert len(calls) == 1
     assert len(solves) == report["diagnostics"]["root_evaluations"]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        "system.family = continued-fraction\nsystem.size = 2\ngibbs.depth = 4\n",
+        "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.3:0.6\n"
+        "system.incidence = 11;10\ngibbs.depth = 4\n",
+    ],
+    ids=["cf2", "fibonacci"],
+)
+def test_gibbs_masses_table_matches_the_csv_writer(tmp_path, monkeypatch, system):
+    # the one-format masses table gives the bytes the per-cell csv writer gives
+    states = []
+    real = ifsdim.cli.entropy_lyapunov
+
+    def recorded(state):
+        states.append(state)
+        return real(state)
+
+    monkeypatch.setattr(ifsdim.cli, "entropy_lyapunov", recorded)
+    code, _ = run(tmp_path, "gibbs", system)
+    assert code == 0 and len(states) == 1
+    (state,) = states
+    rows = [
+        [".".join(map(str, w)), m, inv]
+        for w, m, inv in zip(
+            state.operator.symbols.tolist(), state.eigenmeasure.tolist(), state.invariant.tolist()
+        )
+    ]
+    want = ifsdim.cli._csv_table(["word", "eigenmeasure", "invariant"], rows)
+    assert (tmp_path / "gibbs-masses.csv").read_text() == want
 
 
 def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):

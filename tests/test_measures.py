@@ -19,7 +19,7 @@ from ifsdim.measures import (
     weak_discrepancy,
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
-from ifsdim.symbolic import Word, enumerate_admissible
+from ifsdim.symbolic import Word
 from ifsdim.systems import (
     MapDescriptor,
     cantor_system,
@@ -27,6 +27,8 @@ from ifsdim.systems import (
     gdms_system,
     golden_family,
 )
+
+from reference import enumerate_admissible
 
 TERNARY_DIM = math.log(2.0) / math.log(3.0)
 
@@ -248,6 +250,10 @@ def test_mass_of_checks_admissibility_and_depth():
         cm.mass_of(Word.of(1, 1))
     with pytest.raises(ValueError):
         cm.mass_of(Word.of(0, 1, 0, 1))
+    # symbols outside the alphabet, first or later
+    for word in (Word.of(5), Word.of(0, 5), Word.of(0, 0, 2)):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            cm.mass_of(word)
     # admissible masses agree with the word list pairing
     for word, mass in zip(enumerate_admissible(fib.incidence, 2, 2), cm.level(2)):
         assert cm.mass_of(word) == pytest.approx(float(mass), abs=1e-15)

@@ -10,9 +10,10 @@ from ifsdim.symbolic import (
     Word,
     comparison_distance,
     count_admissible,
-    enumerate_admissible,
     finitely_primitive_witness,
 )
+
+from reference import enumerate_admissible
 
 FIB = IncidenceMatrix(((1, 1), (1, 0)))
 

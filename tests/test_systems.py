@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifsdim.symbolic import Word, enumerate_admissible
+from ifsdim.symbolic import Word
 from ifsdim.systems import (
     InvalidSystem,
     MapDescriptor,
@@ -17,13 +17,13 @@ from ifsdim.systems import (
     ensure_separation,
     borderline_family,
     cantor_system,
-    check_separation,
     continued_fraction_system,
     gdms_system,
     golden_family,
     level_geometry,
-    word_image,
 )
+
+from reference import enumerate_admissible, word_image
 
 
 # --- construction and validation -------------------------------------------
@@ -35,7 +35,7 @@ def test_golden_truncation_layout():
     assert [m.offset for m in sys3.maps] == [0.0, 0.5, 0.75]
     images = [m.apply_interval(0.0, 1.0) for m in sys3.maps]
     assert images == [(0.0, 0.25), (0.5, 0.625), (0.75, 0.8125)]
-    assert check_separation(sys3).ok
+    ensure_separation(sys3)
     assert sys3.distortion_bound == 1.0
 
 
@@ -52,10 +52,10 @@ def test_golden_log_mass_matches_finite_sums():
 def test_cantor_layout():
     sys_ = cantor_system((1 / 3, 1 / 3))
     assert [m.offset for m in sys_.maps] == [0.0, pytest.approx(2 / 3)]
-    assert check_separation(sys_).ok
+    ensure_separation(sys_)
     touching = cantor_system((0.5, 0.5))
     assert [m.offset for m in touching.maps] == [0.0, 0.5]
-    assert check_separation(touching).ok  # touching endpoints are fine
+    ensure_separation(touching)  # touching endpoints are fine
 
 
 def test_cantor_rejects_bad_ratios():
@@ -78,7 +78,6 @@ def test_truncate_bounds():
 def test_at_least_two_maps():
     with pytest.raises(InvalidSystem):
         SystemSpec(
-            flavor="cifs",
             vertex_spaces=((0.0, 1.0),),
             maps=(MapDescriptor("similitude", ratio=0.5),),
             incidence=None,
@@ -104,17 +103,13 @@ def test_separation_detects_overlap():
         MapDescriptor("similitude", ratio=0.5, offset=0.25),
     )
     sys_ = SystemSpec(
-        flavor="cifs",
         vertex_spaces=((0.0, 1.0),),
         maps=m,
         incidence=None,
         distortion_bound=1.0,
         word_contraction=0.5,
     )
-    report = check_separation(sys_)
-    assert not report.ok
-    assert report.pair == (0, 1)
-    with pytest.raises(SeparationError):
+    with pytest.raises(SeparationError, match=r"images of maps 0 and 1 overlap"):
         ensure_separation(sys_)
 
 
@@ -175,7 +170,7 @@ def test_continued_fraction_layout():
     assert [m.q for m in sys_.maps] == [1, 2, 3]
     assert word_image(sys_, Word.of(0)) == (0.5, 1.0)
     assert word_image(sys_, Word.of(1)) == (pytest.approx(1 / 3), 0.5)
-    assert check_separation(sys_).ok
+    ensure_separation(sys_)
     assert sys_.distortion_bound == 4.0
     # certified two-step contraction: the 1-1 pair dominates at 4/9
     assert sys_.word_contraction == pytest.approx(4 / 9, rel=1e-12)
@@ -374,7 +369,7 @@ def test_gdms_derived_incidence():
     sys_ = gdms_fixture()
     # edge e may precede e2 iff e starts where e2 lands
     assert sys_.incidence.rows == ((0, 1, 1), (1, 0, 0), (0, 1, 1))
-    assert check_separation(sys_).ok
+    ensure_separation(sys_)
     words = list(enumerate_admissible(sys_.incidence, 3, 2))
     assert Word.of(0, 1) in words and Word.of(0, 0) not in words
     lg = level_geometry(sys_, 2)
@@ -405,7 +400,7 @@ def test_spec_is_hashable():
 def test_borderline_images_fit_their_slots():
     fam = borderline_family()
     sys_ = fam.truncate(40)
-    assert check_separation(sys_).ok
+    ensure_separation(sys_)
     for i in range(1, 41):
         a, b = fam.ratio_fn(i), fam.offset_fn(i)
         assert 0.0 < a < 1.0
