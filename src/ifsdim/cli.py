@@ -29,6 +29,7 @@ from .dimension import (
     correlation_curve,
     density_field,
     flatness_detector,
+    radius_grid,
     scaling_quantile_bounds,
     young_criterion,
 )
@@ -50,7 +51,7 @@ from .pressure import (
     bowen_solve,
     truncation_scan,
 )
-from .symbolic import count_admissible
+from .symbolic import IncidenceMatrix, count_admissible
 from .systems import (
     InvalidSystem,
     MapDescriptor,
@@ -87,9 +88,10 @@ EXIT_CONFIG = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_IRREGULAR = 4
 
-# the dense gibbs operator holds states^2 floats (128 MiB here); 2^12 keeps
-# every size-2 depth that gibbs.depth accepts
-GIBBS_MAX_STATES = 4096
+# the largest dense float table a command may build (128 MiB): the gibbs
+# operator holds states^2 cells, a converge cylinder table level^depth;
+# 4096^2 keeps every size-2 depth that gibbs.depth accepts
+MAX_DENSE_CELLS = 4096**2
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,10 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
                     f"system.incidence: rows must be 0/1 strings, got {row!r}"
                 )
             rows.append(tuple(int(ch) for ch in row))
-        incidence = tuple(rows)
+        try:
+            incidence = IncidenceMatrix(tuple(rows)).rows
+        except ValueError as err:  # the rows are not square
+            raise ConfigError(f"system.incidence: {err}") from None
     label = cfg.get_str("system.label", default="custom")
     try:
         system = gdms_system(((0.0, 1.0),), maps, incidence=incidence, label=label)
@@ -240,7 +245,7 @@ def _build_source(cfg: RunConfig) -> Union[SimilitudeFamily, SystemSpec]:
         except InvalidSystem as err:
             raise ConfigError(f"system.ratios: {err}") from None
     elif family == "continued-fraction":
-        return continued_fraction_system(cfg.get_int("system.size", lo=1, hi=64))
+        return continued_fraction_system(cfg.get_int("system.size", lo=2, hi=64))
     elif family == "custom":
         return _custom_system(cfg)
     else:
@@ -249,7 +254,7 @@ def _build_source(cfg: RunConfig) -> Union[SimilitudeFamily, SystemSpec]:
             " | cantor | continued-fraction | custom | gallery:<name>)"
         )
     if cfg.has("system.size"):
-        return fam.truncate(cfg.get_int("system.size", lo=1, hi=64))
+        return fam.truncate(cfg.get_int("system.size", lo=2, hi=64))
     return fam
 
 
@@ -321,9 +326,7 @@ def _cf_scan_depth(level: int) -> int:
 
 def cmd_scan(cfg: RunConfig) -> Report:
     cfg.check_keys("scan", ["scan.levels", "scan.depth", "scan.tol"])
-    levels = cfg.get_levels("scan.levels")
-    if min(levels) < 2:
-        raise ConfigError("scan.levels: truncation levels must be >= 2")
+    levels = cfg.get_levels("scan.levels", lo=2)
     tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
     family = cfg.get_str("system.family")
     depth: Union[int, None, object]
@@ -375,13 +378,6 @@ def cmd_scan(cfg: RunConfig) -> Report:
     )
 
 
-def _kron_power(vec: np.ndarray, depth: int) -> np.ndarray:
-    out = vec
-    for _ in range(depth - 1):
-        out = np.kron(out, vec)
-    return out
-
-
 def cmd_converge(cfg: RunConfig) -> Report:
     cfg.check_keys(
         "converge",
@@ -397,12 +393,14 @@ def cmd_converge(cfg: RunConfig) -> Report:
             "system.family: converge compares truncations against a family "
             "limit; use golden, borderline, or gallery:<name>"
         )
-    levels = cfg.get_levels("converge.levels", default="2:10")
-    if min(levels) < 2:
-        raise ConfigError("converge.levels: levels must be >= 2")
-    depths = cfg.get_levels("converge.cylinder_depths", default="1,2,3")
-    if min(depths) < 1 or max(depths) > 6:
-        raise ConfigError("converge.cylinder_depths: depths must lie in 1..6")
+    levels = cfg.get_levels("converge.levels", default="2:10", lo=2)
+    depths = cfg.get_levels("converge.cylinder_depths", default="1,2,3", lo=1, hi=6)
+    top, deepest = max(levels), max(depths)
+    if top**deepest > MAX_DENSE_CELLS:
+        raise ConfigError(
+            f"converge.levels: level {top} at cylinder depth {deepest} makes "
+            f"{top**deepest} cells per table, over the budget of {MAX_DENSE_CELLS}"
+        )
     sing_depth = cfg.get_int("converge.singularity_depth", default=200, lo=1, hi=100_000)
 
     limit_sol = analytic_bowen_solve(source)
@@ -417,7 +415,6 @@ def cmd_converge(cfg: RunConfig) -> Report:
             ],
         )
     h = limit_sol.h
-    top = max(levels)
     h_top = bowen_solve(source.truncate(top), depth=1).h
 
     rows = []
@@ -429,8 +426,8 @@ def cmd_converge(cfg: RunConfig) -> Report:
         limit_weights = ratios**h
         row: list = [n, h_n]
         for d in depths:
-            diff = np.abs(_kron_power(weights_n, d) - _kron_power(limit_weights, d))
-            row.append(float(diff.max()))
+            ours, limit = (functools.reduce(np.kron, [w] * d) for w in (weights_n, limit_weights))
+            row.append(float(np.abs(ours - limit).max()))
         row.append(max(0.0, 1.0 - truncation_singularity(source, n, top, h_top, sing_depth)))
         rows.append(row)
 
@@ -462,9 +459,7 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
             f"system.family: {family} has no closed-form limit measure; "
             "pick a gallery family with one"
         )
-    levels = cfg.get_levels("converge.levels", default="2:10")
-    if min(levels) < 1:
-        raise ConfigError("converge.levels: levels must be >= 1")
+    levels = cfg.get_levels("converge.levels", default="2:10", lo=1)
     rows = []
     for n in levels:
         nu = fam.at(n)
@@ -522,6 +517,10 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     fit_window = None
     if cfg.has("dimension.fit_lo") or cfg.has("dimension.fit_hi"):
         fit_window = (cfg.get_float("dimension.fit_lo"), cfg.get_float("dimension.fit_hi"))
+    try:
+        radius_grid(r_min, r_max, r_count, fit_window)
+    except ValueError as err:
+        raise ConfigError(f"dimension.{'fit_lo' if fit_window else 'r_min'}: {err}") from None
     tolerance = cfg.get_float("dimension.tolerance", default=0.05, lo=0.0, hi=1.0)
 
     family = cfg.get_str("system.family")
@@ -557,6 +556,8 @@ def cmd_dimension(cfg: RunConfig) -> Report:
                 "system.size: required to build a finite system for dimension"
             )
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
+        if not source.incidence_or_full().as_array().any(axis=1).all():
+            raise ConfigError("system.incidence: a symbol has no admissible successor")
         word_depth = 1 if source.is_similitude() else 12
         # the operator first: it reads a shallower level's geometry, which
         # would evict from the one-level cache the level that the word solve,
@@ -597,7 +598,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     if curve.degenerate:
         warnings.append("sample cloud is a single point; slope pinned to zero")
 
-    fld = density_field(measure, cloud.points[:density_points], d_rmin, d_rmax)
+    fld = density_field(measure, cloud[:density_points], d_rmin, d_rmax)
     crit = young_criterion(fld)
     bounds = scaling_quantile_bounds(fld)
 
@@ -672,10 +673,10 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         if not math.isfinite(exponent):
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
     states = count_admissible(source.incidence, source.alphabet_size, depth)
-    if states > GIBBS_MAX_STATES:
+    if states**2 > MAX_DENSE_CELLS:
         raise ConfigError(
-            f"gibbs.depth: {states} operator states at depth {depth} exceed "
-            f"the budget of {GIBBS_MAX_STATES}"
+            f"gibbs.depth: {states} operator states at depth {depth} make "
+            f"{states**2} matrix cells, over the budget of {MAX_DENSE_CELLS}"
         )
     operator = build_operator(source, depth=depth)
     root_diagnostics = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -83,35 +83,18 @@ class RunConfig:
         return value
 
     def get_int(
-        self,
-        key: str,
-        default: Optional[int] = None,
-        lo: Optional[int] = None,
-        hi: Optional[int] = None,
+        self, key: str, default: Optional[int] = None,
+        lo: Optional[int] = None, hi: Optional[int] = None,
     ) -> int:
-        raw = self.raw.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{key}: required")
-            value = default
-        else:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-        if lo is not None and value < lo:
-            raise ConfigError(f"{key}: must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{key}: must be <= {hi}, got {value}")
-        return value
+        return self._number(key, default, lo, hi, int, "an integer")
 
     def get_float(
-        self,
-        key: str,
-        default: Optional[float] = None,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
+        self, key: str, default: Optional[float] = None,
+        lo: Optional[float] = None, hi: Optional[float] = None,
     ) -> float:
+        return self._number(key, default, lo, hi, float, "a number")
+
+    def _number(self, key: str, default, lo, hi, parse: Callable, noun: str):
         raw = self.raw.get(key)
         if raw is None:
             if default is None:
@@ -119,13 +102,10 @@ class RunConfig:
             value = default
         else:
             try:
-                value = float(raw)
+                value = parse(raw)
             except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        if lo is not None and not value >= lo:
-            raise ConfigError(f"{key}: must be >= {lo}, got {value}")
-        if hi is not None and not value <= hi:
-            raise ConfigError(f"{key}: must be <= {hi}, got {value}")
+                raise ConfigError(f"{key}: expected {noun}, got {raw!r}") from None
+        _check_bounds(key, value, lo, hi)
         return value
 
     def get_bool(self, key: str, default: bool) -> bool:
@@ -149,25 +129,36 @@ class RunConfig:
             raise ConfigError(f"{key}: empty list")
         return values
 
-    def get_levels(self, key: str, default: Optional[str] = None) -> list[int]:
-        """``a:b`` (inclusive, ascending) or an explicit comma list."""
+    def get_levels(
+        self, key: str, default: Optional[str] = None,
+        lo: Optional[int] = None, hi: Optional[int] = None,
+    ) -> list[int]:
+        """``a:b`` (inclusive, ascending) or an explicit comma list, every
+        level within [lo, hi]."""
         raw = self.raw.get(key, default)
         if raw is None:
             raise ConfigError(f"{key}: required")
         try:
             if ":" in raw:
-                lo_s, hi_s = raw.split(":", 1)
-                lo, hi = int(lo_s), int(hi_s)
-                if lo > hi:
-                    raise ConfigError(
-                        f"{key}: range {raw!r} is reversed (write low:high)"
-                    )
-                return list(range(lo, hi + 1))
-            levels = [int(part) for part in raw.split(",") if part.strip()]
-        except ConfigError:
-            raise
+                first, last = (int(part) for part in raw.split(":", 1))
+                levels: Sequence[int] = range(first, last + 1)
+            else:
+                levels = [int(part) for part in raw.split(",") if part.strip()]
         except ValueError:
             raise ConfigError(f"{key}: expected 'low:high' or a comma list, got {raw!r}") from None
-        if not levels:
-            raise ConfigError(f"{key}: empty list")
-        return levels
+        if not levels:  # a range is empty only when reversed
+            what = f"range {raw!r} is reversed (write low:high)" if ":" in raw else "empty list"
+            raise ConfigError(f"{key}: {what}")
+        # an ascending range is bounded by its ends, before it becomes a list
+        ends = (levels[0], levels[-1]) if isinstance(levels, range) else (min(levels), max(levels))
+        for end in ends:
+            _check_bounds(key, end, lo, hi)
+        return list(levels)
+
+
+def _check_bounds(key: str, value, lo, hi) -> None:
+    # `not >=` and `not <=` reject NaN too
+    if lo is not None and not value >= lo:
+        raise ConfigError(f"{key}: must be >= {lo}, got {value}")
+    if hi is not None and not value <= hi:
+        raise ConfigError(f"{key}: must be <= {hi}, got {value}")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import CylinderMeasure, LineMeasure, SampleCloud
+from .measures import CylinderMeasure, LineMeasure
 from .systems import level_geometry
 
 __all__ = [
@@ -30,25 +30,16 @@ __all__ = [
     "correlation_curve",
     "density_field",
     "flatness_detector",
+    "radius_grid",
     "scaling_quantile_bounds",
     "young_criterion",
 ]
-
-PointSource = Union[SampleCloud, np.ndarray, Sequence[float]]
-
 
 def _csv(header: str, row: str, *columns: np.ndarray) -> str:
     """``header``, then one ``row`` line per table row: a single %-format
     over the columns' values in row-major order."""
     values = np.column_stack(columns).ravel().tolist()
     return header + "\n" + (row + "\n") * len(columns[0]) % tuple(values)
-
-
-def _as_points(source: PointSource) -> np.ndarray:
-    pts = np.asarray(getattr(source, "points", source), dtype=float)
-    if pts.ndim != 1:
-        raise ValueError(f"points must be one-dimensional, got shape {pts.shape}")
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +79,50 @@ def _query_rank_sum(runs: np.ndarray, queries_first: bool) -> int:
     return int(np.flatnonzero(is_query).sum())
 
 
+def radius_grid(
+    r_min: float, r_max: float, count: int, fit_window: Optional[tuple[float, float]] = None
+) -> tuple[np.ndarray, tuple[float, float], np.ndarray]:
+    """The geometric radius grid, the fit window and the grid's mask in it.
+
+    The default fit window trims half a decade off both ends of the grid
+    (edge radii are dominated by discreteness and saturation).  A window
+    holding fewer than two grid radii raises ``ValueError``.
+    """
+    if not (0.0 < r_min < r_max):
+        raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if count < 2:
+        raise ValueError(f"need at least two radii, got {count}")
+    radii = np.geomspace(r_min, r_max, count)
+    if fit_window is None:
+        half_decade = math.sqrt(10.0)
+        fit_window = (r_min * half_decade, r_max / half_decade)
+    lo_w, hi_w = fit_window
+    mask = (radii >= lo_w) & (radii <= hi_w)
+    if mask.sum() < 2:
+        raise ValueError(
+            f"fit window ({lo_w:.3g}, {hi_w:.3g}) holds fewer than two grid radii"
+        )
+    return radii, fit_window, mask
+
+
 def correlation_curve(
-    cloud: PointSource,
+    cloud: np.ndarray,
     r_min: float,
     r_max: float,
     count: int = 24,
     fit_window: Optional[tuple[float, float]] = None,
 ) -> CorrelationCurve:
-    """Exact pair counting on a sorted cloud, then a log-log slope fit.
+    """Exact pair counting on a sorted cloud, then a log-log slope fit over
+    the fit window of :func:`radius_grid`.
 
-    The default fit window trims half a decade off both ends of the radius
-    grid (edge radii are dominated by discreteness and saturation).  A
-    cloud of fewer than a few hundred points gives a statistically
+    A cloud of fewer than a few hundred points gives a statistically
     meaningless slope; the hard floor here is two points.
     """
-    points = _as_points(cloud)
+    points = np.asarray(cloud, dtype=float)
     n = points.size
     if n < 2:
         raise ValueError(f"need at least two points, got {n}")
-    if not (0.0 < r_min < r_max):
-        raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-    if count < 2:
-        raise ValueError(f"need at least two radii, got {count}")
-
-    radii = np.geomspace(r_min, r_max, count)
+    radii, fit_window, mask = radius_grid(r_min, r_max, count, fit_window)
     counts = np.empty(count)
     # runs holds the sorted points and a shifted copy, in either order
     runs = np.concatenate((np.sort(points), np.empty(n)))
@@ -125,19 +136,9 @@ def correlation_curve(
         counts[j] = float(hi - _query_rank_sum(runs, queries_first=True))
         pts[:] = shifted
     values = counts / float(n) ** 2
-
-    if fit_window is None:
-        half_decade = math.sqrt(10.0)
-        fit_window = (r_min * half_decade, r_max / half_decade)
-    lo_w, hi_w = fit_window
     if pts[-1] == pts[0]:
         return CorrelationCurve(radii, values, fit_window, 0.0, 0.0, degenerate=True)
 
-    mask = (radii >= lo_w) & (radii <= hi_w)
-    if mask.sum() < 2:
-        raise ValueError(
-            f"fit window ({lo_w:.3g}, {hi_w:.3g}) holds fewer than two grid radii"
-        )
     x = np.log(radii[mask])
     y = np.log(values[mask])
     slope, intercept = np.polyfit(x, y, 1)
@@ -217,7 +218,7 @@ def _cylinder_interval_table(measure: CylinderMeasure):
 
 def density_field(
     measure: Union[LineMeasure, CylinderMeasure],
-    points: PointSource,
+    points: np.ndarray,
     r_min: float,
     r_max: float,
 ) -> DensityField:
@@ -229,7 +230,7 @@ def density_field(
     [lower, upper] estimates.  Ladder radii finer than the cylinder
     resolution contribute nothing to the bracket and are skipped.
     """
-    pts = _as_points(points)
+    pts = np.asarray(points, dtype=float)
     radii = _dyadic_ladder(r_min, r_max)
     log_r = np.log(radii)
     n = pts.size

@@ -27,11 +27,12 @@ Three convergence gauges with strictly decreasing strength:
                              bounded continuous function.
 
 Sampling uses a counter-based generator (Philox) so draws are reproducible
-from (source, seed) alone and independent of evaluation order.
+from (measure, seed) alone and independent of evaluation order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
@@ -50,7 +51,6 @@ from .systems import (
 __all__ = [
     "LineMeasure",
     "CylinderMeasure",
-    "SampleCloud",
     "MeasureFamily",
     "GALLERY_NAMES",
     "conformal_cylinder_measure",
@@ -82,7 +82,6 @@ class LineMeasure:
 
     atoms: tuple[tuple[float, float], ...] = ()
     pieces: tuple[tuple[float, float, float], ...] = ()
-    label: str = ""
 
     def __post_init__(self) -> None:
         merged: dict[float, float] = {}
@@ -110,12 +109,12 @@ class LineMeasure:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def point_mass(cls, loc: float, weight: float = 1.0, label: str = "") -> "LineMeasure":
-        return cls(atoms=((loc, weight),), label=label)
+    def point_mass(cls, loc: float, weight: float = 1.0) -> "LineMeasure":
+        return cls(atoms=((loc, weight),))
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, mass: float = 1.0, label: str = "") -> "LineMeasure":
-        return cls(pieces=((lo, hi, mass / (hi - lo)),), label=label)
+    def uniform(cls, lo: float, hi: float, mass: float = 1.0) -> "LineMeasure":
+        return cls(pieces=((lo, hi, mass / (hi - lo)),))
 
     # -- basic functionals ---------------------------------------------------
 
@@ -286,7 +285,6 @@ class CylinderMeasure:
 
     system: SystemSpec
     depth: int
-    exponent: float
     masses: tuple[np.ndarray, ...]
     last_symbols: tuple[np.ndarray, ...]
     child_starts: tuple[np.ndarray, ...]
@@ -355,10 +353,7 @@ def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> Cyli
     last, starts, counts = _extension_tables(system, depth)
     if (counts == 0).any():
         raise ValueError("system has a dead-end symbol; cylinder masses cannot be extended")
-    lg = level_geometry(system, depth)
-    if lg.count == 0:
-        raise ValueError(f"no admissible words at depth {depth}")
-    deepest = np.exp(h * lg.log_sup)
+    deepest = np.exp(h * level_geometry(system, depth).log_sup)
     deepest /= deepest.sum()
     levels = [deepest]
     for d in range(depth - 1, 0, -1):
@@ -367,7 +362,6 @@ def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> Cyli
     return CylinderMeasure(
         system=system,
         depth=depth,
-        exponent=float(h),
         masses=tuple(levels),
         last_symbols=tuple(last),
         child_starts=tuple(starts),
@@ -391,7 +385,7 @@ def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeas
         (float(lo), float(hi), float(w / ln))
         for lo, hi, w, ln in zip(lg.image_lo, lg.image_hi, weights, lengths)
     )
-    return LineMeasure(pieces=pieces, label=f"mass-stage[{system.label or 'system'}:{n}]")
+    return LineMeasure(pieces=pieces)
 
 
 def truncation_singularity(
@@ -415,21 +409,9 @@ def truncation_singularity(
 # sampling
 
 
-@dataclass(frozen=True, eq=False)
-class SampleCloud:
-    """Reproducible draws: regenerating with the same source and seed gives
-    the identical point list."""
-
-    points: np.ndarray
-    seed: int
-    source: str
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def sample(measure, count: int, seed: int) -> SampleCloud:
-    """i.i.d. draws from a normalized measure, deterministic given seed.
+def sample(measure, count: int, seed: int) -> np.ndarray:
+    """i.i.d. draws from a normalized measure, deterministic given seed:
+    the same measure and seed give the identical points.
 
     LineMeasure: inverse-CDF over the location-sorted atoms and pieces.
     CylinderMeasure: the stored levels fix the first digits exactly; beyond
@@ -443,17 +425,10 @@ def sample(measure, count: int, seed: int) -> SampleCloud:
         raise ValueError("count must be >= 0")
     rng = np.random.Generator(np.random.Philox(int(seed)))
     if isinstance(measure, LineMeasure):
-        pts = _sample_line(measure, count, rng)
-        source = measure.label or "line-measure"
-    elif isinstance(measure, CylinderMeasure):
-        pts = _sample_cylinders(measure, count, rng)
-        source = (
-            f"conformal[{measure.system.label or 'system'}"
-            f":h={measure.exponent:.12g}:depth={measure.depth}]"
-        )
-    else:
-        raise TypeError(f"cannot sample from {type(measure).__name__}")
-    return SampleCloud(points=pts, seed=int(seed), source=source)
+        return _sample_line(measure, count, rng)
+    if isinstance(measure, CylinderMeasure):
+        return _sample_cylinders(measure, count, rng)
+    raise TypeError(f"cannot sample from {type(measure).__name__}")
 
 
 def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
@@ -518,10 +493,8 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
         for e in range(m):
             block = measure.masses[1][cs0[e] : cs0[e + 1]]
             P[e, measure.last_symbols[1][cs0[e] : cs0[e + 1]]] = block / measure.masses[0][e]
-    elif measure.system.incidence is None:
-        P = np.tile(measure.masses[0] / measure.masses[0].sum(), (m, 1))
     else:  # the depth-1 masses of each symbol's admissible successors
-        P = measure.masses[0] * np.array(measure.system.incidence.rows, dtype=bool)
+        P = measure.masses[0] * measure.system.incidence_or_full().as_array().astype(bool)
         P /= P.sum(axis=1, keepdims=True)
     rowcum = np.cumsum(P, axis=1).T.copy()
     cur = measure.last_symbols[measure.depth - 1][idx]
@@ -568,71 +541,48 @@ class MeasureFamily:
 
 
 def _alternating_collapse(n: int) -> LineMeasure:
-    label = f"alternating-collapse[{n}]"
     if n % 2 == 1:
-        return LineMeasure(pieces=((0.0, 1.0 / n, float(n)),), label=label)
-    return LineMeasure(atoms=((1.0 / n, 1.0),), label=label)
+        return LineMeasure(pieces=((0.0, 1.0 / n, float(n)),))
+    return LineMeasure(atoms=((1.0 / n, 1.0),))
 
 
 def _lattice_comb(n: int) -> LineMeasure:
-    return LineMeasure(
-        atoms=tuple((i / n, 1.0 / n) for i in range(1, n + 1)),
-        label=f"lattice-comb[{n}]",
-    )
+    return LineMeasure(atoms=tuple((i / n, 1.0 / n) for i in range(1, n + 1)))
 
 
 def _atom_vs_uniform(n: int) -> LineMeasure:
     pieces = ((1.0 / n, 1.0, 1.0),) if n > 1 else ()
-    return LineMeasure(atoms=((0.0, 1.0 / n),), pieces=pieces, label=f"atom-vs-uniform[{n}]")
+    return LineMeasure(atoms=((0.0, 1.0 / n),), pieces=pieces)
 
 
 def _leaking_block(n: int) -> LineMeasure:
-    return LineMeasure(
-        atoms=(((0.0, (n - 1.0) / n),) if n > 1 else ()),
-        pieces=((1.0, 2.0, 1.0 / n),),
-        label=f"leaking-block[{n}]",
+    atoms = ((0.0, (n - 1.0) / n),) if n > 1 else ()
+    return LineMeasure(atoms=atoms, pieces=((1.0, 2.0, 1.0 / n),))
+
+
+def _staircase_pieces(a: float, masses: np.ndarray) -> tuple:
+    """masses[i] spread over [a^((i+1)^2), a^(i^2)]."""
+    edges = a ** (np.arange(masses.size + 1, dtype=float) ** 2)
+    return tuple(
+        (float(edges[i + 1]), float(edges[i]), float(masses[i] / (edges[i] - edges[i + 1])))
+        for i in range(masses.size)
     )
-
-
-def _staircase_edges(a: float, count: int) -> np.ndarray:
-    return a ** (np.arange(count, dtype=float) ** 2)
 
 
 def _staircase(n: int, a: float) -> LineMeasure:
-    edges = _staircase_edges(a, n + 2)  # edges[i] = a^(i^2), i = 0..n+1
-    if edges[-1] == 0.0:
+    if a ** ((n + 1) ** 2) == 0.0:
         raise ValueError(f"stage {n} underflows for scale {a}; reduce the stage")
     masses = (1.0 - a) * a ** np.arange(n + 1) / (1.0 - a ** (n + 1))
-    pieces = tuple(
-        (float(edges[i + 1]), float(edges[i]), float(masses[i] / (edges[i] - edges[i + 1])))
-        for i in range(n + 1)
-    )
-    return LineMeasure(pieces=pieces, label=f"staircase[a={a:g}:{n}]")
+    return LineMeasure(pieces=_staircase_pieces(a, masses))
 
 
 def _staircase_limit(a: float) -> LineMeasure:
     count = 1
     while a ** ((count + 1) ** 2) > 0.0:
         count += 1
-    edges = _staircase_edges(a, count + 1)
-    masses = (1.0 - a) * a ** np.arange(count)
-    pieces = tuple(
-        (float(edges[i + 1]), float(edges[i]), float(masses[i] / (edges[i] - edges[i + 1])))
-        for i in range(count)
-    )
+    pieces = _staircase_pieces(a, (1.0 - a) * a ** np.arange(count))
     # the tail below float resolution is carried by an atom at the origin
-    return LineMeasure(atoms=((0.0, float(a**count)),), pieces=pieces, label=f"staircase[a={a:g}:limit]")
-
-
-def _cantor_stage_builder() -> Callable[[int], LineMeasure]:
-    sys_ = cantor_system((1 / 3, 1 / 3))
-    h = math.log(2.0) / math.log(3.0)
-
-    def member(n: int) -> LineMeasure:
-        stage = mass_distribution_sequence(sys_, h, n)
-        return LineMeasure(pieces=stage.pieces, label=f"cantor-mass-stages[{n}]")
-
-    return member
+    return LineMeasure(atoms=((0.0, float(a**count)),), pieces=pieces)
 
 
 GALLERY_NAMES = (
@@ -667,13 +617,17 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
         return MeasureFamily(
             name,
             _alternating_collapse,
-            limit=LineMeasure.point_mass(0.0, label="origin-atom"),
+            limit=LineMeasure.point_mass(0.0),
             note="weak limit only; TV distance to the limit stays 1",
         )
     if name == "cantor-mass-stages":
         return MeasureFamily(
             name,
-            _cantor_stage_builder(),
+            functools.partial(
+                mass_distribution_sequence,
+                cantor_system((1 / 3, 1 / 3)),
+                math.log(2.0) / math.log(3.0),
+            ),
             limit=None,
             note=(
                 "contraction ratios pinned to (1/3, 1/3); the limit is the "
@@ -684,21 +638,21 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
         return MeasureFamily(
             name,
             _lattice_comb,
-            limit=LineMeasure.uniform(0.0, 1.0, label="lebesgue-unit"),
+            limit=LineMeasure.uniform(0.0, 1.0),
             note="weak limit only; every grid point set witnesses setwise failure",
         )
     if name == "atom-vs-uniform":
         return MeasureFamily(
             name,
             _atom_vs_uniform,
-            limit=LineMeasure.uniform(0.0, 1.0, label="lebesgue-unit"),
+            limit=LineMeasure.uniform(0.0, 1.0),
             note="TV-converges at exactly 1/n",
         )
     if name == "leaking-block":
         return MeasureFamily(
             name,
             _leaking_block,
-            limit=LineMeasure.point_mass(0.0, label="origin-atom"),
+            limit=LineMeasure.point_mass(0.0),
             note="setwise-converges; TV distance to the limit is exactly 1/n",
         )
     if name == "staircase":

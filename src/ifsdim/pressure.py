@@ -63,8 +63,6 @@ class ConvergenceFailure(RuntimeError):
 class PressureEstimate:
     """Two-sided depth-n partition pressure at one exponent."""
 
-    t: float
-    depth: int
     upper: float
     lower: float
 
@@ -238,7 +236,7 @@ def bowen_solve(
 
     def midpoint(t: float) -> tuple[float, float]:
         (upper, up_slope), (lower, low_slope) = _log_sum(sup, t), _log_sum(inf, t)
-        est = estimates[t] = PressureEstimate(t, depth, upper / depth, lower / depth)
+        est = estimates[t] = PressureEstimate(upper / depth, lower / depth)
         return est.value, 0.5 * (up_slope + low_slope) / depth
 
     def alone(a: np.ndarray) -> Callable[[float], tuple[float, ...]]:

@@ -197,7 +197,6 @@ class LevelGeometry:
     """Vectorized word geometry for every admissible word of one depth,
     aligned with the lexicographic enumeration order."""
 
-    depth: int
     log_sup: np.ndarray
     log_inf: np.ndarray
     image_lo: np.ndarray
@@ -253,7 +252,7 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
     log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
     image_lo, image_hi = np.minimum(y[:, 0], y[:, 1]), np.maximum(y[:, 0], y[:, 1])
-    return LevelGeometry(depth, log_sup, log_inf, image_lo, image_hi)
+    return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
 
 
 # ---------------------------------------------------------------------------

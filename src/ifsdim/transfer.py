@@ -62,17 +62,19 @@ class OperatorMatrix:
     carries weight into state ``i`` and 0 otherwise: prepending
     ``symbols[j, 0]`` to state ``i`` reproduces state ``j`` up to depth,
     that is ``head[i] == tail[j]`` (at depth 1, when the incidence lets
-    symbol ``i`` follow symbol ``j``).  ``state_log_mid[j]`` is the midpoint
-    of the log-derivative bracket of the first symbol of state ``j`` over
-    the image of its tail; ``log_width`` is the largest bracket width.
+    symbol ``i`` follow symbol ``j``); ``rows`` and ``cols`` list its
+    non-zeros.  ``state_log_mid[j]`` is the midpoint of the log-derivative
+    bracket of the first symbol of state ``j`` over the image of its tail;
+    ``log_width`` is the largest bracket width.
     """
 
-    system: SystemSpec = field(repr=False)
     depth: int
     symbols: np.ndarray = field(repr=False)
     head: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
     state_log_mid: np.ndarray = field(repr=False)
     log_width: float
 
@@ -105,6 +107,7 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
         lo, hi = np.array([system.domain_of(e) for e in first]).T
         # one-symbol states: j feeds i when symbol i may follow symbol j
         matrix = incidence.as_array().T.astype(float)
+        rows, cols = np.nonzero(matrix)
     else:
         context = level_geometry(system, depth - 1)
         lo, hi = context.image_lo[tail], context.image_hi[tail]
@@ -127,12 +130,13 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
     v0, v1 = det / (c * lo + d) ** 2, det / (c * hi + d) ** 2
     lo_log, hi_log = np.log(np.minimum(v0, v1)), np.log(np.maximum(v0, v1))
     return OperatorMatrix(
-        system=system,
         depth=depth,
         symbols=symbols,
         head=head,
         tail=tail,
         matrix=matrix,
+        rows=rows,
+        cols=cols,
         state_log_mid=0.5 * (lo_log + hi_log),
         log_width=float((hi_log - lo_log).max()),
     )
@@ -276,21 +280,21 @@ def entropy_lyapunov(state: GibbsState) -> EntropyLyapunov:
 
     Entropy is ``-sum_w pi_w sum_v P[w, v] log P[w, v]`` over the stationary
     chain, ``P[w, v] = M[w, v] g[v] / (eigenvalue g[w])`` with ``M`` the
-    weighted matrix and ``g`` the density, rows renormalised; the Lyapunov
-    exponent integrates the (negated) first-symbol log-derivative midpoints
-    against the invariant masses.  A non-positive exponent means the system
+    weighted matrix and ``g`` the density, rows renormalised, summed over
+    the non-zeros of ``M`` only; the Lyapunov exponent integrates the
+    (negated) first-symbol log-derivative midpoints against the invariant
+    masses.  A non-positive exponent means the system
     does not contract along typical orbits and the dimension ratio is
     undefined: :class:`DegenerateSystemError`.
     """
     op, g = state.operator, state.density
-    mat = op.matrix * np.exp(state.exponent * op.state_log_mid)[None, :]
+    rows, cols = op.rows, op.cols
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = (mat * g[None, :]) / (state.eigenvalue * g[:, None])
-        p = np.where(mat > 0, p, 0.0)
-        del mat  # at most three n x n arrays alive at a time
-        p /= p.sum(axis=1)[:, None]
+        weight = np.exp(state.exponent * op.state_log_mid[cols])
+        p = weight * g[cols] / (state.eigenvalue * g[rows])
+        p /= np.bincount(rows, weights=p)[rows]
         plogp = np.where(p > 0, p * np.log(p), 0.0)
-    entropy = float(-(state.invariant[:, None] * plogp).sum())
+    entropy = float(-(state.invariant[rows] * plogp).sum())
     lyapunov = state.lyapunov
     if lyapunov <= 1e-12:
         raise DegenerateSystemError(

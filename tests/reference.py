@@ -81,4 +81,4 @@ def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
         raise ValueError(f"exponent must be >= 0, got {t}")
     lg = _level(system, depth)
     upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
-    return PressureEstimate(t=t, depth=depth, upper=upper / depth, lower=lower / depth)
+    return PressureEstimate(upper=upper / depth, lower=lower / depth)

@@ -264,9 +264,7 @@ def test_c8_property_suite():
     geometry = level_geometry(skewed, 2)
     expected = masses2.level(2)
     for i in range(geometry.count):
-        inside = (cloud.points >= geometry.image_lo[i]) & (
-            cloud.points <= geometry.image_hi[i]
-        )
+        inside = (cloud >= geometry.image_lo[i]) & (cloud <= geometry.image_hi[i])
         freq = inside.mean()
         sigma = math.sqrt(expected[i] * (1.0 - expected[i]) / len(cloud))
         assert abs(freq - expected[i]) <= 3.0 * sigma, f"cylinder {i}"

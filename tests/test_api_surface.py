@@ -4,7 +4,8 @@ Each name in a module's ``__all__`` must be imported from that module by
 another module of the package or by a script under ``scripts/``, or be
 loaded by name in its own module outside its own definition.  A name that
 only tests call is surface with no user, and goes.  So does a module-level
-UPPER_CASE constant that nothing under ``src/`` or ``scripts/`` reads.
+UPPER_CASE constant that nothing under ``src/`` or ``scripts/`` reads, and
+a dataclass field that nothing there reads as an attribute.
 """
 
 import ast
@@ -87,20 +88,43 @@ def _constants(tree: ast.Module) -> list[str]:
     return names
 
 
-def _loaded_names() -> set[str]:
-    """Every name read as a variable or an attribute under src/ and scripts/."""
-    loaded = set()
+def _reads() -> tuple[set[str], set[str]]:
+    """Names read as variables, and names read as attributes, under src/ and
+    scripts/."""
+    names, attributes = set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    return loaded
+                attributes.add(node.attr)
+    return names, attributes
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_every_module_constant_is_read(module):
-    loaded = _loaded_names()
+    loaded = set.union(*_reads())
     unread = [name for name in _constants(ast.parse(module.read_text())) if name not in loaded]
     assert unread == []
+
+
+def _dataclass_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for every annotated field of a ``@dataclass`` class."""
+    fields = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            fields += [
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return fields
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_every_dataclass_field_is_read(module):
+    read = _reads()[1]
+    fields = _dataclass_fields(ast.parse(module.read_text()))
+    assert [f for f in fields if f.split(".")[1] not in read] == []

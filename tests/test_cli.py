@@ -434,16 +434,22 @@ def test_dimension_member_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad,key",
     [
-        "dimension.density_points = 0",
-        "dimension.r_min = 0",
-        "dimension.density_r_min = 0",
-        "dimension.density_r_max = 2",
-        "dimension.flatness = true",
+        pytest.param(bad, key, id=bad.replace("\n", ", "))
+        for bad, key in [
+            ("dimension.density_points = 0", "dimension.density_points"),
+            ("dimension.r_min = 0", "dimension.r_min"),
+            ("dimension.density_r_min = 0", "dimension.density_r_min"),
+            ("dimension.density_r_max = 2", "dimension.density_r_min"),
+            ("dimension.flatness = true", "dimension.flatness"),
+            # fit windows holding fewer than two grid radii, explicit and default
+            ("dimension.fit_lo = 0.01\ndimension.fit_hi = 0.0101", "dimension.fit_lo"),
+            ("dimension.r_min = 0.1", "dimension.r_min"),
+        ]
     ],
 )
-def test_dimension_rejects_bad_keys_before_sampling(tmp_path, monkeypatch, bad):
+def test_dimension_rejects_bad_keys_before_sampling(tmp_path, monkeypatch, capsys, bad, key):
     samples = []
     real = ifsdim.cli.sample
 
@@ -460,6 +466,69 @@ def test_dimension_rejects_bad_keys_before_sampling(tmp_path, monkeypatch, bad):
     assert code == 2 and report is None
     assert samples == []
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+CUSTOM_PAIR = "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.4:0.6\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("bowen", "system.family = golden\nsystem.size = 1\n", "system.size: must be >= 2, got 1"),
+        (
+            "gibbs",
+            "system.family = continued-fraction\nsystem.size = 1\n",
+            "system.size: must be >= 2, got 1",
+        ),
+        (
+            "bowen",
+            CUSTOM_PAIR + "system.incidence = 11;1\n",
+            "system.incidence: incidence matrix must be square",
+        ),
+        (
+            "dimension",
+            CUSTOM_PAIR + "system.incidence = 11;00\nsample.seed = 1\n",
+            "system.incidence: a symbol has no admissible successor",
+        ),
+        # 1000^3 cells would be 8 GB per cylinder table
+        (
+            "converge",
+            "system.family = golden\nconverge.levels = 2:1000\n",
+            "converge.levels: level 1000 at cylinder depth 3 makes 1000000000 cells",
+        ),
+        ("scan", "system.family = golden\nscan.levels = 1:3\n", "scan.levels: must be >= 2, got 1"),
+        (
+            "converge",
+            "system.family = golden\nconverge.cylinder_depths = 0,2\n",
+            "converge.cylinder_depths: must be >= 1, got 0",
+        ),
+        (
+            "converge",
+            "system.family = golden\nconverge.cylinder_depths = 7\n",
+            "converge.cylinder_depths: must be <= 6, got 7",
+        ),
+        (
+            "converge",
+            "system.family = gallery:leaking-block\nconverge.levels = 0:3\n",
+            "converge.levels: must be >= 1, got 0",
+        ),
+    ],
+    ids=[
+        "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels", "depth-low", "depth-high", "gallery-levels",
+    ],
+)
+def test_config_errors_name_their_key_before_any_solve(
+    tmp_path, monkeypatch, capsys, command, text, message
+):
+    calls = []
+    for name in ("sample", "bowen_solve", "build_operator"):
+        monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    code, report = run(tmp_path, command, text)
+    assert code == 2 and report is None
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_dimension_family_without_size_exit_2(tmp_path):

@@ -75,6 +75,18 @@ def test_get_levels_range_and_list():
         cfg.get_levels("none")
 
 
+def test_get_levels_bounds_every_level():
+    # a range is bounded before it becomes a list: 1:10^15 would not fit
+    cfg = RunConfig({"range": "2:5", "list": "9, 1, 4", "huge": "1:1000000000000000"})
+    assert cfg.get_levels("range", lo=2, hi=5) == [2, 3, 4, 5]
+    with pytest.raises(ConfigError, match="list: must be >= 2, got 1"):
+        cfg.get_levels("list", lo=2)
+    with pytest.raises(ConfigError, match="list: must be <= 6, got 9"):
+        cfg.get_levels("list", hi=6)
+    with pytest.raises(ConfigError, match="huge: must be <= 6, got 1000000000000000"):
+        cfg.get_levels("huge", lo=1, hi=6)
+
+
 def test_check_keys_guards_own_section_only():
     cfg = RunConfig({"scan.levels": "2:4", "scan.depht": "3", "other.key": "1"})
     with pytest.raises(ConfigError, match="scan.depht"):

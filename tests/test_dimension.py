@@ -169,7 +169,7 @@ ORDER_MEASURE = conformal_cylinder_measure(cantor_system((0.3, 0.4)), 0.6, depth
 @settings(max_examples=30, deadline=None)
 def test_cylinder_density_rows_do_not_depend_on_query_order(seed):
     rng = np.random.default_rng(seed)
-    base = sample(ORDER_MEASURE, 60, seed=seed).points
+    base = sample(ORDER_MEASURE, 60, seed=seed)
     # duplicates, and points whose largest ball misses the support
     pts = np.concatenate((base, base[rng.integers(0, 60, size=20)], [-0.5, 1.5, -0.5]))
     perm = rng.permutation(pts.size)
@@ -183,7 +183,7 @@ def test_cylinder_density_rows_do_not_depend_on_query_order(seed):
 def test_cantor_conformal_density_concentrates_at_the_dimension():
     system = cantor_system((1 / 3, 1 / 3))
     measure = conformal_cylinder_measure(system, TERNARY_H, depth=13)
-    pts = sample(measure, 300, seed=7).points
+    pts = sample(measure, 300, seed=7)
     fld = density_field(measure, pts, 3.0**-12, 3.0**-4)
     crit = young_criterion(fld)
     assert crit.c == pytest.approx(TERNARY_H, abs=0.05)
@@ -282,7 +282,7 @@ def test_estimates_agree_on_a_regular_similitude_conformal_measure():
         cloud, 3.0**-11, 3.0**-2, count=30, fit_window=(3.0**-10, 3.0**-3)
     )
     assert abs(curve.slope - h) < 0.05
-    fld = density_field(measure, cloud.points[:400], 3.0**-10, 3.0**-3)
+    fld = density_field(measure, cloud[:400], 3.0**-10, 3.0**-3)
     median = young_criterion(fld).c
     assert abs(median - h) < 0.05
     report = DimensionReport(

@@ -8,7 +8,6 @@ from ifsdim.measures import (
     GALLERY_NAMES,
     CylinderMeasure,
     LineMeasure,
-    SampleCloud,
     conformal_cylinder_measure,
     gallery,
     mass_distribution_sequence,
@@ -334,7 +333,7 @@ def test_truncation_singularity_whole_space_and_guards():
 
 def test_sampling_uniform_passes_ks():
     cloud = sample(LineMeasure.uniform(0.0, 1.0), 10_000, seed=7)
-    pts = np.sort(cloud.points)
+    pts = np.sort(cloud)
     ks = float(np.max(np.abs(pts - np.arange(1, 10_001) / 10_000)))
     assert ks < 0.02
     assert len(cloud) == 10_000
@@ -342,7 +341,7 @@ def test_sampling_uniform_passes_ks():
 
 def test_sampling_point_mass_and_empty_cloud():
     cloud = sample(LineMeasure.point_mass(0.0), 5, seed=1)
-    assert cloud.points.tolist() == [0.0] * 5
+    assert cloud.tolist() == [0.0] * 5
     empty = sample(LineMeasure.uniform(0.0, 1.0), 0, seed=1)
     assert len(empty) == 0
     cylinders = conformal_cylinder_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 3)
@@ -358,9 +357,8 @@ def test_sampling_is_reproducible_and_seed_sensitive():
     a = sample(leb, 100, seed=42)
     b = sample(leb, 100, seed=42)
     c = sample(leb, 100, seed=43)
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, c.points)
-    assert a.source == b.source
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def _distance_to_middle_thirds(v: float, levels: int = 35) -> float:
@@ -387,8 +385,8 @@ def test_cantor_samples_live_on_the_cantor_set():
     sys_ = cantor_system((1 / 3, 1 / 3))
     cm = conformal_cylinder_measure(sys_, TERNARY_DIM, 2)
     cloud = sample(cm, 2_000, seed=5)
-    assert float(cloud.points.min()) >= 0.0 and float(cloud.points.max()) <= 1.0
-    worst = max(_distance_to_middle_thirds(float(v)) for v in cloud.points)
+    assert float(cloud.min()) >= 0.0 and float(cloud.max()) <= 1.0
+    worst = max(_distance_to_middle_thirds(float(v)) for v in cloud)
     assert worst <= 1e-9
 
 
@@ -399,7 +397,7 @@ def test_cylinder_sampling_frequencies_match_masses():
     cloud = sample(cm, n, seed=2024)
     edges = [(0.0, 1 / 9), (2 / 9, 1 / 3), (2 / 3, 7 / 9), (8 / 9, 1.0)]
     for (lo, hi), p in zip(edges, cm.level(2)):
-        freq = float(np.mean((cloud.points >= lo) & (cloud.points <= hi)))
+        freq = float(np.mean((cloud >= lo) & (cloud <= hi)))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * sigma
 
@@ -412,8 +410,8 @@ def test_moebius_cylinder_sampling_stays_in_bounds():
     # digits {1, 2} keep the limit set inside [sqrt(3)-1)/2, sqrt(3)-1]
     lo = (math.sqrt(3.0) - 1.0) / 2.0
     hi = math.sqrt(3.0) - 1.0
-    assert float(cloud.points.min()) >= lo - 1e-9
-    assert float(cloud.points.max()) <= hi + 1e-9
+    assert float(cloud.min()) >= lo - 1e-9
+    assert float(cloud.max()) <= hi + 1e-9
 
 
 def _per_sample_reference(measure, count, seed):
@@ -502,7 +500,7 @@ def test_depth_one_sampler_keeps_to_the_incidence_matrix():
     # the image [0.65, 0.74]; a full-shift extension law put 21 % there
     fib = SAMPLER_SYSTEMS["fibonacci-2"]
     h = bowen_solve(fib, depth=1).h
-    points = sample(conformal_cylinder_measure(fib, h, 1), 20_000, seed=5).points
+    points = sample(conformal_cylinder_measure(fib, h, 1), 20_000, seed=5)
     assert not np.any((points >= 0.65) & (points <= 0.74))
     # the admissible cylinder [1, 0] = [0.5, 0.62] keeps its share
     assert np.mean((points >= 0.5) & (points <= 0.62)) > 0.1
@@ -528,7 +526,7 @@ def test_cylinder_sampler_matches_the_per_sample_reference_bit_for_bit(
     system, depth, h, count, seed
 ):
     measure = conformal_cylinder_measure(system, h, depth)
-    got = sample(measure, count, seed).points
+    got = sample(measure, count, seed)
     assert got.tobytes() == _per_sample_reference(measure, count, seed).tobytes()
 
 

@@ -284,6 +284,30 @@ def test_deep_truncation_ratio_approaches_the_family_limit():
     assert abs(el.ratio - 0.694241913630617) < 1e-2
 
 
+def _dense_entropy(state):
+    """The entropy rate over every entry of the n x n transition matrix."""
+    op, g = state.operator, state.density
+    mat = op.matrix * np.exp(state.exponent * op.state_log_mid)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(mat > 0, (mat * g[None, :]) / (state.eigenvalue * g[:, None]), 0.0)
+        p /= p.sum(axis=1)[:, None]
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    return float(-(state.invariant[:, None] * plogp).sum())
+
+
+@given(operator_systems, st.integers(1, 6), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_entropy_over_the_non_zeros_matches_the_dense_matrix(system, depth, t):
+    while count_admissible(system.incidence, system.alphabet_size, depth) > 1024:
+        depth -= 1
+    op = build_operator(system, depth)
+    pairs = sorted(zip(op.rows.tolist(), op.cols.tolist()))
+    assert pairs == sorted(zip(*(a.tolist() for a in np.nonzero(op.matrix))))
+    state = eigenmeasure(op, t)
+    dense = _dense_entropy(state)
+    assert abs(entropy_lyapunov(state).entropy - dense) <= 1e-14 * dense
+
+
 def test_zero_contraction_is_reported_as_degenerate():
     op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
     flat = dataclasses.replace(op, state_log_mid=np.zeros(len(op)))
