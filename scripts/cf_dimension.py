@@ -11,8 +11,9 @@ sees the variation-refined weights, not just midpoint masses.
 import argparse
 import time
 
-from ifsdim.cli import MAX_DENSE_CELLS
+from ifsdim.cli import ENTRY_BUDGET
 from ifsdim.pressure import bowen_solve
+from ifsdim.symbolic import count_admissible
 from ifsdim.systems import continued_fraction_system
 from ifsdim.transfer import build_operator, operator_bowen_solve
 
@@ -38,7 +39,7 @@ def main() -> None:
 
     print(f"{'context':>8} {'operator root':>16} {'evals':>6} {'seconds':>8}")
     for k in range(1, args.max_context + 1):
-        if args.digits ** (2 * k) > MAX_DENSE_CELLS:  # states^2 dense cells
+        if count_admissible(system.incidence, k) ** 2 > ENTRY_BUDGET:  # states^2 cells
             break
         t0 = time.perf_counter()
         sol = operator_bowen_solve(build_operator(system, k))

@@ -88,10 +88,20 @@ EXIT_CONFIG = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_IRREGULAR = 4
 
-# the largest dense float table a command may build (128 MiB): the gibbs
-# operator holds states^2 cells, a converge cylinder table level^depth;
-# 4096^2 keeps every size-2 depth that gibbs.depth accepts
-MAX_DENSE_CELLS = 4096**2
+# the most entries one array of a command may hold: the words of a geometry
+# level (bowen, scan, dimension), the gibbs operator's states^2 cells and a
+# converge cylinder table's level^depth cells.  4096^2 = 4^12 keeps every
+# two-map depth that bowen.depth and gibbs.depth accept, and the default
+# word depth 12 for up to four maps.
+ENTRY_BUDGET = 4096**2
+
+
+def _check_budget(key: str, what: str, entries: int, unit: str) -> None:
+    """Reject, naming ``key``, work whose largest array would hold more than
+    ENTRY_BUDGET entries; commands call this before they compute anything.
+    ``what`` ends in its verb: "depth 12 makes", "9 states make"."""
+    if entries > ENTRY_BUDGET:
+        raise ConfigError(f"{key}: {what} {entries} {unit}, over the budget of {ENTRY_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,7 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
                 )
             rows.append(tuple(int(ch) for ch in row))
         try:
-            incidence = IncidenceMatrix(tuple(rows)).rows
+            incidence = IncidenceMatrix(tuple(rows))
         except ValueError as err:  # the rows are not square
             raise ConfigError(f"system.incidence: {err}") from None
     label = cfg.get_str("system.label", default="custom")
@@ -283,6 +293,8 @@ def cmd_bowen(cfg: RunConfig) -> Report:
     else:
         default_depth = 1 if source.is_similitude() else 12
         depth = cfg.get_int("bowen.depth", default=default_depth, lo=1, hi=24)
+        words = count_admissible(source.incidence, depth)
+        _check_budget("bowen.depth", f"depth {depth} makes", words, "words")
         sol = bowen_solve(source, depth=depth, tol=tol)
     results = {
         "h": sol.h,
@@ -345,6 +357,9 @@ def cmd_scan(cfg: RunConfig) -> Report:
             "system.family: scan needs a parametrised family "
             "(golden | borderline | continued-fraction)"
         )
+    if isinstance(depth, int):  # every truncation is a full shift: level^depth words
+        what = f"level {max(levels)} at depth {depth} makes"
+        _check_budget("scan.depth", what, max(levels) ** depth, "words")
     scan = truncation_scan(source, levels, depth=depth, tol=tol)
     rows = [
         [r.level, r.h, r.bracket_lo, r.bracket_hi, r.gap, r.residual, r.regular, r.depth, r.note]
@@ -396,11 +411,8 @@ def cmd_converge(cfg: RunConfig) -> Report:
     levels = cfg.get_levels("converge.levels", default="2:10", lo=2)
     depths = cfg.get_levels("converge.cylinder_depths", default="1,2,3", lo=1, hi=6)
     top, deepest = max(levels), max(depths)
-    if top**deepest > MAX_DENSE_CELLS:
-        raise ConfigError(
-            f"converge.levels: level {top} at cylinder depth {deepest} makes "
-            f"{top**deepest} cells per table, over the budget of {MAX_DENSE_CELLS}"
-        )
+    what = f"level {top} at cylinder depth {deepest} makes"
+    _check_budget("converge.levels", what, top**deepest, "cells per table")
     sing_depth = cfg.get_int("converge.singularity_depth", default=200, lo=1, hi=100_000)
 
     limit_sol = analytic_bowen_solve(source)
@@ -556,9 +568,15 @@ def cmd_dimension(cfg: RunConfig) -> Report:
                 "system.size: required to build a finite system for dimension"
             )
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
-        if not source.incidence_or_full().as_array().any(axis=1).all():
+        if not source.incidence.allowed.any(axis=1).all():
             raise ConfigError("system.incidence: a symbol has no admissible successor")
         word_depth = 1 if source.is_similitude() else 12
+        # the word solve's depth is fixed, so only fewer maps shrink its level
+        words = count_admissible(source.incidence, word_depth)
+        size_key = "system.maps" if family == "custom" else "system.size"
+        _check_budget(size_key, f"the word solve at depth {word_depth} makes", words, "words")
+        words = count_admissible(source.incidence, cyl_depth)
+        _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
         # the operator first: it reads a shallower level's geometry, which
         # would evict from the one-level cache the level that the word solve,
         # the cylinder measure and the density field share
@@ -672,12 +690,9 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             ) from None
         if not math.isfinite(exponent):
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
-    states = count_admissible(source.incidence, source.alphabet_size, depth)
-    if states**2 > MAX_DENSE_CELLS:
-        raise ConfigError(
-            f"gibbs.depth: {states} operator states at depth {depth} make "
-            f"{states**2} matrix cells, over the budget of {MAX_DENSE_CELLS}"
-        )
+    states = count_admissible(source.incidence, depth)
+    what = f"{states} operator states at depth {depth} make"
+    _check_budget("gibbs.depth", what, states**2, "matrix cells")
     operator = build_operator(source, depth=depth)
     root_diagnostics = {}
     if raw_exp == "bowen":

@@ -297,17 +297,17 @@ class CylinderMeasure:
     def mass_of(self, word: Word) -> float:
         if not 1 <= len(word) <= self.depth:
             raise ValueError(f"word depth {len(word)} outside stored range 1..{self.depth}")
-        A = self.system.incidence_or_full()
+        allowed = self.system.incidence.allowed
         m = self.system.alphabet_size
         if max(word.symbols) >= m:
             raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
         idx = word.symbols[0]
         for d, e in enumerate(word.symbols[1:], start=2):
             prev = word.symbols[d - 2]
-            if not A.allows(prev, e):
+            if not allowed[prev, e]:
                 raise ValueError(f"word {word} is not admissible")
-            rank = sum(1 for e2 in range(e) if A.allows(prev, e2))
-            idx = int(self.child_starts[d - 2][idx]) + rank
+            # e's rank among the successors of prev
+            idx = int(self.child_starts[d - 2][idx]) + int(allowed[prev, :e].sum())
         return float(self.masses[len(word) - 1][idx])
 
     def consistent(self, tol: float = 1e-12) -> bool:
@@ -326,7 +326,7 @@ def _extension_tables(system: SystemSpec, depth: int):
     """last_symbols and child_starts arrays for levels 1..depth, and each
     symbol's successor count.  The extensions of a level are the row-major
     nonzeros of the incidence rows of its last symbols."""
-    allowed = system.incidence_or_full().as_array().astype(bool)
+    allowed = system.incidence.allowed
     counts = allowed.sum(axis=1)
     last = [np.arange(system.alphabet_size, dtype=np.int64)]
     starts = []
@@ -494,7 +494,7 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
             block = measure.masses[1][cs0[e] : cs0[e + 1]]
             P[e, measure.last_symbols[1][cs0[e] : cs0[e + 1]]] = block / measure.masses[0][e]
     else:  # the depth-1 masses of each symbol's admissible successors
-        P = measure.masses[0] * measure.system.incidence_or_full().as_array().astype(bool)
+        P = measure.masses[0] * measure.system.incidence.allowed
         P /= P.sum(axis=1, keepdims=True)
     rowcum = np.cumsum(P, axis=1).T.copy()
     cur = measure.last_symbols[measure.depth - 1][idx]

@@ -3,8 +3,8 @@ metric used on the coding space, and the finite-primitivity test.
 
 Symbols are 0-based integers indexing the maps of a system.  A word is an
 admissible string of symbols; admissibility is governed by an incidence
-matrix whose (i, j) entry says whether symbol j may follow symbol i.  When
-no matrix is given the shift is full and every string is admissible.
+matrix whose (i, j) entry says whether symbol j may follow symbol i.  The
+full shift, where every string is admissible, is the all-ones matrix.
 """
 
 from __future__ import annotations
@@ -57,41 +57,53 @@ class Word:
         return ".".join(str(s) for s in self.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """0/1 transition matrix over the symbol alphabet.
 
-    rows[i][j] == 1 means symbol j may follow symbol i.
+    ``allowed`` is the matrix as a read-only bool array: allowed[i, j] says
+    whether symbol j may follow symbol i.  It is built from a square bool
+    array or any square array-like of 0/1 entries.  Matrices compare by
+    their entries and hash by their shape, so a hash reads no entries.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    allowed: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n == 0:
+        try:
+            entries = np.asarray(self.allowed)
+        except ValueError:  # ragged rows
+            raise ValueError("incidence matrix must be square") from None
+        if entries.size == 0:
             raise ValueError("incidence matrix must be non-empty")
-        clean = []
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("incidence matrix must be square")
-            if any(v not in (0, 1) for v in row):
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError("incidence matrix must be square")
+        if entries.dtype != bool:
+            allowed = entries == 1
+            if not (allowed | (entries == 0)).all():
                 raise ValueError("incidence entries must be 0 or 1")
-            clean.append(tuple(int(v) for v in row))
-        object.__setattr__(self, "rows", tuple(clean))
+            entries = allowed
+        allowed = entries.view()  # a bool array is held as given, read-only
+        allowed.setflags(write=False)
+        object.__setattr__(self, "allowed", allowed)
 
     @classmethod
     def full(cls, size: int) -> "IncidenceMatrix":
-        return cls(tuple(tuple(1 for _ in range(size)) for _ in range(size)))
+        """The full shift: every symbol may follow every symbol.  One entry,
+        broadcast: a level-n truncation stores no n x n array."""
+        return cls(np.broadcast_to(True, (size, size)))
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return self.allowed.shape[0]
 
-    def allows(self, i: int, j: int) -> bool:
-        return self.rows[i][j] == 1
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IncidenceMatrix):
+            return NotImplemented
+        return np.array_equal(self.allowed, other.allowed)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
+    def __hash__(self) -> int:
+        return hash(self.allowed.shape)
 
 
 def admissible_level(matrix: IncidenceMatrix, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +119,7 @@ def admissible_level(matrix: IncidenceMatrix, depth: int) -> tuple[np.ndarray, n
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    allowed = matrix.as_array().astype(bool)
+    allowed = matrix.allowed
     symbols = np.arange(matrix.size)[:, None]
     tail = np.zeros(matrix.size, dtype=np.intp)
     for _ in range(depth - 1):
@@ -116,17 +128,16 @@ def admissible_level(matrix: IncidenceMatrix, depth: int) -> tuple[np.ndarray, n
     return symbols, tail
 
 
-def count_admissible(matrix: Optional[IncidenceMatrix], alphabet_size: int, depth: int) -> int:
-    """Number of admissible depth-n words: the sum of the entries of A^(n-1)."""
+def count_admissible(matrix: IncidenceMatrix, depth: int) -> int:
+    """Number of admissible depth-n words, ones . A^(n-1) . 1, in exact
+    integers: one vector-matrix product per extra symbol."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if matrix is None:
-        return alphabet_size**depth
-    acc = np.eye(matrix.size, dtype=object)
-    step = np.array(matrix.rows, dtype=object)
+    step = matrix.allowed.astype(object)
+    paths = np.ones(matrix.size, dtype=object)
     for _ in range(depth - 1):
-        acc = acc @ step
-    return int(acc.sum())
+        paths = step @ paths
+    return int(paths.sum())
 
 
 def comparison_distance(a: Word, b: Word) -> float:
@@ -157,7 +168,7 @@ def finitely_primitive_witness(matrix: IncidenceMatrix) -> Optional[int]:
     positive.  None means no p in range works (e.g. the identity matrix,
     which is not primitive at all).
     """
-    arr = matrix.as_array()
+    arr = matrix.allowed.astype(np.int64)
     reach = arr
     for p in range(1, PRIMITIVITY_MAX_LENGTH + 1):
         # 1 where a path of exactly p + 1 transitions exists

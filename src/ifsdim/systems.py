@@ -2,7 +2,8 @@
 
 A system is a finite collection of injective contractions between vertex
 intervals, together with an incidence matrix saying which map may follow
-which.  Two map kinds are supported:
+which; a plain IFS has the all-ones matrix, the full shift.  Two map kinds
+are supported:
 
 * ``similitude``: x -> a*x + b with 0 < |a| < 1,
 * ``moebius-1d``: x -> 1/(q+x) on [0, 1] with integer q >= 1
@@ -123,8 +124,9 @@ class MapDescriptor:
 class SystemSpec:
     """A validated map system.
 
-    ``incidence`` None means the full shift (every map may follow every
-    map); that is only allowed when all maps share one vertex space.
+    ``incidence`` may let map e' follow map e only where e' lands in the
+    vertex space e starts from; the full shift (all ones) therefore needs
+    every map on one vertex space.
     ``distortion_bound`` is the constant K with inf |s_w'| * K >= sup |s_w'|
     for every word w; ``word_contraction`` is the factor gamma with
     sup |s_w'| <= gamma^floor(|w|/2) (gamma^|w| for pure similitudes).
@@ -132,7 +134,7 @@ class SystemSpec:
 
     vertex_spaces: tuple[tuple[float, float], ...]
     maps: tuple[MapDescriptor, ...]
-    incidence: Optional[IncidenceMatrix]
+    incidence: IncidenceMatrix
     distortion_bound: float
     word_contraction: float
     label: str = ""
@@ -153,20 +155,17 @@ class SystemSpec:
                 lo, hi = self.vertex_spaces[m.domain_vertex]
                 if (lo, hi) != (0.0, 1.0):
                     raise InvalidSystem("moebius maps are defined on the vertex space [0, 1]")
-        if self.incidence is None:
-            if len({(m.domain_vertex, m.image_vertex) for m in self.maps}) > 1:
-                raise InvalidSystem("full-shift incidence needs all maps on one vertex pair")
-        else:
-            if self.incidence.size != len(self.maps):
-                raise InvalidSystem("incidence size must match the number of maps")
-            for e, row in enumerate(self.incidence.rows):
-                for e2, v in enumerate(row):
-                    if v and self.maps[e].domain_vertex != self.maps[e2].image_vertex:
-                        raise InvalidSystem(
-                            f"incidence allows {e}->{e2} but map {e2} lands in vertex "
-                            f"{self.maps[e2].image_vertex}, map {e} starts from "
-                            f"{self.maps[e].domain_vertex}"
-                        )
+        if self.incidence.size != len(self.maps):
+            raise InvalidSystem("incidence size must match the number of maps")
+        if nv > 1:  # on one vertex space every map may follow every map
+            start, land = _vertices(self.maps)
+            clash = self.incidence.allowed & (start[:, None] != land)
+            if clash.any():
+                e, e2 = np.argwhere(clash)[0]
+                raise InvalidSystem(
+                    f"incidence allows {e}->{e2} but map {e2} lands in vertex "
+                    f"{land[e2]}, map {e} starts from {start[e]}"
+                )
         if self.distortion_bound < 1.0:
             raise InvalidSystem("distortion bound must be >= 1")
         if not (0.0 < self.word_contraction < 1.0):
@@ -175,11 +174,6 @@ class SystemSpec:
     @property
     def alphabet_size(self) -> int:
         return len(self.maps)
-
-    def incidence_or_full(self) -> IncidenceMatrix:
-        if self.incidence is not None:
-            return self.incidence
-        return IncidenceMatrix.full(self.alphabet_size)
 
     def is_similitude(self) -> bool:
         return all(m.affine for m in self.maps)
@@ -223,7 +217,7 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    rows = None if system.incidence is None else np.array(system.incidence.rows, dtype=bool)
+    allowed = system.incidence.allowed
 
     # per word: images y and |s_w'| g at the two domain endpoints
     first = np.arange(system.alphabet_size)
@@ -233,7 +227,8 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     for _ in range(depth - 1):
         parts = []
         for e, mp in enumerate(system.maps):
-            keep = slice(None) if rows is None else rows[e][first]
+            # a map that every symbol may follow is prepended to every word
+            keep = slice(None) if allowed[e].all() else allowed[e][first]
             ye, de = mp.at(y[keep])
             parts.append((np.full(ye.shape[0], e), ye, g[keep] * de))
         first, y, g = (np.concatenate(col) for col in zip(*parts))
@@ -253,6 +248,11 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
     image_lo, image_hi = np.minimum(y[:, 0], y[:, 1]), np.maximum(y[:, 0], y[:, 1])
     return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
+
+
+def _vertices(maps: Sequence[MapDescriptor]) -> np.ndarray:
+    """Two rows: each map's domain vertex, then its image vertex."""
+    return np.array([(m.domain_vertex, m.image_vertex) for m in maps]).T
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +278,7 @@ def ensure_separation(system: SystemSpec) -> None:
 
 
 def _contraction(maps: Sequence[MapDescriptor], vertex_spaces) -> float:
-    """gamma with sup|s_w'| <= gamma^floor(|w|/2) (word-level two-step bound);
-    for pure similitudes the sharper one-step max|a| is returned."""
-    if all(m.affine for m in maps):
-        return max(abs(m.ratio) for m in maps)
+    """gamma with sup|s_w'| <= gamma^floor(|w|/2) (word-level two-step bound)."""
     worst = 0.0
     for e, me in enumerate(maps):
         for e2, m2 in enumerate(maps):
@@ -322,14 +319,7 @@ class SimilitudeFamily:
             MapDescriptor("similitude", ratio=self.ratio_fn(i), offset=self.offset_fn(i))
             for i in range(1, n + 1)
         )
-        return SystemSpec(
-            vertex_spaces=((0.0, 1.0),),
-            maps=maps,
-            incidence=None,
-            distortion_bound=1.0,
-            word_contraction=max(abs(m.ratio) for m in maps),
-            label=f"{self.name}[:{n}]",
-        )
+        return gdms_system(((0.0, 1.0),), maps, IncidenceMatrix.full(n), f"{self.name}[:{n}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,14 +407,7 @@ def cantor_system(ratios: Sequence[float], label: str = "cantor") -> SystemSpec:
     for r in ratios:
         maps.append(MapDescriptor("similitude", ratio=r, offset=pos))
         pos += r + gap
-    return SystemSpec(
-        vertex_spaces=((0.0, 1.0),),
-        maps=tuple(maps),
-        incidence=None,
-        distortion_bound=1.0,
-        word_contraction=max(ratios),
-        label=label,
-    )
+    return gdms_system(((0.0, 1.0),), maps, IncidenceMatrix.full(len(maps)), label)
 
 
 def continued_fraction_system(n: int) -> SystemSpec:
@@ -436,43 +419,33 @@ def continued_fraction_system(n: int) -> SystemSpec:
     if n < 2:
         raise ValueError(f"need at least two digits, got {n}")
     maps = tuple(MapDescriptor("moebius-1d", q=q) for q in range(1, n + 1))
-    vs = ((0.0, 1.0),)
-    return SystemSpec(
-        vertex_spaces=vs,
-        maps=maps,
-        incidence=None,
-        distortion_bound=4.0,
-        word_contraction=_contraction(maps, vs),
-        label=f"continued-fraction[:{n}]",
-    )
+    label = f"continued-fraction[:{n}]"
+    return gdms_system(((0.0, 1.0),), maps, IncidenceMatrix.full(n), label)
 
 
 def gdms_system(
     vertex_spaces: Sequence[tuple[float, float]],
     maps: Sequence[MapDescriptor],
-    incidence: Optional[Sequence[Sequence[int]]] = None,
+    incidence: Optional[IncidenceMatrix] = None,
     label: str = "gdms",
 ) -> SystemSpec:
-    """Graph-directed system.  With incidence=None the matrix is derived
-    from the vertex structure: e may follow ... e' exactly when map e starts
+    """Graph-directed system.  Without an incidence the matrix is derived
+    from the vertex structure: e' may follow e exactly when map e starts
     where map e' lands."""
     maps = tuple(maps)
     vs = tuple((float(a), float(b)) for a, b in vertex_spaces)
     if incidence is None:
-        rows = tuple(
-            tuple(1 if maps[e].domain_vertex == maps[e2].image_vertex else 0
-                  for e2 in range(len(maps)))
-            for e in range(len(maps))
-        )
-        inc = IncidenceMatrix(rows)
+        start, land = _vertices(maps)
+        incidence = IncidenceMatrix(start[:, None] == land)
+    if all(m.affine for m in maps):  # no distortion, one-step contraction max|a|
+        K, gamma = 1.0, max(abs(m.ratio) for m in maps)
     else:
-        inc = IncidenceMatrix(tuple(tuple(int(v) for v in row) for row in incidence))
-    K = 1.0 if all(m.affine for m in maps) else 4.0
+        K, gamma = 4.0, _contraction(maps, vs)
     return SystemSpec(
         vertex_spaces=vs,
         maps=maps,
-        incidence=inc,
+        incidence=incidence,
         distortion_bound=K,
-        word_contraction=_contraction(maps, vs),
+        word_contraction=gamma,
         label=label,
     )

@@ -91,22 +91,22 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    incidence = system.incidence_or_full()
-    if system.incidence is not None and finitely_primitive_witness(incidence) is None:
+    if finitely_primitive_witness(system.incidence) is None:
         raise ReducibilityError(
             "incidence matrix is not finitely primitive; the transfer "
             "operator has no unique positive eigenpair"
         )
 
-    symbols, tail = admissible_level(incidence, depth)
+    symbols, tail = admissible_level(system.incidence, depth)
     # A primitive incidence gives every word a child, so the heads w[:-1]
     # of the lexicographic level run through the depth-(k-1) words in order.
     head = np.concatenate(([0], np.cumsum((symbols[1:, :-1] != symbols[:-1, :-1]).any(axis=1))))
     first = symbols[:, 0]
     if depth == 1:
         lo, hi = np.array([system.domain_of(e) for e in first]).T
-        # one-symbol states: j feeds i when symbol i may follow symbol j
-        matrix = incidence.as_array().T.astype(float)
+        # one-symbol states: j feeds i when symbol i may follow symbol j; always
+        # column-major, since the eigen solve's rounding follows the layout
+        matrix = np.asfortranarray(system.incidence.allowed.T, dtype=float)
         rows, cols = np.nonzero(matrix)
     else:
         context = level_geometry(system, depth - 1)

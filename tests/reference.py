@@ -7,7 +7,7 @@ the one-word-at-a-time versions the tests hold the level code to.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -16,35 +16,21 @@ from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec
 
 
-def enumerate_admissible(
-    matrix: Optional[IncidenceMatrix],
-    alphabet_size: int,
-    depth: int,
-) -> Iterator[Word]:
+def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[Word]:
     """Yield all admissible words of the given depth in lexicographic order.
 
     The stream is lazy: callers can consume a prefix without paying for the
-    whole level.  With matrix=None the shift is full.  The reference for
-    ``symbolic.admissible_level``.
+    whole level.  The reference for ``symbolic.admissible_level``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    if matrix is not None and matrix.size != alphabet_size:
-        raise ValueError(
-            f"matrix size {matrix.size} does not match alphabet size {alphabet_size}"
-        )
-
-    rows = None if matrix is None else matrix.rows
 
     def walk(prefix: tuple[int, ...]) -> Iterator[Word]:
         if len(prefix) == depth:
             yield Word(prefix)
             return
-        last = prefix[-1] if prefix else None
-        for s in range(alphabet_size):
-            if last is not None and rows is not None and rows[last][s] == 0:
+        for s in range(matrix.size):
+            if prefix and not matrix.allowed[prefix[-1], s]:
                 continue
             yield from walk(prefix + (s,))
 
@@ -65,11 +51,9 @@ def _check_word(system: SystemSpec, word: Word) -> None:
     m = system.alphabet_size
     if any(s >= m for s in word.symbols):
         raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
-    inc = system.incidence
-    if inc is not None:
-        for a, b in zip(word.symbols, word.symbols[1:]):
-            if not inc.allows(a, b):
-                raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
+    for a, b in zip(word.symbols, word.symbols[1:]):
+        if not system.incidence.allowed[a, b]:
+            raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
 
 
 def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:

@@ -214,7 +214,7 @@ def test_c8_property_suite():
     h5 = bowen_solve(five, depth=1).h
     masses = conformal_cylinder_measure(five, h5, depth=5)
     for depth in range(1, 5):
-        for word in enumerate_admissible(None, 5, depth):
+        for word in enumerate_admissible(five.incidence, depth):
             children = sum(
                 masses.mass_of(Word(word.symbols + (e,))) for e in range(5)
             )

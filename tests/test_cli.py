@@ -17,8 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 import ifsdim
 import ifsdim.cli
+import ifsdim.config
+import ifsdim.dimension
+import ifsdim.pressure
+import ifsdim.systems
 import ifsdim.transfer
 from ifsdim.cli import main
+from ifsdim.symbolic import IncidenceMatrix
+from ifsdim.systems import continued_fraction_system
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 GOLDEN_H6 = 0.669031641539660
@@ -145,6 +151,16 @@ def test_scan_continued_fraction_small_levels(tmp_path):
     assert res["first_h"] == pytest.approx(CF2_H, abs=5e-3)
     assert res["monotone"] is True
     assert res["limit_h"] is None  # no closed-form family limit here
+
+
+def test_scan_solves_wide_truncations(tmp_path):
+    # a truncation's full shift stores one entry, so a depth-1 level of
+    # thousands of maps costs a pass over its maps, not a level^2 matrix
+    code, report = run(tmp_path, "scan", "system.family = borderline\nscan.levels = 4096, 8192\n")
+    assert code == 4  # the borderline family's limit has no Bowen root
+    assert report["results"]["levels"] == [4096, 8192]
+    assert 0.39 < report["results"]["first_h"] < report["results"]["last_h"] < 0.5
+    assert report["tables"]["levels"].count(",true,1,") == 2  # both levels solved at depth 1
 
 
 def test_scan_reversed_levels_exit_2(tmp_path):
@@ -529,6 +545,115 @@ def test_config_errors_name_their_key_before_any_solve(
     assert calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+CF5 = "system.family = continued-fraction\nsystem.size = 5\n"
+MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:3; moebius:4; moebius:5\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        # the default word depth 12 on five digits: 5^12 words, about 34 GB
+        ("bowen", CF5, "bowen.depth: depth 12 makes 244140625 words, over the budget of 16777216"),
+        (
+            "scan",
+            "system.family = golden\nscan.levels = 2:3\nscan.depth = 24\n",
+            "scan.depth: level 3 at depth 24 makes 282429536481 words",
+        ),
+        (
+            "dimension",
+            CF5 + "sample.seed = 1\ndimension.depth = 4\n",
+            "system.size: the word solve at depth 12 makes 244140625 words",
+        ),
+        (
+            "dimension",
+            MOEBIUS5 + "sample.seed = 1\ndimension.depth = 4\n",
+            "system.maps: the word solve at depth 12 makes 244140625 words",
+        ),
+        (
+            "dimension",
+            "system.family = cantor\nsystem.ratios = 0.2, 0.2, 0.2\n"
+            "sample.seed = 1\ndimension.depth = 16\n",
+            "dimension.depth: depth 16 makes 43046721 words",
+        ),
+        (
+            "gibbs",
+            "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 12\n",
+            "gibbs.depth: 531441 operator states at depth 12 make 282429536481 matrix cells",
+        ),
+    ],
+    ids=[
+        "bowen-cf5", "scan-depth", "dimension-cf5",
+        "dimension-moebius5", "dimension-depth", "gibbs-states",
+    ],
+)
+def test_work_budget_rejects_before_any_geometry(
+    tmp_path, monkeypatch, capsys, command, text, message
+):
+    calls = []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("level_geometry ran past the budget check")
+
+    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.transfer, ifsdim.dimension):
+        monkeypatch.setattr(module, "level_geometry", refused)
+    code, report = run(tmp_path, command, text)
+    assert code == 2 and report is None
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("bowen", "system.family = continued-fraction\nsystem.size = 4\n"),
+        ("bowen", "system.family = custom\nsystem.maps = moebius:1; moebius:2\nbowen.depth = 24\n"),
+        ("scan", "system.family = golden\nscan.levels = 4096\nscan.depth = 2\n"),
+        ("converge", "system.family = golden\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
+        ("dimension", "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\n"),
+        ("gibbs", "system.family = continued-fraction\nsystem.size = 2\ngibbs.depth = 12\n"),
+    ],
+    ids=["bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states"],
+)
+def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, text):
+    # 4096^2 = 2^24 = 4^12: each case reaches its first solve, stubbed to stop there
+    def reached(*args, **kwargs):
+        raise ifsdim.cli.ConvergenceFailure("reached the solve")
+
+    for name in ("bowen_solve", "truncation_scan", "analytic_bowen_solve", "build_operator"):
+        monkeypatch.setattr(ifsdim.cli, name, reached)
+    code, report = run(tmp_path, command, text)
+    assert code == 3 and report is None
+
+
+def test_one_shift_gives_one_answer_under_both_spellings(tmp_path):
+    cf = continued_fraction_system(2)
+    custom = "system.family = custom\nsystem.maps = moebius:1; moebius:2\n"
+    spellings = {"cf": "system.family = continued-fraction\nsystem.size = 2\n", "custom": custom}
+    built = ifsdim.cli._build_source(ifsdim.config.RunConfig(ifsdim.config.parse_config(custom)))
+    assert built.incidence == cf.incidence == IncidenceMatrix.full(2)
+    ifsdim.systems.level_geometry.cache_clear()
+    a, b = (ifsdim.systems.level_geometry(s, 12) for s in (cf, built))
+    for field in ("log_sup", "log_inf", "image_lo", "image_hi"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    for command, extra in [
+        ("bowen", ""),
+        ("gibbs", "gibbs.depth = 4\n"),
+        ("dimension", "sample.seed = 5\nsample.count = 2000\n"),
+    ]:
+        reports = {}
+        for name, text in spellings.items():
+            out = tmp_path / f"{command}-{name}"
+            out.mkdir()
+            code, reports[name] = run(out, command, text + extra)
+            assert code == 0
+        for report in reports.values():
+            report["results"].pop("measure", None)  # the system's label
+        for part in ("results", "tables", "diagnostics", "warnings"):
+            assert reports["cf"][part] == reports["custom"][part], (command, part)
 
 
 def test_dimension_family_without_size_exit_2(tmp_path):

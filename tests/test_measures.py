@@ -18,7 +18,7 @@ from ifsdim.measures import (
     weak_discrepancy,
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
-from ifsdim.symbolic import Word
+from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import (
     MapDescriptor,
     cantor_system,
@@ -232,7 +232,8 @@ def test_cylinder_measure_argument_guards():
         MapDescriptor("similitude", ratio=0.4, offset=0.0),
         MapDescriptor("similitude", ratio=0.3, offset=0.5),
     )
-    dead = gdms_system(((0.0, 1.0),), maps, incidence=((0, 1), (0, 0)), label="dead-end")
+    dead_end = IncidenceMatrix(((0, 1), (0, 0)))
+    dead = gdms_system(((0.0, 1.0),), maps, incidence=dead_end, label="dead-end")
     with pytest.raises(ValueError):
         conformal_cylinder_measure(dead, 0.5, 2)
 
@@ -242,7 +243,8 @@ def test_mass_of_checks_admissibility_and_depth():
         MapDescriptor("similitude", ratio=0.4, offset=0.0),
         MapDescriptor("similitude", ratio=0.3, offset=0.5),
     )
-    fib = gdms_system(((0.0, 1.0),), maps, incidence=((1, 1), (1, 0)), label="fibonacci")
+    fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
+    fib = gdms_system(((0.0, 1.0),), maps, incidence=fibonacci, label="fibonacci")
     cm = conformal_cylinder_measure(fib, 0.5, 3)
     assert cm.consistent()
     with pytest.raises(ValueError):
@@ -254,7 +256,7 @@ def test_mass_of_checks_admissibility_and_depth():
         with pytest.raises(ValueError, match="outside the alphabet"):
             cm.mass_of(word)
     # admissible masses agree with the word list pairing
-    for word, mass in zip(enumerate_admissible(fib.incidence, 2, 2), cm.level(2)):
+    for word, mass in zip(enumerate_admissible(fib.incidence, 2), cm.level(2)):
         assert cm.mass_of(word) == pytest.approx(float(mass), abs=1e-15)
 
 
@@ -268,7 +270,7 @@ def test_limit_measure_dominates_truncation_masses():
     hn = bowen_solve(sys_, depth=1, tol=1e-12).h
     cm = conformal_cylinder_measure(sys_, hn, 4)
     for depth in range(1, 5):
-        for word, mass in zip(enumerate_admissible(None, n, depth), cm.level(depth)):
+        for word, mass in zip(enumerate_admissible(sys_.incidence, depth), cm.level(depth)):
             log_ratio = sum(math.log(fam.ratio_fn(i + 1)) for i in word.symbols)
             limit_mass = math.exp(h * log_ratio)
             assert limit_mass <= float(mass) * (1 + 1e-12)
@@ -449,10 +451,8 @@ def _per_sample_reference(measure, count, seed):
         for e in range(m):
             kids = slice(cs0[e], cs0[e + 1])
             P[e, measure.last_symbols[1][kids]] = measure.masses[1][kids] / measure.masses[0][e]
-    elif measure.system.incidence is None:
-        P = np.tile(measure.masses[0] / measure.masses[0].sum(), (m, 1))
     else:
-        P = measure.masses[0] * np.array(measure.system.incidence.rows, dtype=bool)
+        P = measure.masses[0] * measure.system.incidence.allowed
         P /= P.sum(axis=1, keepdims=True)
     rowcum = np.cumsum(P, axis=1)
     cur = measure.last_symbols[measure.depth - 1][idx]
@@ -480,12 +480,14 @@ SAMPLER_SYSTEMS = {
     "cf3": continued_fraction_system(3),
     # Fibonacci incidences: words of 2 and 3 symbols with 1-3 children each
     "fibonacci-2": gdms_system(
-        ((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), incidence=((1, 1), (1, 0))
+        ((0.0, 1.0),),
+        _similitudes((0.4, 0.0), (0.3, 0.5)),
+        incidence=IncidenceMatrix(((1, 1), (1, 0))),
     ),
     "fibonacci-3": gdms_system(
         ((0.0, 1.0),),
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
-        incidence=((1, 1, 1), (1, 0, 1), (0, 1, 0)),
+        incidence=IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
     ),
     "mixed": gdms_system(
         ((0.0, 1.0),),

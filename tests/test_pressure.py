@@ -59,7 +59,8 @@ def test_partition_sum_rejects_empty_word_set():
         MapDescriptor("similitude", ratio=0.4, offset=0.0),
         MapDescriptor("similitude", ratio=0.3, offset=0.5),
     )
-    sys_ = gdms_system(((0.0, 1.0),), maps, incidence=((0, 1), (0, 0)), label="dead-end")
+    dead_end = IncidenceMatrix(((0, 1), (0, 0)))
+    sys_ = gdms_system(((0.0, 1.0),), maps, incidence=dead_end, label="dead-end")
     with pytest.raises(ValueError):
         pressure(sys_, 0.5, 3)
 
@@ -252,12 +253,14 @@ def _similitudes(*pairs):
 
 FIBONACCI = {
     "fibonacci-2": gdms_system(
-        ((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), incidence=((1, 1), (1, 0))
+        ((0.0, 1.0),),
+        _similitudes((0.4, 0.0), (0.3, 0.5)),
+        incidence=IncidenceMatrix(((1, 1), (1, 0))),
     ),
     "fibonacci-3": gdms_system(
         ((0.0, 1.0),),
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
-        incidence=((1, 1, 1), (1, 0, 1), (0, 1, 0)),
+        incidence=IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
     ),
 }
 
@@ -285,8 +288,8 @@ def _sort_per_call_logsumexp(a):
 
 def _axis_reduction_geometry(system, depth):
     """level_geometry as first written, with its extremes reduced along the
-    endpoint axis."""
-    rows = None if system.incidence is None else np.array(system.incidence.rows, dtype=bool)
+    endpoint axis, and every map's prepend masked by its incidence row."""
+    allowed = system.incidence.allowed
     first = np.arange(system.alphabet_size)
     y, g = np.array(
         [mp.at(np.array(system.domain_of(e))) for e, mp in enumerate(system.maps)]
@@ -294,7 +297,7 @@ def _axis_reduction_geometry(system, depth):
     for _ in range(depth - 1):
         parts = []
         for e, mp in enumerate(system.maps):
-            keep = slice(None) if rows is None else rows[e][first]
+            keep = allowed[e][first]
             ye, de = mp.at(y[keep])
             parts.append((np.full(ye.shape[0], e), ye, g[keep] * de))
         first, y, g = (np.concatenate(col) for col in zip(*parts))

@@ -61,16 +61,16 @@ def test_comparison_distance_is_an_ultrametric(a, b, c):
 
 
 def test_enumerate_full_shift_is_lexicographic():
-    got = list(enumerate_admissible(None, 3, 2))
+    got = list(enumerate_admissible(IncidenceMatrix.full(3), 2))
     assert [w.symbols for w in got] == sorted(itertools.product(range(3), repeat=2))
 
 
 def test_enumerate_respects_incidence():
-    got = [w.symbols for w in enumerate_admissible(FIB, 2, 4)]
+    got = [w.symbols for w in enumerate_admissible(FIB, 4)]
     want = [
         w
         for w in itertools.product(range(2), repeat=4)
-        if all(FIB.allows(a, b) for a, b in zip(w, w[1:]))
+        if all(FIB.allowed[a, b] for a, b in zip(w, w[1:]))
     ]
     assert got == want
     assert (1, 1, 0, 0) not in got
@@ -87,20 +87,59 @@ def test_enumerate_respects_incidence():
 )
 @pytest.mark.parametrize("depth", [1, 2, 3, 5])
 def test_count_matches_enumeration(matrix, size, depth):
-    assert count_admissible(matrix, size, depth) == len(list(enumerate_admissible(matrix, size, depth)))
+    # None: the full shift on `size` symbols, built here
+    matrix = IncidenceMatrix.full(size) if matrix is None else matrix
+    assert matrix.size == size
+    assert count_admissible(matrix, depth) == len(list(enumerate_admissible(matrix, depth)))
 
 
 def test_count_is_exact_for_huge_word_sets():
-    # the object-dtype power keeps integers exact far past 2**53
-    assert count_admissible(None, 10, 20) == 10**20
-    assert count_admissible(IncidenceMatrix.full(10), 10, 20) == 10**20
+    # object-dtype products keep integers exact far past 2**53
+    assert count_admissible(IncidenceMatrix.full(10), 20) == 10**20
+    assert count_admissible(IncidenceMatrix.full(64), 24) == 64**24
+    # Fibonacci numbers: the words of length n count F(n + 2)
+    assert count_admissible(FIB, 100) == 927372692193078999176
+
+
+def test_incidence_is_one_read_only_bool_array():
+    matrix = IncidenceMatrix(((True, 0), (1.0, 1)))
+    assert matrix.allowed.dtype == bool
+    assert matrix.allowed.tolist() == [[True, False], [True, True]]
+    with pytest.raises(ValueError):
+        matrix.allowed[0, 1] = True
+    # equality goes by the entries, whatever they were built from
+    for same in (((1, 0), (1, 1)), np.array([[True, False], [True, True]])):
+        assert matrix == IncidenceMatrix(same)
+        assert hash(matrix) == hash(IncidenceMatrix(same))
+    assert matrix != IncidenceMatrix(((1, 1), (1, 1)))
+    full = IncidenceMatrix.full(3)
+    assert full == IncidenceMatrix(np.ones((3, 3), dtype=int))
+    assert hash(full) == hash(IncidenceMatrix(np.ones((3, 3), dtype=int)))
+    assert full != IncidenceMatrix(((1, 1, 1), (1, 1, 1), (1, 1, 0)))
+    assert full.allowed.all() and full.size == 3
+    # the full shift stores one entry, however many symbols it has
+    assert IncidenceMatrix.full(100_000).allowed.strides == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ((), "non-empty"),
+        (((1, 1), (1,)), "square"),
+        (((1, 2), (1, 1)), "0 or 1"),
+        ((("1", "0"), ("0", "1")), "0 or 1"),
+    ],
+)
+def test_incidence_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        IncidenceMatrix(rows)
 
 
 def _connecting_lengths(matrix):
     """Lengths p in 1..8 at which every ordered pair (e, e') admits a word w
     of length p with e-w-e' admissible, by composing admissible steps."""
     n = matrix.size
-    steps = {(a, b) for a in range(n) for b in range(n) if matrix.allows(a, b)}
+    steps = {(a, b) for a in range(n) for b in range(n) if matrix.allowed[a, b]}
     ends = {(a, a) for a in range(n)}  # (first, last) symbols of length-p words
     found = []
     for p in range(1, 9):
@@ -119,7 +158,7 @@ def _connecting_lengths(matrix):
 
 def _positive_power_lengths(matrix):
     """Lengths p in 1..8 with every entry of A^(p+1) positive."""
-    arr = matrix.as_array()
+    arr = matrix.allowed.astype(np.int64)
     return [p for p in range(1, 9) if (np.linalg.matrix_power(arr, p + 1) > 0).all()]
 
 

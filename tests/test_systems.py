@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifsdim.symbolic import Word
+from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import (
     InvalidSystem,
     MapDescriptor,
@@ -80,7 +80,7 @@ def test_at_least_two_maps():
         SystemSpec(
             vertex_spaces=((0.0, 1.0),),
             maps=(MapDescriptor("similitude", ratio=0.5),),
-            incidence=None,
+            incidence=IncidenceMatrix.full(1),
             distortion_bound=1.0,
             word_contraction=0.5,
         )
@@ -105,7 +105,7 @@ def test_separation_detects_overlap():
     sys_ = SystemSpec(
         vertex_spaces=((0.0, 1.0),),
         maps=m,
-        incidence=None,
+        incidence=IncidenceMatrix.full(2),
         distortion_bound=1.0,
         word_contraction=0.5,
     )
@@ -130,7 +130,7 @@ def test_level_geometry_similitude_is_exact():
     lg = level_geometry(sys_, 2)
     assert lg.count == 9
     assert np.array_equal(lg.log_sup, lg.log_inf)
-    for k, w in enumerate(enumerate_admissible(None, 3, 2)):
+    for k, w in enumerate(enumerate_admissible(sys_.incidence, 2)):
         ratio = sys_.maps[w[0]].ratio * sys_.maps[w[1]].ratio
         assert lg.log_sup[k] == pytest.approx(math.log(ratio), abs=1e-12)
         assert (lg.image_lo[k], lg.image_hi[k]) == word_image(sys_, w)
@@ -146,7 +146,7 @@ def test_level_log_derivatives_are_sums(ratios, depth):
     sys_ = cantor_system(tuple(r / (2 * sum(ratios)) for r in ratios))
     lg = level_geometry(sys_, depth)
     logs = np.array([math.log(m.ratio) for m in sys_.maps])
-    for k, w in enumerate(enumerate_admissible(None, sys_.alphabet_size, depth)):
+    for k, w in enumerate(enumerate_admissible(sys_.incidence, depth)):
         assert lg.log_sup[k] == pytest.approx(logs[list(w.symbols)].sum(), abs=1e-12)
 
 
@@ -241,7 +241,7 @@ def branch_systems(draw):
 @settings(max_examples=40, deadline=None)
 def test_level_geometry_matches_per_word_composition(sys_, depth):
     lg = level_geometry(sys_, depth)
-    words = list(enumerate_admissible(sys_.incidence, sys_.alphabet_size, depth))
+    words = list(enumerate_admissible(sys_.incidence, depth))
     assert lg.count == len(words)
     deriv = chain_rule_derivatives(sys_, words)
     sup, inf = np.exp(lg.log_sup), np.exp(lg.log_inf)
@@ -277,7 +277,7 @@ def test_distortion_bound_certified_on_words():
 def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
     """log |s_w'| at both endpoints of each admissible depth-n word's domain,
     by the chain rule in exact integer ratios, as 60-digit Decimal logs."""
-    allows = system.incidence_or_full().allows
+    allowed = system.incidence.allowed
     # the branch matrices scaled to integers: the same maps, and
     # |ad - bc| / (c y + d)^2 is unchanged by the scale
     mats = []
@@ -302,7 +302,7 @@ def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
             (e,) + w: [prepend(e, end) for end in ends]
             for w, ends in level.items()
             for e in range(system.alphabet_size)
-            if allows(e, w[0])
+            if allowed[e, w[0]]
         }
     with localcontext() as ctx:
         ctx.prec = 60
@@ -326,13 +326,20 @@ MIXED_MAPS = (
         (continued_fraction_system(2), 12),
         (continued_fraction_system(3), 6),
         (gdms_system(((0.0, 1.0),), MIXED_MAPS, label="mixed"), 6),
+        # the two full rows take the unmasked path, the first row a mask
+        (
+            gdms_system(
+                ((0.0, 1.0),), MIXED_MAPS[:3], IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
+            ),
+            6,
+        ),
     ],
-    ids=["cf12@12", "cf123@6", "mixed@6"],
+    ids=["cf12@12", "cf123@6", "mixed@6", "partial-rows@6"],
 )
 def test_log_brackets_contain_exact_endpoint_logs(system, depth):
     lg = level_geometry(system, depth)
     exact = exact_log_derivatives(system, depth)
-    words = [w.symbols for w in enumerate_admissible(system.incidence, system.alphabet_size, depth)]
+    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
     assert lg.count == len(exact) == len(words)
     misses = 0
     for k, w in enumerate(words):
@@ -368,9 +375,9 @@ def gdms_fixture() -> SystemSpec:
 def test_gdms_derived_incidence():
     sys_ = gdms_fixture()
     # edge e may precede e2 iff e starts where e2 lands
-    assert sys_.incidence.rows == ((0, 1, 1), (1, 0, 0), (0, 1, 1))
+    assert sys_.incidence == IncidenceMatrix(((0, 1, 1), (1, 0, 0), (0, 1, 1)))
     ensure_separation(sys_)
-    words = list(enumerate_admissible(sys_.incidence, 3, 2))
+    words = list(enumerate_admissible(sys_.incidence, 2))
     assert Word.of(0, 1) in words and Word.of(0, 0) not in words
     lg = level_geometry(sys_, 2)
     assert lg.count == len(words)
@@ -385,7 +392,24 @@ def test_gdms_rejects_vertex_mismatch():
         MapDescriptor("similitude", ratio=0.3, domain_vertex=0, image_vertex=1),
     )
     with pytest.raises(InvalidSystem):
-        gdms_system(((0.0, 1.0), (0.0, 1.0)), maps, incidence=((1, 1), (1, 1)))
+        gdms_system(((0.0, 1.0), (0.0, 1.0)), maps, incidence=IncidenceMatrix.full(2))
+
+
+def test_full_shift_needs_maps_that_compose():
+    # every map runs from vertex 0 into vertex 1: one vertex pair, yet no
+    # map can follow another, so the all-ones matrix is refused
+    maps = tuple(
+        MapDescriptor("similitude", ratio=r, offset=o, domain_vertex=0, image_vertex=1)
+        for r, o in ((0.4, 0.0), (0.3, 0.6))
+    )
+    with pytest.raises(InvalidSystem, match=r"incidence allows 0->0 but map 0 lands in vertex 1"):
+        SystemSpec(
+            vertex_spaces=((0.0, 1.0), (0.0, 1.0)),
+            maps=maps,
+            incidence=IncidenceMatrix.full(2),
+            distortion_bound=1.0,
+            word_contraction=0.4,
+        )
 
 
 def test_spec_is_hashable():
@@ -422,12 +446,11 @@ def test_borderline_mass_jumps_past_zero():
 )
 def test_cylinder_images_nest_under_extension(sys_):
     alphabet = len(sys_.maps)
-    A = sys_.incidence_or_full()
     for depth in range(1, 6):
-        for word in enumerate_admissible(sys_.incidence, alphabet, depth):
+        for word in enumerate_admissible(sys_.incidence, depth):
             lo, hi = word_image(sys_, word)
             for e in range(alphabet):
-                if not A.allows(word.symbols[-1], e):
+                if not sys_.incidence.allowed[word.symbols[-1], e]:
                     continue
                 clo, chi = word_image(sys_, Word(word.symbols + (e,)))
                 assert lo - 1e-12 <= clo <= chi <= hi + 1e-12

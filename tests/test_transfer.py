@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ifsdim.measures import conformal_cylinder_measure
 from ifsdim.pressure import ConvergenceFailure, bowen_solve
-from ifsdim.symbolic import Word, count_admissible
+from ifsdim.symbolic import IncidenceMatrix, Word, count_admissible
 from ifsdim.systems import (
     MapDescriptor,
     cantor_system,
@@ -35,7 +35,8 @@ def fibonacci_system():
         MapDescriptor("similitude", ratio=0.4, offset=0.0),
         MapDescriptor("similitude", ratio=0.3, offset=0.5),
     )
-    return gdms_system(((0.0, 1.0),), maps, incidence=((1, 1), (1, 0)), label="fibonacci")
+    fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
+    return gdms_system(((0.0, 1.0),), maps, incidence=fibonacci, label="fibonacci")
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +61,8 @@ def test_state_enumeration_matches_admissible_words():
 def _per_word_operator(system, depth):
     """The operator one Word at a time: states from enumerate_admissible,
     context images from word_image, successors through a dict."""
-    words = [w.symbols for w in enumerate_admissible(system.incidence, system.alphabet_size, depth)]
+    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
     index = {w: i for i, w in enumerate(words)}
-    allows = system.incidence_or_full().allows
     matrix = np.zeros((len(words), len(words)))
     mid, width = [], []
     for j, w in enumerate(words):
@@ -71,7 +71,7 @@ def _per_word_operator(system, depth):
         mid.append(0.5 * (math.log(dmin) + math.log(dmax)))
         width.append(math.log(dmax) - math.log(dmin))
         for e in range(system.alphabet_size):
-            if allows(w[-1], e) and w[1:] + (e,) in index:
+            if system.incidence.allowed[w[-1], e] and w[1:] + (e,) in index:
                 matrix[index[w[1:] + (e,)], j] = 1.0
     return np.array(words), matrix, np.array(mid), max(width)
 
@@ -113,7 +113,7 @@ operator_systems = st.one_of(
 @given(operator_systems, st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_array_operator_matches_the_per_word_reference(system, depth):
-    while count_admissible(system.incidence, system.alphabet_size, depth) > 1024:
+    while count_admissible(system.incidence, depth) > 1024:
         depth -= 1
     op = build_operator(system, depth)
     words, matrix, mid, width = _per_word_operator(system, depth)
@@ -138,7 +138,7 @@ def test_reducible_incidence_is_rejected():
         MapDescriptor("similitude", ratio=0.4, offset=0.0),
         MapDescriptor("similitude", ratio=0.4, offset=0.6),
     )
-    two_islands = gdms_system(((0.0, 1.0),), maps, incidence=((1, 0), (0, 1)))
+    two_islands = gdms_system(((0.0, 1.0),), maps, incidence=IncidenceMatrix(((1, 0), (0, 1))))
     with pytest.raises(ReducibilityError):
         build_operator(two_islands)
 
@@ -298,7 +298,7 @@ def _dense_entropy(state):
 @given(operator_systems, st.integers(1, 6), st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_entropy_over_the_non_zeros_matches_the_dense_matrix(system, depth, t):
-    while count_admissible(system.incidence, system.alphabet_size, depth) > 1024:
+    while count_admissible(system.incidence, depth) > 1024:
         depth -= 1
     op = build_operator(system, depth)
     pairs = sorted(zip(op.rows.tolist(), op.cols.tolist()))
