@@ -39,7 +39,7 @@ def main() -> None:
 
     print(f"{'context':>8} {'operator root':>16} {'evals':>6} {'seconds':>8}")
     for k in range(1, args.max_context + 1):
-        if count_admissible(system.incidence, k) ** 2 > ENTRY_BUDGET:  # states^2 cells
+        if count_admissible(system.incidence, k + 2) > ENTRY_BUDGET:  # two-step operator paths
             break
         t0 = time.perf_counter()
         sol = operator_bowen_solve(build_operator(system, k))

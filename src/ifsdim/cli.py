@@ -89,9 +89,10 @@ EXIT_NON_CONVERGENCE = 3
 EXIT_IRREGULAR = 4
 
 # the most entries one array of a command may hold: the words of a geometry
-# level (bowen, scan, dimension), the gibbs operator's states^2 cells and a
-# converge cylinder table's level^depth cells.  4096^2 = 4^12 keeps every
-# two-map depth that bowen.depth and gibbs.depth accept, and the default
+# level (bowen, scan, dimension), the gibbs operator's two-step paths (one
+# per admissible word of length depth + 2) and a converge cylinder table's
+# level^depth cells.  4096^2 = 4^12 keeps every two-map depth that
+# bowen.depth accepts, gibbs.depth 12 for up to three maps, and the default
 # word depth 12 for up to four maps.
 ENTRY_BUDGET = 4096**2
 
@@ -102,6 +103,18 @@ def _check_budget(key: str, what: str, entries: int, unit: str) -> None:
     ``what`` ends in its verb: "depth 12 makes", "9 states make"."""
     if entries > ENTRY_BUDGET:
         raise ConfigError(f"{key}: {what} {entries} {unit}, over the budget of {ENTRY_BUDGET}")
+
+
+def _check_levels(key: str, family: SimilitudeFamily, levels: list[int]) -> None:
+    """Reject, naming ``key``, levels that need a map whose ratio is not in
+    (0, 1) as a double: golden's 2^-(i+1) underflows to 0.0 from map 1074."""
+    for i in range(1, max(levels) + 1):
+        ratio = family.ratio_fn(i)
+        if not 0.0 < abs(ratio) < 1.0:
+            raise ConfigError(
+                f"{key}: map {i} of {family.name} has ratio {ratio!r} in double "
+                f"precision, so levels run to at most {i - 1}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +357,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
     depth: Union[int, None, object]
     if family in ("golden", "borderline"):
         source = golden_family() if family == "golden" else borderline_family()
+        _check_levels("scan.levels", source, levels)
         depth = cfg.get_int("scan.depth", default=1, lo=1, hi=24)
     elif family == "continued-fraction":
         source = continued_fraction_system
@@ -409,6 +423,7 @@ def cmd_converge(cfg: RunConfig) -> Report:
             "limit; use golden, borderline, or gallery:<name>"
         )
     levels = cfg.get_levels("converge.levels", default="2:10", lo=2)
+    _check_levels("converge.levels", source, levels)
     depths = cfg.get_levels("converge.cylinder_depths", default="1,2,3", lo=1, hi=6)
     top, deepest = max(levels), max(depths)
     what = f"level {top} at cylinder depth {deepest} makes"
@@ -570,18 +585,22 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
         if not source.incidence.allowed.any(axis=1).all():
             raise ConfigError("system.incidence: a symbol has no admissible successor")
-        word_depth = 1 if source.is_similitude() else 12
-        # the word solve's depth is fixed, so only fewer maps shrink its level
+        word_depth, op_depth = (1, 1) if source.is_similitude() else (12, 2)
+        # the word solve's and the operator's depths are fixed, so only fewer
+        # maps shrink their arrays
+        size_key = {"custom": "system.maps", "cantor": "system.ratios"}.get(family, "system.size")
         words = count_admissible(source.incidence, word_depth)
-        size_key = "system.maps" if family == "custom" else "system.size"
         _check_budget(size_key, f"the word solve at depth {word_depth} makes", words, "words")
+        paths = count_admissible(source.incidence, op_depth + 2)
+        what = f"the operator at depth {op_depth} makes"
+        _check_budget(size_key, what, paths, "two-step operator paths")
         words = count_admissible(source.incidence, cyl_depth)
         _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
         # the operator first: it reads a shallower level's geometry, which
         # would evict from the one-level cache the level that the word solve,
         # the cylinder measure and the density field share
         try:
-            operator = build_operator(source, 1 if source.is_similitude() else 2)
+            operator = build_operator(source, op_depth)
         except ReducibilityError as err:
             operator, unavailable = None, err
         sol = bowen_solve(source, depth=word_depth)
@@ -690,9 +709,8 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             ) from None
         if not math.isfinite(exponent):
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
-    states = count_admissible(source.incidence, depth)
-    what = f"{states} operator states at depth {depth} make"
-    _check_budget("gibbs.depth", what, states**2, "matrix cells")
+    paths = count_admissible(source.incidence, depth + 2)
+    _check_budget("gibbs.depth", f"depth {depth} makes", paths, "two-step operator paths")
     operator = build_operator(source, depth=depth)
     root_diagnostics = {}
     if raw_exp == "bowen":
@@ -713,12 +731,14 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         "states": len(operator),
         "regular": True,
     }
-    # words hold only digits and dots, so no cell needs quoting
-    words = [".".join(map(str, w)) for w in operator.symbols.tolist()]
-    cells = zip(words, state.eigenmeasure.tolist(), state.invariant.tolist())
-    masses = "word,eigenmeasure,invariant\n" + "%s,%.17g,%.17g\n" * len(words) % tuple(
-        v for row in cells for v in row
-    )
+    # words hold only digits and dots, so no cell needs quoting: one format,
+    # a %d per symbol, prints the row-major cells, laid out column by column
+    width = depth + 2
+    cells: list = [0] * (len(operator) * width)
+    for c, column in enumerate((*operator.symbols.T, state.eigenmeasure, state.invariant)):
+        cells[c::width] = column.tolist()
+    row = ".".join(["%d"] * depth) + ",%.17g,%.17g\n"
+    masses = "word,eigenmeasure,invariant\n" + row * len(operator) % tuple(cells)
     return _report(
         "gibbs",
         cfg,

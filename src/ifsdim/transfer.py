@@ -5,24 +5,28 @@ A state is an admissible depth-``k`` word ``w``; prepending a symbol ``e``
 gives the refinement step.  ``build_operator`` fixes everything that does
 not depend on the exponent, as arrays over the lexicographic level: the
 states' symbols, the rows of their head ``w[:-1]`` and tail ``w[1:]`` among
-the depth-``(k-1)`` words, their 0/1 transition pattern, and each state's
-log-derivative midpoint ``m``, the midpoint of the log-derivative bracket
-of map ``e`` over the exact image interval of the context ``w[1:]``, read
-off ``level_geometry`` at depth ``k - 1`` (the whole domain of ``e`` when
-``k == 1``).  ``eigenmeasure`` applies the exponent ``t``, weighting each
-transition out of a state by ``exp(t * m)``.  Power iteration on the
-transpose produces the eigenmeasure, the right eigenvector gives the
-density, and their product is the invariant (shift-stationary) measure,
-realised here as a stationary Markov chain on the states.  The invariant
-measure's Lyapunov exponent is minus the slope of ``log eigenvalue`` in
-``t``, which lets ``operator_bowen_solve`` find the Bowen root by Newton
-steps.
+the depth-``(k-1)`` words, the index arrays of the one-step transitions and
+of the two-step paths, and each state's log-derivative midpoint ``m``, the
+midpoint of the log-derivative bracket of map ``e`` over the exact image
+interval of the context ``w[1:]``, read off ``level_geometry`` at depth
+``k - 1`` (the whole domain of ``e`` when ``k == 1``).  The solves form no
+states x states array: a state has at most one transition per symbol, and
+the operator is applied by ``np.bincount`` over the index arrays.
+``eigenmeasure`` applies the exponent ``t``, weighting each transition out
+of a state by ``exp(t * m)``.  Power iteration of the squared operator, two
+steps per pass, gives the eigenmeasure (left) and the density (right); one
+more single step gives the eigenvalue and the residuals.  The product of
+the two vectors is the invariant (shift-stationary) measure, realised here
+as a stationary Markov chain on the states.  The invariant measure's
+Lyapunov exponent is minus the slope of ``log eigenvalue`` in ``t``, which
+lets ``operator_bowen_solve`` find the Bowen root by Newton steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -58,13 +62,15 @@ class OperatorMatrix:
     The states are the rows of ``symbols``, the admissible depth-``depth``
     words in lexicographic order; ``head[j]`` and ``tail[j]`` are the rows
     of ``w[:-1]`` and ``w[1:]`` among the depth-``(depth-1)`` words (all 0
-    at depth 1, the empty word).  ``matrix[i, j]`` is 1 when state ``j``
-    carries weight into state ``i`` and 0 otherwise: prepending
-    ``symbols[j, 0]`` to state ``i`` reproduces state ``j`` up to depth,
-    that is ``head[i] == tail[j]`` (at depth 1, when the incidence lets
-    symbol ``i`` follow symbol ``j``); ``rows`` and ``cols`` list its
-    non-zeros.  ``state_log_mid[j]`` is the midpoint of the log-derivative
-    bracket of the first symbol of state ``j`` over the image of its tail;
+    at depth 1, the empty word).  State ``j`` carries weight into state
+    ``i`` when prepending ``symbols[j, 0]`` to state ``i`` reproduces state
+    ``j`` up to depth, that is ``head[i] == tail[j]`` (at depth 1, when the
+    incidence lets symbol ``i`` follow symbol ``j``); ``rows[e]`` and
+    ``cols[e]`` are the ``i`` and ``j`` of these one-step transitions,
+    sorted by ``j``.  ``rows2``, ``via2`` and ``cols2`` list the two-step
+    paths ``i <- j <- k``, one per admissible word of length ``depth + 2``.
+    ``state_log_mid[j]`` is the midpoint of the log-derivative bracket of
+    the first symbol of state ``j`` over the image of its tail;
     ``log_width`` is the largest bracket width.
     """
 
@@ -72,14 +78,25 @@ class OperatorMatrix:
     symbols: np.ndarray = field(repr=False)
     head: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
+    rows2: np.ndarray = field(repr=False)
+    via2: np.ndarray = field(repr=False)
+    cols2: np.ndarray = field(repr=False)
     state_log_mid: np.ndarray = field(repr=False)
     log_width: float
 
     def __len__(self) -> int:
         return len(self.symbols)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense 0/1 transition pattern, ``matrix[rows, cols] == 1``,
+        rebuilt on every read for callers that inspect it (the benchmark's
+        tracer, the tests); the solves never form it."""
+        matrix = np.zeros((len(self), len(self)))
+        matrix[self.rows, self.cols] = 1.0
+        return matrix
 
 
 def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
@@ -102,26 +119,29 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
     # of the lexicographic level run through the depth-(k-1) words in order.
     head = np.concatenate(([0], np.cumsum((symbols[1:, :-1] != symbols[:-1, :-1]).any(axis=1))))
     first = symbols[:, 0]
+    n = len(symbols)
     if depth == 1:
         lo, hi = np.array([system.domain_of(e) for e in first]).T
-        # one-symbol states: j feeds i when symbol i may follow symbol j; always
-        # column-major, since the eigen solve's rounding follows the layout
-        matrix = np.asfortranarray(system.incidence.allowed.T, dtype=float)
-        rows, cols = np.nonzero(matrix)
+        # one-symbol states: j feeds i when symbol i may follow symbol j
+        cols, rows = np.nonzero(system.incidence.allowed)
     else:
         context = level_geometry(system, depth - 1)
         lo, hi = context.image_lo[tail], context.image_hi[tail]
-        # matrix[i, j] = 1 where head(i) == tail(j).  The children of a word
-        # are contiguous rows, so column j holds one run, from the first
-        # child of tail(j) on; laid end to end the runs count up by one, and
-        # each is offset by its first child less its own start.
-        n = len(symbols)
+        # j feeds i where head(i) == tail(j).  The children of a word are
+        # contiguous rows, so column j holds one run, from the first child
+        # of tail(j) on; laid end to end the runs count up by one, and each
+        # is offset by its first child less its own start.
         children = np.bincount(head)
         runs = children[tail]
         cols = np.repeat(np.arange(n), runs)
         rows = np.repeat(np.cumsum(children)[tail] - np.cumsum(runs), runs) + np.arange(cols.size)
-        matrix = np.zeros((n, n))
-        matrix[rows, cols] = 1.0
+    # two-step paths i <- j <- k: each transition (j, k) followed by each of
+    # the fan[e] transitions (i, j), which the column-sorted lists hold as
+    # one run
+    in_col = np.bincount(cols, minlength=n)
+    fan = in_col[rows]
+    ends = np.cumsum(fan)
+    rows2 = rows[np.repeat(np.cumsum(in_col)[rows] - ends, fan) + np.arange(ends[-1])]
 
     # |s_e'| = |det| / (c x + d)^2 is monotone, so its bracket over the
     # context image is the pair of endpoint values
@@ -134,9 +154,11 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
         symbols=symbols,
         head=head,
         tail=tail,
-        matrix=matrix,
         rows=rows,
         cols=cols,
+        rows2=rows2,
+        via2=np.repeat(rows, fan),
+        cols2=np.repeat(cols, fan),
         state_log_mid=0.5 * (lo_log + hi_log),
         log_width=float((hi_log - lo_log).max()),
     )
@@ -191,31 +213,29 @@ class GibbsState:
 
 
 def _power_iterate(
-    matrix: np.ndarray, tol: float, max_iters: int
-) -> tuple[np.ndarray, float, float, int]:
-    """Power iteration from the uniform vector; returns (vec, eig, residual, its)."""
-    n = matrix.shape[0]
+    apply: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iters: int
+) -> tuple[np.ndarray, int]:
+    """Power iteration of the linear map ``apply`` on length-``n`` vectors,
+    from the uniform vector, each image normalised to sum one, until two
+    successive vectors differ by at most ``tol``; returns (vector, passes)."""
     vec = np.full(n, 1.0 / n)
-    eig = float("nan")
+    drift = math.inf
     for it in range(1, max_iters + 1):
-        nxt = matrix @ vec
+        nxt = apply(vec)
         total = float(nxt.sum())
         if total <= 0 or not math.isfinite(total):
             raise ConvergenceFailure(
                 f"power iteration produced a non-positive image (sum={total}) "
-                f"at iteration {it}"
+                f"at pass {it}"
             )
-        eig = total / float(vec.sum())
         nxt /= total
         drift = float(np.abs(nxt - vec).max())
         vec = nxt
         if drift <= tol:
-            residual = float(np.abs(matrix @ vec - eig * vec).max())
-            return vec, eig, residual, it
-    residual = float(np.abs(matrix @ vec - eig * vec).max())
+            return vec, it
     raise ConvergenceFailure(
-        f"power iteration did not settle within {max_iters} iterations "
-        f"(last residual {residual:.3e})"
+        f"power iteration did not settle within {max_iters} passes "
+        f"(last drift {drift:.3e})"
     )
 
 
@@ -226,17 +246,34 @@ def eigenmeasure(
     stationary chain.
 
     The geometric potential ``exponent * log|derivative|`` weights every
-    transition out of state ``j`` by ``exp(exponent * state_log_mid[j])``;
-    a non-finite exponent raises ``ValueError``.  The transpose iteration
-    yields the eigenmeasure (total mass one) and the forward iteration the
-    density; both residuals — ``max |Mv - eig v|`` — must come out below
-    1e-8 or a :class:`ConvergenceFailure` is raised.
+    transition out of state ``j`` by ``w[j] = exp(exponent *
+    state_log_mid[j])``; a non-finite exponent raises ``ValueError``.  The
+    left and the right vector each run through their own power iteration of
+    the squared operator, whose path ``i <- j <- k`` weighs ``w[j] * w[k]``;
+    ``max_iters`` and the reported ``iterations`` count single operator
+    steps, two per pass.  The left vector is the eigenmeasure (total mass
+    one) and the right one the density.  One single step then gives the
+    eigenvalue and both residuals, ``max |Mv - eig v|``, which must come out
+    below 1e-8 or a :class:`ConvergenceFailure` is raised.
     """
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
-    mat = operator.matrix * np.exp(exponent * operator.state_log_mid)[None, :]
-    mu, lam, res_mu, it_mu = _power_iterate(mat.T, tol, max_iters)
-    g, lam_g, res_g, it_g = _power_iterate(mat, tol, max_iters)
+    op, n = operator, len(operator)
+    w = np.exp(exponent * op.state_log_mid)
+    w1, w2 = w[op.cols], w[op.via2] * w[op.cols2]
+    passes = max_iters // 2
+    mu, it_mu = _power_iterate(
+        lambda u: np.bincount(op.cols2, w2 * u[op.rows2], minlength=n), n, tol, passes
+    )
+    g, it_g = _power_iterate(
+        lambda v: np.bincount(op.rows2, w2 * v[op.cols2], minlength=n), n, tol, passes
+    )
+    mu_step = np.bincount(op.cols, w1 * mu[op.rows], minlength=n)
+    g_step = np.bincount(op.rows, w1 * g[op.cols], minlength=n)
+    lam = float(mu_step.sum()) / float(mu.sum())
+    lam_g = float(g_step.sum()) / float(g.sum())
+    res_mu = float(np.abs(mu_step - lam * mu).max())
+    res_g = float(np.abs(g_step - lam_g * g).max())
     worst = max(res_mu, res_g)
     if worst > 1e-8:
         raise ConvergenceFailure(
@@ -259,7 +296,7 @@ def eigenmeasure(
         invariant=invariant,
         residual=res_mu,
         density_residual=res_g,
-        iterations=max(it_mu, it_g),
+        iterations=2 * max(it_mu, it_g),
     )
 
 

@@ -184,6 +184,40 @@ def test_empty_level_list_exits_2_naming_the_key(tmp_path, capsys, command, text
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("scan", "system.family = golden\nscan.levels = 1070:1076\n"),
+        ("converge", "system.family = golden\nconverge.levels = 1070:1080\nconverge.cylinder_depths = 1\n"),
+    ],
+    ids=["scan", "converge"],
+)
+def test_golden_levels_past_1073_exit_2_before_any_solve(
+    tmp_path, monkeypatch, capsys, command, text
+):
+    # golden's ratio 2^-(i+1) underflows to 0.0 from map 1074 on
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran past the level check")
+
+    for name in ("truncation_scan", "analytic_bowen_solve", "bowen_solve"):
+        monkeypatch.setattr(ifsdim.cli, name, solved)
+    code, report = run(tmp_path, command, text)
+    assert code == 2 and report is None
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    err = capsys.readouterr().err
+    assert f"config error: {command}.levels: map 1074 of golden has ratio 0.0" in err
+    assert "levels run to at most 1073" in err
+
+
+def test_golden_level_1073_reaches_the_solve(tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise ifsdim.cli.ConvergenceFailure("reached the solve")
+
+    monkeypatch.setattr(ifsdim.cli, "truncation_scan", reached)
+    code, report = run(tmp_path, "scan", "system.family = golden\nscan.levels = 1072:1073\n")
+    assert code == 3 and report is None
+
+
 def test_scan_needs_a_family_exit_2(tmp_path):
     code, _ = run(
         tmp_path,
@@ -579,8 +613,8 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
         ),
         (
             "gibbs",
-            "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 12\n",
-            "gibbs.depth: 531441 operator states at depth 12 make 282429536481 matrix cells",
+            "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 12\n",
+            "gibbs.depth: depth 12 makes 268435456 two-step operator paths",
         ),
     ],
     ids=[
@@ -611,8 +645,8 @@ def test_work_budget_rejects_before_any_geometry(
     [
         ("bowen", "system.family = continued-fraction\nsystem.size = 4\n"),
         ("bowen", "system.family = custom\nsystem.maps = moebius:1; moebius:2\nbowen.depth = 24\n"),
-        ("scan", "system.family = golden\nscan.levels = 4096\nscan.depth = 2\n"),
-        ("converge", "system.family = golden\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
+        ("scan", "system.family = borderline\nscan.levels = 4096\nscan.depth = 2\n"),
+        ("converge", "system.family = borderline\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
         ("dimension", "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\n"),
         ("gibbs", "system.family = continued-fraction\nsystem.size = 2\ngibbs.depth = 12\n"),
     ],
@@ -627,6 +661,24 @@ def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, tex
         monkeypatch.setattr(ifsdim.cli, name, reached)
     code, report = run(tmp_path, command, text)
     assert code == 3 and report is None
+
+
+@pytest.mark.parametrize("maps,code", [(257, 2), (256, 3)])
+def test_dimension_operator_paths_are_budgeted(tmp_path, monkeypatch, capsys, maps, code):
+    # the depth-1 operator on m maps has m^3 two-step paths: 256^3 = 4096^2
+    def reached(*args, **kwargs):
+        raise ifsdim.cli.ConvergenceFailure("reached the operator")
+
+    monkeypatch.setattr(ifsdim.cli, "build_operator", reached)
+    ratios = ", ".join(["0.003"] * maps)
+    text = f"system.family = cantor\nsystem.ratios = {ratios}\nsample.seed = 1\n"
+    got, report = run(tmp_path, "dimension", text + "dimension.depth = 2\n")
+    assert got == code and report is None
+    if code == 2:
+        assert (
+            "config error: system.ratios: the operator at depth 1 makes 16974593 two-step "
+            "operator paths" in capsys.readouterr().err
+        )
 
 
 def test_one_shift_gives_one_answer_under_both_spellings(tmp_path):
@@ -823,11 +875,11 @@ def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):
 
 
 def test_gibbs_state_budget_exit_2(tmp_path):
-    # 3^12 = 531,441 states would need a dense matrix of about 2.3 TB
+    # 4^12 states make 4^14 = 268,435,456 two-step paths, 16 times the budget
     code, report = run(
         tmp_path,
         "gibbs",
-        "system.family = continued-fraction\nsystem.size = 3\n"
+        "system.family = continued-fraction\nsystem.size = 4\n"
         "gibbs.depth = 12\ngibbs.exponent = 0.5\n",
     )
     assert code == 2 and report is None

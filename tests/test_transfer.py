@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,65 @@ def test_variation_bound_shrinks_with_state_depth():
     assert bounds == sorted(bounds, reverse=True)
 
 
+def _on_incidence(system, rows):
+    """``system``'s maps under the incidence given as ``"11;10"``."""
+    incidence = IncidenceMatrix([[int(c) for c in row] for row in rows.split(";")])
+    return gdms_system(((0.0, 1.0),), system.maps, incidence=incidence, label=rows)
+
+
+# (system, depth): depth 1 under custom incidences, deeper on CF{1,2}, CF{1,2,3}
+SOLVE_CASES = [
+    (_on_incidence(continued_fraction_system(2), "11;10"), 1),
+    (_on_incidence(continued_fraction_system(3), "011;111;111"), 1),
+    (fibonacci_system(), 1),
+] + [(continued_fraction_system(m), d) for m in (2, 3) for d in (2, 3, 4, 5)]
+SOLVE_IDS = ["cf2-incidence-11-10-d1", "cf3-incidence-011-111-111-d1", "fibonacci-d1"] + [
+    f"cf{m}-d{d}" for m in (2, 3) for d in (2, 3, 4, 5)
+]
+
+
+def _weighted(op, t):
+    """The dense weighted one-step matrix M W, W = diag(exp(t * state_log_mid))."""
+    return op.matrix * np.exp(t * op.state_log_mid)[None, :]
+
+
+@pytest.mark.parametrize(
+    "system,depth", SOLVE_CASES + [(MIXED, 2), (MIXED, 3)], ids=SOLVE_IDS + ["mixed-d2", "mixed-d3"]
+)
+def test_two_step_paths_are_the_words_two_symbols_longer(system, depth):
+    op = build_operator(system, depth)
+    assert op.rows2.size == op.via2.size == op.cols2.size
+    assert op.rows2.size == count_admissible(system.incidence, depth + 2)
+    t = 0.6
+    w = np.exp(t * op.state_log_mid)
+    two_step = np.zeros((len(op), len(op)))
+    np.add.at(two_step, (op.rows2, op.cols2), w[op.via2] * w[op.cols2])
+    dense = _weighted(op, t) @ _weighted(op, t)
+    assert np.abs(two_step - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_no_operator_array_grows_with_the_square_of_the_states():
+    cf = continued_fraction_system(2)
+    paths = count_admissible(cf.incidence, 12 + 2)
+    tracemalloc.start()
+    try:
+        op = build_operator(cf, 12)
+        state = eigenmeasure(op, 0.53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(op) == 4096 and paths == 16384
+    arrays = [getattr(op, f.name) for f in dataclasses.fields(op)]
+    arrays += [getattr(state, f.name) for f in dataclasses.fields(state)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray) and a is not op.symbols]
+    # the words hold depth symbols per state; every other array at most one
+    # entry per two-step path
+    assert op.symbols.shape == (len(op), 12)
+    assert max(a.size for a in arrays) <= paths
+    # one dense states x states float array alone would take 134 MB
+    assert peak < 8 * len(op) ** 2 / 20
+
+
 # ---------------------------------------------------------------------------
 # eigenpairs
 
@@ -226,6 +286,24 @@ def test_eigenmeasure_iteration_budget_is_enforced():
     op = build_operator(continued_fraction_system(2), depth=2)
     with pytest.raises(ConvergenceFailure):
         eigenmeasure(op, 0.5, max_iters=2)
+
+
+@pytest.mark.parametrize("system,depth", SOLVE_CASES, ids=SOLVE_IDS)
+@pytest.mark.parametrize("t", [0.5, 0.8])
+def test_eigenmeasure_matches_the_dense_eigendecomposition(system, depth, t):
+    op = build_operator(system, depth)
+    state = eigenmeasure(op, t)
+    dense = _weighted(op, t)
+    values, right = np.linalg.eig(dense)
+    top = np.argmax(values.real)
+    values_t, left = np.linalg.eig(dense.T)
+    mu = left[:, np.argmax(values_t.real)].real
+    mu /= mu.sum()
+    g = right[:, top].real
+    g /= np.dot(mu, g)
+    assert abs(state.eigenvalue - values[top].real) <= 1e-12 * values[top].real
+    assert (np.abs(state.eigenmeasure - mu) <= 1e-12 * mu).all()
+    assert (np.abs(state.density - g) <= 1e-12 * g).all()
 
 
 def test_truncated_eigenmeasures_stabilise_as_the_alphabet_grows():
