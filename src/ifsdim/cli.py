@@ -108,13 +108,14 @@ def _check_budget(key: str, what: str, entries: int, unit: str) -> None:
 def _check_levels(key: str, family: SimilitudeFamily, levels: list[int]) -> None:
     """Reject, naming ``key``, levels that need a map whose ratio is not in
     (0, 1) as a double: golden's 2^-(i+1) underflows to 0.0 from map 1074."""
-    for i in range(1, max(levels) + 1):
-        ratio = family.ratio_fn(i)
-        if not 0.0 < abs(ratio) < 1.0:
-            raise ConfigError(
-                f"{key}: map {i} of {family.name} has ratio {ratio!r} in double "
-                f"precision, so levels run to at most {i - 1}"
-            )
+    ratios = family.coefficients(max(levels))[:, 0]
+    bad = np.flatnonzero((ratios == 0.0) | ~(np.abs(ratios) < 1.0))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(
+            f"{key}: map {i + 1} of {family.name} has ratio {float(ratios[i])!r} in double "
+            f"precision, so levels run to at most {i}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def _parse_map(entry: str) -> MapDescriptor:
             if len(parts) != 2:
                 raise ConfigError(f"system.maps: {entry!r} must be 'moebius:q'")
             return MapDescriptor("moebius-1d", q=int(parts[1]))
-    except (ValueError, InvalidSystem) as err:
+    except ValueError as err:
         raise ConfigError(f"system.maps: {entry!r}: {err}") from None
     raise ConfigError(f"system.maps: unknown map kind {kind!r}")
 
@@ -446,7 +447,7 @@ def cmd_converge(cfg: RunConfig) -> Report:
 
     rows = []
     for n in levels:
-        ratios = np.array([abs(source.ratio_fn(i)) for i in range(1, n + 1)])
+        ratios = np.abs(source.coefficients(n)[:, 0])
         h_n = bowen_solve(source.truncate(n), depth=1).h
         weights_n = ratios**h_n
         weights_n /= weights_n.sum()

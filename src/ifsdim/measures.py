@@ -401,7 +401,7 @@ def truncation_singularity(
         raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    q = sum(abs(family.ratio_fn(i)) ** h_n2 for i in range(1, n1 + 1))
+    q = sum(abs(a) ** h_n2 for a in family.coefficients(n1)[:, 0].tolist())
     return q**depth
 
 
@@ -454,7 +454,7 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
 
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     m = measure.system.alphabet_size
-    mats = np.array([mp.matrix for mp in measure.system.maps]).T.copy()  # rows a, b, c, d
+    mats = measure.system.coefficients.T.copy()  # rows a, b, c, d
 
     def push(M: np.ndarray, digits: np.ndarray) -> np.ndarray:
         """Each column (A, B, C, D) times its digit's matrix, over its max |entry|."""

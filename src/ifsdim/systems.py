@@ -9,8 +9,9 @@ are supported:
 * ``moebius-1d``: x -> 1/(q+x) on [0, 1] with integer q >= 1
   (|derivative| = 1/(q+x)^2, the continued-fraction branches).
 
-Every branch is held as one 2x2 matrix (a, b, c, d), acting as
-x -> (a x + b)/(c x + d) with |derivative| |ad - bc| / (c x + d)^2.
+A system holds its branches as one (m, 4) array of coefficient rows
+(a, b, c, d), row e acting as x -> (a x + b)/(c x + d) with |derivative|
+|ad - bc| / (c x + d)^2, and two int arrays of domain and image vertices.
 Everything downstream (pressure, conformal measures, transfer operators)
 consumes the certified per-word derivative bounds produced here.  A word's
 composite is again such a map, so its |derivative| is monotone on the word's
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,8 +65,10 @@ class SeparationError(InvalidSystem):
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """One branch map.  ``domain_vertex``/``image_vertex`` index the vertex
-    spaces the map goes between (both 0 for a plain IFS)."""
+    """One branch map as a config writes it; ``gdms_system`` stacks the rows
+    of a list of them into a system, which validates the values.
+    ``domain_vertex``/``image_vertex`` index the vertex spaces the map goes
+    between (both 0 for a plain IFS)."""
 
     kind: str  # "similitude" | "moebius-1d"
     ratio: float = 0.0  # similitude slope a
@@ -73,92 +76,83 @@ class MapDescriptor:
     q: int = 0  # moebius denominator shift
     domain_vertex: int = 0
     image_vertex: int = 0
-    # (a, b, c, d): the branch acts as x -> (a x + b) / (c x + d)
-    matrix: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind == "similitude":
-            if not (0.0 < abs(self.ratio) < 1.0):
-                raise InvalidSystem(
-                    f"similitude ratio must satisfy 0 < |a| < 1, got {self.ratio}"
-                )
-            matrix = (float(self.ratio), float(self.offset), 0.0, 1.0)
-        elif self.kind == "moebius-1d":
-            if int(self.q) != self.q or self.q < 1:
-                raise InvalidSystem(f"moebius parameter must be an integer >= 1, got {self.q}")
-            matrix = (0.0, 1.0, 1.0, float(self.q))
-        else:
-            raise InvalidSystem(f"unknown map kind {self.kind!r}")
-        object.__setattr__(self, "matrix", matrix)
 
     @property
-    def affine(self) -> bool:
-        """c == 0: the branch is x -> a x + b, with constant derivative."""
-        return self.matrix[2] == 0.0
-
-    def at(self, x):
-        """The branch and its |derivative| at x (elementwise on arrays):
-        (a x + b) / (c x + d) and |ad - bc| / (c x + d)^2."""
-        a, b, c, d = self.matrix
-        den = c * x + d
-        return (a * x + b) / den, abs(a * d - b * c) / den**2
-
-    # Both are monotone on a domain, so their extremes are endpoint values.
-
-    def apply_interval(self, lo, hi):
-        """Exact image of [lo, hi]."""
-        y0, y1 = self.at(lo)[0], self.at(hi)[0]
-        return (y0, y1) if y0 <= y1 else (y1, y0)
-
-    def deriv_abs_bounds(self, lo, hi):
-        """Exact [min, max] of |derivative| over [lo, hi]."""
-        v0, v1 = self.at(lo)[1], self.at(hi)[1]
-        return (v0, v1) if v0 <= v1 else (v1, v0)
+    def row(self) -> tuple[float, float, float, float]:
+        """The coefficients (a, b, c, d): the map is x -> (a x + b) / (c x + d)."""
+        if self.kind == "similitude":
+            return (self.ratio, self.offset, 0.0, 1.0)
+        if self.kind == "moebius-1d":
+            return (0.0, 1.0, 1.0, self.q)
+        raise InvalidSystem(f"unknown map kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # systems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """A validated map system.
 
-    ``incidence`` may let map e' follow map e only where e' lands in the
-    vertex space e starts from; the full shift (all ones) therefore needs
-    every map on one vertex space.
-    ``distortion_bound`` is the constant K with inf |s_w'| * K >= sup |s_w'|
-    for every word w; ``word_contraction`` is the factor gamma with
-    sup |s_w'| <= gamma^floor(|w|/2) (gamma^|w| for pure similitudes).
+    ``coefficients`` is a read-only (m, 4) float array whose row e holds the
+    (a, b, c, d) of map e: (a, b, 0, 1) with 0 < |a| < 1 for a similitude,
+    (0, 1, 1, q) with integer q >= 1 for a moebius-1d branch, which needs
+    the vertex space [0, 1].  ``domain_vertex``/``image_vertex`` are
+    read-only int arrays of the vertex spaces each map goes between; one int
+    stands for every map.  ``incidence`` may let map e' follow map e only
+    where e' lands in the vertex space e starts from; the full shift (all
+    ones) therefore needs every map on one vertex space.  Systems compare by
+    their entries and hash by their shapes, so a hash reads no entries.
     """
 
     vertex_spaces: tuple[tuple[float, float], ...]
-    maps: tuple[MapDescriptor, ...]
+    coefficients: np.ndarray
     incidence: IncidenceMatrix
-    distortion_bound: float
-    word_contraction: float
+    domain_vertex: Union[np.ndarray, int] = 0
+    image_vertex: Union[np.ndarray, int] = 0
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.maps) < 2:
+        coefficients = np.array(self.coefficients, dtype=float)  # a copy the caller cannot change
+        coefficients.setflags(write=False)
+        if coefficients.ndim != 2 or coefficients.shape[1] != 4:
+            raise InvalidSystem("coefficients must be an (m, 4) array of rows (a, b, c, d)")
+        m = len(coefficients)
+        if m < 2:
             raise InvalidSystem("a system needs at least two maps")
         if not self.vertex_spaces:
             raise InvalidSystem("at least one vertex space is required")
         for lo, hi in self.vertex_spaces:
             if not (lo < hi):
                 raise InvalidSystem(f"degenerate vertex space [{lo}, {hi}]")
+        object.__setattr__(self, "coefficients", coefficients)
+        for name in ("domain_vertex", "image_vertex"):  # broadcast_to views are read-only
+            vertices = np.array(getattr(self, name), dtype=np.intp)
+            object.__setattr__(self, name, np.broadcast_to(vertices, (m,)))
+
         nv = len(self.vertex_spaces)
-        for m in self.maps:
-            if not (0 <= m.domain_vertex < nv and 0 <= m.image_vertex < nv):
-                raise InvalidSystem("map vertex index out of range")
-            if m.kind == "moebius-1d":
-                lo, hi = self.vertex_spaces[m.domain_vertex]
-                if (lo, hi) != (0.0, 1.0):
-                    raise InvalidSystem("moebius maps are defined on the vertex space [0, 1]")
-        if self.incidence.size != len(self.maps):
+        start, land = self.domain_vertex, self.image_vertex
+        a, b, c, d = coefficients.T
+        similitude, moebius = (c == 0.0) & (d == 1.0), (a == 0.0) & (b == 1.0) & (c == 1.0)
+        ratio_ok, q_ok = (0.0 < abs(a)) & (abs(a) < 1.0), (d >= 1.0) & (d % 1.0 == 0.0)
+        in_range = (np.minimum(start, land) >= 0) & (np.maximum(start, land) < nv)
+        # clipped indices: the range check runs first and names any it moved
+        lo, hi = np.asarray(self.vertex_spaces).take(start, axis=0, mode="clip").T
+        on_unit = (lo == 0.0) & (hi == 1.0)
+        for bad, message in (
+            (~(similitude | moebius), "unknown map kind, coefficients ({a}, {b}, {c}, {d})"),
+            (similitude & ~ratio_ok, "similitude ratio must satisfy 0 < |a| < 1, got {a}"),
+            (moebius & ~q_ok, "moebius parameter must be an integer >= 1, got {d:g}"),
+            (~in_range, "vertex index out of range"),
+            (moebius & ~on_unit, "moebius maps are defined on the vertex space [0, 1]"),
+        ):
+            if bad.any():  # name the first offending map
+                e = int(np.argmax(bad))
+                raise InvalidSystem(f"map {e}: " + message.format(a=a[e], b=b[e], c=c[e], d=d[e]))
+        if self.incidence.size != m:
             raise InvalidSystem("incidence size must match the number of maps")
         if nv > 1:  # on one vertex space every map may follow every map
-            start, land = _vertices(self.maps)
             clash = self.incidence.allowed & (start[:, None] != land)
             if clash.any():
                 e, e2 = np.argwhere(clash)[0]
@@ -166,20 +160,29 @@ class SystemSpec:
                     f"incidence allows {e}->{e2} but map {e2} lands in vertex "
                     f"{land[e2]}, map {e} starts from {start[e]}"
                 )
-        if self.distortion_bound < 1.0:
-            raise InvalidSystem("distortion bound must be >= 1")
-        if not (0.0 < self.word_contraction < 1.0):
-            raise InvalidSystem("word contraction factor must lie in (0, 1)")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SystemSpec):
+            return NotImplemented
+        arrays = ("coefficients", "domain_vertex", "image_vertex")
+        return (self.vertex_spaces, self.incidence, self.label) == (
+            other.vertex_spaces, other.incidence, other.label
+        ) and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_spaces, self.coefficients.shape, self.label))
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.maps)
+        return len(self.coefficients)
+
+    @property
+    def domains(self) -> np.ndarray:
+        """(m, 2): each map's domain, the vertex space it starts from."""
+        return np.asarray(self.vertex_spaces)[self.domain_vertex]
 
     def is_similitude(self) -> bool:
-        return all(m.affine for m in self.maps)
-
-    def domain_of(self, symbol: int) -> tuple[float, float]:
-        return self.vertex_spaces[self.maps[symbol].domain_vertex]
+        return not self.coefficients[:, 2].any()
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +221,27 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     allowed = system.incidence.allowed
+    # the coefficients as (m, 1, 1) columns: row e of each (m, W, 2) result
+    # is map e applied to the W words' endpoint values
+    a, b, c, d = system.coefficients.T[:, :, None, None]
+    det = np.abs(a * d - b * c)
+
+    def prepend(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        den = c * x + d
+        return (a * x + b) / den, det / den**2
 
     # per word: images y and |s_w'| g at the two domain endpoints
+    y, g = (v.reshape(-1, 2) for v in prepend(system.domains[:, None]))
     first = np.arange(system.alphabet_size)
-    y, g = np.array(
-        [mp.at(np.array(system.domain_of(e))) for e, mp in enumerate(system.maps)]
-    ).transpose(1, 0, 2)
+    full = depth > 1 and allowed.all()
     for _ in range(depth - 1):
-        parts = []
-        for e, mp in enumerate(system.maps):
-            # a map that every symbol may follow is prepended to every word
-            keep = slice(None) if allowed[e].all() else allowed[e][first]
-            ye, de = mp.at(y[keep])
-            parts.append((np.full(ye.shape[0], e), ye, g[keep] * de))
-        first, y, g = (np.concatenate(col) for col in zip(*parts))
+        y, step = prepend(y)
+        # symbol outermost: the (m, W) order is already lexicographic
+        y, g = y.reshape(-1, 2), (g * step).reshape(-1, 2)
+        if not full:  # e goes before the words whose first symbol may follow it
+            keep = np.flatnonzero(allowed[:, first])
+            first = keep // len(first)
+            y, g = y.take(keep, axis=0), g.take(keep, axis=0)
 
     # Outward pad in log space: |log g| roundoffs cover the log's own
     # rounding (half an ulp), 4 per composition step the rounding of the
@@ -250,11 +260,6 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
 
 
-def _vertices(maps: Sequence[MapDescriptor]) -> np.ndarray:
-    """Two rows: each map's domain vertex, then its image vertex."""
-    return np.array([(m.domain_vertex, m.image_vertex) for m in maps]).T
-
-
 # ---------------------------------------------------------------------------
 # separation
 
@@ -263,35 +268,26 @@ def ensure_separation(system: SystemSpec) -> None:
     """Raise SeparationError, naming the first offending map or pair, unless
     every depth-1 image stays in its vertex space and the images within each
     image vertex space have pairwise disjoint interiors."""
-    by_vertex: dict[int, list[tuple[int, float, float]]] = {}
-    for e, mp in enumerate(system.maps):
-        a, b = mp.apply_interval(*system.domain_of(e))
-        vlo, vhi = system.vertex_spaces[mp.image_vertex]
-        if a < vlo - 1e-12 or b > vhi + 1e-12:
-            raise SeparationError(f"map {e} image [{a}, {b}] leaves its vertex space [{vlo}, {vhi}]")
-        by_vertex.setdefault(mp.image_vertex, []).append((e, float(a), float(b)))
-    for items in by_vertex.values():
-        items.sort(key=lambda t: (t[1], t[2]))
-        for (e1, _, b1), (e2, a2, _) in zip(items, items[1:]):
-            if a2 < b1 - 1e-12:
-                raise SeparationError(f"images of maps {e1} and {e2} overlap ({a2} < {b1})")
-
-
-def _contraction(maps: Sequence[MapDescriptor], vertex_spaces) -> float:
-    """gamma with sup|s_w'| <= gamma^floor(|w|/2) (word-level two-step bound)."""
-    worst = 0.0
-    for e, me in enumerate(maps):
-        for e2, m2 in enumerate(maps):
-            if me.domain_vertex != m2.image_vertex:
-                continue
-            lo, hi = vertex_spaces[m2.domain_vertex]
-            ilo, ihi = m2.apply_interval(lo, hi)
-            inner_hi = m2.deriv_abs_bounds(lo, hi)[1]
-            outer_hi = me.deriv_abs_bounds(ilo, ihi)[1]
-            worst = max(worst, float(inner_hi) * float(outer_hi))
-    if not (0.0 < worst < 1.0):
-        raise InvalidSystem(f"two-step contraction bound {worst} is not < 1")
-    return worst
+    a, b, c, d = system.coefficients.T
+    y0, y1 = ((a * x + b) / (c * x + d) for x in system.domains.T)
+    lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
+    vlo, vhi = np.asarray(system.vertex_spaces)[system.image_vertex].T
+    out = (lo < vlo - 1e-12) | (hi > vhi + 1e-12)
+    if out.any():
+        e = int(np.argmax(out))
+        raise SeparationError(
+            f"map {e} image [{lo[e]}, {hi[e]}] leaves its vertex space [{vlo[e]}, {vhi[e]}]"
+        )
+    # the images of each image vertex space sorted by (lo, hi), ties in map order
+    land = system.image_vertex
+    order = np.lexsort((hi, lo, land))
+    e1, e2 = order[:-1], order[1:]
+    bad = np.flatnonzero((land[e1] == land[e2]) & (lo[e2] < hi[e1] - 1e-12))
+    if bad.size:  # the first overlap in the space the earliest map lands in
+        k = bad[np.argmin((land == land[e1[bad], None]).argmax(axis=1))]
+        raise SeparationError(
+            f"images of maps {e1[k]} and {e2[k]} overlap ({lo[e2[k]]} < {hi[e1[k]]})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +307,27 @@ class SimilitudeFamily:
     ratio_fn: Callable[[int], float] = field(compare=False)
     offset_fn: Callable[[int], float] = field(compare=False)
     log_mass: Optional[Callable[[float], float]] = field(compare=False, default=None)
+    _table: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def coefficients(self, n: int) -> np.ndarray:
+        """Read-only rows (a_i, b_i, 0, 1) of maps 1..n, from a table that
+        grows by doubling, so each generator runs once per map of the
+        family, not once per map of each truncation."""
+        table = self._table[0] if self._table else np.empty((0, 4))
+        if len(table) < n:
+            new = range(len(table) + 1, max(n, 2 * len(table)) + 1)
+            rows = [(self.ratio_fn(i), self.offset_fn(i), 0.0, 1.0) for i in new]
+            table = np.concatenate((table, rows))
+            table.setflags(write=False)
+            self._table[:] = [table]
+        return table[:n]
 
     def truncate(self, n: int) -> SystemSpec:
         if n < 2:
             raise ValueError(f"truncation level must be >= 2, got {n}")
-        maps = tuple(
-            MapDescriptor("similitude", ratio=self.ratio_fn(i), offset=self.offset_fn(i))
-            for i in range(1, n + 1)
+        return SystemSpec(
+            ((0.0, 1.0),), self.coefficients(n), IncidenceMatrix.full(n), label=f"{self.name}[:{n}]"
         )
-        return gdms_system(((0.0, 1.0),), maps, IncidenceMatrix.full(n), f"{self.name}[:{n}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,25 +410,20 @@ def cantor_system(ratios: Sequence[float], label: str = "cantor") -> SystemSpec:
     if slack < -1e-12:
         raise InvalidSystem(f"ratios sum to {sum(ratios)} > 1, images cannot fit in [0, 1]")
     gap = max(slack, 0.0) / (len(ratios) - 1)
-    maps = []
-    pos = 0.0
-    for r in ratios:
-        maps.append(MapDescriptor("similitude", ratio=r, offset=pos))
-        pos += r + gap
-    return gdms_system(((0.0, 1.0),), maps, IncidenceMatrix.full(len(maps)), label)
+    a = np.array(ratios)
+    offsets = np.concatenate(([0.0], np.cumsum(a + gap)[:-1]))
+    coefficients = np.column_stack((a, offsets, np.zeros_like(a), np.ones_like(a)))
+    return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(len(a)), label=label)
 
 
 def continued_fraction_system(n: int) -> SystemSpec:
-    """The first n continued-fraction branches x -> 1/(q+x), q = 1..n.
-
-    One-step distortion is (1+1/q)^2 <= 4; the digit-1 branch has
-    |derivative| 1 at x = 0, so contraction is tracked at word level.
-    """
+    """The first n continued-fraction branches x -> 1/(q+x), q = 1..n."""
     if n < 2:
         raise ValueError(f"need at least two digits, got {n}")
-    maps = tuple(MapDescriptor("moebius-1d", q=q) for q in range(1, n + 1))
+    coefficients = np.repeat([[0.0, 1.0, 1.0, 0.0]], n, axis=0)
+    coefficients[:, 3] = np.arange(1, n + 1)  # x -> 1 / (q + x)
     label = f"continued-fraction[:{n}]"
-    return gdms_system(((0.0, 1.0),), maps, IncidenceMatrix.full(n), label)
+    return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(n), label=label)
 
 
 def gdms_system(
@@ -432,20 +435,10 @@ def gdms_system(
     """Graph-directed system.  Without an incidence the matrix is derived
     from the vertex structure: e' may follow e exactly when map e starts
     where map e' lands."""
-    maps = tuple(maps)
-    vs = tuple((float(a), float(b)) for a, b in vertex_spaces)
+    start = np.array([mp.domain_vertex for mp in maps], dtype=np.intp)
+    land = np.array([mp.image_vertex for mp in maps], dtype=np.intp)
     if incidence is None:
-        start, land = _vertices(maps)
         incidence = IncidenceMatrix(start[:, None] == land)
-    if all(m.affine for m in maps):  # no distortion, one-step contraction max|a|
-        K, gamma = 1.0, max(abs(m.ratio) for m in maps)
-    else:
-        K, gamma = 4.0, _contraction(maps, vs)
-    return SystemSpec(
-        vertex_spaces=vs,
-        maps=maps,
-        incidence=incidence,
-        distortion_bound=K,
-        word_contraction=gamma,
-        label=label,
-    )
+    spaces = tuple((float(a), float(b)) for a, b in vertex_spaces)
+    rows = np.array([mp.row for mp in maps], dtype=float)
+    return SystemSpec(spaces, rows, incidence, start, land, label)

@@ -121,7 +121,7 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
     first = symbols[:, 0]
     n = len(symbols)
     if depth == 1:
-        lo, hi = np.array([system.domain_of(e) for e in first]).T
+        lo, hi = system.domains[first].T
         # one-symbol states: j feeds i when symbol i may follow symbol j
         cols, rows = np.nonzero(system.incidence.allowed)
     else:
@@ -145,7 +145,7 @@ def build_operator(system: SystemSpec, depth: int = 2) -> OperatorMatrix:
 
     # |s_e'| = |det| / (c x + d)^2 is monotone, so its bracket over the
     # context image is the pair of endpoint values
-    a, b, c, d = np.array([mp.matrix for mp in system.maps])[first].T
+    a, b, c, d = system.coefficients[first].T
     det = np.abs(a * d - b * c)
     v0, v1 = det / (c * lo + d) ** 2, det / (c * hi + d) ** 2
     lo_log, hi_log = np.log(np.minimum(v0, v1)), np.log(np.maximum(v0, v1))

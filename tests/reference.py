@@ -41,9 +41,11 @@ def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
     """Exact image interval of one word (maps composed innermost-first), one
     word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
     _check_word(system, word)
-    lo, hi = system.domain_of(word.symbols[-1])
+    lo, hi = system.domains[word.symbols[-1]]
     for s in reversed(word.symbols):
-        lo, hi = system.maps[s].apply_interval(lo, hi)
+        a, b, c, d = system.coefficients[s]
+        y0, y1 = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
+        lo, hi = min(y0, y1), max(y0, y1)
     return lo, hi
 
 

@@ -5,7 +5,8 @@ another module of the package or by a script under ``scripts/``, or be
 loaded by name in its own module outside its own definition.  A name that
 only tests call is surface with no user, and goes.  So does a module-level
 UPPER_CASE constant that nothing under ``src/`` or ``scripts/`` reads, and
-a dataclass field that nothing there reads as an attribute.
+a dataclass field that nothing there reads as an attribute outside its own
+class's ``__post_init__``.
 """
 
 import ast
@@ -88,15 +89,34 @@ def _constants(tree: ast.Module) -> list[str]:
     return names
 
 
+def _own_checks(tree: ast.Module) -> set[int]:
+    """The ``self.<name>`` loads inside a class's own ``__post_init__``: a
+    field only its own validation reads is still unread."""
+    return {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
 def _reads() -> tuple[set[str], set[str]]:
     """Names read as variables, and names read as attributes, under src/ and
-    scripts/."""
+    scripts/.  Attribute reads match by name alone, except that a class's
+    ``__post_init__`` reading its own fields does not count."""
     names, attributes = set(), set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        own = _own_checks(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in own:
                 attributes.add(node.attr)
     return names, attributes
 

@@ -648,7 +648,8 @@ def test_work_budget_rejects_before_any_geometry(
         ("scan", "system.family = borderline\nscan.levels = 4096\nscan.depth = 2\n"),
         ("converge", "system.family = borderline\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
         ("dimension", "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\n"),
-        ("gibbs", "system.family = continued-fraction\nsystem.size = 2\ngibbs.depth = 12\n"),
+        # 4^12 two-step paths, one per admissible word of length depth + 2
+        ("gibbs", "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 10\n"),
     ],
     ids=["bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states"],
 )

@@ -423,7 +423,7 @@ def _per_sample_reference(measure, count, seed):
     matrix.  The sampler must reproduce it bit for bit."""
     rng = np.random.Generator(np.random.Philox(int(seed)))
     m = measure.system.alphabet_size
-    mats = np.array([mp.matrix for mp in measure.system.maps])
+    mats = measure.system.coefficients
     A, B, C, D = np.ones(count), np.zeros(count), np.zeros(count), np.ones(count)
 
     def push(digits):

@@ -291,14 +291,18 @@ def _axis_reduction_geometry(system, depth):
     endpoint axis, and every map's prepend masked by its incidence row."""
     allowed = system.incidence.allowed
     first = np.arange(system.alphabet_size)
-    y, g = np.array(
-        [mp.at(np.array(system.domain_of(e))) for e, mp in enumerate(system.maps)]
-    ).transpose(1, 0, 2)
+
+    def at(e, x):  # map e and its |derivative| at x
+        a, b, c, d = system.coefficients[e].tolist()
+        den = c * x + d
+        return (a * x + b) / den, abs(a * d - b * c) / den**2
+
+    y, g = np.array([at(e, system.domains[e]) for e in first]).transpose(1, 0, 2)
     for _ in range(depth - 1):
         parts = []
-        for e, mp in enumerate(system.maps):
+        for e in range(system.alphabet_size):
             keep = allowed[e][first]
-            ye, de = mp.at(y[keep])
+            ye, de = at(e, y[keep])
             parts.append((np.full(ye.shape[0], e), ye, g[keep] * de))
         first, y, g = (np.concatenate(col) for col in zip(*parts))
     roundoff = 0.0 if system.is_similitude() else _ROUNDOFF

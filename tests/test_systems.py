@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,12 +32,14 @@ from reference import enumerate_admissible, word_image
 
 def test_golden_truncation_layout():
     sys3 = golden_family().truncate(3)
-    assert [m.ratio for m in sys3.maps] == [0.25, 0.125, 0.0625]
-    assert [m.offset for m in sys3.maps] == [0.0, 0.5, 0.75]
-    images = [m.apply_interval(0.0, 1.0) for m in sys3.maps]
+    assert sys3.coefficients.tolist() == [
+        [0.25, 0.0, 0.0, 1.0],
+        [0.125, 0.5, 0.0, 1.0],
+        [0.0625, 0.75, 0.0, 1.0],
+    ]
+    images = [word_image(sys3, Word.of(e)) for e in range(3)]
     assert images == [(0.0, 0.25), (0.5, 0.625), (0.75, 0.8125)]
     ensure_separation(sys3)
-    assert sys3.distortion_bound == 1.0
 
 
 def test_golden_log_mass_matches_finite_sums():
@@ -51,10 +54,10 @@ def test_golden_log_mass_matches_finite_sums():
 
 def test_cantor_layout():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    assert [m.offset for m in sys_.maps] == [0.0, pytest.approx(2 / 3)]
+    assert sys_.coefficients[:, 1].tolist() == [0.0, pytest.approx(2 / 3)]
     ensure_separation(sys_)
     touching = cantor_system((0.5, 0.5))
-    assert [m.offset for m in touching.maps] == [0.0, 0.5]
+    assert touching.coefficients[:, 1].tolist() == [0.0, 0.5]
     ensure_separation(touching)  # touching endpoints are fine
 
 
@@ -72,45 +75,82 @@ def test_truncate_bounds():
         golden_family().truncate(1)
     sys2 = golden_family().truncate(2)
     assert sys2.alphabet_size == 2
-    assert [m.ratio for m in sys2.maps] == [0.25, 0.125]
+    assert sys2.coefficients[:, 0].tolist() == [0.25, 0.125]
 
 
 def test_at_least_two_maps():
-    with pytest.raises(InvalidSystem):
+    with pytest.raises(InvalidSystem, match="a system needs at least two maps"):
         SystemSpec(
             vertex_spaces=((0.0, 1.0),),
-            maps=(MapDescriptor("similitude", ratio=0.5),),
+            coefficients=[MapDescriptor("similitude", ratio=0.5).row],
             incidence=IncidenceMatrix.full(1),
-            distortion_bound=1.0,
-            word_contraction=0.5,
         )
 
 
 def test_map_validation():
-    with pytest.raises(InvalidSystem):
-        MapDescriptor("similitude", ratio=1.0)
-    with pytest.raises(InvalidSystem):
-        MapDescriptor("similitude", ratio=0.0)
-    with pytest.raises(InvalidSystem):
-        MapDescriptor("moebius", q=0)
-    with pytest.raises(InvalidSystem):
-        MapDescriptor("banana")
+    # each bad map second, after a good one, so the message names map 1
+    good = MapDescriptor("similitude", ratio=0.5)
+    for bad, message in [
+        (MapDescriptor("similitude", ratio=1.0), "map 1: similitude ratio must satisfy 0 < |a| < 1, got 1.0"),
+        (MapDescriptor("similitude", ratio=0.0), "map 1: similitude ratio must satisfy 0 < |a| < 1, got 0.0"),
+        (MapDescriptor("moebius-1d", q=0), "map 1: moebius parameter must be an integer >= 1, got 0"),
+        (MapDescriptor("moebius-1d", q=2.5), "map 1: moebius parameter must be an integer >= 1, got 2.5"),
+        (MapDescriptor("moebius", q=2), "unknown map kind 'moebius'"),
+        (MapDescriptor("banana"), "unknown map kind 'banana'"),
+    ]:
+        with pytest.raises(InvalidSystem, match=re.escape(message)):
+            gdms_system(((0.0, 1.0),), [good, bad])
+    # a row of neither kind, given as coefficients
+    with pytest.raises(InvalidSystem, match=r"map 1: unknown map kind, coefficients \(0.5, 0.0, 0.1, 1.0\)"):
+        SystemSpec(((0.0, 1.0),), [good.row, (0.5, 0.0, 0.1, 1.0)], IncidenceMatrix.full(2))
+    # a moebius branch off the vertex space [0, 1]
+    with pytest.raises(InvalidSystem, match="map 0: moebius maps are defined on the vertex space"):
+        gdms_system(((0.0, 2.0),), [MapDescriptor("moebius-1d", q=2), good])
 
 
 def test_separation_detects_overlap():
-    m = (
-        MapDescriptor("similitude", ratio=0.5, offset=0.0),
-        MapDescriptor("similitude", ratio=0.5, offset=0.25),
-    )
     sys_ = SystemSpec(
         vertex_spaces=((0.0, 1.0),),
-        maps=m,
+        coefficients=[(0.5, 0.0, 0.0, 1.0), (0.5, 0.25, 0.0, 1.0)],
         incidence=IncidenceMatrix.full(2),
-        distortion_bound=1.0,
-        word_contraction=0.5,
     )
     with pytest.raises(SeparationError, match=r"images of maps 0 and 1 overlap"):
         ensure_separation(sys_)
+
+
+def _wide_similitudes(m: int) -> np.ndarray:
+    """m similitude rows with images [k/m, (k + 0.5)/m], left to right."""
+    k = np.arange(m)
+    return np.column_stack((np.full(m, 0.5 / m), k / m, np.zeros(m), np.ones(m)))
+
+
+@pytest.mark.parametrize("k", [0, 417, 998])
+def test_separation_names_the_planted_overlap_among_1000_maps(k):
+    rows = _wide_similitudes(1000)
+    ensure_separation(SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(1000)))
+    rows[k, 0] = 1.2 / 1000  # reaches past the start of image k + 1
+    system = SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(1000))
+    with pytest.raises(SeparationError, match=rf"^images of maps {k} and {k + 1} overlap \("):
+        ensure_separation(system)
+
+
+def test_separation_reports_the_space_the_earliest_map_lands_in_first():
+    # overlaps in both spaces; map 0 lands in vertex 1, so its pair comes first
+    maps = [
+        MapDescriptor("similitude", ratio=0.3, offset=0.0, domain_vertex=0, image_vertex=1),
+        MapDescriptor("similitude", ratio=0.3, offset=0.5, domain_vertex=1, image_vertex=0),
+        MapDescriptor("similitude", ratio=0.3, offset=0.6, domain_vertex=1, image_vertex=0),
+        MapDescriptor("similitude", ratio=0.3, offset=0.2, domain_vertex=0, image_vertex=1),
+    ]
+    with pytest.raises(SeparationError, match=r"^images of maps 0 and 3 overlap \(0\.2 < 0\.3\)$"):
+        ensure_separation(gdms_system(((0.0, 1.0), (0.0, 1.0)), maps))
+
+
+def test_separation_names_the_first_map_leaving_its_space():
+    rows = _wide_similitudes(1000)
+    rows[[600, 250, 800], 1] += 0.8  # pushes three images past 1
+    with pytest.raises(SeparationError, match=r"^map 250 image \[1\.05.*\] leaves its vertex space \[0\.0, 1\.0\]$"):
+        ensure_separation(SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(1000)))
 
 
 # --- word geometry: similitudes --------------------------------------------
@@ -130,8 +170,9 @@ def test_level_geometry_similitude_is_exact():
     lg = level_geometry(sys_, 2)
     assert lg.count == 9
     assert np.array_equal(lg.log_sup, lg.log_inf)
+    ratios = sys_.coefficients[:, 0]
     for k, w in enumerate(enumerate_admissible(sys_.incidence, 2)):
-        ratio = sys_.maps[w[0]].ratio * sys_.maps[w[1]].ratio
+        ratio = ratios[w[0]] * ratios[w[1]]
         assert lg.log_sup[k] == pytest.approx(math.log(ratio), abs=1e-12)
         assert (lg.image_lo[k], lg.image_hi[k]) == word_image(sys_, w)
 
@@ -145,7 +186,7 @@ def test_level_log_derivatives_are_sums(ratios, depth):
     level_geometry.cache_clear()
     sys_ = cantor_system(tuple(r / (2 * sum(ratios)) for r in ratios))
     lg = level_geometry(sys_, depth)
-    logs = np.array([math.log(m.ratio) for m in sys_.maps])
+    logs = np.log(sys_.coefficients[:, 0])
     for k, w in enumerate(enumerate_admissible(sys_.incidence, depth)):
         assert lg.log_sup[k] == pytest.approx(logs[list(w.symbols)].sum(), abs=1e-12)
 
@@ -167,13 +208,10 @@ def test_level_geometry_cache_holds_one_level():
 
 def test_continued_fraction_layout():
     sys_ = continued_fraction_system(3)
-    assert [m.q for m in sys_.maps] == [1, 2, 3]
+    assert sys_.coefficients.tolist() == [[0.0, 1.0, 1.0, q] for q in (1.0, 2.0, 3.0)]
     assert word_image(sys_, Word.of(0)) == (0.5, 1.0)
     assert word_image(sys_, Word.of(1)) == (pytest.approx(1 / 3), 0.5)
     ensure_separation(sys_)
-    assert sys_.distortion_bound == 4.0
-    # certified two-step contraction: the 1-1 pair dominates at 4/9
-    assert sys_.word_contraction == pytest.approx(4 / 9, rel=1e-12)
 
 
 def test_moebius_word_bounds_bracket_truth():
@@ -184,7 +222,7 @@ def test_moebius_word_bounds_bracket_truth():
     assert math.exp(lg.log_sup[0]) == pytest.approx(0.25, rel=1e-14)
     assert math.exp(lg.log_inf[0]) == pytest.approx(1 / 9, rel=1e-14)
     assert (lg.image_lo[0], lg.image_hi[0]) == (pytest.approx(0.5), pytest.approx(2 / 3))
-    assert lg.log_sup[0] - lg.log_inf[0] < math.log(sys_.distortion_bound)
+    assert lg.log_sup[0] - lg.log_inf[0] < math.log(4.0)  # one-step distortion (1 + 1/q)^2 <= 4
 
 
 def test_moebius_image_is_exact_fixed_points():
@@ -199,13 +237,13 @@ def test_moebius_image_is_exact_fixed_points():
 
 def chain_rule_derivatives(system: SystemSpec, words, points: int = 257) -> np.ndarray:
     """|s_w'| at `points` equally spaced points of each word's domain,
-    endpoints included, by the chain rule on the map parameters."""
-    kinds = np.array([m.kind == "moebius-1d" for m in system.maps])
-    q = np.array([m.q if m.kind == "moebius-1d" else 1 for m in system.maps], dtype=float)
-    ratio = np.array([m.ratio for m in system.maps])
-    offset = np.array([m.offset for m in system.maps])
+    endpoints included, by the chain rule on the map parameters: the ratio
+    a and offset b of a similitude row (a, b, 0, 1), the q of a moebius
+    row (0, 1, 1, q)."""
+    ratio, offset, c, q = system.coefficients.T
+    kinds = c == 1.0  # the moebius rows
     symbols = np.array([w.symbols for w in words])
-    domains = np.array([system.domain_of(w.symbols[-1]) for w in words])
+    domains = system.domains[symbols[:, -1]]
     x = domains[:, :1] + (domains[:, 1:] - domains[:, :1]) * np.linspace(0.0, 1.0, points)
     deriv = np.ones_like(x)
     for s in symbols.T[::-1]:
@@ -261,7 +299,7 @@ def test_word_contraction_bounds_word_derivatives():
     sys_ = continued_fraction_system(3)
     for depth in (2, 3, 4, 5):
         lg = level_geometry(sys_, depth)
-        bound = sys_.word_contraction ** (depth // 2)
+        bound = (4 / 9) ** (depth // 2)  # the 1-1 pair dominates the two-step contraction
         assert np.exp(lg.log_sup).max() <= bound * (1 + 1e-12)
 
 
@@ -271,7 +309,7 @@ def test_distortion_bound_certified_on_words():
         lg = level_geometry(sys_, depth)
         worst = np.exp(lg.log_sup - lg.log_inf).max()
         # the certified bounds carry a deliberate outward pad of ~1e-14
-        assert worst <= sys_.distortion_bound * (1 + 1e-12)
+        assert worst <= 4.0 * (1 + 1e-12)
 
 
 def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
@@ -281,8 +319,8 @@ def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
     # the branch matrices scaled to integers: the same maps, and
     # |ad - bc| / (c y + d)^2 is unchanged by the scale
     mats = []
-    for mp in system.maps:
-        entries = [Fraction(v) for v in mp.matrix]
+    for row in system.coefficients.tolist():
+        entries = [Fraction(v) for v in row]
         scale = math.lcm(*(f.denominator for f in entries))
         mats.append([int(f * scale) for f in entries])
 
@@ -294,7 +332,7 @@ def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
         return (a * p + b * r, den), (n * abs(a * d - b * c) * r * r, m * den * den)
 
     level = {
-        (e,): [prepend(e, (float(x).as_integer_ratio(), (1, 1))) for x in system.domain_of(e)]
+        (e,): [prepend(e, (float(x).as_integer_ratio(), (1, 1))) for x in system.domains[e]]
         for e in range(system.alphabet_size)
     }
     for _ in range(depth - 1):
@@ -382,7 +420,7 @@ def test_gdms_derived_incidence():
     lg = level_geometry(sys_, 2)
     assert lg.count == len(words)
     for k, w in enumerate(words):
-        log_ratio = sum(math.log(sys_.maps[s].ratio) for s in w.symbols)
+        log_ratio = sum(math.log(sys_.coefficients[s, 0]) for s in w.symbols)
         assert lg.log_sup[k] == pytest.approx(log_ratio, abs=1e-12)
 
 
@@ -391,24 +429,23 @@ def test_gdms_rejects_vertex_mismatch():
         MapDescriptor("similitude", ratio=0.4, domain_vertex=1, image_vertex=0),
         MapDescriptor("similitude", ratio=0.3, domain_vertex=0, image_vertex=1),
     )
-    with pytest.raises(InvalidSystem):
+    with pytest.raises(InvalidSystem, match="incidence allows 0->0 but map 0 lands in vertex 0"):
         gdms_system(((0.0, 1.0), (0.0, 1.0)), maps, incidence=IncidenceMatrix.full(2))
+    # a vertex index past the vertex spaces names its map
+    with pytest.raises(InvalidSystem, match="map 1: vertex index out of range"):
+        gdms_system(((0.0, 1.0), (0.0, 1.0)), maps[:1] + (MapDescriptor("similitude", ratio=0.3, image_vertex=2),))
 
 
 def test_full_shift_needs_maps_that_compose():
     # every map runs from vertex 0 into vertex 1: one vertex pair, yet no
     # map can follow another, so the all-ones matrix is refused
-    maps = tuple(
-        MapDescriptor("similitude", ratio=r, offset=o, domain_vertex=0, image_vertex=1)
-        for r, o in ((0.4, 0.0), (0.3, 0.6))
-    )
     with pytest.raises(InvalidSystem, match=r"incidence allows 0->0 but map 0 lands in vertex 1"):
         SystemSpec(
             vertex_spaces=((0.0, 1.0), (0.0, 1.0)),
-            maps=maps,
+            coefficients=[(0.4, 0.0, 0.0, 1.0), (0.3, 0.6, 0.0, 1.0)],
             incidence=IncidenceMatrix.full(2),
-            distortion_bound=1.0,
-            word_contraction=0.4,
+            domain_vertex=0,
+            image_vertex=1,
         )
 
 
@@ -416,6 +453,33 @@ def test_spec_is_hashable():
     a = golden_family().truncate(3)
     b = golden_family().truncate(3)
     assert hash(a) == hash(b) and a == b
+
+
+def test_specs_differing_in_one_coefficient_share_no_level():
+    rows = golden_family().coefficients(3)
+    moved = rows.copy()
+    moved[1, 1] = 0.55  # shifts the image of map 1
+    a, b = (SystemSpec(((0.0, 1.0),), r, IncidenceMatrix.full(3)) for r in (rows, moved))
+    assert a != b and hash(a) == hash(b)  # a hash reads no entries
+    level_geometry.cache_clear()
+    assert level_geometry(a, 1).image_lo.tolist() == [0.0, 0.5, 0.75]
+    assert level_geometry(b, 1).image_lo.tolist() == [0.0, 0.55, 0.75]
+    assert level_geometry.cache_info().misses == 2
+    with pytest.raises(ValueError):
+        b.coefficients[0, 0] = 0.3
+    moved[1, 1] = 0.5  # the spec holds its own copy
+    assert b.coefficients[1, 1] == 0.55
+
+
+def test_golden_level_1073_geometry_is_the_closed_form():
+    rows = golden_family().coefficients(1073)
+    ratio, offset = rows[:, 0], rows[:, 1]
+    assert ratio.tolist() == [2.0 ** -(i + 1) for i in range(1, 1074)]
+    lg = level_geometry(golden_family().truncate(1073), 1)
+    assert np.array_equal(lg.log_sup, np.log(ratio))
+    assert np.array_equal(lg.log_inf, np.log(ratio))
+    assert np.array_equal(lg.image_lo, offset)
+    assert np.array_equal(lg.image_hi, offset + ratio)
 
 
 # --- borderline family ------------------------------------------------------
@@ -445,7 +509,7 @@ def test_borderline_mass_jumps_past_zero():
     ids=["moebius", "similitude"],
 )
 def test_cylinder_images_nest_under_extension(sys_):
-    alphabet = len(sys_.maps)
+    alphabet = sys_.alphabet_size
     for depth in range(1, 6):
         for word in enumerate_admissible(sys_.incidence, depth):
             lo, hi = word_image(sys_, word)

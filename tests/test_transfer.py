@@ -67,8 +67,9 @@ def _per_word_operator(system, depth):
     matrix = np.zeros((len(words), len(words)))
     mid, width = [], []
     for j, w in enumerate(words):
-        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else system.domain_of(w[0])
-        dmin, dmax = system.maps[w[0]].deriv_abs_bounds(lo, hi)
+        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else system.domains[w[0]]
+        a, b, c, d = system.coefficients[w[0]]
+        dmin, dmax = sorted(abs(a * d - b * c) / (c * x + d) ** 2 for x in (lo, hi))
         mid.append(0.5 * (math.log(dmin) + math.log(dmax)))
         width.append(math.log(dmax) - math.log(dmin))
         for e in range(system.alphabet_size):
@@ -167,7 +168,7 @@ def test_variation_bound_shrinks_with_state_depth():
 def _on_incidence(system, rows):
     """``system``'s maps under the incidence given as ``"11;10"``."""
     incidence = IncidenceMatrix([[int(c) for c in row] for row in rows.split(";")])
-    return gdms_system(((0.0, 1.0),), system.maps, incidence=incidence, label=rows)
+    return dataclasses.replace(system, incidence=incidence, label=rows)
 
 
 # (system, depth): depth 1 under custom incidences, deeper on CF{1,2}, CF{1,2,3}
