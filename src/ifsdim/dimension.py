@@ -68,15 +68,34 @@ class CorrelationCurve:
         return _csv("r,correlation", "%.17g,%.17g", self.radii, self.values)
 
 
-def _query_rank_sum(runs: np.ndarray, queries_first: bool) -> int:
-    """Queries' positions summed in the stable merge of ``runs`` (sorted halves
-    of keys and queries): sum(searchsorted(keys, queries, side)) + n(n-1)/2,
-    side "left" when the queries are the first half and win ties, else "right"."""
+def _query_rank_sum(runs: np.ndarray) -> int:
+    """Positions of the queries, the second half of ``runs``, summed over the
+    stable merge of ``runs`` (keys, then queries, each half sorted): ties
+    keep the keys first, so this is n(n-1)/2 + sum_i #{k : keys_k <= queries_i}."""
     n = runs.size // 2
     perm = np.argsort(runs, kind="stable")
-    is_query = perm < n if queries_first else perm >= n
+    is_query = perm >= n
     del perm  # one permutation alive at a time
     return int(np.flatnonzero(is_query).sum())
+
+
+def _round_down_sum(x: np.ndarray, r: float, out: np.ndarray) -> None:
+    """``out`` = the largest float at or below x + r, exactly: fl(x + r),
+    stepped one float down where TwoSum shows it rounded above x + r.  For
+    sorted ``x`` the sums are sorted, so the negative ones are a prefix."""
+    np.add(x, r, out=out)
+    r_virtual = out - x
+    x_err = out - r_virtual
+    np.subtract(x, x_err, out=x_err)
+    r_err = np.subtract(r, r_virtual, out=r_virtual)
+    above = np.add(x_err, r_err, out=x_err) < 0.0  # the exact x + r - out
+    del r_virtual, x_err, r_err
+    # one float toward -inf: the bits of a positive float drop by one, those
+    # of a negative float rise by one (a sum that rounded up is never zero)
+    bits = out.view(np.int64)
+    neg = int(np.searchsorted(out, 0.0))
+    bits[:neg] += above[:neg]
+    bits[neg:] -= above[neg:]
 
 
 def radius_grid(
@@ -112,8 +131,15 @@ def correlation_curve(
     count: int = 24,
     fit_window: Optional[tuple[float, float]] = None,
 ) -> CorrelationCurve:
-    """Exact pair counting on a sorted cloud, then a log-log slope fit over
-    the fit window of :func:`radius_grid`.
+    """Exact pair counts, then a log-log slope fit over the fit window of
+    :func:`radius_grid`.
+
+    The ordered pairs at distance at most r number 2 S - n^2, with S the sum
+    over points x of #{y : y <= x + r}: the pairs with y - x > r and those
+    with x - y > r are equally many.  S comes from one stable merge of the
+    sorted points with the sorted queries x + r, each rounded down to the
+    largest float at or below the real sum (TwoSum finds the ones that
+    rounded up), so every count is that of |x - y| <= r in real arithmetic.
 
     A cloud of fewer than a few hundred points gives a statistically
     meaningless slope; the hard floor here is two points.
@@ -124,17 +150,12 @@ def correlation_curve(
         raise ValueError(f"need at least two points, got {n}")
     radii, fit_window, mask = radius_grid(r_min, r_max, count, fit_window)
     counts = np.empty(count)
-    # runs holds the sorted points and a shifted copy, in either order
+    # runs holds the sorted points, then their rounded-down shifts
     runs = np.concatenate((np.sort(points), np.empty(n)))
-    pts, shifted = runs[:n], runs[n:]
+    pts, queries = runs[:n], runs[n:]
     for j, r in enumerate(radii):
-        # sum of searchsorted(pts, pts +- r, "right" / "left") differences
-        np.add(pts, r, out=shifted)
-        hi = _query_rank_sum(runs, queries_first=False)
-        shifted[:] = pts
-        np.subtract(shifted, r, out=pts)
-        counts[j] = float(hi - _query_rank_sum(runs, queries_first=True))
-        pts[:] = shifted
+        _round_down_sum(pts, r, queries)
+        counts[j] = float(2 * _query_rank_sum(runs) - n * (2 * n - 1))
     values = counts / float(n) ** 2
     if pts[-1] == pts[0]:
         return CorrelationCurve(radii, values, fit_window, 0.0, 0.0, degenerate=True)
@@ -272,6 +293,32 @@ def density_field(
     return DensityField(points=pts, lower=lower, upper=upper, inside=inside, radii=radii)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a NaN-free array, bit for bit: the same partition,
+    then the mean of the middle one or two values.  ``np.median`` itself
+    imports ``numpy.ma`` on first use, tens of milliseconds."""
+    n = values.size
+    half = n // 2
+    part = np.partition(values, [half - 1, half, -1] if n % 2 == 0 else [half, -1])
+    return float(np.mean(part[half - 1 + n % 2 : half + 1]))
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a NaN-free array by numpy's default
+    "linear" method, bit for bit, without its ``numpy.ma`` import: virtual
+    index (n - 1) q, the same partition, and numpy's ``_lerp`` between the
+    neighbouring order statistics."""
+    n = values.size
+    virtual = (n - 1) * q
+    lo = math.floor(virtual)
+    lo, hi = (-1, -1) if virtual >= n - 1 else (lo, lo + 1)
+    gamma = virtual - lo
+    part = np.partition(values, sorted({0, -1, lo, hi}))
+    a, b = float(part[lo]), float(part[hi])
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 YOUNG_BAND = 0.05  # half-width of the band around c that counts as pinned
 
 
@@ -295,7 +342,7 @@ def young_criterion(fld: DensityField) -> YoungCriterion:
         raise ValueError("density field has no points inside the support")
     lower, upper = fld.lower[mask], fld.upper[mask]
     mid = 0.5 * (lower + upper)
-    c = float(np.median(mid))
+    c = _median(mid)
     hit = (lower >= c - YOUNG_BAND) & (upper <= c + YOUNG_BAND)
     return YoungCriterion(c=c, fraction=float(hit.mean()))
 
@@ -324,8 +371,8 @@ def scaling_quantile_bounds(fld: DensityField) -> ScalingBounds:
         raise ValueError("density field has no points inside the support")
     finite_upper = fld.upper[mask]
     finite_upper = finite_upper[np.isfinite(finite_upper)]
-    upper = float(np.quantile(finite_upper, 1.0 - quantile)) if finite_upper.size else math.inf
-    lower = float(np.quantile(fld.lower[mask], quantile))
+    upper = _quantile(finite_upper, 1.0 - quantile) if finite_upper.size else math.inf
+    lower = _quantile(fld.lower[mask], quantile)
     return ScalingBounds(lower=lower, upper=max(upper, lower))
 
 

@@ -452,39 +452,104 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
     return lo[idx] + frac * (hi[idx] - lo[idx])
 
 
+def _push(
+    M: np.ndarray, digits: np.ndarray, mats: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> None:
+    """``out`` = each column (A, B, C, D) of ``M`` times its digit's matrix,
+    over the column's max |entry|.  ``mats`` holds the rows a, b, c, d of
+    the maps' coefficients; ``work`` is two scratch rows."""
+    (A, B, C, D), (coef, prod) = M, work
+    for j, (top, bottom) in enumerate(((0, 2), (1, 3))):  # columns (a, c), (b, d)
+        np.take(mats[top], digits, out=coef, mode="wrap")
+        np.multiply(A, coef, out=out[j])
+        np.multiply(C, coef, out=out[j + 2])
+        np.take(mats[bottom], digits, out=coef, mode="wrap")
+        np.add(out[j], np.multiply(B, coef, out=prod), out=out[j])
+        np.add(out[j + 2], np.multiply(D, coef, out=prod), out=out[j + 2])
+    scale = coef
+    np.maximum(np.abs(out[0], out=scale), np.abs(out[1], out=prod), out=scale)
+    np.maximum(scale, np.abs(out[2], out=prod), out=scale)
+    np.maximum(scale, np.abs(out[3], out=prod), out=scale)
+    np.divide(out, scale, out=out)
+
+
+def _child_choice(
+    cum: np.ndarray, cs: np.ndarray, parents: np.ndarray, target: np.ndarray,
+    out: np.ndarray, gathered: np.ndarray, mask: np.ndarray,
+) -> None:
+    """``out`` = each sample's word at the next level: its parent's first
+    child plus the number of the parent's later child boundaries
+    ``cum[first + k]`` at or below ``target``.  A boundary past the last
+    child never counts, so this is the clipped
+    ``searchsorted(cum, target, "right") - 1`` of a non-decreasing ``cum``."""
+    first, kids = cs[:-1], np.diff(cs)
+    np.take(cs, parents, out=out, mode="wrap")
+    for k in range(1, int(kids.max(initial=0))):
+        bound = np.where(k < kids, cum[np.minimum(first + k, cum.size - 1)], np.inf)
+        np.take(bound, parents, out=gathered, mode="wrap")
+        np.add(out, np.less_equal(gathered, target, out=mask), out=out)
+
+
+def _settle_table(P: np.ndarray) -> np.ndarray:
+    """``settle[e, k]``: where a drawn digit k after symbol e settles when
+    each forbidden step (``P[e, k] == 0``) moves it down one, at most m
+    times and never below 0."""
+    m = P.shape[0]
+    settle = np.tile(np.arange(m), (m, 1))
+    rows = np.arange(m)[:, None]
+    for _ in range(m):
+        settle -= (P[rows, settle] == 0.0) & (settle > 0)
+    return settle
+
+
+def _next_digits(
+    rowcum: np.ndarray, settle: np.ndarray, cur: np.ndarray, u: np.ndarray,
+    flat: np.ndarray, gathered: np.ndarray, mask: np.ndarray,
+) -> None:
+    """Overwrite ``cur`` with each sample's next digit: the number of the
+    boundaries ``rowcum[k][cur]``, k < m - 1, below ``u``, settled by the
+    flattened m×m ``settle`` table.  Rows of cumulative masses are
+    non-decreasing, so the last boundary would only add where the others
+    all do, past m - 1."""
+    m = rowcum.shape[0]
+    np.multiply(cur, m, out=flat)  # row-major index cur * m + digit
+    for k in range(m - 1):
+        np.take(rowcum[k], cur, out=gathered, mode="wrap")
+        np.add(flat, np.greater(u, gathered, out=mask), out=flat)
+    np.take(settle, flat, out=cur, mode="wrap")
+
+
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     m = measure.system.alphabet_size
     mats = measure.system.coefficients.T.copy()  # rows a, b, c, d
-
-    def push(M: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        """Each column (A, B, C, D) times its digit's matrix, over its max |entry|."""
-        (A, B, C, D), (a, b, c, d) = M, mats[:, digits]
-        out = np.empty_like(M)
-        np.add(A * a, B * c, out=out[0])
-        np.add(A * b, B * d, out=out[1])
-        np.add(C * a, D * c, out=out[2])
-        np.add(C * b, D * d, out=out[3])
-        scale = np.maximum(np.abs(out[0]), np.abs(out[1]))
-        np.maximum(scale, np.abs(out[2]), out=scale)
-        out /= np.maximum(scale, np.abs(out[3]), out=scale)
-        return out
+    # the work arrays, allocated once: the samples' products M and their
+    # extensions N, two scratch rows, two word or digit indices, a flat
+    # index and a mask.  Takes into them use mode="wrap": with out= the
+    # default mode copies through a temporary, and every index is in range.
+    floats = np.empty((10, count))
+    M, N, work = floats[0:4], floats[4:8], floats[8:10]
+    idx, nxt, flat = np.zeros((3, count), dtype=np.int64)
+    mask = np.empty(count, dtype=bool)
 
     # exact joint draw of the stored digits, level by level from the empty
     # word; each word's product is pushed once, and samples gather theirs
-    idx = np.zeros(count, dtype=np.int64)
     words = np.eye(2).reshape(4, 1)
     for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
         cum = np.concatenate(([0.0], np.cumsum(measure.masses[d - 1])))
-        first, end = cs[idx], cs[idx + 1]
-        target = cum[first] + rng.random(count) * (cum[end] - cum[first])
-        # the clipped searchsorted(cum, target, "right") - 1 of a sorted cum
-        idx = first.copy()
-        for k in range(1, m):
-            idx += cum[np.minimum(first + k, end)] <= target
-        np.minimum(idx, end - 1, out=idx)
+        lo = cum[cs[:-1]]
+        width = cum[cs[1:]] - lo
+        target, gathered = work
+        np.take(width, idx, out=gathered, mode="wrap")
+        np.multiply(rng.random(out=target), gathered, out=target)
+        np.add(np.take(lo, idx, out=gathered, mode="wrap"), target, out=target)
+        _child_choice(cum, cs, idx, target, nxt, gathered, mask)
+        idx, nxt = nxt, idx
         parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
-        words = push(words[:, parent], measure.last_symbols[d - 1])
-    M = words[:, idx]
+        grown = np.empty((10, parent.size))
+        np.take(words, parent, axis=1, out=grown[0:4], mode="wrap")
+        _push(grown[0:4], measure.last_symbols[d - 1], mats, grown[4:8], grown[8:10])
+        words = grown[4:8]
+    np.take(words, idx, axis=1, out=M, mode="wrap")
 
     # one-step conditional extension beyond the stored depth
     if measure.depth >= 2:
@@ -497,26 +562,19 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
         P = measure.masses[0] * measure.system.incidence.allowed
         P /= P.sum(axis=1, keepdims=True)
     rowcum = np.cumsum(P, axis=1).T.copy()
-    cur = measure.last_symbols[measure.depth - 1][idx]
+    settle = _settle_table(P).ravel()
+    cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")
     for _ in range(500):
-        A, B, C, D = M
-        x0 = B / D
-        x1 = (A + B) / (C + D)
-        if float(np.abs(x1 - x0).max(initial=0.0)) < 1e-9:
-            return 0.5 * (x0 + x1)
-        u = rng.random(count)
-        # count the row boundaries below u; rows are non-decreasing, so the
-        # last one would only add where the others all do, past m - 1
-        nxt = np.zeros(count, dtype=np.int64)
-        for k in range(m - 1):
-            nxt += u > rowcum[k][cur]
-        for _bump in range(m):  # never settle on a forbidden transition
-            bad = P[cur, nxt] == 0.0
-            if not bad.any():
-                break
-            nxt[bad] = np.maximum(nxt[bad] - 1, 0)
-        M = push(M, nxt)
-        cur = nxt
+        (A, B, C, D), (x0, x1, gap, _) = M, N
+        np.divide(B, D, out=x0)
+        np.divide(np.add(A, B, out=x1), np.add(C, D, out=gap), out=x1)
+        if float(np.abs(np.subtract(x1, x0, out=gap), out=gap).max(initial=0.0)) < 1e-9:
+            mid = np.add(x0, x1)
+            return np.multiply(mid, 0.5, out=mid)
+        u, gathered = work
+        _next_digits(rowcum, settle, cur, rng.random(out=u), flat, gathered, mask)
+        _push(M, cur, mats, N, work)
+        M, N = N, M
     raise ConvergenceFailure("cylinder images failed to contract below 1e-9")
 
 

@@ -294,6 +294,23 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_dimension_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.median and np.quantile import numpy.ma on first use, tens of ms
+    env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
+    config = Path(__file__).resolve().parent.parent / "configs" / "cantor-dimension.cfg"
+    script = (
+        "import sys\n"
+        "from ifsdim.cli import main\n"
+        f"code = main(['dimension', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_config_error_writes_no_files(tmp_path):
     code, report = run(
         tmp_path, "scan", "system.family = golden\nscan.levels = 9:3\n"

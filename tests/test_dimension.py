@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ifsdim.dimension import (
+    SCALING_QUANTILE,
     DimensionReport,
+    _median,
+    _quantile,
     correlation_curve,
     density_field,
     flatness_detector,
@@ -75,7 +79,7 @@ def test_correlation_curve_invariants_hold_on_random_clouds():
     st.integers(2, 6),
 )
 @settings(max_examples=120, deadline=None)
-def test_correlation_counts_match_searchsorted_and_brute_force(ks, a, b, count):
+def test_correlation_counts_match_brute_force_on_a_dyadic_grid(ks, a, b, count):
     # points on the grid k/64, so duplicates are common and every gap is
     # exact; the end radii j/128 are exact gaps whenever j is even
     assume(a != b)
@@ -83,15 +87,55 @@ def test_correlation_counts_match_searchsorted_and_brute_force(ks, a, b, count):
     r_lo, r_hi = sorted((a / 128.0, b / 128.0))
     curve = correlation_curve(pts, r_lo, r_hi, count=count, fit_window=(r_lo, r_hi))
     assert (curve.radii[0], curve.radii[-1]) == (r_lo, r_hi)
-    srt = np.sort(pts)
-    n = pts.size
+    gaps = np.abs(pts[:, None] - pts[None, :])  # exact on the grid
     for r, value in zip(curve.radii, curve.values):
-        hi = np.searchsorted(srt, srt + r, side="right")
-        lo = np.searchsorted(srt, srt - r, side="left")
-        pairs = int((hi - lo).sum())
-        assert value == pairs / float(n) ** 2
-        if r in (r_lo, r_hi):
-            assert pairs == int((np.abs(pts[:, None] - pts[None, :]) <= r).sum())
+        assert value == int((gaps <= r).sum()) / float(pts.size) ** 2
+
+
+def _exact_pair_counts(points: np.ndarray, radii: np.ndarray) -> list[int]:
+    """Ordered pairs (diagonal included) at real distance at most r."""
+    exact = [Fraction(float(x)) for x in points]
+    gaps = [abs(x - y) for i, x in enumerate(exact) for y in exact[:i]]
+    return [len(exact) + 2 * sum(g <= Fraction(float(r)) for g in gaps) for r in radii]
+
+
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
+    st.lists(st.floats(-3.0, 3.0), max_size=40),
+    st.floats(1e-3, 0.5),
+    st.floats(1.5, 50.0),
+    st.integers(2, 6),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_correlation_counts_are_exact_off_the_grid(base, noise, r_lo, spread, count, data):
+    # each base point has a partner at its float sum with a grid radius,
+    # a gap that rounding puts just inside or just outside that radius
+    r_hi = r_lo * spread
+    radii = np.geomspace(r_lo, r_hi, count)
+    shift = np.array([data.draw(st.sampled_from(radii.tolist())) for _ in base])
+    pts = np.concatenate((base, np.add(base, shift), noise))
+    curve = correlation_curve(pts, r_lo, r_hi, count=count, fit_window=(r_lo, r_hi))
+    assert curve.radii.tolist() == radii.tolist()
+    exact = _exact_pair_counts(pts, radii)
+    assert curve.values.tolist() == [c / float(pts.size) ** 2 for c in exact]
+
+
+def test_samples_and_counts_do_not_depend_on_call_history():
+    # different sizes and measures, interleaved, against their first calls
+    cantor2 = conformal_cylinder_measure(cantor_system((0.3, 0.25)), 0.6, 6)
+    cantor3 = conformal_cylinder_measure(cantor_system((0.2, 0.15, 0.3)), 0.7, 3)
+    calls = [
+        (cantor2, 3000, 1), (LEBESGUE, 700, 2), (cantor3, 5, 3), (cantor2, 40, 4), (cantor3, 1200, 5)
+    ]
+
+    def outputs(measure, count, seed):
+        cloud = sample(measure, count, seed)
+        return cloud.tobytes(), correlation_curve(cloud, 1e-3, 0.3, count=7).values.tobytes()
+
+    first = [outputs(*call) for call in calls]
+    order = [4, 0, 3, 1, 2, 2, 0, 4, 1, 3]
+    assert [outputs(*calls[i]) for i in order] == [first[i] for i in order]
 
 
 def test_coincident_cloud_is_flagged_degenerate():
@@ -207,6 +251,27 @@ def test_two_block_measure_is_bimodal_for_any_single_exponent():
     bounds = scaling_quantile_bounds(fld)
     assert bounds.lower == pytest.approx(0.5, abs=0.1)
     assert bounds.upper == pytest.approx(1.0, abs=0.1)
+
+
+values_with_infinities = st.lists(
+    st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(values_with_infinities, st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_order_statistics_equal_numpy_bit_for_bit(values, q):
+    arr = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [(_median(arr), np.median(arr))] + [
+            (_quantile(arr, p), np.quantile(arr, p))
+            for p in (q, SCALING_QUANTILE, 1.0 - SCALING_QUANTILE)
+        ]
+    assert arr.tolist() == values  # the input is left as it was
+    for got, want in pairs:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_density_ladder_validation():

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ifsdim.measures import (
     GALLERY_NAMES,
+    _child_choice,
+    _next_digits,
+    _settle_table,
     CylinderMeasure,
     LineMeasure,
     conformal_cylinder_measure,
@@ -422,7 +425,6 @@ def _per_sample_reference(measure, count, seed):
     cumulative masses.  Its depth-1 extension law keeps to the incidence
     matrix.  The sampler must reproduce it bit for bit."""
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    m = measure.system.alphabet_size
     mats = measure.system.coefficients
     A, B, C, D = np.ones(count), np.zeros(count), np.zeros(count), np.ones(count)
 
@@ -445,31 +447,50 @@ def _per_sample_reference(measure, count, seed):
         nxt = np.searchsorted(cum, target, side="right") - 1
         idx = np.clip(nxt, cs[idx], cs[idx + 1] - 1)
         push(measure.last_symbols[d - 1][idx])
-    if measure.depth >= 2:
-        P = np.zeros((m, m))
-        cs0 = measure.child_starts[0]
-        for e in range(m):
-            kids = slice(cs0[e], cs0[e + 1])
-            P[e, measure.last_symbols[1][kids]] = measure.masses[1][kids] / measure.masses[0][e]
-    else:
-        P = measure.masses[0] * measure.system.incidence.allowed
-        P /= P.sum(axis=1, keepdims=True)
-    rowcum = np.cumsum(P, axis=1)
+    P = _extension_law(measure)
     cur = measure.last_symbols[measure.depth - 1][idx]
     while True:
         x0 = B / D
         x1 = (A + B) / (C + D)
         if float(np.abs(x1 - x0).max()) < 1e-9:
             return 0.5 * (x0 + x1)
-        u = rng.random(count)
-        nxt = np.minimum((u[:, None] > rowcum[cur]).sum(axis=1), m - 1)
-        for _bump in range(m):
-            bad = P[cur, nxt] == 0.0
-            if not bad.any():
-                break
-            nxt[bad] = np.maximum(nxt[bad] - 1, 0)
-        push(nxt)
-        cur = nxt
+        cur = _reference_next_digits(P, cur, rng.random(count))
+        push(cur)
+
+
+def _extension_law(measure):
+    """P[e, f]: the one-step conditional law of f after e beyond the stored
+    depth, from the deepest two levels (depth 1: the depth-1 masses of the
+    admissible successors)."""
+    m = measure.system.alphabet_size
+    if measure.depth >= 2:
+        P = np.zeros((m, m))
+        cs0 = measure.child_starts[0]
+        for e in range(m):
+            kids = slice(cs0[e], cs0[e + 1])
+            P[e, measure.last_symbols[1][kids]] = measure.masses[1][kids] / measure.masses[0][e]
+        return P
+    P = measure.masses[0] * measure.system.incidence.allowed
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def _reference_next_digits(P, cur, u):
+    """The count of u above the row's cumulative masses, capped at m - 1,
+    then the bump loop."""
+    nxt = np.minimum((u[:, None] > np.cumsum(P, axis=1)[cur]).sum(axis=1), P.shape[0] - 1)
+    return _bump_loop(P, cur, nxt)
+
+
+def _bump_loop(P, cur, nxt):
+    """Never settle on a forbidden transition: every sample still on one
+    steps down a digit (not below 0), at most m times."""
+    nxt = nxt.copy()
+    for _bump in range(P.shape[0]):
+        bad = P[cur, nxt] == 0.0
+        if not bad.any():
+            break
+        nxt[bad] = np.maximum(nxt[bad] - 1, 0)
+    return nxt
 
 
 def _similitudes(*pairs):
@@ -530,6 +551,73 @@ def test_cylinder_sampler_matches_the_per_sample_reference_bit_for_bit(
     measure = conformal_cylinder_measure(system, h, depth)
     got = sample(measure, count, seed)
     assert got.tobytes() == _per_sample_reference(measure, count, seed).tobytes()
+
+
+def _with_neighbours(values: np.ndarray) -> np.ndarray:
+    """Each value and the floats just below and above it."""
+    return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=10),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_child_choice_is_the_clipped_searchsorted_on_every_boundary(kids, data):
+    # masses of 0 make runs of equal boundaries; targets sit on every
+    # boundary of the level and one float to either side, under every parent
+    cs = np.concatenate(([0], np.cumsum(kids)))
+    weights = st.sampled_from([0.0, 0.125, 0.25, 1.0 / 3.0, 1.0])
+    masses = np.array(data.draw(st.lists(weights, min_size=int(cs[-1]), max_size=int(cs[-1]))))
+    cum = np.concatenate(([0.0], np.cumsum(masses)))
+    targets = _with_neighbours(cum)
+    parents = np.repeat(np.arange(len(kids)), targets.size)
+    target = np.tile(targets, len(kids))
+    n = target.size
+    got = np.empty(n, dtype=np.int64)
+    _child_choice(cum, cs, parents, target, got, np.empty(n), np.empty(n, dtype=bool))
+    want = np.clip(np.searchsorted(cum, target, "right") - 1, cs[parents], cs[parents + 1] - 1)
+    assert got.tolist() == want.tolist()
+
+
+FIBONACCI_LAWS = [
+    _extension_law(conformal_cylinder_measure(SAMPLER_SYSTEMS[name], h, depth))
+    for name in ("fibonacci-2", "fibonacci-3")
+    for h in (0.4, 0.9)
+    for depth in (1, 2)
+]
+
+
+@pytest.mark.parametrize("law", range(len(FIBONACCI_LAWS)))
+def test_next_digit_is_the_boundary_count_then_the_bump_loop(law):
+    # u on every cumulative boundary of every row and one float to either
+    # side, after every current symbol
+    P = FIBONACCI_LAWS[law]
+    m = P.shape[0]
+    rowcum = np.cumsum(P, axis=1)
+    us = _with_neighbours(np.concatenate(([0.0, 1.0], rowcum.ravel())))
+    us = us[(us >= 0.0) & (us < 1.0)]
+    cur = np.repeat(np.arange(m), us.size)
+    u = np.tile(us, m)
+    n = u.size
+    got = cur.copy()
+    _next_digits(
+        rowcum.T.copy(), _settle_table(P).ravel(), got, u,
+        np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool),
+    )
+    assert got.tolist() == _reference_next_digits(P, cur, u).tolist()
+    # only u = 0 can leave a row whose first digit is forbidden on it
+    assert (P[cur, got] > 0.0)[u > 0.0].all()
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_settle_table_matches_the_bump_loop(m, data):
+    # any zero pattern: forbidden first digits and all-forbidden rows too
+    cells = st.lists(st.sampled_from([0.0, 0.5]), min_size=m * m, max_size=m * m)
+    P = np.array(data.draw(cells)).reshape(m, m)
+    cur, drawn = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
+    assert _settle_table(P).ravel().tolist() == _bump_loop(P, cur, drawn).tolist()
 
 
 # ---------------------------------------------------------------------------
