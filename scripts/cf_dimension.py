@@ -2,10 +2,10 @@
 """Dimension of the continued-fraction set with digits {1, ..., n}.
 
 Two routes to the same number: the certified word-pressure bracket at a fixed
-cylinder depth, with the root of the midpoint pressure inside it, and the
-transfer-operator root across context lengths.  The operator
-route converges much faster per unit of work because the eigenvalue
-sees the variation-refined weights, not just midpoint masses.
+cylinder depth, with the Chebyshev-collocation root inside it, and the
+cylinder transfer-operator root across context lengths.  The operator
+route converges much faster per unit of work than the word bracket because
+the eigenvalue sees the variation-refined weights, not just midpoint masses.
 """
 
 import argparse
@@ -33,7 +33,7 @@ def main() -> None:
     print(
         f"word pressure, depth {word.depth}: h in "
         f"[{word.bracket[0]:.10f}, {word.bracket[1]:.10f}]"
-        f"  (midpoint-pressure root {word.h:.10f}, gap {word.gap:.2e},"
+        f"  (collocation root {word.h:.15f}, gap {word.gap:.2e},"
         f" {word.iterations} evaluations, {t_word:.3f}s)"
     )
 

@@ -49,6 +49,7 @@ from .pressure import (
     ConvergenceFailure,
     analytic_bowen_solve,
     bowen_solve,
+    collocation_shape,
     truncation_scan,
 )
 from .symbolic import IncidenceMatrix, count_admissible
@@ -89,11 +90,12 @@ EXIT_NON_CONVERGENCE = 3
 EXIT_IRREGULAR = 4
 
 # the most entries one array of a command may hold: the words of a geometry
-# level (bowen, scan, dimension), the gibbs operator's two-step paths (one
-# per admissible word of length depth + 2) and a converge cylinder table's
-# level^depth cells.  4096^2 = 4^12 keeps every two-map depth that
-# bowen.depth accepts, gibbs.depth 12 for up to three maps, and the default
-# word depth 12 for up to four maps.
+# level and the collocation arrays of the root (bowen, scan, dimension), the
+# gibbs operator's two-step paths (one per admissible word of length
+# depth + 2) and a converge cylinder table's level^depth cells.
+# 4096^2 = 4^12 keeps every two-map depth that bowen.depth accepts,
+# gibbs.depth 12 for up to three maps, and the default word depth 12 for up
+# to four maps.
 ENTRY_BUDGET = 4096**2
 
 
@@ -103,6 +105,23 @@ def _check_budget(key: str, what: str, entries: int, unit: str) -> None:
     ``what`` ends in its verb: "depth 12 makes", "9 states make"."""
     if entries > ENTRY_BUDGET:
         raise ConfigError(f"{key}: {what} {entries} {unit}, over the budget of {ENTRY_BUDGET}")
+
+
+def _check_collocation(key: str, branches: int, grids: int, nodes: int) -> None:
+    """Reject, naming ``key``, a root collocation that would hold more than
+    ENTRY_BUDGET interpolation weights (branches * nodes^2) or matrix
+    entries (2 (grids * nodes)^2: the matrix and its s-derivative share one
+    array, as do its power and that power's transpose);
+    ``collocation_shape`` gives the last two."""
+    what = f"collocating {branches} branches at {nodes} nodes makes"
+    _check_budget(key, what, branches * nodes**2, "interpolation weights")
+    what = f"collocating on {grids} grids of {nodes} nodes makes"
+    _check_budget(key, what, 2 * (grids * nodes) ** 2, "matrix entries")
+
+
+def _size_key(family: str) -> str:
+    """The config key that sets how many maps a finite system has."""
+    return {"custom": "system.maps", "cantor": "system.ratios"}.get(family, "system.size")
 
 
 def _check_levels(key: str, family: SimilitudeFamily, levels: list[int]) -> None:
@@ -309,6 +328,8 @@ def cmd_bowen(cfg: RunConfig) -> Report:
         depth = cfg.get_int("bowen.depth", default=default_depth, lo=1, hi=24)
         words = count_admissible(source.incidence, depth)
         _check_budget("bowen.depth", f"depth {depth} makes", words, "words")
+        key = _size_key(cfg.get_str("system.family"))
+        _check_collocation(key, source.alphabet_size, *collocation_shape(source))
         sol = bowen_solve(source, depth=depth, tol=tol)
     results = {
         "h": sol.h,
@@ -375,6 +396,9 @@ def cmd_scan(cfg: RunConfig) -> Report:
     if isinstance(depth, int):  # every truncation is a full shift: level^depth words
         what = f"level {max(levels)} at depth {depth} makes"
         _check_budget("scan.depth", what, max(levels) ** depth, "words")
+    # every truncation is a full shift, on one grid; level 2 shows the nodes
+    _, nodes = collocation_shape(source.truncate(2) if isinstance(source, SimilitudeFamily) else source(2))
+    _check_collocation("scan.levels", max(levels), 1, nodes)
     scan = truncation_scan(source, levels, depth=depth, tol=tol)
     rows = [
         [r.level, r.h, r.bracket_lo, r.bracket_hi, r.gap, r.residual, r.regular, r.depth, r.note]
@@ -589,9 +613,10 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         word_depth, op_depth = (1, 1) if source.is_similitude() else (12, 2)
         # the word solve's and the operator's depths are fixed, so only fewer
         # maps shrink their arrays
-        size_key = {"custom": "system.maps", "cantor": "system.ratios"}.get(family, "system.size")
+        size_key = _size_key(family)
         words = count_admissible(source.incidence, word_depth)
         _check_budget(size_key, f"the word solve at depth {word_depth} makes", words, "words")
+        _check_collocation(size_key, source.alphabet_size, *collocation_shape(source))
         paths = count_admissible(source.incidence, op_depth + 2)
         what = f"the operator at depth {op_depth} makes"
         _check_budget(size_key, what, paths, "two-step operator paths")

@@ -493,13 +493,15 @@ def _child_choice(
 def _settle_table(P: np.ndarray) -> np.ndarray:
     """``settle[e, k]``: where a drawn digit k after symbol e settles when
     each forbidden step (``P[e, k] == 0``) moves it down one, at most m
-    times and never below 0."""
+    times and never below 0; a forbidden digit 0 (only a draw of exactly
+    0 keeps it) moves up to the row's first allowed digit instead."""
     m = P.shape[0]
     settle = np.tile(np.arange(m), (m, 1))
     rows = np.arange(m)[:, None]
     for _ in range(m):
         settle -= (P[rows, settle] == 0.0) & (settle > 0)
-    return settle
+    first = (P != 0.0).argmax(axis=1)  # 0 on an all-forbidden row
+    return np.where(settle == 0, first[:, None], settle)
 
 
 def _next_digits(

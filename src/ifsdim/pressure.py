@@ -1,36 +1,42 @@
 """Topological pressure of derivative potentials and Bowen-equation roots.
 
-The depth-n partition pressure of a system at exponent t is
+The Bowen root h of a system is the zero of its pressure, the log leading
+eigenvalue of the transfer operator
+
+    L_s f(x) = sum_q |s_q'(x)|^s f(s_q(x)).
+
+``bowen_solve`` takes its point ``h`` from a Chebyshev collocation of L_s
+(``collocate``): the operator restricted to polynomial interpolants on
+Chebyshev nodes, one grid per group of symbols, is a small dense matrix
+whose leading eigenvalue lambda_N(s) converges to the operator's
+exponentially in the node count for these analytic branches.  Newton steps
+on log lambda_N find its zero to near machine precision.
+
+The certificate beside it is the depth-n partition pressure
 
     P_n(t) = (1/n) log sum_w |s_w'|^t        (w over admissible depth-n words)
 
 evaluated twice, once with certified per-word suprema and once with infima,
 giving an upper and a lower figure.  On a full shift both are rigorous
 two-sided bounds for the limit pressure (sup-sums are submultiplicative,
-inf-sums supermultiplicative); with a nontrivial incidence matrix only the
-upper figure keeps that status and the lower one is a heuristic companion.
-The gap between them is at most t * log(distortion bound) / depth.
+inf-sums supermultiplicative), so their roots bracket h; with a nontrivial
+incidence matrix only the upper figure keeps that status, and the lower
+end of the bracket is 0.  The gap between the two figures is at most
+t * log(distortion bound) / depth.
 
-The Hausdorff dimension of the limit set is the root of P(t) = 0.  Two
-solvers are provided here:
+``analytic_bowen_solve`` covers countable similitude families with a closed
+form for log sum |a_i|^t, including the irregular ones whose pressure jumps
+past zero without a root; it bisects, as that form has no slope.
 
-* ``bowen_solve``          — Newton steps on the midpoint of the depth-n
-                             pressures (exact for full-shift similitudes at
-                             any depth), bracketed by the lower and upper;
-* ``analytic_bowen_solve`` — for countable similitude families with a closed
-                             form for log sum |a_i|^t, including the irregular
-                             ones whose pressure jumps past zero without a
-                             root; it bisects, as that form has no slope.
-
-All roots come from ``_find_root``.  ``transfer.operator_bowen_solve`` finds
-the zero of the log leading eigenvalue of a cylinder transfer operator with
-the same Newton steps, its slope being minus the Lyapunov exponent.  At
-depth 1 on a graph-directed similitude system the operator root is the
-Perron root of the weighted incidence matrix.
+All roots come from ``_find_root`` and all leading eigenvectors from
+``_power_iterate``.  ``transfer.operator_bowen_solve`` finds the zero of the
+log leading eigenvalue of a cylinder transfer operator with the same Newton
+steps, its slope being minus the Lyapunov exponent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
@@ -41,38 +47,27 @@ from .systems import SimilitudeFamily, SystemSpec, level_geometry
 
 __all__ = [
     "ConvergenceFailure",
-    "PressureEstimate",
     "BowenSolution",
+    "Collocation",
     "ScanRow",
     "TruncationScan",
     "bowen_solve",
     "analytic_bowen_solve",
+    "collocate",
+    "collocation_shape",
     "truncation_scan",
 ]
 
 EXACT_ZERO = 1e-15  # |pressure| below this counts as an exact hit
 IRREGULAR_RESIDUAL = 1e-4  # larger leftover pressure at the root => no root
+COLLOCATION_NODES = 32  # Chebyshev nodes per grid when some branch is not affine
+COLLOCATION_TOL = 1e-15  # bracket width at which the collocation root stops
+COLLOCATION_SQUARINGS = 5  # the power iteration runs on L^(2^5), at every size
 
 
 class ConvergenceFailure(RuntimeError):
     """An iterative solve ran out of iterations before reaching tolerance,
     or its answer contradicts its own certificate."""
-
-
-@dataclass(frozen=True)
-class PressureEstimate:
-    """Two-sided depth-n partition pressure at one exponent."""
-
-    upper: float
-    lower: float
-
-    @property
-    def value(self) -> float:
-        return 0.5 * (self.upper + self.lower)
-
-    @property
-    def gap(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,8 @@ class BowenSolution:
     regular: bool
     depth: int
     iterations: int
-    method: str  # "word" | "analytic" | "operator"
-    gap: float = 0.0  # pressure bracket width at the root (word method)
+    method: str  # "collocation" | "analytic" | "operator"
+    gap: float = 0.0  # word pressure bracket width at the root (collocation method)
     # the transfer.GibbsState evaluated at h (operator method)
     state: object = field(default=None, repr=False, compare=False)
 
@@ -111,12 +106,16 @@ def _log_sum(a: np.ndarray, t: float) -> tuple[float, float]:
     shifted terms w_i = exp(t a_i - max) come out ascending: the sum is
     accumulated in ascending order, independent of the order in which the
     words were enumerated.  The slope is summed by numpy rather than BLAS,
-    so it does not depend on the BLAS thread count.
+    so it does not depend on the BLAS thread count.  The terms live in one
+    array, worked in place: a level's fresh temporaries cost more than the
+    arithmetic on them.
     """
     m = t * a[-1]
-    w = np.exp(t * a - m)
+    w = np.multiply(a, t)
+    w -= m
+    np.exp(w, out=w)
     total = float(w.sum())
-    return float(m) + math.log(total), float((w * a).sum()) / total
+    return float(m) + math.log(total), float(np.multiply(w, a, out=w).sum()) / total
 
 
 def _find_root(
@@ -124,20 +123,21 @@ def _find_root(
     tol: float,
     max_iter: int,
     label: str,
+    start: float = 1.0,
 ) -> tuple[float, tuple[float, float], int]:
     """Find the sign change of a decreasing f on [0, inf); f may return +inf
     (counted as positive).  Returns (root, bracket, evaluations).
 
-    The bracket starts at [0, hi], with hi the first of 1, 2, 4, ... where
-    f <= 0, and shrinks to width <= tol.  An f that returns a bare value is
-    bisected, and the root is the midpoint of the final bracket.  An f that
-    returns ``(value, slope)`` is stepped by Newton from each evaluated point
-    whenever the Newton point lies strictly inside the bracket, by the
-    midpoint otherwise.  A Newton step shorter than tol/2 means the iterates
-    have converged from one side, so the next evaluation lands tol/2 past the
-    last one, on the other side, to close the bracket.  Both bracket ends are
-    then evaluated points, and the root is the evaluated point with the
-    smallest |f|.
+    The bracket starts at [0, hi], with hi the first of start, 2 start,
+    4 start, ... where f <= 0, and shrinks to width <= tol.  An f that
+    returns a bare value is bisected, and the root is the midpoint of the
+    final bracket.  An f that returns ``(value, slope)`` is stepped by
+    Newton from each evaluated point whenever the Newton point lies strictly
+    inside the bracket, by the midpoint otherwise.  A Newton step shorter
+    than tol/2 means the iterates have converged from one side, so the next
+    evaluation lands tol/2 past the last one, on the other side, to close
+    the bracket.  Both bracket ends are then evaluated points, and the root
+    is the evaluated point with the smallest |f|.
 
     An evaluation with |f| < EXACT_ZERO is an exact hit and ends the search
     at that point.  f there is zero within its own rounding, taken to be
@@ -169,7 +169,7 @@ def _find_root(
             best = (abs(value), t)
         return value, slope
 
-    hi = 1.0
+    hi = start
     fhi, slope = val(hi)
     has_slope = slope is not None
     while fhi > 0.0:
@@ -204,62 +204,267 @@ def _find_root(
     return 0.5 * (lo + hi), (lo, hi), evals
 
 
+def _power_iterate(
+    apply: Callable[[np.ndarray], np.ndarray],
+    shape: Union[int, tuple[int, ...]],
+    tol: float,
+    max_iters: int,
+) -> tuple[np.ndarray, int]:
+    """Power iteration of the linear map ``apply`` on arrays of ``shape``,
+    from the uniform array, each image normalised to sum one, until two
+    successive arrays differ by at most ``tol`` anywhere; returns (array,
+    passes)."""
+    vec = np.full(shape, 1.0)
+    vec /= vec.size
+    drift = math.inf
+    for it in range(1, max_iters + 1):
+        nxt = apply(vec)
+        total = float(nxt.sum())
+        if total <= 0 or not math.isfinite(total):
+            raise ConvergenceFailure(
+                f"power iteration produced a non-positive image (sum={total}) "
+                f"at pass {it}"
+            )
+        nxt /= total
+        drift = float(np.abs(nxt - vec).max())
+        vec = nxt
+        if drift <= tol:
+            return vec, it
+    raise ConvergenceFailure(
+        f"power iteration did not settle within {max_iters} passes "
+        f"(last drift {drift:.3e})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev collocation of the transfer operator
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points t_k of the second kind on [0, 1], ascending, as the
+    rows (1 - t, t), so that an interval (lo, hi) times them gives its own
+    points; and their barycentric weights (-1)^k, halved at the two ends.
+    A single point, the midpoint, when ``nodes == 1``.  Read-only: every
+    call shares them."""
+    if nodes == 1:
+        t, weights = np.array([0.5]), np.array([1.0])
+    else:
+        k = np.arange(nodes)
+        t = 0.5 - 0.5 * np.cos(np.pi * k / (nodes - 1))
+        weights = np.where(k % 2, -1.0, 1.0)
+        weights[[0, -1]] *= 0.5
+    ends = np.array((1.0 - t, t))
+    ends.setflags(write=False)
+    weights.setflags(write=False)
+    return ends, weights
+
+
+def _grids(system: SystemSpec) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    """Symbols share a collocation grid when the same symbols may precede
+    them (equal incidence columns) and they land in one vertex space.
+    Returns the symbols sorted by grid, grid h holding the symbols
+    ``bounds[h]:bounds[h + 1]`` of that order, then ``bounds``, and whether
+    the incidence is the full shift."""
+    allowed, land = system.incidence.allowed, system.image_vertex
+    if allowed.strides == (0, 0) and allowed[0, 0] or allowed.all():
+        # the full shift needs no sort: one broadcast entry or all ones, so
+        # every column is the same, and every map lands where all start
+        return np.arange(land.size), (0, land.size), True
+    keys = np.vstack((np.packbits(allowed, axis=0), land))  # column j: its bits, its vertex
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0))))
+    return order, tuple(starts.tolist()) + (order.size,), False
+
+
+def collocation_shape(system: SystemSpec) -> tuple[int, int]:
+    """(grids, nodes per grid) of ``collocate(system)``: its matrix and
+    that matrix's s-derivative hold 2 (grids * nodes)^2 entries, its
+    interpolation weights branches * nodes^2."""
+    return len(_grids(system)[1]) - 1, 1 if system.is_similitude() else COLLOCATION_NODES
+
+
+@dataclass(frozen=True, eq=False)
+class Collocation:
+    """L_s f(x) = sum_q |s_q'(x)|^s f(s_q(x)) collocated at Chebyshev nodes.
+
+    The unknowns are the values of one function per grid at that grid's
+    nodes, grid by grid.  A grid lies on the vertex space its symbols land
+    in, so branch e takes the nodes x_k of its domain into its own
+    symbol's grid, and it feeds every grid whose symbols may follow it:
+
+        (L_s f)_g(x_k) = sum_{e feeds g} |s_e'(x_k)|^s f_{grid(e)}(s_e(x_k)),
+
+    with f_{grid(e)} the barycentric interpolant of its node values.  The
+    branches are sorted by their own grid, grid h holding the branches
+    ``bounds[h]:bounds[h + 1]``.  ``factors[k, :, 0, e]`` is
+    (1, log|s_e'(x_k)|), the weights of L and of its s-derivative relative
+    to |s_e'(x_k)|^s; ``interpolation[k, e, l]`` is the weight of node l of
+    grid(e) at s_e(x_k), ``feeds[g, e]`` 1.0 where branch e feeds grid g.
+    """
+
+    factors: np.ndarray = field(repr=False)
+    interpolation: np.ndarray = field(repr=False)
+    feeds: np.ndarray = field(repr=False)
+    bounds: tuple[int, ...]
+    full_shift: bool
+
+    def log_eigenvalue(self, s: float) -> tuple[float, float]:
+        """log lambda_N(s), the log leading eigenvalue of the collocation
+        matrix L, and its slope (l . D r) / (l . L r): l and r are the left
+        and right leading eigenvectors, D the matrix with each branch
+        weighted by log|s_e'| as well.
+
+        Both vectors come from one ``_power_iterate``, on the pair (P, P^T),
+        P = L^32 by COLLOCATION_SQUARINGS squarings of L scaled to a leading
+        eigenvalue near one, whatever the number n of unknowns.  Off the
+        full shift P is first shifted by the identity, so that the leading
+        eigenvalue stays alone on top even where the incidence is periodic.
+        L and D share one (2, n, n) array, as do P and P^T."""
+        both = np.exp(s * self.factors[:, 1:]) * self.factors  # [k, L or D, 1, e]
+        nodes, grids = self.factors.shape[0], len(self.bounds) - 1
+        n = grids * nodes
+        matrices = np.empty((2, grids, nodes, grids, nodes))  # L and D: [g, k, h, l]
+        for h, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            fed = (both[..., lo:hi] * self.feeds[:, lo:hi]).reshape(nodes, 2 * grids, hi - lo)
+            block = (fed @ self.interpolation[:, lo:hi]).reshape(nodes, 2, grids, nodes)
+            matrices[:, :, :, h] = block.transpose(1, 2, 0, 3)
+        matrices = matrices.reshape(2, n, n)
+        mass = float(matrices[0].sum())  # (L 1)(x_k) summed over the nodes
+        if not mass > 0.0:
+            raise ConvergenceFailure("no branch feeds any grid: the incidence admits no infinite word")
+        power = matrices[0] * (n / mass)
+        if not self.full_shift:
+            power.flat[:: n + 1] += 1.0
+        for _ in range(COLLOCATION_SQUARINGS):
+            power = power @ power
+        pair = np.array((power, power.T))
+        del power
+        vectors, _ = _power_iterate(lambda v: pair @ v, (2, n, 1), 1e-14, 5000)
+        right, left = vectors.reshape(2, n)
+        total, slope = (matrices @ right) @ left
+        eigenvalue = float(total) / float(left @ right)
+        if not eigenvalue > 0.0:
+            raise ConvergenceFailure(f"collocation eigenvalue {eigenvalue!r} at s = {s!r}")
+        return math.log(eigenvalue), float(slope) / float(total)
+
+    def truncate(self, branches: int) -> Collocation:
+        """The collocation of the full shift on this one's first
+        ``branches`` branches.  On a full shift every branch feeds the one
+        grid, and its weights depend on its own map alone, so they are this
+        one's, copied."""
+        if not self.full_shift:
+            raise ValueError("only a full shift's collocation truncates to its first branches")
+        return Collocation(
+            factors=np.ascontiguousarray(self.factors[..., :branches]),
+            interpolation=np.ascontiguousarray(self.interpolation[:, :branches]),
+            feeds=self.feeds[:, :branches],
+            bounds=(0, branches),
+            full_shift=True,
+        )
+
+
+def collocate(system: SystemSpec) -> Collocation:
+    """The collocation of L_s on ``system``: COLLOCATION_NODES Chebyshev
+    nodes per grid, or one node when every branch is affine, since the
+    eigenfunction is then constant on each grid.  Symbols share a grid when
+    the same symbols may precede them and they land in one vertex space
+    (see ``_grids``), so the full shift has one grid."""
+    order, bounds, full = _grids(system)
+    ends, weights = _chebyshev(1 if system.is_similitude() else COLLOCATION_NODES)
+    points = np.asarray(system.vertex_spaces) @ ends  # each vertex space's nodes
+    a, b, c, d = system.coefficients[order].T
+    x = points[system.domain_vertex[order]].T  # [k, e]: the nodes of each branch's domain
+    den = c * x + d
+    factors = np.ones((x.shape[0], 2, 1, x.shape[1]))
+    np.log(np.abs(a * d - b * c) / (den * den), out=factors[:, 1, 0])
+    # barycentric weights, formed in place in the (k, e, l) array of
+    # differences between the images and the nodes
+    interpolation = ((a * x + b) / den)[:, :, None] - points[system.image_vertex[order]]
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(weights, interpolation, out=interpolation)
+        total = interpolation.sum(axis=2)
+    k, e = np.nonzero(~np.isfinite(total))
+    if k.size:  # an image on a node, or so near that its weight overflows,
+        near = np.abs(interpolation[k, e] / weights).argmax(axis=1)
+        interpolation[k, e] = 0.0  # takes that node's value
+        interpolation[k, e, near] = total[k, e] = 1.0
+    interpolation /= total[:, :, None]
+    return Collocation(
+        factors=factors,
+        interpolation=interpolation,
+        feeds=system.incidence.allowed[order[:, None], order[list(bounds[:-1])]].T.astype(float),
+        bounds=bounds,
+        full_shift=full,
+    )
+
+
 def bowen_solve(
     system: SystemSpec,
     depth: int = 12,
     tol: float = 1e-10,
     max_iter: int = 200,
+    collocation: Collocation | None = None,
 ) -> BowenSolution:
-    """Zero of the midpoint of the two-sided depth-n pressure, and a
-    certified bracket around it.
+    """Collocation root ``h`` of the pressure, and the word bracket that
+    certifies it.
 
-    Three safeguarded Newton solves, on the level's log-derivatives sorted
-    once: the midpoint pressure gives ``h``; the lower pressure alone gives
-    ``bracket[0]``, its last exponent with positive pressure; the upper
-    alone gives ``bracket[1]``, its last exponent with non-positive
-    pressure, or 1 if a word's sup |s_w'| reaches 1 so that the upper
-    pressure never vanishes.  An exact hit of either solve widens to the
-    interval its rounding leaves (see ``_find_root``).  Both ends are
-    rigorous on a full shift, only the upper one under an incidence matrix.
-    ``max_iter`` bounds each solve and ``iterations`` counts all three.
+    ``h`` is the zero of log lambda_N(s) of ``collocation``, by default
+    ``collocate(system)``, found by
+    Newton steps from the upper end of the bracket down to a bracket
+    COLLOCATION_TOL wide (``tol`` if smaller); ``residual`` is
+    log lambda_N(h).  The bracket comes from the depth-n level's
+    log-derivatives, sorted once: the upper pressure alone gives
+    ``bracket[1]``, its last exponent with non-positive pressure, or 1 if a
+    word's sup |s_w'| reaches 1 so that the upper pressure never vanishes.
+    On a full shift the lower pressure alone gives ``bracket[0]``, its last
+    exponent with positive pressure; under a nontrivial incidence the lower
+    pressure bounds nothing and ``bracket[0]`` is 0.  An exact hit of
+    either solve widens to the interval its rounding leaves (see
+    ``_find_root``).  ``tol`` is the width of the bracket solves,
+    ``max_iter`` bounds each of the (up to) three solves and ``iterations``
+    counts them all.  ``gap`` is the upper less the lower depth-n pressure
+    at ``h``.
 
-    ``h`` is exact (up to tol) for full-shift similitude systems, where the
-    three solves coincide; for distortion-bounded systems it sits within
-    gap/(2 |dP/dt|) of the true Bowen root, with gap <= t log K / depth.
-    The midpoint pressure lies between the other two, so an ``h`` outside
-    the bracket is a numerical fault: ``ConvergenceFailure``.
+    An ``h`` outside the bracket contradicts the certificate:
+    ``ConvergenceFailure``.
     """
     lg = _level(system, depth)
     sup, inf = np.sort(lg.log_sup), np.sort(lg.log_inf)
     label = f"bowen_solve({system.label or 'system'})"
-    estimates: dict[float, PressureEstimate] = {}
+    if collocation is None:
+        collocation = collocate(system)
+    logs: dict[float, float] = {}
 
-    def midpoint(t: float) -> tuple[float, float]:
-        (upper, up_slope), (lower, low_slope) = _log_sum(sup, t), _log_sum(inf, t)
-        est = estimates[t] = PressureEstimate(upper / depth, lower / depth)
-        return est.value, 0.5 * (up_slope + low_slope) / depth
+    def log_eigenvalue(t: float) -> tuple[float, float]:
+        value, slope = collocation.log_eigenvalue(t)
+        logs[t] = value
+        return value, slope
 
     def alone(a: np.ndarray) -> Callable[[float], tuple[float, ...]]:
         return lambda t: tuple(v / depth for v in _log_sum(a, t))
 
-    h, _, evals = _find_root(midpoint, tol, max_iter, label)
-    _, (lo, _), lower_evals = _find_root(alone(inf), tol, max_iter, f"{label} lower")
+    lo, lower_evals = 0.0, 0
+    if collocation.full_shift:
+        _, (lo, _), lower_evals = _find_root(alone(inf), tol, max_iter, f"{label} lower")
     if sup[-1] < 0.0:
         _, (_, hi), upper_evals = _find_root(alone(sup), tol, max_iter, f"{label} upper")
     else:  # a word's sup |s_w'| reaches 1, so only the line's dimension bounds h
         hi, upper_evals = 1.0, 0
+    # log lambda_N(hi) <= 0 too, unless h breaks the bracket
+    h, _, evals = _find_root(log_eigenvalue, min(tol, COLLOCATION_TOL), max_iter, label, hi or 1.0)
     if not lo <= h <= hi:
         raise ConvergenceFailure(f"{label}: root {h!r} outside its certified bracket [{lo!r}, {hi!r}]")
-    final = estimates[h]
     return BowenSolution(
         h=h,
         bracket=(lo, hi),
-        residual=final.value,
+        residual=logs[h],
         regular=True,
         depth=depth,
         iterations=evals + lower_evals + upper_evals,
-        method="word",
-        gap=final.gap,
+        method="collocation",
+        gap=_log_sum(sup, h)[0] / depth - _log_sum(inf, h)[0] / depth,
     )
 
 
@@ -303,9 +508,9 @@ def analytic_bowen_solve(
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One truncation level of a scan: the word root ``h`` and its certified
-    bracket, as :func:`bowen_solve` gives them; all NaN when the solve
-    failed."""
+    """One truncation level of a scan: the collocation root ``h`` and its
+    certified word bracket, as :func:`bowen_solve` gives them; all NaN when
+    the solve failed."""
 
     level: int
     h: float
@@ -328,6 +533,21 @@ class TruncationScan:
     limit_regular: bool | None = None
 
 
+def _first_maps_of(system: SystemSpec, wider: SystemSpec) -> bool:
+    """Whether ``system`` is a full shift on ``wider``'s first maps, with
+    the same vertex spaces and node count, so that its collocation is the
+    truncation of ``wider``'s."""
+    m = system.alphabet_size
+    return (
+        system.vertex_spaces == wider.vertex_spaces
+        and system.is_similitude() == wider.is_similitude()
+        and _grids(system)[2]
+        and np.array_equal(system.coefficients, wider.coefficients[:m])
+        and np.array_equal(system.domain_vertex, wider.domain_vertex[:m])
+        and np.array_equal(system.image_vertex, wider.image_vertex[:m])
+    )
+
+
 def truncation_scan(
     source: Union[SimilitudeFamily, Callable[[int], SystemSpec]],
     levels: Iterable[int],
@@ -341,22 +561,36 @@ def truncation_scan(
     is already exact; everything else defaults to depth 12.  A callable
     depth receives the level, so wide alphabets can trade refinement depth
     for branching factor.
+
+    The widest level is collocated once when it is a full shift, and every
+    level whose maps are its first ones, on a full shift too, solves on
+    that collocation truncated (``Collocation.truncate``) rather than on
+    its own: the same arrays, without rebuilding them level by level.
     """
     levels = list(levels)
     if any(n < 2 for n in levels):
         raise ValueError("truncation levels must be >= 2")
+    build = source.truncate if isinstance(source, SimilitudeFamily) else source
+    try:
+        widest = build(max(levels))
+        shared = collocate(widest)
+    except (ConvergenceFailure, ValueError):
+        shared = None
     rows: list[ScanRow] = []
     for n in levels:
         d = 0
         try:
-            system = source.truncate(n) if isinstance(source, SimilitudeFamily) else source(n)
+            system = build(n)
             if callable(depth):
                 d = depth(n)
             elif depth is not None:
                 d = depth
             else:
                 d = 1 if system.is_similitude() else 12
-            sol = bowen_solve(system, depth=d, tol=tol)
+            collocation = None
+            if shared is not None and shared.full_shift and _first_maps_of(system, widest):
+                collocation = shared.truncate(system.alphabet_size)
+            sol = bowen_solve(system, depth=d, tol=tol, collocation=collocation)
             rows.append(
                 ScanRow(
                     level=n,

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .pressure import BowenSolution, ConvergenceFailure, _find_root
+from .pressure import BowenSolution, ConvergenceFailure, _find_root, _power_iterate
 from .symbolic import admissible_level, finitely_primitive_witness
 from .systems import SystemSpec, level_geometry
 
@@ -210,33 +209,6 @@ class GibbsState:
         head = np.bincount(self.operator.head, weights=self.invariant)
         tail = np.bincount(self.operator.tail, weights=self.invariant)
         return float(np.abs(head - tail).max())
-
-
-def _power_iterate(
-    apply: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iters: int
-) -> tuple[np.ndarray, int]:
-    """Power iteration of the linear map ``apply`` on length-``n`` vectors,
-    from the uniform vector, each image normalised to sum one, until two
-    successive vectors differ by at most ``tol``; returns (vector, passes)."""
-    vec = np.full(n, 1.0 / n)
-    drift = math.inf
-    for it in range(1, max_iters + 1):
-        nxt = apply(vec)
-        total = float(nxt.sum())
-        if total <= 0 or not math.isfinite(total):
-            raise ConvergenceFailure(
-                f"power iteration produced a non-positive image (sum={total}) "
-                f"at pass {it}"
-            )
-        nxt /= total
-        drift = float(np.abs(nxt - vec).max())
-        vec = nxt
-        if drift <= tol:
-            return vec, it
-    raise ConvergenceFailure(
-        f"power iteration did not settle within {max_iters} passes "
-        f"(last drift {drift:.3e})"
-    )
 
 
 def eigenmeasure(

@@ -7,11 +7,12 @@ the one-word-at-a-time versions the tests hold the level code to.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ifsdim.pressure import PressureEstimate, _level, _log_sum
+from ifsdim.pressure import _level, _log_sum
 from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec
 
@@ -58,11 +59,28 @@ def _check_word(system: SystemSpec, word: Word) -> None:
             raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
 
 
+@dataclass(frozen=True)
+class PressureEstimate:
+    """Two-sided depth-n partition pressure at one exponent."""
+
+    upper: float
+    lower: float
+
+    @property
+    def value(self) -> float:
+        return 0.5 * (self.upper + self.lower)
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
+
+
 def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
     """(1/n) log of the sums of sup|s_w'|^t and of inf|s_w'|^t over the
     admissible depth-n words, accumulated in the log domain; the two
     figures coincide for similitudes.  One exponent per call: the reference
-    for the pressures ``bowen_solve`` evaluates on its once-sorted level."""
+    for the pressures ``bowen_solve`` evaluates on its once-sorted level to
+    bracket its root."""
     if t < 0:
         raise ValueError(f"exponent must be >= 0, got {t}")
     lg = _level(system, depth)

@@ -4,6 +4,7 @@ Each test drives the real entry point with a temp config file and inspects
 exit codes, report JSON, and CSV tables — the same surface a shell user sees.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -88,6 +89,53 @@ def test_bowen_brackets_hold_both_oracles(tmp_path):
     assert code == 0 and res["bracket_lo"] <= golden["limit"] <= res["bracket_hi"]
 
 
+# x/3 and x/3 + 2/3, the second never following itself
+FIBONACCI_THIRDS = (
+    "system.family = custom\n"
+    "system.maps = similitude:0.3333333333333333:0; similitude:0.3333333333333333:0.6666666666666666\n"
+    "system.incidence = 11;10\n"
+)
+
+
+@pytest.mark.parametrize("depth", [1, 12])
+def test_bowen_graph_directed_root_is_log_phi_over_log_three(tmp_path, depth):
+    # the depth-12 word roots alone would give [0.44998, 0.44998], which
+    # misses the dimension: under an incidence only the upper end bounds it
+    code, report = run(tmp_path, "bowen", FIBONACCI_THIRDS + f"bowen.depth = {depth}\n")
+    res = report["results"]
+    assert code == 0 and res["method"] == "collocation"
+    assert res["h"] == pytest.approx(math.log(PHI) / math.log(3.0), abs=1e-12)
+    assert res["bracket_lo"] == 0.0 <= res["h"] <= res["bracket_hi"]
+
+
+def test_bowen_moebius_incidence_root_matches_the_deep_operator(tmp_path):
+    # continued fractions on {1, 2, 3} where 1 never follows 1
+    code, report = run(
+        tmp_path,
+        "bowen",
+        "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:3\n"
+        "system.incidence = 011;111;111\n",
+    )
+    res = report["results"]
+    assert code == 0
+    assert res["bracket_lo"] == 0.0 <= res["h"] <= res["bracket_hi"]
+    system = dataclasses.replace(
+        continued_fraction_system(3), incidence=IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
+    )
+    deep = ifsdim.transfer.operator_bowen_solve(ifsdim.transfer.build_operator(system, 10))
+    assert res["h"] == pytest.approx(deep.h, abs=1e-6)
+
+
+def test_bowen_without_infinite_words_exits_3_quietly(tmp_path, capsys):
+    # no map may follow any map: the depth-1 words exist, their limit set not
+    code, report = run(
+        tmp_path, "bowen", CUSTOM_PAIR + "system.incidence = 00;00\nbowen.depth = 1\n"
+    )
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert "admits no infinite word" in err and "Warning" not in err
+
+
 def test_bowen_borderline_is_irregular_exit_4(tmp_path):
     code, report = run(tmp_path, "bowen", "system.family = borderline\n")
     assert code == 4
@@ -117,6 +165,23 @@ def test_missing_config_file_exits_2(tmp_path):
 
 # ---------------------------------------------------------------------------
 # scan
+
+
+def test_scan_wide_continued_fractions_follow_hensley(tmp_path):
+    # these levels get word depth 2, where the midpoint of the lower and
+    # upper word pressures vanishes past 1.  Hensley's expansion:
+    # h_n = 1 - 6/(pi^2 n) - 72 log n/(pi^4 n^2) + O(n^-2)
+    code, _ = run(tmp_path, "scan", "system.family = continued-fraction\nscan.levels = 296:300\n")
+    assert code == 0
+    lines = (tmp_path / "scan-levels.csv").read_text().splitlines()[1:]
+    rows = [[float(v) for v in line.split(",")[:4]] for line in lines]
+    assert [level for level, *_ in rows] == list(range(296, 301))
+    for level, h, lo, hi in rows:
+        hensley = 1 - 6 / (math.pi**2 * level) - 72 * math.log(level) / (math.pi**4 * level**2)
+        assert lo <= h <= hi and h < 1.0
+        assert 0.4 <= level**2 * (h - hensley) <= 1.0
+    hs = [h for _, h, _, _ in rows]
+    assert all(a < b for a, b in zip(hs, hs[1:]))
 
 
 def test_scan_golden_monotone_to_limit(tmp_path):
@@ -537,6 +602,14 @@ def test_dimension_rejects_bad_keys_before_sampling(tmp_path, monkeypatch, capsy
 
 
 CUSTOM_PAIR = "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.4:0.6\n"
+# continued fractions on {1, ..., 91} where no digit follows itself: 91 grids
+MOEBIUS_NO_REPEATS_91 = (
+    "system.family = custom\nsystem.maps = "
+    + "; ".join(f"moebius:{q}" for q in range(1, 92))
+    + "\nsystem.incidence = "
+    + ";".join("1" * i + "0" + "1" * (90 - i) for i in range(91))
+    + "\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -565,6 +638,18 @@ CUSTOM_PAIR = "system.family = custom\nsystem.maps = similitude:0.4:0; similitud
             "converge.levels: level 1000 at cylinder depth 3 makes 1000000000 cells",
         ),
         ("scan", "system.family = golden\nscan.levels = 1:3\n", "scan.levels: must be >= 2, got 1"),
+        # 20000 branches x 32^2 barycentric weights would be 164 MB
+        (
+            "scan",
+            "system.family = continued-fraction\nscan.levels = 2,20000\n",
+            "scan.levels: collocating 20000 branches at 32 nodes makes 20480000 interpolation weights",
+        ),
+        # L and dL/ds on 91 grids of 32 nodes: 2 * 2912^2 entries
+        (
+            "bowen",
+            MOEBIUS_NO_REPEATS_91 + "bowen.depth = 1\n",
+            "system.maps: collocating on 91 grids of 32 nodes makes 16959488 matrix entries",
+        ),
         (
             "converge",
             "system.family = golden\nconverge.cylinder_depths = 0,2\n",
@@ -582,7 +667,8 @@ CUSTOM_PAIR = "system.family = custom\nsystem.maps = similitude:0.4:0; similitud
         ),
     ],
     ids=[
-        "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels", "depth-low", "depth-high", "gallery-levels",
+        "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels",
+        "collocation-budget", "collocation-matrix-budget", "depth-low", "depth-high", "gallery-levels",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(

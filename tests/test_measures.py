@@ -476,20 +476,25 @@ def _extension_law(measure):
 
 def _reference_next_digits(P, cur, u):
     """The count of u above the row's cumulative masses, capped at m - 1,
-    then the bump loop."""
+    then the bump loop, which also lifts a forbidden digit 0."""
     nxt = np.minimum((u[:, None] > np.cumsum(P, axis=1)[cur]).sum(axis=1), P.shape[0] - 1)
     return _bump_loop(P, cur, nxt)
 
 
 def _bump_loop(P, cur, nxt):
     """Never settle on a forbidden transition: every sample still on one
-    steps down a digit (not below 0), at most m times."""
+    steps down a digit (not below 0), at most m times; one left on a
+    forbidden digit 0 steps up to its row's first allowed digit."""
     nxt = nxt.copy()
     for _bump in range(P.shape[0]):
         bad = P[cur, nxt] == 0.0
         if not bad.any():
             break
         nxt[bad] = np.maximum(nxt[bad] - 1, 0)
+    for k in np.flatnonzero((nxt == 0) & (P[cur, 0] == 0.0)):
+        allowed = np.flatnonzero(P[cur[k]])
+        if allowed.size:
+            nxt[k] = allowed[0]
     return nxt
 
 
@@ -606,8 +611,8 @@ def test_next_digit_is_the_boundary_count_then_the_bump_loop(law):
         np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool),
     )
     assert got.tolist() == _reference_next_digits(P, cur, u).tolist()
-    # only u = 0 can leave a row whose first digit is forbidden on it
-    assert (P[cur, got] > 0.0)[u > 0.0].all()
+    # every draw, u = 0 included, settles on an allowed transition
+    assert (P[cur, got] > 0.0).all()
 
 
 @given(st.integers(2, 5), st.data())

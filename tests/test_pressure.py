@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import ifsdim.pressure
 from hypothesis import given, settings, strategies as st
 
 from ifsdim.pressure import (
@@ -11,6 +12,8 @@ from ifsdim.pressure import (
     ConvergenceFailure,
     analytic_bowen_solve,
     bowen_solve,
+    collocate,
+    collocation_shape,
     truncation_scan,
     _find_root,
 )
@@ -25,6 +28,7 @@ from ifsdim.systems import (
     golden_family,
     level_geometry,
 )
+from ifsdim.transfer import build_operator, operator_bowen_solve
 
 from reference import pressure
 
@@ -33,6 +37,12 @@ GOLDEN_ROOTS = json.loads((ORACLES / "golden_truncation_roots.json").read_text()
 CF_DIMENSION = json.loads(
     (ORACLES / "continued_fraction_dimension.json").read_text()
 )["dimension"]
+# dim E_{1,2} as published (Jenkinson-Pollicott 2001); the frozen oracle
+# above sits 8.9e-11 over it
+E12_LITERATURE = 0.5312805062772051
+REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent.parent / "perfbench" / "references.json").read_text()
+)["sets"]
 
 TERNARY_DIM = math.log(2.0) / math.log(3.0)
 
@@ -104,9 +114,9 @@ def test_upper_pressure_tightens_under_depth_doubling():
 
 def test_ternary_cantor_dimension():
     sol = bowen_solve(cantor_system((1 / 3, 1 / 3)), depth=4, tol=1e-12)
-    assert sol.h == pytest.approx(TERNARY_DIM, abs=1e-10)
-    assert sol.regular and sol.method == "word"
-    assert abs(sol.residual) < 1e-11
+    assert sol.h == pytest.approx(TERNARY_DIM, abs=1e-12)
+    assert sol.regular and sol.method == "collocation"
+    assert abs(sol.residual) < 1e-15
 
 
 def test_touching_cantor_has_dimension_one():
@@ -120,13 +130,40 @@ def test_golden_truncation_scan_matches_oracle():
     for row in scan.rows:
         assert row.regular
         assert row.gap == pytest.approx(0.0, abs=1e-13)
-        assert row.h == pytest.approx(GOLDEN_ROOTS[str(row.level)], abs=1e-10)
+        assert row.h == pytest.approx(GOLDEN_ROOTS[str(row.level)], abs=1e-12)
         assert row.bracket_lo <= GOLDEN_ROOTS[str(row.level)] <= row.bracket_hi
         assert row.bracket_lo <= row.h <= row.bracket_hi
     roots = [r.h for r in scan.rows]
     assert roots == sorted(roots)  # truncations only gain mass
     assert scan.limit == pytest.approx(GOLDEN_ROOTS["limit"], abs=1e-11)
     assert scan.limit_regular is True
+
+
+def _digits(first: int, count: int):
+    maps = tuple(MapDescriptor("moebius-1d", q=q) for q in range(first, first + count))
+    return gdms_system(((0.0, 1.0),), maps)
+
+
+@pytest.mark.parametrize(
+    "source,builds",
+    [
+        (continued_fraction_system, 1),  # each level's maps are the widest one's first
+        (lambda n: _digits(n, n), 3),  # the digits {n, ..., 2n - 1} are not
+    ],
+    ids=["prefixes", "shifted"],
+)
+def test_scan_rows_are_the_roots_of_their_own_levels(monkeypatch, source, builds):
+    calls = []
+    real = ifsdim.pressure.collocate
+    monkeypatch.setattr(ifsdim.pressure, "collocate", lambda s: calls.append(s) or real(s))
+    scan = truncation_scan(source, [4, 2, 6], depth=3)
+    assert len(calls) == builds
+    monkeypatch.undo()
+    for row in scan.rows:
+        sol = bowen_solve(source(row.level), depth=3)
+        assert (row.h, row.bracket_lo, row.bracket_hi, row.residual, row.gap) == (
+            sol.h, *sol.bracket, sol.residual, sol.gap
+        )
 
 
 def test_analytic_golden_root():
@@ -180,7 +217,7 @@ def test_continued_fraction_root_is_bracketed_and_accurate():
     assert lower_root <= CF_DIMENSION <= upper_root
     assert upper_root - lower_root < 0.05
     sol = bowen_solve(sys_, depth=12, tol=1e-8)
-    assert sol.h == pytest.approx(CF_DIMENSION, abs=5e-3)
+    assert sol.h == pytest.approx(CF_DIMENSION, abs=1e-10)
     # the reported bracket is those two roots
     assert sol.bracket == pytest.approx((lower_root, upper_root), abs=1e-8)
 
@@ -335,18 +372,20 @@ def test_level_geometry_matches_axis_reductions_bit_for_bit(system, depth):
 @settings(max_examples=40, deadline=None)
 def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
     tol = 1e-10
-    # max_iter bounds each of the three solves, the midpoint one included
+    # max_iter bounds each of the three solves, the collocation one included
     sol = bowen_solve(system, depth=depth, tol=tol, max_iter=8)
     lo, hi = sol.bracket
     assert lo <= sol.h <= hi and sol.iterations <= 24
-    assert sol.residual == pressure(system, sol.h, depth).value
-    # independent reference: plain bisection on the midpoint pressure
+    log_eigenvalue = collocate(system).log_eigenvalue
+    assert sol.residual == log_eigenvalue(sol.h)[0]
+    assert sol.gap == pressure(system, sol.h, depth).gap
+    # independent reference: plain bisection on log lambda_N
     a, b = 0.0, 1.0
-    while pressure(system, b, depth).value > 0.0:
+    while log_eigenvalue(b)[0] > 0.0:
         a, b = b, 2.0 * b
     while b - a > 1e-13:
         mid = 0.5 * (a + b)
-        if pressure(system, mid, depth).value > 0.0:
+        if log_eigenvalue(mid)[0] > 0.0:
             a = mid
         else:
             b = mid
@@ -355,8 +394,96 @@ def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
 
 def test_bracket_falls_back_to_one_when_a_word_does_not_contract():
     # x -> 1/(1 + x) has |derivative| 1 at 0: the depth-1 upper pressure
-    # never vanishes, while the midpoint and lower ones do
+    # never vanishes, while the lower one does
     sol = bowen_solve(continued_fraction_system(2), depth=1)
     lo, hi = sol.bracket
     assert hi == 1.0 and lo < sol.h < hi
     assert pressure(continued_fraction_system(2), lo, 1).lower > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the collocation root
+
+
+def test_collocation_root_reaches_the_published_e12_digits():
+    sol = bowen_solve(continued_fraction_system(2))
+    assert abs(sol.h - E12_LITERATURE) <= 1e-13
+    assert abs(sol.residual) < 1e-15
+    assert collocation_shape(continued_fraction_system(2)) == (1, 32)
+
+
+def test_collocation_roots_meet_every_reference_within_its_accuracy():
+    for entry in REFERENCES:
+        maps = tuple(MapDescriptor("moebius-1d", q=q) for q in entry["digits"])
+        system = gdms_system(((0.0, 1.0),), maps)
+        h, _, _ = _find_root(collocate(system).log_eigenvalue, 1e-15, 20, "reference")
+        assert abs(h - entry["dimension"]) <= entry["accuracy"], entry["digits"]
+
+
+@given(st.lists(st.floats(0.05, 0.45), min_size=2, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_similitude_roots_are_the_closed_form_on_one_node(ratios):
+    system = cantor_system(tuple(r / max(1.0, 1.25 * sum(ratios)) for r in ratios))
+    a = np.abs(system.coefficients[:, 0])
+    assert collocation_shape(system) == (1, 1)  # a constant eigenfunction
+    sol = bowen_solve(system, depth=1)
+    assert math.fsum(a**sol.h) == pytest.approx(1.0, abs=1e-14)
+    lo, hi = sol.bracket
+    assert lo <= sol.h <= hi and hi - lo <= 1e-10
+
+
+def test_graph_directed_similitude_root_is_log_phi_over_log_three():
+    # x/3 and x/3 + 2/3 where the second map never follows itself: the
+    # depth-n words number F(n + 2), so the root is log(phi) / log 3
+    fibonacci = gdms_system(
+        ((0.0, 1.0),),
+        _similitudes((1 / 3, 0.0), (1 / 3, 2 / 3)),
+        incidence=IncidenceMatrix(((1, 1), (1, 0))),
+    )
+    assert collocation_shape(fibonacci) == (2, 1)
+    want = math.log((1 + math.sqrt(5)) / 2) / math.log(3.0)
+    for depth in (1, 12):
+        sol = bowen_solve(fibonacci, depth=depth)
+        assert sol.h == pytest.approx(want, abs=1e-12)
+        # under an incidence the lower word root bounds nothing
+        assert sol.bracket[0] == 0.0 <= sol.h <= sol.bracket[1]
+
+
+def test_periodic_incidence_root_is_the_alternating_pair():
+    # 0 and 1 alternate: two points, dimension 0 whatever the ratios
+    alternating = gdms_system(
+        ((0.0, 1.0),),
+        _similitudes((0.2, 0.0), (0.4, 0.5)),
+        incidence=IncidenceMatrix(((0, 1), (1, 0))),
+    )
+    sol = bowen_solve(alternating, depth=1)
+    assert abs(sol.h) <= 1e-12 and sol.bracket[0] == 0.0
+
+
+def test_the_full_shift_has_one_grid_however_it_is_written():
+    explicit = gdms_system(
+        ((0.0, 1.0),),
+        tuple(MapDescriptor("moebius-1d", q=q) for q in (1, 2)),
+        incidence=IncidenceMatrix(((1, 1), (1, 1))),
+    )
+    broadcast = continued_fraction_system(2)
+    assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
+    assert collocate(explicit).full_shift and collocate(broadcast).full_shift
+    assert bowen_solve(explicit).h == bowen_solve(broadcast).h
+
+
+@pytest.mark.parametrize("digits,depth", [(3, 10), (4, 8)])
+def test_collocation_on_many_grids_matches_the_deep_operator_root(digits, depth):
+    # continued fractions on {1, ..., digits} where no digit follows itself:
+    # every column differs, so each digit has a grid of its own
+    system = gdms_system(
+        ((0.0, 1.0),),
+        tuple(MapDescriptor("moebius-1d", q=q) for q in range(1, digits + 1)),
+        incidence=IncidenceMatrix(1 - np.eye(digits, dtype=int)),
+    )
+    assert collocation_shape(system) == (digits, 32)
+    sol = bowen_solve(system, depth=depth)
+    assert sol.bracket[0] == 0.0 <= sol.h <= sol.bracket[1]
+    assert abs(sol.residual) < 1e-15
+    deep = operator_bowen_solve(build_operator(system, depth))
+    assert sol.h == pytest.approx(deep.h, abs=1e-7)

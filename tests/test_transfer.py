@@ -449,9 +449,12 @@ def test_operator_root_is_exact_on_similitude_subshift():
         else:
             hi = mid
     assert root == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-    # the word-level partition pressure only converges O(1/depth) on a
-    # subshift, and from above; watch it drift toward the operator answer
-    errs = [bowen_solve(sys_, depth=d, tol=1e-10).h - root for d in (4, 8, 16)]
+    # the collocation root is that Perron root at every word depth, while
+    # the upper word pressure only converges O(1/depth) on a subshift, and
+    # from above; watch its root, the bracket's upper end, drift toward it
+    sols = [bowen_solve(sys_, depth=d, tol=1e-10) for d in (4, 8, 16)]
+    assert all(sol.h == pytest.approx(root, abs=1e-12) for sol in sols)
+    errs = [sol.bracket[1] - root for sol in sols]
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 0.02
