@@ -49,6 +49,7 @@ from .pressure import (
     ConvergenceFailure,
     analytic_bowen_solve,
     bowen_solve,
+    collocate,
     collocation_shape,
     truncation_scan,
 )
@@ -68,10 +69,10 @@ from .systems import (
 from .transfer import (
     DegenerateSystemError,
     ReducibilityError,
-    build_operator,
-    eigenmeasure,
-    entropy_lyapunov,
-    operator_bowen_solve,
+    cylinder_masses,
+    gibbs_state,
+    masses_entries,
+    require_primitive,
 )
 
 __all__ = [
@@ -90,12 +91,11 @@ EXIT_NON_CONVERGENCE = 3
 EXIT_IRREGULAR = 4
 
 # the most entries one array of a command may hold: the words of a geometry
-# level and the collocation arrays of the root (bowen, scan, dimension), the
-# gibbs operator's two-step paths (one per admissible word of length
-# depth + 2) and a converge cylinder table's level^depth cells.
-# 4096^2 = 4^12 keeps every two-map depth that bowen.depth accepts,
-# gibbs.depth 12 for up to three maps, and the default word depth 12 for up
-# to four maps.
+# level, the collocation arrays of the root (bowen, scan, dimension, gibbs),
+# the largest array of the gibbs masses recursion and a converge cylinder
+# table's level^depth cells.  4096^2 = 4^12 keeps every two-map depth that
+# bowen.depth accepts, gibbs.depth 12 for up to three continued-fraction
+# digits and 10 for four, and the default word depth 12 for up to four maps.
 ENTRY_BUDGET = 4096**2
 
 
@@ -610,36 +610,24 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
         if not source.incidence.allowed.any(axis=1).all():
             raise ConfigError("system.incidence: a symbol has no admissible successor")
-        word_depth, op_depth = (1, 1) if source.is_similitude() else (12, 2)
-        # the word solve's and the operator's depths are fixed, so only fewer
-        # maps shrink their arrays
+        word_depth = 1 if source.is_similitude() else 12
+        # the word solve's depth is fixed, so only fewer maps shrink its level
         size_key = _size_key(family)
         words = count_admissible(source.incidence, word_depth)
         _check_budget(size_key, f"the word solve at depth {word_depth} makes", words, "words")
         _check_collocation(size_key, source.alphabet_size, *collocation_shape(source))
-        paths = count_admissible(source.incidence, op_depth + 2)
-        what = f"the operator at depth {op_depth} makes"
-        _check_budget(size_key, what, paths, "two-step operator paths")
         words = count_admissible(source.incidence, cyl_depth)
         _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
-        # the operator first: it reads a shallower level's geometry, which
-        # would evict from the one-level cache the level that the word solve,
-        # the cylinder measure and the density field share
-        try:
-            operator = build_operator(source, op_depth)
-        except ReducibilityError as err:
-            operator, unavailable = None, err
         sol = bowen_solve(source, depth=word_depth)
         bowen_root = sol.h
         measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
         label = f"{source.label}[conformal]"
-        if operator is not None:
-            try:
-                ratio = entropy_lyapunov(eigenmeasure(operator, bowen_root)).ratio
-            except (ConvergenceFailure, DegenerateSystemError) as err:
-                unavailable = err
-        if ratio is None:
-            warnings.append(f"entropy/lyapunov ratio unavailable: {unavailable}")
+        # the ratio is read off the eigenpair of the root itself
+        try:
+            require_primitive(source.incidence)
+            ratio = gibbs_state(sol.state).ratio
+        except (ReducibilityError, ConvergenceFailure, DegenerateSystemError) as err:
+            warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
 
     # the remaining keys are checked before anything is sampled
     density_points = cfg.get_int("dimension.density_points", default=300, lo=1, hi=100_000)
@@ -735,49 +723,52 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             ) from None
         if not math.isfinite(exponent):
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
-    paths = count_admissible(source.incidence, depth + 2)
-    _check_budget("gibbs.depth", f"depth {depth} makes", paths, "two-step operator paths")
-    operator = build_operator(source, depth=depth)
+    grids, nodes = collocation_shape(source)
+    _check_collocation(_size_key(cfg.get_str("system.family")), source.alphabet_size, grids, nodes)
+    entries = masses_entries(source.incidence, depth, grids, nodes)
+    _check_budget("gibbs.depth", f"depth {depth} makes", entries, "masses-recursion entries")
+    require_primitive(source.incidence)
+    collocation = collocate(source)
     root_diagnostics = {}
-    if raw_exp == "bowen":
-        sol = operator_bowen_solve(operator)
-        exponent, state = sol.h, sol.state
-        root_diagnostics["root_evaluations"] = sol.iterations
+    if raw_exp == "bowen":  # the root call of bowen_solve, from 1, without the word bracket
+        pair, evals = collocation.root()
+        root_diagnostics["root_evaluations"] = evals
     else:
-        state = eigenmeasure(operator, exponent)
-    el = entropy_lyapunov(state)
+        pair = collocation.eigenpair(exponent)
+    state = gibbs_state(pair)
+    masses = cylinder_masses(collocation, pair, source.incidence, depth)
+    count = len(masses.words)
     results = {
-        "exponent": exponent,
-        "eigenvalue": state.eigenvalue,
-        "log_eigenvalue": state.log_eigenvalue,
-        "entropy": el.entropy,
-        "lyapunov": el.lyapunov,
-        "ratio": el.ratio,
-        "dimension_interpretation": abs(state.eigenvalue - 1.0) < 1e-6,
-        "states": len(operator),
+        "exponent": pair.s,
+        "eigenvalue": pair.eigenvalue,
+        "log_eigenvalue": math.log(pair.eigenvalue),
+        "entropy": state.entropy,
+        "lyapunov": state.lyapunov,
+        "ratio": state.ratio,
+        "dimension_interpretation": abs(pair.eigenvalue - 1.0) < 1e-6,
+        "states": count,
         "regular": True,
     }
     # words hold only digits and dots, so no cell needs quoting: one format,
     # a %d per symbol, prints the row-major cells, laid out column by column
     width = depth + 2
-    cells: list = [0] * (len(operator) * width)
-    for c, column in enumerate((*operator.symbols.T, state.eigenmeasure, state.invariant)):
+    cells: list = [0] * (count * width)
+    for c, column in enumerate((*masses.words.T, masses.eigenmeasure, masses.invariant)):
         cells[c::width] = column.tolist()
     row = ".".join(["%d"] * depth) + ",%.17g,%.17g\n"
-    masses = "word,eigenmeasure,invariant\n" + row * len(operator) % tuple(cells)
+    table = "word,eigenmeasure,invariant\n" + row * count % tuple(cells)
     return _report(
         "gibbs",
         cfg,
         results=results,
         diagnostics={
-            "residual": state.residual,
-            "density_residual": state.density_residual,
-            "iterations": state.iterations,
-            "variation_bound": state.variation_bound,
-            "shift_invariance_defect": state.shift_invariance_defect(),
+            "residual": pair.residual,
+            "density_residual": pair.density_residual,
+            "iterations": pair.passes,
+            "shift_invariance_defect": masses.shift_invariance_defect(),
             **root_diagnostics,
         },
-        tables={"masses": masses},
+        tables={"masses": table},
     )
 
 

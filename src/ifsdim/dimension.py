@@ -473,7 +473,7 @@ def flatness_detector(measure: LineMeasure, radii: Sequence[float]) -> FlatnessC
 class DimensionReport:
     """Side-by-side dimension estimates with mutual-consistency flags.
 
-    ``bowen_root`` and ``ratio`` come from the pressure/operator pathway
+    ``bowen_root`` and ``ratio`` come from the collocated transfer operator
     (system-backed measures only); ``correlation_slope`` from samples;
     ``gamma_lower``/``gamma_upper`` from the density-field quantiles.  The
     correlation estimate is always a lower-bound-style quantity for the

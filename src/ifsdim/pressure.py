@@ -29,9 +29,9 @@ form for log sum |a_i|^t, including the irregular ones whose pressure jumps
 past zero without a root; it bisects, as that form has no slope.
 
 All roots come from ``_find_root`` and all leading eigenvectors from
-``_power_iterate``.  ``transfer.operator_bowen_solve`` finds the zero of the
-log leading eigenvalue of a cylinder transfer operator with the same Newton
-steps, its slope being minus the Lyapunov exponent.
+``_power_iterate``.  ``Collocation.eigenpair`` is the one eigen-solve: the
+roots read its eigenvalue and slope, and ``transfer`` reads the Gibbs data,
+cylinder masses, entropy and Lyapunov exponent, off the same record.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "ConvergenceFailure",
     "BowenSolution",
     "Collocation",
+    "Eigenpair",
     "ScanRow",
     "TruncationScan",
     "bowen_solve",
@@ -85,10 +86,10 @@ class BowenSolution:
     regular: bool
     depth: int
     iterations: int
-    method: str  # "collocation" | "analytic" | "operator"
+    method: str  # "collocation" | "analytic"
     gap: float = 0.0  # word pressure bracket width at the root (collocation method)
-    # the transfer.GibbsState evaluated at h (operator method)
-    state: object = field(default=None, repr=False, compare=False)
+    # the Eigenpair evaluated at h (collocation method)
+    state: Eigenpair | None = field(default=None, repr=False, compare=False)
 
 
 def _level(system: SystemSpec, depth: int):
@@ -286,6 +287,29 @@ def collocation_shape(system: SystemSpec) -> tuple[int, int]:
 
 
 @dataclass(frozen=True, eq=False)
+class Eigenpair:
+    """The leading eigen-data of a collocation matrix L at one exponent s.
+
+    ``left`` (l) and ``right`` (r) are the left and right leading
+    eigenvectors, each normalised to sum one, over the unknowns grid by
+    grid; ``eigenvalue`` is lambda_N(s) = (l . L r) / (l . r) and ``slope``
+    d log lambda_N / ds = (l . D r) / (l . L r), D being L with each branch
+    weighted by log|s_e'| as well.  ``residual`` is max |l L - lambda l|,
+    ``density_residual`` max |L r - lambda r|, and ``passes`` counts the
+    power-iteration passes that gave the two vectors.
+    """
+
+    s: float
+    eigenvalue: float
+    slope: float
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    passes: int
+    residual: float
+    density_residual: float
+
+
+@dataclass(frozen=True, eq=False)
 class Collocation:
     """L_s f(x) = sum_q |s_q'(x)|^s f(s_q(x)) collocated at Chebyshev nodes.
 
@@ -297,31 +321,33 @@ class Collocation:
         (L_s f)_g(x_k) = sum_{e feeds g} |s_e'(x_k)|^s f_{grid(e)}(s_e(x_k)),
 
     with f_{grid(e)} the barycentric interpolant of its node values.  The
-    branches are sorted by their own grid, grid h holding the branches
-    ``bounds[h]:bounds[h + 1]``.  ``factors[k, :, 0, e]`` is
-    (1, log|s_e'(x_k)|), the weights of L and of its s-derivative relative
-    to |s_e'(x_k)|^s; ``interpolation[k, e, l]`` is the weight of node l of
-    grid(e) at s_e(x_k), ``feeds[g, e]`` 1.0 where branch e feeds grid g.
+    branches are the symbols ``order``, sorted by their own grid, grid h
+    holding the branches ``bounds[h]:bounds[h + 1]``.
+    ``factors[k, :, 0, e]`` is (1, log|s_e'(x_k)|), the weights of L and of
+    its s-derivative relative to |s_e'(x_k)|^s; ``interpolation[k, e, l]``
+    is the weight of node l of grid(e) at s_e(x_k), ``feeds[g, e]`` 1.0
+    where branch e feeds grid g.
     """
 
+    order: np.ndarray = field(repr=False)
     factors: np.ndarray = field(repr=False)
     interpolation: np.ndarray = field(repr=False)
     feeds: np.ndarray = field(repr=False)
     bounds: tuple[int, ...]
     full_shift: bool
 
-    def log_eigenvalue(self, s: float) -> tuple[float, float]:
-        """log lambda_N(s), the log leading eigenvalue of the collocation
-        matrix L, and its slope (l . D r) / (l . L r): l and r are the left
-        and right leading eigenvectors, D the matrix with each branch
-        weighted by log|s_e'| as well.
+    def eigenpair(self, s: float) -> Eigenpair:
+        """The leading eigen-data of the collocation matrix L at ``s``.
 
         Both vectors come from one ``_power_iterate``, on the pair (P, P^T),
         P = L^32 by COLLOCATION_SQUARINGS squarings of L scaled to a leading
         eigenvalue near one, whatever the number n of unknowns.  Off the
         full shift P is first shifted by the identity, so that the leading
         eigenvalue stays alone on top even where the incidence is periodic.
-        L and D share one (2, n, n) array, as do P and P^T."""
+        L and D share one (2, n, n) array, as do P and P^T.  A non-finite
+        ``s`` raises ``ValueError``."""
+        if not math.isfinite(s):
+            raise ValueError(f"exponent must be finite, got {s!r}")
         both = np.exp(s * self.factors[:, 1:]) * self.factors  # [k, L or D, 1, e]
         nodes, grids = self.factors.shape[0], len(self.bounds) - 1
         n = grids * nodes
@@ -341,13 +367,49 @@ class Collocation:
             power = power @ power
         pair = np.array((power, power.T))
         del power
-        vectors, _ = _power_iterate(lambda v: pair @ v, (2, n, 1), 1e-14, 5000)
+        vectors, passes = _power_iterate(lambda v: pair @ v, (2, n, 1), 1e-14, 5000)
         right, left = vectors.reshape(2, n)
-        total, slope = (matrices @ right) @ left
+        images = matrices @ right  # L r and D r
+        total, slope = images @ left
         eigenvalue = float(total) / float(left @ right)
         if not eigenvalue > 0.0:
             raise ConvergenceFailure(f"collocation eigenvalue {eigenvalue!r} at s = {s!r}")
-        return math.log(eigenvalue), float(slope) / float(total)
+        scale, left = right.sum(), left / left.sum()
+        return Eigenpair(
+            s=s,
+            eigenvalue=eigenvalue,
+            slope=float(slope) / float(total),
+            left=left,
+            right=right / scale,
+            passes=passes,
+            residual=float(np.abs(left @ matrices[0] - eigenvalue * left).max()),
+            density_residual=float(np.abs(images[0] - eigenvalue * right).max()) / scale,
+        )
+
+    def log_eigenvalue(self, s: float) -> tuple[float, float]:
+        """log lambda_N(s), the log leading eigenvalue of the collocation
+        matrix, and its slope, read off ``eigenpair(s)``."""
+        pair = self.eigenpair(s)
+        return math.log(pair.eigenvalue), pair.slope
+
+    def root(
+        self,
+        tol: float = COLLOCATION_TOL,
+        max_iter: int = 200,
+        label: str = "collocation",
+        start: float = 1.0,
+    ) -> tuple[Eigenpair, int]:
+        """The zero h of log lambda_N(s), by ``_find_root`` from ``start``
+        (Newton steps on the slope) down to a bracket ``tol`` wide or an
+        exact hit; returns the eigenpair at h and the evaluations."""
+        pairs: dict[float, Eigenpair] = {}
+
+        def log_eigenvalue(t: float) -> tuple[float, float]:
+            pair = pairs[t] = self.eigenpair(t)
+            return math.log(pair.eigenvalue), pair.slope
+
+        h, _, evals = _find_root(log_eigenvalue, tol, max_iter, label, start)
+        return pairs[h], evals
 
     def truncate(self, branches: int) -> Collocation:
         """The collocation of the full shift on this one's first
@@ -357,6 +419,7 @@ class Collocation:
         if not self.full_shift:
             raise ValueError("only a full shift's collocation truncates to its first branches")
         return Collocation(
+            order=self.order[:branches],
             factors=np.ascontiguousarray(self.factors[..., :branches]),
             interpolation=np.ascontiguousarray(self.interpolation[:, :branches]),
             feeds=self.feeds[:, :branches],
@@ -392,6 +455,7 @@ def collocate(system: SystemSpec) -> Collocation:
         interpolation[k, e, near] = total[k, e] = 1.0
     interpolation /= total[:, :, None]
     return Collocation(
+        order=order,
         factors=factors,
         interpolation=interpolation,
         feeds=system.incidence.allowed[order[:, None], order[list(bounds[:-1])]].T.astype(float),
@@ -411,21 +475,22 @@ def bowen_solve(
     certifies it.
 
     ``h`` is the zero of log lambda_N(s) of ``collocation``, by default
-    ``collocate(system)``, found by
-    Newton steps from the upper end of the bracket down to a bracket
-    COLLOCATION_TOL wide (``tol`` if smaller); ``residual`` is
-    log lambda_N(h).  The bracket comes from the depth-n level's
+    ``collocate(system)``, found by ``Collocation.root`` from the upper end
+    of the bracket down to a bracket COLLOCATION_TOL wide (``tol`` if
+    smaller); ``residual`` is log lambda_N(h) and ``state`` the
+    ``Eigenpair`` at h.  The bracket comes from the depth-n level's
     log-derivatives, sorted once: the upper pressure alone gives
-    ``bracket[1]``, its last exponent with non-positive pressure, or 1 if a
-    word's sup |s_w'| reaches 1 so that the upper pressure never vanishes.
-    On a full shift the lower pressure alone gives ``bracket[0]``, its last
-    exponent with positive pressure; under a nontrivial incidence the lower
-    pressure bounds nothing and ``bracket[0]`` is 0.  An exact hit of
-    either solve widens to the interval its rounding leaves (see
-    ``_find_root``).  ``tol`` is the width of the bracket solves,
-    ``max_iter`` bounds each of the (up to) three solves and ``iterations``
-    counts them all.  ``gap`` is the upper less the lower depth-n pressure
-    at ``h``.
+    ``bracket[1]``, its last exponent with non-positive pressure, or 1 if
+    that root lies past 1 or a word's sup |s_w'| reaches 1 so that the upper
+    pressure never vanishes, since no subset of the line has dimension
+    above 1.  On a full shift the lower pressure alone gives ``bracket[0]``,
+    its last exponent with positive pressure; under a nontrivial incidence
+    the lower pressure bounds nothing and ``bracket[0]`` is 0.  An exact hit
+    of either solve widens to the interval its rounding leaves (see
+    ``_find_root``), at 1 as well.  ``tol`` is the width of the bracket
+    solves, ``max_iter`` bounds each of the (up to) three solves and
+    ``iterations`` counts them all.  ``gap`` is the upper less the lower
+    depth-n pressure at ``h``.
 
     An ``h`` outside the bracket contradicts the certificate:
     ``ConvergenceFailure``.
@@ -435,12 +500,6 @@ def bowen_solve(
     label = f"bowen_solve({system.label or 'system'})"
     if collocation is None:
         collocation = collocate(system)
-    logs: dict[float, float] = {}
-
-    def log_eigenvalue(t: float) -> tuple[float, float]:
-        value, slope = collocation.log_eigenvalue(t)
-        logs[t] = value
-        return value, slope
 
     def alone(a: np.ndarray) -> Callable[[float], tuple[float, ...]]:
         return lambda t: tuple(v / depth for v in _log_sum(a, t))
@@ -448,23 +507,26 @@ def bowen_solve(
     lo, lower_evals = 0.0, 0
     if collocation.full_shift:
         _, (lo, _), lower_evals = _find_root(alone(inf), tol, max_iter, f"{label} lower")
+    upper, hi, upper_evals = 1.0, 1.0, 0  # a word's sup |s_w'| reaching 1 bounds nothing
     if sup[-1] < 0.0:
-        _, (_, hi), upper_evals = _find_root(alone(sup), tol, max_iter, f"{label} upper")
-    else:  # a word's sup |s_w'| reaches 1, so only the line's dimension bounds h
-        hi, upper_evals = 1.0, 0
+        upper, (_, hi), upper_evals = _find_root(alone(sup), tol, max_iter, f"{label} upper")
+    if upper > 1.0:  # the line's dimension bounds h more tightly
+        hi = 1.0
     # log lambda_N(hi) <= 0 too, unless h breaks the bracket
-    h, _, evals = _find_root(log_eigenvalue, min(tol, COLLOCATION_TOL), max_iter, label, hi or 1.0)
+    pair, evals = collocation.root(min(tol, COLLOCATION_TOL), max_iter, label, hi or 1.0)
+    h = pair.s
     if not lo <= h <= hi:
         raise ConvergenceFailure(f"{label}: root {h!r} outside its certified bracket [{lo!r}, {hi!r}]")
     return BowenSolution(
         h=h,
         bracket=(lo, hi),
-        residual=logs[h],
+        residual=math.log(pair.eigenvalue),
         regular=True,
         depth=depth,
         iterations=evals + lower_evals + upper_evals,
         method="collocation",
         gap=_log_sum(sup, h)[0] / depth - _log_sum(inf, h)[0] / depth,
+        state=pair,
     )
 
 

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Word",
     "IncidenceMatrix",
-    "admissible_level",
     "count_admissible",
     "comparison_distance",
     "finitely_primitive_witness",
@@ -104,28 +103,6 @@ class IncidenceMatrix:
 
     def __hash__(self) -> int:
         return hash(self.allowed.shape)
-
-
-def admissible_level(matrix: IncidenceMatrix, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """All admissible depth-n words at once, in lexicographic order.
-
-    Returns ``symbols``, an (count, n) int array whose rows are the words,
-    and ``tail``, for each word the row of its tail ``w[1:]`` among the
-    depth-(n-1) words (0 at depth 1, where every tail is the empty word).
-    One prepend pass, the one ``systems.level_geometry`` makes: the words
-    that start with e are e followed by the shorter words e may precede, in
-    their own order, so the row-major nonzeros of ``A[:, first symbols]``
-    are the (first symbol, tail) pairs in lexicographic order.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    allowed = matrix.allowed
-    symbols = np.arange(matrix.size)[:, None]
-    tail = np.zeros(matrix.size, dtype=np.intp)
-    for _ in range(depth - 1):
-        first, tail = np.nonzero(allowed[:, symbols[:, 0]])
-        symbols = np.column_stack((first, symbols[tail]))
-    return symbols, tail
 
 
 def count_admissible(matrix: IncidenceMatrix, depth: int) -> int:

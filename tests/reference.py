@@ -1,18 +1,21 @@
 """Per-word reference implementations for the tests.
 
-The package works on whole levels of words at once (``admissible_level``,
-``level_geometry``, the sorted level sums in ``bowen_solve``).  These are
-the one-word-at-a-time versions the tests hold the level code to.
+The package works on whole levels of words at once (``level_geometry``,
+the sorted level sums in ``bowen_solve``, the masses recursion in
+``transfer``).  These are the one-word-at-a-time versions the tests hold
+the level code to, and a cylinder transfer operator whose root is an
+independent check of the collocation root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ifsdim.pressure import _level, _log_sum
+from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum
 from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec
 
@@ -21,7 +24,8 @@ def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[Word]:
     """Yield all admissible words of the given depth in lexicographic order.
 
     The stream is lazy: callers can consume a prefix without paying for the
-    whole level.  The reference for ``symbolic.admissible_level``.
+    whole level.  The reference for the words of ``level_geometry`` and of
+    ``transfer.cylinder_masses``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -86,3 +90,95 @@ def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
     lg = _level(system, depth)
     upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
     return PressureEstimate(upper=upper / depth, lower=lower / depth)
+
+
+def cylinder_operator_root(system: SystemSpec, depth: int, tol: float = 1e-10) -> float:
+    """Bowen root of the cylinder transfer operator on the admissible
+    depth-``depth`` words, by plain bisection on its log leading eigenvalue.
+
+    A state is a word j.  Each step moves the mass of state i to the states
+    j = (e,) + i[:-1], weighted by exp(t m_j), m_j the midpoint of
+    log|s_(j_0)'| over the exact image of j[1:] (over the domain of j_0 at
+    depth 1).  The leading eigenvalue comes from power iteration of that
+    step, applied with ``np.bincount``.  The operator's root converges to
+    the Bowen root as the depth grows.
+    """
+    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
+    index = {w: j for j, w in enumerate(words)}
+    mid = np.empty(len(words))
+    rows, cols = [], []
+    for j, w in enumerate(words):
+        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else system.domains[w[0]]
+        a, b, c, d = system.coefficients[w[0]]
+        mid[j] = 0.5 * sum(math.log(abs(a * d - b * c) / (c * x + d) ** 2) for x in (lo, hi))
+        for e in range(system.alphabet_size):
+            if w[1:] + (e,) in index:
+                rows.append(index[w[1:] + (e,)])
+                cols.append(j)
+    rows, cols = np.array(rows), np.array(cols)
+
+    def log_eigenvalue(t: float) -> float:
+        weight = np.exp(t * mid)[cols]
+        mass = np.full(len(words), 1.0 / len(words))
+        for _ in range(10_000):
+            step = np.bincount(cols, weight * mass[rows], minlength=len(words))
+            eigenvalue = step.sum()  # the mass sums to one
+            step /= eigenvalue
+            if np.abs(step - mass).max() <= 1e-14 * step.max():
+                return math.log(eigenvalue)
+            mass = step
+        raise RuntimeError(f"power iteration did not settle at t = {t}")
+
+    lo, hi = 0.0, 1.0
+    assert log_eigenvalue(hi) <= 0.0
+    while hi - lo > tol:
+        t = 0.5 * (lo + hi)
+        if log_eigenvalue(t) > 0.0:
+            lo = t
+        else:
+            hi = t
+    return 0.5 * (lo + hi)
+
+
+def quadrature_masses(
+    system: SystemSpec, collocation: Collocation, pair: Eigenpair, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenmeasure and invariant masses of the admissible depth-``depth``
+    words, one word at a time: sum_k l_k |s_w'(x_k)|^s and
+    sum_k l_k |s_w'(x_k)|^s rho(s_w(x_k)), over the nodes x_k of the grids
+    that the last symbol of w feeds, with s_w and its derivative composed
+    map by map and rho the barycentric interpolant of the right eigenvector
+    on the grid of the first symbol; each column normalised to total one.
+    The reference for ``transfer.cylinder_masses``."""
+    nodes, grids = collocation.factors.shape[0], len(collocation.bounds) - 1
+    ends, weights = _chebyshev(nodes)
+    symbols = collocation.order[list(collocation.bounds[:-1])]  # one symbol per grid
+    points = (np.asarray(system.vertex_spaces) @ ends)[system.image_vertex[symbols]]
+    grid = np.searchsorted(collocation.bounds, np.argsort(collocation.order), side="right") - 1
+    left = pair.left.reshape(grids, nodes)
+    right = pair.right.reshape(grids, nodes)
+    masses = []
+    for word in enumerate_admissible(system.incidence, depth):
+        w = word.symbols
+        conformal = invariant = 0.0
+        for g in range(grids):
+            if not system.incidence.allowed[w[-1], symbols[g]]:
+                continue
+            x, derivative = points[g], np.ones(nodes)
+            for e in reversed(w):
+                a, b, c, d = system.coefficients[e]
+                derivative *= abs(a * d - b * c) / (c * x + d) ** 2
+                x = (a * x + b) / (c * x + d)
+            values = left[g] * derivative**pair.s
+            node = points[grid[w[0]]]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = weights / (x[:, None] - node)
+                rho = terms @ right[grid[w[0]]] / terms.sum(axis=1)
+            hit = ~np.isfinite(terms).all(axis=1)
+            rho[hit] = right[grid[w[0]]][np.argmin(np.abs(x[hit, None] - node), axis=1)]
+            conformal += values.sum()
+            invariant += values @ rho
+        masses.append((conformal, invariant))
+    masses = np.array(masses)
+    masses /= masses.sum(axis=0)
+    return masses[:, 0], masses[:, 1]

@@ -25,7 +25,7 @@ from ifsdim.measures import (
     truncation_singularity,
     tv_distance,
 )
-from ifsdim.pressure import analytic_bowen_solve, bowen_solve, truncation_scan
+from ifsdim.pressure import analytic_bowen_solve, bowen_solve, collocate, truncation_scan
 from ifsdim.symbolic import Word, comparison_distance
 from ifsdim.systems import (
     cantor_system,
@@ -33,12 +33,7 @@ from ifsdim.systems import (
     golden_family,
     level_geometry,
 )
-from ifsdim.transfer import (
-    build_operator,
-    eigenmeasure,
-    entropy_lyapunov,
-    operator_bowen_solve,
-)
+from ifsdim.transfer import gibbs_state
 
 from reference import enumerate_admissible
 
@@ -179,14 +174,12 @@ def test_c7_operator_eigenvalue_and_ratio_at_the_root():
     for n in range(2, 9):
         system = family.truncate(n)
         h_n = bowen_solve(system, depth=1).h
-        state = eigenmeasure(build_operator(system, depth=1), h_n)
-        assert abs(state.eigenvalue - 1.0) < 1e-6, f"golden n={n}"
-        assert abs(entropy_lyapunov(state).ratio - h_n) < 1e-6, f"golden n={n}"
+        pair = collocate(system).eigenpair(h_n)
+        assert abs(pair.eigenvalue - 1.0) < 1e-6, f"golden n={n}"
+        assert abs(gibbs_state(pair).ratio - h_n) < 1e-6, f"golden n={n}"
     for n in (2, 3):
-        system = continued_fraction_system(n)
-        op = build_operator(system, depth=4)
-        state = eigenmeasure(op, operator_bowen_solve(op).h)
-        assert abs(state.eigenvalue - 1.0) < 1e-6, f"digits {{1..{n}}}"
+        pair, _ = collocate(continued_fraction_system(n)).root()
+        assert abs(pair.eigenvalue - 1.0) < 1e-6, f"digits {{1..{n}}}"
     assert time.perf_counter() - t0 < 10.0
 
 

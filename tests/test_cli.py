@@ -22,10 +22,11 @@ import ifsdim.config
 import ifsdim.dimension
 import ifsdim.pressure
 import ifsdim.systems
-import ifsdim.transfer
 from ifsdim.cli import main
 from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import continued_fraction_system
+
+from reference import cylinder_operator_root
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 GOLDEN_H6 = 0.669031641539660
@@ -122,8 +123,7 @@ def test_bowen_moebius_incidence_root_matches_the_deep_operator(tmp_path):
     system = dataclasses.replace(
         continued_fraction_system(3), incidence=IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
     )
-    deep = ifsdim.transfer.operator_bowen_solve(ifsdim.transfer.build_operator(system, 10))
-    assert res["h"] == pytest.approx(deep.h, abs=1e-6)
+    assert res["h"] == pytest.approx(cylinder_operator_root(system, 10), abs=1e-6)
 
 
 def test_bowen_without_infinite_words_exits_3_quietly(tmp_path, capsys):
@@ -178,10 +178,20 @@ def test_scan_wide_continued_fractions_follow_hensley(tmp_path):
     assert [level for level, *_ in rows] == list(range(296, 301))
     for level, h, lo, hi in rows:
         hensley = 1 - 6 / (math.pi**2 * level) - 72 * math.log(level) / (math.pi**4 * level**2)
-        assert lo <= h <= hi and h < 1.0
+        # the depth-2 upper word root lies past 1 here; the line bounds h by 1
+        assert lo <= h <= hi <= 1.0 and h < 1.0
         assert 0.4 <= level**2 * (h - hensley) <= 1.0
     hs = [h for _, h, _, _ in rows]
     assert all(a < b for a, b in zip(hs, hs[1:]))
+
+
+def test_bowen_dimension_one_keeps_the_exact_hit_widening(tmp_path):
+    # the touching halves have dimension exactly 1; the bracket end at 1 keeps
+    # the interval its rounding leaves rather than being cut to 1
+    code, report = run(tmp_path, "bowen", "system.family = cantor\nsystem.ratios = 0.5, 0.5\n")
+    res = report["results"]
+    assert code == 0 and res["h"] == 1.0
+    assert (res["bracket_lo"], res["bracket_hi"]) == (0.9999999999999984, 1.0000000000000016)
 
 
 def test_scan_golden_monotone_to_limit(tmp_path):
@@ -675,7 +685,7 @@ def test_config_errors_name_their_key_before_any_solve(
     tmp_path, monkeypatch, capsys, command, text, message
 ):
     calls = []
-    for name in ("sample", "bowen_solve", "build_operator"):
+    for name in ("sample", "bowen_solve", "collocate"):
         monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
     code, report = run(tmp_path, command, text)
     assert code == 2 and report is None
@@ -717,7 +727,7 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
         (
             "gibbs",
             "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 12\n",
-            "gibbs.depth: depth 12 makes 268435456 two-step operator paths",
+            "gibbs.depth: depth 12 makes 201326592 masses-recursion entries",
         ),
     ],
     ids=[
@@ -734,8 +744,10 @@ def test_work_budget_rejects_before_any_geometry(
         calls.append(args)
         raise RuntimeError("level_geometry ran past the budget check")
 
-    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.transfer, ifsdim.dimension):
+    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.dimension):
         monkeypatch.setattr(module, "level_geometry", refused)
+    # gibbs reads no word geometry: its first work is the collocation
+    monkeypatch.setattr(ifsdim.cli, "collocate", refused)
     code, report = run(tmp_path, command, text)
     assert code == 2 and report is None
     assert calls == []
@@ -751,38 +763,25 @@ def test_work_budget_rejects_before_any_geometry(
         ("scan", "system.family = borderline\nscan.levels = 4096\nscan.depth = 2\n"),
         ("converge", "system.family = borderline\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
         ("dimension", "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\n"),
-        # 4^12 two-step paths, one per admissible word of length depth + 2
+        # the masses table's 4^10 words of 10 symbols
         ("gibbs", "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 10\n"),
+        # the masses table's 3^12 words of 12 symbols
+        ("gibbs", "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 12\n"),
     ],
-    ids=["bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states"],
+    ids=[
+        "bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states",
+        "gibbs-cf3-depth-12",
+    ],
 )
 def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, text):
     # 4096^2 = 2^24 = 4^12: each case reaches its first solve, stubbed to stop there
     def reached(*args, **kwargs):
         raise ifsdim.cli.ConvergenceFailure("reached the solve")
 
-    for name in ("bowen_solve", "truncation_scan", "analytic_bowen_solve", "build_operator"):
+    for name in ("bowen_solve", "truncation_scan", "analytic_bowen_solve", "collocate"):
         monkeypatch.setattr(ifsdim.cli, name, reached)
     code, report = run(tmp_path, command, text)
     assert code == 3 and report is None
-
-
-@pytest.mark.parametrize("maps,code", [(257, 2), (256, 3)])
-def test_dimension_operator_paths_are_budgeted(tmp_path, monkeypatch, capsys, maps, code):
-    # the depth-1 operator on m maps has m^3 two-step paths: 256^3 = 4096^2
-    def reached(*args, **kwargs):
-        raise ifsdim.cli.ConvergenceFailure("reached the operator")
-
-    monkeypatch.setattr(ifsdim.cli, "build_operator", reached)
-    ratios = ", ".join(["0.003"] * maps)
-    text = f"system.family = cantor\nsystem.ratios = {ratios}\nsample.seed = 1\n"
-    got, report = run(tmp_path, "dimension", text + "dimension.depth = 2\n")
-    assert got == code and report is None
-    if code == 2:
-        assert (
-            "config error: system.ratios: the operator at depth 1 makes 16974593 two-step "
-            "operator paths" in capsys.readouterr().err
-        )
 
 
 def test_one_shift_gives_one_answer_under_both_spellings(tmp_path):
@@ -900,30 +899,31 @@ def test_gibbs_continued_fraction_operator_root(tmp_path):
     )
     assert code == 0
     res = report["results"]
-    assert abs(res["eigenvalue"] - 1.0) < 1e-6
-    assert res["exponent"] == pytest.approx(CF2_H, abs=5e-3)
+    # the collocation root, as bowen gives it: the published digits of E_{1,2}
+    assert res["exponent"] == pytest.approx(0.5312805062772051, abs=1e-13)
+    assert abs(res["eigenvalue"] - 1.0) < 1e-12
+    assert res["ratio"] == pytest.approx(res["exponent"], abs=1e-13)
 
 
 def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
-    # the root solve and the final state share one operator
+    # the root solve and the masses share one collocation
     calls = []
-    real = ifsdim.cli.build_operator
+    real = ifsdim.cli.collocate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ifsdim.cli, "build_operator", counted)
-    # and the final state is the root's last evaluation, not a new eigen-solve
+    monkeypatch.setattr(ifsdim.cli, "collocate", counted)
+    # and the masses read the root's last evaluation, not a new eigen-solve
     solves = []
-    real_eigenmeasure = ifsdim.transfer.eigenmeasure
+    real_eigenpair = ifsdim.pressure.Collocation.eigenpair
 
-    def counted_eigenmeasure(*args, **kwargs):
+    def counted_eigenpair(*args, **kwargs):
         solves.append(args)
-        return real_eigenmeasure(*args, **kwargs)
+        return real_eigenpair(*args, **kwargs)
 
-    for module in (ifsdim.transfer, ifsdim.cli):
-        monkeypatch.setattr(module, "eigenmeasure", counted_eigenmeasure)
+    monkeypatch.setattr(ifsdim.pressure.Collocation, "eigenpair", counted_eigenpair)
     code, report = run(
         tmp_path,
         "gibbs",
@@ -934,6 +934,11 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
     assert report["results"]["exponent"] == pytest.approx(CF2_H, abs=5e-3)
     assert len(calls) == 1
     assert len(solves) == report["diagnostics"]["root_evaluations"]
+    # a numeric exponent is one eigenpair
+    solves.clear()
+    system = "system.family = continued-fraction\nsystem.size = 2\ngibbs.exponent = 0.5\n"
+    code, report = run(tmp_path, "gibbs", system)
+    assert code == 0 and len(solves) == 1
 
 
 @pytest.mark.parametrize(
@@ -947,21 +952,21 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
 )
 def test_gibbs_masses_table_matches_the_csv_writer(tmp_path, monkeypatch, system):
     # the one-format masses table gives the bytes the per-cell csv writer gives
-    states = []
-    real = ifsdim.cli.entropy_lyapunov
+    tables = []
+    real = ifsdim.cli.cylinder_masses
 
-    def recorded(state):
-        states.append(state)
-        return real(state)
+    def recorded(*args):
+        tables.append(real(*args))
+        return tables[-1]
 
-    monkeypatch.setattr(ifsdim.cli, "entropy_lyapunov", recorded)
+    monkeypatch.setattr(ifsdim.cli, "cylinder_masses", recorded)
     code, _ = run(tmp_path, "gibbs", system)
-    assert code == 0 and len(states) == 1
-    (state,) = states
+    assert code == 0 and len(tables) == 1
+    (masses,) = tables
     rows = [
         [".".join(map(str, w)), m, inv]
         for w, m, inv in zip(
-            state.operator.symbols.tolist(), state.eigenmeasure.tolist(), state.invariant.tolist()
+            masses.words.tolist(), masses.eigenmeasure.tolist(), masses.invariant.tolist()
         )
     ]
     want = ifsdim.cli._csv_table(["word", "eigenmeasure", "invariant"], rows)
@@ -979,7 +984,8 @@ def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):
 
 
 def test_gibbs_state_budget_exit_2(tmp_path):
-    # 4^12 states make 4^14 = 268,435,456 two-step paths, 16 times the budget
+    # the masses table's 4^12 words of 12 symbols make 201,326,592 entries,
+    # 12 times the budget
     code, report = run(
         tmp_path,
         "gibbs",

@@ -25,7 +25,7 @@ from ifsdim.measures import (
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
 from ifsdim.systems import cantor_system, golden_family
-from ifsdim.transfer import build_operator, eigenmeasure, entropy_lyapunov
+from ifsdim.transfer import gibbs_state
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 LEBESGUE = LineMeasure.uniform(0.0, 1.0)
@@ -366,9 +366,7 @@ def test_truncation_dimensions_rise_toward_the_full_family_value():
     ratios = []
     for n in (2, 4, 6, 8):
         sys_n = fam.truncate(n)
-        h_n = bowen_solve(sys_n, depth=1).h
-        state = eigenmeasure(build_operator(sys_n, depth=1), h_n)
-        ratios.append(entropy_lyapunov(state).ratio)
+        ratios.append(gibbs_state(bowen_solve(sys_n, depth=1).state).ratio)
     assert ratios == sorted(ratios)
     assert all(r <= limit + 0.05 for r in ratios)
 

@@ -28,9 +28,8 @@ from ifsdim.systems import (
     golden_family,
     level_geometry,
 )
-from ifsdim.transfer import build_operator, operator_bowen_solve
 
-from reference import pressure
+from reference import cylinder_operator_root, pressure
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
 GOLDEN_ROOTS = json.loads((ORACLES / "golden_truncation_roots.json").read_text())
@@ -485,5 +484,4 @@ def test_collocation_on_many_grids_matches_the_deep_operator_root(digits, depth)
     sol = bowen_solve(system, depth=depth)
     assert sol.bracket[0] == 0.0 <= sol.h <= sol.bracket[1]
     assert abs(sol.residual) < 1e-15
-    deep = operator_bowen_solve(build_operator(system, depth))
-    assert sol.h == pytest.approx(deep.h, abs=1e-7)
+    assert sol.h == pytest.approx(cylinder_operator_root(system, depth), abs=1e-7)

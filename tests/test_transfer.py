@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifsdim.measures import conformal_cylinder_measure
-from ifsdim.pressure import ConvergenceFailure, bowen_solve
+from ifsdim.pressure import ConvergenceFailure, Eigenpair, _power_iterate, bowen_solve, collocate
 from ifsdim.symbolic import IncidenceMatrix, Word, count_admissible
 from ifsdim.systems import (
     MapDescriptor,
@@ -19,13 +19,12 @@ from ifsdim.systems import (
 from ifsdim.transfer import (
     DegenerateSystemError,
     ReducibilityError,
-    build_operator,
-    eigenmeasure,
-    entropy_lyapunov,
-    operator_bowen_solve,
+    cylinder_masses,
+    gibbs_state,
+    require_primitive,
 )
 
-from reference import enumerate_admissible, pressure, word_image
+from reference import cylinder_operator_root, enumerate_admissible, pressure, quadrature_masses
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 TERNARY_H = math.log(2.0) / math.log(3.0)
@@ -40,42 +39,24 @@ def fibonacci_system():
     return gdms_system(((0.0, 1.0),), maps, incidence=fibonacci, label="fibonacci")
 
 
-# ---------------------------------------------------------------------------
-# operator assembly
+def _masses(system, t, depth):
+    col = collocate(system)
+    return cylinder_masses(col, col.eigenpair(t), system.incidence, depth)
 
 
-def test_zero_potential_full_shift_gives_all_ones_matrix():
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
-    assert op.matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
-    assert eigenmeasure(op, 0.0).variation_bound == 0.0
-
-
-def test_state_enumeration_matches_admissible_words():
-    op = build_operator(fibonacci_system(), depth=3)
-    symbols = [tuple(w) for w in op.symbols.tolist()]
-    # lexicographic, and no word contains the forbidden 1->1 junction
-    assert symbols == sorted(symbols)
-    assert all((1, 1) not in zip(s, s[1:]) for s in symbols)
-    assert len(symbols) == 5  # Fibonacci count at depth 3
-
-
-def _per_word_operator(system, depth):
-    """The operator one Word at a time: states from enumerate_admissible,
-    context images from word_image, successors through a dict."""
-    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
-    index = {w: i for i, w in enumerate(words)}
-    matrix = np.zeros((len(words), len(words)))
-    mid, width = [], []
-    for j, w in enumerate(words):
-        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else system.domains[w[0]]
-        a, b, c, d = system.coefficients[w[0]]
-        dmin, dmax = sorted(abs(a * d - b * c) / (c * x + d) ** 2 for x in (lo, hi))
-        mid.append(0.5 * (math.log(dmin) + math.log(dmax)))
-        width.append(math.log(dmax) - math.log(dmin))
-        for e in range(system.alphabet_size):
-            if system.incidence.allowed[w[-1], e] and w[1:] + (e,) in index:
-                matrix[index[w[1:] + (e,)], j] = 1.0
-    return np.array(words), matrix, np.array(mid), max(width)
+def _dense(col, t):
+    """The collocation matrix L at t, entry by entry from the branch
+    weights: L[g k, grid(e) l] sums |s_e'(x_k)|^t interpolation[k, e, l]
+    over the branches e that feed grid g."""
+    nodes, grids = col.factors.shape[0], len(col.bounds) - 1
+    matrix = np.zeros((grids, nodes, grids, nodes))
+    for e in range(col.order.size):
+        h = np.searchsorted(col.bounds, e, side="right") - 1
+        block = np.exp(t * col.factors[:, 1, 0, e])[:, None] * col.interpolation[:, e, :]
+        for g in range(grids):
+            if col.feeds[g, e]:
+                matrix[g, :, h, :] += block
+    return matrix.reshape(grids * nodes, grids * nodes)
 
 
 def _dict_defect(words, invariant):
@@ -112,57 +93,46 @@ operator_systems = st.one_of(
 )
 
 
-@given(operator_systems, st.integers(1, 6))
+# ---------------------------------------------------------------------------
+# the masses recursion
+
+
+def test_zero_potential_full_shift_gives_all_ones_matrix():
+    # at exponent 0 every branch weighs one, so each depth-k cylinder of the
+    # two-map full shift carries 2^-k of either measure
+    for depth in (1, 2, 3):
+        masses = _masses(cantor_system((1 / 3, 1 / 3)), 0.0, depth)
+        assert masses.eigenmeasure == pytest.approx([2.0**-depth] * 2**depth, rel=1e-15)
+        assert masses.invariant == pytest.approx([2.0**-depth] * 2**depth, rel=1e-15)
+
+
+def test_state_enumeration_matches_admissible_words():
+    masses = _masses(fibonacci_system(), 0.5, 3)
+    words = [tuple(w) for w in masses.words.tolist()]
+    # lexicographic, and no word contains the forbidden 1->1 junction
+    assert words == sorted(words)
+    assert all((1, 1) not in zip(w, w[1:]) for w in words)
+    assert len(words) == 5  # Fibonacci count at depth 3
+    shorter = [w.symbols for w in enumerate_admissible(fibonacci_system().incidence, 2)]
+    assert masses.tail.tolist() == [shorter.index(w[1:]) for w in words]
+
+
+@given(operator_systems, st.integers(1, 6), st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
-def test_array_operator_matches_the_per_word_reference(system, depth):
+def test_array_operator_matches_the_per_word_reference(system, depth, t):
     while count_admissible(system.incidence, depth) > 1024:
         depth -= 1
-    op = build_operator(system, depth)
-    words, matrix, mid, width = _per_word_operator(system, depth)
-    assert np.array_equal(op.symbols, words)
-    assert np.array_equal(op.matrix, matrix)
-    assert (np.abs(op.state_log_mid - mid) <= 1e-15 * np.abs(mid)).all()
-    assert abs(op.log_width - width) <= 1e-15 * width
-    state = eigenmeasure(op, 0.5)
-    assert state.shift_invariance_defect() == _dict_defect(words, state.invariant)
-
-
-def test_similitude_weights_are_exact_ratio_powers():
-    t = 0.7
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=2)
-    assert set(op.matrix.flat) == {0.0, 1.0}
-    weights = np.exp(t * op.state_log_mid)
-    assert weights == pytest.approx([3.0**-t] * weights.size, rel=1e-15)
-
-
-def test_reducible_incidence_is_rejected():
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0),
-        MapDescriptor("similitude", ratio=0.4, offset=0.6),
+    col = collocate(system)
+    pair = col.eigenpair(t)
+    masses = cylinder_masses(col, pair, system.incidence, depth)
+    conformal, invariant = quadrature_masses(system, col, pair, depth)
+    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
+    assert [tuple(w) for w in masses.words.tolist()] == words
+    assert np.abs(masses.eigenmeasure / conformal - 1.0).max() <= 1e-13
+    assert np.abs(masses.invariant / invariant - 1.0).max() <= 1e-13
+    assert masses.shift_invariance_defect() == pytest.approx(
+        _dict_defect(masses.words, masses.invariant), abs=1e-16
     )
-    two_islands = gdms_system(((0.0, 1.0),), maps, incidence=IncidenceMatrix(((1, 0), (0, 1))))
-    with pytest.raises(ReducibilityError):
-        build_operator(two_islands)
-
-
-def test_operator_argument_validation():
-    sys_ = cantor_system((1 / 3, 1 / 3))
-    with pytest.raises(ValueError):
-        build_operator(sys_, depth=0)
-    op = build_operator(sys_, depth=1)
-    for exponent in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            eigenmeasure(op, exponent)
-
-
-def test_variation_bound_shrinks_with_state_depth():
-    cf = continued_fraction_system(2)
-    bounds = [
-        eigenmeasure(build_operator(cf, depth=k), 0.5).variation_bound
-        for k in (1, 2, 3, 4)
-    ]
-    assert all(b > 0 for b in bounds)
-    assert bounds == sorted(bounds, reverse=True)
 
 
 def _on_incidence(system, rows):
@@ -182,46 +152,61 @@ SOLVE_IDS = ["cf2-incidence-11-10-d1", "cf3-incidence-011-111-111-d1", "fibonacc
 ]
 
 
-def _weighted(op, t):
-    """The dense weighted one-step matrix M W, W = diag(exp(t * state_log_mid))."""
-    return op.matrix * np.exp(t * op.state_log_mid)[None, :]
-
-
 @pytest.mark.parametrize(
-    "system,depth", SOLVE_CASES + [(MIXED, 2), (MIXED, 3)], ids=SOLVE_IDS + ["mixed-d2", "mixed-d3"]
+    "system,depth",
+    SOLVE_CASES + [(MIXED, 2), (MIXED, 3), (continued_fraction_system(2), 8), (fibonacci_system(), 4)],
+    ids=SOLVE_IDS + ["mixed-d2", "mixed-d3", "cf2-d8", "fibonacci-d4"],
 )
-def test_two_step_paths_are_the_words_two_symbols_longer(system, depth):
-    op = build_operator(system, depth)
-    assert op.rows2.size == op.via2.size == op.cols2.size
-    assert op.rows2.size == count_admissible(system.incidence, depth + 2)
-    t = 0.6
-    w = np.exp(t * op.state_log_mid)
-    two_step = np.zeros((len(op), len(op)))
-    np.add.at(two_step, (op.rows2, op.cols2), w[op.via2] * w[op.cols2])
-    dense = _weighted(op, t) @ _weighted(op, t)
-    assert np.abs(two_step - dense).max() <= 1e-14 * np.abs(dense).max()
+def test_masses_recursion_matches_the_quadrature(system, depth):
+    col = collocate(system)
+    pair, _ = col.root()
+    masses = cylinder_masses(col, pair, system.incidence, depth)
+    assert len(masses.words) == count_admissible(system.incidence, depth)
+    conformal, invariant = quadrature_masses(system, col, pair, depth)
+    assert np.abs(masses.eigenmeasure / conformal - 1.0).max() <= 1e-13
+    assert np.abs(masses.invariant / invariant - 1.0).max() <= 1e-13
+
+
+def test_similitude_weights_are_exact_ratio_powers():
+    t = 0.7
+    col = collocate(cantor_system((1 / 3, 1 / 3)))
+    assert col.factors.shape[0] == 1  # one node: the eigenfunction is constant
+    weights = np.exp(t * col.factors[:, 1, 0]).ravel()
+    assert weights == pytest.approx([3.0**-t] * weights.size, rel=1e-15)
+    assert col.eigenpair(t).eigenvalue == pytest.approx(2.0 * 3.0**-t, rel=1e-15)
+
+
+def test_reducible_incidence_is_rejected():
+    with pytest.raises(ReducibilityError):
+        require_primitive(IncidenceMatrix(((1, 0), (0, 1))))
+    require_primitive(fibonacci_system().incidence)
+
+
+def test_operator_argument_validation():
+    sys_ = cantor_system((1 / 3, 1 / 3))
+    col = collocate(sys_)
+    with pytest.raises(ValueError):
+        cylinder_masses(col, col.eigenpair(0.5), sys_.incidence, 0)
+    for exponent in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            col.eigenpair(exponent)
 
 
 def test_no_operator_array_grows_with_the_square_of_the_states():
     cf = continued_fraction_system(2)
-    paths = count_admissible(cf.incidence, 12 + 2)
+    col = collocate(cf)
+    pair = col.eigenpair(0.53)
     tracemalloc.start()
     try:
-        op = build_operator(cf, 12)
-        state = eigenmeasure(op, 0.53)
+        masses = cylinder_masses(col, pair, cf.incidence, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(op) == 4096 and paths == 16384
-    arrays = [getattr(op, f.name) for f in dataclasses.fields(op)]
-    arrays += [getattr(state, f.name) for f in dataclasses.fields(state)]
-    arrays = [a for a in arrays if isinstance(a, np.ndarray) and a is not op.symbols]
-    # the words hold depth symbols per state; every other array at most one
-    # entry per two-step path
-    assert op.symbols.shape == (len(op), 12)
-    assert max(a.size for a in arrays) <= paths
-    # one dense states x states float array alone would take 134 MB
-    assert peak < 8 * len(op) ** 2 / 20
+    assert len(masses.words) == 4096 and masses.words.shape == (4096, 12)
+    # the largest array is the words; the deepest rows x nodes never exist
+    assert peak < 4 * masses.words.nbytes
+    # one dense words x words float array alone would take 134 MB
+    assert peak < 8 * len(masses.words) ** 2 / 20
 
 
 # ---------------------------------------------------------------------------
@@ -229,93 +214,103 @@ def test_no_operator_array_grows_with_the_square_of_the_states():
 
 
 def test_zero_potential_eigenvalue_counts_branches():
-    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), depth=1), 0.0)
-    assert state.eigenvalue == pytest.approx(2.0, abs=1e-12)
-    assert state.eigenmeasure == pytest.approx([0.5, 0.5], abs=1e-12)
+    sys_ = cantor_system((1 / 3, 1 / 3))
+    assert collocate(sys_).eigenpair(0.0).eigenvalue == pytest.approx(2.0, abs=1e-12)
+    assert _masses(sys_, 0.0, 1).eigenmeasure == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_fibonacci_zero_potential_eigenpair_is_golden_ratio():
-    state = eigenmeasure(build_operator(fibonacci_system(), depth=1), 0.0)
-    assert state.eigenvalue == pytest.approx(PHI, abs=1e-8)
-    assert state.eigenmeasure[0] / state.eigenmeasure[1] == pytest.approx(PHI, abs=1e-8)
-    assert state.density[0] / state.density[1] == pytest.approx(PHI, abs=1e-8)
+    col = collocate(fibonacci_system())
+    pair = col.eigenpair(0.0)
+    assert pair.eigenvalue == pytest.approx(PHI, abs=1e-12)
+    masses = cylinder_masses(col, pair, fibonacci_system().incidence, 1)
+    assert masses.eigenmeasure[0] / masses.eigenmeasure[1] == pytest.approx(PHI, abs=1e-12)
+    # symbol 0 may follow both symbols, symbol 1 only 0: two grids of one node
+    rho = pair.right[np.searchsorted(col.bounds, np.argsort(col.order), side="right") - 1]
+    assert rho[0] / rho[1] == pytest.approx(PHI, abs=1e-12)
 
 
 def test_eigenvalue_is_one_at_the_dimension_exponent():
-    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), depth=1), TERNARY_H)
-    assert state.eigenvalue == pytest.approx(1.0, abs=1e-12)
-    assert state.residual < 1e-8 and state.density_residual < 1e-8
+    pair = collocate(cantor_system((1 / 3, 1 / 3))).eigenpair(TERNARY_H)
+    assert pair.eigenvalue == pytest.approx(1.0, abs=1e-12)
+    assert pair.residual < 1e-15 and pair.density_residual < 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_golden_truncations_cross_one_at_their_bowen_roots(n):
     sys_n = golden_family().truncate(n)
     h_n = bowen_solve(sys_n, depth=1).h
-    state = eigenmeasure(build_operator(sys_n, depth=1), h_n)
-    assert abs(state.eigenvalue - 1.0) < 1e-6
+    assert abs(collocate(sys_n).eigenpair(h_n).eigenvalue - 1.0) < 1e-12
 
 
 def test_invariant_masses_match_conformal_cylinders_for_similitudes():
     sys3 = golden_family().truncate(3)
     h3 = bowen_solve(sys3, depth=1).h
-    state = eigenmeasure(build_operator(sys3, depth=2), h3)
+    masses = _masses(sys3, h3, 2)
     conformal = conformal_cylinder_measure(sys3, h3, depth=2)
-    masses = np.array([conformal.mass_of(Word(tuple(w))) for w in state.operator.symbols.tolist()])
-    assert np.abs(state.invariant - masses).max() < 1e-12
+    want = np.array([conformal.mass_of(Word(tuple(w))) for w in masses.words.tolist()])
+    assert np.abs(masses.invariant - want).max() < 1e-12
     # for a Bernoulli similitude system the eigenmeasure itself is conformal
-    assert np.abs(state.eigenmeasure - masses).max() < 1e-12
+    assert np.abs(masses.eigenmeasure - want).max() < 1e-12
 
 
 @pytest.mark.parametrize(
     "system", [cantor_system((0.4, 0.25)), continued_fraction_system(2)], ids=["sim", "cf"]
 )
 def test_invariant_mass_is_shift_stationary(system):
-    state = eigenmeasure(build_operator(system, depth=2), 0.6)
-    assert state.invariant.sum() == pytest.approx(1.0, abs=1e-12)
-    assert state.shift_invariance_defect() < 1e-8
+    masses = _masses(system, 0.6, 2)
+    assert masses.invariant.sum() == pytest.approx(1.0, abs=1e-12)
+    assert masses.shift_invariance_defect() < 1e-14
 
 
 def test_spectral_and_word_pressure_agree_within_bracket():
     cf3 = continued_fraction_system(3)
+    col = collocate(cf3)
     for t in (0.55, 0.7):
-        state = eigenmeasure(build_operator(cf3, depth=2), t)
         est = pressure(cf3, t, depth=8)
-        assert abs(state.log_eigenvalue - est.value) <= est.gap + 1e-6
+        assert abs(math.log(col.eigenpair(t).eigenvalue) - est.value) <= est.gap + 1e-6
 
 
 def test_eigenmeasure_iteration_budget_is_enforced():
-    op = build_operator(continued_fraction_system(2), depth=2)
+    matrix = _dense(collocate(continued_fraction_system(2)), 0.5)
     with pytest.raises(ConvergenceFailure):
-        eigenmeasure(op, 0.5, max_iters=2)
+        _power_iterate(lambda v: matrix @ v, matrix.shape[0], 1e-14, 2)
 
 
 @pytest.mark.parametrize("system,depth", SOLVE_CASES, ids=SOLVE_IDS)
 @pytest.mark.parametrize("t", [0.5, 0.8])
 def test_eigenmeasure_matches_the_dense_eigendecomposition(system, depth, t):
-    op = build_operator(system, depth)
-    state = eigenmeasure(op, t)
-    dense = _weighted(op, t)
+    col = collocate(system)
+    pair = col.eigenpair(t)
+    dense = _dense(col, t)
     values, right = np.linalg.eig(dense)
     top = np.argmax(values.real)
     values_t, left = np.linalg.eig(dense.T)
-    mu = left[:, np.argmax(values_t.real)].real
-    mu /= mu.sum()
-    g = right[:, top].real
-    g /= np.dot(mu, g)
-    assert abs(state.eigenvalue - values[top].real) <= 1e-12 * values[top].real
-    assert (np.abs(state.eigenmeasure - mu) <= 1e-12 * mu).all()
-    assert (np.abs(state.density - g) <= 1e-12 * g).all()
+    ell = left[:, np.argmax(values_t.real)].real
+    ell /= ell.sum()
+    rho = right[:, top].real
+    rho /= rho.sum()
+    assert abs(pair.eigenvalue - values[top].real) <= 1e-12 * values[top].real
+    assert np.abs(pair.left - ell).max() <= 1e-12 * np.abs(ell).max()
+    assert np.abs(pair.right - rho).max() <= 1e-12 * rho.max()
+    # and the masses those vectors give
+    masses = cylinder_masses(col, pair, system.incidence, depth)
+    exact = cylinder_masses(
+        col, dataclasses.replace(pair, left=ell, right=rho), system.incidence, depth
+    )
+    assert np.abs(masses.eigenmeasure / exact.eigenmeasure - 1.0).max() <= 1e-11
+    assert np.abs(masses.invariant / exact.invariant - 1.0).max() <= 1e-11
 
 
 def test_truncated_eigenmeasures_stabilise_as_the_alphabet_grows():
-    # same potential, growing truncation: the per-state masses settle down
+    # same potential, growing truncation: the per-symbol masses settle down
     fam = golden_family()
     t = 0.694241913630617
-    states = {n: eigenmeasure(build_operator(fam.truncate(n), depth=1), t) for n in (3, 4, 5, 6, 7)}
+    masses = {n: _masses(fam.truncate(n), t, 1) for n in (3, 4, 5, 6, 7)}
     diffs = []
     for n in (3, 4, 5, 6):
-        a = states[n].eigenmeasure
-        b = states[n + 1].eigenmeasure[: len(a)]
+        a = masses[n].eigenmeasure
+        b = masses[n + 1].eigenmeasure[: len(a)]
         diffs.append(np.abs(a - b).max())
     assert diffs == sorted(diffs, reverse=True)
     assert diffs[-1] < diffs[0] / 2
@@ -326,119 +321,107 @@ def test_truncated_eigenmeasures_stabilise_as_the_alphabet_grows():
 
 
 def test_ternary_entropy_and_lyapunov_are_the_classic_logs():
-    state = eigenmeasure(build_operator(cantor_system((1 / 3, 1 / 3)), depth=1), TERNARY_H)
-    el = entropy_lyapunov(state)
-    assert el.entropy == pytest.approx(math.log(2.0), abs=1e-12)
-    assert el.lyapunov == pytest.approx(math.log(3.0), abs=1e-12)
-    assert el.ratio == pytest.approx(TERNARY_H, abs=1e-12)
+    state = gibbs_state(collocate(cantor_system((1 / 3, 1 / 3))).eigenpair(TERNARY_H))
+    assert state.entropy == pytest.approx(math.log(2.0), abs=1e-12)
+    assert state.lyapunov == pytest.approx(math.log(3.0), abs=1e-12)
+    assert state.ratio == pytest.approx(TERNARY_H, abs=1e-12)
 
 
 def test_unequal_bernoulli_ratio_matches_closed_form():
     # weights (0.4, 0.2) at exponent one give branch probabilities (2/3, 1/3)
-    sys_ = cantor_system((0.4, 0.2))
-    state = eigenmeasure(build_operator(sys_, depth=1), 1.0)
-    assert state.eigenvalue == pytest.approx(0.6, abs=1e-12)
+    pair = collocate(cantor_system((0.4, 0.2))).eigenpair(1.0)
+    assert pair.eigenvalue == pytest.approx(0.6, abs=1e-12)
+    state = gibbs_state(pair)
     p = np.array([2 / 3, 1 / 3])
-    want_entropy = float(-(p * np.log(p)).sum())
-    want_lyapunov = float(-(p * np.log([0.4, 0.2])).sum())
-    el = entropy_lyapunov(state)
-    assert el.entropy == pytest.approx(want_entropy, abs=1e-10)
-    assert el.lyapunov == pytest.approx(want_lyapunov, abs=1e-10)
+    assert state.entropy == pytest.approx(float(-(p * np.log(p)).sum()), abs=1e-12)
+    assert state.lyapunov == pytest.approx(float(-(p * np.log([0.4, 0.2])).sum()), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_dimension_ratio_reproduces_the_bowen_root(n):
-    sys_n = golden_family().truncate(n)
-    h_n = bowen_solve(sys_n, depth=1).h
-    el = entropy_lyapunov(eigenmeasure(build_operator(sys_n, depth=1), h_n))
-    assert abs(el.ratio - h_n) < 1e-6
-    assert el.entropy >= 0.0
-    assert 0.0 <= el.ratio <= 1.0
+    sol = bowen_solve(golden_family().truncate(n), depth=1)
+    state = gibbs_state(sol.state)
+    assert abs(state.ratio - sol.h) < 1e-12
+    assert state.entropy >= 0.0
+    assert 0.0 <= state.ratio <= 1.0
 
 
 def test_deep_truncation_ratio_approaches_the_family_limit():
-    sys12 = golden_family().truncate(12)
-    h12 = bowen_solve(sys12, depth=1).h
-    el = entropy_lyapunov(eigenmeasure(build_operator(sys12, depth=1), h12))
-    assert abs(el.ratio - 0.694241913630617) < 1e-2
+    sol = bowen_solve(golden_family().truncate(12), depth=1)
+    assert abs(gibbs_state(sol.state).ratio - 0.694241913630617) < 1e-2
 
 
-def _dense_entropy(state):
-    """The entropy rate over every entry of the n x n transition matrix."""
-    op, g = state.operator, state.density
-    mat = op.matrix * np.exp(state.exponent * op.state_log_mid)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(mat > 0, (mat * g[None, :]) / (state.eigenvalue * g[:, None]), 0.0)
-        p /= p.sum(axis=1)[:, None]
-        plogp = np.where(p > 0, p * np.log(p), 0.0)
-    return float(-(state.invariant[:, None] * plogp).sum())
-
-
-@given(operator_systems, st.integers(1, 6), st.floats(0.0, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_entropy_over_the_non_zeros_matches_the_dense_matrix(system, depth, t):
-    while count_admissible(system.incidence, depth) > 1024:
-        depth -= 1
-    op = build_operator(system, depth)
-    pairs = sorted(zip(op.rows.tolist(), op.cols.tolist()))
-    assert pairs == sorted(zip(*(a.tolist() for a in np.nonzero(op.matrix))))
-    state = eigenmeasure(op, t)
-    dense = _dense_entropy(state)
-    assert abs(entropy_lyapunov(state).entropy - dense) <= 1e-14 * dense
+@given(operator_systems, st.floats(0.1, 1.0))
+@settings(max_examples=20, deadline=None)
+def test_entropy_is_the_block_entropy_limit_of_the_invariant_masses(system, t):
+    # the entropy of mu is the limit of H(mu_n) - H(mu_(n-1)), the block
+    # entropies of its depth-n masses, reached from above; log lambda + s chi
+    # is that limit without the limit
+    col = collocate(system)
+    state = gibbs_state(col.eigenpair(t))
+    depth = 1
+    while count_admissible(system.incidence, depth + 1) <= 4096 and depth < 8:
+        depth += 1
+    blocks = []
+    for d in (depth - 1, depth):
+        mu = cylinder_masses(col, col.eigenpair(t), system.incidence, d).invariant
+        blocks.append(float(-(mu * np.log(mu)).sum()))
+    conditional = blocks[1] - blocks[0]
+    assert state.entropy <= conditional + 1e-12
+    assert conditional - state.entropy <= 0.02 * state.entropy
 
 
 def test_zero_contraction_is_reported_as_degenerate():
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
-    flat = dataclasses.replace(op, state_log_mid=np.zeros(len(op)))
+    pair = collocate(cantor_system((1 / 3, 1 / 3))).eigenpair(0.0)
     with pytest.raises(DegenerateSystemError):
-        entropy_lyapunov(eigenmeasure(flat, 0.0))
+        gibbs_state(dataclasses.replace(pair, slope=0.0))
+
+
+def test_eigenpair_residuals_are_checked():
+    pair = collocate(continued_fraction_system(2)).eigenpair(0.5)
+    with pytest.raises(ConvergenceFailure):
+        gibbs_state(dataclasses.replace(pair, density_residual=1e-6))
 
 
 # ---------------------------------------------------------------------------
-# operator-side Bowen root
+# the root that gibbs solves
 
 
 def test_operator_root_of_similitude_system_matches_word_root():
     sys5 = golden_family().truncate(5)
-    assert operator_bowen_solve(build_operator(sys5, depth=1)).h == pytest.approx(
-        bowen_solve(sys5, depth=1).h, abs=1e-9
-    )
+    pair, _ = collocate(sys5).root()
+    assert pair.s == pytest.approx(bowen_solve(sys5, depth=1).h, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_operator_root_brings_the_eigenvalue_to_one(n):
-    cf = continued_fraction_system(n)
-    sol = operator_bowen_solve(build_operator(cf, depth=2))
-    state = eigenmeasure(build_operator(cf, depth=2), sol.h)
-    assert abs(state.eigenvalue - 1.0) < 1e-6
-    assert sol.method == "operator"
+    pair, _ = collocate(continued_fraction_system(n)).root()
+    assert abs(pair.eigenvalue - 1.0) < 1e-12
+    assert isinstance(pair, Eigenpair)
 
 
 def test_operator_root_sharpens_as_states_deepen():
-    # reference value from the depth-16 cylinder-refinement solve
-    target = 0.531280506367
+    # the cylinder operator of the tests' reference converges to the
+    # collocation root as its words deepen
+    target = bowen_solve(continued_fraction_system(2)).h
     errs = [
-        abs(operator_bowen_solve(build_operator(continued_fraction_system(2), depth=k)).h - target)
-        for k in (2, 4, 6)
+        abs(cylinder_operator_root(continued_fraction_system(2), k) - target) for k in (2, 4, 6)
     ]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-3
 
 
 def test_depth_one_operator_matches_exact_bernoulli():
-    op = build_operator(cantor_system((1 / 3, 1 / 3)), depth=1)
+    col = collocate(cantor_system((1 / 3, 1 / 3)))
     for t in (0.0, 0.5, 1.0):
-        assert eigenmeasure(op, t).log_eigenvalue == pytest.approx(
-            math.log(2.0 * 3.0**-t), abs=1e-12
-        )
-    sol = operator_bowen_solve(op, tol=1e-12)
-    assert sol.h == pytest.approx(TERNARY_H, abs=1e-10)
-    assert sol.method == "operator"
+        assert col.log_eigenvalue(t)[0] == pytest.approx(math.log(2.0 * 3.0**-t), abs=1e-12)
+    pair, _ = col.root()
+    assert pair.s == pytest.approx(TERNARY_H, abs=1e-15)
 
 
 def test_operator_root_is_exact_on_similitude_subshift():
     sys_ = fibonacci_system()
-    root = operator_bowen_solve(build_operator(sys_, depth=1), tol=1e-12).h
+    root = collocate(sys_).root()[0].s
     # independent closed form: eigenvalue 1 of [[.4^t, .3^t], [.4^t, 0]]
     # happens exactly when 0.4^t + 0.12^t = 1
     lo, hi = 0.0, 2.0
@@ -448,7 +431,7 @@ def test_operator_root_is_exact_on_similitude_subshift():
             lo = mid
         else:
             hi = mid
-    assert root == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+    assert root == pytest.approx(0.5 * (lo + hi), abs=1e-12)
     # the collocation root is that Perron root at every word depth, while
     # the upper word pressure only converges O(1/depth) on a subshift, and
     # from above; watch its root, the bracket's upper end, drift toward it
@@ -468,27 +451,20 @@ def cf_digit_systems(draw):
     return gdms_system(((0.0, 1.0),), maps, label=f"cf{digits}")
 
 
-@given(cf_digit_systems(), st.integers(1, 5))
+@given(cf_digit_systems())
 @settings(max_examples=25, deadline=None)
-def test_operator_root_brackets_the_log_eigenvalue_zero(system, depth):
-    op = build_operator(system, depth=depth)
-    tol = 1e-10
-    sol = operator_bowen_solve(op, tol=tol)
+def test_operator_root_brackets_the_log_eigenvalue_zero(system):
+    col = collocate(system)
+    pair, evals = col.root()
 
     def logeig(t):
-        return eigenmeasure(op, t).log_eigenvalue
+        return col.log_eigenvalue(t)[0]
 
-    lo, hi = sol.bracket
-    assert 0.0 <= hi - lo <= tol
-    if lo < hi:
-        assert logeig(lo) > 0.0 >= logeig(hi)
-    assert sol.residual == logeig(sol.h)
-    # the returned state is the evaluation at h, bit for bit
-    again = eigenmeasure(op, sol.h)
-    assert sol.state.exponent == sol.h
-    assert np.array_equal(sol.state.eigenmeasure, again.eigenmeasure)
-    assert np.array_equal(sol.state.invariant, again.invariant)
-    assert abs(sol.residual) <= min(abs(logeig(lo)), abs(logeig(hi)))
+    # the returned pair is the evaluation at h, bit for bit
+    again = col.eigenpair(pair.s)
+    assert pair.eigenvalue == again.eigenvalue and pair.slope == again.slope
+    assert np.array_equal(pair.left, again.left) and np.array_equal(pair.right, again.right)
+    assert abs(math.log(pair.eigenvalue)) < 1e-14
     # independent reference: plain bisection on the same log-eigenvalue
     a, b = 0.0, 1.0
     assert logeig(b) <= 0.0
@@ -498,29 +474,28 @@ def test_operator_root_brackets_the_log_eigenvalue_zero(system, depth):
             a = mid
         else:
             b = mid
-    assert abs(sol.h - 0.5 * (a + b)) <= tol
+    assert abs(pair.s - 0.5 * (a + b)) <= 1e-12
 
 
 @given(cf_digit_systems())
 @settings(max_examples=8, deadline=None)
 def test_operator_root_lies_in_the_certified_word_bracket(system):
     # two independent solvers: the word sums' bracket, certified on a full
-    # shift, holds the context-6 operator root
+    # shift, holds the context-6 cylinder operator root and the collocation root
     lo, hi = bowen_solve(system, depth=8).bracket
-    assert lo <= operator_bowen_solve(build_operator(system, 6)).h <= hi
+    assert lo <= cylinder_operator_root(system, 6) <= hi
+    assert lo <= collocate(system).root()[0].s <= hi
 
 
 @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
 def test_lyapunov_is_minus_the_log_eigenvalue_slope(t):
-    op = build_operator(continued_fraction_system(2), depth=4)
+    col = collocate(continued_fraction_system(2))
     step = 1e-4
-    central = (
-        eigenmeasure(op, t + step).log_eigenvalue - eigenmeasure(op, t - step).log_eigenvalue
-    ) / (2 * step)
-    assert -eigenmeasure(op, t).lyapunov == pytest.approx(central, abs=1e-6)
+    central = (col.log_eigenvalue(t + step)[0] - col.log_eigenvalue(t - step)[0]) / (2 * step)
+    assert -gibbs_state(col.eigenpair(t)).lyapunov == pytest.approx(central, abs=1e-8)
 
 
 def test_operator_root_takes_a_handful_of_evaluations():
-    # bisection to the default tol 1e-10 takes 35
-    sol = operator_bowen_solve(build_operator(continued_fraction_system(2), 8))
-    assert sol.iterations <= 8
+    # bisection to the default tol 1e-15 takes 50
+    _, evals = collocate(continued_fraction_system(2)).root()
+    assert evals <= 8
