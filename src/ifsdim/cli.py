@@ -37,6 +37,7 @@ from .measures import (
     GALLERY_NAMES,
     CylinderMeasure,
     LineMeasure,
+    MeasureFamily,
     conformal_cylinder_measure,
     gallery,
     sample,
@@ -51,6 +52,7 @@ from .pressure import (
     bowen_solve,
     collocate,
     collocation_shape,
+    default_depth,
     truncation_scan,
 )
 from .symbolic import IncidenceMatrix, count_admissible
@@ -85,15 +87,19 @@ __all__ = [
     "main",
 ]
 
+# exit codes follow the phase: the plan reads, checks and costs the whole
+# config and refuses it with a ConfigError (2); an irregular system exits 4,
+# and any other fault, all past the plan, 3
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NON_CONVERGENCE = 3
+EXIT_RUN_FAILED = 3
 EXIT_IRREGULAR = 4
 
 # the most entries one array of a command may hold: the words of a geometry
 # level, the collocation arrays of the root (bowen, scan, dimension, gibbs),
-# the largest array of the gibbs masses recursion and a converge cylinder
-# table's level^depth cells.  4096^2 = 4^12 keeps every two-map depth that
+# the largest array of the gibbs masses recursion, a converge cylinder
+# table's level^depth cells and a gallery member's atoms plus pieces.
+# 4096^2 = 4^12 keeps every two-map depth that
 # bowen.depth accepts, gibbs.depth 12 for up to three continued-fraction
 # digits and 10 for four, and the default word depth 12 for up to four maps.
 ENTRY_BUDGET = 4096**2
@@ -124,6 +130,16 @@ def _size_key(family: str) -> str:
     return {"custom": "system.maps", "cantor": "system.ratios"}.get(family, "system.size")
 
 
+def _finite_system(cfg: RunConfig, source, command: str) -> SystemSpec:
+    """``source`` when it is a finite system, its root collocation costed
+    under the key that sets its size; a family without one is refused."""
+    if isinstance(source, SimilitudeFamily):
+        raise ConfigError(f"system.size: required to build a finite system for {command}")
+    key = _size_key(cfg.get_str("system.family"))
+    _check_collocation(key, source.alphabet_size, *collocation_shape(source))
+    return source
+
+
 def _check_levels(key: str, family: SimilitudeFamily, levels: list[int]) -> None:
     """Reject, naming ``key``, levels that need a map whose ratio is not in
     (0, 1) as a double: golden's 2^-(i+1) underflows to 0.0 from map 1074."""
@@ -135,6 +151,18 @@ def _check_levels(key: str, family: SimilitudeFamily, levels: list[int]) -> None
             f"{key}: map {i + 1} of {family.name} has ratio {float(ratios[i])!r} in double "
             f"precision, so levels run to at most {i}"
         )
+
+
+def _check_members(key: str, family: MeasureFamily, top: int) -> None:
+    """Reject, naming ``key``, gallery members up to ``top`` that double
+    precision cannot represent or whose atoms plus pieces exceed
+    ENTRY_BUDGET; the entries grow with the member, so ``top`` decides."""
+    if family.last is not None and top > family.last:
+        raise ConfigError(
+            f"{key}: member {top} of {family.name} underflows in double precision, "
+            f"so members run to at most {family.last}"
+        )
+    _check_budget(key, f"member {top} of {family.name} makes", family.entries(top), "atoms and pieces")
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +352,10 @@ def cmd_bowen(cfg: RunConfig) -> Report:
     if isinstance(source, SimilitudeFamily):
         sol = analytic_bowen_solve(source, tol=min(tol, 1e-12))
     else:
-        default_depth = 1 if source.is_similitude() else 12
-        depth = cfg.get_int("bowen.depth", default=default_depth, lo=1, hi=24)
+        source = _finite_system(cfg, source, "bowen")
+        depth = cfg.get_int("bowen.depth", default=default_depth(source), lo=1, hi=24)
         words = count_admissible(source.incidence, depth)
         _check_budget("bowen.depth", f"depth {depth} makes", words, "words")
-        key = _size_key(cfg.get_str("system.family"))
-        _check_collocation(key, source.alphabet_size, *collocation_shape(source))
         sol = bowen_solve(source, depth=depth, tol=tol)
     results = {
         "h": sol.h,
@@ -383,11 +409,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
         depth = cfg.get_int("scan.depth", default=1, lo=1, hi=24)
     elif family == "continued-fraction":
         source = continued_fraction_system
-        depth = (
-            cfg.get_int("scan.depth", lo=1, hi=16)
-            if cfg.has("scan.depth")
-            else _cf_scan_depth
-        )
+        depth = cfg.get_int("scan.depth", lo=1, hi=16) if cfg.has("scan.depth") else _cf_scan_depth
     else:
         raise ConfigError(
             "system.family: scan needs a parametrised family "
@@ -404,6 +426,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
         [r.level, r.h, r.bracket_lo, r.bracket_hi, r.gap, r.residual, r.regular, r.depth, r.note]
         for r in scan.rows
     ]
+    header = "level h bracket_lo bracket_hi pressure_gap residual regular depth note".split()
     hs = [r.h for r in scan.rows if not math.isnan(r.h)]
     results = {
         "levels": [r.level for r in scan.rows],
@@ -420,23 +443,13 @@ def cmd_scan(cfg: RunConfig) -> Report:
         cfg,
         results=results,
         diagnostics={"worst_pressure_gap": max((r.gap for r in scan.rows if not math.isnan(r.gap)), default=None)},
-        tables={
-            "levels": _csv_table(
-                [
-                    "level", "h", "bracket_lo", "bracket_hi", "pressure_gap",
-                    "residual", "regular", "depth", "note",
-                ],
-                rows,
-            )
-        },
+        tables={"levels": _csv_table(header, rows)},
     )
 
 
 def cmd_converge(cfg: RunConfig) -> Report:
-    cfg.check_keys(
-        "converge",
-        ["converge.levels", "converge.cylinder_depths", "converge.singularity_depth"],
-    )
+    keys = ["converge.levels", "converge.cylinder_depths", "converge.singularity_depth"]
+    cfg.check_keys("converge", keys)
     family = cfg.get_str("system.family")
     if family.startswith("gallery:"):
         return _converge_gallery(cfg, family)
@@ -467,12 +480,13 @@ def cmd_converge(cfg: RunConfig) -> Report:
             ],
         )
     h = limit_sol.h
-    h_top = bowen_solve(source.truncate(top), depth=1).h
+    roots = {n: bowen_solve(source.truncate(n), depth=1).h for n in levels}
+    h_top = roots[top]
 
     rows = []
     for n in levels:
         ratios = np.abs(source.coefficients(n)[:, 0])
-        h_n = bowen_solve(source.truncate(n), depth=1).h
+        h_n = roots[n]
         weights_n = ratios**h_n
         weights_n /= weights_n.sum()
         limit_weights = ratios**h
@@ -512,6 +526,7 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
             "pick a gallery family with one"
         )
     levels = cfg.get_levels("converge.levels", default="2:10", lo=1)
+    _check_members("converge.levels", fam, max(levels))
     rows = []
     for n in levels:
         nu = fam.at(n)
@@ -540,17 +555,9 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
 
 
 DIMENSION_KEYS = [
-    "dimension.member",
-    "dimension.depth",
-    "dimension.r_min",
-    "dimension.r_max",
-    "dimension.r_count",
-    "dimension.fit_lo",
-    "dimension.fit_hi",
-    "dimension.density_r_min",
-    "dimension.density_r_max",
-    "dimension.density_points",
-    "dimension.flatness",
+    "dimension.member", "dimension.depth", "dimension.r_min", "dimension.r_max",
+    "dimension.r_count", "dimension.fit_lo", "dimension.fit_hi", "dimension.density_r_min",
+    "dimension.density_r_max", "dimension.density_points", "dimension.flatness",
     "dimension.tolerance",
 ]
 
@@ -574,62 +581,6 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     except ValueError as err:
         raise ConfigError(f"dimension.{'fit_lo' if fit_window else 'r_min'}: {err}") from None
     tolerance = cfg.get_float("dimension.tolerance", default=0.05, lo=0.0, hi=1.0)
-
-    family = cfg.get_str("system.family")
-    bowen_root: Optional[float] = None
-    ratio: Optional[float] = None
-    warnings: list[str] = []
-    measure: Union[LineMeasure, CylinderMeasure]
-    if family.startswith("gallery:"):
-        fam = _gallery_family(cfg, family)
-        member = cfg.get_str("dimension.member", default="limit")
-        if member == "limit":
-            if fam.limit is None:
-                raise ConfigError(
-                    f"dimension.member: {family} has no limit measure; give an index"
-                )
-            measure = fam.limit
-            label = f"{fam.name}[limit]"
-        else:
-            try:
-                index = int(member)
-            except ValueError:
-                raise ConfigError(
-                    f"dimension.member: expected 'limit' or an integer, got {member!r}"
-                ) from None
-            if index < 1:
-                raise ConfigError(f"dimension.member: index must be >= 1, got {index}")
-            measure = fam.at(index)
-            label = f"{fam.name}[{index}]"
-    else:
-        source = _build_source(cfg)
-        if isinstance(source, SimilitudeFamily):
-            raise ConfigError(
-                "system.size: required to build a finite system for dimension"
-            )
-        cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
-        if not source.incidence.allowed.any(axis=1).all():
-            raise ConfigError("system.incidence: a symbol has no admissible successor")
-        word_depth = 1 if source.is_similitude() else 12
-        # the word solve's depth is fixed, so only fewer maps shrink its level
-        size_key = _size_key(family)
-        words = count_admissible(source.incidence, word_depth)
-        _check_budget(size_key, f"the word solve at depth {word_depth} makes", words, "words")
-        _check_collocation(size_key, source.alphabet_size, *collocation_shape(source))
-        words = count_admissible(source.incidence, cyl_depth)
-        _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
-        sol = bowen_solve(source, depth=word_depth)
-        bowen_root = sol.h
-        measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
-        label = f"{source.label}[conformal]"
-        # the ratio is read off the eigenpair of the root itself
-        try:
-            require_primitive(source.incidence)
-            ratio = gibbs_state(sol.state).ratio
-        except (ReducibilityError, ConvergenceFailure, DegenerateSystemError) as err:
-            warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
-
-    # the remaining keys are checked before anything is sampled
     density_points = cfg.get_int("dimension.density_points", default=300, lo=1, hi=100_000)
     d_rmin = cfg.get_float("dimension.density_r_min", default=max(r_min, 1e-12))
     d_rmax = cfg.get_float("dimension.density_r_max", default=min(r_max, 0.4))
@@ -638,11 +589,64 @@ def cmd_dimension(cfg: RunConfig) -> Report:
             f"dimension.density_r_min: need 0 < density_r_min < density_r_max < 1, "
             f"got ({d_rmin}, {d_rmax})"
         )
-    lo_supp, hi_supp = measure.support_bounds if isinstance(measure, LineMeasure) else (0.0, 1.0)
-    flat_default = isinstance(measure, LineMeasure) and 0.0 <= lo_supp and hi_supp <= 1.0
-    want_flatness = cfg.get_bool("dimension.flatness", default=flat_default)
-    if want_flatness and not isinstance(measure, LineMeasure):
-        raise ConfigError("dimension.flatness: only piecewise measures support the detector")
+
+    family = cfg.get_str("system.family")
+    if family.startswith("gallery:"):
+        fam = _gallery_family(cfg, family)
+        member = cfg.get_str("dimension.member", default="limit")
+        if member == "limit":
+            if fam.limit is None:
+                raise ConfigError(
+                    f"dimension.member: {family} has no limit measure; give an index"
+                )
+            index, label = None, f"{fam.name}[limit]"
+            lo_supp, hi_supp = fam.limit.support_bounds
+        else:
+            index = cfg.get_int("dimension.member", lo=1)
+            _check_members("dimension.member", fam, index)
+            label = f"{fam.name}[{index}]"
+            lo_supp, hi_supp = fam.support
+        detectable = 0.0 <= lo_supp and hi_supp <= 1.0
+    else:
+        source = _finite_system(cfg, _build_source(cfg), "dimension")
+        cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
+        if not source.incidence.allowed.any(axis=1).all():
+            raise ConfigError("system.incidence: a symbol has no admissible successor")
+        word_depth = default_depth(source)
+        # the word solve's depth is fixed, so only fewer maps shrink its level
+        words = count_admissible(source.incidence, word_depth)
+        what = f"the word solve at depth {word_depth} makes"
+        _check_budget(_size_key(family), what, words, "words")
+        words = count_admissible(source.incidence, cyl_depth)
+        _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
+        label = f"{source.label}[conformal]"
+        detectable = False  # conformal cylinder masses are not piecewise constant
+    want_flatness = cfg.get_bool("dimension.flatness", default=detectable)
+    if want_flatness and not detectable:
+        raise ConfigError("dimension.flatness: the detector needs a piecewise measure on [0, 1]")
+    if family == "gallery:staircase":
+        a = cfg.get_float("system.a", default=0.5)
+        ladder = [a ** (k * k) for k in range(1, 9)]
+    else:
+        ladder = list(d_rmax * 0.5 ** np.arange(0, 12))
+        ladder = [r for r in ladder if r >= d_rmin] or [d_rmax]
+
+    bowen_root: Optional[float] = None
+    ratio: Optional[float] = None
+    warnings: list[str] = []
+    measure: Union[LineMeasure, CylinderMeasure]
+    if family.startswith("gallery:"):
+        measure = fam.limit if index is None else fam.at(index)
+    else:
+        sol = bowen_solve(source, depth=word_depth)
+        bowen_root = sol.h
+        measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
+        # the ratio is read off the eigenpair of the root itself
+        try:
+            require_primitive(source.incidence)
+            ratio = gibbs_state(sol.state).ratio
+        except (ReducibilityError, ConvergenceFailure, DegenerateSystemError) as err:
+            warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
 
     cloud = sample(measure, count, seed=seed)
     curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
@@ -656,12 +660,6 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     flatness = None
     flat_csv = None
     if want_flatness:
-        if family == "gallery:staircase":
-            a = cfg.get_float("system.a", default=0.5)
-            ladder = [a ** (k * k) for k in range(1, 9)]
-        else:
-            ladder = list(d_rmax * 0.5 ** np.arange(0, 12))
-            ladder = [r for r in ladder if r >= d_rmin] or [d_rmax]
         flat = flatness_detector(measure, ladder)
         flat_csv = flat.as_csv()
         flatness = {
@@ -707,9 +705,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
 
 def cmd_gibbs(cfg: RunConfig) -> Report:
     cfg.check_keys("gibbs", ["gibbs.exponent", "gibbs.depth"])
-    source = _build_source(cfg)
-    if isinstance(source, SimilitudeFamily):
-        raise ConfigError("system.size: required to build a finite system for gibbs")
+    source = _finite_system(cfg, _build_source(cfg), "gibbs")
     depth = cfg.get_int(
         "gibbs.depth", default=1 if source.is_similitude() else 2, lo=1, hi=12
     )
@@ -723,9 +719,7 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             ) from None
         if not math.isfinite(exponent):
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
-    grids, nodes = collocation_shape(source)
-    _check_collocation(_size_key(cfg.get_str("system.family")), source.alphabet_size, grids, nodes)
-    entries = masses_entries(source.incidence, depth, grids, nodes)
+    entries = masses_entries(source.incidence, depth, *collocation_shape(source))
     _check_budget("gibbs.depth", f"depth {depth} makes", entries, "masses-recursion entries")
     require_primitive(source.incidence)
     collocation = collocate(source)
@@ -848,15 +842,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceFailure as err:
-        print(f"non-convergence: {err}", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
     except (ReducibilityError, DegenerateSystemError) as err:
         print(f"irregular system: {err}", file=sys.stderr)
         return EXIT_IRREGULAR
-    except (InvalidSystem, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ConvergenceFailure as err:
+        print(f"non-convergence: {err}", file=sys.stderr)
+        return EXIT_RUN_FAILED
+    except (InvalidSystem, ValueError) as err:  # raised past the plan, so not the config's
+        print(f"run failed: {err}", file=sys.stderr)
+        return EXIT_RUN_FAILED
 
     paths = report.write(out_dir, fmt)
     for key in sorted(report.results):

@@ -193,9 +193,6 @@ class DensityField:
     inside: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def as_csv(self) -> str:
         return _csv(
             "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d",

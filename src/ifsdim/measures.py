@@ -310,17 +310,6 @@ class CylinderMeasure:
             idx = int(self.child_starts[d - 2][idx]) + int(allowed[prev, :e].sum())
         return float(self.masses[len(word) - 1][idx])
 
-    def consistent(self, tol: float = 1e-12) -> bool:
-        """Additivity at every stored depth plus unit total."""
-        for d in range(1, self.depth):
-            parents = self.masses[d - 1]
-            sums = np.add.reduceat(self.masses[d], self.child_starts[d - 1][:-1])
-            if not np.allclose(parents, sums, rtol=0.0, atol=tol):
-                return False
-        if abs(float(self.masses[0].sum()) - 1.0) > tol * 10:
-            return False
-        return bool(all((lvl >= 0).all() for lvl in self.masses))
-
 
 def _extension_tables(system: SystemSpec, depth: int):
     """last_symbols and child_starts arrays for levels 1..depth, and each
@@ -341,10 +330,12 @@ def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> Cyli
     """Cylinder masses proportional to (certified derivative sup)^h.
 
     The deepest level is normalized to total mass one and every shallower
-    level is the exact sum of its extensions.  For similitude systems with h
-    the Bowen root this reproduces the conformal masses exactly; for
-    distortion-bounded systems each mass carries a relative error of at most
-    (distortion bound)^h - 1.
+    level is the exact sum of its extensions.  For similitude full shifts
+    with h the Bowen root this reproduces the conformal masses exactly; for
+    distortion-bounded full shifts each mass carries a relative error of at
+    most (distortion bound)^h - 1.  Under an incidence matrix the conformal
+    mass of w also carries the mass of the words that may follow its last
+    symbol, which these masses omit.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"exponent must lie in [0, 1], got {h}")
@@ -587,16 +578,26 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
 @dataclass(frozen=True)
 class MeasureFamily:
     """A named sequence n -> LineMeasure together with its limit, when the
-    limit is itself expressible as a LineMeasure (else None, see note)."""
+    limit is itself expressible as a LineMeasure (else None, see note).
+
+    Known before a member is built: ``entries(n)``, at most the atoms plus
+    pieces of member n; ``last``, the last member that double precision
+    represents (None when every one is); and ``support``, an interval that
+    holds every member."""
 
     name: str
     member: Callable[[int], "LineMeasure"] = field(repr=False)
     limit: Optional[LineMeasure] = None
     note: str = ""
+    entries: Callable[[int], int] = field(default=lambda n: 2, repr=False)
+    last: Optional[int] = None
+    support: tuple[float, float] = (0.0, 1.0)
 
     def at(self, n: int) -> LineMeasure:
         if n < 1:
             raise ValueError(f"family index must be >= 1, got {n}")
+        if self.last is not None and n > self.last:
+            raise ValueError(f"{self.name} member {n} underflows; members run to at most {self.last}")
         return self.member(n)
 
 
@@ -630,16 +631,11 @@ def _staircase_pieces(a: float, masses: np.ndarray) -> tuple:
 
 
 def _staircase(n: int, a: float) -> LineMeasure:
-    if a ** ((n + 1) ** 2) == 0.0:
-        raise ValueError(f"stage {n} underflows for scale {a}; reduce the stage")
     masses = (1.0 - a) * a ** np.arange(n + 1) / (1.0 - a ** (n + 1))
     return LineMeasure(pieces=_staircase_pieces(a, masses))
 
 
-def _staircase_limit(a: float) -> LineMeasure:
-    count = 1
-    while a ** ((count + 1) ** 2) > 0.0:
-        count += 1
+def _staircase_limit(a: float, count: int) -> LineMeasure:
     pieces = _staircase_pieces(a, (1.0 - a) * a ** np.arange(count))
     # the tail below float resolution is carried by an atom at the origin
     return LineMeasure(atoms=((0.0, float(a**count)),), pieces=pieces)
@@ -693,6 +689,7 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
                 "contraction ratios pinned to (1/3, 1/3); the limit is the "
                 "Cantor conformal measure and has no atoms-plus-pieces form"
             ),
+            entries=lambda n: 2**n,
         )
     if name == "lattice-comb":
         return MeasureFamily(
@@ -700,6 +697,7 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
             _lattice_comb,
             limit=LineMeasure.uniform(0.0, 1.0),
             note="weak limit only; every grid point set witnesses setwise failure",
+            entries=lambda n: n,
         )
     if name == "atom-vs-uniform":
         return MeasureFamily(
@@ -714,14 +712,20 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
             _leaking_block,
             limit=LineMeasure.point_mass(0.0),
             note="setwise-converges; TV distance to the limit is exactly 1/n",
+            support=(0.0, 2.0),
         )
     if name == "staircase":
         if not 0.0 < a < 1.0:
             raise ValueError(f"scale must lie in (0, 1), got {a}")
+        count = 1  # a^(k^2) > 0 for k <= count: stage n needs a^((n+1)^2) > 0
+        while a ** ((count + 1) ** 2) > 0.0:
+            count += 1
         return MeasureFamily(
             name,
             lambda n: _staircase(n, a),
-            limit=_staircase_limit(a),
+            limit=_staircase_limit(a, count),
             note="TV-converges geometrically; pointwise density exponents stay flat",
+            entries=lambda n: n + 1,
+            last=count - 1,
         )
     raise ValueError(f"unknown gallery family {name!r}; known: {', '.join(GALLERY_NAMES)}")

@@ -56,6 +56,7 @@ __all__ = [
     "analytic_bowen_solve",
     "collocate",
     "collocation_shape",
+    "default_depth",
     "truncation_scan",
 ]
 
@@ -90,6 +91,12 @@ class BowenSolution:
     gap: float = 0.0  # word pressure bracket width at the root (collocation method)
     # the Eigenpair evaluated at h (collocation method)
     state: Eigenpair | None = field(default=None, repr=False, compare=False)
+
+
+def default_depth(system: SystemSpec) -> int:
+    """The word depth of the bracket when none is given: 1 on a similitude
+    system, whose depth-1 pressures are already exact, else 12."""
+    return 1 if system.is_similitude() else 12
 
 
 def _level(system: SystemSpec, depth: int):
@@ -386,12 +393,6 @@ class Collocation:
             density_residual=float(np.abs(images[0] - eigenvalue * right).max()) / scale,
         )
 
-    def log_eigenvalue(self, s: float) -> tuple[float, float]:
-        """log lambda_N(s), the log leading eigenvalue of the collocation
-        matrix, and its slope, read off ``eigenpair(s)``."""
-        pair = self.eigenpair(s)
-        return math.log(pair.eigenvalue), pair.slope
-
     def root(
         self,
         tol: float = COLLOCATION_TOL,
@@ -619,8 +620,7 @@ def truncation_scan(
     """Bowen roots of the finite sub-systems at each level.
 
     Failed levels are recorded (h NaN, note set) and the scan moves on.
-    Similitude truncations default to depth 1, where the partition pressure
-    is already exact; everything else defaults to depth 12.  A callable
+    The depth defaults to ``default_depth`` of each level.  A callable
     depth receives the level, so wide alphabets can trade refinement depth
     for branching factor.
 
@@ -648,7 +648,7 @@ def truncation_scan(
             elif depth is not None:
                 d = depth
             else:
-                d = 1 if system.is_similitude() else 12
+                d = default_depth(system)
             collocation = None
             if shared is not None and shared.full_shift and _first_maps_of(system, widest):
                 collocation = shared.truncate(system.alphabet_size)

@@ -20,6 +20,7 @@ import ifsdim
 import ifsdim.cli
 import ifsdim.config
 import ifsdim.dimension
+import ifsdim.measures
 import ifsdim.pressure
 import ifsdim.systems
 from ifsdim.cli import main
@@ -134,6 +135,17 @@ def test_bowen_without_infinite_words_exits_3_quietly(tmp_path, capsys):
     assert code == 3 and report is None
     err = capsys.readouterr().err
     assert "admits no infinite word" in err and "Warning" not in err
+
+
+def test_bowen_without_deep_words_exits_3_as_a_run_failure(tmp_path, capsys):
+    # 1 may follow 0 and nothing may follow 1: no admissible word is longer
+    # than two symbols, which only the depth-12 level finds out
+    code, report = run(
+        tmp_path, "bowen", CUSTOM_PAIR + "system.incidence = 01;00\nbowen.depth = 12\n"
+    )
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert "no admissible words at depth 12" in err and "config error" not in err
 
 
 def test_bowen_borderline_is_irregular_exit_4(tmp_path):
@@ -416,6 +428,20 @@ def test_converge_golden_cylinder_table(tmp_path):
     assert discrepancies == sorted(discrepancies, reverse=True)
 
 
+def test_converge_solves_each_level_once(tmp_path, monkeypatch):
+    solved = []
+    real = ifsdim.cli.bowen_solve
+
+    def counted(system, *args, **kwargs):
+        solved.append(system.alphabet_size)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(ifsdim.cli, "bowen_solve", counted)
+    code, _ = run(tmp_path, "converge", "system.family = golden\nconverge.levels = 2:12\n")
+    assert code == 0
+    assert solved == list(range(2, 13))
+
+
 def test_converge_borderline_reports_irregular(tmp_path):
     code, report = run(
         tmp_path, "converge", "system.family = borderline\nconverge.levels = 2:4\n"
@@ -575,38 +601,39 @@ def test_dimension_member_validation(tmp_path):
     assert run(tmp_path, "dimension", bad0)[0] == 2
 
 
+BAD_DIMENSION_KEYS = [
+    ("dimension.density_points = 0", "dimension.density_points"),
+    ("dimension.r_min = 0", "dimension.r_min"),
+    ("dimension.density_r_min = 0", "dimension.density_r_min"),
+    ("dimension.density_r_max = 2", "dimension.density_r_min"),
+    ("dimension.flatness = true", "dimension.flatness"),
+    # fit windows holding fewer than two grid radii, explicit and default
+    ("dimension.fit_lo = 0.01\ndimension.fit_hi = 0.0101", "dimension.fit_lo"),
+    ("dimension.r_min = 0.1", "dimension.r_min"),
+]
+
+
 @pytest.mark.parametrize(
-    "bad,key",
+    "system,bad,key",
     [
-        pytest.param(bad, key, id=bad.replace("\n", ", "))
-        for bad, key in [
-            ("dimension.density_points = 0", "dimension.density_points"),
-            ("dimension.r_min = 0", "dimension.r_min"),
-            ("dimension.density_r_min = 0", "dimension.density_r_min"),
-            ("dimension.density_r_max = 2", "dimension.density_r_min"),
-            ("dimension.flatness = true", "dimension.flatness"),
-            # fit windows holding fewer than two grid radii, explicit and default
-            ("dimension.fit_lo = 0.01\ndimension.fit_hi = 0.0101", "dimension.fit_lo"),
-            ("dimension.r_min = 0.1", "dimension.r_min"),
+        pytest.param(system, bad, key, id=prefix + bad.replace("\n", ", "))
+        for prefix, system in [
+            ("", "system.family = cantor\nsystem.ratios = 0.3, 0.3\n"),
+            # four continued-fraction digits: a depth-12 word solve of 4^12 words
+            ("cf4: ", "system.family = continued-fraction\nsystem.size = 4\n"),
         ]
+        for bad, key in BAD_DIMENSION_KEYS
     ],
 )
-def test_dimension_rejects_bad_keys_before_sampling(tmp_path, monkeypatch, capsys, bad, key):
-    samples = []
-    real = ifsdim.cli.sample
-
-    def counted(*args, **kwargs):
-        samples.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ifsdim.cli, "sample", counted)
-    code, report = run(
-        tmp_path,
-        "dimension",
-        f"system.family = cantor\nsystem.ratios = 0.3, 0.3\nsample.seed = 1\n{bad}\n",
-    )
+def test_dimension_rejects_bad_keys_before_sampling(
+    tmp_path, monkeypatch, capsys, system, bad, key
+):
+    calls = []
+    for name in ("sample", "bowen_solve", "collocate"):
+        monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    code, report = run(tmp_path, "dimension", f"{system}sample.seed = 1\n{bad}\n")
     assert code == 2 and report is None
-    assert samples == []
+    assert calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
     assert f"config error: {key}: " in capsys.readouterr().err
 
@@ -675,10 +702,42 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.family = gallery:leaking-block\nconverge.levels = 0:3\n",
             "converge.levels: must be >= 1, got 0",
         ),
+        # staircase stage n needs a^((n+1)^2) > 0: 0.5^1089 underflows
+        (
+            "converge",
+            "system.family = gallery:staircase\nconverge.levels = 30:40\n",
+            "converge.levels: member 40 of staircase underflows in double precision, "
+            "so members run to at most 31",
+        ),
+        (
+            "dimension",
+            "system.family = gallery:staircase\nsample.seed = 1\ndimension.member = 32\n",
+            "dimension.member: member 32 of staircase underflows",
+        ),
+        # leaking-block members put mass 1/n on [1, 2]
+        (
+            "dimension",
+            "system.family = gallery:leaking-block\nsample.seed = 1\n"
+            "dimension.member = 3\ndimension.flatness = true\n",
+            "dimension.flatness: the detector needs a piecewise measure on [0, 1]",
+        ),
+        (
+            "converge",
+            "system.family = gallery:lattice-comb\nconverge.levels = 16777217\n",
+            "converge.levels: member 16777217 of lattice-comb makes 16777217 atoms and pieces, "
+            "over the budget of 16777216",
+        ),
+        (
+            "dimension",
+            "system.family = gallery:cantor-mass-stages\nsample.seed = 1\ndimension.member = 25\n",
+            "dimension.member: member 25 of cantor-mass-stages makes 33554432 atoms and pieces",
+        ),
     ],
     ids=[
         "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels",
         "collocation-budget", "collocation-matrix-budget", "depth-low", "depth-high", "gallery-levels",
+        "staircase-stage", "staircase-member", "flatness-support", "lattice-comb-budget",
+        "cantor-stages-budget",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(
@@ -687,6 +746,8 @@ def test_config_errors_name_their_key_before_any_solve(
     calls = []
     for name in ("sample", "bowen_solve", "collocate"):
         monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    # nor is any gallery member built
+    monkeypatch.setattr(ifsdim.measures.MeasureFamily, "at", lambda *a: calls.append("at"))
     code, report = run(tmp_path, command, text)
     assert code == 2 and report is None
     assert calls == []
@@ -767,19 +828,25 @@ def test_work_budget_rejects_before_any_geometry(
         ("gibbs", "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 10\n"),
         # the masses table's 3^12 words of 12 symbols
         ("gibbs", "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 12\n"),
+        # 2^24 atoms, 2^24 pieces, and the last stage that 0.5^((n+1)^2) represents
+        ("converge", "system.family = gallery:lattice-comb\nconverge.levels = 16777216\n"),
+        ("dimension", "system.family = gallery:cantor-mass-stages\nsample.seed = 1\ndimension.member = 24\n"),
+        ("dimension", "system.family = gallery:staircase\nsample.seed = 1\ndimension.member = 31\n"),
     ],
     ids=[
         "bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states",
-        "gibbs-cf3-depth-12",
+        "gibbs-cf3-depth-12", "converge-lattice-comb", "dimension-cantor-stages", "dimension-staircase",
     ],
 )
 def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, text):
-    # 4096^2 = 2^24 = 4^12: each case reaches its first solve, stubbed to stop there
+    # 4096^2 = 2^24 = 4^12: each case reaches its first solve, or builds its
+    # first gallery member, stubbed to stop there
     def reached(*args, **kwargs):
         raise ifsdim.cli.ConvergenceFailure("reached the solve")
 
     for name in ("bowen_solve", "truncation_scan", "analytic_bowen_solve", "collocate"):
         monkeypatch.setattr(ifsdim.cli, name, reached)
+    monkeypatch.setattr(ifsdim.measures.MeasureFamily, "at", reached)
     code, report = run(tmp_path, command, text)
     assert code == 3 and report is None
 

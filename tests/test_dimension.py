@@ -203,7 +203,7 @@ def test_density_field_invariants():
     fld = density_field(LEBESGUE, pts, 1e-6, 1e-2)
     assert (fld.lower <= fld.upper + 1e-12).all()
     assert (fld.lower >= 0.0).all()
-    assert len(fld) == 41
+    assert fld.points.size == 41
 
 
 ORDER_MEASURE = conformal_cylinder_measure(cantor_system((0.3, 0.4)), 0.6, depth=6)

@@ -375,16 +375,20 @@ def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
     sol = bowen_solve(system, depth=depth, tol=tol, max_iter=8)
     lo, hi = sol.bracket
     assert lo <= sol.h <= hi and sol.iterations <= 24
-    log_eigenvalue = collocate(system).log_eigenvalue
-    assert sol.residual == log_eigenvalue(sol.h)[0]
+    col = collocate(system)
+
+    def log_eigenvalue(t):
+        return math.log(col.eigenpair(t).eigenvalue)
+
+    assert sol.residual == log_eigenvalue(sol.h)
     assert sol.gap == pressure(system, sol.h, depth).gap
     # independent reference: plain bisection on log lambda_N
     a, b = 0.0, 1.0
-    while log_eigenvalue(b)[0] > 0.0:
+    while log_eigenvalue(b) > 0.0:
         a, b = b, 2.0 * b
     while b - a > 1e-13:
         mid = 0.5 * (a + b)
-        if log_eigenvalue(mid)[0] > 0.0:
+        if log_eigenvalue(mid) > 0.0:
             a = mid
         else:
             b = mid
@@ -415,7 +419,13 @@ def test_collocation_roots_meet_every_reference_within_its_accuracy():
     for entry in REFERENCES:
         maps = tuple(MapDescriptor("moebius-1d", q=q) for q in entry["digits"])
         system = gdms_system(((0.0, 1.0),), maps)
-        h, _, _ = _find_root(collocate(system).log_eigenvalue, 1e-15, 20, "reference")
+        col = collocate(system)
+
+        def log_eigenvalue(t):
+            pair = col.eigenpair(t)
+            return math.log(pair.eigenvalue), pair.slope
+
+        h, _, _ = _find_root(log_eigenvalue, 1e-15, 20, "reference")
         assert abs(h - entry["dimension"]) <= entry["accuracy"], entry["digits"]
 
 
