@@ -29,6 +29,7 @@ from .dimension import (
     correlation_curve,
     density_field,
     flatness_detector,
+    format_csv,
     radius_grid,
     scaling_quantile_bounds,
     young_criterion,
@@ -743,14 +744,12 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         "states": count,
         "regular": True,
     }
-    # words hold only digits and dots, so no cell needs quoting: one format,
-    # a %d per symbol, prints the row-major cells, laid out column by column
-    width = depth + 2
-    cells: list = [0] * (count * width)
-    for c, column in enumerate((*masses.words.T, masses.eigenmeasure, masses.invariant)):
-        cells[c::width] = column.tolist()
-    row = ".".join(["%d"] * depth) + ",%.17g,%.17g\n"
-    table = "word,eigenmeasure,invariant\n" + row * count % tuple(cells)
+    # words hold only digits and dots, so no cell needs quoting
+    table = format_csv(
+        "word,eigenmeasure,invariant",
+        ".".join(["%d"] * depth) + ",%.17g,%.17g",
+        *masses.words.T, masses.eigenmeasure, masses.invariant,
+    )
     return _report(
         "gibbs",
         cfg,

@@ -30,16 +30,19 @@ __all__ = [
     "correlation_curve",
     "density_field",
     "flatness_detector",
+    "format_csv",
     "radius_grid",
     "scaling_quantile_bounds",
     "young_criterion",
 ]
 
-def _csv(header: str, row: str, *columns: np.ndarray) -> str:
+def format_csv(header: str, row: str, *columns: np.ndarray) -> str:
     """``header``, then one ``row`` line per table row: a single %-format
-    over the columns' values in row-major order."""
-    values = np.column_stack(columns).ravel().tolist()
-    return header + "\n" + (row + "\n") * len(columns[0]) % tuple(values)
+    over the cells in row-major order, each cell of its column's type."""
+    cells: list = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column.tolist()
+    return header + "\n" + (row + "\n") * len(columns[0]) % tuple(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +68,7 @@ class CorrelationCurve:
     degenerate: bool = False
 
     def as_csv(self) -> str:
-        return _csv("r,correlation", "%.17g,%.17g", self.radii, self.values)
+        return format_csv("r,correlation", "%.17g,%.17g", self.radii, self.values)
 
 
 def _query_rank_sum(runs: np.ndarray) -> int:
@@ -194,7 +197,7 @@ class DensityField:
     radii: np.ndarray = field(repr=False)
 
     def as_csv(self) -> str:
-        return _csv(
+        return format_csv(
             "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d",
             self.points, self.lower, self.upper, self.inside,
         )
@@ -393,7 +396,7 @@ class FlatnessCurve:
     fired: bool
 
     def as_csv(self) -> str:
-        return _csv("r,bound,exponent", "%.17g,%.17g,%.17g", self.radii, self.bounds, self.exponents)
+        return format_csv("r,bound,exponent", "%.17g,%.17g,%.17g", self.radii, self.bounds, self.exponents)
 
 
 def _left_interval_bound(measure: LineMeasure, s: float, r: float) -> float:

@@ -19,8 +19,7 @@ Three convergence gauges with strictly decreasing strength:
                              difference;
 * ``setwise_discrepancy``  — max disagreement over a finite family of test
                              sets ((lo, hi) intervals and ("points", locs)
-                             sets, or cylinder Words); always a lower bound
-                             for TV;
+                             sets); always a lower bound for TV;
 * ``weak_discrepancy``     — max disagreement of exact integrals over a
                              finite trigonometric + monomial dictionary, a
                              pragmatic stand-in for testing against every
@@ -35,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -218,29 +217,22 @@ def _density_at(m: LineMeasure, x0: float, x1: float) -> float:
 # ---------------------------------------------------------------------------
 # setwise and weak gauges
 
-TestSet = Union[tuple, Word]
-
-
-def _set_mass(measure, spec: TestSet) -> float:
-    if isinstance(spec, Word):
-        if isinstance(measure, CylinderMeasure):
-            return measure.mass_of(spec)
-        raise TypeError(f"{type(measure).__name__} cannot evaluate cylinder words")
+def _set_mass(measure, spec: tuple) -> float:
     if not isinstance(measure, LineMeasure):
         raise TypeError(f"{type(measure).__name__} cannot evaluate {spec!r}")
-    if len(spec) == 2 and spec[0] == "points":
-        return measure.mass_of_points(spec[1])
-    if len(spec) == 2 and all(isinstance(v, (int, float)) for v in spec):
-        return measure.mass_of_interval(float(spec[0]), float(spec[1]))
+    if isinstance(spec, tuple) and len(spec) == 2:
+        if spec[0] == "points":
+            return measure.mass_of_points(spec[1])
+        if all(isinstance(v, (int, float)) for v in spec):
+            return measure.mass_of_interval(float(spec[0]), float(spec[1]))
     raise ValueError(f"unrecognized test set {spec!r}")
 
 
-def setwise_discrepancy(m1, m2, sets: Iterable[TestSet]) -> float:
+def setwise_discrepancy(m1: LineMeasure, m2: LineMeasure, sets: Iterable[tuple]) -> float:
     """max over the finite test family of |m1(A) - m2(A)|.
 
     Test sets are closed intervals as (lo, hi) pairs and ("points",
-    locations) pairs for LineMeasures, and Word objects (cylinders) for
-    CylinderMeasures.  Always a lower bound for the total-variation
+    locations) pairs.  Always a lower bound for the total-variation
     distance.
     """
     worst = 0.0
@@ -407,10 +399,11 @@ def sample(measure, count: int, seed: int) -> np.ndarray:
     LineMeasure: inverse-CDF over the location-sorted atoms and pieces.
     CylinderMeasure: the stored levels fix the first digits exactly; beyond
     the stored depth all words grow together, a digit per step by the
-    one-step conditional law of the deepest two levels (exact for
-    product-structure conformal masses, first-order otherwise), until the
-    widest image interval of the batch is shorter than 1e-9; then each
-    midpoint is emitted.  So every sample takes the batch's step count.
+    one-step conditional law of levels 1 and 2 (each digit a level-2 child
+    of the current symbol; exact on similitude full shifts, first-order
+    otherwise), until the widest image interval of the batch is shorter
+    than 1e-9; then each midpoint is emitted.  So every sample takes the
+    batch's step count.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -481,61 +474,45 @@ def _child_choice(
         np.add(out, np.less_equal(gathered, target, out=mask), out=out)
 
 
-def _settle_table(P: np.ndarray) -> np.ndarray:
-    """``settle[e, k]``: where a drawn digit k after symbol e settles when
-    each forbidden step (``P[e, k] == 0``) moves it down one, at most m
-    times and never below 0; a forbidden digit 0 (only a draw of exactly
-    0 keeps it) moves up to the row's first allowed digit instead."""
-    m = P.shape[0]
-    settle = np.tile(np.arange(m), (m, 1))
-    rows = np.arange(m)[:, None]
-    for _ in range(m):
-        settle -= (P[rows, settle] == 0.0) & (settle > 0)
-    first = (P != 0.0).argmax(axis=1)  # 0 on an all-forbidden row
-    return np.where(settle == 0, first[:, None], settle)
-
-
-def _next_digits(
-    rowcum: np.ndarray, settle: np.ndarray, cur: np.ndarray, u: np.ndarray,
-    flat: np.ndarray, gathered: np.ndarray, mask: np.ndarray,
+def _draw_children(
+    level: tuple, parents: np.ndarray, out: np.ndarray, rng, work: np.ndarray, mask: np.ndarray
 ) -> None:
-    """Overwrite ``cur`` with each sample's next digit: the number of the
-    boundaries ``rowcum[k][cur]``, k < m - 1, below ``u``, settled by the
-    flattened m×m ``settle`` table.  Rows of cumulative masses are
-    non-decreasing, so the last boundary would only add where the others
-    all do, past m - 1."""
-    m = rowcum.shape[0]
-    np.multiply(cur, m, out=flat)  # row-major index cur * m + digit
-    for k in range(m - 1):
-        np.take(rowcum[k], cur, out=gathered, mode="wrap")
-        np.add(flat, np.greater(u, gathered, out=mask), out=flat)
-    np.take(settle, flat, out=cur, mode="wrap")
+    """``out`` = a child of each sample's parent word, drawn with the law of
+    the parent's children: target lo + u * width over the cumulative masses
+    of ``level`` = (cum, cs, lo, width), lo and width by parent."""
+    cum, cs, lo, width = level
+    target, gathered = work
+    np.take(width, parents, out=gathered, mode="wrap")
+    np.multiply(rng.random(out=target), gathered, out=target)
+    np.add(np.take(lo, parents, out=gathered, mode="wrap"), target, out=target)
+    _child_choice(cum, cs, parents, target, out, gathered, mask)
+
+
+def _level(masses: np.ndarray, cs: np.ndarray) -> tuple:
+    """A level's cumulative masses, its child starts ``cs``, and the first
+    boundary and the mass of each parent's block of children."""
+    cum = np.concatenate(([0.0], np.cumsum(masses)))
+    lo = cum[cs[:-1]]
+    return cum, cs, lo, cum[cs[1:]] - lo
 
 
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     m = measure.system.alphabet_size
     mats = measure.system.coefficients.T.copy()  # rows a, b, c, d
     # the work arrays, allocated once: the samples' products M and their
-    # extensions N, two scratch rows, two word or digit indices, a flat
-    # index and a mask.  Takes into them use mode="wrap": with out= the
-    # default mode copies through a temporary, and every index is in range.
+    # extensions N, two scratch rows, two word indices and a mask.  Takes
+    # into them use mode="wrap": with out= the default mode copies through
+    # a temporary, and every index is in range.
     floats = np.empty((10, count))
     M, N, work = floats[0:4], floats[4:8], floats[8:10]
-    idx, nxt, flat = np.zeros((3, count), dtype=np.int64)
+    idx, nxt = np.zeros((2, count), dtype=np.int64)
     mask = np.empty(count, dtype=bool)
 
     # exact joint draw of the stored digits, level by level from the empty
     # word; each word's product is pushed once, and samples gather theirs
     words = np.eye(2).reshape(4, 1)
     for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
-        cum = np.concatenate(([0.0], np.cumsum(measure.masses[d - 1])))
-        lo = cum[cs[:-1]]
-        width = cum[cs[1:]] - lo
-        target, gathered = work
-        np.take(width, idx, out=gathered, mode="wrap")
-        np.multiply(rng.random(out=target), gathered, out=target)
-        np.add(np.take(lo, idx, out=gathered, mode="wrap"), target, out=target)
-        _child_choice(cum, cs, idx, target, nxt, gathered, mask)
+        _draw_children(_level(measure.masses[d - 1], cs), idx, nxt, rng, work, mask)
         idx, nxt = nxt, idx
         parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
         grown = np.empty((10, parent.size))
@@ -544,18 +521,14 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
         words = grown[4:8]
     np.take(words, idx, axis=1, out=M, mode="wrap")
 
-    # one-step conditional extension beyond the stored depth
+    # beyond the stored depth each digit is a level-2 child of the current
+    # symbol; at depth 1, level 2 weighs each successor by its level-1 mass
     if measure.depth >= 2:
-        P = np.zeros((m, m))
-        cs0 = measure.child_starts[0]
-        for e in range(m):
-            block = measure.masses[1][cs0[e] : cs0[e + 1]]
-            P[e, measure.last_symbols[1][cs0[e] : cs0[e + 1]]] = block / measure.masses[0][e]
-    else:  # the depth-1 masses of each symbol's admissible successors
-        P = measure.masses[0] * measure.system.incidence.allowed
-        P /= P.sum(axis=1, keepdims=True)
-    rowcum = np.cumsum(P, axis=1).T.copy()
-    settle = _settle_table(P).ravel()
+        last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
+    else:
+        (_, last), (cs,), _ = _extension_tables(measure.system, 2)
+        two = measure.masses[0][last]
+    level = _level(two, cs)
     cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")
     for _ in range(500):
         (A, B, C, D), (x0, x1, gap, _) = M, N
@@ -564,8 +537,8 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
         if float(np.abs(np.subtract(x1, x0, out=gap), out=gap).max(initial=0.0)) < 1e-9:
             mid = np.add(x0, x1)
             return np.multiply(mid, 0.5, out=mid)
-        u, gathered = work
-        _next_digits(rowcum, settle, cur, rng.random(out=u), flat, gathered, mask)
+        _draw_children(level, cur, idx, rng, work, mask)
+        np.take(last, idx, out=cur, mode="wrap")
         _push(M, cur, mats, N, work)
         M, N = N, M
     raise ConvergenceFailure("cylinder images failed to contract below 1e-9")

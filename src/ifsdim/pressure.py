@@ -65,6 +65,7 @@ IRREGULAR_RESIDUAL = 1e-4  # larger leftover pressure at the root => no root
 COLLOCATION_NODES = 32  # Chebyshev nodes per grid when some branch is not affine
 COLLOCATION_TOL = 1e-15  # bracket width at which the collocation root stops
 COLLOCATION_SQUARINGS = 5  # the power iteration runs on L^(2^5), at every size
+ANALYTIC_MAX_ITER = 500  # pressure evaluations the closed-form root may take
 
 
 class ConvergenceFailure(RuntimeError):
@@ -535,11 +536,7 @@ def bowen_solve(
 # closed-form path for countable similitude families
 
 
-def analytic_bowen_solve(
-    family: SimilitudeFamily,
-    tol: float = 1e-12,
-    max_iter: int = 500,
-) -> BowenSolution:
+def analytic_bowen_solve(family: SimilitudeFamily, tol: float = 1e-12) -> BowenSolution:
     """Root of the full-family pressure, or its jump point when no root
     exists.  Infinite pressure values are handled as 'positive' so the
     bisection also localizes the finiteness threshold of irregular families,
@@ -549,7 +546,9 @@ def analytic_bowen_solve(
     """
     if family.log_mass is None:
         raise ValueError(f"family {family.name!r} carries no closed-form mass")
-    root, bracket, evals = _find_root(family.log_mass, tol, max_iter, f"analytic({family.name})")
+    root, bracket, evals = _find_root(
+        family.log_mass, tol, ANALYTIC_MAX_ITER, f"analytic({family.name})"
+    )
     lo, hi = bracket
     left = family.log_mass(lo)
     residual = family.log_mass(hi)

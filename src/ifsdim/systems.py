@@ -398,7 +398,7 @@ def _borderline_base_sum() -> float:
     return head + 1.0 / math.log(200_000.0)
 
 
-def cantor_system(ratios: Sequence[float], label: str = "cantor") -> SystemSpec:
+def cantor_system(ratios: Sequence[float]) -> SystemSpec:
     """Similitudes with the given ratios, images equally spaced across [0, 1]
     (first at 0, last ending at 1; touching allowed when the ratios tile)."""
     ratios = tuple(float(r) for r in ratios)
@@ -413,7 +413,7 @@ def cantor_system(ratios: Sequence[float], label: str = "cantor") -> SystemSpec:
     a = np.array(ratios)
     offsets = np.concatenate(([0.0], np.cumsum(a + gap)[:-1]))
     coefficients = np.column_stack((a, offsets, np.zeros_like(a), np.ones_like(a)))
-    return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(len(a)), label=label)
+    return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(len(a)), label="cantor")
 
 
 def continued_fraction_system(n: int) -> SystemSpec:

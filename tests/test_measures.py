@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ifsdim.measures import (
     GALLERY_NAMES,
     _child_choice,
-    _next_digits,
-    _settle_table,
+    _draw_children,
+    _level,
     CylinderMeasure,
     LineMeasure,
     conformal_cylinder_measure,
@@ -134,6 +134,17 @@ def test_setwise_discrepancy_interval_and_point_sets():
     cells = [(k / 5, (k + 1) / 5) for k in range(5)]
     assert setwise_discrepancy(comb.at(1000), leb, cells) < 2e-3
     assert setwise_discrepancy(leb, leb, cells) == 0.0
+
+
+def test_setwise_discrepancy_refuses_sets_it_cannot_measure():
+    leb = LineMeasure.uniform(0.0, 1.0)
+    cm = conformal_cylinder_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 2)
+    with pytest.raises(TypeError):
+        setwise_discrepancy(cm, leb, [(0.0, 0.5)])
+    # a cylinder word is no test set, though it has two integer entries
+    for spec in (Word.of(0, 1), (0.0, 0.5, 1.0), ("cells", (0.5,))):
+        with pytest.raises(ValueError):
+            setwise_discrepancy(leb, leb, [spec])
 
 
 def test_lattice_comb_never_converges_setwise():
@@ -432,8 +443,9 @@ def test_moebius_cylinder_sampling_stays_in_bounds():
 def _per_sample_reference(measure, count, seed):
     """The cylinder sampler as first written: every sample pushes its own
     2x2 product at every stored level and searches the whole level's
-    cumulative masses.  Its depth-1 extension law keeps to the incidence
-    matrix.  The sampler must reproduce it bit for bit."""
+    cumulative masses.  Beyond the stored depth each digit is a level-2
+    child of the current symbol, drawn by the same step.  The sampler must
+    reproduce it bit for bit."""
     rng = np.random.Generator(np.random.Philox(int(seed)))
     mats = measure.system.coefficients
     A, B, C, D = np.ones(count), np.zeros(count), np.zeros(count), np.ones(count)
@@ -445,67 +457,39 @@ def _per_sample_reference(measure, count, seed):
         scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D)])
         A, B, C, D = A / scale, B / scale, C / scale, D / scale
 
+    def child(masses, cs, idx):
+        cum = np.concatenate(([0.0], np.cumsum(masses)))
+        base, top = cum[cs[idx]], cum[cs[idx + 1]]
+        target = base + rng.random(count) * (top - base)
+        nxt = np.searchsorted(cum, target, side="right") - 1
+        return np.clip(nxt, cs[idx], cs[idx + 1] - 1)
+
     cum1 = np.cumsum(measure.masses[0])
     idx = np.searchsorted(cum1, rng.random(count) * cum1[-1], side="right")
     idx = np.minimum(idx, len(cum1) - 1)
     push(idx)
     for d in range(2, measure.depth + 1):
-        cs = measure.child_starts[d - 2]
-        cum = np.concatenate(([0.0], np.cumsum(measure.masses[d - 1])))
-        base, top = cum[cs[idx]], cum[cs[idx + 1]]
-        target = base + rng.random(count) * (top - base)
-        nxt = np.searchsorted(cum, target, side="right") - 1
-        idx = np.clip(nxt, cs[idx], cs[idx + 1] - 1)
+        idx = child(measure.masses[d - 1], measure.child_starts[d - 2], idx)
         push(measure.last_symbols[d - 1][idx])
-    P = _extension_law(measure)
+    masses, cs, last = _level_two(measure)
     cur = measure.last_symbols[measure.depth - 1][idx]
     while True:
         x0 = B / D
         x1 = (A + B) / (C + D)
         if float(np.abs(x1 - x0).max()) < 1e-9:
             return 0.5 * (x0 + x1)
-        cur = _reference_next_digits(P, cur, rng.random(count))
+        cur = last[child(masses, cs, cur)]
         push(cur)
 
 
-def _extension_law(measure):
-    """P[e, f]: the one-step conditional law of f after e beyond the stored
-    depth, from the deepest two levels (depth 1: the depth-1 masses of the
-    admissible successors)."""
-    m = measure.system.alphabet_size
+def _level_two(measure):
+    """Level 2's masses, child starts and last symbols; at depth 1 every
+    admissible successor weighs its depth-1 mass."""
     if measure.depth >= 2:
-        P = np.zeros((m, m))
-        cs0 = measure.child_starts[0]
-        for e in range(m):
-            kids = slice(cs0[e], cs0[e + 1])
-            P[e, measure.last_symbols[1][kids]] = measure.masses[1][kids] / measure.masses[0][e]
-        return P
-    P = measure.masses[0] * measure.system.incidence.allowed
-    return P / P.sum(axis=1, keepdims=True)
-
-
-def _reference_next_digits(P, cur, u):
-    """The count of u above the row's cumulative masses, capped at m - 1,
-    then the bump loop, which also lifts a forbidden digit 0."""
-    nxt = np.minimum((u[:, None] > np.cumsum(P, axis=1)[cur]).sum(axis=1), P.shape[0] - 1)
-    return _bump_loop(P, cur, nxt)
-
-
-def _bump_loop(P, cur, nxt):
-    """Never settle on a forbidden transition: every sample still on one
-    steps down a digit (not below 0), at most m times; one left on a
-    forbidden digit 0 steps up to its row's first allowed digit."""
-    nxt = nxt.copy()
-    for _bump in range(P.shape[0]):
-        bad = P[cur, nxt] == 0.0
-        if not bad.any():
-            break
-        nxt[bad] = np.maximum(nxt[bad] - 1, 0)
-    for k in np.flatnonzero((nxt == 0) & (P[cur, 0] == 0.0)):
-        allowed = np.flatnonzero(P[cur[k]])
-        if allowed.size:
-            nxt[k] = allowed[0]
-    return nxt
+        return measure.masses[1], measure.child_starts[0], measure.last_symbols[1]
+    allowed = measure.system.incidence.allowed
+    last = np.nonzero(allowed)[1]
+    return measure.masses[0][last], np.concatenate(([0], np.cumsum(allowed.sum(axis=1)))), last
 
 
 def _similitudes(*pairs):
@@ -595,44 +579,36 @@ def test_child_choice_is_the_clipped_searchsorted_on_every_boundary(kids, data):
     assert got.tolist() == want.tolist()
 
 
-FIBONACCI_LAWS = [
-    _extension_law(conformal_cylinder_measure(SAMPLER_SYSTEMS[name], h, depth))
-    for name in ("fibonacci-2", "fibonacci-3")
-    for h in (0.4, 0.9)
-    for depth in (1, 2)
-]
+class _FixedDraws:
+    """Stands in for the generator: every draw gives the values ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[:] = self.u
+        return out
 
 
-@pytest.mark.parametrize("law", range(len(FIBONACCI_LAWS)))
-def test_next_digit_is_the_boundary_count_then_the_bump_loop(law):
-    # u on every cumulative boundary of every row and one float to either
-    # side, after every current symbol
-    P = FIBONACCI_LAWS[law]
-    m = P.shape[0]
-    rowcum = np.cumsum(P, axis=1)
-    us = _with_neighbours(np.concatenate(([0.0, 1.0], rowcum.ravel())))
-    us = us[(us >= 0.0) & (us < 1.0)]
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("h", [0.4, 0.9])
+@pytest.mark.parametrize("name", ["fibonacci-2", "fibonacci-3"])
+def test_tail_digits_are_admissible_successors(name, h, depth):
+    # u = 0 and u on every level-2 boundary of every symbol's block and one
+    # float to either side: each draw is a child, so never a forbidden step
+    measure = conformal_cylinder_measure(SAMPLER_SYSTEMS[name], h, depth)
+    masses, cs, last = _level_two(measure)
+    level = cum, _, lo, width = _level(masses, cs)
+    m = len(cs) - 1
+    us = _with_neighbours(np.concatenate([(cum - lo[e]) / width[e] for e in range(m)]))
+    us = np.concatenate(([0.0], us[(us >= 0.0) & (us < 1.0)]))
     cur = np.repeat(np.arange(m), us.size)
-    u = np.tile(us, m)
-    n = u.size
-    got = cur.copy()
-    _next_digits(
-        rowcum.T.copy(), _settle_table(P).ravel(), got, u,
-        np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool),
-    )
-    assert got.tolist() == _reference_next_digits(P, cur, u).tolist()
-    # every draw, u = 0 included, settles on an allowed transition
-    assert (P[cur, got] > 0.0).all()
-
-
-@given(st.integers(2, 5), st.data())
-@settings(max_examples=80, deadline=None)
-def test_settle_table_matches_the_bump_loop(m, data):
-    # any zero pattern: forbidden first digits and all-forbidden rows too
-    cells = st.lists(st.sampled_from([0.0, 0.5]), min_size=m * m, max_size=m * m)
-    P = np.array(data.draw(cells)).reshape(m, m)
-    cur, drawn = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
-    assert _settle_table(P).ravel().tolist() == _bump_loop(P, cur, drawn).tolist()
+    n = cur.size
+    got = np.empty(n, dtype=np.int64)
+    draws = _FixedDraws(np.tile(us, m))
+    _draw_children(level, cur, got, draws, np.empty((2, n)), np.empty(n, dtype=bool))
+    assert ((cs[cur] <= got) & (got < cs[cur + 1])).all()
+    assert measure.system.incidence.allowed[cur, last[got]].all()
 
 
 # ---------------------------------------------------------------------------
