@@ -99,8 +99,9 @@ EXIT_IRREGULAR = 4
 # the most entries one array of a command may hold: the words of a geometry
 # level, the collocation arrays of the root (bowen, scan, dimension, gibbs),
 # the largest array of the gibbs masses recursion, a converge cylinder
-# table's level^depth cells and a gallery member's atoms plus pieces.
-# 4096^2 = 4^12 keeps every two-map depth that
+# table's level^depth cells, a gallery member's atoms plus pieces (array
+# rows of 16 and 24 bytes) and the flatness detector's breakpoints per
+# radius.  4096^2 = 4^12 keeps every two-map depth that
 # bowen.depth accepts, gibbs.depth 12 for up to three continued-fraction
 # digits and 10 for four, and the default word depth 12 for up to four maps.
 ENTRY_BUDGET = 4096**2
@@ -126,9 +127,28 @@ def _check_collocation(key: str, branches: int, grids: int, nodes: int) -> None:
     _check_budget(key, what, 2 * (grids * nodes) ** 2, "matrix entries")
 
 
-def _size_key(family: str) -> str:
-    """The config key that sets how many maps a finite system has."""
-    return {"custom": "system.maps", "cantor": "system.ratios"}.get(family, "system.size")
+# the system.* keys each family reads besides system.family (none for a
+# gallery family but gallery:staircase); a finite system's first sets how
+# many maps it has
+FAMILY_KEYS = {
+    "golden": ("system.size",), "borderline": ("system.size",), "continued-fraction": ("system.size",),
+    "cantor": ("system.ratios",), "custom": ("system.maps", "system.incidence", "system.label"),
+    "gallery:staircase": ("system.a",),
+}
+
+
+def _family(cfg: RunConfig, on_gallery: tuple = (), on_system: tuple = ()) -> str:
+    """``system.family``, once the config sets none of the keys the run
+    never reads: a system.* key the family does not read, and the keys of
+    ``on_gallery`` on a gallery family or of ``on_system`` on any other."""
+    family = cfg.get_str("system.family")
+    if family in FAMILY_KEYS or family.startswith("gallery:"):
+        reads = FAMILY_KEYS.get(family, ()) + ("system.family",)
+        unread = [k for k in sorted(cfg.raw) if k.startswith("system.") and k not in reads]
+        for key in unread + list(on_gallery if family.startswith("gallery:") else on_system):
+            if cfg.has(key):
+                raise ConfigError(f"{key}: not read for system.family = {family}")
+    return family
 
 
 def _finite_system(cfg: RunConfig, source, command: str) -> SystemSpec:
@@ -136,7 +156,7 @@ def _finite_system(cfg: RunConfig, source, command: str) -> SystemSpec:
     under the key that sets its size; a family without one is refused."""
     if isinstance(source, SimilitudeFamily):
         raise ConfigError(f"system.size: required to build a finite system for {command}")
-    key = _size_key(cfg.get_str("system.family"))
+    key = FAMILY_KEYS[cfg.get_str("system.family")][0]
     _check_collocation(key, source.alphabet_size, *collocation_shape(source))
     return source
 
@@ -305,7 +325,7 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
 
 
 def _build_source(cfg: RunConfig) -> Union[SimilitudeFamily, SystemSpec]:
-    family = cfg.get_str("system.family")
+    family = _family(cfg)
     if family == "golden":
         fam: SimilitudeFamily = golden_family()
     elif family == "borderline":
@@ -402,7 +422,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
     cfg.check_keys("scan", ["scan.levels", "scan.depth", "scan.tol"])
     levels = cfg.get_levels("scan.levels", lo=2)
     tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
-    family = cfg.get_str("system.family")
+    family = _family(cfg, on_system=("system.size",))  # scan.levels sets the sizes
     depth: Union[int, None, object]
     if family in ("golden", "borderline"):
         source = golden_family() if family == "golden" else borderline_family()
@@ -451,7 +471,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
 def cmd_converge(cfg: RunConfig) -> Report:
     keys = ["converge.levels", "converge.cylinder_depths", "converge.singularity_depth"]
     cfg.check_keys("converge", keys)
-    family = cfg.get_str("system.family")
+    family = _family(cfg, on_gallery=tuple(keys[1:]))
     if family.startswith("gallery:"):
         return _converge_gallery(cfg, family)
 
@@ -528,15 +548,12 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
         )
     levels = cfg.get_levels("converge.levels", default="2:10", lo=1)
     _check_members("converge.levels", fam, max(levels))
-    rows = []
+    rows, cells = [], [(i / 8.0, (i + 1) / 8.0) for i in range(8)]
     for n in levels:
         nu = fam.at(n)
         tv = tv_distance(nu, fam.limit)
         weak = weak_discrepancy(nu, fam.limit)
-        if nu.atoms:
-            sets: list = [("points", tuple(loc for loc, _ in nu.atoms))]
-        else:
-            sets = [(i / 8.0, (i + 1) / 8.0) for i in range(8)]
+        sets = [("points", nu.atoms[:, 0])] if nu.atoms.size else cells
         setwise = setwise_discrepancy(nu, fam.limit, sets)
         rows.append([n, tv, weak, setwise])
     results = {
@@ -591,7 +608,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
             f"got ({d_rmin}, {d_rmax})"
         )
 
-    family = cfg.get_str("system.family")
+    family = _family(cfg, on_gallery=("dimension.depth",), on_system=("dimension.member",))
     if family.startswith("gallery:"):
         fam = _gallery_family(cfg, family)
         member = cfg.get_str("dimension.member", default="limit")
@@ -602,11 +619,13 @@ def cmd_dimension(cfg: RunConfig) -> Report:
                 )
             index, label = None, f"{fam.name}[limit]"
             lo_supp, hi_supp = fam.limit.support_bounds
+            edges = len(fam.limit.atoms) + 2 * len(fam.limit.pieces)
         else:
             index = cfg.get_int("dimension.member", lo=1)
             _check_members("dimension.member", fam, index)
             label = f"{fam.name}[{index}]"
             lo_supp, hi_supp = fam.support
+            edges = 2 * fam.entries(index)  # every entry counted as a piece
         detectable = 0.0 <= lo_supp and hi_supp <= 1.0
     else:
         source = _finite_system(cfg, _build_source(cfg), "dimension")
@@ -617,7 +636,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         # the word solve's depth is fixed, so only fewer maps shrink its level
         words = count_admissible(source.incidence, word_depth)
         what = f"the word solve at depth {word_depth} makes"
-        _check_budget(_size_key(family), what, words, "words")
+        _check_budget(FAMILY_KEYS[family][0], what, words, "words")
         words = count_admissible(source.incidence, cyl_depth)
         _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
         label = f"{source.label}[conformal]"
@@ -625,6 +644,9 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     want_flatness = cfg.get_bool("dimension.flatness", default=detectable)
     if want_flatness and not detectable:
         raise ConfigError("dimension.flatness: the detector needs a piecewise measure on [0, 1]")
+    if want_flatness:  # the detector's grid per radius: 0, the edges, 1, r/2 and the edges +- r
+        what = f"{label} makes"
+        _check_budget("dimension.flatness", what, 3 * edges + 3, "flatness breakpoints per radius")
     if family == "gallery:staircase":
         a = cfg.get_float("system.a", default=0.5)
         ladder = [a ** (k * k) for k in range(1, 9)]

@@ -212,20 +212,6 @@ def _dyadic_ladder(r_min: float, r_max: float) -> np.ndarray:
     return r_max * 0.5 ** np.arange(steps)
 
 
-def _line_ball_mass_matrix(
-    measure: LineMeasure, pts: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Closed-ball masses for every (point, radius) pair, vectorised."""
-    lo = pts[:, None] - radii[None, :]
-    hi = pts[:, None] + radii[None, :]
-    mass = np.zeros_like(lo)
-    for plo, phi, dens in measure.pieces:
-        mass += dens * np.clip(np.minimum(hi, phi) - np.maximum(lo, plo), 0.0, None)
-    for loc, weight in measure.atoms:
-        mass += weight * ((lo <= loc) & (loc <= hi))
-    return mass
-
-
 def _cylinder_interval_table(measure: CylinderMeasure):
     """Deepest-level image intervals sorted by position, with mass prefix sums."""
     lg = level_geometry(measure.system, measure.depth)
@@ -274,7 +260,7 @@ def density_field(
                 ratio_lo[order, j] = np.where(outer > 0, np.log(outer) / log_r[j], np.nan)
                 ratio_hi[order, j] = np.where(inner > 0, np.log(inner) / log_r[j], np.nan)
     else:
-        mass = _line_ball_mass_matrix(measure, pts, radii)
+        mass = measure.mass_of_interval(pts[:, None] - radii, pts[:, None] + radii)
         with np.errstate(divide="ignore"):
             ratio = np.where(mass > 0, np.log(mass) / log_r[None, :], np.nan)
         ratio_lo = ratio
@@ -399,27 +385,6 @@ class FlatnessCurve:
         return format_csv("r,bound,exponent", "%.17g,%.17g,%.17g", self.radii, self.bounds, self.exponents)
 
 
-def _left_interval_bound(measure: LineMeasure, s: float, r: float) -> float:
-    """inf over x in [0, s] of nu((x-r, x+r)), times nu([0, s]), exactly.
-
-    The open-ball mass is piecewise affine in x with breakpoints where
-    x +- r crosses an atom or piece edge, so the infimum is attained on
-    the breakpoint grid.
-    """
-    locs = [a for a, _ in measure.atoms]
-    for lo, hi, _ in measure.pieces:
-        locs.extend((lo, hi))
-    cuts = {0.0, s}
-    for loc in locs:
-        for x in (loc - r, loc + r):
-            if 0.0 <= x <= s:
-                cuts.add(x)
-    inf_ball = min(
-        measure.mass_of_interval(x - r, x + r, closed=False) for x in sorted(cuts)
-    )
-    return inf_ball * measure.mass_of_interval(0.0, s, closed=True)
-
-
 FLATNESS_THRESHOLD = 0.25  # smallest-radius exponent at which flatness fires
 
 
@@ -441,18 +406,21 @@ def flatness_detector(measure: LineMeasure, radii: Sequence[float]) -> FlatnessC
     if radii.size == 0 or not ((radii > 0.0) & (radii < 1.0)).all():
         raise ValueError("radii must be a nonempty ladder inside (0, 1)")
 
-    candidates = {1.0}
-    candidates.update(a for a, _ in measure.atoms)
-    for lo, hi, _ in measure.pieces:
-        candidates.update((lo, hi))
-    fixed = [s for s in candidates if 0.0 < s <= 1.0]
-    if not fixed:
-        raise ValueError("no candidate cut points in (0, 1]")
-
+    # the open-ball mass nu((x - r, x + r)) is piecewise affine in x, with
+    # breakpoints where x +- r crosses an atom or piece edge; so its infimum
+    # over [0, s] is a running minimum over 0, the cuts and the breakpoints
+    edges = np.concatenate((measure.atoms[:, 0], measure.pieces[:, :2].ravel()))
+    fixed = np.unique(np.append(edges[edges > 0.0], 1.0))
+    left = measure.mass_of_interval(0.0, fixed)
     bounds = np.empty(radii.size)
     for j, r in enumerate(radii):
-        cuts = fixed + [r / 2.0]
-        bounds[j] = max(_left_interval_bound(measure, s, r) for s in cuts)
+        cuts = np.append(fixed, r / 2.0)
+        shifted = np.concatenate((edges - r, edges + r))
+        grid = np.concatenate(([0.0], cuts, shifted[(shifted >= 0.0) & (shifted <= 1.0)]))
+        grid.sort(kind="stable")  # a merge of its few sorted runs
+        ball = np.minimum.accumulate(measure.mass_of_interval(grid - r, grid + r, closed=False))
+        inf_ball = ball[np.searchsorted(grid, cuts, side="right") - 1]
+        bounds[j] = (inf_ball * np.append(left, measure.mass_of_interval(0.0, r / 2.0))).max()
     with np.errstate(divide="ignore"):
         exponents = np.where(bounds > 0, np.log(bounds) / np.log(radii), np.inf)
     exponents = np.maximum(exponents, 0.0)

@@ -3,10 +3,13 @@
 Two concrete measure representations cover everything the package needs:
 
 * ``LineMeasure``     — finitely many atoms plus finitely many constant-
-                        density pieces on the real line.  Closed under the
-                        exact integral, distance and sampling operations
-                        below, which is why the example gallery and every
-                        limit object live in this class.
+                        density pieces on the real line, held as sorted
+                        read-only arrays beside compensated prefix sums of
+                        their masses.  Closed under the exact integral,
+                        distance and sampling operations below, which is why
+                        the example gallery and every limit object live in
+                        this class.  Every mass of an interval, point set,
+                        ball or TV cell is read by ``mass_of_interval``.
 * ``CylinderMeasure`` — masses on the cylinder algebra of a finite system,
                         stored per depth with exact additivity (each word's
                         mass is the sum of its extensions' masses by
@@ -62,48 +65,71 @@ __all__ = [
     "gallery",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # atoms + piecewise-constant densities
 
 
-@dataclass(frozen=True)
+def _prefix_sums(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of ``masses`` from 0, and the running sum of each step's
+    exact TwoSum error: entry k of the two adds up the first k masses."""
+    total, error = np.zeros((2, masses.size + 1))
+    before, after = total[:-1], np.cumsum(masses, out=total[1:])
+    added = after - before
+    np.add(before - (after - added), masses - added, out=error[1:])
+    np.cumsum(error, out=error)
+    return total, error
+
+
+def _range_sum(sums: tuple[np.ndarray, np.ndarray], start, stop):
+    """Masses start..stop-1 from their compensated prefix sums."""
+    total, error = sums
+    return (total[stop] - total[start]) + (error[stop] - error[start])
+
+
+@dataclass(frozen=True, eq=False)
 class LineMeasure:
     """Nonnegative measure: point masses plus constant-density intervals.
 
-    ``atoms`` are (location, weight) pairs; ``pieces`` are (lo, hi, density)
-    triples with lo < hi.  Pieces must be interior-disjoint (touching
-    endpoints are fine).  Zero-weight atoms are dropped and duplicate atom
-    locations merged, so equality of the stored tuples is meaningful.
+    ``atoms`` is a read-only (k, 2) float array of (location, weight) rows,
+    ``pieces`` a read-only (p, 3) float array of (lo, hi, density) rows with
+    lo < hi; either is built from any array-like of rows.  Both are sorted,
+    zero weights and densities are dropped, and atoms at one location are
+    merged.  Pieces must be interior-disjoint (touching endpoints are fine).
+    Beside each array sit the prefix sums of its masses and of the exact
+    TwoSum error of each step, which ``mass_of_interval`` reads.
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    pieces: tuple[tuple[float, float, float], ...] = ()
+    atoms: np.ndarray = ()
+    pieces: np.ndarray = ()
+    _atom_sums: tuple = field(init=False, repr=False)
+    _piece_sums: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        merged: dict[float, float] = {}
-        for loc, w in self.atoms:
-            loc, w = float(loc), float(w)
-            if w < 0 or not math.isfinite(w) or not math.isfinite(loc):
-                raise ValueError(f"bad atom ({loc}, {w})")
-            if w > 0:
-                merged[loc] = merged.get(loc, 0.0) + w
-        atoms = tuple(sorted(merged.items()))
-        pieces = []
-        for lo, hi, d in self.pieces:
-            lo, hi, d = float(lo), float(hi), float(d)
-            if not (lo < hi) or d < 0 or not math.isfinite(d):
-                raise ValueError(f"bad piece ({lo}, {hi}, {d})")
-            if d > 0:
-                pieces.append((lo, hi, d))
-        pieces.sort()
-        for (_, hi, _), (lo2, _, _) in zip(pieces, pieces[1:]):
-            if lo2 < hi:
-                raise ValueError(f"pieces overlap near {lo2}")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", tuple(pieces))
+        # a reshape to the rows' own count also checks their width
+        loc, w = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 2).T
+        bad = (w < 0) | ~np.isfinite(w) | ~np.isfinite(loc)
+        if bad.any():
+            raise ValueError(f"bad atom ({loc[bad][0]}, {w[bad][0]})")
+        # sorted unique locations, each carrying its weights summed in input order
+        locs, at = np.unique(loc[w > 0], return_inverse=True)
+        atoms = np.column_stack((locs, np.bincount(at, w[w > 0], len(locs))))
+        pieces = np.asarray(self.pieces, dtype=float).reshape(len(self.pieces), 3)
+        lo, hi, d = pieces.T
+        bad = ~(lo < hi) | (d < 0) | ~np.isfinite(d)
+        if bad.any():
+            raise ValueError(f"bad piece ({lo[bad][0]}, {hi[bad][0]}, {d[bad][0]})")
+        pieces = pieces[d > 0]  # a copy the caller cannot change
+        pieces = pieces[np.lexsort(pieces.T[::-1])]
+        overlap = pieces[1:, 0] < pieces[:-1, 1]
+        if overlap.any():
+            raise ValueError(f"pieces overlap near {pieces[1:, 0][overlap][0]}")
+        for name, rows in (("atoms", atoms), ("pieces", pieces)):
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+        object.__setattr__(self, "_atom_sums", _prefix_sums(atoms[:, 1]))
+        masses = pieces[:, 2] * (pieces[:, 1] - pieces[:, 0])
+        object.__setattr__(self, "_piece_sums", _prefix_sums(masses))
 
     # -- constructors ------------------------------------------------------
 
@@ -119,56 +145,46 @@ class LineMeasure:
 
     @property
     def total(self) -> float:
-        return sum(w for _, w in self.atoms) + sum(d * (hi - lo) for lo, hi, d in self.pieces)
+        return float(self.mass_of_interval(-math.inf, math.inf))
 
     @property
     def support_bounds(self) -> tuple[float, float]:
-        xs = [loc for loc, _ in self.atoms]
-        xs += [e for lo, hi, _ in self.pieces for e in (lo, hi)]
-        if not xs:
+        xs = np.concatenate((self.atoms[:, 0], self.pieces[:, :2].ravel()))
+        if not xs.size:
             raise ValueError("measure has no mass")
-        return min(xs), max(xs)
+        return float(xs.min()), float(xs.max())
 
-    def mass_of_interval(self, lo: float, hi: float, closed: bool = True) -> float:
-        """Mass of [lo, hi] (closed=True) or (lo, hi) (closed=False); the
-        two differ only by atoms sitting exactly on the endpoints."""
-        if hi < lo:
-            return 0.0
-        inside = (
-            (lambda x: lo <= x <= hi) if closed else (lambda x: lo < x < hi)
-        )
-        m = sum(w for loc, w in self.atoms if inside(loc))
-        for plo, phi, d in self.pieces:
-            m += d * max(0.0, min(hi, phi) - max(lo, plo))
-        return m
+    def mass_of_interval(self, lo, hi, closed: bool = True):
+        """Mass of [lo, hi] (closed=True) or (lo, hi) (closed=False),
+        elementwise over the broadcast ``lo`` and ``hi``, and 0 where
+        hi < lo; the two differ only by atoms sitting on the endpoints.
 
-    def mass_of_points(self, points: Iterable[float]) -> float:
+        Whole atoms and pieces come from compensated prefix sums, so a small
+        interval far from the origin keeps its digits; a piece the interval
+        covers in part adds overlap * density.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        start = np.searchsorted(self.atoms[:, 0], lo, "left" if closed else "right")
+        stop = np.searchsorted(self.atoms[:, 0], hi, "right" if closed else "left")
+        mass = _range_sum(self._atom_sums, start, np.maximum(stop, start))
+        if len(self.pieces):
+            # pieces first..stop-1 meet (lo, hi); those between the two ends are whole
+            plo, phi, density = self.pieces.T
+            first = np.searchsorted(phi, lo, "right")
+            stop = np.maximum(np.searchsorted(plo, hi, "left"), first)
+            inner = np.minimum(first + 1, stop)
+            last = np.maximum(stop - 1, inner)  # stop - 1 where it is an end of its own
+            mass += _range_sum(self._piece_sums, inner, last)
+            for end, meets in ((first, first < stop), (last, inner < stop)):
+                end = np.minimum(end, plo.size - 1)
+                part = np.maximum(np.minimum(hi, phi[end]) - np.maximum(lo, plo[end]), 0.0)
+                mass += np.where(meets, density[end] * part, 0.0)
+        return mass[()]
+
+    def mass_of_points(self, points) -> float:
         """Mass of a finite point set (only atoms can contribute)."""
-        wanted = set(float(p) for p in points)
-        return sum(w for loc, w in self.atoms if loc in wanted)
-
-    def moment(self, p: int) -> float:
-        """Exact integral of x^p."""
-        if p < 0:
-            raise ValueError("moment order must be >= 0")
-        m = sum(w * loc**p for loc, w in self.atoms)
-        for lo, hi, d in self.pieces:
-            m += d * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-        return m
-
-    def trig_moment(self, j: int, kind: str) -> float:
-        """Exact integral of cos(2*pi*j*x) or sin(2*pi*j*x)."""
-        if j < 1:
-            raise ValueError("frequency must be >= 1")
-        w_ = _TWO_PI * j
-        f = math.cos if kind == "cos" else math.sin
-        m = sum(w * f(w_ * loc) for loc, w in self.atoms)
-        for lo, hi, d in self.pieces:
-            if kind == "cos":
-                m += d * (math.sin(w_ * hi) - math.sin(w_ * lo)) / w_
-            else:
-                m += d * (math.cos(w_ * lo) - math.cos(w_ * hi)) / w_
-        return m
+        at = np.unique(np.asarray(points, dtype=float))
+        return float(self.mass_of_interval(at, at).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -178,54 +194,25 @@ class LineMeasure:
 def tv_distance(m1: LineMeasure, m2: LineMeasure) -> float:
     """sup over Borel sets of |m1(A) - m2(A)|, computed exactly.
 
-    The signed difference of two LineMeasures splits into an atomic part
-    (weight mismatches at the union of atom locations) and a density part
-    (constant on each cell of the union of the piece edges); the distance is
+    The signed difference splits into an atomic part (weight mismatches at
+    the atom locations) and a density part (constant on each open cell
+    between consecutive atom locations and piece edges); the distance is
     the larger of the positive-part and negative-part masses, which agree
     when both inputs are probability measures.
     """
+    sites = np.unique(np.concatenate((m1.atoms[:, 0], m2.atoms[:, 0])))
+    edges = np.unique(np.concatenate((sites, m1.pieces[:, :2].ravel(), m2.pieces[:, :2].ravel())))
     pos = neg = 0.0
-    w1 = dict(m1.atoms)
-    w2 = dict(m2.atoms)
-    for loc in set(w1) | set(w2):
-        d = w1.get(loc, 0.0) - w2.get(loc, 0.0)
-        if d > 0:
-            pos += d
-        else:
-            neg -= d
-    edges = sorted(
-        {e for lo, hi, _ in m1.pieces + m2.pieces for e in (lo, hi)}
-    )
-    for x0, x1 in zip(edges, edges[1:]):
-        d = _density_at(m1, x0, x1) - _density_at(m2, x0, x1)
-        if d > 0:
-            pos += d * (x1 - x0)
-        else:
-            neg -= d * (x1 - x0)
+    for lo, hi, closed in ((sites, sites, True), (edges[:-1], edges[1:], False)):
+        diff = m1.mass_of_interval(lo, hi, closed)
+        diff -= m2.mass_of_interval(lo, hi, closed)
+        pos += float(diff[diff > 0].sum())
+        neg -= float(diff[diff < 0].sum())
     return max(pos, neg)
-
-
-def _density_at(m: LineMeasure, x0: float, x1: float) -> float:
-    """Density of m on (x0, x1), a cell of the refined edge partition, so a
-    single piece either covers it or misses it."""
-    for lo, hi, d in m.pieces:
-        if lo <= x0 and x1 <= hi:
-            return d
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
 # setwise and weak gauges
-
-def _set_mass(measure, spec: tuple) -> float:
-    if not isinstance(measure, LineMeasure):
-        raise TypeError(f"{type(measure).__name__} cannot evaluate {spec!r}")
-    if isinstance(spec, tuple) and len(spec) == 2:
-        if spec[0] == "points":
-            return measure.mass_of_points(spec[1])
-        if all(isinstance(v, (int, float)) for v in spec):
-            return measure.mass_of_interval(float(spec[0]), float(spec[1]))
-    raise ValueError(f"unrecognized test set {spec!r}")
 
 
 def setwise_discrepancy(m1: LineMeasure, m2: LineMeasure, sets: Iterable[tuple]) -> float:
@@ -235,26 +222,53 @@ def setwise_discrepancy(m1: LineMeasure, m2: LineMeasure, sets: Iterable[tuple])
     locations) pairs.  Always a lower bound for the total-variation
     distance.
     """
-    worst = 0.0
+    if not (isinstance(m1, LineMeasure) and isinstance(m2, LineMeasure)):
+        raise TypeError(f"{type(m1).__name__} and {type(m2).__name__} cannot evaluate test sets")
+    gaps, intervals = [0.0], []
     for spec in sets:
-        worst = max(worst, abs(_set_mass(m1, spec) - _set_mass(m2, spec)))
-    return worst
+        if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "points":
+            gaps.append(abs(m1.mass_of_points(spec[1]) - m2.mass_of_points(spec[1])))
+        elif isinstance(spec, tuple) and len(spec) == 2 and all(isinstance(v, (int, float)) for v in spec):
+            intervals.append(spec)
+        else:
+            raise ValueError(f"unrecognized test set {spec!r}")
+    if intervals:
+        lo, hi = np.array(intervals, dtype=float).T
+        gaps.extend(np.abs(m1.mass_of_interval(lo, hi) - m2.mass_of_interval(lo, hi)).tolist())
+    return max(gaps)
 
 
 WEAK_MOMENTS = 8  # M, the largest frequency and power in the weak dictionary
+WEAK_BLOCK = 1 << 16  # atoms or pieces per step; bounds the (functions, block) work arrays
+
+
+def _weak_dictionary(m: LineMeasure) -> np.ndarray:
+    """The exact integrals of x^p for p = 0..M, of cos(2 pi j x) for
+    j = 1..M and of sin(2 pi j x) for j = 1..M, in that order: every
+    function at once over blocks of atoms and of pieces, each block summed
+    by a numpy reduction (never a BLAS product, so no thread count moves a
+    digit)."""
+    p = np.arange(WEAK_MOMENTS + 1)[:, None]
+    k = 2.0 * math.pi * np.arange(1, WEAK_MOMENTS + 1)[:, None]
+    poly, cos, sin = np.zeros(WEAK_MOMENTS + 1), np.zeros(WEAK_MOMENTS), np.zeros(WEAK_MOMENTS)
+    for start in range(0, len(m.atoms), WEAK_BLOCK):
+        loc, w = m.atoms[start : start + WEAK_BLOCK].T
+        poly += np.sum(w * loc**p, axis=1)
+        cos += np.sum(w * np.cos(k * loc), axis=1)
+        sin += np.sum(w * np.sin(k * loc), axis=1)
+    for start in range(0, len(m.pieces), WEAK_BLOCK):
+        lo, hi, d = m.pieces[start : start + WEAK_BLOCK].T
+        poly += np.sum(d * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1), axis=1)
+        cos += np.sum(d * (np.sin(k * hi) - np.sin(k * lo)) / k, axis=1)
+        sin += np.sum(d * (np.cos(k * lo) - np.cos(k * hi)) / k, axis=1)
+    return np.concatenate((poly, cos, sin))
 
 
 def weak_discrepancy(m1: LineMeasure, m2: LineMeasure) -> float:
     """max over {cos(2*pi*j*x), sin(2*pi*j*x) : j <= M} + {x^p : p <= M} of
     the exact integral difference — a dictionary proxy for weak convergence,
     reported as such (never as a true weak distance)."""
-    worst = 0.0
-    for p in range(WEAK_MOMENTS + 1):
-        worst = max(worst, abs(m1.moment(p) - m2.moment(p)))
-    for j in range(1, WEAK_MOMENTS + 1):
-        for kind in ("cos", "sin"):
-            worst = max(worst, abs(m1.trig_moment(j, kind) - m2.trig_moment(j, kind)))
-    return worst
+    return float(np.abs(_weak_dictionary(m1) - _weak_dictionary(m2)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +377,8 @@ def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeas
     lg = level_geometry(system, n)
     weights = np.exp(h * lg.log_sup)
     weights /= weights.sum()
-    lengths = lg.image_hi - lg.image_lo
-    pieces = tuple(
-        (float(lo), float(hi), float(w / ln))
-        for lo, hi, w, ln in zip(lg.image_lo, lg.image_hi, weights, lengths)
-    )
-    return LineMeasure(pieces=pieces)
+    density = weights / (lg.image_hi - lg.image_lo)
+    return LineMeasure(pieces=np.column_stack((lg.image_lo, lg.image_hi, density)))
 
 
 def truncation_singularity(
@@ -419,15 +429,14 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
     total = measure.total
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"sampling needs a probability measure, total mass is {total}")
-    comp = sorted(
-        [(loc, loc, w) for loc, w in measure.atoms]
-        + [(lo, hi, d * (hi - lo)) for lo, hi, d in measure.pieces]
-    )
-    if not comp:
+    (loc, weight), (plo, phi, density) = measure.atoms.T, measure.pieces.T
+    lo = np.concatenate((loc, plo))
+    hi = np.concatenate((loc, phi))
+    w = np.concatenate((weight, density * (phi - plo)))
+    if not w.size:
         raise ValueError("measure has no mass")
-    lo = np.array([c[0] for c in comp])
-    hi = np.array([c[1] for c in comp])
-    w = np.array([c[2] for c in comp])
+    order = np.lexsort((w, hi, lo))  # the components by (lo, hi, w)
+    lo, hi, w = lo[order], hi[order], w[order]
     cum = np.cumsum(w)
     target = rng.random(count) * cum[-1]
     idx = np.searchsorted(cum, target, side="right")
@@ -581,7 +590,7 @@ def _alternating_collapse(n: int) -> LineMeasure:
 
 
 def _lattice_comb(n: int) -> LineMeasure:
-    return LineMeasure(atoms=tuple((i / n, 1.0 / n) for i in range(1, n + 1)))
+    return LineMeasure(atoms=np.column_stack((np.arange(1, n + 1) / n, np.full(n, 1.0 / n))))
 
 
 def _atom_vs_uniform(n: int) -> LineMeasure:
@@ -594,13 +603,10 @@ def _leaking_block(n: int) -> LineMeasure:
     return LineMeasure(atoms=atoms, pieces=((1.0, 2.0, 1.0 / n),))
 
 
-def _staircase_pieces(a: float, masses: np.ndarray) -> tuple:
+def _staircase_pieces(a: float, masses: np.ndarray) -> np.ndarray:
     """masses[i] spread over [a^((i+1)^2), a^(i^2)]."""
     edges = a ** (np.arange(masses.size + 1, dtype=float) ** 2)
-    return tuple(
-        (float(edges[i + 1]), float(edges[i]), float(masses[i] / (edges[i] - edges[i + 1])))
-        for i in range(masses.size)
-    )
+    return np.column_stack((edges[1:], edges[:-1], masses / (edges[:-1] - edges[1:])))
 
 
 def _staircase(n: int, a: float) -> LineMeasure:

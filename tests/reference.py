@@ -2,19 +2,23 @@
 
 The package works on whole levels of words at once (``level_geometry``,
 the sorted level sums in ``bowen_solve``, the masses recursion in
-``transfer``).  These are the one-word-at-a-time versions the tests hold
-the level code to, and a cylinder transfer operator whose root is an
-independent check of the collocation root.
+``transfer``) and on whole arrays of intervals (``LineMeasure``).  These
+are the one-word-at-a-time and one-interval-at-a-time versions the tests
+hold that code to, exact rational values of line-measure functionals, and
+a cylinder transfer operator whose root is an independent check of the
+collocation root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
+from ifsdim.measures import WEAK_MOMENTS, LineMeasure
 from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum
 from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec
@@ -182,3 +186,101 @@ def quadrature_masses(
     masses = np.array(masses)
     masses /= masses.sum(axis=0)
     return masses[:, 0], masses[:, 1]
+
+
+# ---------------------------------------------------------------------------
+# line measures: one interval at a time, and exact rational values
+
+
+def left_interval_bound(measure: LineMeasure, s: float, r: float) -> float:
+    """inf over x in [0, s] of nu((x-r, x+r)), times nu([0, s]), one cut at
+    a time: the open-ball mass at each breakpoint where x +- r crosses an
+    atom or piece edge, and at 0 and s.  The reference for the running
+    minimum of ``flatness_detector``, which reads every cut off one grid."""
+    locs = measure.atoms[:, 0].tolist() + measure.pieces[:, :2].ravel().tolist()
+    cuts = {0.0, s}
+    for loc in locs:
+        for x in (loc - r, loc + r):
+            if 0.0 <= x <= s:
+                cuts.add(x)
+    x = np.array(sorted(cuts))
+    inf_ball = measure.mass_of_interval(x - r, x + r, closed=False).min()
+    return float(inf_ball * measure.mass_of_interval(0.0, s, closed=True))
+
+
+def flatness_bounds(measure: LineMeasure, radii) -> list[float]:
+    """Per radius, the largest ``left_interval_bound`` over the cut points:
+    the atoms, the piece edges and 1 inside (0, 1], and r/2."""
+    fixed = {1.0} | set(measure.atoms[:, 0].tolist()) | set(measure.pieces[:, :2].ravel().tolist())
+    fixed = [s for s in fixed if 0.0 < s <= 1.0]
+    return [max(left_interval_bound(measure, s, r) for s in fixed + [r / 2.0]) for r in radii]
+
+
+def _exact_rows(measure: LineMeasure):
+    atoms = [(Fraction(loc), Fraction(w)) for loc, w in measure.atoms.tolist()]
+    pieces = [tuple(map(Fraction, row)) for row in measure.pieces.tolist()]
+    return atoms, pieces
+
+
+def exact_interval_mass(measure: LineMeasure, lo: float, hi: float, closed: bool = True) -> Fraction:
+    """The mass of [lo, hi] (or (lo, hi)) under the stored atoms and pieces,
+    in rational arithmetic.  Which atoms and pieces count is decided in
+    floating point, where comparisons are exact."""
+    if hi < lo:
+        return Fraction(0)
+    loc, w = measure.atoms.T
+    inside = (lo <= loc) & (loc <= hi) if closed else (lo < loc) & (loc < hi)
+    mass = sum(map(Fraction, w[inside].tolist()), Fraction(0))
+    plo, phi, _ = measure.pieces.T
+    meets = measure.pieces[(plo < hi) & (phi > lo)].tolist()
+    lo, hi = Fraction(lo), Fraction(hi)
+    for a, b, d in meets:
+        mass += Fraction(d) * (min(hi, Fraction(b)) - max(lo, Fraction(a)))
+    return mass
+
+
+def exact_points_mass(measure: LineMeasure, points) -> Fraction:
+    """The weight of the atoms at ``points``, in rational arithmetic."""
+    at = set(points)
+    return sum((Fraction(w) for loc, w in measure.atoms.tolist() if loc in at), Fraction(0))
+
+
+def exact_tv(m1: LineMeasure, m2: LineMeasure) -> Fraction:
+    """The total-variation distance of the stored measures, in rational
+    arithmetic: atom weight differences plus density differences times the
+    widths of the cells between all atom locations and piece edges."""
+    (a1, p1), (a2, p2) = _exact_rows(m1), _exact_rows(m2)
+    w1, w2 = dict(a1), dict(a2)
+    diffs = [w1.get(x, 0) - w2.get(x, 0) for x in set(w1) | set(w2)]
+    edges = sorted(set(w1) | set(w2) | {e for lo, hi, _ in p1 + p2 for e in (lo, hi)})
+
+    def density(pieces, x0, x1):
+        return next((d for lo, hi, d in pieces if lo <= x0 and x1 <= hi), Fraction(0))
+
+    diffs += [(density(p1, x0, x1) - density(p2, x0, x1)) * (x1 - x0) for x0, x1 in zip(edges, edges[1:])]
+    return max(sum(d for d in diffs if d > 0), -sum(d for d in diffs if d < 0), Fraction(0))
+
+
+def exact_moments(measure: LineMeasure) -> list[Fraction]:
+    """The integrals of x^p for p = 0..WEAK_MOMENTS, in rational arithmetic:
+    the polynomial part of the weak dictionary."""
+    atoms, pieces = _exact_rows(measure)
+    return [
+        sum((w * loc**p for loc, w in atoms), Fraction(0))
+        + sum((d * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1) for lo, hi, d in pieces), Fraction(0))
+        for p in range(WEAK_MOMENTS + 1)
+    ]
+
+
+def trig_integrals(measure: LineMeasure) -> list[float]:
+    """The integrals of cos(2 pi j x) for j = 1..WEAK_MOMENTS, then of
+    sin(2 pi j x), term by term with ``math`` and summed exactly by
+    ``math.fsum``: the trigonometric part of the weak dictionary."""
+    out = []
+    for f, g, sign in ((math.cos, math.sin, 1.0), (math.sin, math.cos, -1.0)):
+        for j in range(1, WEAK_MOMENTS + 1):
+            k = 2.0 * math.pi * j
+            terms = [w * f(k * loc) for loc, w in measure.atoms.tolist()]
+            terms += [sign * d * (g(k * hi) - g(k * lo)) / k for lo, hi, d in measure.pieces.tolist()]
+            out.append(math.fsum(terms))
+    return out

@@ -244,8 +244,8 @@ def test_c8_property_suite():
         m2 = _random_line_measure(rng)
         cuts = np.sort(rng.uniform(0.0, 2.0, size=6))
         sets = [(float(cuts[i]), float(cuts[i + 1])) for i in range(5)]
-        atom_sites = tuple(loc for loc, _ in m1.atoms) + tuple(loc for loc, _ in m2.atoms)
-        if atom_sites:
+        atom_sites = np.concatenate((m1.atoms[:, 0], m2.atoms[:, 0]))
+        if atom_sites.size:
             sets.append(("points", atom_sites))
         assert setwise_discrepancy(m1, m2, sets) <= tv_distance(m1, m2) + 1e-12
 

@@ -732,12 +732,64 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.family = gallery:cantor-mass-stages\nsample.seed = 1\ndimension.member = 25\n",
             "dimension.member: member 25 of cantor-mass-stages makes 33554432 atoms and pieces",
         ),
+        # 2^22 pieces: 0, the 2^23 + 1 cut points and 2^24 shifted edges per radius
+        (
+            "dimension",
+            "system.family = gallery:cantor-mass-stages\nsample.seed = 1\ndimension.member = 22\n",
+            "dimension.flatness: cantor-mass-stages[22] makes 25165827 flatness breakpoints per radius, "
+            "over the budget of 16777216",
+        ),
+        # keys the chosen family or command never reads
+        (
+            "dimension",
+            "system.family = gallery:staircase\nsample.seed = 1\ndimension.depth = 99\n",
+            "dimension.depth: not read for system.family = gallery:staircase",
+        ),
+        (
+            "dimension",
+            "system.family = cantor\nsystem.ratios = 0.3, 0.3\nsample.seed = 1\ndimension.member = 3\n",
+            "dimension.member: not read for system.family = cantor",
+        ),
+        (
+            "converge",
+            "system.family = gallery:lattice-comb\nconverge.singularity_depth = 0\n",
+            "converge.singularity_depth: not read for system.family = gallery:lattice-comb",
+        ),
+        (
+            "converge",
+            "system.family = gallery:staircase\nconverge.cylinder_depths = 1,2\n",
+            "converge.cylinder_depths: not read for system.family = gallery:staircase",
+        ),
+        (
+            "converge",
+            "system.family = gallery:leaking-block\nsystem.size = 4\n",
+            "system.size: not read for system.family = gallery:leaking-block",
+        ),
+        (
+            "dimension",
+            "system.family = gallery:cantor-mass-stages\nsystem.ratios = 0.2, 0.2\nsample.seed = 1\n"
+            "dimension.member = 3\n",
+            "system.ratios: not read for system.family = gallery:cantor-mass-stages",
+        ),
+        (
+            "converge",
+            "system.family = gallery:lattice-comb\nsystem.a = 0.25\n",
+            "system.a: not read for system.family = gallery:lattice-comb",
+        ),
+        ("bowen", "system.family = golden\nsystem.a = 0.25\n", "system.a: not read for system.family = golden"),
+        (
+            "scan",
+            "system.family = continued-fraction\nsystem.size = 3\nscan.levels = 2:4\n",
+            "system.size: not read for system.family = continued-fraction",
+        ),
     ],
     ids=[
         "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels",
         "collocation-budget", "collocation-matrix-budget", "depth-low", "depth-high", "gallery-levels",
         "staircase-stage", "staircase-member", "flatness-support", "lattice-comb-budget",
-        "cantor-stages-budget",
+        "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
+        "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
+        "gallery-scale", "system-scale", "scan-size",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(
@@ -828,14 +880,21 @@ def test_work_budget_rejects_before_any_geometry(
         ("gibbs", "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 10\n"),
         # the masses table's 3^12 words of 12 symbols
         ("gibbs", "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 12\n"),
-        # 2^24 atoms, 2^24 pieces, and the last stage that 0.5^((n+1)^2) represents
+        # 2^24 atoms, 2^24 pieces (flatness off), the largest member the
+        # flatness breakpoints admit, and the last stage that 0.5^((n+1)^2) represents
         ("converge", "system.family = gallery:lattice-comb\nconverge.levels = 16777216\n"),
-        ("dimension", "system.family = gallery:cantor-mass-stages\nsample.seed = 1\ndimension.member = 24\n"),
+        (
+            "dimension",
+            "system.family = gallery:cantor-mass-stages\nsample.seed = 1\n"
+            "dimension.member = 24\ndimension.flatness = off\n",
+        ),
+        ("dimension", "system.family = gallery:cantor-mass-stages\nsample.seed = 1\ndimension.member = 21\n"),
         ("dimension", "system.family = gallery:staircase\nsample.seed = 1\ndimension.member = 31\n"),
     ],
     ids=[
         "bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states",
-        "gibbs-cf3-depth-12", "converge-lattice-comb", "dimension-cantor-stages", "dimension-staircase",
+        "gibbs-cf3-depth-12", "converge-lattice-comb", "dimension-cantor-stages",
+        "dimension-cantor-stages-flatness", "dimension-staircase",
     ],
 )
 def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, text):

@@ -27,6 +27,8 @@ from ifsdim.pressure import analytic_bowen_solve, bowen_solve
 from ifsdim.systems import cantor_system, golden_family
 from ifsdim.transfer import gibbs_state
 
+import reference
+
 TERNARY_H = math.log(2.0) / math.log(3.0)
 LEBESGUE = LineMeasure.uniform(0.0, 1.0)
 
@@ -241,9 +243,9 @@ def test_two_block_measure_is_bimodal_for_any_single_exponent():
     # half the mass scales like exponent 1/2 on [0,1], half like 1 on [1,2]
     quarter = cantor_system((0.25, 0.25))
     stage = mass_distribution_sequence(quarter, 0.5, 12)
-    pieces = tuple((lo, hi, 0.5 * d) for lo, hi, d in stage.pieces)
-    measure = LineMeasure(atoms=(), pieces=pieces + ((1.0, 2.0, 0.5),))
-    left = np.array([(lo + hi) / 2 for lo, hi, _ in stage.pieces[:150]])
+    pieces = stage.pieces * [1.0, 1.0, 0.5]
+    measure = LineMeasure(atoms=(), pieces=np.vstack((pieces, [1.0, 2.0, 0.5])))
+    left = (stage.pieces[:150, 0] + stage.pieces[:150, 1]) / 2
     right = np.random.default_rng(11).uniform(1.05, 1.95, 150)
     fld = density_field(measure, np.concatenate([left, right]), 4.0**-10, 4.0**-3)
     crit = young_criterion(fld)
@@ -332,6 +334,44 @@ def test_flatness_detector_validation():
     rows = flatness_detector(LEBESGUE, [0.1, 0.01]).as_csv().strip().splitlines()
     assert rows[0] == "r,bound,exponent"
     assert len(rows) == 3
+
+
+def _flatness_cases():
+    ladder = 0.25 * 0.5 ** np.arange(12)
+    staircase = gallery("staircase", a=0.5)
+    edges = [0.5 ** (k * k) for k in range(1, 9)]
+    cases = {
+        "alternating-collapse-3": (gallery("alternating-collapse").at(3), ladder),
+        "alternating-collapse-4": (gallery("alternating-collapse").at(4), ladder),
+        "atom-vs-uniform-5": (gallery("atom-vs-uniform").at(5), ladder),
+        "lattice-comb-9": (gallery("lattice-comb").at(9), ladder),
+        "staircase-3": (staircase.at(3), edges),
+        "staircase-8": (staircase.at(8), edges),
+        "staircase-limit": (staircase.limit, edges),
+        "mixed": (
+            LineMeasure(
+                atoms=((0.0, 0.125), (0.3, 0.125), (0.625, 0.0625), (0.75, 0.0625)),
+                pieces=((0.1, 0.3, 1.0), (0.5, 0.625, 2.0), (0.75, 1.0, 0.5)),
+            ),
+            ladder,
+        ),
+    }
+    for n in range(1, 7):
+        cases[f"cantor-mass-stages-{n}"] = (gallery("cantor-mass-stages").at(n), ladder)
+    return cases
+
+
+FLATNESS_CASES = _flatness_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FLATNESS_CASES))
+def test_flatness_bounds_match_the_per_cut_reference(name):
+    # the running minimum over one grid of every cut against the infimum
+    # over each cut's own breakpoints, to within 4 ulp
+    measure, radii = FLATNESS_CASES[name]
+    got = flatness_detector(measure, radii).bounds
+    want = np.array(reference.flatness_bounds(measure, radii))
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 # ---------------------------------------------------------------------------

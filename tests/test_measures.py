@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from ifsdim.measures import (
     _level,
     CylinderMeasure,
     LineMeasure,
+    WEAK_MOMENTS,
+    _weak_dictionary,
     conformal_cylinder_measure,
     gallery,
     mass_distribution_sequence,
@@ -30,6 +33,7 @@ from ifsdim.systems import (
     golden_family,
 )
 
+import reference
 from reference import enumerate_admissible
 
 TERNARY_DIM = math.log(2.0) / math.log(3.0)
@@ -41,7 +45,9 @@ TERNARY_DIM = math.log(2.0) / math.log(3.0)
 
 def test_line_measure_sorts_merges_and_drops_zero_atoms():
     m = LineMeasure(atoms=((0.5, 0.25), (0.1, 0.25), (0.5, 0.25), (0.9, 0.0)), pieces=())
-    assert m.atoms == ((0.1, 0.25), (0.5, 0.5))
+    np.testing.assert_array_equal(m.atoms, [[0.1, 0.25], [0.5, 0.5]])
+    assert not m.atoms.flags.writeable and not m.pieces.flags.writeable
+    assert m.pieces.shape == (0, 3)
     assert m.total == pytest.approx(0.75)
 
 
@@ -68,15 +74,17 @@ def test_interval_mass_open_vs_closed():
 
 
 def test_moments_and_trig_moments_are_exact():
-    leb = LineMeasure.uniform(0.0, 1.0)
+    # x^0..x^8, then cos(2 pi j x) and sin(2 pi j x) for j = 1..8
+    leb = _weak_dictionary(LineMeasure.uniform(0.0, 1.0))
+    assert leb.shape == (3 * WEAK_MOMENTS + 1,)
     for p in range(6):
-        assert leb.moment(p) == pytest.approx(1.0 / (p + 1), abs=1e-14)
+        assert leb[p] == pytest.approx(1.0 / (p + 1), abs=1e-14)
     for j in (1, 2, 5):
-        assert leb.trig_moment(j, "cos") == pytest.approx(0.0, abs=1e-13)
-        assert leb.trig_moment(j, "sin") == pytest.approx(0.0, abs=1e-13)
-    spike = LineMeasure.point_mass(0.25)
-    assert spike.moment(3) == pytest.approx(0.25**3)
-    assert spike.trig_moment(1, "sin") == pytest.approx(1.0)
+        assert leb[WEAK_MOMENTS + j] == pytest.approx(0.0, abs=1e-13)  # cos
+        assert leb[2 * WEAK_MOMENTS + j] == pytest.approx(0.0, abs=1e-13)  # sin
+    spike = _weak_dictionary(LineMeasure.point_mass(0.25))
+    assert spike[3] == pytest.approx(0.25**3)
+    assert spike[2 * WEAK_MOMENTS + 1] == pytest.approx(1.0)  # sin(2 pi / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +169,9 @@ def test_weak_discrepancy_decays_for_lattice_comb():
     for n, v in zip((50, 100, 200, 400), vals):
         assert v < 1.1 / n  # right-endpoint Riemann error ~ 1/(2n)
     # the trigonometric dictionary is blind to the comb once n > frequency
-    for j in range(1, 9):
-        assert comb.at(50).trig_moment(j, "cos") == pytest.approx(0.0, abs=1e-12)
+    cosines = _weak_dictionary(comb.at(50))[WEAK_MOMENTS + 1 : 2 * WEAK_MOMENTS + 1]
+    assert cosines.size == 8
+    np.testing.assert_allclose(cosines, 0.0, atol=1e-12)
 
 
 def test_weak_discrepancy_collapsing_blocks():
@@ -170,6 +179,127 @@ def test_weak_discrepancy_collapsing_blocks():
     vals = [weak_discrepancy(fam.at(n), fam.limit) for n in (81, 243, 729)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 8 * math.pi / 729 * 1.1
+
+
+# ---------------------------------------------------------------------------
+# exact rational references
+
+
+def _reference_members():
+    members = {
+        f"{name}-{n}": gallery(name).at(n)
+        for name, ns in (
+            ("alternating-collapse", (3, 4, 81)),
+            ("lattice-comb", (7, 10, 100, 1000)),
+            ("atom-vs-uniform", (3, 7, 100)),
+            ("leaking-block", (3, 9)),
+            ("staircase", (3, 10, 25)),
+            ("cantor-mass-stages", (3, 6, 9)),
+        )
+        for n in ns
+    }
+    members.update({f"staircase@0.3-{n}": gallery("staircase", a=0.3).at(n) for n in (5, 20)})
+    members["mixed"] = LineMeasure(
+        atoms=((0.0, 0.125), (0.3, 0.125), (0.625, 0.0625), (0.75, 0.0625)),
+        pieces=((0.1, 0.3, 1.0), (0.5, 0.625, 2.0), (0.75, 1.0, 0.5)),
+    )
+    return members
+
+
+REFERENCE_MEMBERS = _reference_members()
+REFERENCE_INTERVALS = [(0.1, 0.7, True), (0.25, 0.75, False), (0.0, 1.0, True), (1 / 3, 2 / 3, False)]
+# 1024 touching pieces with a running total near 0.5 at x = 0.5, a heavy
+# atom at the origin under 100 atoms of weight 1e-20 near 0.5, and a
+# 10^5-atom lattice
+HALVES = mass_distribution_sequence(cantor_system((0.5, 0.5)), 1.0, 10)
+DUST = LineMeasure(atoms=[(0.0, 1.0)] + [(0.5 + i / 1024, 1e-20) for i in range(100)])
+COMB = gallery("lattice-comb").at(100_000)
+# near 0.5 a double resolves balls down to radius 2^-50 (8 ulp); a radius
+# 2^-64 ball there rounds to a point
+SMALL_INTERVALS = [
+    (HALVES, 2.0**-12 - 2.0**-64, 2.0**-12 + 2.0**-64),  # inside a piece
+    (HALVES, 0.5 + 2.0**-20 - 2.0**-50, 0.5 + 2.0**-20 + 2.0**-50),  # inside a piece
+    (HALVES, 0.5 - 2.0**-50, 0.5 + 2.0**-50),  # across a piece edge
+    (HALVES, 0.5 + 2.0**-12, 0.5 + 2.0**-8),  # 15 whole pieces and two parts
+    (DUST, 0.5, 0.6),
+    (DUST, 0.51, 0.52),
+    (COMB, 0.5, 0.6),  # 10^4 + 1 atoms
+    (COMB, 0.5 - 1e-7, 0.5 + 1e-7),
+]
+# every bound below is also met by summing the atoms and pieces one at a
+# time, in order; that way the 10^4 comb atoms are off by 6.1e-14 relative
+INTERVAL_REL = 1e-13  # relative: an interval mass sums nonnegative terms
+GAUGE_ABS = 4e-15  # absolute, for probability measures
+MOMENT_ABS = 1e-13  # absolute: x^(p+1) differences of nearby edges cancel
+
+
+def _close(got, exact, bound) -> bool:
+    return abs(Fraction(float(got)) - exact) <= Fraction(bound)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MEMBERS))
+def test_interval_masses_match_exact_rationals(name):
+    measure = REFERENCE_MEMBERS[name]
+    for lo, hi, closed in REFERENCE_INTERVALS:
+        exact = reference.exact_interval_mass(measure, lo, hi, closed)
+        got = measure.mass_of_interval(lo, hi, closed=closed)
+        assert _close(got, exact, INTERVAL_REL * exact), (lo, hi, closed)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_small_intervals_far_from_the_origin_keep_their_digits(closed):
+    masses = []
+    for measure, lo, hi in SMALL_INTERVALS:
+        exact = reference.exact_interval_mass(measure, lo, hi, closed)
+        got = measure.mass_of_interval(lo, hi, closed=closed)
+        assert exact > 0 and _close(got, exact, INTERVAL_REL * exact), (lo, hi)
+        masses.append(got)
+    # the vectorised call gives the scalar calls' values
+    for measure in (HALVES, DUST, COMB):
+        rows = [(lo, hi) for m, lo, hi in SMALL_INTERVALS if m is measure]
+        lo, hi = np.array(rows).T
+        want = [g for (m, _, _), g in zip(SMALL_INTERVALS, masses) if m is measure]
+        np.testing.assert_array_equal(measure.mass_of_interval(lo, hi, closed=closed), want)
+
+
+def _limit_pairs():
+    pairs = {}
+    for name, measure in REFERENCE_MEMBERS.items():
+        family = name.rsplit("-", 1)[0]
+        if family == "staircase@0.3":
+            pairs[name] = (measure, gallery("staircase", a=0.3).limit)
+        elif family in GALLERY_NAMES and gallery(family).limit is not None:
+            pairs[name] = (measure, gallery(family).limit)
+    pairs["mixed-vs-uniform"] = (REFERENCE_MEMBERS["mixed"], LineMeasure.uniform(0.0, 1.0))
+    pairs["mixed-vs-comb"] = (REFERENCE_MEMBERS["mixed"], REFERENCE_MEMBERS["lattice-comb-10"])
+    return pairs
+
+
+LIMIT_PAIRS = _limit_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_PAIRS))
+def test_tv_and_setwise_match_exact_rationals(name):
+    m1, m2 = LIMIT_PAIRS[name]
+    assert _close(tv_distance(m1, m2), reference.exact_tv(m1, m2), GAUGE_ABS)
+    sites = tuple(np.concatenate((m1.atoms[:, 0], m2.atoms[:, 0])).tolist())
+    sets = [(lo, hi) for lo, hi, _ in REFERENCE_INTERVALS] + [("points", sites or (0.5,))]
+    exact = max(
+        abs(reference.exact_interval_mass(m1, lo, hi) - reference.exact_interval_mass(m2, lo, hi))
+        for lo, hi, _ in REFERENCE_INTERVALS
+    )
+    points = sites or (0.5,)
+    exact = max(exact, abs(reference.exact_points_mass(m1, points) - reference.exact_points_mass(m2, points)))
+    assert _close(setwise_discrepancy(m1, m2, sets), exact, GAUGE_ABS)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MEMBERS))
+def test_weak_dictionary_matches_exact_rationals(name):
+    measure = REFERENCE_MEMBERS[name]
+    got = _weak_dictionary(measure)
+    for value, exact in zip(got[: WEAK_MOMENTS + 1], reference.exact_moments(measure)):
+        assert _close(value, exact, MOMENT_ABS)
+    np.testing.assert_allclose(got[WEAK_MOMENTS + 1 :], reference.trig_integrals(measure), rtol=0, atol=MOMENT_ABS)
 
 
 @st.composite
@@ -307,14 +437,14 @@ def test_limit_measure_dominates_truncation_masses():
 def test_ternary_stage_layout():
     sys_ = cantor_system((1 / 3, 1 / 3))
     stage = mass_distribution_sequence(sys_, TERNARY_DIM, 1)
-    assert [p[:2] for p in stage.pieces] == [(0.0, pytest.approx(1 / 3)), (pytest.approx(2 / 3), 1.0)]
-    for _, _, density in stage.pieces:
-        assert density == pytest.approx(1.5, abs=1e-12)
+    np.testing.assert_allclose(stage.pieces[:, :2], [[0.0, 1 / 3], [2 / 3, 1.0]], rtol=1e-12, atol=0)
+    assert stage.pieces[0, 0] == 0.0 and stage.pieces[1, 1] == 1.0
+    np.testing.assert_allclose(stage.pieces[:, 2], 1.5, rtol=0, atol=1e-12)
     assert stage.total == pytest.approx(1.0, abs=1e-12)
     deeper = mass_distribution_sequence(sys_, TERNARY_DIM, 2)
-    assert len(deeper.pieces) == 4
-    for lo, hi, density in deeper.pieces:
-        assert density * (hi - lo) == pytest.approx(0.25, abs=1e-12)
+    assert deeper.pieces.shape == (4, 3)
+    lo, hi, density = deeper.pieces.T
+    np.testing.assert_allclose(density * (hi - lo), 0.25, rtol=0, atol=1e-12)
 
 
 def test_touching_stage_is_lebesgue():
@@ -631,20 +761,23 @@ def test_gallery_names_and_errors():
 def test_alternating_collapse_parity():
     fam = gallery("alternating-collapse")
     odd = fam.at(5)
-    assert odd.atoms == () and odd.pieces == ((0.0, 0.2, 5.0),)
+    assert odd.atoms.shape == (0, 2)
+    np.testing.assert_array_equal(odd.pieces, [[0.0, 0.2, 5.0]])
     even = fam.at(6)
-    assert even.pieces == () and even.atoms == ((pytest.approx(1 / 6), 1.0),)
+    assert even.pieces.shape == (0, 3)
+    np.testing.assert_allclose(even.atoms, [[1 / 6, 1.0]], rtol=1e-15, atol=0)
+    assert even.atoms[0, 1] == 1.0
 
 
 def test_staircase_pieces_tile_without_gaps():
     fam = gallery("staircase", a=0.5)
     for measure in (fam.at(6), fam.limit):
         pieces = measure.pieces
-        for (_, hi, _), (lo2, _, _) in zip(pieces, pieces[1:]):
-            assert hi == lo2  # identical floats: edges computed once
-        assert pieces[-1][1] == 1.0
+        # identical floats: edges computed once
+        np.testing.assert_array_equal(pieces[:-1, 1], pieces[1:, 0])
+        assert pieces[-1, 1] == 1.0
     assert fam.limit.total == pytest.approx(1.0, abs=1e-13)
-    assert fam.limit.atoms[0][0] == 0.0  # deep tail parks at the origin
+    assert fam.limit.atoms[0, 0] == 0.0  # deep tail parks at the origin
 
 
 def test_staircase_stage_underflow_is_an_error():
@@ -656,4 +789,4 @@ def test_cantor_stage_family_has_no_line_limit():
     fam = gallery("cantor-mass-stages")
     assert fam.limit is None
     assert "conformal" in fam.note
-    assert len(fam.at(3).pieces) == 8
+    assert fam.at(3).pieces.shape == (8, 3)
