@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -60,11 +60,11 @@ from .symbolic import IncidenceMatrix, count_admissible
 from .systems import (
     InvalidSystem,
     MapDescriptor,
-    SimilitudeFamily,
+    MapFamily,
     SystemSpec,
     borderline_family,
     cantor_system,
-    continued_fraction_system,
+    continued_fraction_family,
     ensure_separation,
     gdms_system,
     golden_family,
@@ -135,6 +135,10 @@ FAMILY_KEYS = {
     "cantor": ("system.ratios",), "custom": ("system.maps", "system.incidence", "system.label"),
     "gallery:staircase": ("system.a",),
 }
+# the parametrised families, whose first n maps are family.truncate(n)
+MAP_FAMILIES = {
+    "golden": golden_family, "borderline": borderline_family, "continued-fraction": continued_fraction_family,
+}
 
 
 def _family(cfg: RunConfig, on_gallery: tuple = (), on_system: tuple = ()) -> str:
@@ -154,14 +158,14 @@ def _family(cfg: RunConfig, on_gallery: tuple = (), on_system: tuple = ()) -> st
 def _finite_system(cfg: RunConfig, source, command: str) -> SystemSpec:
     """``source`` when it is a finite system, its root collocation costed
     under the key that sets its size; a family without one is refused."""
-    if isinstance(source, SimilitudeFamily):
+    if isinstance(source, MapFamily):
         raise ConfigError(f"system.size: required to build a finite system for {command}")
     key = FAMILY_KEYS[cfg.get_str("system.family")][0]
     _check_collocation(key, source.alphabet_size, *collocation_shape(source))
     return source
 
 
-def _check_levels(key: str, family: SimilitudeFamily, levels: list[int]) -> None:
+def _check_levels(key: str, family: MapFamily, levels: list[int]) -> None:
     """Reject, naming ``key``, levels that need a map whose ratio is not in
     (0, 1) as a double: golden's 2^-(i+1) underflows to 0.0 from map 1074."""
     ratios = family.coefficients(max(levels))[:, 0]
@@ -324,30 +328,27 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
     return system
 
 
-def _build_source(cfg: RunConfig) -> Union[SimilitudeFamily, SystemSpec]:
+def _build_source(cfg: RunConfig) -> Union[MapFamily, SystemSpec]:
+    """The configured system, or the whole family when a family with a
+    closed-form mass is given no ``system.size``."""
     family = _family(cfg)
-    if family == "golden":
-        fam: SimilitudeFamily = golden_family()
-    elif family == "borderline":
-        fam = borderline_family()
-    elif family == "cantor":
+    if family in MAP_FAMILIES:
+        fam = MAP_FAMILIES[family]()
+        if fam.log_mass is None or cfg.has("system.size"):  # a family without one is only truncated
+            return fam.truncate(cfg.get_int("system.size", lo=2, hi=64))
+        return fam
+    if family == "cantor":
         ratios = cfg.get_floats("system.ratios")
         try:
             return cantor_system(ratios)
         except InvalidSystem as err:
             raise ConfigError(f"system.ratios: {err}") from None
-    elif family == "continued-fraction":
-        return continued_fraction_system(cfg.get_int("system.size", lo=2, hi=64))
-    elif family == "custom":
+    if family == "custom":
         return _custom_system(cfg)
-    else:
-        raise ConfigError(
-            f"system.family: unknown family {family!r} (expected golden | borderline"
-            " | cantor | continued-fraction | custom | gallery:<name>)"
-        )
-    if cfg.has("system.size"):
-        return fam.truncate(cfg.get_int("system.size", lo=2, hi=64))
-    return fam
+    raise ConfigError(
+        f"system.family: unknown family {family!r} (expected golden | borderline"
+        " | cantor | continued-fraction | custom | gallery:<name>)"
+    )
 
 
 def _gallery_family(cfg: RunConfig, family: str):
@@ -370,7 +371,11 @@ def cmd_bowen(cfg: RunConfig) -> Report:
     cfg.check_keys("bowen", ["bowen.depth", "bowen.tol"])
     tol = cfg.get_float("bowen.tol", default=1e-10, lo=1e-15, hi=1e-2)
     source = _build_source(cfg)
-    if isinstance(source, SimilitudeFamily):
+    if isinstance(source, MapFamily):
+        if cfg.has("bowen.depth"):  # the closed-form root reads no depth
+            raise ConfigError(
+                f"bowen.depth: not read for system.family = {source.name} without system.size"
+            )
         sol = analytic_bowen_solve(source, tol=min(tol, 1e-12))
     else:
         source = _finite_system(cfg, source, "bowen")
@@ -423,47 +428,54 @@ def cmd_scan(cfg: RunConfig) -> Report:
     levels = cfg.get_levels("scan.levels", lo=2)
     tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
     family = _family(cfg, on_system=("system.size",))  # scan.levels sets the sizes
-    depth: Union[int, None, object]
-    if family in ("golden", "borderline"):
-        source = golden_family() if family == "golden" else borderline_family()
-        _check_levels("scan.levels", source, levels)
-        depth = cfg.get_int("scan.depth", default=1, lo=1, hi=24)
-    elif family == "continued-fraction":
-        source = continued_fraction_system
-        depth = cfg.get_int("scan.depth", lo=1, hi=16) if cfg.has("scan.depth") else _cf_scan_depth
-    else:
+    if family not in MAP_FAMILIES:
         raise ConfigError(
             "system.family: scan needs a parametrised family "
             "(golden | borderline | continued-fraction)"
         )
-    if isinstance(depth, int):  # every truncation is a full shift: level^depth words
+    source = MAP_FAMILIES[family]()
+    # every truncation is a full shift of one map kind, on one grid; level 2 shows both
+    probe = source.truncate(2)
+    depth: Union[int, Callable[[int], int]]
+    if probe.is_similitude():  # depth-1 pressures are exact, and ratios may underflow
+        _check_levels("scan.levels", source, levels)
+        depth = cfg.get_int("scan.depth", default=1, lo=1, hi=24)
+    else:
+        depth = cfg.get_int("scan.depth", lo=1, hi=16) if cfg.has("scan.depth") else _cf_scan_depth
+    if isinstance(depth, int):  # level^depth words
         what = f"level {max(levels)} at depth {depth} makes"
         _check_budget("scan.depth", what, max(levels) ** depth, "words")
-    # every truncation is a full shift, on one grid; level 2 shows the nodes
-    _, nodes = collocation_shape(source.truncate(2) if isinstance(source, SimilitudeFamily) else source(2))
-    _check_collocation("scan.levels", max(levels), 1, nodes)
-    scan = truncation_scan(source, levels, depth=depth, tol=tol)
-    rows = [
-        [r.level, r.h, r.bracket_lo, r.bracket_hi, r.gap, r.residual, r.regular, r.depth, r.note]
-        for r in scan.rows
-    ]
+    _check_collocation("scan.levels", max(levels), 1, collocation_shape(probe)[1])
+    solutions = truncation_scan(source, levels, depth=depth, tol=tol)
+    rows = []
+    for n, sol in zip(levels, solutions):
+        if isinstance(sol, Exception):  # the level failed; the scan moved on
+            d = depth(n) if callable(depth) else depth
+            rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(sol)])
+        else:
+            rows.append([n, sol.h, *sol.bracket, sol.gap, sol.residual, sol.regular, sol.depth, ""])
     header = "level h bracket_lo bracket_hi pressure_gap residual regular depth note".split()
-    hs = [r.h for r in scan.rows if not math.isnan(r.h)]
+    hs = [row[1] for row in rows if not math.isnan(row[1])]
+    limit_h = limit_regular = None  # the whole family's root, where it has a closed form
+    if source.log_mass is not None:
+        limit = analytic_bowen_solve(source)
+        limit_h, limit_regular = limit.h, limit.regular
     results = {
-        "levels": [r.level for r in scan.rows],
+        "levels": levels,
         "monotone": all(a <= b + 1e-15 for a, b in zip(hs, hs[1:])),
         "first_h": hs[0] if hs else None,
         "last_h": hs[-1] if hs else None,
-        "limit_h": scan.limit,
-        "limit_regular": scan.limit_regular,
-        "final_gap_to_limit": (scan.limit - hs[-1]) if (hs and scan.limit) else None,
-        "regular": scan.limit_regular if scan.limit_regular is not None else True,
+        "limit_h": limit_h,
+        "limit_regular": limit_regular,
+        "final_gap_to_limit": (limit_h - hs[-1]) if (hs and limit_h) else None,
+        "regular": limit_regular if limit_regular is not None else True,
     }
+    gaps = [row[4] for row in rows if not math.isnan(row[4])]
     return _report(
         "scan",
         cfg,
         results=results,
-        diagnostics={"worst_pressure_gap": max((r.gap for r in scan.rows if not math.isnan(r.gap)), default=None)},
+        diagnostics={"worst_pressure_gap": max(gaps, default=None)},
         tables={"levels": _csv_table(header, rows)},
     )
 
@@ -476,7 +488,7 @@ def cmd_converge(cfg: RunConfig) -> Report:
         return _converge_gallery(cfg, family)
 
     source = _build_source(cfg)
-    if not isinstance(source, SimilitudeFamily) or source.log_mass is None:
+    if not isinstance(source, MapFamily):  # the whole family, with a closed-form mass
         raise ConfigError(
             "system.family: converge compares truncations against a family "
             "limit; use golden, borderline, or gallery:<name>"
@@ -501,7 +513,11 @@ def cmd_converge(cfg: RunConfig) -> Report:
             ],
         )
     h = limit_sol.h
-    roots = {n: bowen_solve(source.truncate(n), depth=1).h for n in levels}
+    roots = {}
+    for n, sol in zip(levels, truncation_scan(source, levels, depth=1)):
+        if isinstance(sol, Exception):
+            raise sol
+        roots[n] = sol.h
     h_top = roots[top]
 
     rows = []

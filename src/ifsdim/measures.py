@@ -9,7 +9,7 @@ Two concrete measure representations cover everything the package needs:
                         distance and sampling operations below, which is why
                         the example gallery and every limit object live in
                         this class.  Every mass of an interval, point set,
-                        ball or TV cell is read by ``mass_of_interval``.
+                        ball or TV atom site is read by ``mass_of_interval``.
 * ``CylinderMeasure`` — masses on the cylinder algebra of a finite system,
                         stored per depth with exact additivity (each word's
                         mass is the sum of its extensions' masses by
@@ -44,7 +44,7 @@ import numpy as np
 from .pressure import ConvergenceFailure
 from .symbolic import Word
 from .systems import (
-    SimilitudeFamily,
+    MapFamily,
     SystemSpec,
     cantor_system,
     level_geometry,
@@ -191,21 +191,33 @@ class LineMeasure:
 # exact total variation
 
 
+def _density_on(m: LineMeasure, lo: np.ndarray) -> np.ndarray:
+    """The density of ``m`` on each open cell starting at ``lo``, for cells
+    cut at every piece edge of ``m``, so that each lies in one piece or in
+    none."""
+    if not len(m.pieces):
+        return np.zeros_like(lo)
+    plo, phi, density = m.pieces.T
+    j = np.minimum(np.searchsorted(phi, lo, "right"), len(phi) - 1)
+    return np.where((plo[j] <= lo) & (lo < phi[j]), density[j], 0.0)
+
+
 def tv_distance(m1: LineMeasure, m2: LineMeasure) -> float:
     """sup over Borel sets of |m1(A) - m2(A)|, computed exactly.
 
     The signed difference splits into an atomic part (weight mismatches at
-    the atom locations) and a density part (constant on each open cell
-    between consecutive atom locations and piece edges); the distance is
+    the atom locations) and a density part, constant on each open cell
+    between consecutive atom locations and piece edges, where it is the
+    difference of the two densities times the cell's width; the distance is
     the larger of the positive-part and negative-part masses, which agree
     when both inputs are probability measures.
     """
     sites = np.unique(np.concatenate((m1.atoms[:, 0], m2.atoms[:, 0])))
     edges = np.unique(np.concatenate((sites, m1.pieces[:, :2].ravel(), m2.pieces[:, :2].ravel())))
+    atoms = m1.mass_of_interval(sites, sites) - m2.mass_of_interval(sites, sites)
+    cells = (_density_on(m1, edges[:-1]) - _density_on(m2, edges[:-1])) * np.diff(edges)
     pos = neg = 0.0
-    for lo, hi, closed in ((sites, sites, True), (edges[:-1], edges[1:], False)):
-        diff = m1.mass_of_interval(lo, hi, closed)
-        diff -= m2.mass_of_interval(lo, hi, closed)
+    for diff in (atoms, cells):
         pos += float(diff[diff > 0].sum())
         neg -= float(diff[diff < 0].sum())
     return max(pos, neg)
@@ -382,7 +394,7 @@ def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeas
 
 
 def truncation_singularity(
-    family: SimilitudeFamily, n1: int, n2: int, h_n2: float, depth: int
+    family: MapFamily, n1: int, n2: int, h_n2: float, depth: int
 ) -> float:
     """Mass the level-n2 conformal measure leaves on words using only the
     first n1 symbols for `depth` steps: (sum_{i<=n1} a_i^{h_n2})^depth.

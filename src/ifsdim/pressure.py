@@ -43,15 +43,13 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .systems import SimilitudeFamily, SystemSpec, level_geometry
+from .systems import MapFamily, SystemSpec, level_geometry
 
 __all__ = [
     "ConvergenceFailure",
     "BowenSolution",
     "Collocation",
     "Eigenpair",
-    "ScanRow",
-    "TruncationScan",
     "bowen_solve",
     "analytic_bowen_solve",
     "collocate",
@@ -536,7 +534,7 @@ def bowen_solve(
 # closed-form path for countable similitude families
 
 
-def analytic_bowen_solve(family: SimilitudeFamily, tol: float = 1e-12) -> BowenSolution:
+def analytic_bowen_solve(family: MapFamily, tol: float = 1e-12) -> BowenSolution:
     """Root of the full-family pressure, or its jump point when no root
     exists.  Infinite pressure values are handled as 'positive' so the
     bisection also localizes the finiteness threshold of irregular families,
@@ -568,118 +566,31 @@ def analytic_bowen_solve(family: SimilitudeFamily, tol: float = 1e-12) -> BowenS
 # truncation ladders
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One truncation level of a scan: the collocation root ``h`` and its
-    certified word bracket, as :func:`bowen_solve` gives them; all NaN when
-    the solve failed."""
-
-    level: int
-    h: float
-    bracket_lo: float
-    bracket_hi: float
-    residual: float
-    gap: float
-    regular: bool
-    depth: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class TruncationScan:
-    """Scan rows plus, when the source family has a closed-form pressure,
-    the dimension of the full countable system the levels increase toward."""
-
-    rows: tuple[ScanRow, ...]
-    limit: float | None = None
-    limit_regular: bool | None = None
-
-
-def _first_maps_of(system: SystemSpec, wider: SystemSpec) -> bool:
-    """Whether ``system`` is a full shift on ``wider``'s first maps, with
-    the same vertex spaces and node count, so that its collocation is the
-    truncation of ``wider``'s."""
-    m = system.alphabet_size
-    return (
-        system.vertex_spaces == wider.vertex_spaces
-        and system.is_similitude() == wider.is_similitude()
-        and _grids(system)[2]
-        and np.array_equal(system.coefficients, wider.coefficients[:m])
-        and np.array_equal(system.domain_vertex, wider.domain_vertex[:m])
-        and np.array_equal(system.image_vertex, wider.image_vertex[:m])
-    )
-
-
 def truncation_scan(
-    source: Union[SimilitudeFamily, Callable[[int], SystemSpec]],
+    family: MapFamily,
     levels: Iterable[int],
-    depth: Union[int, Callable[[int], int], None] = None,
+    depth: Union[int, Callable[[int], int]],
     tol: float = 1e-10,
-) -> TruncationScan:
-    """Bowen roots of the finite sub-systems at each level.
+) -> list[BowenSolution | Exception]:
+    """``bowen_solve`` on ``family.truncate(n)`` at each level n, in order:
+    the solution, or the exception the level raised, and the scan moves on.
+    A callable ``depth`` receives the level, so wide alphabets can trade
+    refinement depth for branching factor.
 
-    Failed levels are recorded (h NaN, note set) and the scan moves on.
-    The depth defaults to ``default_depth`` of each level.  A callable
-    depth receives the level, so wide alphabets can trade refinement depth
-    for branching factor.
-
-    The widest level is collocated once when it is a full shift, and every
-    level whose maps are its first ones, on a full shift too, solves on
-    that collocation truncated (``Collocation.truncate``) rather than on
-    its own: the same arrays, without rebuilding them level by level.
+    Every level is a full shift on the widest level's first maps, so the
+    widest level is collocated once and each level solves on that
+    collocation truncated (``Collocation.truncate``): the same arrays,
+    without rebuilding them level by level.
     """
     levels = list(levels)
     if any(n < 2 for n in levels):
         raise ValueError("truncation levels must be >= 2")
-    build = source.truncate if isinstance(source, SimilitudeFamily) else source
-    try:
-        widest = build(max(levels))
-        shared = collocate(widest)
-    except (ConvergenceFailure, ValueError):
-        shared = None
-    rows: list[ScanRow] = []
+    shared = collocate(family.truncate(max(levels)))
+    solutions: list[BowenSolution | Exception] = []
     for n in levels:
-        d = 0
+        d = depth(n) if callable(depth) else depth
         try:
-            system = build(n)
-            if callable(depth):
-                d = depth(n)
-            elif depth is not None:
-                d = depth
-            else:
-                d = default_depth(system)
-            collocation = None
-            if shared is not None and shared.full_shift and _first_maps_of(system, widest):
-                collocation = shared.truncate(system.alphabet_size)
-            sol = bowen_solve(system, depth=d, tol=tol, collocation=collocation)
-            rows.append(
-                ScanRow(
-                    level=n,
-                    h=sol.h,
-                    bracket_lo=sol.bracket[0],
-                    bracket_hi=sol.bracket[1],
-                    residual=sol.residual,
-                    gap=sol.gap,
-                    regular=sol.regular,
-                    depth=sol.depth,
-                )
-            )
+            solutions.append(bowen_solve(family.truncate(n), d, tol, collocation=shared.truncate(n)))
         except (ConvergenceFailure, ValueError) as err:
-            rows.append(
-                ScanRow(
-                    level=n,
-                    h=math.nan,
-                    bracket_lo=math.nan,
-                    bracket_hi=math.nan,
-                    residual=math.nan,
-                    gap=math.nan,
-                    regular=False,
-                    depth=d,
-                    note=str(err),
-                )
-            )
-    limit = limit_regular = None
-    if isinstance(source, SimilitudeFamily) and source.log_mass is not None:
-        lim_sol = analytic_bowen_solve(source)
-        limit, limit_regular = lim_sol.h, lim_sol.regular
-    return TruncationScan(rows=tuple(rows), limit=limit, limit_regular=limit_regular)
+            solutions.append(err)
+    return solutions

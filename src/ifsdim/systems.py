@@ -38,13 +38,13 @@ __all__ = [
     "MapDescriptor",
     "SystemSpec",
     "LevelGeometry",
-    "SimilitudeFamily",
+    "MapFamily",
     "ensure_separation",
     "level_geometry",
     "golden_family",
     "borderline_family",
     "cantor_system",
-    "continued_fraction_system",
+    "continued_fraction_family",
     "gdms_system",
 ]
 
@@ -295,29 +295,30 @@ def ensure_separation(system: SystemSpec) -> None:
 
 
 @dataclass(frozen=True)
-class SimilitudeFamily:
-    """A countable similitude family given by closed-form generators.
+class MapFamily:
+    """A countable family of branch maps on [0, 1] under the full shift.
 
-    ``log_mass(t)`` is the analytic log of sum_{i>=1} |a_i|^t (math.inf when
-    the series diverges); it powers the exact pressure path for infinite
-    systems.  ``truncate(n)`` cuts the finite sub-system on the first n maps.
+    ``row(i)`` gives the coefficients (a, b, c, d) of map i, i = 1, 2, ...,
+    as a ``SystemSpec`` row; every map of a family is of one kind.
+    ``truncate(n)`` is the finite sub-system on the first n maps.
+    ``log_mass(t)``, on a similitude family, is the analytic log of
+    sum_{i>=1} |a_i|^t (math.inf when the series diverges); it powers the
+    exact pressure path for infinite systems.
     """
 
     name: str
-    ratio_fn: Callable[[int], float] = field(compare=False)
-    offset_fn: Callable[[int], float] = field(compare=False)
+    row: Callable[[int], tuple[float, float, float, float]] = field(compare=False)
     log_mass: Optional[Callable[[float], float]] = field(compare=False, default=None)
     _table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def coefficients(self, n: int) -> np.ndarray:
-        """Read-only rows (a_i, b_i, 0, 1) of maps 1..n, from a table that
-        grows by doubling, so each generator runs once per map of the
-        family, not once per map of each truncation."""
+        """Read-only rows of maps 1..n, from a table that grows by doubling,
+        so ``row`` runs once per map of the family, not once per map of each
+        truncation."""
         table = self._table[0] if self._table else np.empty((0, 4))
         if len(table) < n:
             new = range(len(table) + 1, max(n, 2 * len(table)) + 1)
-            rows = [(self.ratio_fn(i), self.offset_fn(i), 0.0, 1.0) for i in new]
-            table = np.concatenate((table, rows))
+            table = np.concatenate((table, [self.row(i) for i in new]))
             table.setflags(write=False)
             self._table[:] = [table]
         return table[:n]
@@ -331,7 +332,7 @@ class SimilitudeFamily:
 
 
 @functools.lru_cache(maxsize=None)
-def golden_family() -> SimilitudeFamily:
+def golden_family() -> MapFamily:
     """Geometric ratios a_i = 2^-(i+1), images packed left to right with a
     gap equal to each image, so everything sits in [0, 1] with room to spare.
     The full family's Bowen root is log((1+sqrt 5)/2)/log 2."""
@@ -343,16 +344,15 @@ def golden_family() -> SimilitudeFamily:
         x = 2.0 ** (-t)
         return 2.0 * math.log(x) - math.log1p(-x)
 
-    return SimilitudeFamily(
+    return MapFamily(
         name="golden",
-        ratio_fn=lambda i: 2.0 ** (-(i + 1)),
-        offset_fn=lambda i: 1.0 - 2.0 ** (-(i - 1)),
+        row=lambda i: (2.0 ** (-(i + 1)), 1.0 - 2.0 ** (-(i - 1)), 0.0, 1.0),
         log_mass=log_mass,
     )
 
 
 @functools.lru_cache(maxsize=None)
-def borderline_family() -> SimilitudeFamily:
+def borderline_family() -> MapFamily:
     """A family whose pressure never crosses zero: a_i = (c/(i log^2(i+1)))^2.
 
     The mass series sum a_i^t diverges for t < 1/2 and at t = 1/2 sums to
@@ -378,15 +378,11 @@ def borderline_family() -> SimilitudeFamily:
             tail = c / math.log(n)
         return math.log(head + tail)
 
-    def offset(i: int) -> float:
-        # slot for map i is [1 - 1/i, 1 - 1/(i+1)), width 1/(i(i+1));
-        # the ratios decay like i^-2 / log^4 i so every image fits its slot
-        return 1.0 - 1.0 / i
-
-    return SimilitudeFamily(
+    # slot for map i is [1 - 1/i, 1 - 1/(i+1)), width 1/(i(i+1));
+    # the ratios decay like i^-2 / log^4 i so every image fits its slot
+    return MapFamily(
         name="borderline",
-        ratio_fn=lambda i: (c / (i * math.log(i + 1) ** 2)) ** 2,
-        offset_fn=offset,
+        row=lambda i: ((c / (i * math.log(i + 1) ** 2)) ** 2, 1.0 - 1.0 / i, 0.0, 1.0),
         log_mass=log_mass,
     )
 
@@ -396,6 +392,13 @@ def _borderline_base_sum() -> float:
     i = np.arange(1, 200_001, dtype=float)
     head = float(np.sort(1.0 / (i * np.log(i + 1) ** 2)).sum())
     return head + 1.0 / math.log(200_000.0)
+
+
+@functools.lru_cache(maxsize=None)
+def continued_fraction_family() -> MapFamily:
+    """The continued-fraction branches x -> 1/(q+x), q = 1, 2, ...; their
+    mass series has no closed form."""
+    return MapFamily(name="continued-fraction", row=lambda q: (0.0, 1.0, 1.0, float(q)))
 
 
 def cantor_system(ratios: Sequence[float]) -> SystemSpec:
@@ -414,16 +417,6 @@ def cantor_system(ratios: Sequence[float]) -> SystemSpec:
     offsets = np.concatenate(([0.0], np.cumsum(a + gap)[:-1]))
     coefficients = np.column_stack((a, offsets, np.zeros_like(a), np.ones_like(a)))
     return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(len(a)), label="cantor")
-
-
-def continued_fraction_system(n: int) -> SystemSpec:
-    """The first n continued-fraction branches x -> 1/(q+x), q = 1..n."""
-    if n < 2:
-        raise ValueError(f"need at least two digits, got {n}")
-    coefficients = np.repeat([[0.0, 1.0, 1.0, 0.0]], n, axis=0)
-    coefficients[:, 3] = np.arange(1, n + 1)  # x -> 1 / (q + x)
-    label = f"continued-fraction[:{n}]"
-    return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(n), label=label)
 
 
 def gdms_system(

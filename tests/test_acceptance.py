@@ -29,7 +29,7 @@ from ifsdim.pressure import analytic_bowen_solve, bowen_solve, collocate, trunca
 from ifsdim.symbolic import Word, comparison_distance
 from ifsdim.systems import (
     cantor_system,
-    continued_fraction_system,
+    continued_fraction_family,
     golden_family,
     level_geometry,
 )
@@ -66,8 +66,7 @@ def test_c2_family_limit_and_monotone_ladder():
     limit = analytic_bowen_solve(family)
     assert limit.regular
     assert limit.h == pytest.approx(GOLDEN_LIMIT, abs=1e-8)
-    scan = truncation_scan(family, range(2, 13))
-    roots = [row.h for row in scan.rows]
+    roots = [sol.h for sol in truncation_scan(family, range(2, 13), depth=1)]
     assert all(a <= b for a, b in zip(roots, roots[1:]))
     assert all(h <= limit.h for h in roots)
     assert limit.h - roots[-1] < 1e-2
@@ -83,7 +82,7 @@ def test_c3_cylinders_converge_measures_diverge():
     # depth-2 cylinder masses approach the limit weights...
     discrepancies = []
     for n in range(2, 13):
-        ratios = np.array([family.ratio_fn(i) for i in range(1, n + 1)])
+        ratios = np.array([family.row(i)[0] for i in range(1, n + 1)])
         weights = ratios ** roots[n]
         weights /= weights.sum()
         limit_weights = ratios**h
@@ -178,7 +177,7 @@ def test_c7_operator_eigenvalue_and_ratio_at_the_root():
         assert abs(pair.eigenvalue - 1.0) < 1e-6, f"golden n={n}"
         assert abs(gibbs_state(pair).ratio - h_n) < 1e-6, f"golden n={n}"
     for n in (2, 3):
-        pair, _ = collocate(continued_fraction_system(n)).root()
+        pair, _ = collocate(continued_fraction_family().truncate(n)).root()
         assert abs(pair.eigenvalue - 1.0) < 1e-6, f"digits {{1..{n}}}"
     assert time.perf_counter() - t0 < 10.0
 
@@ -215,7 +214,7 @@ def test_c8_property_suite():
 
     # the infinite family's conformal masses never exceed a truncation's
     h = analytic_bowen_solve(family).h
-    six_ratios = [family.ratio_fn(i) for i in range(1, 7)]
+    six_ratios = [family.row(i)[0] for i in range(1, 7)]
     h6 = bowen_solve(family.truncate(6), depth=1).h
     for depth in range(1, 5):
         for combo in itertools.product(range(6), repeat=depth):
@@ -223,7 +222,7 @@ def test_c8_property_suite():
             assert r**h <= r**h6 * (1.0 + 1e-12)
 
     # bounded distortion: derivative sup/inf ratio at most 4 per cylinder
-    cf2 = continued_fraction_system(2)
+    cf2 = continued_fraction_family().truncate(2)
     for depth in range(1, 7):
         geometry = level_geometry(cf2, depth)
         assert np.all(geometry.log_sup - geometry.log_inf <= math.log(4.0) + 1e-12)

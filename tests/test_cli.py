@@ -25,7 +25,7 @@ import ifsdim.pressure
 import ifsdim.systems
 from ifsdim.cli import main
 from ifsdim.symbolic import IncidenceMatrix
-from ifsdim.systems import continued_fraction_system
+from ifsdim.systems import continued_fraction_family, golden_family
 
 from reference import cylinder_operator_root
 
@@ -122,7 +122,8 @@ def test_bowen_moebius_incidence_root_matches_the_deep_operator(tmp_path):
     assert code == 0
     assert res["bracket_lo"] == 0.0 <= res["h"] <= res["bracket_hi"]
     system = dataclasses.replace(
-        continued_fraction_system(3), incidence=IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
+        continued_fraction_family().truncate(3),
+        incidence=IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1))),
     )
     assert res["h"] == pytest.approx(cylinder_operator_root(system, 10), abs=1e-6)
 
@@ -430,16 +431,27 @@ def test_converge_golden_cylinder_table(tmp_path):
 
 def test_converge_solves_each_level_once(tmp_path, monkeypatch):
     solved = []
-    real = ifsdim.cli.bowen_solve
+    real = ifsdim.pressure.bowen_solve
 
     def counted(system, *args, **kwargs):
         solved.append(system.alphabet_size)
         return real(system, *args, **kwargs)
 
-    monkeypatch.setattr(ifsdim.cli, "bowen_solve", counted)
+    monkeypatch.setattr(ifsdim.pressure, "bowen_solve", counted)  # the scan's solve
     code, _ = run(tmp_path, "converge", "system.family = golden\nconverge.levels = 2:12\n")
     assert code == 0
     assert solved == list(range(2, 13))
+
+
+def test_converge_h_column_is_each_truncation_root(tmp_path):
+    # converge reads its h_n off the scan's shared collocation, bit for bit
+    # the root of each level's own depth-1 solve
+    code, report = run(tmp_path, "converge", "system.family = golden\nconverge.levels = 2:40\n")
+    assert code == 0
+    rows = [line.split(",") for line in report["tables"]["levels"].splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(2, 41))
+    for level, h, *_ in rows:
+        assert float(h) == ifsdim.pressure.bowen_solve(golden_family().truncate(int(level)), depth=1).h
 
 
 def test_converge_borderline_reports_irregular(tmp_path):
@@ -777,6 +789,12 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.a: not read for system.family = gallery:lattice-comb",
         ),
         ("bowen", "system.family = golden\nsystem.a = 0.25\n", "system.a: not read for system.family = golden"),
+        # the closed-form root of the whole family reads no word depth
+        (
+            "bowen",
+            "system.family = borderline\nbowen.depth = 5\n",
+            "bowen.depth: not read for system.family = borderline without system.size",
+        ),
         (
             "scan",
             "system.family = continued-fraction\nsystem.size = 3\nscan.levels = 2:4\n",
@@ -789,7 +807,7 @@ MOEBIUS_NO_REPEATS_91 = (
         "staircase-stage", "staircase-member", "flatness-support", "lattice-comb-budget",
         "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
         "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
-        "gallery-scale", "system-scale", "scan-size",
+        "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(
@@ -911,7 +929,7 @@ def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, tex
 
 
 def test_one_shift_gives_one_answer_under_both_spellings(tmp_path):
-    cf = continued_fraction_system(2)
+    cf = continued_fraction_family().truncate(2)
     custom = "system.family = custom\nsystem.maps = moebius:1; moebius:2\n"
     spellings = {"cf": "system.family = continued-fraction\nsystem.size = 2\n", "custom": custom}
     built = ifsdim.cli._build_source(ifsdim.config.RunConfig(ifsdim.config.parse_config(custom)))

@@ -28,7 +28,7 @@ from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import (
     MapDescriptor,
     cantor_system,
-    continued_fraction_system,
+    continued_fraction_family,
     gdms_system,
     golden_family,
 )
@@ -293,6 +293,18 @@ def test_tv_and_setwise_match_exact_rationals(name):
     assert _close(setwise_discrepancy(m1, m2, sets), exact, GAUGE_ABS)
 
 
+TV_REL = 1e-12  # relative: each cell's density difference is rounded once
+
+
+def test_small_tv_distances_keep_their_relative_digits():
+    # staircase member n lies a^(n+1) from its limit, down to 2^-26 at n = 25;
+    # differences of two rounded cell masses lost 7.4e-10 of it there
+    fam = gallery("staircase", a=0.5)
+    for n in range(1, 26):
+        exact = reference.exact_tv(fam.at(n), fam.limit)
+        assert _close(tv_distance(fam.at(n), fam.limit), exact, TV_REL * exact), n
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_MEMBERS))
 def test_weak_dictionary_matches_exact_rationals(name):
     measure = REFERENCE_MEMBERS[name]
@@ -364,7 +376,7 @@ def test_golden_two_map_masses_match_root_powers():
 def test_cylinder_additivity_is_machine_exact():
     for sys_, depth in (
         (golden_family().truncate(5), 4),
-        (continued_fraction_system(3), 5),
+        (continued_fraction_family().truncate(3), 5),
     ):
         h = bowen_solve(sys_, depth=6, tol=1e-8).h
         cm = conformal_cylinder_measure(sys_, h, depth)
@@ -425,7 +437,7 @@ def test_limit_measure_dominates_truncation_masses():
     cm = conformal_cylinder_measure(sys_, hn, 4)
     for depth in range(1, 5):
         for word, mass in zip(enumerate_admissible(sys_.incidence, depth), cm.level(depth)):
-            log_ratio = sum(math.log(fam.ratio_fn(i + 1)) for i in word.symbols)
+            log_ratio = sum(math.log(fam.row(i + 1)[0]) for i in word.symbols)
             limit_mass = math.exp(h * log_ratio)
             assert limit_mass <= float(mass) * (1 + 1e-12)
 
@@ -455,7 +467,7 @@ def test_touching_stage_is_lebesgue():
 
 def test_stage_distribution_guards():
     with pytest.raises(ValueError):
-        mass_distribution_sequence(continued_fraction_system(2), 0.5, 2)
+        mass_distribution_sequence(continued_fraction_family().truncate(2), 0.5, 2)
     with pytest.raises(ValueError):
         mass_distribution_sequence(cantor_system((1 / 3, 1 / 3)), 0.5, 0)
 
@@ -559,7 +571,7 @@ def test_cylinder_sampling_frequencies_match_masses():
 
 
 def test_moebius_cylinder_sampling_stays_in_bounds():
-    sys_ = continued_fraction_system(2)
+    sys_ = continued_fraction_family().truncate(2)
     h = bowen_solve(sys_, depth=10, tol=1e-8).h
     cm = conformal_cylinder_measure(sys_, h, 3)
     cloud = sample(cm, 1_000, seed=9)
@@ -627,7 +639,7 @@ def _similitudes(*pairs):
 
 
 SAMPLER_SYSTEMS = {
-    "cf3": continued_fraction_system(3),
+    "cf3": continued_fraction_family().truncate(3),
     # Fibonacci incidences: words of 2 and 3 symbols with 1-3 children each
     "fibonacci-2": gdms_system(
         ((0.0, 1.0),),

@@ -21,9 +21,10 @@ from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
     _ROUNDOFF,
     MapDescriptor,
+    MapFamily,
     borderline_family,
     cantor_system,
-    continued_fraction_system,
+    continued_fraction_family,
     gdms_system,
     golden_family,
     level_geometry,
@@ -57,7 +58,7 @@ def test_partition_sum_bernoulli_closed_forms():
 
 
 def test_partition_sum_brackets_continued_fractions():
-    est = pressure(continued_fraction_system(2), 0.6, depth=6)
+    est = pressure(continued_fraction_family().truncate(2), 0.6, depth=6)
     assert -math.inf < est.lower < est.upper
     # per-word sup <= K * inf, so the sums differ by at most a factor K^t
     assert 6 * est.gap <= 0.6 * math.log(4.0) + 1e-9
@@ -104,7 +105,7 @@ def test_pressure_strictly_decreasing_in_exponent(ratios, t, dt):
 
 
 def test_upper_pressure_tightens_under_depth_doubling():
-    sys_ = continued_fraction_system(2)
+    sys_ = continued_fraction_family().truncate(2)
     for t in (0.3, 0.6):
         shallow = pressure(sys_, t, depth=3)
         deep = pressure(sys_, t, depth=6)
@@ -124,44 +125,33 @@ def test_touching_cantor_has_dimension_one():
 
 
 def test_golden_truncation_scan_matches_oracle():
-    scan = truncation_scan(golden_family(), range(2, 13), tol=1e-12)
-    assert [r.level for r in scan.rows] == list(range(2, 13))
-    for row in scan.rows:
-        assert row.regular
-        assert row.gap == pytest.approx(0.0, abs=1e-13)
-        assert row.h == pytest.approx(GOLDEN_ROOTS[str(row.level)], abs=1e-12)
-        assert row.bracket_lo <= GOLDEN_ROOTS[str(row.level)] <= row.bracket_hi
-        assert row.bracket_lo <= row.h <= row.bracket_hi
-    roots = [r.h for r in scan.rows]
+    levels = range(2, 13)
+    scan = truncation_scan(golden_family(), levels, depth=1, tol=1e-12)
+    for n, sol in zip(levels, scan):
+        assert sol.regular and sol.depth == 1
+        assert sol.gap == pytest.approx(0.0, abs=1e-13)
+        assert sol.h == pytest.approx(GOLDEN_ROOTS[str(n)], abs=1e-12)
+        assert sol.bracket[0] <= GOLDEN_ROOTS[str(n)] <= sol.bracket[1]
+        assert sol.bracket[0] <= sol.h <= sol.bracket[1]
+    roots = [sol.h for sol in scan]
     assert roots == sorted(roots)  # truncations only gain mass
-    assert scan.limit == pytest.approx(GOLDEN_ROOTS["limit"], abs=1e-11)
-    assert scan.limit_regular is True
-
-
-def _digits(first: int, count: int):
-    maps = tuple(MapDescriptor("moebius-1d", q=q) for q in range(first, first + count))
-    return gdms_system(((0.0, 1.0),), maps)
 
 
 @pytest.mark.parametrize(
-    "source,builds",
-    [
-        (continued_fraction_system, 1),  # each level's maps are the widest one's first
-        (lambda n: _digits(n, n), 3),  # the digits {n, ..., 2n - 1} are not
-    ],
-    ids=["prefixes", "shifted"],
+    "family", [golden_family(), borderline_family(), continued_fraction_family()], ids=lambda f: f.name
 )
-def test_scan_rows_are_the_roots_of_their_own_levels(monkeypatch, source, builds):
+def test_scan_rows_are_the_roots_of_their_own_levels(monkeypatch, family):
     calls = []
     real = ifsdim.pressure.collocate
     monkeypatch.setattr(ifsdim.pressure, "collocate", lambda s: calls.append(s) or real(s))
-    scan = truncation_scan(source, [4, 2, 6], depth=3)
-    assert len(calls) == builds
+    levels = [4, 2, 6]
+    scan = truncation_scan(family, levels, depth=3)
+    assert len(calls) == 1  # each level's maps are the widest one's first
     monkeypatch.undo()
-    for row in scan.rows:
-        sol = bowen_solve(source(row.level), depth=3)
-        assert (row.h, row.bracket_lo, row.bracket_hi, row.residual, row.gap) == (
-            sol.h, *sol.bracket, sol.residual, sol.gap
+    for n, row in zip(levels, scan):
+        sol = bowen_solve(family.truncate(n), depth=3)
+        assert (row.h, row.bracket, row.residual, row.gap, row.depth) == (
+            sol.h, sol.bracket, sol.residual, sol.gap, 3
         )
 
 
@@ -173,8 +163,9 @@ def test_analytic_golden_root():
 
 
 def test_truncation_roots_converge_to_analytic_limit():
-    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], tol=1e-12)
-    errs = [scan.limit - r.h for r in scan.rows]
+    limit = analytic_bowen_solve(golden_family()).h
+    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], depth=1, tol=1e-12)
+    errs = [limit - sol.h for sol in scan]
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-6
@@ -189,10 +180,10 @@ def test_borderline_family_is_irregular():
 
 
 def test_analytic_pressure_requires_closed_form():
-    fam = golden_family()
-    bare = type(fam)(name="bare", ratio_fn=fam.ratio_fn, offset_fn=fam.offset_fn)
-    with pytest.raises(ValueError):
-        analytic_bowen_solve(bare)
+    bare = MapFamily(name="bare", row=golden_family().row)
+    for family in (bare, continued_fraction_family()):
+        with pytest.raises(ValueError, match="carries no closed-form mass"):
+            analytic_bowen_solve(family)
 
 
 def _root_of(system, which, depth, tol=1e-9):
@@ -209,7 +200,7 @@ def _root_of(system, which, depth, tol=1e-9):
 
 
 def test_continued_fraction_root_is_bracketed_and_accurate():
-    sys_ = continued_fraction_system(2)
+    sys_ = continued_fraction_family().truncate(2)
     upper_root = _root_of(sys_, "upper", depth=12)
     lower_root = _root_of(sys_, "lower", depth=12)
     # the sup/inf pressure roots certify a dimension interval on a full shift
@@ -222,7 +213,7 @@ def test_continued_fraction_root_is_bracketed_and_accurate():
 
 
 def test_word_pressure_gap_respects_distortion_budget():
-    sys_ = continued_fraction_system(2)
+    sys_ = continued_fraction_family().truncate(2)
     for depth in (4, 8):
         est = pressure(sys_, 0.5, depth=depth)
         assert est.gap <= 0.5 * math.log(4.0) / depth * (1 + 1e-9)
@@ -232,33 +223,36 @@ def test_word_pressure_gap_respects_distortion_budget():
 def test_bowen_solve_iteration_budget():
     # Newton needs more than two evaluations per solve on CF{1,2}
     with pytest.raises(ConvergenceFailure):
-        bowen_solve(continued_fraction_system(2), depth=6, tol=1e-12, max_iter=2)
+        bowen_solve(continued_fraction_family().truncate(2), depth=6, tol=1e-12, max_iter=2)
 
 
-def test_truncation_scan_records_failures_and_continues():
-    def source(n):
-        if n == 3:
-            raise ValueError("level 3 is broken on purpose")
-        return golden_family().truncate(n)
+def test_truncation_scan_records_failures_and_continues(monkeypatch):
+    real = ifsdim.pressure.bowen_solve
+    broken = ConvergenceFailure("level 3 is broken on purpose")
 
-    scan = truncation_scan(source, [2, 3, 4], depth=1, tol=1e-10)
-    assert [r.level for r in scan.rows] == [2, 3, 4]
-    assert math.isnan(scan.rows[1].h) and scan.rows[1].note
-    assert math.isnan(scan.rows[1].bracket_lo) and math.isnan(scan.rows[1].bracket_hi)
-    assert scan.rows[0].regular and scan.rows[2].regular
-    assert scan.limit is None  # callable sources carry no closed form
+    def solve(system, *args, **kwargs):
+        if system.alphabet_size == 3:
+            raise broken
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(ifsdim.pressure, "bowen_solve", solve)
+    first, failed, last = truncation_scan(golden_family(), [2, 3, 4], depth=1, tol=1e-10)
+    assert failed is broken
+    for n, sol in ((2, first), (4, last)):  # the levels around the failure still solve
+        assert sol.regular and sol.h == real(golden_family().truncate(n), depth=1).h
 
 
 def test_truncation_scan_rejects_levels_below_two():
     with pytest.raises(ValueError):
-        truncation_scan(golden_family(), [1, 2])
+        truncation_scan(golden_family(), [1, 2], depth=1)
 
 
-def test_truncation_scan_attaches_irregular_limit():
-    scan = truncation_scan(borderline_family(), [2, 3], tol=1e-8)
-    assert scan.limit == pytest.approx(0.5, abs=1e-6)
-    assert scan.limit_regular is False
-    assert all(row.regular for row in scan.rows)  # every finite stage still solves
+def test_borderline_truncations_solve_below_an_irregular_limit():
+    limit = analytic_bowen_solve(borderline_family(), tol=1e-8)
+    assert limit.h == pytest.approx(0.5, abs=1e-6)
+    assert limit.regular is False
+    roots = truncation_scan(borderline_family(), [2, 3], depth=1, tol=1e-8)
+    assert all(sol.regular and sol.h < limit.h for sol in roots)  # every finite stage still solves
 
 
 def test_root_finder_newton_steps_and_bisection_share_one_bracket_contract():
@@ -398,10 +392,10 @@ def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
 def test_bracket_falls_back_to_one_when_a_word_does_not_contract():
     # x -> 1/(1 + x) has |derivative| 1 at 0: the depth-1 upper pressure
     # never vanishes, while the lower one does
-    sol = bowen_solve(continued_fraction_system(2), depth=1)
+    sol = bowen_solve(continued_fraction_family().truncate(2), depth=1)
     lo, hi = sol.bracket
     assert hi == 1.0 and lo < sol.h < hi
-    assert pressure(continued_fraction_system(2), lo, 1).lower > 0.0
+    assert pressure(continued_fraction_family().truncate(2), lo, 1).lower > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +403,10 @@ def test_bracket_falls_back_to_one_when_a_word_does_not_contract():
 
 
 def test_collocation_root_reaches_the_published_e12_digits():
-    sol = bowen_solve(continued_fraction_system(2))
+    sol = bowen_solve(continued_fraction_family().truncate(2))
     assert abs(sol.h - E12_LITERATURE) <= 1e-13
     assert abs(sol.residual) < 1e-15
-    assert collocation_shape(continued_fraction_system(2)) == (1, 32)
+    assert collocation_shape(continued_fraction_family().truncate(2)) == (1, 32)
 
 
 def test_collocation_roots_meet_every_reference_within_its_accuracy():
@@ -475,7 +469,7 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
         tuple(MapDescriptor("moebius-1d", q=q) for q in (1, 2)),
         incidence=IncidenceMatrix(((1, 1), (1, 1))),
     )
-    broadcast = continued_fraction_system(2)
+    broadcast = continued_fraction_family().truncate(2)
     assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
     assert collocate(explicit).full_shift and collocate(broadcast).full_shift
     assert bowen_solve(explicit).h == bowen_solve(broadcast).h

@@ -18,7 +18,7 @@ from ifsdim.systems import (
     ensure_separation,
     borderline_family,
     cantor_system,
-    continued_fraction_system,
+    continued_fraction_family,
     gdms_system,
     golden_family,
     level_geometry,
@@ -48,7 +48,7 @@ def test_golden_log_mass_matches_finite_sums():
     assert fam.log_mass(1.0) == pytest.approx(math.log(0.5), abs=1e-14)
     assert fam.log_mass(-0.5) == math.inf
     for t in (0.3, 0.7, 1.3):
-        finite = sum(fam.ratio_fn(i) ** t for i in range(400, 0, -1))
+        finite = sum(fam.row(i)[0] ** t for i in range(400, 0, -1))
         assert fam.log_mass(t) == pytest.approx(math.log(finite), abs=1e-9)
 
 
@@ -207,7 +207,7 @@ def test_level_geometry_cache_holds_one_level():
 
 
 def test_continued_fraction_layout():
-    sys_ = continued_fraction_system(3)
+    sys_ = continued_fraction_family().truncate(3)
     assert sys_.coefficients.tolist() == [[0.0, 1.0, 1.0, q] for q in (1.0, 2.0, 3.0)]
     assert word_image(sys_, Word.of(0)) == (0.5, 1.0)
     assert word_image(sys_, Word.of(1)) == (pytest.approx(1 / 3), 0.5)
@@ -215,7 +215,7 @@ def test_continued_fraction_layout():
 
 
 def test_moebius_word_bounds_bracket_truth():
-    sys_ = continued_fraction_system(2)
+    sys_ = continued_fraction_family().truncate(2)
     lg = level_geometry(sys_, 2)  # word 00 comes first
     # |d/dx 1/(1 + 1/(1+x))| ranges over exactly [1/9, 1/4] for x in [0, 1]
     assert math.log(1 / 9) >= lg.log_inf[0] and lg.log_sup[0] >= math.log(0.25)
@@ -227,7 +227,7 @@ def test_moebius_word_bounds_bracket_truth():
 
 def test_moebius_image_is_exact_fixed_points():
     # the infinite word 1.1.1... codes 1/phi; cylinder images shrink onto it
-    sys_ = continued_fraction_system(2)
+    sys_ = continued_fraction_family().truncate(2)
     target = (math.sqrt(5) - 1) / 2
     for depth in (4, 8, 16):
         lo, hi = word_image(sys_, Word((0,) * depth))
@@ -259,7 +259,7 @@ def branch_systems(draw):
     similitudes of either orientation, or both kinds mixed."""
     kind = draw(st.sampled_from(["cf", "moebius", "similitude", "mixed"]))
     if kind == "cf":
-        return continued_fraction_system(draw(st.integers(2, 4)))
+        return continued_fraction_family().truncate(draw(st.integers(2, 4)))
     size = draw(st.integers(2, 3))
     qs = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True))
     moebius = [MapDescriptor("moebius-1d", q=q) for q in qs]
@@ -296,7 +296,7 @@ def test_level_geometry_matches_per_word_composition(sys_, depth):
 
 
 def test_word_contraction_bounds_word_derivatives():
-    sys_ = continued_fraction_system(3)
+    sys_ = continued_fraction_family().truncate(3)
     for depth in (2, 3, 4, 5):
         lg = level_geometry(sys_, depth)
         bound = (4 / 9) ** (depth // 2)  # the 1-1 pair dominates the two-step contraction
@@ -304,7 +304,7 @@ def test_word_contraction_bounds_word_derivatives():
 
 
 def test_distortion_bound_certified_on_words():
-    sys_ = continued_fraction_system(3)
+    sys_ = continued_fraction_family().truncate(3)
     for depth in (1, 2, 4, 6):
         lg = level_geometry(sys_, depth)
         worst = np.exp(lg.log_sup - lg.log_inf).max()
@@ -361,8 +361,8 @@ MIXED_MAPS = (
 @pytest.mark.parametrize(
     "system, depth",
     [
-        (continued_fraction_system(2), 12),
-        (continued_fraction_system(3), 6),
+        (continued_fraction_family().truncate(2), 12),
+        (continued_fraction_family().truncate(3), 6),
         (gdms_system(((0.0, 1.0),), MIXED_MAPS, label="mixed"), 6),
         # the two full rows take the unmasked path, the first row a mask
         (
@@ -490,7 +490,7 @@ def test_borderline_images_fit_their_slots():
     sys_ = fam.truncate(40)
     ensure_separation(sys_)
     for i in range(1, 41):
-        a, b = fam.ratio_fn(i), fam.offset_fn(i)
+        a, b = fam.row(i)[:2]
         assert 0.0 < a < 1.0
         assert b + a < 1.0 - 1.0 / (i + 1) + 1e-15  # stays inside [1-1/i, 1-1/(i+1))
 
@@ -505,7 +505,7 @@ def test_borderline_mass_jumps_past_zero():
 
 @pytest.mark.parametrize(
     "sys_",
-    [continued_fraction_system(3), cantor_system((0.3, 0.25, 0.2))],
+    [continued_fraction_family().truncate(3), cantor_system((0.3, 0.25, 0.2))],
     ids=["moebius", "similitude"],
 )
 def test_cylinder_images_nest_under_extension(sys_):

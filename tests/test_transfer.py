@@ -12,7 +12,7 @@ from ifsdim.symbolic import IncidenceMatrix, Word, count_admissible
 from ifsdim.systems import (
     MapDescriptor,
     cantor_system,
-    continued_fraction_system,
+    continued_fraction_family,
     gdms_system,
     golden_family,
 )
@@ -83,7 +83,7 @@ MIXED = gdms_system(
 )
 
 operator_systems = st.one_of(
-    st.integers(2, 5).map(continued_fraction_system),
+    st.integers(2, 5).map(continued_fraction_family().truncate),
     st.lists(st.integers(1, 16), min_size=2, max_size=2, unique=True).map(
         lambda qs: _moebius(*sorted(qs))
     ),
@@ -143,10 +143,10 @@ def _on_incidence(system, rows):
 
 # (system, depth): depth 1 under custom incidences, deeper on CF{1,2}, CF{1,2,3}
 SOLVE_CASES = [
-    (_on_incidence(continued_fraction_system(2), "11;10"), 1),
-    (_on_incidence(continued_fraction_system(3), "011;111;111"), 1),
+    (_on_incidence(continued_fraction_family().truncate(2), "11;10"), 1),
+    (_on_incidence(continued_fraction_family().truncate(3), "011;111;111"), 1),
     (fibonacci_system(), 1),
-] + [(continued_fraction_system(m), d) for m in (2, 3) for d in (2, 3, 4, 5)]
+] + [(continued_fraction_family().truncate(m), d) for m in (2, 3) for d in (2, 3, 4, 5)]
 SOLVE_IDS = ["cf2-incidence-11-10-d1", "cf3-incidence-011-111-111-d1", "fibonacci-d1"] + [
     f"cf{m}-d{d}" for m in (2, 3) for d in (2, 3, 4, 5)
 ]
@@ -154,7 +154,8 @@ SOLVE_IDS = ["cf2-incidence-11-10-d1", "cf3-incidence-011-111-111-d1", "fibonacc
 
 @pytest.mark.parametrize(
     "system,depth",
-    SOLVE_CASES + [(MIXED, 2), (MIXED, 3), (continued_fraction_system(2), 8), (fibonacci_system(), 4)],
+    SOLVE_CASES
+    + [(MIXED, 2), (MIXED, 3), (continued_fraction_family().truncate(2), 8), (fibonacci_system(), 4)],
     ids=SOLVE_IDS + ["mixed-d2", "mixed-d3", "cf2-d8", "fibonacci-d4"],
 )
 def test_masses_recursion_matches_the_quadrature(system, depth):
@@ -193,7 +194,7 @@ def test_operator_argument_validation():
 
 
 def test_no_operator_array_grows_with_the_square_of_the_states():
-    cf = continued_fraction_system(2)
+    cf = continued_fraction_family().truncate(2)
     col = collocate(cf)
     pair = col.eigenpair(0.53)
     tracemalloc.start()
@@ -255,7 +256,7 @@ def test_invariant_masses_match_conformal_cylinders_for_similitudes():
 
 
 @pytest.mark.parametrize(
-    "system", [cantor_system((0.4, 0.25)), continued_fraction_system(2)], ids=["sim", "cf"]
+    "system", [cantor_system((0.4, 0.25)), continued_fraction_family().truncate(2)], ids=["sim", "cf"]
 )
 def test_invariant_mass_is_shift_stationary(system):
     masses = _masses(system, 0.6, 2)
@@ -264,7 +265,7 @@ def test_invariant_mass_is_shift_stationary(system):
 
 
 def test_spectral_and_word_pressure_agree_within_bracket():
-    cf3 = continued_fraction_system(3)
+    cf3 = continued_fraction_family().truncate(3)
     col = collocate(cf3)
     for t in (0.55, 0.7):
         est = pressure(cf3, t, depth=8)
@@ -272,7 +273,7 @@ def test_spectral_and_word_pressure_agree_within_bracket():
 
 
 def test_eigenmeasure_iteration_budget_is_enforced():
-    matrix = _dense(collocate(continued_fraction_system(2)), 0.5)
+    matrix = _dense(collocate(continued_fraction_family().truncate(2)), 0.5)
     with pytest.raises(ConvergenceFailure):
         _power_iterate(lambda v: matrix @ v, matrix.shape[0], 1e-14, 2)
 
@@ -378,7 +379,7 @@ def test_zero_contraction_is_reported_as_degenerate():
 
 
 def test_eigenpair_residuals_are_checked():
-    pair = collocate(continued_fraction_system(2)).eigenpair(0.5)
+    pair = collocate(continued_fraction_family().truncate(2)).eigenpair(0.5)
     with pytest.raises(ConvergenceFailure):
         gibbs_state(dataclasses.replace(pair, density_residual=1e-6))
 
@@ -395,7 +396,7 @@ def test_operator_root_of_similitude_system_matches_word_root():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_operator_root_brings_the_eigenvalue_to_one(n):
-    pair, _ = collocate(continued_fraction_system(n)).root()
+    pair, _ = collocate(continued_fraction_family().truncate(n)).root()
     assert abs(pair.eigenvalue - 1.0) < 1e-12
     assert isinstance(pair, Eigenpair)
 
@@ -403,9 +404,9 @@ def test_operator_root_brings_the_eigenvalue_to_one(n):
 def test_operator_root_sharpens_as_states_deepen():
     # the cylinder operator of the tests' reference converges to the
     # collocation root as its words deepen
-    target = bowen_solve(continued_fraction_system(2)).h
+    target = bowen_solve(continued_fraction_family().truncate(2)).h
     errs = [
-        abs(cylinder_operator_root(continued_fraction_system(2), k) - target) for k in (2, 4, 6)
+        abs(cylinder_operator_root(continued_fraction_family().truncate(2), k) - target) for k in (2, 4, 6)
     ]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-3
@@ -489,7 +490,7 @@ def test_operator_root_lies_in_the_certified_word_bracket(system):
 
 @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
 def test_lyapunov_is_minus_the_log_eigenvalue_slope(t):
-    col = collocate(continued_fraction_system(2))
+    col = collocate(continued_fraction_family().truncate(2))
     step = 1e-4
     logeig = [math.log(col.eigenpair(s).eigenvalue) for s in (t + step, t - step)]
     central = (logeig[0] - logeig[1]) / (2 * step)
@@ -498,5 +499,5 @@ def test_lyapunov_is_minus_the_log_eigenvalue_slope(t):
 
 def test_operator_root_takes_a_handful_of_evaluations():
     # bisection to the default tol 1e-15 takes 50
-    _, evals = collocate(continued_fraction_system(2)).root()
+    _, evals = collocate(continued_fraction_family().truncate(2)).root()
     assert evals <= 8
