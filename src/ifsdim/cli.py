@@ -59,14 +59,12 @@ from .pressure import (
 from .symbolic import IncidenceMatrix, count_admissible
 from .systems import (
     InvalidSystem,
-    MapDescriptor,
     MapFamily,
     SystemSpec,
     borderline_family,
     cantor_system,
     continued_fraction_family,
     ensure_separation,
-    gdms_system,
     golden_family,
 )
 from .transfer import (
@@ -127,32 +125,16 @@ def _check_collocation(key: str, branches: int, grids: int, nodes: int) -> None:
     _check_budget(key, what, 2 * (grids * nodes) ** 2, "matrix entries")
 
 
-# the system.* keys each family reads besides system.family (none for a
-# gallery family but gallery:staircase); a finite system's first sets how
-# many maps it has
-FAMILY_KEYS = {
-    "golden": ("system.size",), "borderline": ("system.size",), "continued-fraction": ("system.size",),
-    "cantor": ("system.ratios",), "custom": ("system.maps", "system.incidence", "system.label"),
-    "gallery:staircase": ("system.a",),
-}
 # the parametrised families, whose first n maps are family.truncate(n)
 MAP_FAMILIES = {
     "golden": golden_family, "borderline": borderline_family, "continued-fraction": continued_fraction_family,
 }
 
 
-def _family(cfg: RunConfig, on_gallery: tuple = (), on_system: tuple = ()) -> str:
-    """``system.family``, once the config sets none of the keys the run
-    never reads: a system.* key the family does not read, and the keys of
-    ``on_gallery`` on a gallery family or of ``on_system`` on any other."""
+def _size_key(cfg: RunConfig) -> str:
+    """The key that sets how many maps the configured finite system has."""
     family = cfg.get_str("system.family")
-    if family in FAMILY_KEYS or family.startswith("gallery:"):
-        reads = FAMILY_KEYS.get(family, ()) + ("system.family",)
-        unread = [k for k in sorted(cfg.raw) if k.startswith("system.") and k not in reads]
-        for key in unread + list(on_gallery if family.startswith("gallery:") else on_system):
-            if cfg.has(key):
-                raise ConfigError(f"{key}: not read for system.family = {family}")
-    return family
+    return {"cantor": "system.ratios", "custom": "system.maps"}.get(family, "system.size")
 
 
 def _finite_system(cfg: RunConfig, source, command: str) -> SystemSpec:
@@ -160,8 +142,7 @@ def _finite_system(cfg: RunConfig, source, command: str) -> SystemSpec:
     under the key that sets its size; a family without one is refused."""
     if isinstance(source, MapFamily):
         raise ConfigError(f"system.size: required to build a finite system for {command}")
-    key = FAMILY_KEYS[cfg.get_str("system.family")][0]
-    _check_collocation(key, source.alphabet_size, *collocation_shape(source))
+    _check_collocation(_size_key(cfg), source.alphabet_size, *collocation_shape(source))
     return source
 
 
@@ -280,7 +261,8 @@ def _report(command: str, cfg: RunConfig, **kwargs) -> Report:
 # system construction from config
 
 
-def _parse_map(entry: str) -> MapDescriptor:
+def _parse_map(entry: str) -> tuple[float, float, float, float]:
+    """The coefficient row (a, b, c, d) of one ``system.maps`` entry."""
     parts = [p.strip() for p in entry.split(":")]
     kind = parts[0]
     try:
@@ -289,22 +271,22 @@ def _parse_map(entry: str) -> MapDescriptor:
                 raise ConfigError(
                     f"system.maps: {entry!r} must be 'similitude:ratio:offset'"
                 )
-            return MapDescriptor(kind, ratio=float(parts[1]), offset=float(parts[2]))
+            return (float(parts[1]), float(parts[2]), 0.0, 1.0)
         if kind == "moebius":
             if len(parts) != 2:
                 raise ConfigError(f"system.maps: {entry!r} must be 'moebius:q'")
-            return MapDescriptor("moebius-1d", q=int(parts[1]))
-    except ValueError as err:
+            return (0.0, 1.0, 1.0, float(int(parts[1])))
+    except (ValueError, OverflowError) as err:  # OverflowError: q past the float range
         raise ConfigError(f"system.maps: {entry!r}: {err}") from None
     raise ConfigError(f"system.maps: unknown map kind {kind!r}")
 
 
 def _custom_system(cfg: RunConfig) -> SystemSpec:
     raw_maps = cfg.get_str("system.maps")
-    maps = tuple(_parse_map(e) for e in raw_maps.split(";") if e.strip())
-    if not maps:
+    coefficients = [_parse_map(e) for e in raw_maps.split(";") if e.strip()]
+    if not coefficients:
         raise ConfigError("system.maps: empty map list")
-    incidence = None
+    incidence = IncidenceMatrix.full(len(coefficients))
     if cfg.has("system.incidence"):
         rows = []
         for row in cfg.get_str("system.incidence").split(";"):
@@ -320,7 +302,7 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
             raise ConfigError(f"system.incidence: {err}") from None
     label = cfg.get_str("system.label", default="custom")
     try:
-        system = gdms_system(((0.0, 1.0),), maps, incidence=incidence, label=label)
+        system = SystemSpec(((0.0, 1.0),), coefficients, incidence, label=label)
         # overlapping images make every pressure root meaningless as a dimension
         ensure_separation(system)
     except InvalidSystem as err:
@@ -331,7 +313,7 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
 def _build_source(cfg: RunConfig) -> Union[MapFamily, SystemSpec]:
     """The configured system, or the whole family when a family with a
     closed-form mass is given no ``system.size``."""
-    family = _family(cfg)
+    family = cfg.get_str("system.family")
     if family in MAP_FAMILIES:
         fam = MAP_FAMILIES[family]()
         if fam.log_mass is None or cfg.has("system.size"):  # a family without one is only truncated
@@ -357,6 +339,8 @@ def _gallery_family(cfg: RunConfig, family: str):
         raise ConfigError(
             f"system.family: unknown gallery member {name!r}; run gallery-list"
         )
+    if name != "staircase":  # the only gallery family with a scale
+        return gallery(name)
     a = cfg.get_float("system.a", default=0.5)
     if not (0.0 < a < 1.0):
         raise ConfigError(f"system.a: must lie in (0, 1), got {a}")
@@ -368,21 +352,18 @@ def _gallery_family(cfg: RunConfig, family: str):
 
 
 def cmd_bowen(cfg: RunConfig) -> Report:
-    cfg.check_keys("bowen", ["bowen.depth", "bowen.tol"])
     tol = cfg.get_float("bowen.tol", default=1e-10, lo=1e-15, hi=1e-2)
     source = _build_source(cfg)
-    if isinstance(source, MapFamily):
-        if cfg.has("bowen.depth"):  # the closed-form root reads no depth
-            raise ConfigError(
-                f"bowen.depth: not read for system.family = {source.name} without system.size"
-            )
-        sol = analytic_bowen_solve(source, tol=min(tol, 1e-12))
+    if isinstance(source, MapFamily):  # the closed-form root reads no depth
+        solve = functools.partial(analytic_bowen_solve, source, tol=min(tol, 1e-12))
     else:
         source = _finite_system(cfg, source, "bowen")
         depth = cfg.get_int("bowen.depth", default=default_depth(source), lo=1, hi=24)
         words = count_admissible(source.incidence, depth)
         _check_budget("bowen.depth", f"depth {depth} makes", words, "words")
-        sol = bowen_solve(source, depth=depth, tol=tol)
+        solve = functools.partial(bowen_solve, source, depth=depth, tol=tol)
+    cfg.check_read("bowen")
+    sol = solve()
     results = {
         "h": sol.h,
         "regular": sol.regular,
@@ -424,10 +405,9 @@ def _cf_scan_depth(level: int) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> Report:
-    cfg.check_keys("scan", ["scan.levels", "scan.depth", "scan.tol"])
-    levels = cfg.get_levels("scan.levels", lo=2)
+    levels = cfg.get_levels("scan.levels", lo=2)  # they set the sizes: no system.size
     tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
-    family = _family(cfg, on_system=("system.size",))  # scan.levels sets the sizes
+    family = cfg.get_str("system.family")
     if family not in MAP_FAMILIES:
         raise ConfigError(
             "system.family: scan needs a parametrised family "
@@ -446,6 +426,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
         what = f"level {max(levels)} at depth {depth} makes"
         _check_budget("scan.depth", what, max(levels) ** depth, "words")
     _check_collocation("scan.levels", max(levels), 1, collocation_shape(probe)[1])
+    cfg.check_read("scan")
     solutions = truncation_scan(source, levels, depth=depth, tol=tol)
     rows = []
     for n, sol in zip(levels, solutions):
@@ -481,9 +462,7 @@ def cmd_scan(cfg: RunConfig) -> Report:
 
 
 def cmd_converge(cfg: RunConfig) -> Report:
-    keys = ["converge.levels", "converge.cylinder_depths", "converge.singularity_depth"]
-    cfg.check_keys("converge", keys)
-    family = _family(cfg, on_gallery=tuple(keys[1:]))
+    family = cfg.get_str("system.family")
     if family.startswith("gallery:"):
         return _converge_gallery(cfg, family)
 
@@ -500,6 +479,7 @@ def cmd_converge(cfg: RunConfig) -> Report:
     what = f"level {top} at cylinder depth {deepest} makes"
     _check_budget("converge.levels", what, top**deepest, "cells per table")
     sing_depth = cfg.get_int("converge.singularity_depth", default=200, lo=1, hi=100_000)
+    cfg.check_read("converge")
 
     limit_sol = analytic_bowen_solve(source)
     if not limit_sol.regular:
@@ -564,6 +544,7 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
         )
     levels = cfg.get_levels("converge.levels", default="2:10", lo=1)
     _check_members("converge.levels", fam, max(levels))
+    cfg.check_read("converge")
     rows, cells = [], [(i / 8.0, (i + 1) / 8.0) for i in range(8)]
     for n in levels:
         nu = fam.at(n)
@@ -588,16 +569,7 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
     )
 
 
-DIMENSION_KEYS = [
-    "dimension.member", "dimension.depth", "dimension.r_min", "dimension.r_max",
-    "dimension.r_count", "dimension.fit_lo", "dimension.fit_hi", "dimension.density_r_min",
-    "dimension.density_r_max", "dimension.density_points", "dimension.flatness",
-    "dimension.tolerance",
-]
-
-
 def cmd_dimension(cfg: RunConfig) -> Report:
-    cfg.check_keys("dimension", DIMENSION_KEYS)
     if not cfg.has("sample.seed"):
         raise ConfigError("sample.seed: required whenever sampling is requested")
     seed = cfg.get_int("sample.seed")
@@ -624,7 +596,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
             f"got ({d_rmin}, {d_rmax})"
         )
 
-    family = _family(cfg, on_gallery=("dimension.depth",), on_system=("dimension.member",))
+    family = cfg.get_str("system.family")
     if family.startswith("gallery:"):
         fam = _gallery_family(cfg, family)
         member = cfg.get_str("dimension.member", default="limit")
@@ -652,7 +624,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
         # the word solve's depth is fixed, so only fewer maps shrink its level
         words = count_admissible(source.incidence, word_depth)
         what = f"the word solve at depth {word_depth} makes"
-        _check_budget(FAMILY_KEYS[family][0], what, words, "words")
+        _check_budget(_size_key(cfg), what, words, "words")
         words = count_admissible(source.incidence, cyl_depth)
         _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
         label = f"{source.label}[conformal]"
@@ -669,6 +641,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     else:
         ladder = list(d_rmax * 0.5 ** np.arange(0, 12))
         ladder = [r for r in ladder if r >= d_rmin] or [d_rmax]
+    cfg.check_read("dimension")
 
     bowen_root: Optional[float] = None
     ratio: Optional[float] = None
@@ -743,7 +716,6 @@ def cmd_dimension(cfg: RunConfig) -> Report:
 
 
 def cmd_gibbs(cfg: RunConfig) -> Report:
-    cfg.check_keys("gibbs", ["gibbs.exponent", "gibbs.depth"])
     source = _finite_system(cfg, _build_source(cfg), "gibbs")
     depth = cfg.get_int(
         "gibbs.depth", default=1 if source.is_similitude() else 2, lo=1, hi=12
@@ -760,6 +732,7 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
     entries = masses_entries(source.incidence, depth, *collocation_shape(source))
     _check_budget("gibbs.depth", f"depth {depth} makes", entries, "masses-recursion entries")
+    cfg.check_read("gibbs")
     require_primitive(source.incidence)
     collocation = collocate(source)
     root_diagnostics = {}
@@ -865,7 +838,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.config is not None:
             if not args.config.exists():
                 raise ConfigError(f"--config: {args.config} does not exist")
-            raw = parse_config(args.config.read_text())
+            try:
+                text = args.config.read_text()
+            except (OSError, UnicodeDecodeError) as err:
+                raise ConfigError(f"--config: {err}") from None
+            raw = parse_config(text)
         if args.seed is not None:
             raw["sample.seed"] = str(args.seed)
         if args.out is not None:
@@ -874,6 +851,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             raw["out.format"] = args.format
         cfg = RunConfig(raw)
         out_dir = Path(cfg.get_str("out.dir", default="."))
+        # the report is written only once the run is done: a file in the
+        # way of out.dir is refused now
+        blocked = [p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()]
+        if blocked:
+            raise ConfigError(f"out.dir: {blocked[0]} is not a directory")
         fmt = cfg.get_str("out.format", default="csv", choices=("csv", "json"))
         report = COMMANDS[args.command](cfg)
     except ConfigError as err:
@@ -889,7 +871,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILED
 
-    paths = report.write(out_dir, fmt)
+    try:
+        paths = report.write(out_dir, fmt)
+    except OSError as err:
+        print(f"run failed: {err}", file=sys.stderr)
+        return EXIT_RUN_FAILED
     for key in sorted(report.results):
         value = report.results[key]
         if isinstance(value, (int, float, bool, str)) or value is None:

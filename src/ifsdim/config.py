@@ -9,6 +9,7 @@ the file was formatted or which flags supplied the overrides.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -39,9 +40,13 @@ def parse_config(text: str) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    """Typed access to the flat key space, with field-path error messages."""
+    """Typed access to the flat key space, with field-path error messages.
+
+    Every key a getter looks up counts as read, whether it is set or falls
+    back to its default; ``has`` alone reads nothing."""
 
     raw: dict[str, str] = field(default_factory=dict)
+    _read: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -54,20 +59,26 @@ class RunConfig:
     def has(self, key: str) -> bool:
         return key in self.raw
 
-    def check_keys(self, command: str, allowed: Sequence[str]) -> None:
-        """Reject unknown keys under the command's own section."""
-        prefix = command + "."
-        allowed_set = set(allowed)
-        for key in self.raw:
-            if key.startswith(prefix) and key not in allowed_set:
-                raise ConfigError(f"{key}: unknown key for command '{command}'")
+    def check_read(self, command: str) -> None:
+        """Reject the first key, in sorted order, under ``system.`` or the
+        command's own section that no getter has read: a plan calls this
+        once it has read everything its run will."""
+        for key in sorted(self.raw):
+            if key.startswith(("system.", command + ".")) and key not in self._read:
+                family = self.raw.get("system.family")
+                raise ConfigError(f"{key}: not read for system.family = {family}")
 
     # -- typed getters ------------------------------------------------------
 
-    def _require(self, key: str) -> str:
-        if key not in self.raw:
+    def _get(self, key: str, default: Optional[str] = None) -> Optional[str]:
+        self._read.add(key)
+        return self.raw.get(key, default)
+
+    def _require(self, key: str, default: Optional[str] = None) -> str:
+        value = self._get(key, default)
+        if value is None:
             raise ConfigError(f"{key}: required")
-        return self.raw[key]
+        return value
 
     def get_str(
         self,
@@ -75,9 +86,7 @@ class RunConfig:
         default: Optional[str] = None,
         choices: Optional[Sequence[str]] = None,
     ) -> str:
-        value = self.raw.get(key, default)
-        if value is None:
-            value = self._require(key)
+        value = self._require(key, default)
         if choices is not None and value not in choices:
             raise ConfigError(f"{key}: must be one of {sorted(choices)}, got {value!r}")
         return value
@@ -95,7 +104,7 @@ class RunConfig:
         return self._number(key, default, lo, hi, float, "a number")
 
     def _number(self, key: str, default, lo, hi, parse: Callable, noun: str):
-        raw = self.raw.get(key)
+        raw = self._get(key)
         if raw is None:
             if default is None:
                 raise ConfigError(f"{key}: required")
@@ -105,11 +114,13 @@ class RunConfig:
                 value = parse(raw)
             except ValueError:
                 raise ConfigError(f"{key}: expected {noun}, got {raw!r}") from None
+            if parse is float and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
         _check_bounds(key, value, lo, hi)
         return value
 
     def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.raw.get(key)
+        raw = self._get(key)
         if raw is None:
             return default
         lowered = raw.lower()
@@ -135,9 +146,7 @@ class RunConfig:
     ) -> list[int]:
         """``a:b`` (inclusive, ascending) or an explicit comma list, every
         level within [lo, hi]."""
-        raw = self.raw.get(key, default)
-        if raw is None:
-            raise ConfigError(f"{key}: required")
+        raw = self._require(key, default)
         try:
             if ":" in raw:
                 first, last = (int(part) for part in raw.split(":", 1))
@@ -157,8 +166,7 @@ class RunConfig:
 
 
 def _check_bounds(key: str, value, lo, hi) -> None:
-    # `not >=` and `not <=` reject NaN too
-    if lo is not None and not value >= lo:
+    if lo is not None and value < lo:
         raise ConfigError(f"{key}: must be >= {lo}, got {value}")
-    if hi is not None and not value <= hi:
+    if hi is not None and value > hi:
         raise ConfigError(f"{key}: must be <= {hi}, got {value}")

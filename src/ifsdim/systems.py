@@ -35,7 +35,6 @@ from .symbolic import IncidenceMatrix
 __all__ = [
     "InvalidSystem",
     "SeparationError",
-    "MapDescriptor",
     "SystemSpec",
     "LevelGeometry",
     "MapFamily",
@@ -45,7 +44,6 @@ __all__ = [
     "borderline_family",
     "cantor_system",
     "continued_fraction_family",
-    "gdms_system",
 ]
 
 _ROUNDOFF = 2.0**-53  # unit roundoff of float64
@@ -57,34 +55,6 @@ class InvalidSystem(ValueError):
 
 class SeparationError(InvalidSystem):
     """Depth-1 images fail the disjoint-interior separation condition."""
-
-
-# ---------------------------------------------------------------------------
-# maps
-
-
-@dataclass(frozen=True)
-class MapDescriptor:
-    """One branch map as a config writes it; ``gdms_system`` stacks the rows
-    of a list of them into a system, which validates the values.
-    ``domain_vertex``/``image_vertex`` index the vertex spaces the map goes
-    between (both 0 for a plain IFS)."""
-
-    kind: str  # "similitude" | "moebius-1d"
-    ratio: float = 0.0  # similitude slope a
-    offset: float = 0.0  # similitude intercept b
-    q: int = 0  # moebius denominator shift
-    domain_vertex: int = 0
-    image_vertex: int = 0
-
-    @property
-    def row(self) -> tuple[float, float, float, float]:
-        """The coefficients (a, b, c, d): the map is x -> (a x + b) / (c x + d)."""
-        if self.kind == "similitude":
-            return (self.ratio, self.offset, 0.0, 1.0)
-        if self.kind == "moebius-1d":
-            return (0.0, 1.0, 1.0, self.q)
-        raise InvalidSystem(f"unknown map kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +105,13 @@ class SystemSpec:
         start, land = self.domain_vertex, self.image_vertex
         a, b, c, d = coefficients.T
         similitude, moebius = (c == 0.0) & (d == 1.0), (a == 0.0) & (b == 1.0) & (c == 1.0)
-        ratio_ok, q_ok = (0.0 < abs(a)) & (abs(a) < 1.0), (d >= 1.0) & (d % 1.0 == 0.0)
+        ratio_ok, q_ok = (0.0 < abs(a)) & (abs(a) < 1.0), (d >= 1.0) & (d == np.floor(d))
         in_range = (np.minimum(start, land) >= 0) & (np.maximum(start, land) < nv)
         # clipped indices: the range check runs first and names any it moved
         lo, hi = np.asarray(self.vertex_spaces).take(start, axis=0, mode="clip").T
         on_unit = (lo == 0.0) & (hi == 1.0)
         for bad, message in (
+            (~np.isfinite(coefficients).all(axis=1), "coefficients must be finite, got ({a}, {b}, {c}, {d})"),
             (~(similitude | moebius), "unknown map kind, coefficients ({a}, {b}, {c}, {d})"),
             (similitude & ~ratio_ok, "similitude ratio must satisfy 0 < |a| < 1, got {a}"),
             (moebius & ~q_ok, "moebius parameter must be an integer >= 1, got {d:g}"),
@@ -417,21 +388,3 @@ def cantor_system(ratios: Sequence[float]) -> SystemSpec:
     offsets = np.concatenate(([0.0], np.cumsum(a + gap)[:-1]))
     coefficients = np.column_stack((a, offsets, np.zeros_like(a), np.ones_like(a)))
     return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(len(a)), label="cantor")
-
-
-def gdms_system(
-    vertex_spaces: Sequence[tuple[float, float]],
-    maps: Sequence[MapDescriptor],
-    incidence: Optional[IncidenceMatrix] = None,
-    label: str = "gdms",
-) -> SystemSpec:
-    """Graph-directed system.  Without an incidence the matrix is derived
-    from the vertex structure: e' may follow e exactly when map e starts
-    where map e' lands."""
-    start = np.array([mp.domain_vertex for mp in maps], dtype=np.intp)
-    land = np.array([mp.image_vertex for mp in maps], dtype=np.intp)
-    if incidence is None:
-        incidence = IncidenceMatrix(start[:, None] == land)
-    spaces = tuple((float(a), float(b)) for a, b in vertex_spaces)
-    rows = np.array([mp.row for mp in maps], dtype=float)
-    return SystemSpec(spaces, rows, incidence, start, land, label)

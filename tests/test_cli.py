@@ -176,6 +176,46 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_unreadable_config_file_exits_2_writing_nothing(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"# caf\xe9\nsystem.family = golden\n")
+    out = tmp_path / "out"
+    for path in (tmp_path, latin1):  # a directory, and bytes that are not UTF-8
+        assert main(["bowen", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --config: ")
+    assert not out.exists()
+
+
+CANTOR_THIRDS = "system.family = cantor\nsystem.ratios = 0.3333333333333333, 0.3333333333333333\n"
+
+
+def test_out_dir_blocked_by_a_file_exits_2_before_the_plan(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(ifsdim.cli, "_build_source", lambda *a: calls.append(a))
+    cfg, afile = tmp_path / "run.cfg", tmp_path / "afile"
+    cfg.write_text(CANTOR_THIRDS)
+    afile.write_text("")
+    for out in (afile / "sub", afile, afile / "sub" / "deeper"):
+        assert main(["bowen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: out.dir: {afile} is not a directory\n"
+    assert calls == [] and sorted(tmp_path.iterdir()) == [afile, cfg]
+
+
+def test_out_dir_is_made_below_its_nearest_existing_directory(tmp_path):
+    code, _ = run(tmp_path, "bowen", CANTOR_THIRDS, extra=("--out", str(tmp_path / "a" / "b")))
+    assert code == 0 and (tmp_path / "a" / "b" / "bowen-report.json").exists()
+
+
+def test_a_failed_report_write_exits_3(tmp_path, monkeypatch, capsys):
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ifsdim.cli.Report, "write", full)
+    code, report = run(tmp_path, "bowen", CANTOR_THIRDS)
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == "run failed: [Errno 28] No space left on device\n"
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -793,7 +833,7 @@ MOEBIUS_NO_REPEATS_91 = (
         (
             "bowen",
             "system.family = borderline\nbowen.depth = 5\n",
-            "bowen.depth: not read for system.family = borderline without system.size",
+            "bowen.depth: not read for system.family = borderline",
         ),
         (
             "scan",
@@ -1200,6 +1240,60 @@ def test_sample_configs_run_reproducibly(tmp_path, monkeypatch, cfg):
     assert tables[0] and [p.name for p in tables[0]] == [p.name for p in tables[1]]
     for a, b in zip(*tables):
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("section", ["command", "system"])
+@pytest.mark.parametrize("cfg", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_sample_configs_refuse_an_unread_key_before_any_solve(
+    tmp_path, monkeypatch, capsys, cfg, section
+):
+    command = cfg.stem.rsplit("-", 1)[1]
+    key = f"{command if section == 'command' else 'system'}.bogus"
+    calls = []
+    for name in ("sample", "bowen_solve", "collocate", "analytic_bowen_solve", "truncation_scan"):
+        monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    monkeypatch.setattr(ifsdim.measures.MeasureFamily, "at", lambda *a: calls.append("at"))
+    code, report = run(tmp_path, command, cfg.read_text() + f"{key} = 1\n")
+    assert code == 2 and report is None
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    family = ifsdim.config.parse_config(cfg.read_text())["system.family"]
+    assert capsys.readouterr().err == f"config error: {key}: not read for system.family = {family}\n"
+
+
+@pytest.mark.parametrize("cfg", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_sample_configs_ignore_another_commands_keys(tmp_path, cfg):
+    command = cfg.stem.rsplit("-", 1)[1]
+    other = "bowen" if command == "gibbs" else "gibbs"
+    code, report = run(tmp_path, command, cfg.read_text() + f"{other}.depth = 3\n")
+    assert code == 0 and report["config"][f"{other}.depth"] == "3"
+
+
+@pytest.mark.parametrize("value,shown", [("inf", "inf"), ("nan", "nan"), ("-Infinity", "-inf")])
+def test_non_finite_numbers_exit_2_before_sampling(tmp_path, monkeypatch, capsys, value, shown):
+    calls = []
+    for name in ("sample", "bowen_solve", "collocate"):
+        monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    text = CANTOR_THIRDS + f"sample.seed = 1\ndimension.r_max = {value}\n"
+    code, report = run(tmp_path, "dimension", text)
+    assert code == 2 and report is None and calls == []
+    assert capsys.readouterr().err == f"config error: dimension.r_max: must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "maps,message",
+    [
+        ("similitude:0.4:nan", "system: map 0: coefficients must be finite, got (0.4, nan, 0.0, 1.0)"),
+        ("similitude:0.4:1e400", "system: map 0: coefficients must be finite, got (0.4, inf, 0.0, 1.0)"),
+        ("moebius:1" + "0" * 400, "system.maps: 'moebius:1000"),
+    ],
+    ids=["nan", "overflow", "huge-q"],
+)
+def test_non_finite_map_coefficient_exits_2_naming_the_map(tmp_path, capsys, maps, message):
+    text = f"system.family = custom\nsystem.maps = {maps}; similitude:0.4:0.6\n"
+    code, report = run(tmp_path, "bowen", text)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_json_format_embeds_tables_without_csv_files(tmp_path):

@@ -87,9 +87,38 @@ def test_get_levels_bounds_every_level():
         cfg.get_levels("huge", lo=1, hi=6)
 
 
-def test_check_keys_guards_own_section_only():
-    cfg = RunConfig({"scan.levels": "2:4", "scan.depht": "3", "other.key": "1"})
-    with pytest.raises(ConfigError, match="scan.depht"):
-        cfg.check_keys("scan", ["scan.levels", "scan.depth"])
-    cfg2 = RunConfig({"scan.levels": "2:4", "other.key": "1"})
-    cfg2.check_keys("scan", ["scan.levels", "scan.depth"])
+def test_check_read_names_the_first_unread_key_in_scope():
+    cfg = RunConfig({
+        "system.family": "golden", "system.size": "3", "scan.levels": "2:4", "scan.tol": "1e-9",
+        "bowen.depth": "5", "sample.seed": "1", "out.dir": "x", "other.key": "1",
+    })
+    cfg.get_str("system.family")
+    cfg.get_levels("scan.levels")
+    # a getter reads its key even when it falls back to the default
+    assert cfg.get_int("scan.depth", default=1) == 1
+    assert cfg.has("scan.tol")  # has() alone reads nothing
+    with pytest.raises(ConfigError, match=r"^scan.tol: not read for system.family = golden$"):
+        cfg.check_read("scan")
+    cfg.get_float("scan.tol", default=1e-10)
+    with pytest.raises(ConfigError, match=r"^system.size: not read for system.family = golden$"):
+        cfg.check_read("scan")
+    cfg.get_int("system.size")
+    # another command's section, sample.*, out.* and other sections are out of scope
+    cfg.check_read("scan")
+    with pytest.raises(ConfigError, match=r"^bowen.depth: "):
+        cfg.check_read("bowen")
+    # unread keys are named in sorted order: a mistyped own-section key first
+    typo = RunConfig({"system.family": "golden", "system.a": "0.5", "scan.depht": "3"})
+    with pytest.raises(ConfigError, match=r"^scan.depht: not read for system.family = golden$"):
+        typo.check_read("scan")
+
+
+def test_non_finite_numbers_are_refused():
+    cfg = RunConfig({"k.inf": "inf", "k.nan": "nan", "k.neg": "-Infinity", "k.big": "1" + "0" * 400})
+    for key, shown in (("k.inf", "inf"), ("k.nan", "nan"), ("k.neg", "-inf")):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be finite, got {shown}$"):
+            cfg.get_float(key)
+    with pytest.raises(ConfigError, match=r"^k.inf: expected an integer, got 'inf'$"):
+        cfg.get_int("k.inf")
+    # an integer has no float range to leave
+    assert cfg.get_int("k.big") == 10**400

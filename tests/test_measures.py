@@ -25,13 +25,7 @@ from ifsdim.measures import (
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
 from ifsdim.symbolic import IncidenceMatrix, Word
-from ifsdim.systems import (
-    MapDescriptor,
-    cantor_system,
-    continued_fraction_family,
-    gdms_system,
-    golden_family,
-)
+from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
 
 import reference
 from reference import enumerate_admissible
@@ -394,23 +388,15 @@ def test_cylinder_measure_argument_guards():
         conformal_cylinder_measure(sys_, -0.1, 2)
     with pytest.raises(ValueError):
         conformal_cylinder_measure(sys_, 0.5, 0)
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.5),
-    )
     dead_end = IncidenceMatrix(((0, 1), (0, 0)))
-    dead = gdms_system(((0.0, 1.0),), maps, incidence=dead_end, label="dead-end")
+    dead = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
     with pytest.raises(ValueError):
         conformal_cylinder_measure(dead, 0.5, 2)
 
 
 def test_mass_of_checks_admissibility_and_depth():
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.5),
-    )
     fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
-    fib = gdms_system(((0.0, 1.0),), maps, incidence=fibonacci, label="fibonacci")
+    fib = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), fibonacci, label="fibonacci")
     cm = conformal_cylinder_measure(fib, 0.5, 3)
     assert_additive(cm)
     with pytest.raises(ValueError):
@@ -635,26 +621,27 @@ def _level_two(measure):
 
 
 def _similitudes(*pairs):
-    return tuple(MapDescriptor("similitude", ratio=r, offset=o) for r, o in pairs)
+    """Coefficient rows of the similitudes x -> r x + o."""
+    return [(r, o, 0.0, 1.0) for r, o in pairs]
 
 
 SAMPLER_SYSTEMS = {
     "cf3": continued_fraction_family().truncate(3),
     # Fibonacci incidences: words of 2 and 3 symbols with 1-3 children each
-    "fibonacci-2": gdms_system(
+    "fibonacci-2": SystemSpec(
         ((0.0, 1.0),),
         _similitudes((0.4, 0.0), (0.3, 0.5)),
-        incidence=IncidenceMatrix(((1, 1), (1, 0))),
+        IncidenceMatrix(((1, 1), (1, 0))),
     ),
-    "fibonacci-3": gdms_system(
+    "fibonacci-3": SystemSpec(
         ((0.0, 1.0),),
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
-        incidence=IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
+        IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
     ),
-    "mixed": gdms_system(
+    "mixed": SystemSpec(
         ((0.0, 1.0),),
-        (MapDescriptor("moebius-1d", q=2), MapDescriptor("moebius-1d", q=3))
-        + _similitudes((0.2, 0.0), (-0.3, 0.9)),
+        [(0.0, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 3)] + _similitudes((0.2, 0.0), (-0.3, 0.9)),
+        IncidenceMatrix.full(4),
     ),
 }
 

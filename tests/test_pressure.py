@@ -20,12 +20,11 @@ from ifsdim.pressure import (
 from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
     _ROUNDOFF,
-    MapDescriptor,
     MapFamily,
+    SystemSpec,
     borderline_family,
     cantor_system,
     continued_fraction_family,
-    gdms_system,
     golden_family,
     level_geometry,
 )
@@ -65,12 +64,8 @@ def test_partition_sum_brackets_continued_fractions():
 
 
 def test_partition_sum_rejects_empty_word_set():
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.5),
-    )
     dead_end = IncidenceMatrix(((0, 1), (0, 0)))
-    sys_ = gdms_system(((0.0, 1.0),), maps, incidence=dead_end, label="dead-end")
+    sys_ = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
     with pytest.raises(ValueError):
         pressure(sys_, 0.5, 3)
 
@@ -278,19 +273,26 @@ def test_root_finder_newton_steps_and_bisection_share_one_bracket_contract():
 
 
 def _similitudes(*pairs):
-    return tuple(MapDescriptor("similitude", ratio=r, offset=o) for r, o in pairs)
+    """Coefficient rows of the similitudes x -> r x + o."""
+    return [(r, o, 0.0, 1.0) for r, o in pairs]
+
+
+def _moebius(digits, incidence=None):
+    """The continued-fraction branches x -> 1/(q + x) for q in ``digits``."""
+    rows = [(0.0, 1.0, 1.0, q) for q in digits]
+    return SystemSpec(((0.0, 1.0),), rows, incidence or IncidenceMatrix.full(len(rows)))
 
 
 FIBONACCI = {
-    "fibonacci-2": gdms_system(
+    "fibonacci-2": SystemSpec(
         ((0.0, 1.0),),
         _similitudes((0.4, 0.0), (0.3, 0.5)),
-        incidence=IncidenceMatrix(((1, 1), (1, 0))),
+        IncidenceMatrix(((1, 1), (1, 0))),
     ),
-    "fibonacci-3": gdms_system(
+    "fibonacci-3": SystemSpec(
         ((0.0, 1.0),),
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
-        incidence=IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
+        IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
     ),
 }
 
@@ -302,8 +304,7 @@ def word_systems(draw):
     kind = draw(st.sampled_from(["cf", "cantor", *sorted(FIBONACCI)]))
     if kind == "cf":
         digits = sorted(draw(st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True)))
-        maps = tuple(MapDescriptor("moebius-1d", q=q) for q in digits)
-        return gdms_system(((0.0, 1.0),), maps, label=f"cf{digits}")
+        return _moebius(digits)
     if kind == "cantor":
         return cantor_system(draw(st.lists(st.floats(0.05, 0.24), min_size=2, max_size=4)))
     return FIBONACCI[kind]
@@ -411,9 +412,7 @@ def test_collocation_root_reaches_the_published_e12_digits():
 
 def test_collocation_roots_meet_every_reference_within_its_accuracy():
     for entry in REFERENCES:
-        maps = tuple(MapDescriptor("moebius-1d", q=q) for q in entry["digits"])
-        system = gdms_system(((0.0, 1.0),), maps)
-        col = collocate(system)
+        col = collocate(_moebius(entry["digits"]))
 
         def log_eigenvalue(t):
             pair = col.eigenpair(t)
@@ -438,10 +437,10 @@ def test_similitude_roots_are_the_closed_form_on_one_node(ratios):
 def test_graph_directed_similitude_root_is_log_phi_over_log_three():
     # x/3 and x/3 + 2/3 where the second map never follows itself: the
     # depth-n words number F(n + 2), so the root is log(phi) / log 3
-    fibonacci = gdms_system(
+    fibonacci = SystemSpec(
         ((0.0, 1.0),),
         _similitudes((1 / 3, 0.0), (1 / 3, 2 / 3)),
-        incidence=IncidenceMatrix(((1, 1), (1, 0))),
+        IncidenceMatrix(((1, 1), (1, 0))),
     )
     assert collocation_shape(fibonacci) == (2, 1)
     want = math.log((1 + math.sqrt(5)) / 2) / math.log(3.0)
@@ -454,21 +453,17 @@ def test_graph_directed_similitude_root_is_log_phi_over_log_three():
 
 def test_periodic_incidence_root_is_the_alternating_pair():
     # 0 and 1 alternate: two points, dimension 0 whatever the ratios
-    alternating = gdms_system(
+    alternating = SystemSpec(
         ((0.0, 1.0),),
         _similitudes((0.2, 0.0), (0.4, 0.5)),
-        incidence=IncidenceMatrix(((0, 1), (1, 0))),
+        IncidenceMatrix(((0, 1), (1, 0))),
     )
     sol = bowen_solve(alternating, depth=1)
     assert abs(sol.h) <= 1e-12 and sol.bracket[0] == 0.0
 
 
 def test_the_full_shift_has_one_grid_however_it_is_written():
-    explicit = gdms_system(
-        ((0.0, 1.0),),
-        tuple(MapDescriptor("moebius-1d", q=q) for q in (1, 2)),
-        incidence=IncidenceMatrix(((1, 1), (1, 1))),
-    )
+    explicit = _moebius((1, 2), IncidenceMatrix(((1, 1), (1, 1))))
     broadcast = continued_fraction_family().truncate(2)
     assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
     assert collocate(explicit).full_shift and collocate(broadcast).full_shift
@@ -479,11 +474,7 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
 def test_collocation_on_many_grids_matches_the_deep_operator_root(digits, depth):
     # continued fractions on {1, ..., digits} where no digit follows itself:
     # every column differs, so each digit has a grid of its own
-    system = gdms_system(
-        ((0.0, 1.0),),
-        tuple(MapDescriptor("moebius-1d", q=q) for q in range(1, digits + 1)),
-        incidence=IncidenceMatrix(1 - np.eye(digits, dtype=int)),
-    )
+    system = _moebius(range(1, digits + 1), IncidenceMatrix(1 - np.eye(digits, dtype=int)))
     assert collocation_shape(system) == (digits, 32)
     sol = bowen_solve(system, depth=depth)
     assert sol.bracket[0] == 0.0 <= sol.h <= sol.bracket[1]

@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import (
     InvalidSystem,
-    MapDescriptor,
     SeparationError,
     SystemSpec,
     ensure_separation,
     borderline_family,
     cantor_system,
     continued_fraction_family,
-    gdms_system,
     golden_family,
     level_geometry,
 )
@@ -82,30 +80,29 @@ def test_at_least_two_maps():
     with pytest.raises(InvalidSystem, match="a system needs at least two maps"):
         SystemSpec(
             vertex_spaces=((0.0, 1.0),),
-            coefficients=[MapDescriptor("similitude", ratio=0.5).row],
+            coefficients=[(0.5, 0.0, 0.0, 1.0)],
             incidence=IncidenceMatrix.full(1),
         )
 
 
 def test_map_validation():
     # each bad map second, after a good one, so the message names map 1
-    good = MapDescriptor("similitude", ratio=0.5)
+    good = (0.5, 0.0, 0.0, 1.0)
     for bad, message in [
-        (MapDescriptor("similitude", ratio=1.0), "map 1: similitude ratio must satisfy 0 < |a| < 1, got 1.0"),
-        (MapDescriptor("similitude", ratio=0.0), "map 1: similitude ratio must satisfy 0 < |a| < 1, got 0.0"),
-        (MapDescriptor("moebius-1d", q=0), "map 1: moebius parameter must be an integer >= 1, got 0"),
-        (MapDescriptor("moebius-1d", q=2.5), "map 1: moebius parameter must be an integer >= 1, got 2.5"),
-        (MapDescriptor("moebius", q=2), "unknown map kind 'moebius'"),
-        (MapDescriptor("banana"), "unknown map kind 'banana'"),
+        ((1.0, 0.0, 0.0, 1.0), "map 1: similitude ratio must satisfy 0 < |a| < 1, got 1.0"),
+        ((0.0, 0.0, 0.0, 1.0), "map 1: similitude ratio must satisfy 0 < |a| < 1, got 0.0"),
+        ((0.0, 1.0, 1.0, 0.0), "map 1: moebius parameter must be an integer >= 1, got 0"),
+        ((0.0, 1.0, 1.0, 2.5), "map 1: moebius parameter must be an integer >= 1, got 2.5"),
+        ((0.5, 0.0, 0.1, 1.0), "map 1: unknown map kind, coefficients (0.5, 0.0, 0.1, 1.0)"),
+        # NaN compares false, so it would pass every check below this one
+        ((0.4, math.nan, 0.0, 1.0), "map 1: coefficients must be finite, got (0.4, nan, 0.0, 1.0)"),
+        ((0.0, 1.0, 1.0, math.inf), "map 1: coefficients must be finite, got (0.0, 1.0, 1.0, inf)"),
     ]:
         with pytest.raises(InvalidSystem, match=re.escape(message)):
-            gdms_system(((0.0, 1.0),), [good, bad])
-    # a row of neither kind, given as coefficients
-    with pytest.raises(InvalidSystem, match=r"map 1: unknown map kind, coefficients \(0.5, 0.0, 0.1, 1.0\)"):
-        SystemSpec(((0.0, 1.0),), [good.row, (0.5, 0.0, 0.1, 1.0)], IncidenceMatrix.full(2))
+            SystemSpec(((0.0, 1.0),), [good, bad], IncidenceMatrix.full(2))
     # a moebius branch off the vertex space [0, 1]
     with pytest.raises(InvalidSystem, match="map 0: moebius maps are defined on the vertex space"):
-        gdms_system(((0.0, 2.0),), [MapDescriptor("moebius-1d", q=2), good])
+        SystemSpec(((0.0, 2.0),), [(0.0, 1.0, 1.0, 2.0), good], IncidenceMatrix.full(2))
 
 
 def test_separation_detects_overlap():
@@ -134,16 +131,22 @@ def test_separation_names_the_planted_overlap_among_1000_maps(k):
         ensure_separation(system)
 
 
+def _two_vertex(rows, start, land, incidence=None):
+    """Similitude rows (ratio, offset) between two copies of [0, 1], each
+    map from vertex ``start[e]`` into vertex ``land[e]``; by default e' may
+    follow e exactly when map e starts where map e' lands."""
+    start, land = np.array(start), np.array(land)
+    if incidence is None:
+        incidence = IncidenceMatrix(start[:, None] == land)
+    rows = [(r, o, 0.0, 1.0) for r, o in rows]
+    return SystemSpec(((0.0, 1.0), (0.0, 1.0)), rows, incidence, start, land)
+
+
 def test_separation_reports_the_space_the_earliest_map_lands_in_first():
     # overlaps in both spaces; map 0 lands in vertex 1, so its pair comes first
-    maps = [
-        MapDescriptor("similitude", ratio=0.3, offset=0.0, domain_vertex=0, image_vertex=1),
-        MapDescriptor("similitude", ratio=0.3, offset=0.5, domain_vertex=1, image_vertex=0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.6, domain_vertex=1, image_vertex=0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.2, domain_vertex=0, image_vertex=1),
-    ]
+    system = _two_vertex([(0.3, 0.0), (0.3, 0.5), (0.3, 0.6), (0.3, 0.2)], (0, 1, 1, 0), (1, 0, 0, 1))
     with pytest.raises(SeparationError, match=r"^images of maps 0 and 3 overlap \(0\.2 < 0\.3\)$"):
-        ensure_separation(gdms_system(((0.0, 1.0), (0.0, 1.0)), maps))
+        ensure_separation(system)
 
 
 def test_separation_names_the_first_map_leaving_its_space():
@@ -262,17 +265,18 @@ def branch_systems(draw):
         return continued_fraction_family().truncate(draw(st.integers(2, 4)))
     size = draw(st.integers(2, 3))
     qs = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True))
-    moebius = [MapDescriptor("moebius-1d", q=q) for q in qs]
+    moebius = [(0.0, 1.0, 1.0, q) for q in qs]
     similitudes = [
-        MapDescriptor(
-            "similitude",
-            ratio=draw(st.floats(0.05, 0.45)) * draw(st.sampled_from([-1.0, 1.0])),
-            offset=draw(st.floats(0.45, 0.55)),
+        (
+            draw(st.floats(0.05, 0.45)) * draw(st.sampled_from([-1.0, 1.0])),
+            draw(st.floats(0.45, 0.55)),
+            0.0,
+            1.0,
         )
         for _ in range(size)
     ]
-    maps = {"moebius": moebius, "similitude": similitudes, "mixed": moebius[:1] + similitudes[1:]}
-    return gdms_system(((0.0, 1.0),), maps[kind], label=kind)
+    rows = {"moebius": moebius, "similitude": similitudes, "mixed": moebius[:1] + similitudes[1:]}
+    return SystemSpec(((0.0, 1.0),), rows[kind], IncidenceMatrix.full(size), label=kind)
 
 
 @given(branch_systems(), st.integers(1, 6))
@@ -350,12 +354,7 @@ def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
         }
 
 
-MIXED_MAPS = (
-    MapDescriptor("moebius-1d", q=2),
-    MapDescriptor("moebius-1d", q=3),
-    MapDescriptor("similitude", ratio=0.2, offset=0.0),
-    MapDescriptor("similitude", ratio=-0.3, offset=0.9),
-)
+MIXED_ROWS = ((0.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 3.0), (0.2, 0.0, 0.0, 1.0), (-0.3, 0.9, 0.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -363,11 +362,11 @@ MIXED_MAPS = (
     [
         (continued_fraction_family().truncate(2), 12),
         (continued_fraction_family().truncate(3), 6),
-        (gdms_system(((0.0, 1.0),), MIXED_MAPS, label="mixed"), 6),
+        (SystemSpec(((0.0, 1.0),), MIXED_ROWS, IncidenceMatrix.full(4), label="mixed"), 6),
         # the two full rows take the unmasked path, the first row a mask
         (
-            gdms_system(
-                ((0.0, 1.0),), MIXED_MAPS[:3], IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
+            SystemSpec(
+                ((0.0, 1.0),), MIXED_ROWS[:3], IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
             ),
             6,
         ),
@@ -402,12 +401,7 @@ def test_admissibility_checked_on_word_helpers():
 
 def gdms_fixture() -> SystemSpec:
     # two vertex intervals; edge 0 goes v0 <- v1, edges 1, 2 go v1 <- v0, v1 <- v1
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0, domain_vertex=1, image_vertex=0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.0, domain_vertex=0, image_vertex=1),
-        MapDescriptor("similitude", ratio=0.25, offset=0.6, domain_vertex=1, image_vertex=1),
-    )
-    return gdms_system(((0.0, 1.0), (0.0, 1.0)), maps, label="two-vertex")
+    return _two_vertex([(0.4, 0.0), (0.3, 0.0), (0.25, 0.6)], (1, 0, 1), (0, 1, 1))
 
 
 def test_gdms_derived_incidence():
@@ -425,15 +419,12 @@ def test_gdms_derived_incidence():
 
 
 def test_gdms_rejects_vertex_mismatch():
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, domain_vertex=1, image_vertex=0),
-        MapDescriptor("similitude", ratio=0.3, domain_vertex=0, image_vertex=1),
-    )
+    rows = [(0.4, 0.0), (0.3, 0.0)]
     with pytest.raises(InvalidSystem, match="incidence allows 0->0 but map 0 lands in vertex 0"):
-        gdms_system(((0.0, 1.0), (0.0, 1.0)), maps, incidence=IncidenceMatrix.full(2))
+        _two_vertex(rows, (1, 0), (0, 1), IncidenceMatrix.full(2))
     # a vertex index past the vertex spaces names its map
     with pytest.raises(InvalidSystem, match="map 1: vertex index out of range"):
-        gdms_system(((0.0, 1.0), (0.0, 1.0)), maps[:1] + (MapDescriptor("similitude", ratio=0.3, image_vertex=2),))
+        _two_vertex(rows, (1, 0), (0, 2))
 
 
 def test_full_shift_needs_maps_that_compose():

@@ -9,13 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ifsdim.measures import conformal_cylinder_measure
 from ifsdim.pressure import ConvergenceFailure, Eigenpair, _power_iterate, bowen_solve, collocate
 from ifsdim.symbolic import IncidenceMatrix, Word, count_admissible
-from ifsdim.systems import (
-    MapDescriptor,
-    cantor_system,
-    continued_fraction_family,
-    gdms_system,
-    golden_family,
-)
+from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
 from ifsdim.transfer import (
     DegenerateSystemError,
     ReducibilityError,
@@ -31,12 +25,9 @@ TERNARY_H = math.log(2.0) / math.log(3.0)
 
 
 def fibonacci_system():
-    maps = (
-        MapDescriptor("similitude", ratio=0.4, offset=0.0),
-        MapDescriptor("similitude", ratio=0.3, offset=0.5),
-    )
+    rows = [(0.4, 0.0, 0.0, 1.0), (0.3, 0.5, 0.0, 1.0)]
     fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
-    return gdms_system(((0.0, 1.0),), maps, incidence=fibonacci, label="fibonacci")
+    return SystemSpec(((0.0, 1.0),), rows, fibonacci, label="fibonacci")
 
 
 def _masses(system, t, depth):
@@ -68,18 +59,16 @@ def _dict_defect(words, invariant):
 
 
 def _moebius(*digits):
-    return gdms_system(((0.0, 1.0),), [MapDescriptor("moebius-1d", q=q) for q in digits])
+    """The continued-fraction branches x -> 1/(q + x) for q in ``digits``."""
+    rows = [(0.0, 1.0, 1.0, q) for q in digits]
+    return SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(len(rows)))
 
 
 # the config spelling `moebius:2; moebius:3; similitude:0.2:0; similitude:-0.3:0.9`
-MIXED = gdms_system(
+MIXED = SystemSpec(
     ((0.0, 1.0),),
-    (
-        MapDescriptor("moebius-1d", q=2),
-        MapDescriptor("moebius-1d", q=3),
-        MapDescriptor("similitude", ratio=0.2, offset=0.0),
-        MapDescriptor("similitude", ratio=-0.3, offset=0.9),
-    ),
+    [(0.0, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 3), (0.2, 0.0, 0.0, 1.0), (-0.3, 0.9, 0.0, 1.0)],
+    IncidenceMatrix.full(4),
 )
 
 operator_systems = st.one_of(
@@ -448,8 +437,7 @@ def test_operator_root_is_exact_on_similitude_subshift():
 def cf_digit_systems(draw):
     """Continued-fraction maps x -> 1/(q+x) for 2-3 distinct digits q in 1..9."""
     digits = sorted(draw(st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True)))
-    maps = [MapDescriptor("moebius-1d", q=q) for q in digits]
-    return gdms_system(((0.0, 1.0),), maps, label=f"cf{digits}")
+    return _moebius(*digits)
 
 
 @given(cf_digit_systems())
