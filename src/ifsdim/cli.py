@@ -45,7 +45,7 @@ from .measures import (
     setwise_discrepancy,
     truncation_singularity,
     tv_distance,
-    weak_discrepancy,
+    w1_distance,
 )
 from .pressure import (
     ConvergenceFailure,
@@ -243,7 +243,7 @@ class Report:
         return paths
 
 
-def _report(command: str, cfg: RunConfig, **kwargs) -> Report:
+def _report(command: str, cfg: RunConfig, seed: Optional[int], **kwargs) -> Report:
     # out.* keys steer where the report lands, not what it says; keeping them
     # out of the echoed config makes bodies byte-stable across output dirs
     analysis = RunConfig({k: v for k, v in cfg.raw.items() if not k.startswith("out.")})
@@ -251,7 +251,7 @@ def _report(command: str, cfg: RunConfig, **kwargs) -> Report:
         command=command,
         config_hash=analysis.digest(),
         config_echo=dict(sorted(analysis.raw.items())),
-        seed=int(cfg.raw["sample.seed"]) if cfg.has("sample.seed") else None,
+        seed=seed,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         **kwargs,
     )
@@ -351,7 +351,7 @@ def _gallery_family(cfg: RunConfig, family: str):
 # subcommands
 
 
-def cmd_bowen(cfg: RunConfig) -> Report:
+def cmd_bowen(cfg: RunConfig, seed: Optional[int]) -> Report:
     tol = cfg.get_float("bowen.tol", default=1e-10, lo=1e-15, hi=1e-2)
     source = _build_source(cfg)
     if isinstance(source, MapFamily):  # the closed-form root reads no depth
@@ -385,8 +385,7 @@ def cmd_bowen(cfg: RunConfig) -> Report:
         [[sol.h, sol.bracket[0], sol.bracket[1], sol.residual, sol.regular, sol.method]],
     )
     return _report(
-        "bowen",
-        cfg,
+        "bowen", cfg, seed,
         results=results,
         diagnostics={
             "bracket_width": sol.bracket[1] - sol.bracket[0],
@@ -404,7 +403,7 @@ def _cf_scan_depth(level: int) -> int:
     return depth
 
 
-def cmd_scan(cfg: RunConfig) -> Report:
+def cmd_scan(cfg: RunConfig, seed: Optional[int]) -> Report:
     levels = cfg.get_levels("scan.levels", lo=2)  # they set the sizes: no system.size
     tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
     family = cfg.get_str("system.family")
@@ -453,18 +452,17 @@ def cmd_scan(cfg: RunConfig) -> Report:
     }
     gaps = [row[4] for row in rows if not math.isnan(row[4])]
     return _report(
-        "scan",
-        cfg,
+        "scan", cfg, seed,
         results=results,
         diagnostics={"worst_pressure_gap": max(gaps, default=None)},
         tables={"levels": _csv_table(header, rows)},
     )
 
 
-def cmd_converge(cfg: RunConfig) -> Report:
+def cmd_converge(cfg: RunConfig, seed: Optional[int]) -> Report:
     family = cfg.get_str("system.family")
     if family.startswith("gallery:"):
-        return _converge_gallery(cfg, family)
+        return _converge_gallery(cfg, family, seed)
 
     source = _build_source(cfg)
     if not isinstance(source, MapFamily):  # the whole family, with a closed-form mass
@@ -484,8 +482,7 @@ def cmd_converge(cfg: RunConfig) -> Report:
     limit_sol = analytic_bowen_solve(source)
     if not limit_sol.regular:
         return _report(
-            "converge",
-            cfg,
+            "converge", cfg, seed,
             results={"regular": False, "limit_h": limit_sol.h},
             warnings=[
                 "irregular family: the limit pressure never reaches zero, so "
@@ -527,15 +524,14 @@ def cmd_converge(cfg: RunConfig) -> Report:
         "singularity_depth": sing_depth,
     }
     return _report(
-        "converge",
-        cfg,
+        "converge", cfg, seed,
         results=results,
         diagnostics={"reference_level": top, "reference_h": h_top},
         tables={"levels": _csv_table(header, rows)},
     )
 
 
-def _converge_gallery(cfg: RunConfig, family: str) -> Report:
+def _converge_gallery(cfg: RunConfig, family: str, seed: Optional[int]) -> Report:
     fam = _gallery_family(cfg, family)
     if fam.limit is None:
         raise ConfigError(
@@ -549,7 +545,7 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
     for n in levels:
         nu = fam.at(n)
         tv = tv_distance(nu, fam.limit)
-        weak = weak_discrepancy(nu, fam.limit)
+        weak = w1_distance(nu, fam.limit)
         sets = [("points", nu.atoms[:, 0])] if nu.atoms.size else cells
         setwise = setwise_discrepancy(nu, fam.limit, sets)
         rows.append([n, tv, weak, setwise])
@@ -562,17 +558,15 @@ def _converge_gallery(cfg: RunConfig, family: str) -> Report:
         "final_setwise": rows[-1][3],
     }
     return _report(
-        "converge",
-        cfg,
+        "converge", cfg, seed,
         results=results,
         tables={"levels": _csv_table(["level", "tv", "weak", "setwise"], rows)},
     )
 
 
-def cmd_dimension(cfg: RunConfig) -> Report:
-    if not cfg.has("sample.seed"):
+def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
+    if seed is None:
         raise ConfigError("sample.seed: required whenever sampling is requested")
-    seed = cfg.get_int("sample.seed")
     count = cfg.get_int("sample.count", default=10_000, lo=100, hi=10_000_000)
     r_min = cfg.get_float("dimension.r_min", default=1e-4, lo=0.0)
     r_max = cfg.get_float("dimension.r_max", default=0.25)
@@ -702,8 +696,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     if flat_csv is not None:
         tables["flatness"] = flat_csv
     return _report(
-        "dimension",
-        cfg,
+        "dimension", cfg, seed,
         results=results,
         diagnostics={
             "sample_count": count,
@@ -715,7 +708,7 @@ def cmd_dimension(cfg: RunConfig) -> Report:
     )
 
 
-def cmd_gibbs(cfg: RunConfig) -> Report:
+def cmd_gibbs(cfg: RunConfig, seed: Optional[int]) -> Report:
     source = _finite_system(cfg, _build_source(cfg), "gibbs")
     depth = cfg.get_int(
         "gibbs.depth", default=1 if source.is_similitude() else 2, lo=1, hi=12
@@ -762,8 +755,7 @@ def cmd_gibbs(cfg: RunConfig) -> Report:
         *masses.words.T, masses.eigenmeasure, masses.invariant,
     )
     return _report(
-        "gibbs",
-        cfg,
+        "gibbs", cfg, seed,
         results=results,
         diagnostics={
             "residual": pair.residual,
@@ -857,7 +849,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if blocked:
             raise ConfigError(f"out.dir: {blocked[0]} is not a directory")
         fmt = cfg.get_str("out.format", default="csv", choices=("csv", "json"))
-        report = COMMANDS[args.command](cfg)
+        seed = cfg.get_int("sample.seed", lo=0) if cfg.has("sample.seed") else None
+        report = COMMANDS[args.command](cfg, seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

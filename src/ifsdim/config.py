@@ -144,8 +144,8 @@ class RunConfig:
         self, key: str, default: Optional[str] = None,
         lo: Optional[int] = None, hi: Optional[int] = None,
     ) -> list[int]:
-        """``a:b`` (inclusive, ascending) or an explicit comma list, every
-        level within [lo, hi]."""
+        """``a:b`` (inclusive, ascending) or a strictly ascending comma
+        list, every level within [lo, hi]."""
         raw = self._require(key, default)
         try:
             if ":" in raw:
@@ -162,6 +162,8 @@ class RunConfig:
         ends = (levels[0], levels[-1]) if isinstance(levels, range) else (min(levels), max(levels))
         for end in ends:
             _check_bounds(key, end, lo, hi)
+        if isinstance(levels, list) and any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ConfigError(f"{key}: levels must be strictly ascending, got {raw!r}")
         return list(levels)
 
 

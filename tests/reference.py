@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ifsdim.measures import WEAK_MOMENTS, LineMeasure
+from ifsdim.measures import LineMeasure
 from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum
 from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec
@@ -245,6 +245,16 @@ def exact_points_mass(measure: LineMeasure, points) -> Fraction:
     return sum((Fraction(w) for loc, w in measure.atoms.tolist() if loc in at), Fraction(0))
 
 
+def _density(pieces, x0, x1) -> Fraction:
+    """The density of the piece holding the cell (x0, x1), 0 if none does."""
+    return next((d for lo, hi, d in pieces if lo <= x0 and x1 <= hi), Fraction(0))
+
+
+def _cell_edges(a1, p1, a2, p2) -> list[Fraction]:
+    """The sorted atom locations and piece edges of two measures' rows."""
+    return sorted({x for x, _ in a1 + a2} | {e for lo, hi, _ in p1 + p2 for e in (lo, hi)})
+
+
 def exact_tv(m1: LineMeasure, m2: LineMeasure) -> Fraction:
     """The total-variation distance of the stored measures, in rational
     arithmetic: atom weight differences plus density differences times the
@@ -252,35 +262,27 @@ def exact_tv(m1: LineMeasure, m2: LineMeasure) -> Fraction:
     (a1, p1), (a2, p2) = _exact_rows(m1), _exact_rows(m2)
     w1, w2 = dict(a1), dict(a2)
     diffs = [w1.get(x, 0) - w2.get(x, 0) for x in set(w1) | set(w2)]
-    edges = sorted(set(w1) | set(w2) | {e for lo, hi, _ in p1 + p2 for e in (lo, hi)})
-
-    def density(pieces, x0, x1):
-        return next((d for lo, hi, d in pieces if lo <= x0 and x1 <= hi), Fraction(0))
-
-    diffs += [(density(p1, x0, x1) - density(p2, x0, x1)) * (x1 - x0) for x0, x1 in zip(edges, edges[1:])]
+    edges = _cell_edges(a1, p1, a2, p2)
+    diffs += [(_density(p1, x0, x1) - _density(p2, x0, x1)) * (x1 - x0) for x0, x1 in zip(edges, edges[1:])]
     return max(sum(d for d in diffs if d > 0), -sum(d for d in diffs if d < 0), Fraction(0))
 
 
-def exact_moments(measure: LineMeasure) -> list[Fraction]:
-    """The integrals of x^p for p = 0..WEAK_MOMENTS, in rational arithmetic:
-    the polynomial part of the weak dictionary."""
-    atoms, pieces = _exact_rows(measure)
-    return [
-        sum((w * loc**p for loc, w in atoms), Fraction(0))
-        + sum((d * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1) for lo, hi, d in pieces), Fraction(0))
-        for p in range(WEAK_MOMENTS + 1)
-    ]
-
-
-def trig_integrals(measure: LineMeasure) -> list[float]:
-    """The integrals of cos(2 pi j x) for j = 1..WEAK_MOMENTS, then of
-    sin(2 pi j x), term by term with ``math`` and summed exactly by
-    ``math.fsum``: the trigonometric part of the weak dictionary."""
-    out = []
-    for f, g, sign in ((math.cos, math.sin, 1.0), (math.sin, math.cos, -1.0)):
-        for j in range(1, WEAK_MOMENTS + 1):
-            k = 2.0 * math.pi * j
-            terms = [w * f(k * loc) for loc, w in measure.atoms.tolist()]
-            terms += [sign * d * (g(k * hi) - g(k * lo)) / k for lo, hi, d in measure.pieces.tolist()]
-            out.append(math.fsum(terms))
-    return out
+def exact_w1(m1: LineMeasure, m2: LineMeasure) -> Fraction:
+    """The Wasserstein-1 distance of the stored measures, in rational
+    arithmetic: the integral of |F1 - F2|, walked from the left one cell
+    between consecutive atom locations and piece edges at a time.  On a
+    cell F1 - F2 runs linearly from a to b, and |F1 - F2| integrates to a
+    trapezoid, or to two triangles where a and b have opposite signs."""
+    (a1, p1), (a2, p2) = _exact_rows(m1), _exact_rows(m2)
+    w1, w2 = dict(a1), dict(a2)
+    edges = _cell_edges(a1, p1, a2, p2)
+    total, b = Fraction(0), Fraction(0)
+    for x0, x1 in zip(edges, edges[1:]):
+        a = b + w1.get(x0, 0) - w2.get(x0, 0)
+        width = x1 - x0
+        b = a + (_density(p1, x0, x1) - _density(p2, x0, x1)) * width
+        if a * b >= 0:
+            total += width * (abs(a) + abs(b)) / 2
+        else:
+            total += width * (a * a + b * b) / (2 * (abs(a) + abs(b)))
+    return total

@@ -1,12 +1,11 @@
 """Every public name of the package has a caller besides its unit tests.
 
 Each name in a module's ``__all__`` must be imported from that module by
-another module of the package or by a script under ``scripts/``, or be
-loaded by name in its own module outside its own definition.  A name that
-only tests call is surface with no user, and goes.  So does a module-level
-UPPER_CASE constant that nothing under ``src/`` or ``scripts/`` reads, and
-a dataclass field that nothing there reads as an attribute outside its own
-class's ``__post_init__``.
+another module of the package, or be loaded by name in its own module
+outside its own definition.  A name that only tests call is surface with no
+user, and goes.  So does a module-level UPPER_CASE constant that nothing
+under ``src/`` reads, and a dataclass field that nothing there reads as an
+attribute outside its own class's ``__post_init__``.
 """
 
 import ast
@@ -15,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "ifsdim"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 # acceptance criterion c8 checks that the coding-space metric is an ultrametric
 ALLOWED = {"comparison_distance"}
@@ -64,8 +62,8 @@ def test_every_public_name_has_a_caller_besides_its_tests(module):
     tree = ast.parse(module.read_text())
     exports = _exports(tree)
     assert exports, f"{module.name} declares no __all__"
-    others = [p for p in PACKAGE.glob("*.py") if p != module]
-    imported = _imported_from(module.stem, others + sorted((ROOT / "scripts").glob("*.py")))
+    others = [p for p in SOURCES if p != module]
+    imported = _imported_from(module.stem, others)
     unused = [
         name
         for name in exports
@@ -106,8 +104,8 @@ def _own_checks(tree: ast.Module) -> set[int]:
 
 
 def _reads() -> tuple[set[str], set[str]]:
-    """Names read as variables, and names read as attributes, under src/ and
-    scripts/.  Attribute reads match by name alone, except that a class's
+    """Names read as variables, and names read as attributes, under src/.
+    Attribute reads match by name alone, except that a class's
     ``__post_init__`` reading its own fields does not count."""
     names, attributes = set(), set()
     for path in SOURCES:

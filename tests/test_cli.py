@@ -313,6 +313,36 @@ def test_empty_level_list_exits_2_naming_the_key(tmp_path, capsys, command, text
 
 
 @pytest.mark.parametrize(
+    "command,text,message",
+    [
+        (
+            "scan",
+            "system.family = golden\nscan.levels = 12,2,2\n",
+            "scan.levels: levels must be strictly ascending, got '12,2,2'",
+        ),
+        (
+            "converge",
+            "system.family = gallery:atom-vs-uniform\nconverge.levels = 64,2\n",
+            "converge.levels: levels must be strictly ascending, got '64,2'",
+        ),
+        (
+            "converge",
+            "system.family = golden\nconverge.cylinder_depths = 3,1\n",
+            "converge.cylinder_depths: levels must be strictly ascending, got '3,1'",
+        ),
+    ],
+    ids=["scan", "converge-gallery", "converge-depths"],
+)
+def test_unordered_level_lists_exit_2_naming_the_key(tmp_path, capsys, command, text, message):
+    # out of order, scan solved level 2 twice and reported level 2's gap as
+    # the final one; converge reported level 2's TV as final_tv
+    code, report = run(tmp_path, command, text)
+    assert code == 2 and report is None
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize(
     "command,text",
     [
         ("scan", "system.family = golden\nscan.levels = 1070:1076\n"),
@@ -529,8 +559,8 @@ def test_converge_lattice_comb_weak_but_not_setwise(tmp_path):
     weak = [float(r.split(",")[2]) for r in rows]
     tv = [float(r.split(",")[1]) for r in rows]
     setwise = [float(r.split(",")[3]) for r in rows]
-    assert weak == sorted(weak, reverse=True)
-    assert weak[-1] < 0.1
+    assert weak == [1 / 8, 1 / 32, 1 / 128]  # W1 of the comb to Lebesgue is 1/(2n)
+    assert report["results"]["final_weak"] == 1 / 128
     assert all(v == 1.0 for v in tv)  # atoms vs Lebesgue never mix in TV
     assert all(v == 1.0 for v in setwise)  # the atom grid itself is the witness
 
@@ -588,6 +618,31 @@ def test_dimension_requires_seed(tmp_path):
         "system.family = cantor\nsystem.ratios = 0.3, 0.3\n",
     )
     assert code == 2
+
+
+def test_bad_seed_exits_2_before_the_bowen_solve(tmp_path, monkeypatch, capsys):
+    # parsed only when the report was built, this exited 3 after the root
+    def solved(*args, **kwargs):
+        raise AssertionError("the root was solved before the seed was read")
+
+    monkeypatch.setattr(ifsdim.cli, "bowen_solve", solved)
+    text = "system.family = cantor\nsystem.ratios = 0.3, 0.3\nsample.seed = abc\n"
+    code, report = run(tmp_path, "bowen", text)
+    assert code == 2 and report is None
+    assert "config error: sample.seed: expected an integer, got 'abc'\n" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize(
+    "seed,extra", [("sample.seed = -5\n", ()), ("", ("--seed", "-3"))], ids=["config", "flag"]
+)
+def test_negative_seed_exits_2_before_sampling(tmp_path, capsys, seed, extra):
+    # it passed the plan, then failed at sampling with exit 3
+    text = "system.family = cantor\nsystem.ratios = 0.3, 0.3\n" + seed
+    code, report = run(tmp_path, "dimension", text, extra)
+    assert code == 2 and report is None
+    assert "config error: sample.seed: must be >= 0, got -" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_dimension_staircase_flat_and_slow_slope(tmp_path):

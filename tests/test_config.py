@@ -65,12 +65,15 @@ def test_get_floats_list():
 
 
 def test_get_levels_range_and_list():
-    cfg = RunConfig({"range": "2:5", "list": "9, 1, 4", "rev": "5:2"})
+    cfg = RunConfig({"range": "2:5", "list": "1, 4, 9", "unordered": "9, 1, 4", "twice": "2,2", "rev": "5:2"})
     assert cfg.get_levels("range") == [2, 3, 4, 5]
-    assert cfg.get_levels("list") == [9, 1, 4]
+    assert cfg.get_levels("list") == [1, 4, 9]
     assert cfg.get_levels("none", default="3:4") == [3, 4]
     with pytest.raises(ConfigError, match="reversed"):
         cfg.get_levels("rev")
+    for key, raw in (("unordered", "9, 1, 4"), ("twice", "2,2")):
+        with pytest.raises(ConfigError, match=rf"^{key}: levels must be strictly ascending, got '{raw}'$"):
+            cfg.get_levels(key)
     with pytest.raises(ConfigError, match="required"):
         cfg.get_levels("none")
 

@@ -12,8 +12,6 @@ from ifsdim.measures import (
     _level,
     CylinderMeasure,
     LineMeasure,
-    WEAK_MOMENTS,
-    _weak_dictionary,
     conformal_cylinder_measure,
     gallery,
     mass_distribution_sequence,
@@ -21,7 +19,7 @@ from ifsdim.measures import (
     setwise_discrepancy,
     truncation_singularity,
     tv_distance,
-    weak_discrepancy,
+    w1_distance,
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
 from ifsdim.symbolic import IncidenceMatrix, Word
@@ -65,20 +63,6 @@ def test_interval_mass_open_vs_closed():
     assert m.mass_of_interval(0.0, 1.0, closed=True) == pytest.approx(1.0)
     assert m.mass_of_interval(0.0, 1.0, closed=False) == 0.0
     assert m.mass_of_points([0.0, 0.25]) == pytest.approx(0.5)
-
-
-def test_moments_and_trig_moments_are_exact():
-    # x^0..x^8, then cos(2 pi j x) and sin(2 pi j x) for j = 1..8
-    leb = _weak_dictionary(LineMeasure.uniform(0.0, 1.0))
-    assert leb.shape == (3 * WEAK_MOMENTS + 1,)
-    for p in range(6):
-        assert leb[p] == pytest.approx(1.0 / (p + 1), abs=1e-14)
-    for j in (1, 2, 5):
-        assert leb[WEAK_MOMENTS + j] == pytest.approx(0.0, abs=1e-13)  # cos
-        assert leb[2 * WEAK_MOMENTS + j] == pytest.approx(0.0, abs=1e-13)  # sin
-    spike = _weak_dictionary(LineMeasure.point_mass(0.25))
-    assert spike[3] == pytest.approx(0.25**3)
-    assert spike[2 * WEAK_MOMENTS + 1] == pytest.approx(1.0)  # sin(2 pi / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +140,6 @@ def test_lattice_comb_never_converges_setwise():
         assert setwise_discrepancy(comb.at(n), comb.limit, sets) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_weak_discrepancy_decays_for_lattice_comb():
-    comb = gallery("lattice-comb")
-    vals = [weak_discrepancy(comb.at(n), comb.limit) for n in (50, 100, 200, 400)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    for n, v in zip((50, 100, 200, 400), vals):
-        assert v < 1.1 / n  # right-endpoint Riemann error ~ 1/(2n)
-    # the trigonometric dictionary is blind to the comb once n > frequency
-    cosines = _weak_dictionary(comb.at(50))[WEAK_MOMENTS + 1 : 2 * WEAK_MOMENTS + 1]
-    assert cosines.size == 8
-    np.testing.assert_allclose(cosines, 0.0, atol=1e-12)
-
-
-def test_weak_discrepancy_collapsing_blocks():
-    fam = gallery("alternating-collapse")
-    vals = [weak_discrepancy(fam.at(n), fam.limit) for n in (81, 243, 729)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 8 * math.pi / 729 * 1.1
-
-
 # ---------------------------------------------------------------------------
 # exact rational references
 
@@ -224,7 +189,6 @@ SMALL_INTERVALS = [
 # time, in order; that way the 10^4 comb atoms are off by 6.1e-14 relative
 INTERVAL_REL = 1e-13  # relative: an interval mass sums nonnegative terms
 GAUGE_ABS = 4e-15  # absolute, for probability measures
-MOMENT_ABS = 1e-13  # absolute: x^(p+1) differences of nearby edges cancel
 
 
 def _close(got, exact, bound) -> bool:
@@ -299,15 +263,6 @@ def test_small_tv_distances_keep_their_relative_digits():
         assert _close(tv_distance(fam.at(n), fam.limit), exact, TV_REL * exact), n
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_MEMBERS))
-def test_weak_dictionary_matches_exact_rationals(name):
-    measure = REFERENCE_MEMBERS[name]
-    got = _weak_dictionary(measure)
-    for value, exact in zip(got[: WEAK_MOMENTS + 1], reference.exact_moments(measure)):
-        assert _close(value, exact, MOMENT_ABS)
-    np.testing.assert_allclose(got[WEAK_MOMENTS + 1 :], reference.trig_integrals(measure), rtol=0, atol=MOMENT_ABS)
-
-
 @st.composite
 def line_measures(draw):
     anchors = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0]
@@ -334,6 +289,82 @@ def test_setwise_is_below_tv(m1, m2):
     sw = setwise_discrepancy(m1, m2, sets)
     assert 0.0 <= sw <= tv + 1e-12
     assert tv == pytest.approx(tv_distance(m2, m1), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Wasserstein-1
+
+
+def _w1_pairs():
+    """The equal-mass pairs of LIMIT_PAIRS, each Cantor stage against the
+    next, and the mixed member against Lebesgue measure of its own mass."""
+    pairs = {
+        name: (m1, m2) for name, (m1, m2) in LIMIT_PAIRS.items() if abs(m1.total - m2.total) <= 1e-12
+    }
+    stages = gallery("cantor-mass-stages")
+    for name, measure in REFERENCE_MEMBERS.items():
+        if name.startswith("cantor-mass-stages-"):
+            pairs[name] = (measure, stages.at(int(name.rsplit("-", 1)[1]) + 1))
+    mixed = REFERENCE_MEMBERS["mixed"]
+    pairs["mixed"] = (mixed, LineMeasure.uniform(0.0, 1.0, mixed.total))
+    return pairs
+
+
+W1_PAIRS = _w1_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(W1_PAIRS))
+def test_w1_matches_exact_rationals(name):
+    m1, m2 = W1_PAIRS[name]
+    assert _close(w1_distance(m1, m2), reference.exact_w1(m1, m2), GAUGE_ABS)
+
+
+W1_CLOSED_FORMS = {
+    "lattice-comb": lambda n: 1.0 / (2 * n),
+    "atom-vs-uniform": lambda n: 1.0 / (2 * n * n),
+    "leaking-block": lambda n: 3.0 / (2 * n),
+    "alternating-collapse": lambda n: 1.0 / (2 * n) if n % 2 else 1.0 / n,
+}
+
+
+@pytest.mark.parametrize("name", sorted(W1_CLOSED_FORMS))
+def test_w1_to_the_limit_meets_its_closed_form(name):
+    # the weak column of converge: every member decays to its limit like
+    # the closed form, collapsing blocks and drifting atoms included
+    fam, form = gallery(name), W1_CLOSED_FORMS[name]
+    for n in range(1, 301):
+        assert w1_distance(fam.at(n), fam.limit) == pytest.approx(form(n), rel=1e-13, abs=0.0), n
+
+
+def test_w1_between_cantor_stages_is_a_twelfth_of_the_stage_length():
+    # each stage-n interval of length 3^-n and mass 2^-n moves mL/12 to its
+    # two stage-(n+1) thirds
+    stages = gallery("cantor-mass-stages")
+    members = [stages.at(n) for n in range(1, 21)]
+    for n, (m1, m2) in enumerate(zip(members, members[1:]), start=1):
+        assert abs(w1_distance(m1, m2) - 3.0**-n / 12) <= 1e-15, n
+
+
+def test_w1_refuses_unequal_total_masses():
+    for name in ("mixed-vs-uniform", "mixed-vs-comb"):
+        with pytest.raises(ValueError, match="W1 needs equal total masses"):
+            w1_distance(*LIMIT_PAIRS[name])
+
+
+@st.composite
+def probability_measures(draw):
+    m = draw(line_measures())
+    return LineMeasure(atoms=m.atoms * [1.0, 1.0 / m.total], pieces=m.pieces * [1.0, 1.0, 1.0 / m.total])
+
+
+@given(probability_measures(), probability_measures())
+@settings(max_examples=60, deadline=None)
+def test_w1_is_symmetric_and_at_most_span_times_tv(m1, m2):
+    w = w1_distance(m1, m2)
+    assert w == w1_distance(m2, m1)
+    assert w1_distance(m1, m1) == 0.0
+    bounds = m1.support_bounds + m2.support_bounds
+    assert 0.0 <= w <= (max(bounds) - min(bounds)) * tv_distance(m1, m2) + 1e-12
 
 
 # ---------------------------------------------------------------------------
