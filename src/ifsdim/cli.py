@@ -10,9 +10,7 @@ timestamp field.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -25,11 +23,10 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .dimension import (
-    DimensionReport,
+    consistency_report,
     correlation_curve,
     density_field,
     flatness_detector,
-    format_csv,
     radius_grid,
     scaling_quantile_bounds,
     young_criterion,
@@ -175,21 +172,36 @@ def _check_members(key: str, family: MeasureFamily, top: int) -> None:
 # report plumbing
 
 
-def _cell(value) -> str:
+def _text(value):
+    """A cell of a sequence column: a bool reads true/false, and text holding
+    a comma, a quote or a line break is quoted as the csv module quotes it."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _table(header: str, row: str, *columns) -> str:
+    """``header``, then one ``row`` line per table row: a single %-format
+    over the cells in row-major order.  A column is an array, whose cells
+    go in as they are, or a sequence, whose cells go through ``_text``."""
+    cells: list = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column.tolist() if isinstance(column, np.ndarray) else map(_text, column)
+    return header + "\n" + (row + "\n") * len(columns[0]) % tuple(cells)
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float, at any depth, as None: JSON
+    has no inf or nan."""
     if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _csv_table(header: list[str], rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return value
 
 
 @dataclass
@@ -198,7 +210,8 @@ class Report:
 
     ``canonical_body`` excludes the timestamp, so two runs with the same
     config and seed produce identical bytes there — the determinism contract
-    the golden-file tests pin down.
+    the golden-file tests pin down.  Both bodies write a non-finite float of
+    ``results`` or ``diagnostics`` as null.
     """
 
     command: str
@@ -217,19 +230,19 @@ class Report:
             "config_hash": self.config_hash,
             "config": self.config_echo,
             "seed": self.seed,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
+            "results": _json_safe(self.results),
+            "diagnostics": _json_safe(self.diagnostics),
             "tables": self.tables,
             "warnings": self.warnings,
         }
 
     def canonical_body(self) -> str:
-        return json.dumps(self.body_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.body_dict(), sort_keys=True, indent=2, allow_nan=False)
 
     def to_json(self) -> str:
         blob = self.body_dict()
         blob["timestamp"] = self.timestamp
-        return json.dumps(blob, sort_keys=True, indent=2)
+        return json.dumps(blob, sort_keys=True, indent=2, allow_nan=False)
 
     def write(self, out_dir: Path, fmt: str) -> list[Path]:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,9 +313,8 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
             incidence = IncidenceMatrix(tuple(rows))
         except ValueError as err:  # the rows are not square
             raise ConfigError(f"system.incidence: {err}") from None
-    label = cfg.get_str("system.label", default="custom")
     try:
-        system = SystemSpec(((0.0, 1.0),), coefficients, incidence, label=label)
+        system = SystemSpec(((0.0, 1.0),), coefficients, incidence, label="custom")
         # overlapping images make every pressure root meaningless as a dimension
         ensure_separation(system)
     except InvalidSystem as err:
@@ -380,9 +392,9 @@ def cmd_bowen(cfg: RunConfig, seed: Optional[int]) -> Report:
             "irregular: the pressure stays negative, the root is the "
             "infimum of the finite-pressure exponents, not a zero"
         )
-    table = _csv_table(
-        ["h", "bracket_lo", "bracket_hi", "residual", "regular", "method"],
-        [[sol.h, sol.bracket[0], sol.bracket[1], sol.residual, sol.regular, sol.method]],
+    table = _table(
+        "h,bracket_lo,bracket_hi,residual,regular,method", "%.17g,%.17g,%.17g,%.17g,%s,%s",
+        *([v] for v in (sol.h, *sol.bracket, sol.residual, sol.regular, sol.method)),
     )
     return _report(
         "bowen", cfg, seed,
@@ -434,7 +446,6 @@ def cmd_scan(cfg: RunConfig, seed: Optional[int]) -> Report:
             rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(sol)])
         else:
             rows.append([n, sol.h, *sol.bracket, sol.gap, sol.residual, sol.regular, sol.depth, ""])
-    header = "level h bracket_lo bracket_hi pressure_gap residual regular depth note".split()
     hs = [row[1] for row in rows if not math.isnan(row[1])]
     limit_h = limit_regular = None  # the whole family's root, where it has a closed form
     if source.log_mass is not None:
@@ -455,7 +466,10 @@ def cmd_scan(cfg: RunConfig, seed: Optional[int]) -> Report:
         "scan", cfg, seed,
         results=results,
         diagnostics={"worst_pressure_gap": max(gaps, default=None)},
-        tables={"levels": _csv_table(header, rows)},
+        tables={"levels": _table(
+            "level,h,bracket_lo,bracket_hi,pressure_gap,residual,regular,depth,note",
+            "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d,%s", *zip(*rows),
+        )},
     )
 
 
@@ -511,9 +525,7 @@ def cmd_converge(cfg: RunConfig, seed: Optional[int]) -> Report:
         row.append(max(0.0, 1.0 - truncation_singularity(source, n, top, h_top, sing_depth)))
         rows.append(row)
 
-    header = ["level", "h"]
-    header += [f"cylinder_discrepancy_depth{d}" for d in depths]
-    header += ["tv_lower_bound"]
+    header = ",".join(["level", "h", *(f"cylinder_discrepancy_depth{d}" for d in depths), "tv_lower_bound"])
     last = rows[-1]
     results = {
         "regular": True,
@@ -527,7 +539,7 @@ def cmd_converge(cfg: RunConfig, seed: Optional[int]) -> Report:
         "converge", cfg, seed,
         results=results,
         diagnostics={"reference_level": top, "reference_h": h_top},
-        tables={"levels": _csv_table(header, rows)},
+        tables={"levels": _table(header, "%d" + ",%.17g" * (len(depths) + 2), *zip(*rows))},
     )
 
 
@@ -560,7 +572,7 @@ def _converge_gallery(cfg: RunConfig, family: str, seed: Optional[int]) -> Repor
     return _report(
         "converge", cfg, seed,
         results=results,
-        tables={"levels": _csv_table(["level", "tv", "weak", "setwise"], rows)},
+        tables={"levels": _table("level,tv,weak,setwise", "%d,%.17g,%.17g,%.17g", *zip(*rows))},
     )
 
 
@@ -580,7 +592,6 @@ def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
         radius_grid(r_min, r_max, r_count, fit_window)
     except ValueError as err:
         raise ConfigError(f"dimension.{'fit_lo' if fit_window else 'r_min'}: {err}") from None
-    tolerance = cfg.get_float("dimension.tolerance", default=0.05, lo=0.0, hi=1.0)
     density_points = cfg.get_int("dimension.density_points", default=300, lo=1, hi=100_000)
     d_rmin = cfg.get_float("dimension.density_r_min", default=max(r_min, 1e-12))
     d_rmax = cfg.get_float("dimension.density_r_max", default=min(r_max, 0.4))
@@ -609,6 +620,8 @@ def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
             lo_supp, hi_supp = fam.support
             edges = 2 * fam.entries(index)  # every entry counted as a piece
         detectable = 0.0 <= lo_supp and hi_supp <= 1.0
+        # the flatness radii: the family's own ladder, else halvings of density_r_max
+        ladder = fam.ladder or [r for r in d_rmax * 0.5 ** np.arange(12) if r >= d_rmin] or [d_rmax]
     else:
         source = _finite_system(cfg, _build_source(cfg), "dimension")
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
@@ -629,12 +642,6 @@ def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
     if want_flatness:  # the detector's grid per radius: 0, the edges, 1, r/2 and the edges +- r
         what = f"{label} makes"
         _check_budget("dimension.flatness", what, 3 * edges + 3, "flatness breakpoints per radius")
-    if family == "gallery:staircase":
-        a = cfg.get_float("system.a", default=0.5)
-        ladder = [a ** (k * k) for k in range(1, 9)]
-    else:
-        ladder = list(d_rmax * 0.5 ** np.arange(0, 12))
-        ladder = [r for r in ladder if r >= d_rmin] or [d_rmax]
     cfg.check_read("dimension")
 
     bowen_root: Optional[float] = None
@@ -663,27 +670,26 @@ def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
     crit = young_criterion(fld)
     bounds = scaling_quantile_bounds(fld)
 
+    tables = {
+        "correlation": _table("r,correlation", "%.17g,%.17g", curve.radii, curve.values),
+        "density": _table(
+            "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d", fld.points, fld.lower, fld.upper, fld.inside
+        ),
+    }
     flatness = None
-    flat_csv = None
     if want_flatness:
         flat = flatness_detector(measure, ladder)
-        flat_csv = flat.as_csv()
+        tables["flatness"] = _table(
+            "r,bound,exponent", "%.17g,%.17g,%.17g", flat.radii, flat.bounds, flat.exponents
+        )
         flatness = {
             "fired": flat.fired,
             "final_exponent": float(flat.exponents[int(np.argmin(flat.radii))]),
         }
 
-    summary = DimensionReport(
-        bowen_root=bowen_root,
-        ratio=ratio,
-        correlation_slope=curve.slope,
-        gamma_lower=bounds.lower,
-        gamma_upper=bounds.upper,
-        tolerance=tolerance,
-    )
     results = {
         "measure": label,
-        "report": summary.json_dict(),
+        "report": consistency_report(bowen_root, ratio, curve.slope, bounds.lower, bounds.upper),
         "young_exponent": crit.c,
         "young_fraction": crit.fraction,
         "slope": curve.slope,
@@ -692,9 +698,6 @@ def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
         "flatness": flatness,
         "regular": True,
     }
-    tables = {"correlation": curve.as_csv(), "density": fld.as_csv()}
-    if flat_csv is not None:
-        tables["flatness"] = flat_csv
     return _report(
         "dimension", cfg, seed,
         results=results,
@@ -749,7 +752,7 @@ def cmd_gibbs(cfg: RunConfig, seed: Optional[int]) -> Report:
         "regular": True,
     }
     # words hold only digits and dots, so no cell needs quoting
-    table = format_csv(
+    table = _table(
         "word,eigenmeasure,invariant",
         ".".join(["%d"] * depth) + ",%.17g,%.17g",
         *masses.words.T, masses.eigenmeasure, masses.invariant,

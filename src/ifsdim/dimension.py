@@ -10,6 +10,7 @@ reported through the pressure/ratio pathway, and otherwise only bracketed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,27 +24,17 @@ from .systems import level_geometry
 __all__ = [
     "CorrelationCurve",
     "DensityField",
-    "DimensionReport",
     "FlatnessCurve",
     "ScalingBounds",
     "YoungCriterion",
+    "consistency_report",
     "correlation_curve",
     "density_field",
     "flatness_detector",
-    "format_csv",
     "radius_grid",
     "scaling_quantile_bounds",
     "young_criterion",
 ]
-
-def format_csv(header: str, row: str, *columns: np.ndarray) -> str:
-    """``header``, then one ``row`` line per table row: a single %-format
-    over the cells in row-major order, each cell of its column's type."""
-    cells: list = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        cells[j :: len(columns)] = column.tolist()
-    return header + "\n" + (row + "\n") * len(columns[0]) % tuple(cells)
-
 
 # ---------------------------------------------------------------------------
 # correlation integral
@@ -66,9 +57,6 @@ class CorrelationCurve:
     slope: float
     slope_stderr: float
     degenerate: bool = False
-
-    def as_csv(self) -> str:
-        return format_csv("r,correlation", "%.17g,%.17g", self.radii, self.values)
 
 
 def _query_rank_sum(runs: np.ndarray) -> int:
@@ -195,12 +183,6 @@ class DensityField:
     upper: np.ndarray = field(repr=False)
     inside: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
-
-    def as_csv(self) -> str:
-        return format_csv(
-            "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d",
-            self.points, self.lower, self.upper, self.inside,
-        )
 
 
 def _dyadic_ladder(r_min: float, r_max: float) -> np.ndarray:
@@ -381,9 +363,6 @@ class FlatnessCurve:
     bounds: np.ndarray = field(repr=False)
     fired: bool
 
-    def as_csv(self) -> str:
-        return format_csv("r,bound,exponent", "%.17g,%.17g,%.17g", self.radii, self.bounds, self.exponents)
-
 
 FLATNESS_THRESHOLD = 0.25  # smallest-radius exponent at which flatness fires
 
@@ -437,69 +416,41 @@ def flatness_detector(measure: LineMeasure, radii: Sequence[float]) -> FlatnessC
 # report
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+CONSISTENCY_TOLERANCE = 0.05  # how far two estimates may differ and still agree
+
+
+def consistency_report(
+    bowen_root: Optional[float] = None,
+    ratio: Optional[float] = None,
+    correlation_slope: Optional[float] = None,
+    gamma_lower: Optional[float] = None,
+    gamma_upper: Optional[float] = None,
+) -> dict:
     """Side-by-side dimension estimates with mutual-consistency flags.
 
     ``bowen_root`` and ``ratio`` come from the collocated transfer operator
     (system-backed measures only); ``correlation_slope`` from samples;
-    ``gamma_lower``/``gamma_upper`` from the density-field quantiles.  The
-    correlation estimate is always a lower-bound-style quantity for the
-    modified variant, so the report records bounds, never equalities.
+    ``gamma_lower``/``gamma_upper`` from the density-field quantiles.  Each
+    pair of given estimates is flagged as agreeing within
+    CONSISTENCY_TOLERANCE, and each estimate as lying within it of the
+    bracket.  The correlation estimate is always a lower-bound-style
+    quantity for the modified variant, so the report records bounds, never
+    equalities.  A crossed bracket raises ``ValueError``.
     """
-
-    bowen_root: Optional[float] = None
-    ratio: Optional[float] = None
-    correlation_slope: Optional[float] = None
-    gamma_lower: Optional[float] = None
-    gamma_upper: Optional[float] = None
-    tolerance: float = 0.05
-
-    def __post_init__(self) -> None:
-        if (
-            self.gamma_lower is not None
-            and self.gamma_upper is not None
-            and self.gamma_lower > self.gamma_upper + 1e-12
-        ):
-            raise ValueError(
-                f"gamma_lower={self.gamma_lower} exceeds gamma_upper={self.gamma_upper}"
-            )
-
-    def flags(self) -> dict[str, bool]:
-        out: dict[str, bool] = {}
-        pointwise = {
-            "bowen_root": self.bowen_root,
-            "ratio": self.ratio,
-            "correlation_slope": self.correlation_slope,
-        }
-        names = [k for k, v in pointwise.items() if v is not None]
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                out[f"{a}~{b}"] = (
-                    abs(pointwise[a] - pointwise[b]) <= self.tolerance  # type: ignore[operator]
-                )
-        if self.gamma_lower is not None and self.gamma_upper is not None:
-            for name in names:
-                out[f"{name}~bracket"] = (
-                    self.gamma_lower - self.tolerance
-                    <= pointwise[name]  # type: ignore[operator]
-                    <= self.gamma_upper + self.tolerance
-                )
-        return out
-
-    @property
-    def consistent(self) -> bool:
-        flags = self.flags()
-        return all(flags.values()) if flags else True
-
-    def json_dict(self) -> dict:
-        return {
-            "bowen_root": self.bowen_root,
-            "ratio": self.ratio,
-            "correlation_slope": self.correlation_slope,
-            "gamma_lower": self.gamma_lower,
-            "gamma_upper": self.gamma_upper,
-            "tolerance": self.tolerance,
-            "flags": self.flags(),
-            "consistent": self.consistent,
-        }
+    bracket = gamma_lower is not None and gamma_upper is not None
+    if bracket and gamma_lower > gamma_upper + 1e-12:
+        raise ValueError(f"gamma_lower={gamma_lower} exceeds gamma_upper={gamma_upper}")
+    tol = CONSISTENCY_TOLERANCE
+    pointwise = {"bowen_root": bowen_root, "ratio": ratio, "correlation_slope": correlation_slope}
+    given = {k: v for k, v in pointwise.items() if v is not None}
+    flags = {f"{a}~{b}": abs(given[a] - given[b]) <= tol for a, b in itertools.combinations(given, 2)}
+    if bracket:
+        flags.update({f"{k}~bracket": gamma_lower - tol <= v <= gamma_upper + tol for k, v in given.items()})
+    return {
+        **pointwise,
+        "gamma_lower": gamma_lower,
+        "gamma_upper": gamma_upper,
+        "tolerance": tol,
+        "flags": flags,
+        "consistent": all(flags.values()),
+    }

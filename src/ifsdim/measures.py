@@ -571,8 +571,9 @@ class MeasureFamily:
 
     Known before a member is built: ``entries(n)``, at most the atoms plus
     pieces of member n; ``last``, the last member that double precision
-    represents (None when every one is); and ``support``, an interval that
-    holds every member."""
+    represents (None when every one is); ``support``, an interval that
+    holds every member; and ``ladder``, the radii at which its flatness
+    shows (None when it has no such scale of its own)."""
 
     name: str
     member: Callable[[int], "LineMeasure"] = field(repr=False)
@@ -581,6 +582,7 @@ class MeasureFamily:
     entries: Callable[[int], int] = field(default=lambda n: 2, repr=False)
     last: Optional[int] = None
     support: tuple[float, float] = (0.0, 1.0)
+    ladder: Optional[tuple[float, ...]] = None
 
     def at(self, n: int) -> LineMeasure:
         if n < 1:
@@ -713,5 +715,6 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
             note="TV-converges geometrically; pointwise density exponents stay flat",
             entries=lambda n: n + 1,
             last=count - 1,
+            ladder=tuple(a ** (k * k) for k in range(1, 9)),  # the lower edges of its first eight pieces
         )
     raise ValueError(f"unknown gallery family {name!r}; known: {', '.join(GALLERY_NAMES)}")

@@ -5,7 +5,8 @@ another module of the package, or be loaded by name in its own module
 outside its own definition.  A name that only tests call is surface with no
 user, and goes.  So does a module-level UPPER_CASE constant that nothing
 under ``src/`` reads, and a dataclass field that nothing there reads as an
-attribute outside its own class's ``__post_init__``.
+attribute outside its own class's ``__post_init__``.  README's list of
+config keys names exactly the keys the code reads.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
+README = PACKAGE.parent.parent / "README.md"
 
 # acceptance criterion c8 checks that the coding-space metric is an ultrametric
 ALLOWED = {"comparison_distance"}
@@ -146,3 +148,25 @@ def test_every_dataclass_field_is_read(module):
     read = _reads()[1]
     fields = _dataclass_fields(ast.parse(module.read_text()))
     assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def test_readme_lists_exactly_the_config_keys_the_code_reads():
+    # the code's keys are its "<section>.<key>" string literals; README's are
+    # the backticked ones of its "Config keys" section, where
+    # `dimension.r_min/r_max/r_count` stands for three
+    read = {
+        node.value
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"[a-z]+\.[a-z_]+", node.value)
+    }
+    section = README.read_text().split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        f"{m[1]}.{key}"
+        for token in re.findall(r"`([^`]+)`", section)
+        if (m := re.fullmatch(r"([a-z]+)\.([a-z_]+(?:/[a-z_]+)*)", token))
+        for key in m[2].split("/")
+    }
+    assert sorted(read - listed) == [] and sorted(listed - read) == []

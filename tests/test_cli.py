@@ -4,7 +4,9 @@ Each test drives the real entry point with a temp config file and inspects
 exit codes, report JSON, and CSV tables — the same surface a shell user sees.
 """
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -376,6 +379,27 @@ def test_golden_level_1073_reaches_the_solve(tmp_path, monkeypatch):
     assert code == 3 and report is None
 
 
+def test_a_failed_scan_level_writes_its_note_quoted(tmp_path, monkeypatch):
+    note = 'root "0.5" outside its certified bracket [0.1, 0.2]'
+    real = ifsdim.cli.truncation_scan
+
+    def failing(source, levels, **kwargs):
+        solutions = real(source, levels, **kwargs)
+        solutions[1] = ifsdim.cli.ConvergenceFailure(note)
+        return solutions
+
+    monkeypatch.setattr(ifsdim.cli, "truncation_scan", failing)
+    code, _ = run(tmp_path, "scan", "system.family = golden\nscan.levels = 2,3,4\n")
+    assert code == 0
+    text = (tmp_path / "scan-levels.csv").read_text()
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerow([3, *["nan"] * 5, "false", 1, note])
+    assert text.splitlines(keepends=True)[2] == want.getvalue()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(row) for row in rows] == [9] * 4
+    assert rows[2][-1] == note and rows[1][-1] == rows[3][-1] == ""
+
+
 def test_scan_needs_a_family_exit_2(tmp_path):
     code, _ = run(
         tmp_path,
@@ -609,6 +633,65 @@ def test_dimension_cantor_estimates_agree(tmp_path):
     assert res["young_fraction"] >= 0.95
     assert (tmp_path / "dimension-correlation.csv").exists()
     assert (tmp_path / "dimension-density.csv").exists()
+
+
+def _dimension_tables(tmp_path, monkeypatch):
+    """Run ``dimension`` on Lebesgue measure (the lattice-comb limit) with
+    the cloud's first two points at 0.5 and 3.0, outside its support, and
+    return the tables as lines together with the probes that made them."""
+    probes = {}
+    for name in ("correlation_curve", "density_field", "flatness_detector"):
+        real = getattr(ifsdim.cli, name)
+
+        def recorded(*args, _name=name, _real=real, **kwargs):
+            probes[_name] = _real(*args, **kwargs)
+            return probes[_name]
+
+        monkeypatch.setattr(ifsdim.cli, name, recorded)
+    real_sample = ifsdim.cli.sample
+    monkeypatch.setattr(
+        ifsdim.cli, "sample", lambda *a, **k: np.concatenate(([0.5, 3.0], real_sample(*a, **k)[2:]))
+    )
+    code, _ = run(
+        tmp_path,
+        "dimension",
+        "system.family = gallery:lattice-comb\nsample.seed = 1\nsample.count = 120\n"
+        "dimension.r_min = 1e-3\ndimension.r_max = 0.5\ndimension.r_count = 5\n"
+        "dimension.density_points = 2\ndimension.density_r_min = 1e-4\ndimension.density_r_max = 0.01\n",
+    )
+    assert code == 0
+    names = ("correlation", "density", "flatness")
+    tables = {n: (tmp_path / f"dimension-{n}.csv").read_text().splitlines() for n in names}
+    return tables, probes
+
+
+def _cells(lines):
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def test_dimension_correlation_table_round_trips(tmp_path, monkeypatch):
+    tables, probes = _dimension_tables(tmp_path, monkeypatch)
+    rows, curve = tables["correlation"], probes["correlation_curve"]
+    assert rows[0] == "r,correlation"
+    assert len(rows) == 6
+    assert (_cells(rows) == np.column_stack((curve.radii, curve.values))).all()
+
+
+def test_dimension_density_table_lists_every_point(tmp_path, monkeypatch):
+    tables, probes = _dimension_tables(tmp_path, monkeypatch)
+    rows, fld = tables["density"], probes["density_field"]
+    assert rows[0] == "x,lower,upper,inside"
+    assert len(rows) == 3
+    assert rows[1].endswith(",1") and rows[2].endswith(",0")  # the outside point
+    assert (_cells(rows) == np.column_stack((fld.points, fld.lower, fld.upper, fld.inside))).all()
+
+
+def test_dimension_flatness_table_lists_every_radius(tmp_path, monkeypatch):
+    tables, probes = _dimension_tables(tmp_path, monkeypatch)
+    rows, flat = tables["flatness"], probes["flatness_detector"]
+    assert rows[0] == "r,bound,exponent"
+    assert len(rows) == 8  # 0.01 halved down to 1e-4
+    assert (_cells(rows) == np.column_stack((flat.radii, flat.bounds, flat.exponents))).all()
 
 
 def test_dimension_requires_seed(tmp_path):
@@ -895,6 +978,17 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.family = continued-fraction\nsystem.size = 3\nscan.levels = 2:4\n",
             "system.size: not read for system.family = continued-fraction",
         ),
+        # options that no run reads any more
+        (
+            "dimension",
+            "system.family = cantor\nsystem.ratios = 0.3, 0.3\nsample.seed = 1\ndimension.tolerance = 0.1\n",
+            "dimension.tolerance: not read for system.family = cantor",
+        ),
+        (
+            "bowen",
+            "system.family = custom\nsystem.maps = moebius:1; moebius:2\nsystem.label = mine\n",
+            "system.label: not read for system.family = custom",
+        ),
     ],
     ids=[
         "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels",
@@ -902,7 +996,8 @@ MOEBIUS_NO_REPEATS_91 = (
         "staircase-stage", "staircase-member", "flatness-support", "lattice-comb-budget",
         "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
         "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
-        "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size",
+        "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size", "dimension-tolerance",
+        "custom-label",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(
@@ -1190,7 +1285,7 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
     ids=["cf2", "fibonacci"],
 )
 def test_gibbs_masses_table_matches_the_csv_writer(tmp_path, monkeypatch, system):
-    # the one-format masses table gives the bytes the per-cell csv writer gives
+    # the one-format masses table gives the bytes the stdlib csv writer gives
     tables = []
     real = ifsdim.cli.cylinder_masses
 
@@ -1202,14 +1297,16 @@ def test_gibbs_masses_table_matches_the_csv_writer(tmp_path, monkeypatch, system
     code, _ = run(tmp_path, "gibbs", system)
     assert code == 0 and len(tables) == 1
     (masses,) = tables
-    rows = [
-        [".".join(map(str, w)), m, inv]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["word", "eigenmeasure", "invariant"])
+    writer.writerows(
+        [".".join(map(str, w)), f"{m:.17g}", f"{inv:.17g}"]
         for w, m, inv in zip(
             masses.words.tolist(), masses.eigenmeasure.tolist(), masses.invariant.tolist()
         )
-    ]
-    want = ifsdim.cli._csv_table(["word", "eigenmeasure", "invariant"], rows)
-    assert (tmp_path / "gibbs-masses.csv").read_text() == want
+    )
+    assert (tmp_path / "gibbs-masses.csv").read_text() == want.getvalue()
 
 
 def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):
@@ -1349,6 +1446,34 @@ def test_non_finite_map_coefficient_exits_2_naming_the_map(tmp_path, capsys, map
     code, report = run(tmp_path, "bowen", text)
     assert code == 2 and report is None
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_a_non_finite_result_is_written_as_null(tmp_path, capsys):
+    # the report held "young_exponent": Infinity, which a strict parser rejects
+    text = (
+        "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.3:0.5\n"
+        "system.incidence = 11;10\ndimension.depth = 1\nsample.seed = 1\n"
+    )
+    code, _ = run(tmp_path, "dimension", text)
+    assert code == 0
+    report = json.loads((tmp_path / "dimension-report.json").read_text(), parse_constant=_refuse)
+    assert report["results"]["young_exponent"] is None
+    assert "young_exponent = inf\n" in capsys.readouterr().out
+
+
+def test_report_bodies_write_every_non_finite_float_as_null():
+    report = ifsdim.cli.Report(
+        "bowen", "0" * 64, {}, None, {"h": [math.inf, {"gap": math.nan}], "n": 2}, {"w": -math.inf}
+    )
+    for text in (report.canonical_body(), report.to_json()):
+        blob = json.loads(text, parse_constant=_refuse)
+        assert blob["results"] == {"h": [None, {"gap": None}], "n": 2}
+        assert blob["diagnostics"] == {"w": None}
+    assert report.results["h"][0] == math.inf  # stdout still prints the value
 
 
 def test_json_format_embeds_tables_without_csv_files(tmp_path):

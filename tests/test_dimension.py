@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ifsdim.dimension import (
     SCALING_QUANTILE,
-    DimensionReport,
     _median,
     _quantile,
+    consistency_report,
     correlation_curve,
     density_field,
     flatness_detector,
@@ -159,16 +159,6 @@ def test_correlation_curve_argument_validation():
         correlation_curve(pts, 1e-3, 1e-1, fit_window=(2e-2, 2.1e-2))
 
 
-def test_correlation_csv_round_trips():
-    curve = correlation_curve(np.linspace(0, 1, 120), 1e-3, 0.5, count=5)
-    rows = curve.as_csv().strip().splitlines()
-    assert rows[0] == "r,correlation"
-    assert len(rows) == 6
-    back = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    np.testing.assert_allclose(back[:, 0], curve.radii, rtol=1e-15)
-    np.testing.assert_allclose(back[:, 1], curve.values, rtol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # density fields
 
@@ -290,14 +280,6 @@ def test_density_ladder_validation():
         scaling_quantile_bounds(fld)
 
 
-def test_density_csv_lists_every_point():
-    fld = density_field(LEBESGUE, np.array([0.5, 3.0]), 1e-4, 0.01)
-    rows = fld.as_csv().strip().splitlines()
-    assert rows[0] == "x,lower,upper,inside"
-    assert len(rows) == 3
-    assert rows[2].endswith(",0")  # the outside point
-
-
 # ---------------------------------------------------------------------------
 # flatness detector
 
@@ -331,9 +313,6 @@ def test_flatness_detector_validation():
         flatness_detector(LEBESGUE, [])
     with pytest.raises(ValueError):
         flatness_detector(LEBESGUE, [1.5])
-    rows = flatness_detector(LEBESGUE, [0.1, 0.01]).as_csv().strip().splitlines()
-    assert rows[0] == "r,bound,exponent"
-    assert len(rows) == 3
 
 
 def _flatness_cases():
@@ -390,14 +369,14 @@ def test_estimates_agree_on_a_regular_similitude_conformal_measure():
     fld = density_field(measure, cloud[:400], 3.0**-10, 3.0**-3)
     median = young_criterion(fld).c
     assert abs(median - h) < 0.05
-    report = DimensionReport(
+    report = consistency_report(
         bowen_root=h,
         correlation_slope=curve.slope,
         gamma_lower=scaling_quantile_bounds(fld).lower,
         gamma_upper=scaling_quantile_bounds(fld).upper,
-        tolerance=0.05,
     )
-    assert report.consistent
+    assert report["tolerance"] == 0.05
+    assert report["consistent"]
 
 
 def test_truncation_dimensions_rise_toward_the_full_family_value():
@@ -435,25 +414,26 @@ def test_staircase_limit_has_vanishing_slope_in_the_deep_window():
 
 
 def test_report_flags_catch_disagreement():
-    good = DimensionReport(bowen_root=0.63, correlation_slope=0.66, tolerance=0.05)
-    assert good.flags() == {"bowen_root~correlation_slope": True}
-    assert good.consistent
-    bad = DimensionReport(bowen_root=0.63, correlation_slope=0.8, tolerance=0.05)
-    assert not bad.consistent
-    empty = DimensionReport()
-    assert empty.consistent and empty.flags() == {}
+    good = consistency_report(bowen_root=0.63, correlation_slope=0.66)
+    assert good["flags"] == {"bowen_root~correlation_slope": True}
+    assert good["consistent"] is True
+    bad = consistency_report(bowen_root=0.63, correlation_slope=0.8)
+    assert bad["consistent"] is False
+    empty = consistency_report()
+    assert empty["consistent"] is True and empty["flags"] == {}
 
 
 def test_report_rejects_a_crossed_bracket():
     with pytest.raises(ValueError):
-        DimensionReport(gamma_lower=0.8, gamma_upper=0.4)
+        consistency_report(gamma_lower=0.8, gamma_upper=0.4)
 
 
 def test_report_json_shape():
-    report = DimensionReport(
-        bowen_root=0.5, ratio=0.52, gamma_lower=0.45, gamma_upper=0.6
-    )
-    blob = report.json_dict()
+    blob = consistency_report(bowen_root=0.5, ratio=0.52, gamma_lower=0.45, gamma_upper=0.6)
+    assert sorted(blob) == [
+        "bowen_root", "consistent", "correlation_slope", "flags", "gamma_lower", "gamma_upper",
+        "ratio", "tolerance",
+    ]
     assert blob["consistent"] is True
     assert blob["flags"]["bowen_root~ratio"] is True
     assert blob["flags"]["ratio~bracket"] is True
