@@ -256,20 +256,6 @@ class Report:
         return paths
 
 
-def _report(command: str, cfg: RunConfig, seed: Optional[int], **kwargs) -> Report:
-    # out.* keys steer where the report lands, not what it says; keeping them
-    # out of the echoed config makes bodies byte-stable across output dirs
-    analysis = RunConfig({k: v for k, v in cfg.raw.items() if not k.startswith("out.")})
-    return Report(
-        command=command,
-        config_hash=analysis.digest(),
-        config_echo=dict(sorted(analysis.raw.items())),
-        seed=seed,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        **kwargs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # system construction from config
 
@@ -360,10 +346,12 @@ def _gallery_family(cfg: RunConfig, family: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each cmd_* is a plan, which reads, checks and costs the config
+# and solves nothing, and returns its run, which computes the report's
+# results, diagnostics, tables and warnings from the plan's values, not cfg
 
 
-def cmd_bowen(cfg: RunConfig, seed: Optional[int]) -> Report:
+def cmd_bowen(cfg: RunConfig) -> Callable[[], dict]:
     tol = cfg.get_float("bowen.tol", default=1e-10, lo=1e-15, hi=1e-2)
     source = _build_source(cfg)
     if isinstance(source, MapFamily):  # the closed-form root reads no depth
@@ -374,38 +362,39 @@ def cmd_bowen(cfg: RunConfig, seed: Optional[int]) -> Report:
         words = count_admissible(source.incidence, depth)
         _check_budget("bowen.depth", f"depth {depth} makes", words, "words")
         solve = functools.partial(bowen_solve, source, depth=depth, tol=tol)
-    cfg.check_read("bowen")
-    sol = solve()
-    results = {
-        "h": sol.h,
-        "regular": sol.regular,
-        "residual": sol.residual,
-        "bracket_lo": sol.bracket[0],
-        "bracket_hi": sol.bracket[1],
-        "method": sol.method,
-        "depth": sol.depth,
-        "pressure_gap": sol.gap,
-    }
-    warnings = []
-    if not sol.regular:
-        warnings.append(
-            "irregular: the pressure stays negative, the root is the "
-            "infimum of the finite-pressure exponents, not a zero"
+
+    def run():
+        sol = solve()
+        results = {
+            "h": sol.h,
+            "regular": sol.regular,
+            "residual": sol.residual,
+            "bracket_lo": sol.bracket[0],
+            "bracket_hi": sol.bracket[1],
+            "method": sol.method,
+            "depth": sol.depth,
+            "pressure_gap": sol.gap,
+        }
+        warnings = []
+        if not sol.regular:
+            warnings.append(
+                "irregular: the pressure stays negative, the root is the "
+                "infimum of the finite-pressure exponents, not a zero"
+            )
+        table = _table(
+            "h,bracket_lo,bracket_hi,residual,regular,method", "%.17g,%.17g,%.17g,%.17g,%s,%s",
+            *([v] for v in (sol.h, *sol.bracket, sol.residual, sol.regular, sol.method)),
         )
-    table = _table(
-        "h,bracket_lo,bracket_hi,residual,regular,method", "%.17g,%.17g,%.17g,%.17g,%s,%s",
-        *([v] for v in (sol.h, *sol.bracket, sol.residual, sol.regular, sol.method)),
-    )
-    return _report(
-        "bowen", cfg, seed,
-        results=results,
-        diagnostics={
-            "bracket_width": sol.bracket[1] - sol.bracket[0],
-            "iterations": sol.iterations,
-        },
-        tables={"root": table},
-        warnings=warnings,
-    )
+        return {
+            "results": results,
+            "diagnostics": {
+                "bracket_width": sol.bracket[1] - sol.bracket[0],
+                "iterations": sol.iterations,
+            },
+            "tables": {"root": table},
+            "warnings": warnings,
+        }
+    return run
 
 
 def _cf_scan_depth(level: int) -> int:
@@ -415,7 +404,7 @@ def _cf_scan_depth(level: int) -> int:
     return depth
 
 
-def cmd_scan(cfg: RunConfig, seed: Optional[int]) -> Report:
+def cmd_scan(cfg: RunConfig) -> Callable[[], dict]:
     levels = cfg.get_levels("scan.levels", lo=2)  # they set the sizes: no system.size
     tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
     family = cfg.get_str("system.family")
@@ -427,56 +416,56 @@ def cmd_scan(cfg: RunConfig, seed: Optional[int]) -> Report:
     source = MAP_FAMILIES[family]()
     # every truncation is a full shift of one map kind, on one grid; level 2 shows both
     probe = source.truncate(2)
-    depth: Union[int, Callable[[int], int]]
     if probe.is_similitude():  # depth-1 pressures are exact, and ratios may underflow
         _check_levels("scan.levels", source, levels)
-        depth = cfg.get_int("scan.depth", default=1, lo=1, hi=24)
+        depths = [cfg.get_int("scan.depth", default=1, lo=1, hi=24)] * len(levels)
+    elif cfg.has("scan.depth"):
+        depths = [cfg.get_int("scan.depth", lo=1, hi=16)] * len(levels)
     else:
-        depth = cfg.get_int("scan.depth", lo=1, hi=16) if cfg.has("scan.depth") else _cf_scan_depth
-    if isinstance(depth, int):  # level^depth words
-        what = f"level {max(levels)} at depth {depth} makes"
-        _check_budget("scan.depth", what, max(levels) ** depth, "words")
+        depths = [_cf_scan_depth(n) for n in levels]
+    n, d = max(zip(levels, depths), key=lambda nd: nd[0] ** nd[1])  # level^depth words
+    _check_budget("scan.depth", f"level {n} at depth {d} makes", n**d, "words")
     _check_collocation("scan.levels", max(levels), 1, collocation_shape(probe)[1])
-    cfg.check_read("scan")
-    solutions = truncation_scan(source, levels, depth=depth, tol=tol)
-    rows = []
-    for n, sol in zip(levels, solutions):
-        if isinstance(sol, Exception):  # the level failed; the scan moved on
-            d = depth(n) if callable(depth) else depth
-            rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(sol)])
-        else:
-            rows.append([n, sol.h, *sol.bracket, sol.gap, sol.residual, sol.regular, sol.depth, ""])
-    hs = [row[1] for row in rows if not math.isnan(row[1])]
-    limit_h = limit_regular = None  # the whole family's root, where it has a closed form
-    if source.log_mass is not None:
-        limit = analytic_bowen_solve(source)
-        limit_h, limit_regular = limit.h, limit.regular
-    results = {
-        "levels": levels,
-        "monotone": all(a <= b + 1e-15 for a, b in zip(hs, hs[1:])),
-        "first_h": hs[0] if hs else None,
-        "last_h": hs[-1] if hs else None,
-        "limit_h": limit_h,
-        "limit_regular": limit_regular,
-        "final_gap_to_limit": (limit_h - hs[-1]) if (hs and limit_h) else None,
-        "regular": limit_regular if limit_regular is not None else True,
-    }
-    gaps = [row[4] for row in rows if not math.isnan(row[4])]
-    return _report(
-        "scan", cfg, seed,
-        results=results,
-        diagnostics={"worst_pressure_gap": max(gaps, default=None)},
-        tables={"levels": _table(
-            "level,h,bracket_lo,bracket_hi,pressure_gap,residual,regular,depth,note",
-            "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d,%s", *zip(*rows),
-        )},
-    )
+
+    def run():
+        rows = []
+        solutions = truncation_scan(source, levels, depths=depths, tol=tol)
+        for n, d, sol in zip(levels, depths, solutions):
+            if isinstance(sol, Exception):  # the level failed; the scan moved on
+                rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(sol)])
+            else:
+                rows.append([n, sol.h, *sol.bracket, sol.gap, sol.residual, sol.regular, sol.depth, ""])
+        hs = [row[1] for row in rows if not math.isnan(row[1])]
+        limit_h = limit_regular = None  # the whole family's root, where it has a closed form
+        if source.log_mass is not None:
+            limit = analytic_bowen_solve(source)
+            limit_h, limit_regular = limit.h, limit.regular
+        results = {
+            "levels": levels,
+            "monotone": all(a <= b + 1e-15 for a, b in zip(hs, hs[1:])),
+            "first_h": hs[0] if hs else None,
+            "last_h": hs[-1] if hs else None,
+            "limit_h": limit_h,
+            "limit_regular": limit_regular,
+            "final_gap_to_limit": (limit_h - hs[-1]) if (hs and limit_h) else None,
+            "regular": limit_regular if limit_regular is not None else True,
+        }
+        gaps = [row[4] for row in rows if not math.isnan(row[4])]
+        return {
+            "results": results,
+            "diagnostics": {"worst_pressure_gap": max(gaps, default=None)},
+            "tables": {"levels": _table(
+                "level,h,bracket_lo,bracket_hi,pressure_gap,residual,regular,depth,note",
+                "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d,%s", *zip(*rows),
+            )},
+        }
+    return run
 
 
-def cmd_converge(cfg: RunConfig, seed: Optional[int]) -> Report:
+def cmd_converge(cfg: RunConfig) -> Callable[[], dict]:
     family = cfg.get_str("system.family")
     if family.startswith("gallery:"):
-        return _converge_gallery(cfg, family, seed)
+        return _converge_gallery(cfg, family)
 
     source = _build_source(cfg)
     if not isinstance(source, MapFamily):  # the whole family, with a closed-form mass
@@ -491,59 +480,59 @@ def cmd_converge(cfg: RunConfig, seed: Optional[int]) -> Report:
     what = f"level {top} at cylinder depth {deepest} makes"
     _check_budget("converge.levels", what, top**deepest, "cells per table")
     sing_depth = cfg.get_int("converge.singularity_depth", default=200, lo=1, hi=100_000)
-    cfg.check_read("converge")
 
-    limit_sol = analytic_bowen_solve(source)
-    if not limit_sol.regular:
-        return _report(
-            "converge", cfg, seed,
-            results={"regular": False, "limit_h": limit_sol.h},
-            warnings=[
-                "irregular family: the limit pressure never reaches zero, so "
-                "no limit conformal measure exists to compare against"
-            ],
-        )
-    h = limit_sol.h
-    roots = {}
-    for n, sol in zip(levels, truncation_scan(source, levels, depth=1)):
-        if isinstance(sol, Exception):
-            raise sol
-        roots[n] = sol.h
-    h_top = roots[top]
+    def run():
+        limit_sol = analytic_bowen_solve(source)
+        if not limit_sol.regular:
+            return {
+                "results": {"regular": False, "limit_h": limit_sol.h},
+                "warnings": [
+                    "irregular family: the limit pressure never reaches zero, so "
+                    "no limit conformal measure exists to compare against"
+                ],
+            }
+        h = limit_sol.h
+        roots = {}
+        for n, sol in zip(levels, truncation_scan(source, levels, [1] * len(levels))):
+            if isinstance(sol, Exception):
+                raise sol
+            roots[n] = sol.h
+        h_top = roots[top]
 
-    rows = []
-    for n in levels:
-        ratios = np.abs(source.coefficients(n)[:, 0])
-        h_n = roots[n]
-        weights_n = ratios**h_n
-        weights_n /= weights_n.sum()
-        limit_weights = ratios**h
-        row: list = [n, h_n]
-        for d in depths:
-            ours, limit = (functools.reduce(np.kron, [w] * d) for w in (weights_n, limit_weights))
-            row.append(float(np.abs(ours - limit).max()))
-        row.append(max(0.0, 1.0 - truncation_singularity(source, n, top, h_top, sing_depth)))
-        rows.append(row)
+        rows = []
+        for n in levels:
+            ratios = np.abs(source.coefficients(n)[:, 0])
+            h_n = roots[n]
+            weights_n = ratios**h_n
+            weights_n /= weights_n.sum()
+            limit_weights = ratios**h
+            row: list = [n, h_n]
+            for d in depths:
+                ours, limit = (functools.reduce(np.kron, [w] * d) for w in (weights_n, limit_weights))
+                row.append(float(np.abs(ours - limit).max()))
+            row.append(max(0.0, 1.0 - truncation_singularity(source, n, top, h_top, sing_depth)))
+            rows.append(row)
 
-    header = ",".join(["level", "h", *(f"cylinder_discrepancy_depth{d}" for d in depths), "tv_lower_bound"])
-    last = rows[-1]
-    results = {
-        "regular": True,
-        "limit_h": h,
-        "final_level": last[0],
-        "final_discrepancies": {f"depth{d}": last[2 + i] for i, d in enumerate(depths)},
-        "tv_lower_bound_min": min(r[-1] for r in rows),
-        "singularity_depth": sing_depth,
-    }
-    return _report(
-        "converge", cfg, seed,
-        results=results,
-        diagnostics={"reference_level": top, "reference_h": h_top},
-        tables={"levels": _table(header, "%d" + ",%.17g" * (len(depths) + 2), *zip(*rows))},
-    )
+        discrepancies = [f"cylinder_discrepancy_depth{d}" for d in depths]
+        header = ",".join(["level", "h", *discrepancies, "tv_lower_bound"])
+        last = rows[-1]
+        results = {
+            "regular": True,
+            "limit_h": h,
+            "final_level": last[0],
+            "final_discrepancies": {f"depth{d}": last[2 + i] for i, d in enumerate(depths)},
+            "tv_lower_bound_min": min(r[-1] for r in rows),
+            "singularity_depth": sing_depth,
+        }
+        return {
+            "results": results,
+            "diagnostics": {"reference_level": top, "reference_h": h_top},
+            "tables": {"levels": _table(header, "%d" + ",%.17g" * (len(depths) + 2), *zip(*rows))},
+        }
+    return run
 
 
-def _converge_gallery(cfg: RunConfig, family: str, seed: Optional[int]) -> Report:
+def _converge_gallery(cfg: RunConfig, family: str) -> Callable[[], dict]:
     fam = _gallery_family(cfg, family)
     if fam.limit is None:
         raise ConfigError(
@@ -552,33 +541,35 @@ def _converge_gallery(cfg: RunConfig, family: str, seed: Optional[int]) -> Repor
         )
     levels = cfg.get_levels("converge.levels", default="2:10", lo=1)
     _check_members("converge.levels", fam, max(levels))
-    cfg.check_read("converge")
-    rows, cells = [], [(i / 8.0, (i + 1) / 8.0) for i in range(8)]
-    for n in levels:
-        nu = fam.at(n)
-        tv = tv_distance(nu, fam.limit)
-        weak = w1_distance(nu, fam.limit)
-        sets = [("points", nu.atoms[:, 0])] if nu.atoms.size else cells
-        setwise = setwise_discrepancy(nu, fam.limit, sets)
-        rows.append([n, tv, weak, setwise])
-    results = {
-        "regular": True,
-        "family": fam.name,
-        "note": fam.note,
-        "final_tv": rows[-1][1],
-        "final_weak": rows[-1][2],
-        "final_setwise": rows[-1][3],
-    }
-    return _report(
-        "converge", cfg, seed,
-        results=results,
-        tables={"levels": _table("level,tv,weak,setwise", "%d,%.17g,%.17g,%.17g", *zip(*rows))},
-    )
+
+    def run():
+        rows, cells = [], [(i / 8.0, (i + 1) / 8.0) for i in range(8)]
+        for n in levels:
+            nu = fam.at(n)
+            tv = tv_distance(nu, fam.limit)
+            weak = w1_distance(nu, fam.limit)
+            sets = [("points", nu.atoms[:, 0])] if nu.atoms.size else cells
+            setwise = setwise_discrepancy(nu, fam.limit, sets)
+            rows.append([n, tv, weak, setwise])
+        results = {
+            "regular": True,
+            "family": fam.name,
+            "note": fam.note,
+            "final_tv": rows[-1][1],
+            "final_weak": rows[-1][2],
+            "final_setwise": rows[-1][3],
+        }
+        return {
+            "results": results,
+            "tables": {"levels": _table("level,tv,weak,setwise", "%d,%.17g,%.17g,%.17g", *zip(*rows))},
+        }
+    return run
 
 
-def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
-    if seed is None:
+def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
+    if not cfg.has("sample.seed"):
         raise ConfigError("sample.seed: required whenever sampling is requested")
+    seed = cfg.get_int("sample.seed", lo=0)
     count = cfg.get_int("sample.count", default=10_000, lo=100, hi=10_000_000)
     r_min = cfg.get_float("dimension.r_min", default=1e-4, lo=0.0)
     r_max = cfg.get_float("dimension.r_max", default=0.25)
@@ -642,76 +633,76 @@ def cmd_dimension(cfg: RunConfig, seed: Optional[int]) -> Report:
     if want_flatness:  # the detector's grid per radius: 0, the edges, 1, r/2 and the edges +- r
         what = f"{label} makes"
         _check_budget("dimension.flatness", what, 3 * edges + 3, "flatness breakpoints per radius")
-    cfg.check_read("dimension")
 
-    bowen_root: Optional[float] = None
-    ratio: Optional[float] = None
-    warnings: list[str] = []
-    measure: Union[LineMeasure, CylinderMeasure]
-    if family.startswith("gallery:"):
-        measure = fam.limit if index is None else fam.at(index)
-    else:
-        sol = bowen_solve(source, depth=word_depth)
-        bowen_root = sol.h
-        measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
-        # the ratio is read off the eigenpair of the root itself
-        try:
-            require_primitive(source.incidence)
-            ratio = gibbs_state(sol.state).ratio
-        except (ReducibilityError, ConvergenceFailure, DegenerateSystemError) as err:
-            warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
+    def run():
+        bowen_root: Optional[float] = None
+        ratio: Optional[float] = None
+        warnings: list[str] = []
+        measure: Union[LineMeasure, CylinderMeasure]
+        if family.startswith("gallery:"):
+            measure = fam.limit if index is None else fam.at(index)
+        else:
+            sol = bowen_solve(source, depth=word_depth)
+            bowen_root = sol.h
+            measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
+            # the ratio is read off the eigenpair of the root itself
+            try:
+                require_primitive(source.incidence)
+                ratio = gibbs_state(sol.state).ratio
+            except (ReducibilityError, ConvergenceFailure, DegenerateSystemError) as err:
+                warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
 
-    cloud = sample(measure, count, seed=seed)
-    curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
-    if curve.degenerate:
-        warnings.append("sample cloud is a single point; slope pinned to zero")
+        cloud = sample(measure, count, seed=seed)
+        curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
+        if curve.degenerate:
+            warnings.append("sample cloud is a single point; slope pinned to zero")
 
-    fld = density_field(measure, cloud[:density_points], d_rmin, d_rmax)
-    crit = young_criterion(fld)
-    bounds = scaling_quantile_bounds(fld)
+        fld = density_field(measure, cloud[:density_points], d_rmin, d_rmax)
+        crit = young_criterion(fld)
+        bounds = scaling_quantile_bounds(fld)
 
-    tables = {
-        "correlation": _table("r,correlation", "%.17g,%.17g", curve.radii, curve.values),
-        "density": _table(
-            "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d", fld.points, fld.lower, fld.upper, fld.inside
-        ),
-    }
-    flatness = None
-    if want_flatness:
-        flat = flatness_detector(measure, ladder)
-        tables["flatness"] = _table(
-            "r,bound,exponent", "%.17g,%.17g,%.17g", flat.radii, flat.bounds, flat.exponents
-        )
-        flatness = {
-            "fired": flat.fired,
-            "final_exponent": float(flat.exponents[int(np.argmin(flat.radii))]),
+        tables = {
+            "correlation": _table("r,correlation", "%.17g,%.17g", curve.radii, curve.values),
+            "density": _table(
+                "x,lower,upper,inside", "%.17g,%.17g,%.17g,%d", fld.points, fld.lower, fld.upper, fld.inside
+            ),
         }
+        flatness = None
+        if want_flatness:
+            flat = flatness_detector(measure, ladder)
+            tables["flatness"] = _table(
+                "r,bound,exponent", "%.17g,%.17g,%.17g", flat.radii, flat.bounds, flat.exponents
+            )
+            flatness = {
+                "fired": flat.fired,
+                "final_exponent": float(flat.exponents[int(np.argmin(flat.radii))]),
+            }
 
-    results = {
-        "measure": label,
-        "report": consistency_report(bowen_root, ratio, curve.slope, bounds.lower, bounds.upper),
-        "young_exponent": crit.c,
-        "young_fraction": crit.fraction,
-        "slope": curve.slope,
-        "slope_stderr": curve.slope_stderr,
-        "degenerate_cloud": curve.degenerate,
-        "flatness": flatness,
-        "regular": True,
-    }
-    return _report(
-        "dimension", cfg, seed,
-        results=results,
-        diagnostics={
-            "sample_count": count,
-            "density_points_used": int(fld.inside.sum()),
-            "fit_window": list(curve.fit_window),
-        },
-        tables=tables,
-        warnings=warnings,
-    )
+        results = {
+            "measure": label,
+            "report": consistency_report(bowen_root, ratio, curve.slope, bounds.lower, bounds.upper),
+            "young_exponent": crit.c,
+            "young_fraction": crit.fraction,
+            "slope": curve.slope,
+            "slope_stderr": curve.slope_stderr,
+            "degenerate_cloud": curve.degenerate,
+            "flatness": flatness,
+            "regular": True,
+        }
+        return {
+            "results": results,
+            "diagnostics": {
+                "sample_count": count,
+                "density_points_used": int(fld.inside.sum()),
+                "fit_window": list(curve.fit_window),
+            },
+            "tables": tables,
+            "warnings": warnings,
+        }
+    return run
 
 
-def cmd_gibbs(cfg: RunConfig, seed: Optional[int]) -> Report:
+def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
     source = _finite_system(cfg, _build_source(cfg), "gibbs")
     depth = cfg.get_int(
         "gibbs.depth", default=1 if source.is_similitude() else 2, lo=1, hi=12
@@ -728,47 +719,48 @@ def cmd_gibbs(cfg: RunConfig, seed: Optional[int]) -> Report:
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
     entries = masses_entries(source.incidence, depth, *collocation_shape(source))
     _check_budget("gibbs.depth", f"depth {depth} makes", entries, "masses-recursion entries")
-    cfg.check_read("gibbs")
-    require_primitive(source.incidence)
-    collocation = collocate(source)
-    root_diagnostics = {}
-    if raw_exp == "bowen":  # the root call of bowen_solve, from 1, without the word bracket
-        pair, evals = collocation.root()
-        root_diagnostics["root_evaluations"] = evals
-    else:
-        pair = collocation.eigenpair(exponent)
-    state = gibbs_state(pair)
-    masses = cylinder_masses(collocation, pair, source.incidence, depth)
-    count = len(masses.words)
-    results = {
-        "exponent": pair.s,
-        "eigenvalue": pair.eigenvalue,
-        "log_eigenvalue": math.log(pair.eigenvalue),
-        "entropy": state.entropy,
-        "lyapunov": state.lyapunov,
-        "ratio": state.ratio,
-        "dimension_interpretation": abs(pair.eigenvalue - 1.0) < 1e-6,
-        "states": count,
-        "regular": True,
-    }
-    # words hold only digits and dots, so no cell needs quoting
-    table = _table(
-        "word,eigenmeasure,invariant",
-        ".".join(["%d"] * depth) + ",%.17g,%.17g",
-        *masses.words.T, masses.eigenmeasure, masses.invariant,
-    )
-    return _report(
-        "gibbs", cfg, seed,
-        results=results,
-        diagnostics={
-            "residual": pair.residual,
-            "density_residual": pair.density_residual,
-            "iterations": pair.passes,
-            "shift_invariance_defect": masses.shift_invariance_defect(),
-            **root_diagnostics,
-        },
-        tables={"masses": table},
-    )
+
+    def run():
+        require_primitive(source.incidence)
+        collocation = collocate(source)
+        root_diagnostics = {}
+        if raw_exp == "bowen":  # the root call of bowen_solve, from 1, without the word bracket
+            pair, evals = collocation.root()
+            root_diagnostics["root_evaluations"] = evals
+        else:
+            pair = collocation.eigenpair(exponent)
+        state = gibbs_state(pair)
+        masses = cylinder_masses(collocation, pair, source.incidence, depth)
+        count = len(masses.words)
+        results = {
+            "exponent": pair.s,
+            "eigenvalue": pair.eigenvalue,
+            "log_eigenvalue": math.log(pair.eigenvalue),
+            "entropy": state.entropy,
+            "lyapunov": state.lyapunov,
+            "ratio": state.ratio,
+            "dimension_interpretation": abs(pair.eigenvalue - 1.0) < 1e-6,
+            "states": count,
+            "regular": True,
+        }
+        # words hold only digits and dots, so no cell needs quoting
+        table = _table(
+            "word,eigenmeasure,invariant",
+            ".".join(["%d"] * depth) + ",%.17g,%.17g",
+            *masses.words.T, masses.eigenmeasure, masses.invariant,
+        )
+        return {
+            "results": results,
+            "diagnostics": {
+                "residual": pair.residual,
+                "density_residual": pair.density_residual,
+                "iterations": pair.passes,
+                "shift_invariance_defect": masses.shift_invariance_defect(),
+                **root_diagnostics,
+            },
+            "tables": {"masses": table},
+        }
+    return run
 
 
 COMMANDS = {
@@ -853,7 +845,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError(f"out.dir: {blocked[0]} is not a directory")
         fmt = cfg.get_str("out.format", default="csv", choices=("csv", "json"))
         seed = cfg.get_int("sample.seed", lo=0) if cfg.has("sample.seed") else None
-        report = COMMANDS[args.command](cfg, seed)
+        run = COMMANDS[args.command](cfg)
+        cfg.check_read(args.command)
+        body = run()
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -867,6 +861,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILED
 
+    # out.* keys steer where the report lands, not what it says; keeping them
+    # out of the echoed config makes bodies byte-stable across output dirs
+    analysis = RunConfig({k: v for k, v in cfg.raw.items() if not k.startswith("out.")})
+    report = Report(
+        args.command, analysis.digest(), dict(sorted(analysis.raw.items())), seed,
+        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"), **body,
+    )
     try:
         paths = report.write(out_dir, fmt)
     except OSError as err:

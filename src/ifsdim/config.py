@@ -61,8 +61,8 @@ class RunConfig:
 
     def check_read(self, command: str) -> None:
         """Reject the first key, in sorted order, under ``system.`` or the
-        command's own section that no getter has read: a plan calls this
-        once it has read everything its run will."""
+        command's own section that no getter has read: ``cli.main`` calls
+        this between a command's plan and its run."""
         for key in sorted(self.raw):
             if key.startswith(("system.", command + ".")) and key not in self._read:
                 family = self.raw.get("system.family")

@@ -569,13 +569,12 @@ def analytic_bowen_solve(family: MapFamily, tol: float = 1e-12) -> BowenSolution
 def truncation_scan(
     family: MapFamily,
     levels: Iterable[int],
-    depth: Union[int, Callable[[int], int]],
+    depths: Iterable[int],
     tol: float = 1e-10,
 ) -> list[BowenSolution | Exception]:
-    """``bowen_solve`` on ``family.truncate(n)`` at each level n, in order:
-    the solution, or the exception the level raised, and the scan moves on.
-    A callable ``depth`` receives the level, so wide alphabets can trade
-    refinement depth for branching factor.
+    """``bowen_solve`` on ``family.truncate(n)`` at each level n, in order,
+    at the word depth ``depths`` gives that level: the solution, or the
+    exception the level raised, and the scan moves on.
 
     Every level is a full shift on the widest level's first maps, so the
     widest level is collocated once and each level solves on that
@@ -587,8 +586,7 @@ def truncation_scan(
         raise ValueError("truncation levels must be >= 2")
     shared = collocate(family.truncate(max(levels)))
     solutions: list[BowenSolution | Exception] = []
-    for n in levels:
-        d = depth(n) if callable(depth) else depth
+    for n, d in zip(levels, depths, strict=True):
         try:
             solutions.append(bowen_solve(family.truncate(n), d, tol, collocation=shared.truncate(n)))
         except (ConvergenceFailure, ValueError) as err:

@@ -66,7 +66,7 @@ def test_c2_family_limit_and_monotone_ladder():
     limit = analytic_bowen_solve(family)
     assert limit.regular
     assert limit.h == pytest.approx(GOLDEN_LIMIT, abs=1e-8)
-    roots = [sol.h for sol in truncation_scan(family, range(2, 13), depth=1)]
+    roots = [sol.h for sol in truncation_scan(family, range(2, 13), [1] * 11)]
     assert all(a <= b for a, b in zip(roots, roots[1:]))
     assert all(h <= limit.h for h in roots)
     assert limit.h - roots[-1] < 1e-2

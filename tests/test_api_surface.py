@@ -6,7 +6,8 @@ outside its own definition.  A name that only tests call is surface with no
 user, and goes.  So does a module-level UPPER_CASE constant that nothing
 under ``src/`` reads, and a dataclass field that nothing there reads as an
 attribute outside its own class's ``__post_init__``.  README's list of
-config keys names exactly the keys the code reads.
+config keys names exactly the keys the code reads.  Only ``cli.main``
+checks that a plan read every key, and no run holds the config.
 """
 
 import ast
@@ -14,6 +15,9 @@ import re
 from pathlib import Path
 
 import pytest
+
+from ifsdim.cli import COMMANDS
+from ifsdim.config import RunConfig, parse_config
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -170,3 +174,46 @@ def test_readme_lists_exactly_the_config_keys_the_code_reads():
         for key in m[2].split("/")
     }
     assert sorted(read - listed) == [] and sorted(listed - read) == []
+
+
+def test_only_main_checks_that_the_plan_read_every_key():
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        # ast.walk goes breadth first, so a nested function renames the owner
+        # its enclosing function gave the nodes inside it
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        sites += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "check_read"
+        ]
+    assert sites == [("cli.py", "main")]
+
+
+# one plan per distinct run: bowen, scan, converge on a map family and on a
+# gallery family, dimension and gibbs
+PLANS = [
+    ("bowen", "system.family = cantor\nsystem.ratios = 0.3,0.3"),
+    ("scan", "system.family = golden\nscan.levels = 2:4"),
+    ("converge", "system.family = golden"),
+    ("converge", "system.family = gallery:leaking-block"),
+    ("dimension", "system.family = cantor\nsystem.ratios = 0.3,0.3\nsample.seed = 1"),
+    ("gibbs", "system.family = cantor\nsystem.ratios = 0.3,0.3"),
+]
+
+
+def test_no_run_holds_the_config():
+    # a function nested in a run that read cfg would make it a free
+    # variable of the run too
+    free = {}
+    for command, text in PLANS:
+        run = COMMANDS[command](RunConfig(parse_config(text)))
+        free[run.__qualname__] = run.__code__.co_freevars
+    assert len(free) == len(PLANS)
+    assert [name for name, names in free.items() if "cfg" in names] == []

@@ -121,7 +121,7 @@ def test_touching_cantor_has_dimension_one():
 
 def test_golden_truncation_scan_matches_oracle():
     levels = range(2, 13)
-    scan = truncation_scan(golden_family(), levels, depth=1, tol=1e-12)
+    scan = truncation_scan(golden_family(), levels, [1] * len(levels), tol=1e-12)
     for n, sol in zip(levels, scan):
         assert sol.regular and sol.depth == 1
         assert sol.gap == pytest.approx(0.0, abs=1e-13)
@@ -140,7 +140,7 @@ def test_scan_rows_are_the_roots_of_their_own_levels(monkeypatch, family):
     real = ifsdim.pressure.collocate
     monkeypatch.setattr(ifsdim.pressure, "collocate", lambda s: calls.append(s) or real(s))
     levels = [4, 2, 6]
-    scan = truncation_scan(family, levels, depth=3)
+    scan = truncation_scan(family, levels, [3, 3, 3])
     assert len(calls) == 1  # each level's maps are the widest one's first
     monkeypatch.undo()
     for n, row in zip(levels, scan):
@@ -159,7 +159,7 @@ def test_analytic_golden_root():
 
 def test_truncation_roots_converge_to_analytic_limit():
     limit = analytic_bowen_solve(golden_family()).h
-    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], depth=1, tol=1e-12)
+    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], [1] * 5, tol=1e-12)
     errs = [limit - sol.h for sol in scan]
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
@@ -231,7 +231,7 @@ def test_truncation_scan_records_failures_and_continues(monkeypatch):
         return real(system, *args, **kwargs)
 
     monkeypatch.setattr(ifsdim.pressure, "bowen_solve", solve)
-    first, failed, last = truncation_scan(golden_family(), [2, 3, 4], depth=1, tol=1e-10)
+    first, failed, last = truncation_scan(golden_family(), [2, 3, 4], [1, 1, 1], tol=1e-10)
     assert failed is broken
     for n, sol in ((2, first), (4, last)):  # the levels around the failure still solve
         assert sol.regular and sol.h == real(golden_family().truncate(n), depth=1).h
@@ -239,14 +239,14 @@ def test_truncation_scan_records_failures_and_continues(monkeypatch):
 
 def test_truncation_scan_rejects_levels_below_two():
     with pytest.raises(ValueError):
-        truncation_scan(golden_family(), [1, 2], depth=1)
+        truncation_scan(golden_family(), [1, 2], [1, 1])
 
 
 def test_borderline_truncations_solve_below_an_irregular_limit():
     limit = analytic_bowen_solve(borderline_family(), tol=1e-8)
     assert limit.h == pytest.approx(0.5, abs=1e-6)
     assert limit.regular is False
-    roots = truncation_scan(borderline_family(), [2, 3], depth=1, tol=1e-8)
+    roots = truncation_scan(borderline_family(), [2, 3], [1, 1], tol=1e-8)
     assert all(sol.regular and sol.h < limit.h for sol in roots)  # every finite stage still solves
 
 
