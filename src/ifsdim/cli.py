@@ -36,7 +36,6 @@ from .measures import (
     CylinderMeasure,
     LineMeasure,
     MeasureFamily,
-    conformal_cylinder_measure,
     gallery,
     sample,
     setwise_discrepancy,
@@ -93,12 +92,12 @@ EXIT_IRREGULAR = 4
 
 # the most entries one array of a command may hold: the words of a geometry
 # level, the collocation arrays of the root (bowen, scan, dimension, gibbs),
-# the largest array of the gibbs masses recursion, a converge cylinder
-# table's level^depth cells, a gallery member's atoms plus pieces (array
-# rows of 16 and 24 bytes) and the flatness detector's breakpoints per
-# radius.  4096^2 = 4^12 keeps every two-map depth that
-# bowen.depth accepts, gibbs.depth 12 for up to three continued-fraction
-# digits and 10 for four, and the default word depth 12 for up to four maps.
+# the largest array of the masses recursion (gibbs, dimension), a converge
+# cylinder table's level^depth cells, a gallery member's atoms plus pieces
+# (array rows of 16 and 24 bytes) and the flatness detector's breakpoints
+# per radius.  4096^2 = 4^12 keeps every two-map depth that bowen.depth
+# accepts, gibbs.depth and dimension.depth 12 for up to three maps and 10
+# for four, and the default word depth 12 for up to four maps.
 ENTRY_BUDGET = 4096**2
 
 
@@ -623,8 +622,8 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
         words = count_admissible(source.incidence, word_depth)
         what = f"the word solve at depth {word_depth} makes"
         _check_budget(_size_key(cfg), what, words, "words")
-        words = count_admissible(source.incidence, cyl_depth)
-        _check_budget("dimension.depth", f"depth {cyl_depth} makes", words, "words")
+        entries = masses_entries(source.incidence, cyl_depth, *collocation_shape(source))
+        _check_budget("dimension.depth", f"depth {cyl_depth} makes", entries, "masses-recursion entries")
         label = f"{source.label}[conformal]"
         detectable = False  # conformal cylinder masses are not piecewise constant
     want_flatness = cfg.get_bool("dimension.flatness", default=detectable)
@@ -642,9 +641,12 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
         if family.startswith("gallery:"):
             measure = fam.limit if index is None else fam.at(index)
         else:
-            sol = bowen_solve(source, depth=word_depth)
+            # the root and its masses, the gibbs eigenmeasure, share one collocation
+            collocation = collocate(source)
+            sol = bowen_solve(source, depth=word_depth, collocation=collocation)
             bowen_root = sol.h
-            measure = conformal_cylinder_measure(source, bowen_root, depth=cyl_depth)
+            masses = cylinder_masses(collocation, sol.state, source.incidence, cyl_depth)
+            measure = CylinderMeasure(source, cyl_depth, masses.eigenmeasure)
             # the ratio is read off the eigenpair of the root itself
             try:
                 require_primitive(source.incidence)

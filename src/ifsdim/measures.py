@@ -1,4 +1,4 @@
-"""Measures on the line, conformal cylinder measures, and convergence gauges.
+"""Measures on the line, cylinder measures, and convergence gauges.
 
 Two concrete measure representations cover everything the package needs:
 
@@ -14,7 +14,9 @@ Two concrete measure representations cover everything the package needs:
 * ``CylinderMeasure`` — masses on the cylinder algebra of a finite system,
                         stored per depth with exact additivity (each word's
                         mass is the sum of its extensions' masses by
-                        construction).
+                        construction).  Its deepest level is given: for
+                        the h-conformal measure, the eigenmeasure column of
+                        ``transfer.cylinder_masses`` at the Bowen root.
 
 Three convergence gauges with strictly decreasing strength:
 
@@ -55,7 +57,6 @@ __all__ = [
     "CylinderMeasure",
     "MeasureFamily",
     "GALLERY_NAMES",
-    "conformal_cylinder_measure",
     "mass_distribution_sequence",
     "truncation_singularity",
     "tv_distance",
@@ -282,25 +283,35 @@ def setwise_discrepancy(m1: LineMeasure, m2: LineMeasure, sets: Iterable[tuple])
 # cylinder measures
 
 
-@dataclass(frozen=True, eq=False)
 class CylinderMeasure:
     """Masses on the admissible words of depth 1..depth, lexicographic order.
 
-    ``masses[d-1]`` holds the depth-d cylinder masses.  Each level is the
-    exact child-sum of the level below it (the deepest level is assigned
-    first and parents are reduced from it), so additivity holds to float
+    Built from ``system``, ``depth`` and the depth-``depth`` masses
+    ``deepest`` of total one, in the word order of
+    ``transfer.cylinder_masses``.  ``masses[d-1]`` holds the depth-d
+    cylinder masses: each shallower level is the exact child-sum of the
+    level below it, reduced from ``deepest``, so additivity holds to float
     addition error rather than to a normalization tolerance.
 
-    ``child_starts[d-1][i]`` is the index in level d+1 of the first
-    extension of word i; extensions of a word are contiguous and in symbol
-    order because the levels are lexicographic.
+    ``last_symbols[d-1]`` holds the last symbol of each depth-d word, and
+    ``child_starts[d-1][i]`` the index in level d+1 of the first extension
+    of word i; extensions of a word are contiguous and in symbol order
+    because the levels are lexicographic.  A symbol with no admissible
+    successor raises ``ValueError``: its words could not be extended.
     """
 
-    system: SystemSpec
-    depth: int
-    masses: tuple[np.ndarray, ...]
-    last_symbols: tuple[np.ndarray, ...]
-    child_starts: tuple[np.ndarray, ...]
+    def __init__(self, system: SystemSpec, depth: int, deepest: np.ndarray) -> None:
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        last, starts, counts = _extension_tables(system, depth)
+        if (counts == 0).any():
+            raise ValueError("system has a dead-end symbol; cylinder masses cannot be extended")
+        levels = [deepest]
+        for d in range(depth - 1, 0, -1):
+            levels.append(np.add.reduceat(levels[-1], starts[d - 1][:-1]))
+        self.system, self.depth = system, depth
+        self.masses = tuple(reversed(levels))
+        self.last_symbols, self.child_starts = tuple(last), tuple(starts)
 
     def level(self, d: int) -> np.ndarray:
         if not 1 <= d <= self.depth:
@@ -337,39 +348,6 @@ def _extension_tables(system: SystemSpec, depth: int):
         starts.append(np.concatenate(([0], np.cumsum(counts[prev]))))
         last.append(np.nonzero(allowed[prev])[1])
     return last, starts, counts
-
-
-def conformal_cylinder_measure(system: SystemSpec, h: float, depth: int) -> CylinderMeasure:
-    """Cylinder masses proportional to (certified derivative sup)^h.
-
-    The deepest level is normalized to total mass one and every shallower
-    level is the exact sum of its extensions.  For similitude full shifts
-    with h the Bowen root this reproduces the conformal masses exactly; for
-    distortion-bounded full shifts each mass carries a relative error of at
-    most (distortion bound)^h - 1.  Under an incidence matrix the conformal
-    mass of w also carries the mass of the words that may follow its last
-    symbol, which these masses omit.
-    """
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"exponent must lie in [0, 1], got {h}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    last, starts, counts = _extension_tables(system, depth)
-    if (counts == 0).any():
-        raise ValueError("system has a dead-end symbol; cylinder masses cannot be extended")
-    deepest = np.exp(h * level_geometry(system, depth).log_sup)
-    deepest /= deepest.sum()
-    levels = [deepest]
-    for d in range(depth - 1, 0, -1):
-        levels.append(np.add.reduceat(levels[-1], starts[d - 1][:-1]))
-    levels.reverse()
-    return CylinderMeasure(
-        system=system,
-        depth=depth,
-        masses=tuple(levels),
-        last_symbols=tuple(last),
-        child_starts=tuple(starts),
-    )
 
 
 def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeasure:

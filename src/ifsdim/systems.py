@@ -12,11 +12,11 @@ are supported:
 A system holds its branches as one (m, 4) array of coefficient rows
 (a, b, c, d), row e acting as x -> (a x + b)/(c x + d) with |derivative|
 |ad - bc| / (c x + d)^2, and two int arrays of domain and image vertices.
-Everything downstream that works on words (the pressure bracket, conformal
-measures) consumes the certified per-word derivative bounds produced here.  A word's
-composite is again such a map, so its |derivative| is monotone on the word's
-domain and its sup and inf are the two endpoint values, evaluated exactly by
-the chain rule.  Their logs are padded outward by ``|log g| + 4 * depth``
+Everything downstream that works on words (the pressure bracket, the
+similitude mass stages) consumes the certified per-word derivative bounds
+produced here.  A word's composite is again such a map, so its |derivative|
+is monotone on the word's domain and its sup and inf are the two endpoint
+values, evaluated exactly by the chain rule.  Their logs are padded outward by ``|log g| + 4 * depth``
 units of roundoff, except on similitude systems, whose derivatives are
 constant products of ratios.
 """

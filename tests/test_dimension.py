@@ -18,7 +18,6 @@ from ifsdim.dimension import (
 )
 from ifsdim.measures import (
     LineMeasure,
-    conformal_cylinder_measure,
     gallery,
     mass_distribution_sequence,
     sample,
@@ -28,6 +27,7 @@ from ifsdim.systems import cantor_system, golden_family
 from ifsdim.transfer import gibbs_state
 
 import reference
+from reference import conformal_measure
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 LEBESGUE = LineMeasure.uniform(0.0, 1.0)
@@ -54,7 +54,7 @@ def test_uniform_cloud_slope_is_one():
 
 def test_cantor_conformal_cloud_slope_matches_the_dimension():
     system = cantor_system((1 / 3, 1 / 3))
-    measure = conformal_cylinder_measure(system, TERNARY_H, depth=12)
+    measure = conformal_measure(system, TERNARY_H, depth=12)
     cloud = sample(measure, 10_000, seed=202)
     curve = correlation_curve(
         cloud, 3.0**-11, 3.0**-2, count=30, fit_window=(3.0**-10, 3.0**-3)
@@ -125,8 +125,8 @@ def test_correlation_counts_are_exact_off_the_grid(base, noise, r_lo, spread, co
 
 def test_samples_and_counts_do_not_depend_on_call_history():
     # different sizes and measures, interleaved, against their first calls
-    cantor2 = conformal_cylinder_measure(cantor_system((0.3, 0.25)), 0.6, 6)
-    cantor3 = conformal_cylinder_measure(cantor_system((0.2, 0.15, 0.3)), 0.7, 3)
+    cantor2 = conformal_measure(cantor_system((0.3, 0.25)), 0.6, 6)
+    cantor3 = conformal_measure(cantor_system((0.2, 0.15, 0.3)), 0.7, 3)
     calls = [
         (cantor2, 3000, 1), (LEBESGUE, 700, 2), (cantor3, 5, 3), (cantor2, 40, 4), (cantor3, 1200, 5)
     ]
@@ -198,7 +198,7 @@ def test_density_field_invariants():
     assert fld.points.size == 41
 
 
-ORDER_MEASURE = conformal_cylinder_measure(cantor_system((0.3, 0.4)), 0.6, depth=6)
+ORDER_MEASURE = conformal_measure(cantor_system((0.3, 0.4)), 0.6, depth=6)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -218,7 +218,7 @@ def test_cylinder_density_rows_do_not_depend_on_query_order(seed):
 
 def test_cantor_conformal_density_concentrates_at_the_dimension():
     system = cantor_system((1 / 3, 1 / 3))
-    measure = conformal_cylinder_measure(system, TERNARY_H, depth=13)
+    measure = conformal_measure(system, TERNARY_H, depth=13)
     pts = sample(measure, 300, seed=7)
     fld = density_field(measure, pts, 3.0**-12, 3.0**-4)
     crit = young_criterion(fld)
@@ -360,7 +360,7 @@ def test_flatness_bounds_match_the_per_cut_reference(name):
 def test_estimates_agree_on_a_regular_similitude_conformal_measure():
     system = cantor_system((1 / 3, 1 / 3))
     h = bowen_solve(system, depth=1).h
-    measure = conformal_cylinder_measure(system, h, depth=12)
+    measure = conformal_measure(system, h, depth=12)
     cloud = sample(measure, 10_000, seed=202)
     curve = correlation_curve(
         cloud, 3.0**-11, 3.0**-2, count=30, fit_window=(3.0**-10, 3.0**-3)

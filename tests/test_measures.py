@@ -12,7 +12,6 @@ from ifsdim.measures import (
     _level,
     CylinderMeasure,
     LineMeasure,
-    conformal_cylinder_measure,
     gallery,
     mass_distribution_sequence,
     sample,
@@ -26,7 +25,7 @@ from ifsdim.symbolic import IncidenceMatrix, Word
 from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
 
 import reference
-from reference import enumerate_admissible
+from reference import conformal_measure, enumerate_admissible
 
 TERNARY_DIM = math.log(2.0) / math.log(3.0)
 
@@ -124,7 +123,7 @@ def test_setwise_discrepancy_interval_and_point_sets():
 
 def test_setwise_discrepancy_refuses_sets_it_cannot_measure():
     leb = LineMeasure.uniform(0.0, 1.0)
-    cm = conformal_cylinder_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 2)
+    cm = conformal_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 2)
     with pytest.raises(TypeError):
         setwise_discrepancy(cm, leb, [(0.0, 0.5)])
     # a cylinder word is no test set, though it has two integer entries
@@ -383,7 +382,7 @@ def assert_additive(cm, tol=1e-12):
 
 def test_ternary_depth_two_masses_are_exactly_quarter():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    cm = conformal_cylinder_measure(sys_, TERNARY_DIM, 2)
+    cm = conformal_measure(sys_, TERNARY_DIM, 2)
     assert cm.level(2).tolist() == [0.25, 0.25, 0.25, 0.25]
     assert cm.level(1).tolist() == [0.5, 0.5]
     assert_additive(cm)
@@ -392,7 +391,7 @@ def test_ternary_depth_two_masses_are_exactly_quarter():
 def test_golden_two_map_masses_match_root_powers():
     sys_ = golden_family().truncate(2)
     h2 = bowen_solve(sys_, depth=1, tol=1e-12).h
-    cm = conformal_cylinder_measure(sys_, h2, 3)
+    cm = conformal_measure(sys_, h2, 3)
     assert cm.mass_of(Word.of(0)) == pytest.approx(0.25**h2, abs=1e-12)
     assert cm.mass_of(Word.of(1)) == pytest.approx(0.125**h2, abs=1e-12)
     assert cm.level(1).sum() == pytest.approx(1.0, abs=1e-12)
@@ -404,7 +403,7 @@ def test_cylinder_additivity_is_machine_exact():
         (continued_fraction_family().truncate(3), 5),
     ):
         h = bowen_solve(sys_, depth=6, tol=1e-8).h
-        cm = conformal_cylinder_measure(sys_, h, depth)
+        cm = conformal_measure(sys_, h, depth)
         assert_additive(cm, tol=1e-12)
         for d in range(1, depth):
             kids = np.add.reduceat(cm.level(d + 1), cm.child_starts[d - 1][:-1])
@@ -413,22 +412,18 @@ def test_cylinder_additivity_is_machine_exact():
 
 def test_cylinder_measure_argument_guards():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    with pytest.raises(ValueError):
-        conformal_cylinder_measure(sys_, 1.5, 2)
-    with pytest.raises(ValueError):
-        conformal_cylinder_measure(sys_, -0.1, 2)
-    with pytest.raises(ValueError):
-        conformal_cylinder_measure(sys_, 0.5, 0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        CylinderMeasure(sys_, 0, np.ones(1))
     dead_end = IncidenceMatrix(((0, 1), (0, 0)))
     dead = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
-    with pytest.raises(ValueError):
-        conformal_cylinder_measure(dead, 0.5, 2)
+    with pytest.raises(ValueError, match="dead-end symbol"):
+        CylinderMeasure(dead, 2, np.ones(1))
 
 
 def test_mass_of_checks_admissibility_and_depth():
     fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
     fib = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), fibonacci, label="fibonacci")
-    cm = conformal_cylinder_measure(fib, 0.5, 3)
+    cm = conformal_measure(fib, 0.5, 3)
     assert_additive(cm)
     with pytest.raises(ValueError):
         cm.mass_of(Word.of(1, 1))
@@ -451,7 +446,7 @@ def test_limit_measure_dominates_truncation_masses():
     n = 4
     sys_ = fam.truncate(n)
     hn = bowen_solve(sys_, depth=1, tol=1e-12).h
-    cm = conformal_cylinder_measure(sys_, hn, 4)
+    cm = conformal_measure(sys_, hn, 4)
     for depth in range(1, 5):
         for word, mass in zip(enumerate_admissible(sys_.incidence, depth), cm.level(depth)):
             log_ratio = sum(math.log(fam.row(i + 1)[0]) for i in word.symbols)
@@ -529,7 +524,7 @@ def test_sampling_point_mass_and_empty_cloud():
     assert cloud.tolist() == [0.0] * 5
     empty = sample(LineMeasure.uniform(0.0, 1.0), 0, seed=1)
     assert len(empty) == 0
-    cylinders = conformal_cylinder_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 3)
+    cylinders = conformal_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 3)
     assert len(sample(cylinders, 0, seed=1)) == 0
     with pytest.raises(ValueError):
         sample(LineMeasure.uniform(0.0, 1.0), -1, seed=1)
@@ -568,7 +563,7 @@ def _distance_to_middle_thirds(v: float, levels: int = 35) -> float:
 
 def test_cantor_samples_live_on_the_cantor_set():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    cm = conformal_cylinder_measure(sys_, TERNARY_DIM, 2)
+    cm = conformal_measure(sys_, TERNARY_DIM, 2)
     cloud = sample(cm, 2_000, seed=5)
     assert float(cloud.min()) >= 0.0 and float(cloud.max()) <= 1.0
     worst = max(_distance_to_middle_thirds(float(v)) for v in cloud)
@@ -577,7 +572,7 @@ def test_cantor_samples_live_on_the_cantor_set():
 
 def test_cylinder_sampling_frequencies_match_masses():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    cm = conformal_cylinder_measure(sys_, TERNARY_DIM, 2)
+    cm = conformal_measure(sys_, TERNARY_DIM, 2)
     n = 100_000
     cloud = sample(cm, n, seed=2024)
     edges = [(0.0, 1 / 9), (2 / 9, 1 / 3), (2 / 3, 7 / 9), (8 / 9, 1.0)]
@@ -590,7 +585,7 @@ def test_cylinder_sampling_frequencies_match_masses():
 def test_moebius_cylinder_sampling_stays_in_bounds():
     sys_ = continued_fraction_family().truncate(2)
     h = bowen_solve(sys_, depth=10, tol=1e-8).h
-    cm = conformal_cylinder_measure(sys_, h, 3)
+    cm = conformal_measure(sys_, h, 3)
     cloud = sample(cm, 1_000, seed=9)
     # digits {1, 2} keep the limit set inside [sqrt(3)-1)/2, sqrt(3)-1]
     lo = (math.sqrt(3.0) - 1.0) / 2.0
@@ -682,7 +677,7 @@ def test_depth_one_sampler_keeps_to_the_incidence_matrix():
     # the image [0.65, 0.74]; a full-shift extension law put 21 % there
     fib = SAMPLER_SYSTEMS["fibonacci-2"]
     h = bowen_solve(fib, depth=1).h
-    points = sample(conformal_cylinder_measure(fib, h, 1), 20_000, seed=5)
+    points = sample(conformal_measure(fib, h, 1), 20_000, seed=5)
     assert not np.any((points >= 0.65) & (points <= 0.74))
     # the admissible cylinder [1, 0] = [0.5, 0.62] keeps its share
     assert np.mean((points >= 0.5) & (points <= 0.62)) > 0.1
@@ -707,7 +702,7 @@ def sampler_systems(draw):
 def test_cylinder_sampler_matches_the_per_sample_reference_bit_for_bit(
     system, depth, h, count, seed
 ):
-    measure = conformal_cylinder_measure(system, h, depth)
+    measure = conformal_measure(system, h, depth)
     got = sample(measure, count, seed)
     assert got.tobytes() == _per_sample_reference(measure, count, seed).tobytes()
 
@@ -756,7 +751,7 @@ class _FixedDraws:
 def test_tail_digits_are_admissible_successors(name, h, depth):
     # u = 0 and u on every level-2 boundary of every symbol's block and one
     # float to either side: each draw is a child, so never a forbidden step
-    measure = conformal_cylinder_measure(SAMPLER_SYSTEMS[name], h, depth)
+    measure = conformal_measure(SAMPLER_SYSTEMS[name], h, depth)
     masses, cs, last = _level_two(measure)
     level = cum, _, lo, width = _level(masses, cs)
     m = len(cs) - 1
