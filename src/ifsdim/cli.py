@@ -298,8 +298,15 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
             incidence = IncidenceMatrix(tuple(rows))
         except ValueError as err:  # the rows are not square
             raise ConfigError(f"system.incidence: {err}") from None
+        # v <- (A v > 0) from all ones shrinks, within one step per symbol,
+        # to the symbols that begin an infinite word
+        alive = np.ones(incidence.size, dtype=bool)
+        for _ in range(incidence.size):
+            alive = (incidence.allowed & alive).any(axis=1)
+        if not alive.any():
+            raise ConfigError("system.incidence: has no cycle, so it admits no infinite word")
     try:
-        system = SystemSpec(((0.0, 1.0),), coefficients, incidence, label="custom")
+        system = SystemSpec(coefficients, incidence, label="custom")
         # overlapping images make every pressure root meaningless as a dimension
         ensure_separation(system)
     except InvalidSystem as err:

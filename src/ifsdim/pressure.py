@@ -249,11 +249,10 @@ def _power_iterate(
 
 @functools.lru_cache(maxsize=None)
 def _chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev points t_k of the second kind on [0, 1], ascending, as the
-    rows (1 - t, t), so that an interval (lo, hi) times them gives its own
-    points; and their barycentric weights (-1)^k, halved at the two ends.
-    A single point, the midpoint, when ``nodes == 1``.  Read-only: every
-    call shares them."""
+    """Chebyshev points t_k of the second kind on [0, 1], ascending, and
+    their barycentric weights (-1)^k, halved at the two ends.  A single
+    point, the midpoint, when ``nodes == 1``.  Read-only: every call shares
+    them."""
     if nodes == 1:
         t, weights = np.array([0.5]), np.array([1.0])
     else:
@@ -261,24 +260,22 @@ def _chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         t = 0.5 - 0.5 * np.cos(np.pi * k / (nodes - 1))
         weights = np.where(k % 2, -1.0, 1.0)
         weights[[0, -1]] *= 0.5
-    ends = np.array((1.0 - t, t))
-    ends.setflags(write=False)
+    t.setflags(write=False)
     weights.setflags(write=False)
-    return ends, weights
+    return t, weights
 
 
 def _grids(system: SystemSpec) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Symbols share a collocation grid when the same symbols may precede
-    them (equal incidence columns) and they land in one vertex space.
-    Returns the symbols sorted by grid, grid h holding the symbols
-    ``bounds[h]:bounds[h + 1]`` of that order, then ``bounds``, and whether
-    the incidence is the full shift."""
-    allowed, land = system.incidence.allowed, system.image_vertex
+    them (equal incidence columns).  Returns the symbols sorted by grid,
+    grid h holding the symbols ``bounds[h]:bounds[h + 1]`` of that order,
+    then ``bounds``, and whether the incidence is the full shift."""
+    allowed, m = system.incidence.allowed, system.alphabet_size
     if allowed.strides == (0, 0) and allowed[0, 0] or allowed.all():
         # the full shift needs no sort: one broadcast entry or all ones, so
-        # every column is the same, and every map lands where all start
-        return np.arange(land.size), (0, land.size), True
-    keys = np.vstack((np.packbits(allowed, axis=0), land))  # column j: its bits, its vertex
+        # every column is the same
+        return np.arange(m), (0, m), True
+    keys = np.packbits(allowed, axis=0)  # column j: its bits
     order = np.lexsort(keys)
     ranked = keys[:, order]
     starts = np.flatnonzero(np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0))))
@@ -320,9 +317,8 @@ class Collocation:
     """L_s f(x) = sum_q |s_q'(x)|^s f(s_q(x)) collocated at Chebyshev nodes.
 
     The unknowns are the values of one function per grid at that grid's
-    nodes, grid by grid.  A grid lies on the vertex space its symbols land
-    in, so branch e takes the nodes x_k of its domain into its own
-    symbol's grid, and it feeds every grid whose symbols may follow it:
+    nodes x_k in [0, 1], grid by grid.  Branch e takes the nodes into its
+    own symbol's grid, and it feeds every grid whose symbols may follow it:
 
         (L_s f)_g(x_k) = sum_{e feeds g} |s_e'(x_k)|^s f_{grid(e)}(s_e(x_k)),
 
@@ -351,10 +347,14 @@ class Collocation:
         full shift P is first shifted by the identity, so that the leading
         eigenvalue stays alone on top even where the incidence is periodic.
         L and D share one (2, n, n) array, as do P and P^T.  A non-finite
-        ``s`` raises ``ValueError``."""
+        ``s`` raises ``ValueError``, an ``s`` whose weights |s_e'(x_k)|^s
+        overflow ``ConvergenceFailure``."""
         if not math.isfinite(s):
             raise ValueError(f"exponent must be finite, got {s!r}")
-        both = np.exp(s * self.factors[:, 1:]) * self.factors  # [k, L or D, 1, e]
+        with np.errstate(over="ignore"):
+            both = np.exp(s * self.factors[:, 1:]) * self.factors  # [k, L or D, 1, e]
+        if not np.isfinite(both).all():
+            raise ConvergenceFailure(f"exponent s = {s!r} overflows the collocation weights |s_e'|^s")
         nodes, grids = self.factors.shape[0], len(self.bounds) - 1
         n = grids * nodes
         matrices = np.empty((2, grids, nodes, grids, nodes))  # L and D: [g, k, h, l]
@@ -432,19 +432,18 @@ def collocate(system: SystemSpec) -> Collocation:
     """The collocation of L_s on ``system``: COLLOCATION_NODES Chebyshev
     nodes per grid, or one node when every branch is affine, since the
     eigenfunction is then constant on each grid.  Symbols share a grid when
-    the same symbols may precede them and they land in one vertex space
-    (see ``_grids``), so the full shift has one grid."""
+    the same symbols may precede them (see ``_grids``), so the full shift
+    has one grid."""
     order, bounds, full = _grids(system)
-    ends, weights = _chebyshev(1 if system.is_similitude() else COLLOCATION_NODES)
-    points = np.asarray(system.vertex_spaces) @ ends  # each vertex space's nodes
+    t, weights = _chebyshev(1 if system.is_similitude() else COLLOCATION_NODES)
     a, b, c, d = system.coefficients[order].T
-    x = points[system.domain_vertex[order]].T  # [k, e]: the nodes of each branch's domain
-    den = c * x + d
-    factors = np.ones((x.shape[0], 2, 1, x.shape[1]))
+    x = t[:, None]  # [k, 1]: every branch's domain is [0, 1]
+    den = c * x + d  # [k, e]
+    factors = np.ones((den.shape[0], 2, 1, den.shape[1]))
     np.log(np.abs(a * d - b * c) / (den * den), out=factors[:, 1, 0])
     # barycentric weights, formed in place in the (k, e, l) array of
     # differences between the images and the nodes
-    interpolation = ((a * x + b) / den)[:, :, None] - points[system.image_vertex[order]]
+    interpolation = ((a * x + b) / den)[:, :, None] - t
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(weights, interpolation, out=interpolation)
         total = interpolation.sum(axis=2)

@@ -1,24 +1,24 @@
-"""Contracting map systems on real intervals.
+"""Contracting map systems on [0, 1].
 
-A system is a finite collection of injective contractions between vertex
-intervals, together with an incidence matrix saying which map may follow
-which; a plain IFS has the all-ones matrix, the full shift.  Two map kinds
-are supported:
+A system is a finite collection of injective contractions of [0, 1] into
+itself, together with an incidence matrix saying which map may follow
+which; a plain IFS has the all-ones matrix, the full shift, and a
+graph-directed system (CGDMS) here is [0, 1] with a nontrivial incidence.
+Two map kinds are supported:
 
 * ``similitude``: x -> a*x + b with 0 < |a| < 1,
-* ``moebius-1d``: x -> 1/(q+x) on [0, 1] with integer q >= 1
+* ``moebius-1d``: x -> 1/(q+x) with integer q >= 1
   (|derivative| = 1/(q+x)^2, the continued-fraction branches).
 
 A system holds its branches as one (m, 4) array of coefficient rows
 (a, b, c, d), row e acting as x -> (a x + b)/(c x + d) with |derivative|
-|ad - bc| / (c x + d)^2, and two int arrays of domain and image vertices.
-Everything downstream that works on words (the pressure bracket, the
-similitude mass stages) consumes the certified per-word derivative bounds
-produced here.  A word's composite is again such a map, so its |derivative|
-is monotone on the word's domain and its sup and inf are the two endpoint
-values, evaluated exactly by the chain rule.  Their logs are padded outward by ``|log g| + 4 * depth``
-units of roundoff, except on similitude systems, whose derivatives are
-constant products of ratios.
+|ad - bc| / (c x + d)^2.  Everything downstream that works on words (the
+pressure bracket, the similitude mass stages) consumes the certified
+per-word derivative bounds produced here.  A word's composite is again such
+a map, so its |derivative| is monotone on [0, 1] and its sup and inf are
+the values at 0 and 1, evaluated exactly by the chain rule.  Their logs are
+padded outward by ``|log g| + 4 * depth`` units of roundoff, except on
+similitude systems, whose derivatives are constant products of ratios.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -63,24 +63,17 @@ class SeparationError(InvalidSystem):
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """A validated map system.
+    """A validated map system on [0, 1].
 
     ``coefficients`` is a read-only (m, 4) float array whose row e holds the
     (a, b, c, d) of map e: (a, b, 0, 1) with 0 < |a| < 1 for a similitude,
-    (0, 1, 1, q) with integer q >= 1 for a moebius-1d branch, which needs
-    the vertex space [0, 1].  ``domain_vertex``/``image_vertex`` are
-    read-only int arrays of the vertex spaces each map goes between; one int
-    stands for every map.  ``incidence`` may let map e' follow map e only
-    where e' lands in the vertex space e starts from; the full shift (all
-    ones) therefore needs every map on one vertex space.  Systems compare by
+    (0, 1, 1, q) with integer q >= 1 for a moebius-1d branch.
+    ``incidence`` says which map may follow which.  Systems compare by
     their entries and hash by their shapes, so a hash reads no entries.
     """
 
-    vertex_spaces: tuple[tuple[float, float], ...]
     coefficients: np.ndarray
     incidence: IncidenceMatrix
-    domain_vertex: Union[np.ndarray, int] = 0
-    image_vertex: Union[np.ndarray, int] = 0
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -91,66 +84,36 @@ class SystemSpec:
         m = len(coefficients)
         if m < 2:
             raise InvalidSystem("a system needs at least two maps")
-        if not self.vertex_spaces:
-            raise InvalidSystem("at least one vertex space is required")
-        for lo, hi in self.vertex_spaces:
-            if not (lo < hi):
-                raise InvalidSystem(f"degenerate vertex space [{lo}, {hi}]")
         object.__setattr__(self, "coefficients", coefficients)
-        for name in ("domain_vertex", "image_vertex"):  # broadcast_to views are read-only
-            vertices = np.array(getattr(self, name), dtype=np.intp)
-            object.__setattr__(self, name, np.broadcast_to(vertices, (m,)))
 
-        nv = len(self.vertex_spaces)
-        start, land = self.domain_vertex, self.image_vertex
         a, b, c, d = coefficients.T
         similitude, moebius = (c == 0.0) & (d == 1.0), (a == 0.0) & (b == 1.0) & (c == 1.0)
         ratio_ok, q_ok = (0.0 < abs(a)) & (abs(a) < 1.0), (d >= 1.0) & (d == np.floor(d))
-        in_range = (np.minimum(start, land) >= 0) & (np.maximum(start, land) < nv)
-        # clipped indices: the range check runs first and names any it moved
-        lo, hi = np.asarray(self.vertex_spaces).take(start, axis=0, mode="clip").T
-        on_unit = (lo == 0.0) & (hi == 1.0)
         for bad, message in (
             (~np.isfinite(coefficients).all(axis=1), "coefficients must be finite, got ({a}, {b}, {c}, {d})"),
             (~(similitude | moebius), "unknown map kind, coefficients ({a}, {b}, {c}, {d})"),
             (similitude & ~ratio_ok, "similitude ratio must satisfy 0 < |a| < 1, got {a}"),
             (moebius & ~q_ok, "moebius parameter must be an integer >= 1, got {d:g}"),
-            (~in_range, "vertex index out of range"),
-            (moebius & ~on_unit, "moebius maps are defined on the vertex space [0, 1]"),
         ):
             if bad.any():  # name the first offending map
                 e = int(np.argmax(bad))
                 raise InvalidSystem(f"map {e}: " + message.format(a=a[e], b=b[e], c=c[e], d=d[e]))
         if self.incidence.size != m:
             raise InvalidSystem("incidence size must match the number of maps")
-        if nv > 1:  # on one vertex space every map may follow every map
-            clash = self.incidence.allowed & (start[:, None] != land)
-            if clash.any():
-                e, e2 = np.argwhere(clash)[0]
-                raise InvalidSystem(
-                    f"incidence allows {e}->{e2} but map {e2} lands in vertex "
-                    f"{land[e2]}, map {e} starts from {start[e]}"
-                )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SystemSpec):
             return NotImplemented
-        arrays = ("coefficients", "domain_vertex", "image_vertex")
-        return (self.vertex_spaces, self.incidence, self.label) == (
-            other.vertex_spaces, other.incidence, other.label
-        ) and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays)
+        return (self.incidence, self.label) == (other.incidence, other.label) and np.array_equal(
+            self.coefficients, other.coefficients
+        )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_spaces, self.coefficients.shape, self.label))
+        return hash((self.coefficients.shape, self.label))
 
     @property
     def alphabet_size(self) -> int:
         return len(self.coefficients)
-
-    @property
-    def domains(self) -> np.ndarray:
-        """(m, 2): each map's domain, the vertex space it starts from."""
-        return np.asarray(self.vertex_spaces)[self.domain_vertex]
 
     def is_similitude(self) -> bool:
         return not self.coefficients[:, 2].any()
@@ -183,9 +146,9 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     """Exact images and certified derivative bounds for all depth-n words.
 
     One prepend pass, in lexicographic order, carries each word's images of
-    the two endpoints of its last symbol's domain and, by the chain rule,
-    |s_w'| there.  The composite s_w has a matrix M_w, so
-    |s_w'(x)| = |det M_w| / (c_w x + d_w)^2 is monotone on that domain and
+    the endpoints 0 and 1 and, by the chain rule, |s_w'| there.  The
+    composite s_w has a matrix M_w, so
+    |s_w'(x)| = |det M_w| / (c_w x + d_w)^2 is monotone on [0, 1] and
     the endpoint values are its sup and inf.  The running products have
     positive factors and cannot cancel.
     """
@@ -201,8 +164,8 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
         den = c * x + d
         return (a * x + b) / den, det / den**2
 
-    # per word: images y and |s_w'| g at the two domain endpoints
-    y, g = (v.reshape(-1, 2) for v in prepend(system.domains[:, None]))
+    # per word: images y and |s_w'| g at the endpoints 0 and 1
+    y, g = (v.reshape(-1, 2) for v in prepend(np.array((0.0, 1.0))))
     first = np.arange(system.alphabet_size)
     full = depth > 1 and allowed.all()
     for _ in range(depth - 1):
@@ -237,25 +200,20 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
 
 def ensure_separation(system: SystemSpec) -> None:
     """Raise SeparationError, naming the first offending map or pair, unless
-    every depth-1 image stays in its vertex space and the images within each
-    image vertex space have pairwise disjoint interiors."""
+    every depth-1 image stays in [0, 1] and the images have pairwise
+    disjoint interiors."""
     a, b, c, d = system.coefficients.T
-    y0, y1 = ((a * x + b) / (c * x + d) for x in system.domains.T)
+    y0, y1 = ((a * x + b) / (c * x + d) for x in (0.0, 1.0))
     lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
-    vlo, vhi = np.asarray(system.vertex_spaces)[system.image_vertex].T
-    out = (lo < vlo - 1e-12) | (hi > vhi + 1e-12)
+    out = (lo < -1e-12) | (hi > 1.0 + 1e-12)
     if out.any():
         e = int(np.argmax(out))
-        raise SeparationError(
-            f"map {e} image [{lo[e]}, {hi[e]}] leaves its vertex space [{vlo[e]}, {vhi[e]}]"
-        )
-    # the images of each image vertex space sorted by (lo, hi), ties in map order
-    land = system.image_vertex
-    order = np.lexsort((hi, lo, land))
+        raise SeparationError(f"map {e} image [{lo[e]}, {hi[e]}] leaves [0, 1]")
+    order = np.lexsort((hi, lo))  # the images sorted by (lo, hi), ties in map order
     e1, e2 = order[:-1], order[1:]
-    bad = np.flatnonzero((land[e1] == land[e2]) & (lo[e2] < hi[e1] - 1e-12))
-    if bad.size:  # the first overlap in the space the earliest map lands in
-        k = bad[np.argmin((land == land[e1[bad], None]).argmax(axis=1))]
+    bad = np.flatnonzero(lo[e2] < hi[e1] - 1e-12)
+    if bad.size:
+        k = bad[0]
         raise SeparationError(
             f"images of maps {e1[k]} and {e2[k]} overlap ({lo[e2[k]]} < {hi[e1[k]]})"
         )
@@ -297,9 +255,7 @@ class MapFamily:
     def truncate(self, n: int) -> SystemSpec:
         if n < 2:
             raise ValueError(f"truncation level must be >= 2, got {n}")
-        return SystemSpec(
-            ((0.0, 1.0),), self.coefficients(n), IncidenceMatrix.full(n), label=f"{self.name}[:{n}]"
-        )
+        return SystemSpec(self.coefficients(n), IncidenceMatrix.full(n), label=f"{self.name}[:{n}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,4 +343,4 @@ def cantor_system(ratios: Sequence[float]) -> SystemSpec:
     a = np.array(ratios)
     offsets = np.concatenate(([0.0], np.cumsum(a + gap)[:-1]))
     coefficients = np.column_stack((a, offsets, np.zeros_like(a), np.ones_like(a)))
-    return SystemSpec(((0.0, 1.0),), coefficients, IncidenceMatrix.full(len(a)), label="cantor")
+    return SystemSpec(coefficients, IncidenceMatrix.full(len(a)), label="cantor")

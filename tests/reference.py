@@ -52,7 +52,7 @@ def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
     """Exact image interval of one word (maps composed innermost-first), one
     word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
     _check_word(system, word)
-    lo, hi = system.domains[word.symbols[-1]]
+    lo, hi = 0.0, 1.0
     for s in reversed(word.symbols):
         a, b, c, d = system.coefficients[s]
         y0, y1 = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
@@ -104,8 +104,7 @@ def cylinder_operator_root(system: SystemSpec, depth: int, tol: float = 1e-10) -
 
     A state is a word j.  Each step moves the mass of state i to the states
     j = (e,) + i[:-1], weighted by exp(t m_j), m_j the midpoint of
-    log|s_(j_0)'| over the exact image of j[1:] (over the domain of j_0 at
-    depth 1).  The leading eigenvalue comes from power iteration of that
+    log|s_(j_0)'| over the exact image of j[1:] (over [0, 1] at depth 1).  The leading eigenvalue comes from power iteration of that
     step, applied with ``np.bincount``.  The operator's root converges to
     the Bowen root as the depth grows.
     """
@@ -114,7 +113,7 @@ def cylinder_operator_root(system: SystemSpec, depth: int, tol: float = 1e-10) -
     mid = np.empty(len(words))
     rows, cols = [], []
     for j, w in enumerate(words):
-        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else system.domains[w[0]]
+        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else (0.0, 1.0)
         a, b, c, d = system.coefficients[w[0]]
         mid[j] = 0.5 * sum(math.log(abs(a * d - b * c) / (c * x + d) ** 2) for x in (lo, hi))
         for e in range(system.alphabet_size):
@@ -157,9 +156,8 @@ def quadrature_masses(
     on the grid of the first symbol; each column normalised to total one.
     The reference for ``transfer.cylinder_masses``."""
     nodes, grids = collocation.factors.shape[0], len(collocation.bounds) - 1
-    ends, weights = _chebyshev(nodes)
+    points, weights = _chebyshev(nodes)  # every grid's nodes
     symbols = collocation.order[list(collocation.bounds[:-1])]  # one symbol per grid
-    points = (np.asarray(system.vertex_spaces) @ ends)[system.image_vertex[symbols]]
     grid = np.searchsorted(collocation.bounds, np.argsort(collocation.order), side="right") - 1
     left = pair.left.reshape(grids, nodes)
     right = pair.right.reshape(grids, nodes)
@@ -170,18 +168,17 @@ def quadrature_masses(
         for g in range(grids):
             if not system.incidence.allowed[w[-1], symbols[g]]:
                 continue
-            x, derivative = points[g], np.ones(nodes)
+            x, derivative = points, np.ones(nodes)
             for e in reversed(w):
                 a, b, c, d = system.coefficients[e]
                 derivative *= abs(a * d - b * c) / (c * x + d) ** 2
                 x = (a * x + b) / (c * x + d)
             values = left[g] * derivative**pair.s
-            node = points[grid[w[0]]]
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = weights / (x[:, None] - node)
+                terms = weights / (x[:, None] - points)
                 rho = terms @ right[grid[w[0]]] / terms.sum(axis=1)
             hit = ~np.isfinite(terms).all(axis=1)
-            rho[hit] = right[grid[w[0]]][np.argmin(np.abs(x[hit, None] - node), axis=1)]
+            rho[hit] = right[grid[w[0]]][np.argmin(np.abs(x[hit, None] - points), axis=1)]
             conformal += values.sum()
             invariant += values @ rho
         masses.append((conformal, invariant))

@@ -5,9 +5,12 @@ another module of the package, or be loaded by name in its own module
 outside its own definition.  A name that only tests call is surface with no
 user, and goes.  So does a module-level UPPER_CASE constant that nothing
 under ``src/`` reads, and a dataclass field that nothing there reads as an
-attribute outside its own class's ``__post_init__``.  README's list of
-config keys names exactly the keys the code reads.  Only ``cli.main``
-checks that a plan read every key, and no run holds the config.
+attribute outside its own class's ``__post_init__``.  A default that no
+call under ``src/`` overrides is an option with no user: every defaulted
+parameter of a public function, and every defaulted init field of a public
+dataclass, is passed by some call there.  README's list of config keys
+names exactly the keys the code reads.  Only ``cli.main`` checks that a
+plan read every key, and no run holds the config.
 """
 
 import ast
@@ -152,6 +155,87 @@ def test_every_dataclass_field_is_read(module):
     read = _reads()[1]
     fields = _dataclass_fields(ast.parse(module.read_text()))
     assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+# defaults that only the tests override
+UNPASSED = {
+    "main.argv": "the console script calls main() on sys.argv; tests pass their own",
+    "bowen_solve.max_iter": "tests lower it to make a solve raise ConvergenceFailure",
+}
+
+
+def _defaulted_parameters(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
+    """Per public function or dataclass of ``__all__``, its defaulted
+    parameters or init fields, each with its positional index (None when
+    keyword-only)."""
+    public = set(_exports(tree))
+    defaulted = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted[node.name] = [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
+                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+        elif isinstance(node, ast.ClassDef) and node.name in public and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            fields = []
+            for item in node.body:
+                if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                    continue
+                value, options = item.value, {}
+                if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+                    options = {k.arg: ast.unparse(k.value) for k in value.keywords}
+                if options.get("init") == "False":
+                    continue
+                has_default = value is not None and (
+                    not options or "default" in options or "default_factory" in options
+                )
+                fields.append((item.target.id, has_default))
+            defaulted[node.name] = [(name, i) for i, (name, has) in enumerate(fields) if has]
+    return defaulted
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _passed_parameters(defaulted: dict) -> set[str]:
+    """``function.parameter`` for each defaulted parameter that a call under
+    src/ passes by position, by keyword, through ``**`` or ``*`` unpacking,
+    or through ``functools.partial``.  Callees match by name alone."""
+    passed = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            unpacked = any(isinstance(a, ast.Starred) for a in args) or any(
+                k.arg is None for k in node.keywords
+            )
+            keywords = {k.arg for k in node.keywords}
+            for parameter, index in defaulted.get(name, ()):
+                if unpacked or parameter in keywords or (index is not None and index < len(args)):
+                    passed.add(f"{name}.{parameter}")
+    return passed
+
+
+def test_every_default_is_passed_by_some_call():
+    defaulted = {}
+    for module in SOURCES:
+        defaulted.update(_defaulted_parameters(ast.parse(module.read_text())))
+    every = {f"{name}.{p}" for name, params in defaulted.items() for p, _ in params}
+    unpassed = every - _passed_parameters(defaulted)
+    assert sorted(set(UNPASSED) - unpassed) == []  # every allowance is still needed
+    assert sorted(unpassed - set(UNPASSED)) == []
 
 
 def test_readme_lists_exactly_the_config_keys_the_code_reads():

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,24 +133,25 @@ def test_bowen_moebius_incidence_root_matches_the_deep_operator(tmp_path):
 
 
 def test_bowen_without_infinite_words_exits_3_quietly(tmp_path, capsys):
-    # no map may follow any map: the depth-1 words exist, their limit set not
+    # no map may follow any map: the depth-1 words exist, their limit set
+    # not, and the plan refuses the incidence before any word is built
     code, report = run(
         tmp_path, "bowen", CUSTOM_PAIR + "system.incidence = 00;00\nbowen.depth = 1\n"
     )
-    assert code == 3 and report is None
+    assert code == 2 and report is None
     err = capsys.readouterr().err
-    assert "admits no infinite word" in err and "Warning" not in err
+    assert "system.incidence" in err and "admits no infinite word" in err and "Warning" not in err
 
 
 def test_bowen_without_deep_words_exits_3_as_a_run_failure(tmp_path, capsys):
     # 1 may follow 0 and nothing may follow 1: no admissible word is longer
-    # than two symbols, which only the depth-12 level finds out
+    # than two symbols, which the plan finds out without the depth-12 level
     code, report = run(
         tmp_path, "bowen", CUSTOM_PAIR + "system.incidence = 01;00\nbowen.depth = 12\n"
     )
-    assert code == 3 and report is None
+    assert code == 2 and report is None
     err = capsys.readouterr().err
-    assert "no admissible words at depth 12" in err and "config error" not in err
+    assert "system.incidence" in err and "admits no infinite word" in err
 
 
 def test_bowen_borderline_is_irregular_exit_4(tmp_path):
@@ -1405,6 +1407,20 @@ def test_gibbs_non_finite_exponent_exit_2(tmp_path, exponent):
     )
     assert code == 2 and report is None
     assert [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")] == []
+
+
+def test_gibbs_overflowing_exponent_exits_3_naming_the_exponent(tmp_path, capsys):
+    # |s_e'|^s at s = -1000 passes the float range on CF{1, 2}: the run
+    # fails naming the exponent, not the incidence, and numpy warns nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run(
+            tmp_path, "gibbs", "system.family = continued-fraction\nsystem.size = 2\ngibbs.exponent = -1000\n"
+        )
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert "exponent s = -1000.0 overflows" in err and "incidence" not in err
+    assert "Warning" not in err and [str(w.message) for w in caught] == []
 
 
 # ---------------------------------------------------------------------------

@@ -415,14 +415,14 @@ def test_cylinder_measure_argument_guards():
     with pytest.raises(ValueError, match="depth must be >= 1"):
         CylinderMeasure(sys_, 0, np.ones(1))
     dead_end = IncidenceMatrix(((0, 1), (0, 0)))
-    dead = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
+    dead = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
     with pytest.raises(ValueError, match="dead-end symbol"):
         CylinderMeasure(dead, 2, np.ones(1))
 
 
 def test_mass_of_checks_admissibility_and_depth():
     fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
-    fib = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), fibonacci, label="fibonacci")
+    fib = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), fibonacci, label="fibonacci")
     cm = conformal_measure(fib, 0.5, 3)
     assert_additive(cm)
     with pytest.raises(ValueError):
@@ -655,17 +655,14 @@ SAMPLER_SYSTEMS = {
     "cf3": continued_fraction_family().truncate(3),
     # Fibonacci incidences: words of 2 and 3 symbols with 1-3 children each
     "fibonacci-2": SystemSpec(
-        ((0.0, 1.0),),
         _similitudes((0.4, 0.0), (0.3, 0.5)),
         IncidenceMatrix(((1, 1), (1, 0))),
     ),
     "fibonacci-3": SystemSpec(
-        ((0.0, 1.0),),
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
         IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
     ),
     "mixed": SystemSpec(
-        ((0.0, 1.0),),
         [(0.0, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 3)] + _similitudes((0.2, 0.0), (-0.3, 0.9)),
         IncidenceMatrix.full(4),
     ),

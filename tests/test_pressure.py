@@ -16,6 +16,7 @@ from ifsdim.pressure import (
     collocation_shape,
     truncation_scan,
     _find_root,
+    _grids,
 )
 from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
@@ -65,7 +66,7 @@ def test_partition_sum_brackets_continued_fractions():
 
 def test_partition_sum_rejects_empty_word_set():
     dead_end = IncidenceMatrix(((0, 1), (0, 0)))
-    sys_ = SystemSpec(((0.0, 1.0),), _similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
+    sys_ = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
     with pytest.raises(ValueError):
         pressure(sys_, 0.5, 3)
 
@@ -280,17 +281,15 @@ def _similitudes(*pairs):
 def _moebius(digits, incidence=None):
     """The continued-fraction branches x -> 1/(q + x) for q in ``digits``."""
     rows = [(0.0, 1.0, 1.0, q) for q in digits]
-    return SystemSpec(((0.0, 1.0),), rows, incidence or IncidenceMatrix.full(len(rows)))
+    return SystemSpec(rows, incidence or IncidenceMatrix.full(len(rows)))
 
 
 FIBONACCI = {
     "fibonacci-2": SystemSpec(
-        ((0.0, 1.0),),
         _similitudes((0.4, 0.0), (0.3, 0.5)),
         IncidenceMatrix(((1, 1), (1, 0))),
     ),
     "fibonacci-3": SystemSpec(
-        ((0.0, 1.0),),
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
         IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
     ),
@@ -328,7 +327,7 @@ def _axis_reduction_geometry(system, depth):
         den = c * x + d
         return (a * x + b) / den, abs(a * d - b * c) / den**2
 
-    y, g = np.array([at(e, system.domains[e]) for e in first]).transpose(1, 0, 2)
+    y, g = np.array([at(e, np.array((0.0, 1.0))) for e in first]).transpose(1, 0, 2)
     for _ in range(depth - 1):
         parts = []
         for e in range(system.alphabet_size):
@@ -438,7 +437,6 @@ def test_graph_directed_similitude_root_is_log_phi_over_log_three():
     # x/3 and x/3 + 2/3 where the second map never follows itself: the
     # depth-n words number F(n + 2), so the root is log(phi) / log 3
     fibonacci = SystemSpec(
-        ((0.0, 1.0),),
         _similitudes((1 / 3, 0.0), (1 / 3, 2 / 3)),
         IncidenceMatrix(((1, 1), (1, 0))),
     )
@@ -454,7 +452,6 @@ def test_graph_directed_similitude_root_is_log_phi_over_log_three():
 def test_periodic_incidence_root_is_the_alternating_pair():
     # 0 and 1 alternate: two points, dimension 0 whatever the ratios
     alternating = SystemSpec(
-        ((0.0, 1.0),),
         _similitudes((0.2, 0.0), (0.4, 0.5)),
         IncidenceMatrix(((0, 1), (1, 0))),
     )
@@ -468,6 +465,27 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
     assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
     assert collocate(explicit).full_shift and collocate(broadcast).full_shift
     assert bowen_solve(explicit).h == bowen_solve(broadcast).h
+
+
+@pytest.mark.parametrize(
+    "system, grids, full, shape",
+    [
+        (continued_fraction_family().truncate(3), [[0, 1, 2]], True, (1, 32)),
+        # columns 1 and 2 are all ones, column 0 is not
+        (_moebius((1, 2, 3), IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))), [[0], [1, 2]], False, (2, 32)),
+        (FIBONACCI["fibonacci-2"], [[0], [1]], False, (2, 1)),
+        (_moebius((1, 2, 3), IncidenceMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))), [[0], [1], [2]], False, (3, 32)),
+    ],
+    ids=["full-shift", "011;111;111", "fibonacci", "011;101;110"],
+)
+def test_symbols_share_a_grid_exactly_when_their_incidence_columns_agree(system, grids, full, shape):
+    order, bounds, full_shift = _grids(system)
+    assert sorted(order.tolist()) == list(range(system.alphabet_size))
+    assert sorted(sorted(order[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])) == grids
+    assert full_shift is full
+    assert collocation_shape(system) == shape
+    collocation = collocate(system)
+    assert collocation.bounds == bounds and collocation.factors.shape == (shape[1], 2, 1, system.alphabet_size)
 
 
 @pytest.mark.parametrize("digits,depth", [(3, 10), (4, 8)])

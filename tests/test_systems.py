@@ -79,7 +79,6 @@ def test_truncate_bounds():
 def test_at_least_two_maps():
     with pytest.raises(InvalidSystem, match="a system needs at least two maps"):
         SystemSpec(
-            vertex_spaces=((0.0, 1.0),),
             coefficients=[(0.5, 0.0, 0.0, 1.0)],
             incidence=IncidenceMatrix.full(1),
         )
@@ -99,15 +98,11 @@ def test_map_validation():
         ((0.0, 1.0, 1.0, math.inf), "map 1: coefficients must be finite, got (0.0, 1.0, 1.0, inf)"),
     ]:
         with pytest.raises(InvalidSystem, match=re.escape(message)):
-            SystemSpec(((0.0, 1.0),), [good, bad], IncidenceMatrix.full(2))
-    # a moebius branch off the vertex space [0, 1]
-    with pytest.raises(InvalidSystem, match="map 0: moebius maps are defined on the vertex space"):
-        SystemSpec(((0.0, 2.0),), [(0.0, 1.0, 1.0, 2.0), good], IncidenceMatrix.full(2))
+            SystemSpec([good, bad], IncidenceMatrix.full(2))
 
 
 def test_separation_detects_overlap():
     sys_ = SystemSpec(
-        vertex_spaces=((0.0, 1.0),),
         coefficients=[(0.5, 0.0, 0.0, 1.0), (0.5, 0.25, 0.0, 1.0)],
         incidence=IncidenceMatrix.full(2),
     )
@@ -124,36 +119,18 @@ def _wide_similitudes(m: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [0, 417, 998])
 def test_separation_names_the_planted_overlap_among_1000_maps(k):
     rows = _wide_similitudes(1000)
-    ensure_separation(SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(1000)))
+    ensure_separation(SystemSpec(rows, IncidenceMatrix.full(1000)))
     rows[k, 0] = 1.2 / 1000  # reaches past the start of image k + 1
-    system = SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(1000))
+    system = SystemSpec(rows, IncidenceMatrix.full(1000))
     with pytest.raises(SeparationError, match=rf"^images of maps {k} and {k + 1} overlap \("):
-        ensure_separation(system)
-
-
-def _two_vertex(rows, start, land, incidence=None):
-    """Similitude rows (ratio, offset) between two copies of [0, 1], each
-    map from vertex ``start[e]`` into vertex ``land[e]``; by default e' may
-    follow e exactly when map e starts where map e' lands."""
-    start, land = np.array(start), np.array(land)
-    if incidence is None:
-        incidence = IncidenceMatrix(start[:, None] == land)
-    rows = [(r, o, 0.0, 1.0) for r, o in rows]
-    return SystemSpec(((0.0, 1.0), (0.0, 1.0)), rows, incidence, start, land)
-
-
-def test_separation_reports_the_space_the_earliest_map_lands_in_first():
-    # overlaps in both spaces; map 0 lands in vertex 1, so its pair comes first
-    system = _two_vertex([(0.3, 0.0), (0.3, 0.5), (0.3, 0.6), (0.3, 0.2)], (0, 1, 1, 0), (1, 0, 0, 1))
-    with pytest.raises(SeparationError, match=r"^images of maps 0 and 3 overlap \(0\.2 < 0\.3\)$"):
         ensure_separation(system)
 
 
 def test_separation_names_the_first_map_leaving_its_space():
     rows = _wide_similitudes(1000)
     rows[[600, 250, 800], 1] += 0.8  # pushes three images past 1
-    with pytest.raises(SeparationError, match=r"^map 250 image \[1\.05.*\] leaves its vertex space \[0\.0, 1\.0\]$"):
-        ensure_separation(SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(1000)))
+    with pytest.raises(SeparationError, match=r"^map 250 image \[1\.05.*\] leaves \[0, 1\]$"):
+        ensure_separation(SystemSpec(rows, IncidenceMatrix.full(1000)))
 
 
 # --- word geometry: similitudes --------------------------------------------
@@ -239,15 +216,14 @@ def test_moebius_image_is_exact_fixed_points():
 
 
 def chain_rule_derivatives(system: SystemSpec, words, points: int = 257) -> np.ndarray:
-    """|s_w'| at `points` equally spaced points of each word's domain,
+    """|s_w'| at `points` equally spaced points of [0, 1] for each word,
     endpoints included, by the chain rule on the map parameters: the ratio
     a and offset b of a similitude row (a, b, 0, 1), the q of a moebius
     row (0, 1, 1, q)."""
     ratio, offset, c, q = system.coefficients.T
     kinds = c == 1.0  # the moebius rows
     symbols = np.array([w.symbols for w in words])
-    domains = system.domains[symbols[:, -1]]
-    x = domains[:, :1] + (domains[:, 1:] - domains[:, :1]) * np.linspace(0.0, 1.0, points)
+    x = np.tile(np.linspace(0.0, 1.0, points), (len(symbols), 1))
     deriv = np.ones_like(x)
     for s in symbols.T[::-1]:
         mo, qs = kinds[s][:, None], q[s][:, None]
@@ -276,7 +252,7 @@ def branch_systems(draw):
         for _ in range(size)
     ]
     rows = {"moebius": moebius, "similitude": similitudes, "mixed": moebius[:1] + similitudes[1:]}
-    return SystemSpec(((0.0, 1.0),), rows[kind], IncidenceMatrix.full(size), label=kind)
+    return SystemSpec(rows[kind], IncidenceMatrix.full(size), label=kind)
 
 
 @given(branch_systems(), st.integers(1, 6))
@@ -336,7 +312,7 @@ def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
         return (a * p + b * r, den), (n * abs(a * d - b * c) * r * r, m * den * den)
 
     level = {
-        (e,): [prepend(e, (float(x).as_integer_ratio(), (1, 1))) for x in system.domains[e]]
+        (e,): [prepend(e, (float(x).as_integer_ratio(), (1, 1))) for x in (0.0, 1.0)]
         for e in range(system.alphabet_size)
     }
     for _ in range(depth - 1):
@@ -362,11 +338,11 @@ MIXED_ROWS = ((0.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 3.0), (0.2, 0.0, 0.0, 1.0), 
     [
         (continued_fraction_family().truncate(2), 12),
         (continued_fraction_family().truncate(3), 6),
-        (SystemSpec(((0.0, 1.0),), MIXED_ROWS, IncidenceMatrix.full(4), label="mixed"), 6),
+        (SystemSpec(MIXED_ROWS, IncidenceMatrix.full(4), label="mixed"), 6),
         # the two full rows take the unmasked path, the first row a mask
         (
             SystemSpec(
-                ((0.0, 1.0),), MIXED_ROWS[:3], IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
+                MIXED_ROWS[:3], IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
             ),
             6,
         ),
@@ -389,55 +365,13 @@ def test_log_brackets_contain_exact_endpoint_logs(system, depth):
 
 
 def test_admissibility_checked_on_word_helpers():
-    sys_ = gdms_fixture()
+    rows = [(0.4, 0.0, 0.0, 1.0), (0.3, 0.6, 0.0, 1.0)]
+    sys_ = SystemSpec(rows, IncidenceMatrix(((0, 1), (1, 1))))
+    assert word_image(sys_, Word.of(0, 1)) == (pytest.approx(0.24), pytest.approx(0.36))
     with pytest.raises(ValueError):
         word_image(sys_, Word.of(0, 0))  # 0 cannot follow 0 here
     with pytest.raises(ValueError):
         word_image(sys_, Word.of(5))
-
-
-# --- graph-directed systems -------------------------------------------------
-
-
-def gdms_fixture() -> SystemSpec:
-    # two vertex intervals; edge 0 goes v0 <- v1, edges 1, 2 go v1 <- v0, v1 <- v1
-    return _two_vertex([(0.4, 0.0), (0.3, 0.0), (0.25, 0.6)], (1, 0, 1), (0, 1, 1))
-
-
-def test_gdms_derived_incidence():
-    sys_ = gdms_fixture()
-    # edge e may precede e2 iff e starts where e2 lands
-    assert sys_.incidence == IncidenceMatrix(((0, 1, 1), (1, 0, 0), (0, 1, 1)))
-    ensure_separation(sys_)
-    words = list(enumerate_admissible(sys_.incidence, 2))
-    assert Word.of(0, 1) in words and Word.of(0, 0) not in words
-    lg = level_geometry(sys_, 2)
-    assert lg.count == len(words)
-    for k, w in enumerate(words):
-        log_ratio = sum(math.log(sys_.coefficients[s, 0]) for s in w.symbols)
-        assert lg.log_sup[k] == pytest.approx(log_ratio, abs=1e-12)
-
-
-def test_gdms_rejects_vertex_mismatch():
-    rows = [(0.4, 0.0), (0.3, 0.0)]
-    with pytest.raises(InvalidSystem, match="incidence allows 0->0 but map 0 lands in vertex 0"):
-        _two_vertex(rows, (1, 0), (0, 1), IncidenceMatrix.full(2))
-    # a vertex index past the vertex spaces names its map
-    with pytest.raises(InvalidSystem, match="map 1: vertex index out of range"):
-        _two_vertex(rows, (1, 0), (0, 2))
-
-
-def test_full_shift_needs_maps_that_compose():
-    # every map runs from vertex 0 into vertex 1: one vertex pair, yet no
-    # map can follow another, so the all-ones matrix is refused
-    with pytest.raises(InvalidSystem, match=r"incidence allows 0->0 but map 0 lands in vertex 1"):
-        SystemSpec(
-            vertex_spaces=((0.0, 1.0), (0.0, 1.0)),
-            coefficients=[(0.4, 0.0, 0.0, 1.0), (0.3, 0.6, 0.0, 1.0)],
-            incidence=IncidenceMatrix.full(2),
-            domain_vertex=0,
-            image_vertex=1,
-        )
 
 
 def test_spec_is_hashable():
@@ -450,7 +384,7 @@ def test_specs_differing_in_one_coefficient_share_no_level():
     rows = golden_family().coefficients(3)
     moved = rows.copy()
     moved[1, 1] = 0.55  # shifts the image of map 1
-    a, b = (SystemSpec(((0.0, 1.0),), r, IncidenceMatrix.full(3)) for r in (rows, moved))
+    a, b = (SystemSpec(r, IncidenceMatrix.full(3)) for r in (rows, moved))
     assert a != b and hash(a) == hash(b)  # a hash reads no entries
     level_geometry.cache_clear()
     assert level_geometry(a, 1).image_lo.tolist() == [0.0, 0.5, 0.75]

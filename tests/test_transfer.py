@@ -26,7 +26,7 @@ TERNARY_H = math.log(2.0) / math.log(3.0)
 def fibonacci_system():
     rows = [(0.4, 0.0, 0.0, 1.0), (0.3, 0.5, 0.0, 1.0)]
     fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
-    return SystemSpec(((0.0, 1.0),), rows, fibonacci, label="fibonacci")
+    return SystemSpec(rows, fibonacci, label="fibonacci")
 
 
 def _masses(system, t, depth):
@@ -60,12 +60,11 @@ def _dict_defect(words, invariant):
 def _moebius(*digits):
     """The continued-fraction branches x -> 1/(q + x) for q in ``digits``."""
     rows = [(0.0, 1.0, 1.0, q) for q in digits]
-    return SystemSpec(((0.0, 1.0),), rows, IncidenceMatrix.full(len(rows)))
+    return SystemSpec(rows, IncidenceMatrix.full(len(rows)))
 
 
 # the config spelling `moebius:2; moebius:3; similitude:0.2:0; similitude:-0.3:0.9`
 MIXED = SystemSpec(
-    ((0.0, 1.0),),
     [(0.0, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 3), (0.2, 0.0, 0.0, 1.0), (-0.3, 0.9, 0.0, 1.0)],
     IncidenceMatrix.full(4),
 )
