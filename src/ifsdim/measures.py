@@ -44,7 +44,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .pressure import ConvergenceFailure
-from .symbolic import Word
 from .systems import (
     MapFamily,
     SystemSpec,
@@ -317,22 +316,6 @@ class CylinderMeasure:
         if not 1 <= d <= self.depth:
             raise ValueError(f"stored depths are 1..{self.depth}, got {d}")
         return self.masses[d - 1]
-
-    def mass_of(self, word: Word) -> float:
-        if not 1 <= len(word) <= self.depth:
-            raise ValueError(f"word depth {len(word)} outside stored range 1..{self.depth}")
-        allowed = self.system.incidence.allowed
-        m = self.system.alphabet_size
-        if max(word.symbols) >= m:
-            raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
-        idx = word.symbols[0]
-        for d, e in enumerate(word.symbols[1:], start=2):
-            prev = word.symbols[d - 2]
-            if not allowed[prev, e]:
-                raise ValueError(f"word {word} is not admissible")
-            # e's rank among the successors of prev
-            idx = int(self.child_starts[d - 2][idx]) + int(allowed[prev, :e].sum())
-        return float(self.masses[len(word) - 1][idx])
 
 
 def _extension_tables(system: SystemSpec, depth: int):

@@ -348,7 +348,7 @@ class Collocation:
         eigenvalue stays alone on top even where the incidence is periodic.
         L and D share one (2, n, n) array, as do P and P^T.  A non-finite
         ``s`` raises ``ValueError``, an ``s`` whose weights |s_e'(x_k)|^s
-        overflow ``ConvergenceFailure``."""
+        overflow, or all underflow, ``ConvergenceFailure``."""
         if not math.isfinite(s):
             raise ValueError(f"exponent must be finite, got {s!r}")
         with np.errstate(over="ignore"):
@@ -365,6 +365,8 @@ class Collocation:
         matrices = matrices.reshape(2, n, n)
         mass = float(matrices[0].sum())  # (L 1)(x_k) summed over the nodes
         if not mass > 0.0:
+            if self.feeds.any():
+                raise ConvergenceFailure(f"exponent s = {s!r} underflows the collocation weights |s_e'|^s")
             raise ConvergenceFailure("no branch feeds any grid: the incidence admits no infinite word")
         power = matrices[0] * (n / mass)
         if not self.full_shift:

@@ -1,8 +1,8 @@
-"""Finite words over an edge alphabet, incidence matrices, the comparison
-metric used on the coding space, and the finite-primitivity test.
+"""Incidence matrices over an edge alphabet, admissible-word counts, the
+comparison metric used on the coding space, and the finite-primitivity test.
 
 Symbols are 0-based integers indexing the maps of a system.  A word is an
-admissible string of symbols; admissibility is governed by an incidence
+admissible tuple of symbols; admissibility is governed by an incidence
 matrix whose (i, j) entry says whether symbol j may follow symbol i.  The
 full shift, where every string is admissible, is the all-ones matrix.
 """
@@ -11,49 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Word",
     "IncidenceMatrix",
     "count_admissible",
     "comparison_distance",
     "finitely_primitive_witness",
 ]
-
-
-@dataclass(frozen=True)
-class Word:
-    """An admissible finite string of symbols (0-based map indices)."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.symbols) == 0:
-            raise ValueError("a word needs at least one symbol")
-        if any((not isinstance(s, (int, np.integer))) or s < 0 for s in self.symbols):
-            raise ValueError(f"symbols must be non-negative integers: {self.symbols!r}")
-        # normalize numpy ints so Words hash/compare consistently
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-
-    @classmethod
-    def of(cls, *symbols: int) -> "Word":
-        return cls(tuple(symbols))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, ix):
-        got = self.symbols[ix]
-        return Word(got) if isinstance(ix, slice) else got
-
-    def __str__(self) -> str:
-        return ".".join(str(s) for s in self.symbols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +84,7 @@ def count_admissible(matrix: IncidenceMatrix, depth: int) -> int:
     return int(paths.sum())
 
 
-def comparison_distance(a: Word, b: Word) -> float:
+def comparison_distance(a: Sequence[int], b: Sequence[int]) -> float:
     """Distance e^(1-k) from the position k of first disagreement.
 
     Restricted to finite words: if the words agree on their whole common
@@ -127,7 +94,7 @@ def comparison_distance(a: Word, b: Word) -> float:
     """
     common = min(len(a), len(b))
     for k in range(common):
-        if a.symbols[k] != b.symbols[k]:
+        if a[k] != b[k]:
             return math.exp(1 - (k + 1))
     if len(a) == len(b):
         return 0.0

@@ -21,13 +21,14 @@ import numpy as np
 
 from ifsdim.measures import CylinderMeasure, LineMeasure
 from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum, collocate
-from ifsdim.symbolic import IncidenceMatrix, Word
+from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import SystemSpec
 from ifsdim.transfer import cylinder_masses
 
 
-def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[Word]:
-    """Yield all admissible words of the given depth in lexicographic order.
+def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[tuple[int, ...]]:
+    """Yield all admissible words of the given depth, as int tuples, in
+    lexicographic order.
 
     The stream is lazy: callers can consume a prefix without paying for the
     whole level.  The reference for the words of ``level_geometry`` and of
@@ -36,9 +37,9 @@ def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[Word]:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
 
-    def walk(prefix: tuple[int, ...]) -> Iterator[Word]:
+    def walk(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if len(prefix) == depth:
-            yield Word(prefix)
+            yield prefix
             return
         for s in range(matrix.size):
             if prefix and not matrix.allowed[prefix[-1], s]:
@@ -48,23 +49,23 @@ def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[Word]:
     return walk(())
 
 
-def word_image(system: SystemSpec, word: Word) -> tuple[float, float]:
+def word_image(system: SystemSpec, word: tuple[int, ...]) -> tuple[float, float]:
     """Exact image interval of one word (maps composed innermost-first), one
     word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
     _check_word(system, word)
     lo, hi = 0.0, 1.0
-    for s in reversed(word.symbols):
+    for s in reversed(word):
         a, b, c, d = system.coefficients[s]
         y0, y1 = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
         lo, hi = min(y0, y1), max(y0, y1)
     return lo, hi
 
 
-def _check_word(system: SystemSpec, word: Word) -> None:
+def _check_word(system: SystemSpec, word: tuple[int, ...]) -> None:
     m = system.alphabet_size
-    if any(s >= m for s in word.symbols):
+    if any(s >= m for s in word):
         raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
-    for a, b in zip(word.symbols, word.symbols[1:]):
+    for a, b in zip(word, word[1:]):
         if not system.incidence.allowed[a, b]:
             raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
 
@@ -108,12 +109,12 @@ def cylinder_operator_root(system: SystemSpec, depth: int, tol: float = 1e-10) -
     step, applied with ``np.bincount``.  The operator's root converges to
     the Bowen root as the depth grows.
     """
-    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
+    words = list(enumerate_admissible(system.incidence, depth))
     index = {w: j for j, w in enumerate(words)}
     mid = np.empty(len(words))
     rows, cols = [], []
     for j, w in enumerate(words):
-        lo, hi = word_image(system, Word(w[1:])) if depth > 1 else (0.0, 1.0)
+        lo, hi = word_image(system, w[1:]) if depth > 1 else (0.0, 1.0)
         a, b, c, d = system.coefficients[w[0]]
         mid[j] = 0.5 * sum(math.log(abs(a * d - b * c) / (c * x + d) ** 2) for x in (lo, hi))
         for e in range(system.alphabet_size):
@@ -162,8 +163,7 @@ def quadrature_masses(
     left = pair.left.reshape(grids, nodes)
     right = pair.right.reshape(grids, nodes)
     masses = []
-    for word in enumerate_admissible(system.incidence, depth):
-        w = word.symbols
+    for w in enumerate_admissible(system.incidence, depth):
         conformal = invariant = 0.0
         for g in range(grids):
             if not system.incidence.allowed[w[-1], symbols[g]]:

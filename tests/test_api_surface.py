@@ -1,14 +1,17 @@
 """Every public name of the package has a caller besides its unit tests.
 
 Each name in a module's ``__all__`` must be imported from that module by
-another module of the package, or be loaded by name in its own module
-outside its own definition.  A name that only tests call is surface with no
-user, and goes.  So does a module-level UPPER_CASE constant that nothing
-under ``src/`` reads, and a dataclass field that nothing there reads as an
-attribute outside its own class's ``__post_init__``.  A default that no
-call under ``src/`` overrides is an option with no user: every defaulted
-parameter of a public function, and every defaulted init field of a public
-dataclass, is passed by some call there.  README's list of config keys
+another module of the package that loads it, or be loaded by name in its
+own module outside its own definition.  A load inside an argument, return
+or variable annotation does not count: it runs nothing.  A name that only
+tests call is surface with no user, and goes.  So does a public method of
+a public class that nothing under ``src/`` uses outside the method itself,
+a module-level UPPER_CASE constant that nothing under ``src/`` reads, and
+a dataclass field that nothing there reads as an attribute outside its own
+class's ``__post_init__``.  A default that no call under ``src/``
+overrides is an option with no user: every defaulted parameter of a public
+function, and every defaulted init field of a public dataclass, is passed
+by some call there.  README's list of config keys
 names exactly the keys the code reads.  Only ``cli.main`` checks that a
 plan read every key, and no run holds the config.
 """
@@ -40,30 +43,40 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def _runtime_loads(tree: ast.Module, skip: frozenset[int] = frozenset()) -> set[str]:
+    """Names loaded outside argument, return and variable annotations and
+    outside the nodes of ``skip``."""
+    roots = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    roots += [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    hidden = skip | {id(node) for root in roots if root is not None for node in ast.walk(root)}
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in hidden
+    }
+
+
 def _imported_from(module: str, paths) -> set[str]:
-    """Names imported from ``module`` (``.module`` or ``ifsdim.module``)."""
+    """Names imported from ``module`` (``.module`` or ``ifsdim.module``) by
+    a module that loads them outside annotations."""
     names = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        loaded = _runtime_loads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module in (module, f"ifsdim.{module}"):
-                names.update(alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names if alias.name in loaded)
     return names
 
 
 def _loaded_outside_definition(tree: ast.Module, name: str) -> bool:
-    inside = {
+    inside = frozenset(
         id(node)
         for definition in ast.walk(tree)
         if isinstance(definition, (ast.FunctionDef, ast.ClassDef)) and definition.name == name
         for node in ast.walk(definition)
-    }
-    return any(
-        isinstance(node, ast.Name)
-        and node.id == name
-        and isinstance(node.ctx, ast.Load)
-        and id(node) not in inside
-        for node in ast.walk(tree)
     )
+    return name in _runtime_loads(tree, inside)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
@@ -81,6 +94,47 @@ def test_every_public_name_has_a_caller_besides_its_tests(module):
         and name not in ALLOWED
     ]
     assert unused == []
+
+
+# public methods that only the tests call
+UNCALLED = {
+    "Report.canonical_body": "the determinism contract: the report tests pin it",
+}
+
+
+def _public_methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """``Class.method`` for every method of a class in ``__all__`` whose name
+    has no leading underscore, with its definition."""
+    public = set(_exports(tree))
+    return {
+        f"{cls.name}.{item.name}": item
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in public
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def test_every_public_method_is_used_outside_its_definition():
+    # a use is an attribute load of the method's name under src/, matched by
+    # name alone, outside the method's own body: a sibling method that calls
+    # it counts, since that sibling is checked in turn
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    loads = [
+        (node.attr, id(node))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unused = set()
+    for tree in trees:
+        for method, definition in _public_methods(tree).items():
+            inside = {id(node) for node in ast.walk(definition)}
+            name = method.split(".")[1]
+            if not any(attr == name and at not in inside for attr, at in loads):
+                unused.add(method)
+    assert sorted(set(UNCALLED) - unused) == []  # every allowance is still needed
+    assert sorted(unused - set(UNCALLED)) == []
 
 
 def _constants(tree: ast.Module) -> list[str]:

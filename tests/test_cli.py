@@ -132,7 +132,7 @@ def test_bowen_moebius_incidence_root_matches_the_deep_operator(tmp_path):
     assert res["h"] == pytest.approx(cylinder_operator_root(system, 10), abs=1e-6)
 
 
-def test_bowen_without_infinite_words_exits_3_quietly(tmp_path, capsys):
+def test_bowen_without_infinite_words_exits_2_in_the_plan(tmp_path, capsys):
     # no map may follow any map: the depth-1 words exist, their limit set
     # not, and the plan refuses the incidence before any word is built
     code, report = run(
@@ -143,7 +143,7 @@ def test_bowen_without_infinite_words_exits_3_quietly(tmp_path, capsys):
     assert "system.incidence" in err and "admits no infinite word" in err and "Warning" not in err
 
 
-def test_bowen_without_deep_words_exits_3_as_a_run_failure(tmp_path, capsys):
+def test_bowen_without_deep_words_exits_2_in_the_plan(tmp_path, capsys):
     # 1 may follow 0 and nothing may follow 1: no admissible word is longer
     # than two symbols, which the plan finds out without the depth-12 level
     code, report = run(
@@ -1409,17 +1409,26 @@ def test_gibbs_non_finite_exponent_exit_2(tmp_path, exponent):
     assert [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")] == []
 
 
-def test_gibbs_overflowing_exponent_exits_3_naming_the_exponent(tmp_path, capsys):
-    # |s_e'|^s at s = -1000 passes the float range on CF{1, 2}: the run
-    # fails naming the exponent, not the incidence, and numpy warns nothing
+@pytest.mark.parametrize(
+    "system,exponent,message",
+    [
+        ("system.family = continued-fraction\nsystem.size = 2\n", "-1000", "exponent s = -1000.0 overflows"),
+        ("system.family = cantor\nsystem.ratios = 0.3, 0.3\n", "1000", "exponent s = 1000.0 underflows"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_gibbs_exponent_out_of_float_range_exits_3_naming_the_exponent(
+    tmp_path, capsys, system, exponent, message
+):
+    # |s_e'|^s at s = -1000 passes the float range on CF{1, 2}, and
+    # 0.3^1000 is 0.0: either way the run fails naming the exponent, not
+    # the incidence, and numpy warns nothing
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, report = run(
-            tmp_path, "gibbs", "system.family = continued-fraction\nsystem.size = 2\ngibbs.exponent = -1000\n"
-        )
+        code, report = run(tmp_path, "gibbs", f"{system}gibbs.exponent = {exponent}\n")
     assert code == 3 and report is None
     err = capsys.readouterr().err
-    assert "exponent s = -1000.0 overflows" in err and "incidence" not in err
+    assert message in err and "incidence" not in err
     assert "Warning" not in err and [str(w.message) for w in caught] == []
 
 

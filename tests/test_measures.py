@@ -21,7 +21,7 @@ from ifsdim.measures import (
     w1_distance,
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
-from ifsdim.symbolic import IncidenceMatrix, Word
+from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
 
 import reference
@@ -126,8 +126,7 @@ def test_setwise_discrepancy_refuses_sets_it_cannot_measure():
     cm = conformal_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_DIM, 2)
     with pytest.raises(TypeError):
         setwise_discrepancy(cm, leb, [(0.0, 0.5)])
-    # a cylinder word is no test set, though it has two integer entries
-    for spec in (Word.of(0, 1), (0.0, 0.5, 1.0), ("cells", (0.5,))):
+    for spec in ([0.0, 1.0], (0.0, 0.5, 1.0), ("cells", (0.5,))):
         with pytest.raises(ValueError):
             setwise_discrepancy(leb, leb, [spec])
 
@@ -392,8 +391,7 @@ def test_golden_two_map_masses_match_root_powers():
     sys_ = golden_family().truncate(2)
     h2 = bowen_solve(sys_, depth=1, tol=1e-12).h
     cm = conformal_measure(sys_, h2, 3)
-    assert cm.mass_of(Word.of(0)) == pytest.approx(0.25**h2, abs=1e-12)
-    assert cm.mass_of(Word.of(1)) == pytest.approx(0.125**h2, abs=1e-12)
+    np.testing.assert_allclose(cm.level(1), (0.25**h2, 0.125**h2), rtol=0.0, atol=1e-12)
     assert cm.level(1).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -420,22 +418,14 @@ def test_cylinder_measure_argument_guards():
         CylinderMeasure(dead, 2, np.ones(1))
 
 
-def test_mass_of_checks_admissibility_and_depth():
+def test_fibonacci_cylinder_tables_follow_the_incidence():
     fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
     fib = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), fibonacci, label="fibonacci")
     cm = conformal_measure(fib, 0.5, 3)
     assert_additive(cm)
-    with pytest.raises(ValueError):
-        cm.mass_of(Word.of(1, 1))
-    with pytest.raises(ValueError):
-        cm.mass_of(Word.of(0, 1, 0, 1))
-    # symbols outside the alphabet, first or later
-    for word in (Word.of(5), Word.of(0, 5), Word.of(0, 0, 2)):
-        with pytest.raises(ValueError, match="outside the alphabet"):
-            cm.mass_of(word)
-    # admissible masses agree with the word list pairing
-    for word, mass in zip(enumerate_admissible(fib.incidence, 2), cm.level(2)):
-        assert cm.mass_of(word) == pytest.approx(float(mass), abs=1e-15)
+    # the depth-2 words 00, 01, 10 in lexicographic order: 11 is forbidden
+    last = [w[-1] for w in enumerate_admissible(fib.incidence, 2)]
+    assert cm.last_symbols[1].tolist() == last == [0, 1, 0]
 
 
 def test_limit_measure_dominates_truncation_masses():
@@ -449,7 +439,7 @@ def test_limit_measure_dominates_truncation_masses():
     cm = conformal_measure(sys_, hn, 4)
     for depth in range(1, 5):
         for word, mass in zip(enumerate_admissible(sys_.incidence, depth), cm.level(depth)):
-            log_ratio = sum(math.log(fam.row(i + 1)[0]) for i in word.symbols)
+            log_ratio = sum(math.log(fam.row(i + 1)[0]) for i in word)
             limit_mass = math.exp(h * log_ratio)
             assert limit_mass <= float(mass) * (1 + 1e-12)
 

@@ -467,6 +467,15 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
     assert bowen_solve(explicit).h == bowen_solve(broadcast).h
 
 
+def test_an_incidence_with_no_successor_is_named_at_any_exponent():
+    # no map may follow any map: no branch feeds a grid, so the empty mass
+    # is the incidence's fault even at s = 1000, where 0.25^s underflows too
+    nothing = _moebius((1, 2), IncidenceMatrix(((0, 0), (0, 0))))
+    for s in (0.0, 1000.0):
+        with pytest.raises(ConvergenceFailure, match="^no branch feeds any grid: the incidence admits"):
+            collocate(nothing).eigenpair(s)
+
+
 @pytest.mark.parametrize(
     "system, grids, full, shape",
     [

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from ifsdim.symbolic import (
     IncidenceMatrix,
-    Word,
     comparison_distance,
     count_admissible,
     finitely_primitive_witness,
@@ -17,39 +16,17 @@ from reference import enumerate_admissible
 
 FIB = IncidenceMatrix(((1, 1), (1, 0)))
 
-words_st = st.lists(st.integers(0, 4), min_size=1, max_size=8).map(lambda s: Word(tuple(s)))
-
-
-def test_word_basics():
-    w = Word.of(0, 1, 2)
-    assert len(w) == 3
-    assert str(w) == "0.1.2"
-    assert w[1] == 1
-    assert w[1:] == Word.of(1, 2)
-    assert list(w) == [0, 1, 2]
-
-
-def test_word_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Word(())
-    with pytest.raises(ValueError):
-        Word((0, -1))
-
-
-def test_word_accepts_numpy_ints():
-    w = Word(tuple(np.array([1, 2], dtype=np.int64)))
-    assert w == Word.of(1, 2)
-    assert all(type(s) is int for s in w.symbols)
+words_st = st.lists(st.integers(0, 4), min_size=1, max_size=8).map(tuple)
 
 
 def test_comparison_distance_values():
     # disagreement at the first slot: e^0
-    assert comparison_distance(Word.of(0, 1), Word.of(1, 1)) == 1.0
+    assert comparison_distance((0, 1), (1, 1)) == 1.0
     # disagreement at slot 2: e^-1
-    assert comparison_distance(Word.of(0, 1), Word.of(0, 0)) == pytest.approx(math.exp(-1))
+    assert comparison_distance((0, 1), (0, 0)) == pytest.approx(math.exp(-1))
     # one word extends the other: separated just past the common part
-    assert comparison_distance(Word.of(0, 1), Word.of(0, 1, 2)) == pytest.approx(math.exp(-2))
-    assert comparison_distance(Word.of(0, 1), Word.of(0, 1)) == 0.0
+    assert comparison_distance((0, 1), (0, 1, 2)) == pytest.approx(math.exp(-2))
+    assert comparison_distance((0, 1), (0, 1)) == 0.0
 
 
 @given(words_st, words_st, words_st)
@@ -62,11 +39,11 @@ def test_comparison_distance_is_an_ultrametric(a, b, c):
 
 def test_enumerate_full_shift_is_lexicographic():
     got = list(enumerate_admissible(IncidenceMatrix.full(3), 2))
-    assert [w.symbols for w in got] == sorted(itertools.product(range(3), repeat=2))
+    assert got == sorted(itertools.product(range(3), repeat=2))
 
 
 def test_enumerate_respects_incidence():
-    got = [w.symbols for w in enumerate_admissible(FIB, 4)]
+    got = list(enumerate_admissible(FIB, 4))
     want = [
         w
         for w in itertools.product(range(2), repeat=4)

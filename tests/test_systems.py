@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifsdim.symbolic import IncidenceMatrix, Word
+from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
     InvalidSystem,
     SeparationError,
@@ -35,7 +35,7 @@ def test_golden_truncation_layout():
         [0.125, 0.5, 0.0, 1.0],
         [0.0625, 0.75, 0.0, 1.0],
     ]
-    images = [word_image(sys3, Word.of(e)) for e in range(3)]
+    images = [word_image(sys3, (e,)) for e in range(3)]
     assert images == [(0.0, 0.25), (0.5, 0.625), (0.75, 0.8125)]
     ensure_separation(sys3)
 
@@ -138,7 +138,7 @@ def test_separation_names_the_first_map_leaving_its_space():
 
 def test_word_image_exact():
     sys_ = cantor_system((1 / 3, 1 / 3))
-    lo, hi = word_image(sys_, Word.of(0, 1))
+    lo, hi = word_image(sys_, (0, 1))
     assert (lo, hi) == (pytest.approx(2 / 9), pytest.approx(1 / 3))
     lg = level_geometry(sys_, 2)  # words 00, 01, 10, 11
     assert lg.log_sup[1] == lg.log_inf[1] == pytest.approx(math.log(1 / 9))
@@ -168,7 +168,7 @@ def test_level_log_derivatives_are_sums(ratios, depth):
     lg = level_geometry(sys_, depth)
     logs = np.log(sys_.coefficients[:, 0])
     for k, w in enumerate(enumerate_admissible(sys_.incidence, depth)):
-        assert lg.log_sup[k] == pytest.approx(logs[list(w.symbols)].sum(), abs=1e-12)
+        assert lg.log_sup[k] == pytest.approx(logs[list(w)].sum(), abs=1e-12)
 
 
 def test_level_geometry_cache_holds_one_level():
@@ -189,8 +189,8 @@ def test_level_geometry_cache_holds_one_level():
 def test_continued_fraction_layout():
     sys_ = continued_fraction_family().truncate(3)
     assert sys_.coefficients.tolist() == [[0.0, 1.0, 1.0, q] for q in (1.0, 2.0, 3.0)]
-    assert word_image(sys_, Word.of(0)) == (0.5, 1.0)
-    assert word_image(sys_, Word.of(1)) == (pytest.approx(1 / 3), 0.5)
+    assert word_image(sys_, (0,)) == (0.5, 1.0)
+    assert word_image(sys_, (1,)) == (pytest.approx(1 / 3), 0.5)
     ensure_separation(sys_)
 
 
@@ -210,7 +210,7 @@ def test_moebius_image_is_exact_fixed_points():
     sys_ = continued_fraction_family().truncate(2)
     target = (math.sqrt(5) - 1) / 2
     for depth in (4, 8, 16):
-        lo, hi = word_image(sys_, Word((0,) * depth))
+        lo, hi = word_image(sys_, (0,) * depth)
         assert lo <= target <= hi
         assert hi - lo < 0.5 ** (depth // 2)
 
@@ -222,7 +222,7 @@ def chain_rule_derivatives(system: SystemSpec, words, points: int = 257) -> np.n
     row (0, 1, 1, q)."""
     ratio, offset, c, q = system.coefficients.T
     kinds = c == 1.0  # the moebius rows
-    symbols = np.array([w.symbols for w in words])
+    symbols = np.array(words)
     x = np.tile(np.linspace(0.0, 1.0, points), (len(symbols), 1))
     deriv = np.ones_like(x)
     for s in symbols.T[::-1]:
@@ -352,7 +352,7 @@ MIXED_ROWS = ((0.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 3.0), (0.2, 0.0, 0.0, 1.0), 
 def test_log_brackets_contain_exact_endpoint_logs(system, depth):
     lg = level_geometry(system, depth)
     exact = exact_log_derivatives(system, depth)
-    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
+    words = list(enumerate_admissible(system.incidence, depth))
     assert lg.count == len(exact) == len(words)
     misses = 0
     for k, w in enumerate(words):
@@ -367,11 +367,11 @@ def test_log_brackets_contain_exact_endpoint_logs(system, depth):
 def test_admissibility_checked_on_word_helpers():
     rows = [(0.4, 0.0, 0.0, 1.0), (0.3, 0.6, 0.0, 1.0)]
     sys_ = SystemSpec(rows, IncidenceMatrix(((0, 1), (1, 1))))
-    assert word_image(sys_, Word.of(0, 1)) == (pytest.approx(0.24), pytest.approx(0.36))
+    assert word_image(sys_, (0, 1)) == (pytest.approx(0.24), pytest.approx(0.36))
     with pytest.raises(ValueError):
-        word_image(sys_, Word.of(0, 0))  # 0 cannot follow 0 here
+        word_image(sys_, (0, 0))  # 0 cannot follow 0 here
     with pytest.raises(ValueError):
-        word_image(sys_, Word.of(5))
+        word_image(sys_, (5,))
 
 
 def test_spec_is_hashable():
@@ -439,7 +439,7 @@ def test_cylinder_images_nest_under_extension(sys_):
         for word in enumerate_admissible(sys_.incidence, depth):
             lo, hi = word_image(sys_, word)
             for e in range(alphabet):
-                if not sys_.incidence.allowed[word.symbols[-1], e]:
+                if not sys_.incidence.allowed[word[-1], e]:
                     continue
-                clo, chi = word_image(sys_, Word(word.symbols + (e,)))
+                clo, chi = word_image(sys_, word + (e,))
                 assert lo - 1e-12 <= clo <= chi <= hi + 1e-12

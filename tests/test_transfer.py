@@ -100,7 +100,7 @@ def test_state_enumeration_matches_admissible_words():
     assert words == sorted(words)
     assert all((1, 1) not in zip(w, w[1:]) for w in words)
     assert len(words) == 5  # Fibonacci count at depth 3
-    shorter = [w.symbols for w in enumerate_admissible(fibonacci_system().incidence, 2)]
+    shorter = list(enumerate_admissible(fibonacci_system().incidence, 2))
     assert masses.tail.tolist() == [shorter.index(w[1:]) for w in words]
 
 
@@ -113,7 +113,7 @@ def test_array_operator_matches_the_per_word_reference(system, depth, t):
     pair = col.eigenpair(t)
     masses = cylinder_masses(col, pair, system.incidence, depth)
     conformal, invariant = quadrature_masses(system, col, pair, depth)
-    words = [w.symbols for w in enumerate_admissible(system.incidence, depth)]
+    words = list(enumerate_admissible(system.incidence, depth))
     assert [tuple(w) for w in masses.words.tolist()] == words
     assert np.abs(masses.eigenmeasure / conformal - 1.0).max() <= 1e-13
     assert np.abs(masses.invariant / invariant - 1.0).max() <= 1e-13
