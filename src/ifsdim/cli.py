@@ -109,6 +109,30 @@ def _check_budget(key: str, what: str, entries: int, unit: str) -> None:
         raise ConfigError(f"{key}: {what} {entries} {unit}, over the budget of {ENTRY_BUDGET}")
 
 
+# log of the smallest normal double
+LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _log_inf_derivatives(coefficients: np.ndarray) -> np.ndarray:
+    """Per map row (a, b, c, d), log inf |s_e'| on [0, 1]: |s_e'(x)| is
+    |ad - bc| / (cx + d)^2, least where |cx + d| is largest, at 0 or 1."""
+    a, b, c, d = coefficients.T
+    return np.log(np.abs(a * d - b * c)) - 2.0 * np.log(np.maximum(np.abs(d), np.abs(c + d)))
+
+
+def _check_word_depth(key: str, what: str, depth: int, log_inf: float) -> None:
+    """Reject, naming ``key``, a word depth past 1 at which a word's |s_w'|
+    may fall below the smallest normal double, as (inf |s_e'|)^depth does
+    for the map with the least ``log_inf``: the word's log-derivative then
+    loses its digits or is -inf, and the word bracket reads [0, 1].  Depth 1
+    reads the maps' own derivatives."""
+    if depth >= 2 and depth * log_inf < LOG_TINY:
+        raise ConfigError(
+            f"{key}: {what} makes word derivatives as small as exp({depth * log_inf:.1f}), "
+            f"below the smallest normal double exp({LOG_TINY:.1f})"
+        )
+
+
 def _check_collocation(key: str, branches: int, grids: int, nodes: int) -> None:
     """Reject, naming ``key``, a root collocation that would hold more than
     ENTRY_BUDGET interpolation weights (branches * nodes^2) or matrix
@@ -358,16 +382,17 @@ def _gallery_family(cfg: RunConfig, family: str):
 
 
 def cmd_bowen(cfg: RunConfig) -> Callable[[], dict]:
-    tol = cfg.get_float("bowen.tol", default=1e-10, lo=1e-15, hi=1e-2)
     source = _build_source(cfg)
     if isinstance(source, MapFamily):  # the closed-form root reads no depth
-        solve = functools.partial(analytic_bowen_solve, source, tol=min(tol, 1e-12))
+        solve = functools.partial(analytic_bowen_solve, source)
     else:
         source = _finite_system(cfg, source, "bowen")
         depth = cfg.get_int("bowen.depth", default=default_depth(source), lo=1, hi=24)
         words = count_admissible(source.incidence, depth)
         _check_budget("bowen.depth", f"depth {depth} makes", words, "words")
-        solve = functools.partial(bowen_solve, source, depth=depth, tol=tol)
+        least = _log_inf_derivatives(source.coefficients).min()
+        _check_word_depth("bowen.depth", f"depth {depth}", depth, least)
+        solve = functools.partial(bowen_solve, source, depth=depth)
 
     def run():
         sol = solve()
@@ -412,7 +437,6 @@ def _cf_scan_depth(level: int) -> int:
 
 def cmd_scan(cfg: RunConfig) -> Callable[[], dict]:
     levels = cfg.get_levels("scan.levels", lo=2)  # they set the sizes: no system.size
-    tol = cfg.get_float("scan.tol", default=1e-10, lo=1e-15, hi=1e-2)
     family = cfg.get_str("system.family")
     if family not in MAP_FAMILIES:
         raise ConfigError(
@@ -429,13 +453,16 @@ def cmd_scan(cfg: RunConfig) -> Callable[[], dict]:
         depths = [cfg.get_int("scan.depth", lo=1, hi=16)] * len(levels)
     else:
         depths = [_cf_scan_depth(n) for n in levels]
+    least = np.minimum.accumulate(_log_inf_derivatives(source.coefficients(max(levels))))
+    for n, d in zip(levels, depths):
+        _check_word_depth("scan.depth", f"level {n} at depth {d}", d, least[n - 1])
     n, d = max(zip(levels, depths), key=lambda nd: nd[0] ** nd[1])  # level^depth words
     _check_budget("scan.depth", f"level {n} at depth {d} makes", n**d, "words")
     _check_collocation("scan.levels", max(levels), 1, collocation_shape(probe)[1])
 
     def run():
         rows = []
-        solutions = truncation_scan(source, levels, depths=depths, tol=tol)
+        solutions = truncation_scan(source, levels, depths=depths)
         for n, d, sol in zip(levels, depths, solutions):
             if isinstance(sol, Exception):  # the level failed; the scan moved on
                 rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(sol)])
@@ -627,8 +654,9 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
         word_depth = default_depth(source)
         # the word solve's depth is fixed, so only fewer maps shrink its level
         words = count_admissible(source.incidence, word_depth)
-        what = f"the word solve at depth {word_depth} makes"
-        _check_budget(_size_key(cfg), what, words, "words")
+        what = f"the word solve at depth {word_depth}"
+        _check_budget(_size_key(cfg), f"{what} makes", words, "words")
+        _check_word_depth(_size_key(cfg), what, word_depth, _log_inf_derivatives(source.coefficients).min())
         entries = masses_entries(source.incidence, cyl_depth, *collocation_shape(source))
         _check_budget("dimension.depth", f"depth {cyl_depth} makes", entries, "masses-recursion entries")
         label = f"{source.label}[conformal]"

@@ -669,6 +669,13 @@ def gallery(name: str, a: float = 0.5) -> MeasureFamily:
         count = 1  # a^(k^2) > 0 for k <= count: stage n needs a^((n+1)^2) > 0
         while a ** ((count + 1) ** 2) > 0.0:
             count += 1
+        # and a finite density on each of its pieces; stage k gives piece k
+        # its largest mass, so that stage's density decides
+        k = np.arange(count)
+        with np.errstate(over="ignore", divide="ignore"):
+            finite = np.isfinite(_staircase_pieces(a, (1.0 - a) * a**k / (1.0 - a ** (k + 1)))[:, 2])
+        if not finite.all():
+            count = int(finite.argmin())
         return MeasureFamily(
             name,
             lambda n: _staircase(n, a),

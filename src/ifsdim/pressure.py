@@ -61,9 +61,15 @@ __all__ = [
 EXACT_ZERO = 1e-15  # |pressure| below this counts as an exact hit
 IRREGULAR_RESIDUAL = 1e-4  # larger leftover pressure at the root => no root
 COLLOCATION_NODES = 32  # Chebyshev nodes per grid when some branch is not affine
-COLLOCATION_TOL = 1e-15  # bracket width at which the collocation root stops
 COLLOCATION_SQUARINGS = 5  # the power iteration runs on L^(2^5), at every size
-ANALYTIC_MAX_ITER = 500  # pressure evaluations the closed-form root may take
+ROOT_TOL = 1e-15  # bracket width at which the collocation and closed-form roots stop
+# Bracket width at which the word-pressure roots stop.  The collocation
+# root's last probe lands up to ROOT_TOL / 2 past it, so a narrower word
+# bracket can exclude a correct collocation root.
+BRACKET_TOL = 1e-10
+# Evaluations any one root may take: bisection from 2^40 down to ROOT_TOL
+# needs about 131.
+MAX_EVALUATIONS = 200
 
 
 class ConvergenceFailure(RuntimeError):
@@ -394,15 +400,9 @@ class Collocation:
             density_residual=float(np.abs(images[0] - eigenvalue * right).max()) / scale,
         )
 
-    def root(
-        self,
-        tol: float = COLLOCATION_TOL,
-        max_iter: int = 200,
-        label: str = "collocation",
-        start: float = 1.0,
-    ) -> tuple[Eigenpair, int]:
+    def root(self, label: str = "collocation", start: float = 1.0) -> tuple[Eigenpair, int]:
         """The zero h of log lambda_N(s), by ``_find_root`` from ``start``
-        (Newton steps on the slope) down to a bracket ``tol`` wide or an
+        (Newton steps on the slope) down to a bracket ROOT_TOL wide or an
         exact hit; returns the eigenpair at h and the evaluations."""
         pairs: dict[float, Eigenpair] = {}
 
@@ -410,7 +410,7 @@ class Collocation:
             pair = pairs[t] = self.eigenpair(t)
             return math.log(pair.eigenvalue), pair.slope
 
-        h, _, evals = _find_root(log_eigenvalue, tol, max_iter, label, start)
+        h, _, evals = _find_root(log_eigenvalue, ROOT_TOL, MAX_EVALUATIONS, label, start)
         return pairs[h], evals
 
     def truncate(self, branches: int) -> Collocation:
@@ -465,33 +465,26 @@ def collocate(system: SystemSpec) -> Collocation:
     )
 
 
-def bowen_solve(
-    system: SystemSpec,
-    depth: int = 12,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    collocation: Collocation | None = None,
-) -> BowenSolution:
+def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | None = None) -> BowenSolution:
     """Collocation root ``h`` of the pressure, and the word bracket that
     certifies it.
 
     ``h`` is the zero of log lambda_N(s) of ``collocation``, by default
     ``collocate(system)``, found by ``Collocation.root`` from the upper end
-    of the bracket down to a bracket COLLOCATION_TOL wide (``tol`` if
-    smaller); ``residual`` is log lambda_N(h) and ``state`` the
-    ``Eigenpair`` at h.  The bracket comes from the depth-n level's
-    log-derivatives, sorted once: the upper pressure alone gives
-    ``bracket[1]``, its last exponent with non-positive pressure, or 1 if
-    that root lies past 1 or a word's sup |s_w'| reaches 1 so that the upper
-    pressure never vanishes, since no subset of the line has dimension
-    above 1.  On a full shift the lower pressure alone gives ``bracket[0]``,
-    its last exponent with positive pressure; under a nontrivial incidence
-    the lower pressure bounds nothing and ``bracket[0]`` is 0.  An exact hit
-    of either solve widens to the interval its rounding leaves (see
-    ``_find_root``), at 1 as well.  ``tol`` is the width of the bracket
-    solves, ``max_iter`` bounds each of the (up to) three solves and
-    ``iterations`` counts them all.  ``gap`` is the upper less the lower
-    depth-n pressure at ``h``.
+    of the bracket down to a bracket ROOT_TOL wide; ``residual`` is log
+    lambda_N(h) and ``state`` the ``Eigenpair`` at h.  The bracket comes
+    from the depth-n level's log-derivatives, sorted once: the upper
+    pressure alone gives ``bracket[1]``, its last exponent with non-positive
+    pressure, or 1 if that root lies past 1 or a word's sup |s_w'| reaches 1
+    so that the upper pressure never vanishes, since no subset of the line
+    has dimension above 1.  On a full shift the lower pressure alone gives
+    ``bracket[0]``, its last exponent with positive pressure; under a
+    nontrivial incidence the lower pressure bounds nothing and
+    ``bracket[0]`` is 0.  An exact hit of either solve widens to the
+    interval its rounding leaves (see ``_find_root``), at 1 as well.  The
+    bracket solves stop BRACKET_TOL wide, each of the (up to) three solves
+    takes at most MAX_EVALUATIONS and ``iterations`` counts them all.
+    ``gap`` is the upper less the lower depth-n pressure at ``h``.
 
     An ``h`` outside the bracket contradicts the certificate:
     ``ConvergenceFailure``.
@@ -507,14 +500,14 @@ def bowen_solve(
 
     lo, lower_evals = 0.0, 0
     if collocation.full_shift:
-        _, (lo, _), lower_evals = _find_root(alone(inf), tol, max_iter, f"{label} lower")
+        _, (lo, _), lower_evals = _find_root(alone(inf), BRACKET_TOL, MAX_EVALUATIONS, f"{label} lower")
     upper, hi, upper_evals = 1.0, 1.0, 0  # a word's sup |s_w'| reaching 1 bounds nothing
     if sup[-1] < 0.0:
-        upper, (_, hi), upper_evals = _find_root(alone(sup), tol, max_iter, f"{label} upper")
+        upper, (_, hi), upper_evals = _find_root(alone(sup), BRACKET_TOL, MAX_EVALUATIONS, f"{label} upper")
     if upper > 1.0:  # the line's dimension bounds h more tightly
         hi = 1.0
     # log lambda_N(hi) <= 0 too, unless h breaks the bracket
-    pair, evals = collocation.root(min(tol, COLLOCATION_TOL), max_iter, label, hi or 1.0)
+    pair, evals = collocation.root(label, hi or 1.0)
     h = pair.s
     if not lo <= h <= hi:
         raise ConvergenceFailure(f"{label}: root {h!r} outside its certified bracket [{lo!r}, {hi!r}]")
@@ -535,7 +528,7 @@ def bowen_solve(
 # closed-form path for countable similitude families
 
 
-def analytic_bowen_solve(family: MapFamily, tol: float = 1e-12) -> BowenSolution:
+def analytic_bowen_solve(family: MapFamily) -> BowenSolution:
     """Root of the full-family pressure, or its jump point when no root
     exists.  Infinite pressure values are handled as 'positive' so the
     bisection also localizes the finiteness threshold of irregular families,
@@ -545,9 +538,7 @@ def analytic_bowen_solve(family: MapFamily, tol: float = 1e-12) -> BowenSolution
     """
     if family.log_mass is None:
         raise ValueError(f"family {family.name!r} carries no closed-form mass")
-    root, bracket, evals = _find_root(
-        family.log_mass, tol, ANALYTIC_MAX_ITER, f"analytic({family.name})"
-    )
+    root, bracket, evals = _find_root(family.log_mass, ROOT_TOL, MAX_EVALUATIONS, f"analytic({family.name})")
     lo, hi = bracket
     left = family.log_mass(lo)
     residual = family.log_mass(hi)
@@ -568,10 +559,7 @@ def analytic_bowen_solve(family: MapFamily, tol: float = 1e-12) -> BowenSolution
 
 
 def truncation_scan(
-    family: MapFamily,
-    levels: Iterable[int],
-    depths: Iterable[int],
-    tol: float = 1e-10,
+    family: MapFamily, levels: Iterable[int], depths: Iterable[int]
 ) -> list[BowenSolution | Exception]:
     """``bowen_solve`` on ``family.truncate(n)`` at each level n, in order,
     at the word depth ``depths`` gives that level: the solution, or the
@@ -589,7 +577,7 @@ def truncation_scan(
     solutions: list[BowenSolution | Exception] = []
     for n, d in zip(levels, depths, strict=True):
         try:
-            solutions.append(bowen_solve(family.truncate(n), d, tol, collocation=shared.truncate(n)))
+            solutions.append(bowen_solve(family.truncate(n), d, collocation=shared.truncate(n)))
         except (ConvergenceFailure, ValueError) as err:
             solutions.append(err)
     return solutions

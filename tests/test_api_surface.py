@@ -214,7 +214,6 @@ def test_every_dataclass_field_is_read(module):
 # defaults that only the tests override
 UNPASSED = {
     "main.argv": "the console script calls main() on sys.argv; tests pass their own",
-    "bowen_solve.max_iter": "tests lower it to make a solve raise ConvergenceFailure",
 }
 
 

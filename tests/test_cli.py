@@ -260,6 +260,8 @@ def test_scan_golden_monotone_to_limit(tmp_path):
     res = report["results"]
     assert res["monotone"] is True
     assert res["limit_h"] == pytest.approx(GOLDEN_LIMIT, abs=1e-8)
+    # log phi / log 2 = 0.69424191363061730174...: the closed-form root bisects to 1e-15
+    assert res["limit_h"] == 0.6942419136306173
     assert res["last_h"] == pytest.approx(0.692989243639961, abs=1e-8)
     assert 0.0 < res["final_gap_to_limit"] < 1e-2
     csv_text = (tmp_path / "scan-levels.csv").read_text()
@@ -379,6 +381,15 @@ def test_golden_level_1073_reaches_the_solve(tmp_path, monkeypatch):
     monkeypatch.setattr(ifsdim.cli, "truncation_scan", reached)
     code, report = run(tmp_path, "scan", "system.family = golden\nscan.levels = 1072:1073\n")
     assert code == 3 and report is None
+
+
+def test_golden_level_510_solves_at_word_depth_2(tmp_path):
+    # its words' derivatives reach 2^-1022, the smallest normal double; level 511's pass it
+    code, report = run(tmp_path, "scan", "system.family = golden\nscan.levels = 510\nscan.depth = 2\n")
+    assert code == 0
+    row = (tmp_path / "scan-levels.csv").read_text().splitlines()[1].split(",")
+    lo, hi, gap = (float(v) for v in row[2:5])
+    assert 0.0 < lo <= report["results"]["last_h"] <= hi < 1.0 and gap == pytest.approx(0.0, abs=1e-13)
 
 
 def test_a_failed_scan_level_writes_its_note_quoted(tmp_path, monkeypatch):
@@ -572,6 +583,14 @@ def test_converge_leaking_block_tv_is_one_over_n(tmp_path):
         cells = row.split(",")
         n, tv = int(cells[0]), float(cells[1])
         assert tv == pytest.approx(1.0 / n, abs=1e-15)
+
+
+def test_converge_staircase_at_a_large_scale(tmp_path):
+    # at a = 0.9 the limit's deep pieces have subnormal widths; it keeps the
+    # ones whose densities double precision holds
+    code, report = run(tmp_path, "converge", "system.family = gallery:staircase\nsystem.a = 0.9\n")
+    assert code == 0
+    assert report["results"]["final_tv"] == pytest.approx(0.9**11, rel=1e-12)  # a^(n+1) at level 10
 
 
 def test_converge_lattice_comb_weak_but_not_setwise(tmp_path):
@@ -992,6 +1011,34 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.family = custom\nsystem.maps = moebius:1; moebius:2\nsystem.label = mine\n",
             "system.label: not read for system.family = custom",
         ),
+        (
+            "bowen",
+            "system.family = cantor\nsystem.ratios = 0.3, 0.3\nbowen.tol = 1e-12\n",
+            "bowen.tol: not read for system.family = cantor",
+        ),
+        (
+            "scan",
+            "system.family = golden\nscan.levels = 2:4\nscan.tol = 1e-12\n",
+            "scan.tol: not read for system.family = golden",
+        ),
+        # word derivatives past the smallest normal double: their logs would
+        # be -inf and the word bracket [0, 1]
+        (
+            "bowen",
+            "system.family = cantor\nsystem.ratios = 1e-300, 0.5\nbowen.depth = 2\n",
+            "bowen.depth: depth 2 makes word derivatives as small as exp(-1381.6), "
+            "below the smallest normal double exp(-708.4)",
+        ),
+        (
+            "scan",
+            "system.family = golden\nscan.levels = 600, 1000\nscan.depth = 2\n",
+            "scan.depth: level 600 at depth 2 makes word derivatives as small as exp(-833.2)",
+        ),
+        (
+            "dimension",
+            "system.family = custom\nsystem.maps = moebius:1; moebius:10000000000000\nsample.seed = 1\n",
+            "system.maps: the word solve at depth 12 makes word derivatives as small as exp(-718.4)",
+        ),
     ],
     ids=[
         "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels",
@@ -1000,7 +1047,8 @@ MOEBIUS_NO_REPEATS_91 = (
         "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
         "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
         "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size", "dimension-tolerance",
-        "custom-label",
+        "custom-label", "bowen-tol", "scan-tol", "bowen-tiny-words", "scan-tiny-words",
+        "dimension-tiny-words",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(

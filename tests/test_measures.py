@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,18 @@ def test_staircase_tv_closed_form():
         for n in (1, 2, 5, 10):
             want = a ** (n + 1)
             assert tv_distance(fam.at(n), fam.limit) == pytest.approx(want, rel=1e-12)
+
+
+def test_staircase_builds_its_limit_and_last_member_at_every_scale():
+    # past a = 0.86 a piece's subnormal width overflowed its density; such
+    # pieces are left out, and each scale gets the members double precision holds
+    for a in np.arange(1, 100) / 100:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = gallery("staircase", a=float(a))
+            last = fam.at(fam.last)
+        assert np.isfinite(fam.limit.pieces).all() and np.isfinite(last.pieces).all()
+    assert gallery("staircase", a=0.5).last == 31
 
 
 def test_staircase_vs_limit_worked_example():
@@ -389,7 +402,7 @@ def test_ternary_depth_two_masses_are_exactly_quarter():
 
 def test_golden_two_map_masses_match_root_powers():
     sys_ = golden_family().truncate(2)
-    h2 = bowen_solve(sys_, depth=1, tol=1e-12).h
+    h2 = bowen_solve(sys_, depth=1).h
     cm = conformal_measure(sys_, h2, 3)
     np.testing.assert_allclose(cm.level(1), (0.25**h2, 0.125**h2), rtol=0.0, atol=1e-12)
     assert cm.level(1).sum() == pytest.approx(1.0, abs=1e-12)
@@ -400,7 +413,7 @@ def test_cylinder_additivity_is_machine_exact():
         (golden_family().truncate(5), 4),
         (continued_fraction_family().truncate(3), 5),
     ):
-        h = bowen_solve(sys_, depth=6, tol=1e-8).h
+        h = bowen_solve(sys_, depth=6).h
         cm = conformal_measure(sys_, h, depth)
         assert_additive(cm, tol=1e-12)
         for d in range(1, depth):
@@ -435,7 +448,7 @@ def test_limit_measure_dominates_truncation_masses():
     h = analytic_bowen_solve(fam).h
     n = 4
     sys_ = fam.truncate(n)
-    hn = bowen_solve(sys_, depth=1, tol=1e-12).h
+    hn = bowen_solve(sys_, depth=1).h
     cm = conformal_measure(sys_, hn, 4)
     for depth in range(1, 5):
         for word, mass in zip(enumerate_admissible(sys_.incidence, depth), cm.level(depth)):
@@ -476,7 +489,7 @@ def test_stage_distribution_guards():
 
 def test_truncation_singularity_decay():
     fam = golden_family()
-    h4 = bowen_solve(fam.truncate(4), depth=1, tol=1e-12).h
+    h4 = bowen_solve(fam.truncate(4), depth=1).h
     q = 2.0 ** (-2 * h4) + 2.0 ** (-3 * h4)
     vals = [truncation_singularity(fam, 2, 4, h4, d) for d in (0, 1, 5, 10, 200)]
     assert vals[0] == 1.0
@@ -488,7 +501,7 @@ def test_truncation_singularity_decay():
 
 def test_truncation_singularity_whole_space_and_guards():
     fam = golden_family()
-    h3 = bowen_solve(fam.truncate(3), depth=1, tol=1e-13).h
+    h3 = bowen_solve(fam.truncate(3), depth=1).h
     for d in (1, 50, 200):
         assert truncation_singularity(fam, 3, 3, h3, d) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
@@ -574,7 +587,7 @@ def test_cylinder_sampling_frequencies_match_masses():
 
 def test_moebius_cylinder_sampling_stays_in_bounds():
     sys_ = continued_fraction_family().truncate(2)
-    h = bowen_solve(sys_, depth=10, tol=1e-8).h
+    h = bowen_solve(sys_, depth=10).h
     cm = conformal_measure(sys_, h, 3)
     cloud = sample(cm, 1_000, seed=9)
     # digits {1, 2} keep the limit set inside [sqrt(3)-1)/2, sqrt(3)-1]

@@ -109,20 +109,20 @@ def test_upper_pressure_tightens_under_depth_doubling():
 
 
 def test_ternary_cantor_dimension():
-    sol = bowen_solve(cantor_system((1 / 3, 1 / 3)), depth=4, tol=1e-12)
+    sol = bowen_solve(cantor_system((1 / 3, 1 / 3)), depth=4)
     assert sol.h == pytest.approx(TERNARY_DIM, abs=1e-12)
     assert sol.regular and sol.method == "collocation"
     assert abs(sol.residual) < 1e-15
 
 
 def test_touching_cantor_has_dimension_one():
-    sol = bowen_solve(cantor_system((0.5, 0.5)), depth=6, tol=1e-12)
+    sol = bowen_solve(cantor_system((0.5, 0.5)), depth=6)
     assert sol.h == pytest.approx(1.0, abs=1e-10)
 
 
 def test_golden_truncation_scan_matches_oracle():
     levels = range(2, 13)
-    scan = truncation_scan(golden_family(), levels, [1] * len(levels), tol=1e-12)
+    scan = truncation_scan(golden_family(), levels, [1] * len(levels))
     for n, sol in zip(levels, scan):
         assert sol.regular and sol.depth == 1
         assert sol.gap == pytest.approx(0.0, abs=1e-13)
@@ -152,7 +152,7 @@ def test_scan_rows_are_the_roots_of_their_own_levels(monkeypatch, family):
 
 
 def test_analytic_golden_root():
-    sol = analytic_bowen_solve(golden_family(), tol=1e-13)
+    sol = analytic_bowen_solve(golden_family())
     assert sol.regular and sol.method == "analytic"
     assert sol.h == pytest.approx(GOLDEN_ROOTS["limit"], abs=1e-11)
     assert sol.h == pytest.approx(math.log((1 + math.sqrt(5)) / 2) / math.log(2), abs=1e-11)
@@ -160,7 +160,7 @@ def test_analytic_golden_root():
 
 def test_truncation_roots_converge_to_analytic_limit():
     limit = analytic_bowen_solve(golden_family()).h
-    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], [1] * 5, tol=1e-12)
+    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], [1] * 5)
     errs = [limit - sol.h for sol in scan]
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
@@ -168,7 +168,7 @@ def test_truncation_roots_converge_to_analytic_limit():
 
 
 def test_borderline_family_is_irregular():
-    sol = analytic_bowen_solve(borderline_family(), tol=1e-10)
+    sol = analytic_bowen_solve(borderline_family())
     assert not sol.regular
     assert sol.h == pytest.approx(0.5, abs=1e-8)
     assert sol.residual == pytest.approx(math.log(0.5), abs=1e-5)
@@ -202,7 +202,7 @@ def test_continued_fraction_root_is_bracketed_and_accurate():
     # the sup/inf pressure roots certify a dimension interval on a full shift
     assert lower_root <= CF_DIMENSION <= upper_root
     assert upper_root - lower_root < 0.05
-    sol = bowen_solve(sys_, depth=12, tol=1e-8)
+    sol = bowen_solve(sys_, depth=12)
     assert sol.h == pytest.approx(CF_DIMENSION, abs=1e-10)
     # the reported bracket is those two roots
     assert sol.bracket == pytest.approx((lower_root, upper_root), abs=1e-8)
@@ -216,10 +216,11 @@ def test_word_pressure_gap_respects_distortion_budget():
         assert est.gap > 0
 
 
-def test_bowen_solve_iteration_budget():
+def test_bowen_solve_iteration_budget(monkeypatch):
     # Newton needs more than two evaluations per solve on CF{1,2}
+    monkeypatch.setattr(ifsdim.pressure, "MAX_EVALUATIONS", 2)
     with pytest.raises(ConvergenceFailure):
-        bowen_solve(continued_fraction_family().truncate(2), depth=6, tol=1e-12, max_iter=2)
+        bowen_solve(continued_fraction_family().truncate(2), depth=6)
 
 
 def test_truncation_scan_records_failures_and_continues(monkeypatch):
@@ -232,7 +233,7 @@ def test_truncation_scan_records_failures_and_continues(monkeypatch):
         return real(system, *args, **kwargs)
 
     monkeypatch.setattr(ifsdim.pressure, "bowen_solve", solve)
-    first, failed, last = truncation_scan(golden_family(), [2, 3, 4], [1, 1, 1], tol=1e-10)
+    first, failed, last = truncation_scan(golden_family(), [2, 3, 4], [1, 1, 1])
     assert failed is broken
     for n, sol in ((2, first), (4, last)):  # the levels around the failure still solve
         assert sol.regular and sol.h == real(golden_family().truncate(n), depth=1).h
@@ -244,10 +245,10 @@ def test_truncation_scan_rejects_levels_below_two():
 
 
 def test_borderline_truncations_solve_below_an_irregular_limit():
-    limit = analytic_bowen_solve(borderline_family(), tol=1e-8)
+    limit = analytic_bowen_solve(borderline_family())
     assert limit.h == pytest.approx(0.5, abs=1e-6)
     assert limit.regular is False
-    roots = truncation_scan(borderline_family(), [2, 3], [1, 1], tol=1e-8)
+    roots = truncation_scan(borderline_family(), [2, 3], [1, 1])
     assert all(sol.regular and sol.h < limit.h for sol in roots)  # every finite stage still solves
 
 
@@ -365,8 +366,10 @@ def test_level_geometry_matches_axis_reductions_bit_for_bit(system, depth):
 @settings(max_examples=40, deadline=None)
 def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
     tol = 1e-10
-    # max_iter bounds each of the three solves, the collocation one included
-    sol = bowen_solve(system, depth=depth, tol=tol, max_iter=8)
+    # MAX_EVALUATIONS bounds each of the three solves, the collocation one included
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ifsdim.pressure, "MAX_EVALUATIONS", 8)
+        sol = bowen_solve(system, depth=depth)
     lo, hi = sol.bracket
     assert lo <= sol.h <= hi and sol.iterations <= 24
     col = collocate(system)

@@ -424,7 +424,7 @@ def test_operator_root_is_exact_on_similitude_subshift():
     # the collocation root is that Perron root at every word depth, while
     # the upper word pressure only converges O(1/depth) on a subshift, and
     # from above; watch its root, the bracket's upper end, drift toward it
-    sols = [bowen_solve(sys_, depth=d, tol=1e-10) for d in (4, 8, 16)]
+    sols = [bowen_solve(sys_, depth=d) for d in (4, 8, 16)]
     assert all(sol.h == pytest.approx(root, abs=1e-12) for sol in sols)
     errs = [sol.bracket[1] - root for sol in sols]
     assert all(e > 0 for e in errs)
@@ -485,6 +485,6 @@ def test_lyapunov_is_minus_the_log_eigenvalue_slope(t):
 
 
 def test_operator_root_takes_a_handful_of_evaluations():
-    # bisection to the default tol 1e-15 takes 50
+    # bisection to ROOT_TOL, 1e-15, takes 50
     _, evals = collocate(continued_fraction_family().truncate(2)).root()
     assert evals <= 8
