@@ -651,12 +651,11 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
         if not source.incidence.allowed.any(axis=1).all():
             raise ConfigError("system.incidence: a symbol has no admissible successor")
-        word_depth = default_depth(source)
-        # the word solve's depth is fixed, so only fewer maps shrink its level
-        words = count_admissible(source.incidence, word_depth)
-        what = f"the word solve at depth {word_depth}"
-        _check_budget(_size_key(cfg), f"{what} makes", words, "words")
-        _check_word_depth(_size_key(cfg), what, word_depth, _log_inf_derivatives(source.coefficients).min())
+        # the bracket reads no level deeper than the measure's, so the masses
+        # budget and the floor on dimension.depth cover every level it reads
+        word_depth = min(default_depth(source), cyl_depth)
+        least = _log_inf_derivatives(source.coefficients).min()
+        _check_word_depth("dimension.depth", f"depth {cyl_depth}", cyl_depth, least)
         entries = masses_entries(source.incidence, cyl_depth, *collocation_shape(source))
         _check_budget("dimension.depth", f"depth {cyl_depth} makes", entries, "masses-recursion entries")
         label = f"{source.label}[conformal]"

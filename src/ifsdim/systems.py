@@ -138,9 +138,9 @@ class LevelGeometry:
         return self.log_sup.shape[0]
 
 
-# One level: a command reuses its level across the root finder's
-# evaluations, the cylinder measure and the density field, in sequence,
-# while levels of earlier commands would only hold memory.
+# One level: dimension's word bracket and density field read the same level
+# of a system with a moebius map up to depth 12, while levels of earlier
+# commands would only hold memory.
 @functools.lru_cache(maxsize=1)
 def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     """Exact images and certified derivative bounds for all depth-n words.

@@ -830,8 +830,8 @@ BAD_DIMENSION_KEYS = [
         pytest.param(system, bad, key, id=prefix + bad.replace("\n", ", "))
         for prefix, system in [
             ("", "system.family = cantor\nsystem.ratios = 0.3, 0.3\n"),
-            # four continued-fraction digits: a depth-12 word solve of 4^12
-            # words, and the deepest masses table the budget admits for four maps
+            # four continued-fraction digits at the deepest masses table the
+            # budget admits for four maps
             ("cf4: ", "system.family = continued-fraction\nsystem.size = 4\ndimension.depth = 10\n"),
         ]
         for bad, key in BAD_DIMENSION_KEYS
@@ -1037,7 +1037,14 @@ MOEBIUS_NO_REPEATS_91 = (
         (
             "dimension",
             "system.family = custom\nsystem.maps = moebius:1; moebius:10000000000000\nsample.seed = 1\n",
-            "system.maps: the word solve at depth 12 makes word derivatives as small as exp(-718.4)",
+            "dimension.depth: depth 12 makes word derivatives as small as exp(-718.4)",
+        ),
+        # a similitude's exact bracket reads depth 1, its cylinders depth 3
+        (
+            "dimension",
+            "system.family = cantor\nsystem.ratios = 1e-200, 0.3\nsample.seed = 1\ndimension.depth = 3\n",
+            "dimension.depth: depth 3 makes word derivatives as small as exp(-1381.6), "
+            "below the smallest normal double exp(-708.4)",
         ),
     ],
     ids=[
@@ -1048,7 +1055,7 @@ MOEBIUS_NO_REPEATS_91 = (
         "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
         "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size", "dimension-tolerance",
         "custom-label", "bowen-tol", "scan-tol", "bowen-tiny-words", "scan-tiny-words",
-        "dimension-tiny-words",
+        "dimension-tiny-words", "dimension-tiny-cylinders",
     ],
 )
 def test_config_errors_name_their_key_before_any_solve(
@@ -1080,15 +1087,16 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
             "system.family = golden\nscan.levels = 2:3\nscan.depth = 24\n",
             "scan.depth: level 3 at depth 24 makes 282429536481 words",
         ),
+        # the masses table's 5^9 words of 9 symbols
         (
             "dimension",
-            CF5 + "sample.seed = 1\ndimension.depth = 4\n",
-            "system.size: the word solve at depth 12 makes 244140625 words",
+            CF5 + "sample.seed = 1\ndimension.depth = 9\n",
+            "dimension.depth: depth 9 makes 17578125 masses-recursion entries",
         ),
         (
             "dimension",
-            MOEBIUS5 + "sample.seed = 1\ndimension.depth = 4\n",
-            "system.maps: the word solve at depth 12 makes 244140625 words",
+            MOEBIUS5 + "sample.seed = 1\ndimension.depth = 9\n",
+            "dimension.depth: depth 9 makes 17578125 masses-recursion entries",
         ),
         (
             "dimension",
@@ -1096,7 +1104,7 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
             "sample.seed = 1\ndimension.depth = 16\n",
             "dimension.depth: depth 16 makes 688747536 masses-recursion entries",
         ),
-        # the masses table's 4^11 words of 11 symbols, past a word solve at its edge
+        # the masses table's 4^11 words of 11 symbols
         (
             "dimension",
             "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\ndimension.depth = 11\n",
@@ -1140,12 +1148,13 @@ def test_work_budget_rejects_before_any_geometry(
         ("bowen", "system.family = custom\nsystem.maps = moebius:1; moebius:2\nbowen.depth = 24\n"),
         ("scan", "system.family = borderline\nscan.levels = 4096\nscan.depth = 2\n"),
         ("converge", "system.family = borderline\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
-        # the word solve's 4^12 words, and the masses tables of 4^10 and 3^12 words
+        # the masses tables of 4^10, 3^12 and 5^8 words
         (
             "dimension",
             "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\ndimension.depth = 10\n",
         ),
         ("dimension", "system.family = continued-fraction\nsystem.size = 3\nsample.seed = 1\n"),
+        ("dimension", CF5 + "sample.seed = 1\ndimension.depth = 8\n"),
         # the masses table's 4^10 words of 10 symbols
         ("gibbs", "system.family = continued-fraction\nsystem.size = 4\ngibbs.depth = 10\n"),
         # the masses table's 3^12 words of 12 symbols
@@ -1163,7 +1172,7 @@ def test_work_budget_rejects_before_any_geometry(
     ],
     ids=[
         "bowen-cf4", "bowen-depth-24", "scan-depth", "converge-table", "dimension-cf4",
-        "dimension-cf3-depth-12", "gibbs-states",
+        "dimension-cf3-depth-12", "dimension-cf5-depth-8", "gibbs-states",
         "gibbs-cf3-depth-12", "converge-lattice-comb", "dimension-cantor-stages",
         "dimension-cantor-stages-flatness", "dimension-staircase",
     ],
@@ -1353,6 +1362,51 @@ def test_dimension_builds_one_collocation(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "dimension", text)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "system,depths",
+    [
+        # the bracket reads the measure's level, built once
+        ("system.family = continued-fraction\nsystem.size = 3\ndimension.depth = 8\n", [8, 8]),
+        # a similitude's bracket is exact at depth 1
+        ("system.family = cantor\nsystem.ratios = 0.3, 0.3\ndimension.depth = 5\n", [1, 5]),
+    ],
+    ids=["cf3", "cantor"],
+)
+def test_dimension_reads_no_level_deeper_than_its_measure(tmp_path, monkeypatch, system, depths):
+    asked = []
+    real = ifsdim.systems.level_geometry
+
+    def spied(system, depth):
+        asked.append(depth)
+        return real(system, depth)
+
+    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.dimension):
+        monkeypatch.setattr(module, "level_geometry", spied)
+    code, _ = run(tmp_path, "dimension", f"{system}sample.seed = 1\nsample.count = 100\n")
+    assert code == 0 and asked == depths
+
+
+@pytest.mark.parametrize(
+    "system,depth",
+    [
+        (
+            "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:3\n"
+            "system.incidence = 011;101;110\n",
+            8,
+        ),
+        ("system.family = continued-fraction\nsystem.size = 2\n", 12),
+    ],
+    ids=["moebius3-no-repeats", "cf2"],
+)
+def test_dimension_root_is_the_bowen_root_at_its_depth(tmp_path, system, depth):
+    sampled = f"{system}dimension.depth = {depth}\nsample.seed = 1\nsample.count = 100\n"
+    code, report = run(tmp_path, "dimension", sampled)
+    assert code == 0
+    code, bowen = run(tmp_path, "bowen", f"{system}bowen.depth = {depth}\n")
+    assert code == 0
+    assert report["results"]["report"]["bowen_root"] == bowen["results"]["h"]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,92 @@
+"""Digest the output of a fixed set of ifsdim commands, to tell whether two
+checkouts write bit-identical reports.
+
+Runs ``ifsdim.cli.main`` in-process on the six ``configs/*.cfg`` (the
+command is the last dash-separated part of the file name) and on the first
+``--cases`` timed inputs of each benchmark workload (``perfbench/inputs.py``)
+for each of ``--seeds``.  Prints one line per command: its label, the
+command, its exit code and a sha256 over the exit code, stdout and stderr
+(the temporary directory masked), the report without its ``timestamp``, and
+every CSV's name and bytes.
+
+    python3 tools/report_digest.py [--cases 60] [--seeds 1,2] > digest.txt
+
+Run it from each checkout and compare the two files with ``diff``.
+"""
+
+from __future__ import annotations
+
+import os
+
+# before numpy is imported: BLAS sums depend on the thread count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402
+from ifsdim import cli  # noqa: E402
+
+
+def digest(command: str, config: str) -> tuple[str, str]:
+    """Run one command on ``config`` text; return (exit code, sha256 hex)."""
+    h = hashlib.sha256()
+
+    def part(name: str, data: bytes) -> None:
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cfg, out = work / "run.cfg", work / "out"
+        cfg.write_text(config)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("always")  # each command shows its own warnings
+            try:
+                code = str(cli.main([command, "--config", str(cfg), "--out", str(out)]))
+            except Exception as err:  # a crash is an outcome to compare too
+                code = f"raised:{err!r}"
+        part("code", code.encode())
+        part("stdout", stdout.getvalue().replace(tmp, "<tmp>").encode())
+        part("stderr", stderr.getvalue().replace(tmp, "<tmp>").encode())
+        report = out / f"{command}-report.json"
+        if report.exists():
+            body = json.loads(report.read_text())
+            body.pop("timestamp", None)
+            part("report", json.dumps(body, sort_keys=True).encode())
+        for table in sorted(out.glob("*.csv")):
+            part(table.name, table.read_bytes())
+    return code, h.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", type=int, default=60, help="timed inputs per workload and seed")
+    parser.add_argument("--seeds", default="1,2", help="comma-separated benchmark seeds")
+    args = parser.parse_args()
+    runs = [
+        (path.name, path.stem.rsplit("-", 1)[-1], path.read_text())
+        for path in sorted((ROOT / "configs").glob("*.cfg"))
+    ]
+    for seed in (int(s) for s in args.seeds.split(",")):
+        for workload in inputs.WORKLOADS:
+            cases = inputs.timed(workload, seed)[: args.cases]
+            runs += [(f"{workload}:{seed}:{i}", c.command, c.config) for i, c in enumerate(cases)]
+    for label, command, config in runs:
+        code, sha = digest(command, config)
+        print(label, command, code, sha, flush=True)
+
+
+if __name__ == "__main__":
+    main()
