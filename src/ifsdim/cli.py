@@ -36,6 +36,7 @@ from .measures import (
     CylinderMeasure,
     LineMeasure,
     MeasureFamily,
+    beside,
     gallery,
     sample,
     setwise_discrepancy,
@@ -689,11 +690,13 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
                 warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
 
         cloud = sample(measure, count, seed=seed)
-        curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
+        # the worker thread evaluates the density field while this one counts pairs
+        with beside(density_field, measure, cloud[:density_points], d_rmin, d_rmax) as density:
+            curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
         if curve.degenerate:
             warnings.append("sample cloud is a single point; slope pinned to zero")
 
-        fld = density_field(measure, cloud[:density_points], d_rmin, d_rmax)
+        fld = density.result()
         crit = young_criterion(fld)
         bounds = scaling_quantile_bounds(fld)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -222,15 +221,19 @@ def density_field(
     pts = np.asarray(points, dtype=float)
     radii = _dyadic_ladder(r_min, r_max)
     log_r = np.log(radii)
-    n = pts.size
-    ratio_lo = np.full((n, radii.size), np.nan)
-    ratio_hi = np.full((n, radii.size), np.nan)
-
-    if isinstance(measure, CylinderMeasure):
+    cylinders = isinstance(measure, CylinderMeasure)
+    if cylinders:
         los, his, pref = _cylinder_interval_table(measure)
-        order = np.argsort(pts, kind="stable")  # sorted queries search faster
-        for j, r in enumerate(radii):
-            left, right = pts[order] - r, pts[order] + r
+    order = np.argsort(pts, kind="stable")  # sorted queries search faster
+    at = pts[order]
+    # the least and the greatest ratio over the ladder, NaN where no radius
+    # gives one; np.fmin and np.fmax skip NaN and warn about nothing, so
+    # the field runs on a worker thread without touching the
+    # process-global warning filters
+    low, high = np.full((2, pts.size), np.nan)
+    for j, r in enumerate(radii):
+        left, right = at - r, at + r
+        if cylinders:
             outer = pref[np.searchsorted(los, right, side="right")] - pref[
                 np.searchsorted(his, left, side="left")
             ]
@@ -238,24 +241,20 @@ def density_field(
                 np.searchsorted(los, left, side="left")
             ]
             inner = np.maximum(inner, 0.0)
-            with np.errstate(divide="ignore"):
-                ratio_lo[order, j] = np.where(outer > 0, np.log(outer) / log_r[j], np.nan)
-                ratio_hi[order, j] = np.where(inner > 0, np.log(inner) / log_r[j], np.nan)
-    else:
-        mass = measure.mass_of_interval(pts[:, None] - radii, pts[:, None] + radii)
+        else:
+            outer = inner = measure.mass_of_interval(left, right)
         with np.errstate(divide="ignore"):
-            ratio = np.where(mass > 0, np.log(mass) / log_r[None, :], np.nan)
-        ratio_lo = ratio
-        ratio_hi = ratio.copy()
+            ratio_lo = np.where(outer > 0, np.log(outer) / log_r[j], np.nan)
+            ratio_hi = np.where(inner > 0, np.log(inner) / log_r[j], np.nan)
+        if j == 0:
+            inside = np.empty(pts.size, dtype=bool)
+            inside[order] = ~np.isnan(ratio_lo)
+        np.fmin(low, ratio_lo, out=low)
+        np.fmax(high, ratio_hi, out=high)
 
-    inside = ~np.isnan(ratio_lo[:, 0])
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    if inside.any():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            lower[inside] = np.nanmin(ratio_lo[inside], axis=1)
-            upper[inside] = np.nanmax(ratio_hi[inside], axis=1)
+    lower, upper = np.empty((2, pts.size))
+    lower[order], upper[order] = low, high
+    lower[~inside] = upper[~inside] = 0.0
     lower = np.maximum(np.where(np.isnan(lower), 0.0, lower), 0.0)
     upper = np.maximum(np.where(np.isnan(upper), np.inf, upper), lower)
     return DensityField(points=pts, lower=lower, upper=upper, inside=inside, radii=radii)

@@ -31,12 +31,17 @@ Three convergence gauges with strictly decreasing strength:
                              bounded support it metrizes weak convergence.
 
 Sampling uses a counter-based generator (Philox) so draws are reproducible
-from (measure, seed) alone and independent of evaluation order.
+from (measure, seed) alone and independent of evaluation order.  The
+cylinder sampler has each next block of draws filled on a worker thread
+while it consumes the current one; the generator draws the same blocks in
+the same order, so the samples are those of serial draws, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -62,6 +67,7 @@ __all__ = [
     "setwise_discrepancy",
     "w1_distance",
     "sample",
+    "beside",
     "gallery",
 ]
 
@@ -184,7 +190,7 @@ class LineMeasure:
     def mass_of_points(self, points) -> float:
         """Mass of a finite point set (only atoms can contribute)."""
         at = np.unique(np.asarray(points, dtype=float))
-        return float(self.mass_of_interval(at, at).sum())
+        return float(_blocked(self.mass_of_interval, at, at).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,26 @@ def _cells(m1: LineMeasure, m2: LineMeasure) -> tuple[np.ndarray, np.ndarray]:
     return grid, _density_on(m1, grid[:-1]) - _density_on(m2, grid[:-1])
 
 
+MASS_BLOCK = 1 << 16  # query points per mass_of_interval call over a whole grid
+
+
+def _blocked(masses: Callable, lo, hi: np.ndarray) -> np.ndarray:
+    """``masses(lo, hi)`` for the array ``hi`` and ``lo``, a scalar or an
+    array of its size, evaluated MASS_BLOCK points at a time into one
+    array: the temporaries of ``mass_of_interval`` stay the size of a
+    block, and each value is that of a single call."""
+    out = np.empty(hi.size)
+    for start in range(0, hi.size, MASS_BLOCK):
+        block = slice(start, start + MASS_BLOCK)
+        out[block] = masses(lo if np.ndim(lo) == 0 else lo[block], hi[block])
+    return out
+
+
+def _difference(m1: LineMeasure, m2: LineMeasure) -> Callable:
+    """(lo, hi) -> the mass of [lo, hi] under m1 minus that under m2."""
+    return lambda lo, hi: m1.mass_of_interval(lo, hi) - m2.mass_of_interval(lo, hi)
+
+
 def tv_distance(m1: LineMeasure, m2: LineMeasure) -> float:
     """sup over Borel sets of |m1(A) - m2(A)|, computed exactly.
 
@@ -220,8 +246,8 @@ def tv_distance(m1: LineMeasure, m2: LineMeasure) -> float:
     both inputs are probability measures.
     """
     grid, slope = _cells(m1, m2)
-    atoms = m1.mass_of_interval(grid, grid) - m2.mass_of_interval(grid, grid)
-    cells = slope * np.diff(grid)
+    atoms = _blocked(_difference(m1, m2), grid, grid)
+    cells = np.multiply(slope, np.diff(grid), out=slope)
     pos = neg = 0.0
     for diff in (atoms, cells):
         pos += float(diff[diff > 0].sum())
@@ -243,7 +269,7 @@ def w1_distance(m1: LineMeasure, m2: LineMeasure) -> float:
         raise ValueError(f"W1 needs equal total masses, got {m1.total} and {m2.total}")
     grid, slope = _cells(m1, m2)
     width = np.diff(grid)
-    a = m1.mass_of_interval(-math.inf, grid[:-1]) - m2.mass_of_interval(-math.inf, grid[:-1])
+    a = _blocked(_difference(m1, m2), -math.inf, grid[:-1])
     b = a + slope * width
     # width * (|a| + |b|) / 2, or width * (a^2 + b^2) / (2 (|a| + |b|)) across a sign change
     mean = 0.5 * (np.abs(a) + np.abs(b))
@@ -381,7 +407,11 @@ def sample(measure, count: int, seed: int) -> np.ndarray:
     of the current symbol; exact on similitude full shifts, first-order
     otherwise), until the widest image interval of the batch is shorter
     than 1e-9; then each midpoint is emitted.  So every sample takes the
-    batch's step count.
+    batch's step count.  The worker thread fills each next block of uniform
+    draws while this thread consumes the current one, in the order serial
+    draws would take, so the points do not depend on the thread.  Its work
+    arrays hold eight floats, two word indices and a flag per sample,
+    besides the points it returns.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -413,25 +443,75 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
     return lo[idx] + frac * (hi[idx] - lo[idx])
 
 
-def _push(
-    M: np.ndarray, digits: np.ndarray, mats: np.ndarray, out: np.ndarray, work: np.ndarray
-) -> None:
-    """``out`` = each column (A, B, C, D) of ``M`` times its digit's matrix,
-    over the column's max |entry|.  ``mats`` holds the rows a, b, c, d of
-    the maps' coefficients; ``work`` is two scratch rows."""
-    (A, B, C, D), (coef, prod) = M, work
-    for j, (top, bottom) in enumerate(((0, 2), (1, 3))):  # columns (a, c), (b, d)
-        np.take(mats[top], digits, out=coef, mode="wrap")
-        np.multiply(A, coef, out=out[j])
-        np.multiply(C, coef, out=out[j + 2])
-        np.take(mats[bottom], digits, out=coef, mode="wrap")
-        np.add(out[j], np.multiply(B, coef, out=prod), out=out[j])
-        np.add(out[j + 2], np.multiply(D, coef, out=prod), out=out[j + 2])
+@functools.cache
+def _worker():
+    """The one worker thread beside the main thread, as an executor that
+    runs its tasks one at a time in the order given.  Started on first use
+    and kept for the life of the process; only ``dimension`` runs use it,
+    so no other command imports ``concurrent.futures``."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ifsdim")
+
+
+@contextlib.contextmanager
+def beside(fn: Callable, *args):
+    """Run ``fn(*args)`` on the worker thread while the block runs on this
+    thread; yields its future, to be read after the block.  The block ends
+    only once the task has, so no task outlives it; when the block raises,
+    the task's own error is left unread."""
+    future = _worker().submit(fn, *args)
+    try:
+        yield future
+    finally:
+        future.exception()  # waits, raising nothing
+
+
+def _uniform_blocks(rng, rows: np.ndarray):
+    """Blocks of ``rng.random`` draws, written into the two ``rows`` in
+    turn: the worker fills the next block while the caller reads the one
+    just yielded, which stays intact until the caller asks for the next.
+    The generator draws the same blocks in the same order as serial
+    calls would, so only the last block, never read, is extra.  Close it
+    to wait for that block."""
+    fill = functools.partial(_worker().submit, rng.random)
+    pending = fill(out=rows[0])
+    try:
+        for k in itertools.cycle((0, 1)):
+            pending.result()
+            pending = fill(out=rows[1 - k])
+            yield rows[k]
+    finally:
+        pending.exception()  # waits for the look-ahead block, which no draw reads
+
+
+def _push(M: list, digits: np.ndarray, mats: np.ndarray, spare: list, work) -> None:
+    """``M``, the rows (A, B, C, D) of each sample's matrix, becomes each
+    column times its digit's matrix, over the column's max |entry|.
+    ``mats`` holds the rows a, b, c, d of the maps' coefficients.  The new
+    first and third rows are written into the two rows of ``spare``, which
+    then hold the rows they replace; ``work`` is two scratch rows."""
+    (A, B, C, D), (A2, C2), (coef, prod) = M, spare, work
+    # A a + B c and C a + D c into the spares, then B d + A b and D d + C b in place
+    np.take(mats[0], digits, out=coef, mode="wrap")
+    np.multiply(A, coef, out=A2)
+    np.multiply(C, coef, out=C2)
+    np.take(mats[2], digits, out=coef, mode="wrap")
+    np.add(A2, np.multiply(B, coef, out=prod), out=A2)
+    np.add(C2, np.multiply(D, coef, out=prod), out=C2)
+    np.take(mats[3], digits, out=coef, mode="wrap")
+    np.multiply(B, coef, out=B)
+    np.multiply(D, coef, out=D)
+    np.take(mats[1], digits, out=coef, mode="wrap")
+    np.add(np.multiply(A, coef, out=prod), B, out=B)
+    np.add(np.multiply(C, coef, out=prod), D, out=D)
+    M[:], spare[:] = (A2, B, C2, D), (A, C)
     scale = coef
-    np.maximum(np.abs(out[0], out=scale), np.abs(out[1], out=prod), out=scale)
-    np.maximum(scale, np.abs(out[2], out=prod), out=scale)
-    np.maximum(scale, np.abs(out[3], out=prod), out=scale)
-    np.divide(out, scale, out=out)
+    np.maximum(np.abs(A2, out=scale), np.abs(B, out=prod), out=scale)
+    np.maximum(scale, np.abs(C2, out=prod), out=scale)
+    np.maximum(scale, np.abs(D, out=prod), out=scale)
+    for row in M:
+        np.divide(row, scale, out=row)
 
 
 def _child_choice(
@@ -452,17 +532,19 @@ def _child_choice(
 
 
 def _draw_children(
-    level: tuple, parents: np.ndarray, out: np.ndarray, rng, work: np.ndarray, mask: np.ndarray
+    level: tuple, parents: np.ndarray, out: np.ndarray, u: np.ndarray,
+    gathered: np.ndarray, mask: np.ndarray,
 ) -> None:
     """``out`` = a child of each sample's parent word, drawn with the law of
-    the parent's children: target lo + u * width over the cumulative masses
-    of ``level`` = (cum, cs, lo, width), lo and width by parent."""
+    the parent's children from the uniform draws ``u``: target lo + u *
+    width over the cumulative masses of ``level`` = (cum, cs, lo, width),
+    lo and width by parent.  The targets overwrite ``u``; ``gathered`` is
+    a scratch row."""
     cum, cs, lo, width = level
-    target, gathered = work
     np.take(width, parents, out=gathered, mode="wrap")
-    np.multiply(rng.random(out=target), gathered, out=target)
-    np.add(np.take(lo, parents, out=gathered, mode="wrap"), target, out=target)
-    _child_choice(cum, cs, parents, target, out, gathered, mask)
+    np.multiply(u, gathered, out=u)
+    np.add(np.take(lo, parents, out=gathered, mode="wrap"), u, out=u)
+    _child_choice(cum, cs, parents, u, out, gathered, mask)
 
 
 def _level(masses: np.ndarray, cs: np.ndarray) -> tuple:
@@ -476,48 +558,55 @@ def _level(masses: np.ndarray, cs: np.ndarray) -> tuple:
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     m = measure.system.alphabet_size
     mats = measure.system.coefficients.T.copy()  # rows a, b, c, d
-    # the work arrays, allocated once: the samples' products M and their
-    # extensions N, two scratch rows, two word indices and a mask.  Takes
-    # into them use mode="wrap": with out= the default mode copies through
-    # a temporary, and every index is in range.
-    floats = np.empty((10, count))
-    M, N, work = floats[0:4], floats[4:8], floats[8:10]
+    # the work arrays, allocated once: the samples' products M, two spare
+    # rows, two blocks of uniform draws, two word indices and a mask; the
+    # cloud doubles as a scratch row.  Takes into them use mode="wrap":
+    # with out= the default mode copies through a temporary, and every
+    # index is in range.
+    floats = np.empty((8, count))
+    cloud = np.empty(count)
+    spare = list(floats[4:6])
     idx, nxt = np.zeros((2, count), dtype=np.int64)
     mask = np.empty(count, dtype=bool)
+    with contextlib.closing(_uniform_blocks(rng, floats[6:8])) as draws:
+        # exact joint draw of the stored digits, level by level from the
+        # empty word; each word's product is pushed once, and samples
+        # gather theirs
+        words = np.eye(2).reshape(4, 1)
+        for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
+            _draw_children(_level(measure.masses[d - 1], cs), idx, nxt, next(draws), cloud, mask)
+            idx, nxt = nxt, idx
+            parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
+            grown = np.empty((8, parent.size))
+            np.take(words, parent, axis=1, out=grown[0:4], mode="wrap")
+            rows = list(grown[0:4])
+            _push(rows, measure.last_symbols[d - 1], mats, list(grown[4:6]), grown[6:8])
+            words = np.stack(rows)
+        np.take(words, idx, axis=1, out=floats[0:4], mode="wrap")
+        M = list(floats[0:4])
 
-    # exact joint draw of the stored digits, level by level from the empty
-    # word; each word's product is pushed once, and samples gather theirs
-    words = np.eye(2).reshape(4, 1)
-    for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
-        _draw_children(_level(measure.masses[d - 1], cs), idx, nxt, rng, work, mask)
-        idx, nxt = nxt, idx
-        parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
-        grown = np.empty((10, parent.size))
-        np.take(words, parent, axis=1, out=grown[0:4], mode="wrap")
-        _push(grown[0:4], measure.last_symbols[d - 1], mats, grown[4:8], grown[8:10])
-        words = grown[4:8]
-    np.take(words, idx, axis=1, out=M, mode="wrap")
-
-    # beyond the stored depth each digit is a level-2 child of the current
-    # symbol; at depth 1, level 2 weighs each successor by its level-1 mass
-    if measure.depth >= 2:
-        last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
-    else:
-        (_, last), (cs,), _ = _extension_tables(measure.system, 2)
-        two = measure.masses[0][last]
-    level = _level(two, cs)
-    cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")
-    for _ in range(500):
-        (A, B, C, D), (x0, x1, gap, _) = M, N
-        np.divide(B, D, out=x0)
-        np.divide(np.add(A, B, out=x1), np.add(C, D, out=gap), out=x1)
-        if float(np.abs(np.subtract(x1, x0, out=gap), out=gap).max(initial=0.0)) < 1e-9:
-            mid = np.add(x0, x1)
-            return np.multiply(mid, 0.5, out=mid)
-        _draw_children(level, cur, idx, rng, work, mask)
-        np.take(last, idx, out=cur, mode="wrap")
-        _push(M, cur, mats, N, work)
-        M, N = N, M
+        # beyond the stored depth each digit is a level-2 child of the
+        # current symbol; at depth 1, level 2 weighs each successor by its
+        # level-1 mass
+        if measure.depth >= 2:
+            last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
+        else:
+            (_, last), (cs,), _ = _extension_tables(measure.system, 2)
+            two = measure.masses[0][last]
+        level = _level(two, cs)
+        cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")
+        for _ in range(500):
+            (A, B, C, D), (x0, x1), gap = M, spare, cloud
+            np.divide(B, D, out=x0)
+            np.divide(np.add(A, B, out=x1), np.add(C, D, out=gap), out=x1)
+            if float(np.abs(np.subtract(x1, x0, out=gap), out=gap).max(initial=0.0)) < 1e-9:
+                np.add(x0, x1, out=cloud)
+                return np.multiply(cloud, 0.5, out=cloud)
+            # the block just drawn is the product's scratch once its children are chosen
+            u = next(draws)
+            _draw_children(level, cur, idx, u, cloud, mask)
+            np.take(last, idx, out=cur, mode="wrap")
+            _push(M, cur, mats, spare, (u, cloud))
     raise ConvergenceFailure("cylinder images failed to contract below 1e-9")
 
 

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -506,6 +507,31 @@ def test_dimension_run_leaves_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_only_dimension_starts_the_worker_thread(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    runs = [(c, str(configs / f"{name}.cfg")) for c, name in (
+        ("bowen", "cantor-bowen"), ("gibbs", "cf-gibbs"), ("scan", "golden-scan"),
+        ("converge", "golden-converge"), ("dimension", "cantor-dimension"),
+    )]
+    script = (
+        "import sys, threading\n"
+        "from ifsdim.cli import main\n"
+        f"for command, config in {runs!r}:\n"
+        f"    assert main([command, '--config', config, '--out', {str(tmp_path)!r}]) == 0\n"
+        "    print('after', command, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert threads == [
+        "after bowen 1 False", "after gibbs 1 False", "after scan 1 False",
+        "after converge 1 False", "after dimension 2 True",
+    ]
+
+
 def test_config_error_writes_no_files(tmp_path):
     code, report = run(
         tmp_path, "scan", "system.family = golden\nscan.levels = 9:3\n"
@@ -713,6 +739,99 @@ def test_dimension_flatness_table_lists_every_radius(tmp_path, monkeypatch):
     assert rows[0] == "r,bound,exponent"
     assert len(rows) == 8  # 0.01 halved down to 1e-4
     assert (_cells(rows) == np.column_stack((flat.radii, flat.bounds, flat.exponents))).all()
+
+
+@pytest.fixture
+def worker_tasks(monkeypatch):
+    """Every future handed to the worker thread, each task held back 5 ms,
+    so that the main thread reaches its next step with the task pending."""
+    executor = ifsdim.measures._worker()
+    futures = []
+    submit = executor.submit
+
+    def held_back(fn, *args, **kwargs):
+        def task():
+            time.sleep(0.005)
+            return fn(*args, **kwargs)
+
+        futures.append(submit(task))
+        return futures[-1]
+
+    monkeypatch.setattr(executor, "submit", held_back)
+    return futures
+
+
+def _failing(err):
+    def fail(*args, **kwargs):
+        raise err
+
+    return fail
+
+
+def _report_files(out: Path) -> dict:
+    """The bytes a run wrote, its report without the timestamp."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".json", ".csv")}
+    report = json.loads(files.pop("dimension-report.json"))
+    report.pop("timestamp")
+    return {**files, "report": json.dumps(report, sort_keys=True).encode()}
+
+
+def test_a_sampler_failure_with_a_draw_pending_exits_3_writing_nothing(
+    tmp_path, monkeypatch, worker_tasks, capsys
+):
+    pending_at_failure = []
+
+    def failing_push(*args):
+        pending_at_failure.extend(f for f in worker_tasks if not f.done())
+        raise ifsdim.cli.ConvergenceFailure("cylinder images failed to contract below 1e-9")
+
+    monkeypatch.setattr(ifsdim.measures, "_push", failing_push)
+    code, report = run(tmp_path, "dimension", CANTOR_DIM_CFG)
+    assert code == 3 and report is None
+    assert "non-convergence" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")]
+    assert pending_at_failure  # the next block of draws was being filled
+    assert worker_tasks and all(f.done() for f in worker_tasks)
+
+
+# the density field fails on the worker, or the pair counts fail on the
+# main thread while the density field is pending there
+@pytest.mark.parametrize("name", ["density_field", "correlation_curve"])
+def test_a_probe_failure_beside_the_worker_exits_3_writing_nothing(
+    tmp_path, monkeypatch, worker_tasks, capsys, name
+):
+    monkeypatch.setattr(ifsdim.cli, name, _failing(ValueError(f"{name} failed")))
+    code, report = run(tmp_path, "dimension", CANTOR_DIM_CFG)
+    assert code == 3 and report is None
+    assert f"run failed: {name} failed" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")]
+    assert worker_tasks and all(f.done() for f in worker_tasks)
+
+
+def test_dimension_after_worker_failures_writes_what_a_fresh_process_writes(
+    tmp_path, monkeypatch, worker_tasks
+):
+    failures = {
+        "sampler": (ifsdim.measures, "_push", ifsdim.cli.ConvergenceFailure("no contraction")),
+        "density": (ifsdim.cli, "density_field", ValueError("no field")),
+    }
+    for label, (module, name, err) in failures.items():
+        (tmp_path / label).mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, _failing(err))
+            assert run(tmp_path / label, "dimension", CANTOR_DIM_CFG)[0] == 3
+    after, fresh = tmp_path / "after", tmp_path / "fresh"
+    after.mkdir()
+    assert run(after, "dimension", CANTOR_DIM_CFG)[0] == 0
+    assert all(f.done() for f in worker_tasks)
+    env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
+    argv = ["dimension", "--config", str(after / "run.cfg"), "--out", str(fresh)]
+    script = f"from ifsdim.cli import main; raise SystemExit(main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _report_files(after) == _report_files(fresh)
 
 
 def test_dimension_requires_seed(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ifsdim.dimension import (
     SCALING_QUANTILE,
+    _cylinder_interval_table,
     _median,
     _quantile,
     consistency_report,
@@ -214,6 +216,73 @@ def test_cylinder_density_rows_do_not_depend_on_query_order(seed):
     assert not fld.inside.all() and fld.inside.any()
     for name in ("lower", "upper", "inside"):
         assert getattr(moved, name).tobytes() == getattr(fld, name)[perm].tobytes()
+
+
+def _density_bounds_by_rows(measure, pts, r_min, r_max):
+    """lower, upper and inside from the whole table of ratios, one row per
+    point and one column per ladder radius, reduced row by row with
+    np.nanmin and np.nanmax: the reference for density_field's running
+    minimum and maximum over the ladder."""
+    radii = r_max * 0.5 ** np.arange(int(math.floor(math.log2(r_max / r_min))) + 1)
+    left, right = pts[:, None] - radii, pts[:, None] + radii
+    if isinstance(measure, LineMeasure):
+        outer = inner = measure.mass_of_interval(left, right)
+    else:
+        los, his, pref = _cylinder_interval_table(measure)
+        outer = pref[np.searchsorted(los, right, "right")] - pref[np.searchsorted(his, left, "left")]
+        inner = pref[np.searchsorted(his, right, "right")] - pref[np.searchsorted(los, left, "left")]
+        inner = np.maximum(inner, 0.0)
+    with np.errstate(divide="ignore"):
+        ratio_lo = np.where(outer > 0, np.log(outer) / np.log(radii), np.nan)
+        ratio_hi = np.where(inner > 0, np.log(inner) / np.log(radii), np.nan)
+    inside = ~np.isnan(ratio_lo[:, 0])
+    lower, upper = np.zeros(pts.size), np.zeros(pts.size)
+    if inside.any():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            lower[inside] = np.nanmin(ratio_lo[inside], axis=1)
+            upper[inside] = np.nanmax(ratio_hi[inside], axis=1)
+    lower = np.maximum(np.where(np.isnan(lower), 0.0, lower), 0.0)
+    upper = np.maximum(np.where(np.isnan(upper), np.inf, upper), lower)
+    return lower, upper, inside
+
+
+STAIRCASE = gallery("staircase").at(6)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cylinders", "staircase"]))
+@settings(max_examples=30, deadline=None)
+def test_density_bounds_equal_the_row_reduction_bit_for_bit(seed, name):
+    measure = ORDER_MEASURE if name == "cylinders" else STAIRCASE
+    rng = np.random.default_rng(seed)
+    # samples, their duplicates, points in gaps and points off the support
+    base = sample(measure, 60, seed=seed)
+    pts = np.concatenate((base, base[rng.integers(0, 60, size=10)], rng.uniform(-0.6, 1.6, 20)))
+    fld = density_field(measure, pts, 1e-4, 0.2)
+    want = _density_bounds_by_rows(measure, pts, 1e-4, 0.2)
+    for got, ref in zip((fld.lower, fld.upper, fld.inside), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_density_field_leaves_the_warning_filters_alone(monkeypatch):
+    # at 0.5, in the gap of the depth-1 ternary measure, the largest ball
+    # meets both cylinders and holds neither, and the smaller balls meet
+    # none: its upper row has no ratio, where np.nanmax would warn.  At 3
+    # no ball meets the support.  The field runs on the worker thread, and
+    # swapping the process-global warning filters there races the caller.
+    measure = conformal_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_H, depth=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("density_field swapped the warning filters")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with monkeypatch.context() as patch:
+            patch.setattr(warnings, "catch_warnings", refuse)
+            fld = density_field(measure, np.array([0.5, 3.0]), 0.05, 0.2)
+    assert fld.inside.tolist() == [True, False]
+    assert fld.lower.tolist() == [0.0, 0.0]
+    assert fld.upper.tolist() == [math.inf, 0.0]
 
 
 def test_cantor_conformal_density_concentrates_at_the_dimension():

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -6,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifsdim.measures
 from ifsdim.measures import (
     GALLERY_NAMES,
+    _cells,
     _child_choice,
     _draw_children,
     _level,
@@ -378,6 +383,65 @@ def test_w1_is_symmetric_and_at_most_span_times_tv(m1, m2):
     assert 0.0 <= w <= (max(bounds) - min(bounds)) * tv_distance(m1, m2) + 1e-12
 
 
+def _gauges_in_one_call(m1, m2):
+    """tv_distance and w1_distance with each mass_of_interval over the
+    whole grid at once: the reference for their evaluation in blocks."""
+    grid, slope = _cells(m1, m2)
+    atoms = m1.mass_of_interval(grid, grid) - m2.mass_of_interval(grid, grid)
+    cells = slope * np.diff(grid)
+    pos = neg = 0.0
+    for diff in (atoms, cells):
+        pos += float(diff[diff > 0].sum())
+        neg -= float(diff[diff < 0].sum())
+    width = np.diff(grid)
+    a = m1.mass_of_interval(-math.inf, grid[:-1]) - m2.mass_of_interval(-math.inf, grid[:-1])
+    b = a + slope * width
+    mean = 0.5 * (np.abs(a) + np.abs(b))
+    np.divide(0.25 * (a * a + b * b), mean, out=mean, where=a * b < 0)
+    return max(pos, neg), float(np.sum(width * mean))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_gauges_hold_block_sized_temporaries_and_equal_one_call():
+    # 2^18 atoms against Lebesgue measure: four blocks of grid points;
+    # in one call each gauge held 12 to 15 arrays of the grid's size
+    comb = gallery("lattice-comb")
+    n = 1 << 18
+    member = comb.at(n)
+    tv, tv_peak = _traced_peak(tv_distance, member, comb.limit)
+    w1, w1_peak = _traced_peak(w1_distance, member, comb.limit)
+    sets = [("points", member.atoms[:, 0])]
+    setwise, setwise_peak = _traced_peak(setwise_discrepancy, member, comb.limit, sets)
+    assert tv_peak <= 7 * 8 * n
+    assert w1_peak <= 9 * 8 * n
+    assert setwise_peak <= 6 * 8 * n
+    assert (tv, w1) == _gauges_in_one_call(member, comb.limit)
+    assert setwise == 1.0  # every atom of the comb, which Lebesgue measure misses
+
+
+def test_gauges_in_small_blocks_equal_one_call(monkeypatch):
+    # blocks of 1000 grid points cut every stage from the tenth on, and
+    # the point sets of the larger combs
+    monkeypatch.setattr(ifsdim.measures, "MASS_BLOCK", 1000)
+    stages, comb = gallery("cantor-mass-stages"), gallery("lattice-comb")
+    pairs = [(stages.at(n), stages.at(n + 1)) for n in (9, 10, 12)]
+    pairs += [(comb.at(n), comb.limit) for n in (999, 1000, 1001, 4321)]
+    for m1, m2 in pairs:
+        assert (tv_distance(m1, m2), w1_distance(m1, m2)) == _gauges_in_one_call(m1, m2)
+        at = np.unique(m1.atoms[:, 0])
+        assert m1.mass_of_points(at) == float(m1.mass_of_interval(at, at).sum())
+
+
 # ---------------------------------------------------------------------------
 # cylinder measures
 
@@ -707,6 +771,21 @@ def test_cylinder_sampler_matches_the_per_sample_reference_bit_for_bit(
     assert got.tobytes() == _per_sample_reference(measure, count, seed).tobytes()
 
 
+def test_cylinder_sampler_matches_the_reference_under_a_fast_thread_switch():
+    # the worker thread fills each next block of draws while this thread
+    # reads the one before; a thread switch every microsecond would expose
+    # a block read before its fill or overwritten while in use
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name, seed in itertools.product(sorted(SAMPLER_SYSTEMS), range(3)):
+            measure = conformal_measure(SAMPLER_SYSTEMS[name], 0.7, 3)
+            want = _per_sample_reference(measure, 5000, seed)
+            assert sample(measure, 5000, seed).tobytes() == want.tobytes(), (name, seed)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _with_neighbours(values: np.ndarray) -> np.ndarray:
     """Each value and the floats just below and above it."""
     return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
@@ -734,17 +813,6 @@ def test_child_choice_is_the_clipped_searchsorted_on_every_boundary(kids, data):
     assert got.tolist() == want.tolist()
 
 
-class _FixedDraws:
-    """Stands in for the generator: every draw gives the values ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, out):
-        out[:] = self.u
-        return out
-
-
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("h", [0.4, 0.9])
 @pytest.mark.parametrize("name", ["fibonacci-2", "fibonacci-3"])
@@ -760,8 +828,7 @@ def test_tail_digits_are_admissible_successors(name, h, depth):
     cur = np.repeat(np.arange(m), us.size)
     n = cur.size
     got = np.empty(n, dtype=np.int64)
-    draws = _FixedDraws(np.tile(us, m))
-    _draw_children(level, cur, got, draws, np.empty((2, n)), np.empty(n, dtype=bool))
+    _draw_children(level, cur, got, np.tile(us, m), np.empty(n), np.empty(n, dtype=bool))
     assert ((cs[cur] <= got) & (got < cs[cur + 1])).all()
     assert measure.system.incidence.allowed[cur, last[got]].all()
 

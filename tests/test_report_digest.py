@@ -1,0 +1,33 @@
+"""Smoke test of ``tools/report_digest.py``, the tool that tells whether two
+checkouts write bit-identical reports: one case per workload, run twice in
+one process, must digest the same both times."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+
+
+def test_report_digest_runs_every_case_and_repeats_itself(monkeypatch, capsys):
+    # the tool sets the BLAS thread count and its import path on import;
+    # these are put back afterwards, as is any other module named inputs
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "argv", [str(TOOL), "--cases", "1", "--seeds", "1"])
+    monkeypatch.delitem(sys.modules, "inputs", raising=False)
+    spec = importlib.util.spec_from_file_location("report_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    runs = []
+    try:
+        spec.loader.exec_module(tool)
+        for _ in range(2):
+            tool.main()
+            runs.append(capsys.readouterr().out.splitlines())
+    finally:
+        sys.modules.pop("inputs", None)  # the benchmark's module the tool imports
+    # the six configs and one timed case of each of the three workloads
+    assert len(runs[0]) == 9
+    assert [line.split()[2] for line in runs[0]] == ["0"] * 9
+    assert runs[1] == runs[0]
