@@ -53,7 +53,7 @@ from .pressure import (
     default_depth,
     truncation_scan,
 )
-from .symbolic import IncidenceMatrix, count_admissible
+from .symbolic import count_admissible
 from .systems import (
     InvalidSystem,
     MapFamily,
@@ -309,7 +309,7 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
     coefficients = [_parse_map(e) for e in raw_maps.split(";") if e.strip()]
     if not coefficients:
         raise ConfigError("system.maps: empty map list")
-    incidence = IncidenceMatrix.full(len(coefficients))
+    incidence = None
     if cfg.has("system.incidence"):
         rows = []
         for row in cfg.get_str("system.incidence").split(";"):
@@ -318,16 +318,19 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
                 raise ConfigError(
                     f"system.incidence: rows must be 0/1 strings, got {row!r}"
                 )
-            rows.append(tuple(int(ch) for ch in row))
-        try:
-            incidence = IncidenceMatrix(tuple(rows))
-        except ValueError as err:  # the rows are not square
-            raise ConfigError(f"system.incidence: {err}") from None
+            rows.append([ch == "1" for ch in row])
+        if any(len(row) != len(rows) for row in rows):
+            raise ConfigError("system.incidence: incidence matrix must be square")
+        if len(rows) != len(coefficients):
+            raise ConfigError(
+                f"system.incidence: {len(rows)} rows for the {len(coefficients)} maps of system.maps"
+            )
+        incidence = np.array(rows)
         # v <- (A v > 0) from all ones shrinks, within one step per symbol,
         # to the symbols that begin an infinite word
-        alive = np.ones(incidence.size, dtype=bool)
-        for _ in range(incidence.size):
-            alive = (incidence.allowed & alive).any(axis=1)
+        alive = np.ones(len(incidence), dtype=bool)
+        for _ in range(len(incidence)):
+            alive = (incidence & alive).any(axis=1)
         if not alive.any():
             raise ConfigError("system.incidence: has no cycle, so it admits no infinite word")
     try:
@@ -650,7 +653,7 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
     else:
         source = _finite_system(cfg, _build_source(cfg), "dimension")
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
-        if not source.incidence.allowed.any(axis=1).all():
+        if not source.incidence.any(axis=1).all():
             raise ConfigError("system.incidence: a symbol has no admissible successor")
         # the bracket reads no level deeper than the measure's, so the masses
         # budget and the floor on dimension.depth cover every level it reads

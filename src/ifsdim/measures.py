@@ -348,7 +348,7 @@ def _extension_tables(system: SystemSpec, depth: int):
     """last_symbols and child_starts arrays for levels 1..depth, and each
     symbol's successor count.  The extensions of a level are the row-major
     nonzeros of the incidence rows of its last symbols."""
-    allowed = system.incidence.allowed
+    allowed = system.incidence
     counts = allowed.sum(axis=1)
     last = [np.arange(system.alphabet_size, dtype=np.int64)]
     starts = []

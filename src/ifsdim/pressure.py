@@ -63,10 +63,7 @@ IRREGULAR_RESIDUAL = 1e-4  # larger leftover pressure at the root => no root
 COLLOCATION_NODES = 32  # Chebyshev nodes per grid when some branch is not affine
 COLLOCATION_SQUARINGS = 5  # the power iteration runs on L^(2^5), at every size
 ROOT_TOL = 1e-15  # bracket width at which the collocation and closed-form roots stop
-# Bracket width at which the word-pressure roots stop.  The collocation
-# root's last probe lands up to ROOT_TOL / 2 past it, so a narrower word
-# bracket can exclude a correct collocation root.
-BRACKET_TOL = 1e-10
+BRACKET_TOL = 1e-10  # bracket width at which the word-pressure roots stop
 # Evaluations any one root may take: bisection from 2^40 down to ROOT_TOL
 # needs about 131.
 MAX_EVALUATIONS = 200
@@ -136,20 +133,22 @@ def _find_root(
     tol: float,
     max_iter: int,
     label: str,
-    start: float = 1.0,
+    certified: tuple[float, float] = (0.0, 1.0),
 ) -> tuple[float, tuple[float, float], int]:
     """Find the sign change of a decreasing f on [0, inf); f may return +inf
     (counted as positive).  Returns (root, bracket, evaluations).
 
-    The bracket starts at [0, hi], with hi the first of start, 2 start,
-    4 start, ... where f <= 0, and shrinks to width <= tol.  An f that
-    returns a bare value is bisected, and the root is the midpoint of the
-    final bracket.  An f that returns ``(value, slope)`` is stepped by
-    Newton from each evaluated point whenever the Newton point lies strictly
-    inside the bracket, by the midpoint otherwise.  A Newton step shorter
-    than tol/2 means the iterates have converged from one side, so the next
-    evaluation lands tol/2 past the last one, on the other side, to close
-    the bracket.  Both bracket ends are then evaluated points, and the root
+    ``certified`` = (floor, start) is a bracket known to hold the root.  The
+    search bracket starts at [0, hi], with hi the first of start, 2 start,
+    4 start, ... where f <= 0, and shrinks to width <= tol.  While f may
+    still vanish above floor, an evaluation that would land below floor
+    evaluates floor instead.  An f that returns a bare value is bisected,
+    and the root is the midpoint of the final bracket.  An f that returns
+    ``(value, slope)`` is stepped by Newton from each evaluated point
+    whenever the Newton point lies strictly inside the bracket, by the
+    midpoint otherwise.  A Newton step shorter than tol/2 means the iterates
+    have converged from one side, so the next evaluation lands tol/2 past
+    the last one, on the other side, to close the bracket.  Both bracket ends are then evaluated points, and the root
     is the evaluated point with the smallest |f|.
 
     An evaluation with |f| < EXACT_ZERO is an exact hit and ends the search
@@ -182,7 +181,7 @@ def _find_root(
             best = (abs(value), t)
         return value, slope
 
-    hi = start
+    floor, hi = certified
     fhi, slope = val(hi)
     has_slope = slope is not None
     while fhi > 0.0:
@@ -204,6 +203,8 @@ def _find_root(
                 step = 0.5 * tol if ft > 0.0 else -0.5 * tol
             if lo < t + step < hi:
                 nxt = t + step
+        if nxt < floor < hi:
+            nxt = floor
         t = nxt
         ft, slope = val(t)
         if abs(ft) < EXACT_ZERO:
@@ -276,10 +277,10 @@ def _grids(system: SystemSpec) -> tuple[np.ndarray, tuple[int, ...], bool]:
     them (equal incidence columns).  Returns the symbols sorted by grid,
     grid h holding the symbols ``bounds[h]:bounds[h + 1]`` of that order,
     then ``bounds``, and whether the incidence is the full shift."""
-    allowed, m = system.incidence.allowed, system.alphabet_size
-    if allowed.strides == (0, 0) and allowed[0, 0] or allowed.all():
-        # the full shift needs no sort: one broadcast entry or all ones, so
-        # every column is the same
+    allowed, m = system.incidence, system.alphabet_size
+    if allowed.strides == (0, 0) or allowed.all():
+        # the full shift needs no sort: the default broadcast True or all
+        # ones, so every column is the same
         return np.arange(m), (0, m), True
     keys = np.packbits(allowed, axis=0)  # column j: its bits
     order = np.lexsort(keys)
@@ -400,17 +401,21 @@ class Collocation:
             density_residual=float(np.abs(images[0] - eigenvalue * right).max()) / scale,
         )
 
-    def root(self, label: str = "collocation", start: float = 1.0) -> tuple[Eigenpair, int]:
-        """The zero h of log lambda_N(s), by ``_find_root`` from ``start``
-        (Newton steps on the slope) down to a bracket ROOT_TOL wide or an
-        exact hit; returns the eigenpair at h and the evaluations."""
+    def root(
+        self, label: str = "collocation", certified: tuple[float, float] = (0.0, 1.0)
+    ) -> tuple[Eigenpair, int]:
+        """The zero h of log lambda_N(s), by ``_find_root`` from the upper
+        end of ``certified`` (Newton steps on the slope, none evaluated
+        below its lower end while h may lie above it) down to a bracket
+        ROOT_TOL wide or an exact hit; returns the eigenpair at h and the
+        evaluations."""
         pairs: dict[float, Eigenpair] = {}
 
         def log_eigenvalue(t: float) -> tuple[float, float]:
             pair = pairs[t] = self.eigenpair(t)
             return math.log(pair.eigenvalue), pair.slope
 
-        h, _, evals = _find_root(log_eigenvalue, ROOT_TOL, MAX_EVALUATIONS, label, start)
+        h, _, evals = _find_root(log_eigenvalue, ROOT_TOL, MAX_EVALUATIONS, label, certified)
         return pairs[h], evals
 
     def truncate(self, branches: int) -> Collocation:
@@ -459,7 +464,7 @@ def collocate(system: SystemSpec) -> Collocation:
         order=order,
         factors=factors,
         interpolation=interpolation,
-        feeds=system.incidence.allowed[order[:, None], order[list(bounds[:-1])]].T.astype(float),
+        feeds=system.incidence[order[:, None], order[list(bounds[:-1])]].T.astype(float),
         bounds=bounds,
         full_shift=full,
     )
@@ -471,7 +476,8 @@ def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | 
 
     ``h`` is the zero of log lambda_N(s) of ``collocation``, by default
     ``collocate(system)``, found by ``Collocation.root`` from the upper end
-    of the bracket down to a bracket ROOT_TOL wide; ``residual`` is log
+    of the bracket, evaluating nothing below its lower end, down to a
+    bracket ROOT_TOL wide; ``residual`` is log
     lambda_N(h) and ``state`` the ``Eigenpair`` at h.  The bracket comes
     from the depth-n level's log-derivatives, sorted once: the upper
     pressure alone gives ``bracket[1]``, its last exponent with non-positive
@@ -507,7 +513,7 @@ def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | 
     if upper > 1.0:  # the line's dimension bounds h more tightly
         hi = 1.0
     # log lambda_N(hi) <= 0 too, unless h breaks the bracket
-    pair, evals = collocation.root(label, hi or 1.0)
+    pair, evals = collocation.root(label, (lo, hi or 1.0))
     h = pair.s
     if not lo <= h <= hi:
         raise ConvergenceFailure(f"{label}: root {h!r} outside its certified bracket [{lo!r}, {hi!r}]")

@@ -30,8 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .symbolic import IncidenceMatrix
-
 __all__ = [
     "InvalidSystem",
     "SeparationError",
@@ -68,12 +66,16 @@ class SystemSpec:
     ``coefficients`` is a read-only (m, 4) float array whose row e holds the
     (a, b, c, d) of map e: (a, b, 0, 1) with 0 < |a| < 1 for a similitude,
     (0, 1, 1, q) with integer q >= 1 for a moebius-1d branch.
-    ``incidence`` says which map may follow which.  Systems compare by
-    their entries and hash by their shapes, so a hash reads no entries.
+    ``incidence`` is a read-only m x m bool array: incidence[i, j] says
+    whether map j may follow map i.  It is built from any square array-like
+    of 0/1 entries, copied as the coefficients are, so the caller's array
+    cannot change the system; without one it is the full shift, one True
+    broadcast to m x m.  Systems compare by their entries and hash by their
+    shapes, so a hash reads no entries.
     """
 
     coefficients: np.ndarray
-    incidence: IncidenceMatrix
+    incidence: Optional[np.ndarray] = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -98,14 +100,33 @@ class SystemSpec:
             if bad.any():  # name the first offending map
                 e = int(np.argmax(bad))
                 raise InvalidSystem(f"map {e}: " + message.format(a=a[e], b=b[e], c=c[e], d=d[e]))
-        if self.incidence.size != m:
+
+        if self.incidence is None:  # one entry, broadcast: a level-n truncation stores no n x n array
+            object.__setattr__(self, "incidence", np.broadcast_to(True, (m, m)))
+            return
+        try:
+            entries = np.asarray(self.incidence)
+        except ValueError:  # ragged rows
+            raise InvalidSystem("incidence matrix must be square") from None
+        if entries.size == 0:
+            raise InvalidSystem("incidence matrix must be non-empty")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise InvalidSystem("incidence matrix must be square")
+        incidence = entries == 1  # a new bool array, which the caller cannot change
+        if not (incidence | (entries == 0)).all():
+            raise InvalidSystem("incidence entries must be 0 or 1")
+        if len(incidence) != m:
             raise InvalidSystem("incidence size must match the number of maps")
+        incidence.setflags(write=False)
+        object.__setattr__(self, "incidence", incidence)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SystemSpec):
             return NotImplemented
-        return (self.incidence, self.label) == (other.incidence, other.label) and np.array_equal(
-            self.coefficients, other.coefficients
+        return (
+            self.label == other.label
+            and np.array_equal(self.incidence, other.incidence)
+            and np.array_equal(self.coefficients, other.coefficients)
         )
 
     def __hash__(self) -> int:
@@ -154,7 +175,7 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    allowed = system.incidence.allowed
+    allowed = system.incidence
     # the coefficients as (m, 1, 1) columns: row e of each (m, W, 2) result
     # is map e applied to the W words' endpoint values
     a, b, c, d = system.coefficients.T[:, :, None, None]
@@ -255,7 +276,7 @@ class MapFamily:
     def truncate(self, n: int) -> SystemSpec:
         if n < 2:
             raise ValueError(f"truncation level must be >= 2, got {n}")
-        return SystemSpec(self.coefficients(n), IncidenceMatrix.full(n), label=f"{self.name}[:{n}]")
+        return SystemSpec(self.coefficients(n), label=f"{self.name}[:{n}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,4 +364,4 @@ def cantor_system(ratios: Sequence[float]) -> SystemSpec:
     a = np.array(ratios)
     offsets = np.concatenate(([0.0], np.cumsum(a + gap)[:-1]))
     coefficients = np.column_stack((a, offsets, np.zeros_like(a), np.ones_like(a)))
-    return SystemSpec(coefficients, IncidenceMatrix.full(len(a)), label="cantor")
+    return SystemSpec(coefficients, label="cantor")

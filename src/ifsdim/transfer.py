@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pressure import Collocation, ConvergenceFailure, Eigenpair
-from .symbolic import IncidenceMatrix, count_admissible, finitely_primitive_witness
+from .symbolic import count_admissible, finitely_primitive_witness
 
 __all__ = [
     "CylinderMasses",
@@ -57,7 +57,7 @@ class DegenerateSystemError(RuntimeError):
     """The invariant measure has a non-positive contraction rate."""
 
 
-def require_primitive(incidence: IncidenceMatrix) -> None:
+def require_primitive(incidence: np.ndarray) -> None:
     """Raise :class:`ReducibilityError` unless ``incidence`` has a finite
     primitivity witness, without which the transfer operator has no unique
     positive eigenpair."""
@@ -125,20 +125,20 @@ class CylinderMasses:
         return float(np.abs(marginals).max())
 
 
-def masses_entries(incidence: IncidenceMatrix, depth: int, grids: int, nodes: int) -> int:
+def masses_entries(incidence: np.ndarray, depth: int, grids: int, nodes: int) -> int:
     """The most entries one array of ``cylinder_masses`` holds at ``depth``:
     the depth-n words, or a step's product of the depth-(j-1) rows with the
     blocks of all m branches, rows x m x nodes, in the last step
     (j = depth) with their two columns, rows x m x 2.  At depth 0 the rows
     are the ``grids``."""
-    m = incidence.size
+    m = len(incidence)
     rows = [grids] + [count_admissible(incidence, j) for j in range(1, depth + 1)]
     products = [rows[j - 1] * m * (2 if j == depth else nodes) for j in range(1, depth + 1)]
     return max(rows[depth] * depth, *products)
 
 
 def cylinder_masses(
-    collocation: Collocation, pair: Eigenpair, incidence: IncidenceMatrix, depth: int
+    collocation: Collocation, pair: Eigenpair, incidence: np.ndarray, depth: int
 ) -> CylinderMasses:
     """The eigenmeasure and invariant masses of the admissible depth-``depth``
     words at ``pair``'s exponent, by the prepend recursion of the module
@@ -165,7 +165,7 @@ def cylinder_masses(
             rows = np.einsum("ge,gec->ec", collocation.feeds[:, branch], product)
             words, tail = np.arange(m)[:, None], np.zeros(m, dtype=np.intp)
         else:  # e goes before the words whose first symbol may follow it
-            first, tail = np.nonzero(incidence.allowed[:, words[:, 0]])
+            first, tail = np.nonzero(incidence[:, words[:, 0]])
             rows = product[tail, first]
             words = np.column_stack((first, words[tail]))
     masses = rows / rows.sum(axis=0)

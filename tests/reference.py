@@ -21,12 +21,11 @@ import numpy as np
 
 from ifsdim.measures import CylinderMeasure, LineMeasure
 from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum, collocate
-from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import SystemSpec
 from ifsdim.transfer import cylinder_masses
 
 
-def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[tuple[int, ...]]:
+def enumerate_admissible(incidence: np.ndarray, depth: int) -> Iterator[tuple[int, ...]]:
     """Yield all admissible words of the given depth, as int tuples, in
     lexicographic order.
 
@@ -41,8 +40,8 @@ def enumerate_admissible(matrix: IncidenceMatrix, depth: int) -> Iterator[tuple[
         if len(prefix) == depth:
             yield prefix
             return
-        for s in range(matrix.size):
-            if prefix and not matrix.allowed[prefix[-1], s]:
+        for s in range(len(incidence)):
+            if prefix and not incidence[prefix[-1], s]:
                 continue
             yield from walk(prefix + (s,))
 
@@ -66,7 +65,7 @@ def _check_word(system: SystemSpec, word: tuple[int, ...]) -> None:
     if any(s >= m for s in word):
         raise ValueError(f"word {word} uses symbols outside the alphabet of size {m}")
     for a, b in zip(word, word[1:]):
-        if not system.incidence.allowed[a, b]:
+        if not system.incidence[a, b]:
             raise ValueError(f"word {word} is not admissible ({a}->{b} forbidden)")
 
 
@@ -166,7 +165,7 @@ def quadrature_masses(
     for w in enumerate_admissible(system.incidence, depth):
         conformal = invariant = 0.0
         for g in range(grids):
-            if not system.incidence.allowed[w[-1], symbols[g]]:
+            if not system.incidence[w[-1], symbols[g]]:
                 continue
             x, derivative = points, np.ones(nodes)
             for e in reversed(w):

@@ -29,7 +29,6 @@ import ifsdim.measures
 import ifsdim.pressure
 import ifsdim.systems
 from ifsdim.cli import main
-from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import continued_fraction_family, golden_family
 
 from reference import cylinder_operator_root
@@ -128,7 +127,7 @@ def test_bowen_moebius_incidence_root_matches_the_deep_operator(tmp_path):
     assert res["bracket_lo"] == 0.0 <= res["h"] <= res["bracket_hi"]
     system = dataclasses.replace(
         continued_fraction_family().truncate(3),
-        incidence=IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1))),
+        incidence=((0, 1, 1), (1, 1, 1), (1, 1, 1)),
     )
     assert res["h"] == pytest.approx(cylinder_operator_root(system, 10), abs=1e-6)
 
@@ -153,6 +152,21 @@ def test_bowen_without_deep_words_exits_2_in_the_plan(tmp_path, capsys):
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert "system.incidence" in err and "admits no infinite word" in err
+
+
+@pytest.mark.parametrize("ratios", ["1e-41, 0.3", "1e-300, 0.5"])
+def test_a_root_stays_in_a_word_bracket_narrower_than_its_tolerance(tmp_path, ratios):
+    # the exact depth-1 brackets are under 5e-16 wide, narrower than the
+    # collocation root's tolerance: its closing probe below the Newton
+    # iterates evaluates the bracket's lower end, not a point past it
+    system = f"system.family = cantor\nsystem.ratios = {ratios}\n"
+    code, bowen = run(tmp_path, "bowen", system)
+    res = bowen["results"]
+    assert code == 0 and 0.0 < res["bracket_hi"] - res["bracket_lo"] < 5e-16
+    assert res["bracket_lo"] <= res["h"] <= res["bracket_hi"]
+    sampled = system + "dimension.depth = 1\nsample.seed = 1\nsample.count = 100\n"
+    code, report = run(tmp_path, "dimension", sampled)
+    assert code == 0 and report["results"]["report"]["bowen_root"] == res["h"]
 
 
 def test_bowen_borderline_is_irregular_exit_4(tmp_path):
@@ -995,6 +1009,12 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.incidence: incidence matrix must be square",
         ),
         (
+            "bowen",
+            "system.family = custom\nsystem.maps = moebius:1; moebius:2\n"
+            "system.incidence = 101;110;011\n",
+            "system.incidence: 3 rows for the 2 maps of system.maps",
+        ),
+        (
             "dimension",
             CUSTOM_PAIR + "system.incidence = 11;00\nsample.seed = 1\n",
             "system.incidence: a symbol has no admissible successor",
@@ -1167,7 +1187,8 @@ MOEBIUS_NO_REPEATS_91 = (
         ),
     ],
     ids=[
-        "golden-size", "cf-size", "ragged-incidence", "dead-end", "converge-budget", "scan-levels",
+        "golden-size", "cf-size", "ragged-incidence", "wrong-size-incidence", "dead-end", "converge-budget",
+        "scan-levels",
         "collocation-budget", "collocation-matrix-budget", "depth-low", "depth-high", "gallery-levels",
         "staircase-stage", "staircase-member", "flatness-support", "lattice-comb-budget",
         "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
@@ -1314,7 +1335,7 @@ def test_one_shift_gives_one_answer_under_both_spellings(tmp_path):
     custom = "system.family = custom\nsystem.maps = moebius:1; moebius:2\n"
     spellings = {"cf": "system.family = continued-fraction\nsystem.size = 2\n", "custom": custom}
     built = ifsdim.cli._build_source(ifsdim.config.RunConfig(ifsdim.config.parse_config(custom)))
-    assert built.incidence == cf.incidence == IncidenceMatrix.full(2)
+    assert built.incidence.strides == cf.incidence.strides == (0, 0) and cf.incidence.shape == (2, 2)
     ifsdim.systems.level_geometry.cache_clear()
     a, b = (ifsdim.systems.level_geometry(s, 12) for s in (cf, built))
     for field in ("log_sup", "log_inf", "image_lo", "image_hi"):
@@ -1505,6 +1526,26 @@ def test_dimension_reads_no_level_deeper_than_its_measure(tmp_path, monkeypatch,
         monkeypatch.setattr(module, "level_geometry", spied)
     code, _ = run(tmp_path, "dimension", f"{system}sample.seed = 1\nsample.count = 100\n")
     assert code == 0 and asked == depths
+
+
+@pytest.mark.parametrize("command", ["bowen", "gibbs", "dimension"])
+@pytest.mark.parametrize(
+    "maps",
+    ["moebius:1; moebius:2", "moebius:2; moebius:3; moebius:5", "similitude:0.4:0; similitude:0.3:0.5"],
+    ids=["cf12", "moebius235", "similitudes"],
+)
+def test_an_all_ones_incidence_is_the_full_shift(tmp_path, command, maps):
+    system = f"system.family = custom\nsystem.maps = {maps}\n"
+    sampled = "dimension.depth = 4\nsample.seed = 1\nsample.count = 500\n"
+    size = maps.count(";") + 1
+    ones = f"system.incidence = {';'.join(['1' * size] * size)}\n"
+    reports = []
+    for name, text in (("none", system + sampled), ("ones", system + ones + sampled)):
+        (tmp_path / name).mkdir()
+        code, report = run(tmp_path / name, command, text)
+        assert code == 0
+        reports.append({k: report[k] for k in ("results", "diagnostics", "tables", "warnings")})
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(

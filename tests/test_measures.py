@@ -27,7 +27,6 @@ from ifsdim.measures import (
     w1_distance,
 )
 from ifsdim.pressure import analytic_bowen_solve, bowen_solve
-from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
 
 import reference
@@ -489,14 +488,14 @@ def test_cylinder_measure_argument_guards():
     sys_ = cantor_system((1 / 3, 1 / 3))
     with pytest.raises(ValueError, match="depth must be >= 1"):
         CylinderMeasure(sys_, 0, np.ones(1))
-    dead_end = IncidenceMatrix(((0, 1), (0, 0)))
+    dead_end = ((0, 1), (0, 0))
     dead = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
     with pytest.raises(ValueError, match="dead-end symbol"):
         CylinderMeasure(dead, 2, np.ones(1))
 
 
 def test_fibonacci_cylinder_tables_follow_the_incidence():
-    fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
+    fibonacci = ((1, 1), (1, 0))
     fib = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), fibonacci, label="fibonacci")
     cm = conformal_measure(fib, 0.5, 3)
     assert_additive(cm)
@@ -708,7 +707,7 @@ def _level_two(measure):
     admissible successor weighs its depth-1 mass."""
     if measure.depth >= 2:
         return measure.masses[1], measure.child_starts[0], measure.last_symbols[1]
-    allowed = measure.system.incidence.allowed
+    allowed = measure.system.incidence
     last = np.nonzero(allowed)[1]
     return measure.masses[0][last], np.concatenate(([0], np.cumsum(allowed.sum(axis=1)))), last
 
@@ -723,15 +722,14 @@ SAMPLER_SYSTEMS = {
     # Fibonacci incidences: words of 2 and 3 symbols with 1-3 children each
     "fibonacci-2": SystemSpec(
         _similitudes((0.4, 0.0), (0.3, 0.5)),
-        IncidenceMatrix(((1, 1), (1, 0))),
+        ((1, 1), (1, 0)),
     ),
     "fibonacci-3": SystemSpec(
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
-        IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
+        ((1, 1, 1), (1, 0, 1), (0, 1, 0)),
     ),
     "mixed": SystemSpec(
         [(0.0, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 3)] + _similitudes((0.2, 0.0), (-0.3, 0.9)),
-        IncidenceMatrix.full(4),
     ),
 }
 
@@ -830,7 +828,7 @@ def test_tail_digits_are_admissible_successors(name, h, depth):
     got = np.empty(n, dtype=np.int64)
     _draw_children(level, cur, got, np.tile(us, m), np.empty(n), np.empty(n, dtype=bool))
     assert ((cs[cur] <= got) & (got < cs[cur + 1])).all()
-    assert measure.system.incidence.allowed[cur, last[got]].all()
+    assert measure.system.incidence[cur, last[got]].all()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ifsdim.pressure import (
     _find_root,
     _grids,
 )
-from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
     _ROUNDOFF,
     MapFamily,
@@ -65,7 +64,7 @@ def test_partition_sum_brackets_continued_fractions():
 
 
 def test_partition_sum_rejects_empty_word_set():
-    dead_end = IncidenceMatrix(((0, 1), (0, 0)))
+    dead_end = ((0, 1), (0, 0))
     sys_ = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
     with pytest.raises(ValueError):
         pressure(sys_, 0.5, 3)
@@ -270,6 +269,25 @@ def test_root_finder_newton_steps_and_bisection_share_one_bracket_contract():
     assert root in (lo, hi) and abs(root - math.log(2.0)) <= tol
 
 
+def test_root_finder_evaluates_nothing_below_a_certified_floor():
+    # concave and decreasing with its root at log 2: Newton from above stays
+    # above, and its closing probe tol/2 below the last iterate passes a
+    # floor nearer than that, so it evaluates the floor instead
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return 1.0 - 0.5 * math.exp(t), -0.5 * math.exp(t)
+
+    tol = 1e-10
+    floor = math.log(2.0) - tol / 4
+    _find_root(f, tol, 200, "unfloored")
+    assert min(seen) < floor
+    seen.clear()
+    root, (lo, hi), _ = _find_root(f, tol, 200, "floored", (floor, 1.0))
+    assert min(seen) == lo == floor and 0.0 < hi - lo <= tol and lo <= root <= hi
+
+
 # ---------------------------------------------------------------------------
 # sorted-once evaluations against the formulas they replaced
 
@@ -282,17 +300,17 @@ def _similitudes(*pairs):
 def _moebius(digits, incidence=None):
     """The continued-fraction branches x -> 1/(q + x) for q in ``digits``."""
     rows = [(0.0, 1.0, 1.0, q) for q in digits]
-    return SystemSpec(rows, incidence or IncidenceMatrix.full(len(rows)))
+    return SystemSpec(rows, incidence)
 
 
 FIBONACCI = {
     "fibonacci-2": SystemSpec(
         _similitudes((0.4, 0.0), (0.3, 0.5)),
-        IncidenceMatrix(((1, 1), (1, 0))),
+        ((1, 1), (1, 0)),
     ),
     "fibonacci-3": SystemSpec(
         _similitudes((0.3, 0.0), (0.25, 0.35), (-0.3, 1.0)),
-        IncidenceMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 0))),
+        ((1, 1, 1), (1, 0, 1), (0, 1, 0)),
     ),
 }
 
@@ -320,7 +338,7 @@ def _sort_per_call_logsumexp(a):
 def _axis_reduction_geometry(system, depth):
     """level_geometry as first written, with its extremes reduced along the
     endpoint axis, and every map's prepend masked by its incidence row."""
-    allowed = system.incidence.allowed
+    allowed = system.incidence
     first = np.arange(system.alphabet_size)
 
     def at(e, x):  # map e and its |derivative| at x
@@ -441,7 +459,7 @@ def test_graph_directed_similitude_root_is_log_phi_over_log_three():
     # depth-n words number F(n + 2), so the root is log(phi) / log 3
     fibonacci = SystemSpec(
         _similitudes((1 / 3, 0.0), (1 / 3, 2 / 3)),
-        IncidenceMatrix(((1, 1), (1, 0))),
+        ((1, 1), (1, 0)),
     )
     assert collocation_shape(fibonacci) == (2, 1)
     want = math.log((1 + math.sqrt(5)) / 2) / math.log(3.0)
@@ -456,14 +474,14 @@ def test_periodic_incidence_root_is_the_alternating_pair():
     # 0 and 1 alternate: two points, dimension 0 whatever the ratios
     alternating = SystemSpec(
         _similitudes((0.2, 0.0), (0.4, 0.5)),
-        IncidenceMatrix(((0, 1), (1, 0))),
+        ((0, 1), (1, 0)),
     )
     sol = bowen_solve(alternating, depth=1)
     assert abs(sol.h) <= 1e-12 and sol.bracket[0] == 0.0
 
 
 def test_the_full_shift_has_one_grid_however_it_is_written():
-    explicit = _moebius((1, 2), IncidenceMatrix(((1, 1), (1, 1))))
+    explicit = _moebius((1, 2), ((1, 1), (1, 1)))
     broadcast = continued_fraction_family().truncate(2)
     assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
     assert collocate(explicit).full_shift and collocate(broadcast).full_shift
@@ -473,7 +491,7 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
 def test_an_incidence_with_no_successor_is_named_at_any_exponent():
     # no map may follow any map: no branch feeds a grid, so the empty mass
     # is the incidence's fault even at s = 1000, where 0.25^s underflows too
-    nothing = _moebius((1, 2), IncidenceMatrix(((0, 0), (0, 0))))
+    nothing = _moebius((1, 2), ((0, 0), (0, 0)))
     for s in (0.0, 1000.0):
         with pytest.raises(ConvergenceFailure, match="^no branch feeds any grid: the incidence admits"):
             collocate(nothing).eigenpair(s)
@@ -484,9 +502,9 @@ def test_an_incidence_with_no_successor_is_named_at_any_exponent():
     [
         (continued_fraction_family().truncate(3), [[0, 1, 2]], True, (1, 32)),
         # columns 1 and 2 are all ones, column 0 is not
-        (_moebius((1, 2, 3), IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))), [[0], [1, 2]], False, (2, 32)),
+        (_moebius((1, 2, 3), ((0, 1, 1), (1, 1, 1), (1, 1, 1))), [[0], [1, 2]], False, (2, 32)),
         (FIBONACCI["fibonacci-2"], [[0], [1]], False, (2, 1)),
-        (_moebius((1, 2, 3), IncidenceMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))), [[0], [1], [2]], False, (3, 32)),
+        (_moebius((1, 2, 3), ((0, 1, 1), (1, 0, 1), (1, 1, 0))), [[0], [1], [2]], False, (3, 32)),
     ],
     ids=["full-shift", "011;111;111", "fibonacci", "011;101;110"],
 )
@@ -504,7 +522,7 @@ def test_symbols_share_a_grid_exactly_when_their_incidence_columns_agree(system,
 def test_collocation_on_many_grids_matches_the_deep_operator_root(digits, depth):
     # continued fractions on {1, ..., digits} where no digit follows itself:
     # every column differs, so each digit has a grid of its own
-    system = _moebius(range(1, digits + 1), IncidenceMatrix(1 - np.eye(digits, dtype=int)))
+    system = _moebius(range(1, digits + 1), 1 - np.eye(digits, dtype=int))
     assert collocation_shape(system) == (digits, 32)
     sol = bowen_solve(system, depth=depth)
     assert sol.bracket[0] == 0.0 <= sol.h <= sol.bracket[1]

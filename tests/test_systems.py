@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifsdim.symbolic import IncidenceMatrix
 from ifsdim.systems import (
     InvalidSystem,
     SeparationError,
@@ -78,10 +77,7 @@ def test_truncate_bounds():
 
 def test_at_least_two_maps():
     with pytest.raises(InvalidSystem, match="a system needs at least two maps"):
-        SystemSpec(
-            coefficients=[(0.5, 0.0, 0.0, 1.0)],
-            incidence=IncidenceMatrix.full(1),
-        )
+        SystemSpec([(0.5, 0.0, 0.0, 1.0)])
 
 
 def test_map_validation():
@@ -98,14 +94,11 @@ def test_map_validation():
         ((0.0, 1.0, 1.0, math.inf), "map 1: coefficients must be finite, got (0.0, 1.0, 1.0, inf)"),
     ]:
         with pytest.raises(InvalidSystem, match=re.escape(message)):
-            SystemSpec([good, bad], IncidenceMatrix.full(2))
+            SystemSpec([good, bad])
 
 
 def test_separation_detects_overlap():
-    sys_ = SystemSpec(
-        coefficients=[(0.5, 0.0, 0.0, 1.0), (0.5, 0.25, 0.0, 1.0)],
-        incidence=IncidenceMatrix.full(2),
-    )
+    sys_ = SystemSpec([(0.5, 0.0, 0.0, 1.0), (0.5, 0.25, 0.0, 1.0)])
     with pytest.raises(SeparationError, match=r"images of maps 0 and 1 overlap"):
         ensure_separation(sys_)
 
@@ -119,9 +112,9 @@ def _wide_similitudes(m: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [0, 417, 998])
 def test_separation_names_the_planted_overlap_among_1000_maps(k):
     rows = _wide_similitudes(1000)
-    ensure_separation(SystemSpec(rows, IncidenceMatrix.full(1000)))
+    ensure_separation(SystemSpec(rows))
     rows[k, 0] = 1.2 / 1000  # reaches past the start of image k + 1
-    system = SystemSpec(rows, IncidenceMatrix.full(1000))
+    system = SystemSpec(rows)
     with pytest.raises(SeparationError, match=rf"^images of maps {k} and {k + 1} overlap \("):
         ensure_separation(system)
 
@@ -130,7 +123,7 @@ def test_separation_names_the_first_map_leaving_its_space():
     rows = _wide_similitudes(1000)
     rows[[600, 250, 800], 1] += 0.8  # pushes three images past 1
     with pytest.raises(SeparationError, match=r"^map 250 image \[1\.05.*\] leaves \[0, 1\]$"):
-        ensure_separation(SystemSpec(rows, IncidenceMatrix.full(1000)))
+        ensure_separation(SystemSpec(rows))
 
 
 # --- word geometry: similitudes --------------------------------------------
@@ -252,7 +245,7 @@ def branch_systems(draw):
         for _ in range(size)
     ]
     rows = {"moebius": moebius, "similitude": similitudes, "mixed": moebius[:1] + similitudes[1:]}
-    return SystemSpec(rows[kind], IncidenceMatrix.full(size), label=kind)
+    return SystemSpec(rows[kind], label=kind)
 
 
 @given(branch_systems(), st.integers(1, 6))
@@ -295,7 +288,7 @@ def test_distortion_bound_certified_on_words():
 def exact_log_derivatives(system: SystemSpec, depth: int) -> dict:
     """log |s_w'| at both endpoints of each admissible depth-n word's domain,
     by the chain rule in exact integer ratios, as 60-digit Decimal logs."""
-    allowed = system.incidence.allowed
+    allowed = system.incidence
     # the branch matrices scaled to integers: the same maps, and
     # |ad - bc| / (c y + d)^2 is unchanged by the scale
     mats = []
@@ -338,11 +331,11 @@ MIXED_ROWS = ((0.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 3.0), (0.2, 0.0, 0.0, 1.0), 
     [
         (continued_fraction_family().truncate(2), 12),
         (continued_fraction_family().truncate(3), 6),
-        (SystemSpec(MIXED_ROWS, IncidenceMatrix.full(4), label="mixed"), 6),
+        (SystemSpec(MIXED_ROWS, label="mixed"), 6),
         # the two full rows take the unmasked path, the first row a mask
         (
             SystemSpec(
-                MIXED_ROWS[:3], IncidenceMatrix(((0, 1, 1), (1, 1, 1), (1, 1, 1)))
+                MIXED_ROWS[:3], ((0, 1, 1), (1, 1, 1), (1, 1, 1))
             ),
             6,
         ),
@@ -366,7 +359,7 @@ def test_log_brackets_contain_exact_endpoint_logs(system, depth):
 
 def test_admissibility_checked_on_word_helpers():
     rows = [(0.4, 0.0, 0.0, 1.0), (0.3, 0.6, 0.0, 1.0)]
-    sys_ = SystemSpec(rows, IncidenceMatrix(((0, 1), (1, 1))))
+    sys_ = SystemSpec(rows, ((0, 1), (1, 1)))
     assert word_image(sys_, (0, 1)) == (pytest.approx(0.24), pytest.approx(0.36))
     with pytest.raises(ValueError):
         word_image(sys_, (0, 0))  # 0 cannot follow 0 here
@@ -384,7 +377,7 @@ def test_specs_differing_in_one_coefficient_share_no_level():
     rows = golden_family().coefficients(3)
     moved = rows.copy()
     moved[1, 1] = 0.55  # shifts the image of map 1
-    a, b = (SystemSpec(r, IncidenceMatrix.full(3)) for r in (rows, moved))
+    a, b = (SystemSpec(r) for r in (rows, moved))
     assert a != b and hash(a) == hash(b)  # a hash reads no entries
     level_geometry.cache_clear()
     assert level_geometry(a, 1).image_lo.tolist() == [0.0, 0.5, 0.75]
@@ -394,6 +387,28 @@ def test_specs_differing_in_one_coefficient_share_no_level():
         b.coefficients[0, 0] = 0.3
     moved[1, 1] = 0.5  # the spec holds its own copy
     assert b.coefficients[1, 1] == 0.55
+
+
+def test_specs_differing_in_their_incidence_share_no_level():
+    rows = continued_fraction_family().coefficients(2)
+    shift, fibonacci = SystemSpec(rows), SystemSpec(rows, ((1, 1), (1, 0)))
+    assert shift != fibonacci and hash(shift) == hash(fibonacci)
+    level_geometry.cache_clear()
+    assert level_geometry(shift, 4).count == 16
+    assert level_geometry(fibonacci, 4).count == 8
+    assert level_geometry.cache_info().misses == 2
+
+
+def test_a_spec_holds_its_own_incidence():
+    allowed = np.ones((2, 2), dtype=bool)
+    system = SystemSpec(continued_fraction_family().coefficients(2), allowed)
+    level_geometry.cache_clear()
+    assert level_geometry(system, 4).count == 16
+    allowed[1, 1] = False  # the caller's array, not the system's
+    assert system.incidence.all() and not np.shares_memory(system.incidence, allowed)
+    assert level_geometry(system, 4).count == level_geometry.__wrapped__(system, 4).count == 16
+    with pytest.raises(ValueError):
+        system.incidence[1, 1] = False
 
 
 def test_golden_level_1073_geometry_is_the_closed_form():
@@ -439,7 +454,7 @@ def test_cylinder_images_nest_under_extension(sys_):
         for word in enumerate_admissible(sys_.incidence, depth):
             lo, hi = word_image(sys_, word)
             for e in range(alphabet):
-                if not sys_.incidence.allowed[word[-1], e]:
+                if not sys_.incidence[word[-1], e]:
                     continue
                 clo, chi = word_image(sys_, word + (e,))
                 assert lo - 1e-12 <= clo <= chi <= hi + 1e-12

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifsdim.pressure import ConvergenceFailure, Eigenpair, _power_iterate, bowen_solve, collocate
-from ifsdim.symbolic import IncidenceMatrix, count_admissible
+from ifsdim.symbolic import count_admissible
 from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
 from ifsdim.transfer import (
     DegenerateSystemError,
@@ -25,7 +25,7 @@ TERNARY_H = math.log(2.0) / math.log(3.0)
 
 def fibonacci_system():
     rows = [(0.4, 0.0, 0.0, 1.0), (0.3, 0.5, 0.0, 1.0)]
-    fibonacci = IncidenceMatrix(((1, 1), (1, 0)))
+    fibonacci = ((1, 1), (1, 0))
     return SystemSpec(rows, fibonacci, label="fibonacci")
 
 
@@ -60,13 +60,12 @@ def _dict_defect(words, invariant):
 def _moebius(*digits):
     """The continued-fraction branches x -> 1/(q + x) for q in ``digits``."""
     rows = [(0.0, 1.0, 1.0, q) for q in digits]
-    return SystemSpec(rows, IncidenceMatrix.full(len(rows)))
+    return SystemSpec(rows)
 
 
 # the config spelling `moebius:2; moebius:3; similitude:0.2:0; similitude:-0.3:0.9`
 MIXED = SystemSpec(
     [(0.0, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 3), (0.2, 0.0, 0.0, 1.0), (-0.3, 0.9, 0.0, 1.0)],
-    IncidenceMatrix.full(4),
 )
 
 operator_systems = st.one_of(
@@ -124,7 +123,7 @@ def test_array_operator_matches_the_per_word_reference(system, depth, t):
 
 def _on_incidence(system, rows):
     """``system``'s maps under the incidence given as ``"11;10"``."""
-    incidence = IncidenceMatrix([[int(c) for c in row] for row in rows.split(";")])
+    incidence = [[int(c) for c in row] for row in rows.split(";")]
     return dataclasses.replace(system, incidence=incidence, label=rows)
 
 
@@ -166,7 +165,7 @@ def test_similitude_weights_are_exact_ratio_powers():
 
 def test_reducible_incidence_is_rejected():
     with pytest.raises(ReducibilityError):
-        require_primitive(IncidenceMatrix(((1, 0), (0, 1))))
+        require_primitive(np.eye(2, dtype=bool))
     require_primitive(fibonacci_system().incidence)
 
 

@@ -2,9 +2,11 @@
 checkouts write bit-identical reports.
 
 Runs ``ifsdim.cli.main`` in-process on the six ``configs/*.cfg`` (the
-command is the last dash-separated part of the file name) and on the first
+command is the last dash-separated part of the file name), on the first
 ``--cases`` timed inputs of each benchmark workload (``perfbench/inputs.py``)
-for each of ``--seeds``.  Prints one line per command: its label, the
+for each of ``--seeds``, and on ``bowen``, ``gibbs`` and ``dimension`` of
+four graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark
+input is a full shift.  Prints one line per command: its label, the
 command, its exit code and a sha256 over the exit code, stdout and stderr
 (the temporary directory masked), the report without its ``timestamp``, and
 every CSV's name and bytes.
@@ -36,6 +38,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
 from ifsdim import cli  # noqa: E402
+
+# name: (system.maps, system.incidence)
+INCIDENCE_SYSTEMS = {
+    "fibonacci": ("similitude:0.4:0; similitude:0.3:0.5", "11;10"),
+    "moebius-cycle": ("moebius:1; moebius:2; moebius:3", "011;101;110"),
+    "moebius-fibonacci": ("moebius:2; moebius:3", "11;10"),
+    # 0 and 1 alternate: not primitive, so gibbs exits 4
+    "parity": ("similitude:0.4:0; similitude:0.3:0.5", "01;10"),
+}
 
 
 def digest(command: str, config: str) -> tuple[str, str]:
@@ -83,6 +94,12 @@ def main() -> None:
         for workload in inputs.WORKLOADS:
             cases = inputs.timed(workload, seed)[: args.cases]
             runs += [(f"{workload}:{seed}:{i}", c.command, c.config) for i, c in enumerate(cases)]
+    for name, (maps, rows) in INCIDENCE_SYSTEMS.items():
+        config = (
+            f"system.family = custom\nsystem.maps = {maps}\nsystem.incidence = {rows}\n"
+            "dimension.depth = 6\nsample.count = 2000\nsample.seed = 1\n"
+        )
+        runs += [(f"incidence:{name}", command, config) for command in ("bowen", "gibbs", "dimension")]
     for label, command, config in runs:
         code, sha = digest(command, config)
         print(label, command, code, sha, flush=True)
