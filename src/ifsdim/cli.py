@@ -206,14 +206,24 @@ def _text(value):
     return value
 
 
+# Rows per %-format of a table: only one block's cells are Python objects at
+# once (a gibbs table of four digits at depth 10 has 12.6 M cells).
+_TABLE_BLOCK = 2**14
+
+
 def _table(header: str, row: str, *columns) -> str:
-    """``header``, then one ``row`` line per table row: a single %-format
-    over the cells in row-major order.  A column is an array, whose cells
-    go in as they are, or a sequence, whose cells go through ``_text``."""
-    cells: list = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        cells[j :: len(columns)] = column.tolist() if isinstance(column, np.ndarray) else map(_text, column)
-    return header + "\n" + (row + "\n") * len(columns[0]) % tuple(cells)
+    """``header``, then one ``row`` line per table row: one %-format per
+    block of ``_TABLE_BLOCK`` rows, over its cells in row-major order.  A
+    column is an array, whose cells go in as they are, or a sequence, whose
+    cells go through ``_text``."""
+    pieces = [header + "\n"]
+    for start in range(0, len(columns[0]), _TABLE_BLOCK):
+        block = [column[start : start + _TABLE_BLOCK] for column in columns]
+        cells: list = [None] * (len(block) * len(block[0]))
+        for j, column in enumerate(block):
+            cells[j :: len(block)] = column.tolist() if isinstance(column, np.ndarray) else map(_text, column)
+        pieces.append((row + "\n") * len(block[0]) % tuple(cells))
+    return "".join(pieces)
 
 
 def _json_safe(value):

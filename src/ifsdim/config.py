@@ -8,10 +8,20 @@ the file was formatted or which flags supplied the overrides.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
+
+# CPython's builtin sha256, as random.py takes its sha512: importing hashlib
+# maps and starts OpenSSL's libcrypto (3.6 MiB resident) to hash a few
+# hundred bytes of config text.  The digest is the same sha256.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -54,7 +64,7 @@ class RunConfig:
         return "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw)) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        return sha256(self.canonical_text().encode()).hexdigest()
 
     def has(self, key: str) -> bool:
         return key in self.raw

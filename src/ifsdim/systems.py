@@ -172,6 +172,12 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     |s_w'(x)| = |det M_w| / (c_w x + d_w)^2 is monotone on [0, 1] and
     the endpoint values are its sup and inf.  The running products have
     positive factors and cannot cancel.
+
+    The level is built in place and, under the full shift, peaks at 48
+    bytes per admissible word: the last prepend writes two fresh (W, 2)
+    arrays beside the previous level's pair, and the results go into two
+    (2, W) arrays, each written while one (W, 2) pair is still read.  Under
+    an incidence each prepend's admissible rows are copied out as well.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -181,18 +187,26 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     a, b, c, d = system.coefficients.T[:, :, None, None]
     det = np.abs(a * d - b * c)
 
-    def prepend(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        den = c * x + d
-        return (a * x + b) / den, det / den**2
+    def prepend(x: np.ndarray, g: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        # the ufuncs of (a x + b) / den and g * (det / den**2) (numpy squares
+        # as den * den; g = 1.0 on the first level is an exact product), in
+        # two fresh arrays; symbol outermost, the (m, W) order is already
+        # lexicographic
+        den = c * x
+        den += d
+        y = a * x
+        y += b
+        y /= den
+        np.multiply(den, den, out=den)
+        np.divide(det, den, out=den)
+        return y.reshape(-1, 2), np.multiply(g, den, out=den).reshape(-1, 2)
 
     # per word: images y and |s_w'| g at the endpoints 0 and 1
-    y, g = (v.reshape(-1, 2) for v in prepend(np.array((0.0, 1.0))))
+    y, g = prepend(np.array((0.0, 1.0)), 1.0)
     first = np.arange(system.alphabet_size)
     full = depth > 1 and allowed.all()
     for _ in range(depth - 1):
-        y, step = prepend(y)
-        # symbol outermost: the (m, W) order is already lexicographic
-        y, g = y.reshape(-1, 2), (g * step).reshape(-1, 2)
+        y, g = prepend(y, g)
         if not full:  # e goes before the words whose first symbol may follow it
             keep = np.flatnonzero(allowed[:, first])
             first = keep // len(first)
@@ -207,11 +221,17 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     # Extremes of the two endpoint columns, taken elementwise: a reduction
     # along the length-2 axis costs about 75 times as much.
     roundoff = 0.0 if system.is_similitude() else _ROUNDOFF
-    log_sup = np.log(np.maximum(g[:, 0], g[:, 1]))
-    log_inf = np.log(np.minimum(g[:, 0], g[:, 1]))
+    log_sup, log_inf = np.empty((2, len(g)))
+    np.maximum(g[:, 0], g[:, 1], out=log_sup)
+    np.minimum(g[:, 0], g[:, 1], out=log_inf)
+    del g
+    np.log(log_sup, out=log_sup)
+    np.log(log_inf, out=log_inf)
     log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
     log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
-    image_lo, image_hi = np.minimum(y[:, 0], y[:, 1]), np.maximum(y[:, 0], y[:, 1])
+    image_lo, image_hi = np.empty((2, len(y)))
+    np.minimum(y[:, 0], y[:, 1], out=image_lo)
+    np.maximum(y[:, 0], y[:, 1], out=image_hi)
     return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
 
 

@@ -7,7 +7,9 @@ are the one-word-at-a-time and one-interval-at-a-time versions the tests
 hold that code to, exact rational values of line-measure functionals, and
 a cylinder transfer operator whose root is an independent check of the
 collocation root.  ``conformal_measure`` builds the ``CylinderMeasure``
-that ``dimension`` samples, at any exponent.
+that ``dimension`` samples, at any exponent, and ``level_geometry`` is the
+package's level in whole-array expressions, which its in-place build must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ifsdim.measures import CylinderMeasure, LineMeasure
 from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum, collocate
-from ifsdim.systems import SystemSpec
+from ifsdim.systems import _ROUNDOFF, LevelGeometry, SystemSpec
 from ifsdim.transfer import cylinder_masses
 
 
@@ -58,6 +60,37 @@ def word_image(system: SystemSpec, word: tuple[int, ...]) -> tuple[float, float]
         y0, y1 = (a * lo + b) / (c * lo + d), (a * hi + b) / (c * hi + d)
         lo, hi = min(y0, y1), max(y0, y1)
     return lo, hi
+
+
+def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
+    """``systems.level_geometry`` as whole-array expressions, each result a
+    fresh array: the same ufuncs in the same order, so the level it builds
+    must be bit for bit the one built in place, at 88 bytes per word."""
+    allowed = system.incidence
+    a, b, c, d = system.coefficients.T[:, :, None, None]
+    det = np.abs(a * d - b * c)
+
+    def prepend(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        den = c * x + d
+        return (a * x + b) / den, det / den**2
+
+    y, g = (v.reshape(-1, 2) for v in prepend(np.array((0.0, 1.0))))
+    first = np.arange(system.alphabet_size)
+    full = depth > 1 and allowed.all()
+    for _ in range(depth - 1):
+        y, step = prepend(y)
+        y, g = y.reshape(-1, 2), (g * step).reshape(-1, 2)
+        if not full:
+            keep = np.flatnonzero(allowed[:, first])
+            first = keep // len(first)
+            y, g = y.take(keep, axis=0), g.take(keep, axis=0)
+    roundoff = 0.0 if system.is_similitude() else _ROUNDOFF
+    log_sup = np.log(np.maximum(g[:, 0], g[:, 1]))
+    log_inf = np.log(np.minimum(g[:, 0], g[:, 1]))
+    log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
+    log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
+    image_lo, image_hi = np.minimum(y[:, 0], y[:, 1]), np.maximum(y[:, 0], y[:, 1])
+    return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
 
 
 def _check_word(system: SystemSpec, word: tuple[int, ...]) -> None:

@@ -546,6 +546,27 @@ def test_only_dimension_starts_the_worker_thread(tmp_path):
     ]
 
 
+def test_bowen_gibbs_and_scan_leave_openssl_unloaded(tmp_path):
+    # the config hash is CPython's builtin sha256: hashlib would map libcrypto
+    env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    runs = [(c, str(configs / f"{name}.cfg")) for c, name in (
+        ("bowen", "cantor-bowen"), ("gibbs", "cf-gibbs"), ("scan", "golden-scan"),
+    )]
+    script = (
+        "import sys\n"
+        "from ifsdim.cli import main\n"
+        f"for command, config in {runs!r}:\n"
+        f"    assert main([command, '--config', config, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_config_error_writes_no_files(tmp_path):
     code, report = run(
         tmp_path, "scan", "system.family = golden\nscan.levels = 9:3\n"
@@ -1634,6 +1655,24 @@ def test_gibbs_masses_table_matches_the_csv_writer(tmp_path, monkeypatch, system
         )
     )
     assert (tmp_path / "gibbs-masses.csv").read_text() == want.getvalue()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 6])
+def test_tables_format_the_same_text_in_blocks_of_rows(monkeypatch, rows):
+    # blocks of 3 rows: none, one partial block, a partial last block, and
+    # a row count that is a multiple of the block
+    digits = np.arange(2 * rows).reshape(rows, 2) % 3
+    words = [f'w,"{k}' if k % 2 else f"w{k}" for k in range(rows)]  # quoted when odd
+    args = (
+        "d1.d2,x,word,flag", "%d.%d,%.17g,%s,%s",
+        *digits.T, np.arange(rows) / 7, words, [k % 3 == 0 for k in range(rows)],
+    )
+    whole = ifsdim.cli._table(*args)
+    assert len(whole.splitlines()) == rows + 1
+    monkeypatch.setattr(ifsdim.cli, "_TABLE_BLOCK", 3)
+    assert ifsdim.cli._table(*args) == whole
+    if rows > 1:
+        assert whole.splitlines()[2] == '2.0,0.14285714285714285,"w,""1",false'
 
 
 def test_gibbs_reports_root_evaluations_for_the_bowen_exponent(tmp_path):

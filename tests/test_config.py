@@ -1,5 +1,7 @@
 """Flat dotted-key config parsing and typed getters."""
 
+import hashlib
+
 import pytest
 
 from ifsdim.config import ConfigError, RunConfig, parse_config
@@ -31,6 +33,12 @@ def test_canonical_text_is_sorted_and_hashing_is_stable():
     assert cfg1.canonical_text() == "a.one = 1\nb.two = 2\n"
     assert cfg1.digest() == cfg2.digest()
     assert cfg1.digest() != RunConfig({"a.one": "3", "b.two": "2"}).digest()
+
+
+def test_digest_is_the_sha256_of_the_canonical_text():
+    for raw in ({}, {"a.one": "1"}, {"system.family": "cantor", "system.ratios": "0.3, 0.4"}, {"k.text": "é"}):
+        cfg = RunConfig(raw)
+        assert cfg.digest() == hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
 
 
 def test_get_int_and_float_ranges():

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,42 @@ def test_word_root_matches_bisection_within_eight_evaluations(system, depth):
         else:
             b = mid
     assert abs(sol.h - 0.5 * (a + b)) <= tol
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that numpy and Python allocate while ``run()`` runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "system, depth",
+    [
+        (continued_fraction_family().truncate(2), 15),
+        (SystemSpec([(0.0, 1.0, 1.0, q) for q in (2.0, 3.0, 7.0)]), 9),
+    ],
+    ids=["cf12", "moebius-2-3-7"],
+)
+def test_a_level_peaks_at_48_bytes_per_word_and_its_bracket_solve_at_56(system, depth):
+    # the level holds two (2, W) arrays, and builds them from one (W, 2)
+    # pair; the solve adds the two sorted copies and one row of _log_sum.
+    # 32 KiB covers the small arrays and Python objects of both.
+    words, allowance = len(system.coefficients) ** depth, 2**15
+    collocation = collocate(system)
+    level_geometry.cache_clear()
+    assert _traced_peak(lambda: level_geometry(system, depth)) <= 48 * words + allowance
+    level_geometry.cache_clear()
+    assert _traced_peak(lambda: bowen_solve(system, depth, collocation)) <= 56 * words + allowance
+    level_geometry.cache_clear()
 
 
 def test_bracket_falls_back_to_one_when_a_word_does_not_contract():

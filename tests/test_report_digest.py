@@ -1,7 +1,7 @@
 """Smoke test of ``tools/report_digest.py``, the tool that tells whether two
-checkouts write bit-identical reports: one case per workload and the
-graph-directed cases, run twice in one process, must digest the same both
-times."""
+checkouts write bit-identical reports: one case per workload, the
+graph-directed cases and the deep gibbs table, run twice in one process,
+must digest the same both times."""
 
 import importlib.util
 import os
@@ -28,11 +28,13 @@ def test_report_digest_runs_every_case_and_repeats_itself(monkeypatch, capsys):
             runs.append(capsys.readouterr().out.splitlines())
     finally:
         sys.modules.pop("inputs", None)  # the benchmark's module the tool imports
-    # the six configs, one timed case of each of the three workloads, and
+    # the six configs, one timed case of each of the three workloads,
     # bowen, gibbs and dimension on four graph-directed systems, of which
-    # the parity incidence is not primitive
-    assert len(runs[0]) == 21
+    # the parity incidence is not primitive, and one gibbs table of more
+    # than one format block
+    assert len(runs[0]) == 22
     codes = {line.split()[0] + " " + line.split()[1]: line.split()[2] for line in runs[0]}
     assert codes.pop("incidence:parity gibbs") == "4"
+    assert codes.pop("deep-table gibbs") == "0"
     assert list(codes.values()) == ["0"] * 20
     assert runs[1] == runs[0]

@@ -21,6 +21,7 @@ from ifsdim.systems import (
     level_geometry,
 )
 
+import reference
 from reference import enumerate_admissible, word_image
 
 
@@ -174,6 +175,27 @@ def test_level_geometry_cache_holds_one_level():
     level_geometry(sys_, 5)
     gc.collect()
     assert gone() is None
+
+
+# one system per path through the level: the full shift, two incidences,
+# similitudes alone and maps of both kinds
+OUT_OF_PLACE_SYSTEMS = {
+    "full-shift": (continued_fraction_family().coefficients(3), None),
+    "cycle": (continued_fraction_family().coefficients(3), ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+    "fibonacci": (continued_fraction_family().coefficients(2), ((1, 1), (1, 0))),
+    "similitudes": (cantor_system((0.3, 0.4)).coefficients, None),
+    "mixed": ([(0.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 3.0), (0.2, 0.0, 0.0, 1.0)], None),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7])
+@pytest.mark.parametrize("name", OUT_OF_PLACE_SYSTEMS)
+def test_level_built_in_place_is_the_out_of_place_level(name, depth):
+    system = SystemSpec(*OUT_OF_PLACE_SYSTEMS[name])
+    level_geometry.cache_clear()
+    level, want = level_geometry(system, depth), reference.level_geometry(system, depth)
+    for field in ("log_sup", "log_inf", "image_lo", "image_hi"):
+        assert np.array_equal(getattr(level, field), getattr(want, field)), field
 
 
 # --- word geometry: continued-fraction branches ----------------------------

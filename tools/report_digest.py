@@ -4,12 +4,13 @@ checkouts write bit-identical reports.
 Runs ``ifsdim.cli.main`` in-process on the six ``configs/*.cfg`` (the
 command is the last dash-separated part of the file name), on the first
 ``--cases`` timed inputs of each benchmark workload (``perfbench/inputs.py``)
-for each of ``--seeds``, and on ``bowen``, ``gibbs`` and ``dimension`` of
-four graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark
-input is a full shift.  Prints one line per command: its label, the
-command, its exit code and a sha256 over the exit code, stdout and stderr
-(the temporary directory masked), the report without its ``timestamp``, and
-every CSV's name and bytes.
+for each of ``--seeds``, on ``bowen``, ``gibbs`` and ``dimension`` of four
+graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark input
+is a full shift, and on one ``gibbs`` whose masses table spans more than
+one of the row blocks ``cli`` formats a table in (``DEEP_TABLE``).  Prints
+one line per command: its label, the command, its exit code and a sha256
+over the exit code, stdout and stderr (the temporary directory masked), the
+report without its ``timestamp``, and every CSV's name and bytes.
 
     python3 tools/report_digest.py [--cases 60] [--seeds 1,2] > digest.txt
 
@@ -47,6 +48,8 @@ INCIDENCE_SYSTEMS = {
     # 0 and 1 alternate: not primitive, so gibbs exits 4
     "parity": ("similitude:0.4:0; similitude:0.3:0.5", "01;10"),
 }
+# 3^9 = 19,683 masses rows
+DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 9\n"
 
 
 def digest(command: str, config: str) -> tuple[str, str]:
@@ -100,6 +103,7 @@ def main() -> None:
             "dimension.depth = 6\nsample.count = 2000\nsample.seed = 1\n"
         )
         runs += [(f"incidence:{name}", command, config) for command in ("bowen", "gibbs", "dimension")]
+    runs.append(("deep-table", "gibbs", DEEP_TABLE))
     for label, command, config in runs:
         code, sha = digest(command, config)
         print(label, command, code, sha, flush=True)
