@@ -64,14 +64,7 @@ from .systems import (
     ensure_separation,
     golden_family,
 )
-from .transfer import (
-    DegenerateSystemError,
-    ReducibilityError,
-    cylinder_masses,
-    gibbs_state,
-    masses_entries,
-    require_primitive,
-)
+from .transfer import DegenerateSystemError, cylinder_masses, gibbs_state, masses_entries
 
 __all__ = [
     "Report",
@@ -321,34 +314,21 @@ def _custom_system(cfg: RunConfig) -> SystemSpec:
         raise ConfigError("system.maps: empty map list")
     incidence = None
     if cfg.has("system.incidence"):
-        rows = []
+        incidence = []
         for row in cfg.get_str("system.incidence").split(";"):
             row = row.strip()
             if not set(row) <= {"0", "1"} or not row:
                 raise ConfigError(
                     f"system.incidence: rows must be 0/1 strings, got {row!r}"
                 )
-            rows.append([ch == "1" for ch in row])
-        if any(len(row) != len(rows) for row in rows):
-            raise ConfigError("system.incidence: incidence matrix must be square")
-        if len(rows) != len(coefficients):
-            raise ConfigError(
-                f"system.incidence: {len(rows)} rows for the {len(coefficients)} maps of system.maps"
-            )
-        incidence = np.array(rows)
-        # v <- (A v > 0) from all ones shrinks, within one step per symbol,
-        # to the symbols that begin an infinite word
-        alive = np.ones(len(incidence), dtype=bool)
-        for _ in range(len(incidence)):
-            alive = (incidence & alive).any(axis=1)
-        if not alive.any():
-            raise ConfigError("system.incidence: has no cycle, so it admits no infinite word")
+            incidence.append([ch == "1" for ch in row])
     try:
         system = SystemSpec(coefficients, incidence, label="custom")
         # overlapping images make every pressure root meaningless as a dimension
         ensure_separation(system)
-    except InvalidSystem as err:
-        raise ConfigError(f"system: {err}") from None
+    except InvalidSystem as err:  # SystemSpec's incidence messages begin "incidence"
+        key = "system.incidence" if str(err).startswith("incidence") else "system"
+        raise ConfigError(f"{key}: {err}") from None
     return system
 
 
@@ -663,8 +643,6 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
     else:
         source = _finite_system(cfg, _build_source(cfg), "dimension")
         cyl_depth = cfg.get_int("dimension.depth", default=12, lo=1, hi=16)
-        if not source.incidence.any(axis=1).all():
-            raise ConfigError("system.incidence: a symbol has no admissible successor")
         # the bracket reads no level deeper than the measure's, so the masses
         # budget and the floor on dimension.depth cover every level it reads
         word_depth = min(default_depth(source), cyl_depth)
@@ -697,9 +675,8 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
             measure = CylinderMeasure(source, cyl_depth, masses.eigenmeasure)
             # the ratio is read off the eigenpair of the root itself
             try:
-                require_primitive(source.incidence)
                 ratio = gibbs_state(sol.state).ratio
-            except (ReducibilityError, ConvergenceFailure, DegenerateSystemError) as err:
+            except (ConvergenceFailure, DegenerateSystemError) as err:
                 warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
 
         cloud = sample(measure, count, seed=seed)
@@ -773,7 +750,6 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
     _check_budget("gibbs.depth", f"depth {depth} makes", entries, "masses-recursion entries")
 
     def run():
-        require_primitive(source.incidence)
         collocation = collocate(source)
         root_diagnostics = {}
         if raw_exp == "bowen":  # the root call of bowen_solve, from 1, without the word bracket
@@ -903,7 +879,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ReducibilityError, DegenerateSystemError) as err:
+    except DegenerateSystemError as err:
         print(f"irregular system: {err}", file=sys.stderr)
         return EXIT_IRREGULAR
     except ConvergenceFailure as err:

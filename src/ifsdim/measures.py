@@ -321,16 +321,13 @@ class CylinderMeasure:
     ``last_symbols[d-1]`` holds the last symbol of each depth-d word, and
     ``child_starts[d-1][i]`` the index in level d+1 of the first extension
     of word i; extensions of a word are contiguous and in symbol order
-    because the levels are lexicographic.  A symbol with no admissible
-    successor raises ``ValueError``: its words could not be extended.
+    because the levels are lexicographic.
     """
 
     def __init__(self, system: SystemSpec, depth: int, deepest: np.ndarray) -> None:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        last, starts, counts = _extension_tables(system, depth)
-        if (counts == 0).any():
-            raise ValueError("system has a dead-end symbol; cylinder masses cannot be extended")
+        last, starts = _extension_tables(system, depth)
         levels = [deepest]
         for d in range(depth - 1, 0, -1):
             levels.append(np.add.reduceat(levels[-1], starts[d - 1][:-1]))
@@ -345,9 +342,9 @@ class CylinderMeasure:
 
 
 def _extension_tables(system: SystemSpec, depth: int):
-    """last_symbols and child_starts arrays for levels 1..depth, and each
-    symbol's successor count.  The extensions of a level are the row-major
-    nonzeros of the incidence rows of its last symbols."""
+    """last_symbols and child_starts arrays for levels 1..depth.  The
+    extensions of a level are the row-major nonzeros of the incidence rows
+    of its last symbols."""
     allowed = system.incidence
     counts = allowed.sum(axis=1)
     last = [np.arange(system.alphabet_size, dtype=np.int64)]
@@ -356,7 +353,7 @@ def _extension_tables(system: SystemSpec, depth: int):
         prev = last[-1]
         starts.append(np.concatenate(([0], np.cumsum(counts[prev]))))
         last.append(np.nonzero(allowed[prev])[1])
-    return last, starts, counts
+    return last, starts
 
 
 def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeasure:
@@ -591,7 +588,7 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
         if measure.depth >= 2:
             last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
         else:
-            (_, last), (cs,), _ = _extension_tables(measure.system, 2)
+            (_, last), (cs,) = _extension_tables(measure.system, 2)
             two = measure.masses[0][last]
         level = _level(two, cs)
         cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")

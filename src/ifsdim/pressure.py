@@ -101,13 +101,6 @@ def default_depth(system: SystemSpec) -> int:
     return 1 if system.is_similitude() else 12
 
 
-def _level(system: SystemSpec, depth: int):
-    lg = level_geometry(system, depth)  # raises on depth < 1
-    if lg.count == 0:
-        raise ValueError(f"no admissible words at depth {depth}")
-    return lg
-
-
 def _log_sum(a: np.ndarray, t: float) -> tuple[float, float]:
     """log sum_i exp(t a_i) and its t-derivative sum_i a_i w_i / sum_i w_i,
     for an ascending, non-empty a and t >= 0.
@@ -372,9 +365,7 @@ class Collocation:
         matrices = matrices.reshape(2, n, n)
         mass = float(matrices[0].sum())  # (L 1)(x_k) summed over the nodes
         if not mass > 0.0:
-            if self.feeds.any():
-                raise ConvergenceFailure(f"exponent s = {s!r} underflows the collocation weights |s_e'|^s")
-            raise ConvergenceFailure("no branch feeds any grid: the incidence admits no infinite word")
+            raise ConvergenceFailure(f"exponent s = {s!r} underflows the collocation weights |s_e'|^s")
         power = matrices[0] * (n / mass)
         if not self.full_shift:
             power.flat[:: n + 1] += 1.0
@@ -495,7 +486,7 @@ def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | 
     An ``h`` outside the bracket contradicts the certificate:
     ``ConvergenceFailure``.
     """
-    lg = _level(system, depth)
+    lg = level_geometry(system, depth)
     sup, inf = np.sort(lg.log_sup), np.sort(lg.log_inf)
     label = f"bowen_solve({system.label or 'system'})"
     if collocation is None:

@@ -1,24 +1,23 @@
-"""Admissible-word counts, the comparison metric used on the coding space,
-and the finite-primitivity test of an incidence matrix.
+"""Admissible-word counts and the comparison metric used on the coding space.
 
 Symbols are 0-based integers indexing the maps of a system.  A word is an
 admissible tuple of symbols; admissibility is governed by an incidence
 matrix, an m x m bool array whose (i, j) entry says whether symbol j may
-follow symbol i (``SystemSpec.incidence``).  The full shift, where every
-string is admissible, is the all-ones matrix.
+follow symbol i (``SystemSpec.incidence``, which admits only irreducible
+matrices).  The full shift, where every string is admissible, is the
+all-ones matrix.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "count_admissible",
     "comparison_distance",
-    "finitely_primitive_witness",
 ]
 
 
@@ -49,24 +48,3 @@ def comparison_distance(a: Sequence[int], b: Sequence[int]) -> float:
     if len(a) == len(b):
         return 0.0
     return math.exp(1 - (common + 1))
-
-
-PRIMITIVITY_MAX_LENGTH = 8  # longest connecting length searched
-
-
-def finitely_primitive_witness(incidence: np.ndarray) -> Optional[int]:
-    """The smallest connecting length p <= PRIMITIVITY_MAX_LENGTH, or None.
-
-    p works when every ordered symbol pair (e, e') admits a word w of length
-    exactly p with e-w-e' admissible, that is when every entry of A^(p+1) is
-    positive.  None means no p in range works (e.g. the identity matrix,
-    which is not primitive at all).
-    """
-    arr = incidence.astype(np.int64)
-    reach = arr
-    for p in range(1, PRIMITIVITY_MAX_LENGTH + 1):
-        # 1 where a path of exactly p + 1 transitions exists
-        reach = ((reach @ arr) > 0).astype(np.int64)
-        if reach.all():
-            return p
-    return None

@@ -70,8 +70,11 @@ class SystemSpec:
     whether map j may follow map i.  It is built from any square array-like
     of 0/1 entries, copied as the coefficients are, so the caller's array
     cannot change the system; without one it is the full shift, one True
-    broadcast to m x m.  Systems compare by their entries and hash by their
-    shapes, so a hash reads no entries.
+    broadcast to m x m.  A given incidence must be irreducible, every map
+    reaching every map through admissible words, as a CGDMS's incidence is
+    (for a finite alphabet, finitely irreducible is irreducible).  Systems
+    compare by their entries and hash by their shapes, so a hash reads no
+    entries.
     """
 
     coefficients: np.ndarray
@@ -117,6 +120,15 @@ class SystemSpec:
             raise InvalidSystem("incidence entries must be 0 or 1")
         if len(incidence) != m:
             raise InvalidSystem("incidence size must match the number of maps")
+        # irreducible: map 0 reaches every map and every map reaches map 0,
+        # each found by growing the reached set until it stops growing
+        sweeps = ((incidence, "map 0 does not reach map {}"), (incidence.T, "map {} does not reach map 0"))
+        for edges, pair in sweeps:
+            reached, grown = np.zeros(m, dtype=bool), np.arange(m) == 0
+            while grown.sum() > reached.sum():
+                reached, grown = grown, grown | edges[grown].any(axis=0)
+            if not reached.all():
+                raise InvalidSystem("incidence is not irreducible: " + pair.format(int(np.argmin(reached))))
         incidence.setflags(write=False)
         object.__setattr__(self, "incidence", incidence)
 

@@ -5,7 +5,9 @@ The equilibrium state of the potential -s log|s_e'| has Lyapunov exponent
 chi = -d log lambda(s) / ds, the eigenpair's slope negated, and entropy
 log lambda(s) + s chi, the variational identity for that state
 (``gibbs_state``).  At the Bowen root h, where lambda(h) = 1, their ratio is
-h itself.
+h itself.  ``SystemSpec`` admits only irreducible incidences, so the
+positive eigenpair is unique; a periodic incidence needs no primitivity,
+since the collocation shifts by the identity off the full shift.
 
 The cylinder masses come from the same eigenpair (``cylinder_masses``).  The
 left eigenvector l is a quadrature for the eigenmeasure nu and the right
@@ -33,39 +35,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pressure import Collocation, ConvergenceFailure, Eigenpair
-from .symbolic import count_admissible, finitely_primitive_witness
+from .symbolic import count_admissible
 
 __all__ = [
     "CylinderMasses",
     "DegenerateSystemError",
     "GibbsState",
-    "ReducibilityError",
     "cylinder_masses",
     "gibbs_state",
     "masses_entries",
-    "require_primitive",
 ]
 
 RESIDUAL_LIMIT = 1e-8  # eigenpair residuals past this are not an eigenpair
 
 
-class ReducibilityError(ValueError):
-    """The incidence structure has no finite primitivity witness."""
-
-
 class DegenerateSystemError(RuntimeError):
     """The invariant measure has a non-positive contraction rate."""
-
-
-def require_primitive(incidence: np.ndarray) -> None:
-    """Raise :class:`ReducibilityError` unless ``incidence`` has a finite
-    primitivity witness, without which the transfer operator has no unique
-    positive eigenpair."""
-    if finitely_primitive_witness(incidence) is None:
-        raise ReducibilityError(
-            "incidence matrix is not finitely primitive; the transfer "
-            "operator has no unique positive eigenpair"
-        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,7 @@ class CylinderMasses:
         """max over depth-(n-1) words v of |mu[v .] - mu[. v]|, the invariant
         masses summed over the last and over the first symbol (0 at depth 1,
         where both sums are the total mass)."""
-        # a primitive incidence gives every word a child, so the heads
+        # an irreducible incidence gives every word a child, so the heads
         # w[:-1] of the lexicographic level run through the shorter words
         changed = (self.words[1:, :-1] != self.words[:-1, :-1]).any(axis=1)
         head = np.concatenate(([0], np.cumsum(changed)))

@@ -21,8 +21,9 @@ from typing import Iterator
 
 import numpy as np
 
+from ifsdim import systems
 from ifsdim.measures import CylinderMeasure, LineMeasure
-from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _level, _log_sum, collocate
+from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _log_sum, collocate
 from ifsdim.systems import _ROUNDOFF, LevelGeometry, SystemSpec
 from ifsdim.transfer import cylinder_masses
 
@@ -48,6 +49,16 @@ def enumerate_admissible(incidence: np.ndarray, depth: int) -> Iterator[tuple[in
             yield from walk(prefix + (s,))
 
     return walk(())
+
+
+def reaching_pairs(incidence) -> set[tuple[int, int]]:
+    """The pairs (i, j) for which some admissible word of two or more
+    symbols begins with i and ends with j, by enumerating every word of
+    2..m+1 symbols: a shortest such word repeats no symbol after its first.
+    The incidence is irreducible when every pair is there; the reference
+    for ``SystemSpec``'s check."""
+    allowed = np.asarray(incidence, dtype=bool)
+    return {(w[0], w[-1]) for k in range(2, len(allowed) + 2) for w in enumerate_admissible(allowed, k)}
 
 
 def word_image(system: SystemSpec, word: tuple[int, ...]) -> tuple[float, float]:
@@ -126,7 +137,7 @@ def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
     bracket its root."""
     if t < 0:
         raise ValueError(f"exponent must be >= 0, got {t}")
-    lg = _level(system, depth)
+    lg = systems.level_geometry(system, depth)
     upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
     return PressureEstimate(upper=upper / depth, lower=lower / depth)
 

@@ -140,7 +140,8 @@ def test_bowen_without_infinite_words_exits_2_in_the_plan(tmp_path, capsys):
     )
     assert code == 2 and report is None
     err = capsys.readouterr().err
-    assert "system.incidence" in err and "admits no infinite word" in err and "Warning" not in err
+    assert "system.incidence: incidence is not irreducible: map 0 does not reach map 1" in err
+    assert "Warning" not in err
 
 
 def test_bowen_without_deep_words_exits_2_in_the_plan(tmp_path, capsys):
@@ -151,7 +152,7 @@ def test_bowen_without_deep_words_exits_2_in_the_plan(tmp_path, capsys):
     )
     assert code == 2 and report is None
     err = capsys.readouterr().err
-    assert "system.incidence" in err and "admits no infinite word" in err
+    assert "system.incidence: incidence is not irreducible: map 1 does not reach map 0" in err
 
 
 @pytest.mark.parametrize("ratios", ["1e-41, 0.3", "1e-300, 0.5"])
@@ -1005,6 +1006,9 @@ def test_dimension_rejects_bad_keys_before_sampling(
 
 
 CUSTOM_PAIR = "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.4:0.6\n"
+# each has a cycle, yet one map never reaches the other
+REDUCIBLE_MOEBIUS = "system.family = custom\nsystem.maps = moebius:1; moebius:31\nsystem.incidence = 10;11\n"
+REDUCIBLE_PAIR = CUSTOM_PAIR + "system.incidence = 11;01\n"
 # continued fractions on {1, ..., 91} where no digit follows itself: 91 grids
 MOEBIUS_NO_REPEATS_91 = (
     "system.family = custom\nsystem.maps = "
@@ -1033,12 +1037,26 @@ MOEBIUS_NO_REPEATS_91 = (
             "bowen",
             "system.family = custom\nsystem.maps = moebius:1; moebius:2\n"
             "system.incidence = 101;110;011\n",
-            "system.incidence: 3 rows for the 2 maps of system.maps",
+            "system.incidence: incidence size must match the number of maps",
         ),
         (
             "dimension",
             CUSTOM_PAIR + "system.incidence = 11;00\nsample.seed = 1\n",
-            "system.incidence: a symbol has no admissible successor",
+            "system.incidence: incidence is not irreducible: map 1 does not reach map 0",
+        ),
+        # reducible with a cycle: 1 never reaches 0, or 0 never reaches 1
+        *(
+            (command, text + ("sample.seed = 1\n" if command == "dimension" else ""), message)
+            for text, message in (
+                (REDUCIBLE_MOEBIUS, "system.incidence: incidence is not irreducible: map 0 does not reach map 1"),
+                (REDUCIBLE_PAIR, "system.incidence: incidence is not irreducible: map 1 does not reach map 0"),
+            )
+            for command in ("bowen", "gibbs", "dimension")
+        ),
+        (
+            "gibbs",
+            CUSTOM_PAIR + "system.incidence = 10;01\ngibbs.exponent = 0\n",
+            "system.incidence: incidence is not irreducible: map 0 does not reach map 1",
         ),
         # 1000^3 cells would be 8 GB per cylinder table
         (
@@ -1208,7 +1226,10 @@ MOEBIUS_NO_REPEATS_91 = (
         ),
     ],
     ids=[
-        "golden-size", "cf-size", "ragged-incidence", "wrong-size-incidence", "dead-end", "converge-budget",
+        "golden-size", "cf-size", "ragged-incidence", "wrong-size-incidence", "dead-end",
+        "reducible-moebius-bowen", "reducible-moebius-gibbs", "reducible-moebius-dimension",
+        "reducible-pair-bowen", "reducible-pair-gibbs", "reducible-pair-dimension", "identity-incidence",
+        "converge-budget",
         "scan-levels",
         "collocation-budget", "collocation-matrix-budget", "depth-low", "depth-high", "gallery-levels",
         "staircase-stage", "staircase-member", "flatness-support", "lattice-comb-budget",
@@ -1430,16 +1451,48 @@ def test_gibbs_custom_incidence_spectral_radius(tmp_path):
     assert report["results"]["eigenvalue"] == pytest.approx(PHI, abs=1e-8)
 
 
-def test_gibbs_reducible_incidence_exit_4(tmp_path):
-    code, _ = run(
+# five similitudes of ratio 0.15 under the Wielandt incidence 0 -> 1 -> 2 ->
+# 3 -> 4 -> {0, 1}: primitive with exponent 17, every entry of A^17
+# positive and no earlier power's.  Its spectral radius rho solves
+# rho^5 = rho + 1, so h = log rho / log(1/0.15).
+WIELANDT = (
+    "system.family = custom\nsystem.maps = "
+    + "; ".join(f"similitude:0.15:{e / 5}" for e in range(5))
+    + "\nsystem.incidence = 01000;00100;00010;00001;11000\n"
+)
+
+
+def test_the_wielandt_incidence_has_its_closed_form_root_and_ratio(tmp_path):
+    rho = 1.2
+    for _ in range(20):  # Newton on rho^5 - rho - 1
+        rho -= (rho**5 - rho - 1.0) / (5.0 * rho**4 - 1.0)
+    h = math.log(rho) / math.log(1.0 / 0.15)
+    (tmp_path / "gibbs").mkdir()
+    code, report = run(tmp_path / "gibbs", "gibbs", WIELANDT)
+    assert code == 0
+    assert report["results"]["exponent"] == pytest.approx(h, abs=1e-14)
+    assert report["results"]["ratio"] == pytest.approx(h, abs=1e-14)
+    sampled = "dimension.depth = 6\nsample.count = 500\nsample.seed = 1\n"
+    code, report = run(tmp_path, "dimension", WIELANDT + sampled)
+    assert code == 0 and report["warnings"] == []
+    assert report["results"]["report"]["ratio"] == pytest.approx(h, abs=1e-14)
+
+
+def test_gibbs_on_a_periodic_incidence_exits_0(tmp_path):
+    # 0 and 1 alternate: irreducible with period 2.  The limit set is one
+    # periodic orbit, two points, so h = 0, and each point weighs 1/2.
+    code, report = run(
         tmp_path,
         "gibbs",
-        "system.family = custom\n"
-        "system.maps = similitude:0.4:0.0; similitude:0.3:0.5\n"
-        "system.incidence = 10;01\n"
-        "gibbs.exponent = 0\n",
+        "system.family = custom\nsystem.maps = similitude:0.4:0; similitude:0.3:0.5\n"
+        "system.incidence = 01;10\n",
     )
-    assert code == 4
+    assert code == 0
+    res = report["results"]
+    assert abs(res["exponent"]) <= 1e-15 and res["eigenvalue"] == pytest.approx(1.0, abs=1e-15)
+    assert res["lyapunov"] == pytest.approx(-0.5 * math.log(0.12), rel=1e-14)
+    rows = (tmp_path / "gibbs-masses.csv").read_text().splitlines()
+    assert rows == ["word,eigenmeasure,invariant", "0,0.5,0.5", "1,0.5,0.5"]
 
 
 def test_gibbs_bad_map_spec_exit_2(tmp_path):

@@ -488,10 +488,6 @@ def test_cylinder_measure_argument_guards():
     sys_ = cantor_system((1 / 3, 1 / 3))
     with pytest.raises(ValueError, match="depth must be >= 1"):
         CylinderMeasure(sys_, 0, np.ones(1))
-    dead_end = ((0, 1), (0, 0))
-    dead = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
-    with pytest.raises(ValueError, match="dead-end symbol"):
-        CylinderMeasure(dead, 2, np.ones(1))
 
 
 def test_fibonacci_cylinder_tables_follow_the_incidence():

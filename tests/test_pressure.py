@@ -64,13 +64,6 @@ def test_partition_sum_brackets_continued_fractions():
     assert 6 * est.gap <= 0.6 * math.log(4.0) + 1e-9
 
 
-def test_partition_sum_rejects_empty_word_set():
-    dead_end = ((0, 1), (0, 0))
-    sys_ = SystemSpec(_similitudes((0.4, 0.0), (0.3, 0.5)), dead_end, label="dead-end")
-    with pytest.raises(ValueError):
-        pressure(sys_, 0.5, 3)
-
-
 def test_pressure_is_depth_free_for_bernoulli_similitudes():
     sys_ = cantor_system((1 / 3, 1 / 3))
     want = math.log(2.0) - 0.5 * math.log(3.0)  # log sum a_i^t at t = 1/2
@@ -523,15 +516,6 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
     assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
     assert collocate(explicit).full_shift and collocate(broadcast).full_shift
     assert bowen_solve(explicit).h == bowen_solve(broadcast).h
-
-
-def test_an_incidence_with_no_successor_is_named_at_any_exponent():
-    # no map may follow any map: no branch feeds a grid, so the empty mass
-    # is the incidence's fault even at s = 1000, where 0.25^s underflows too
-    nothing = _moebius((1, 2), ((0, 0), (0, 0)))
-    for s in (0.0, 1000.0):
-        with pytest.raises(ConvergenceFailure, match="^no branch feeds any grid: the incidence admits"):
-            collocate(nothing).eigenpair(s)
 
 
 @pytest.mark.parametrize(

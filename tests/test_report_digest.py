@@ -29,12 +29,13 @@ def test_report_digest_runs_every_case_and_repeats_itself(monkeypatch, capsys):
     finally:
         sys.modules.pop("inputs", None)  # the benchmark's module the tool imports
     # the six configs, one timed case of each of the three workloads,
-    # bowen, gibbs and dimension on four graph-directed systems, of which
-    # the parity incidence is not primitive, and one gibbs table of more
-    # than one format block
-    assert len(runs[0]) == 22
+    # bowen, gibbs and dimension on six graph-directed systems, of which
+    # only the reducible one is refused, and one gibbs table of more than
+    # one format block
+    assert len(runs[0]) == 28
     codes = {line.split()[0] + " " + line.split()[1]: line.split()[2] for line in runs[0]}
-    assert codes.pop("incidence:parity gibbs") == "4"
+    assert [codes.pop(f"incidence:reducible {command}") for command in ("bowen", "gibbs", "dimension")] == ["2"] * 3
+    assert codes.pop("incidence:parity gibbs") == "0"
     assert codes.pop("deep-table gibbs") == "0"
-    assert list(codes.values()) == ["0"] * 20
+    assert list(codes.values()) == ["0"] * 23
     assert runs[1] == runs[0]

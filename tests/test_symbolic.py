@@ -1,18 +1,15 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ifsdim.symbolic import (
-    comparison_distance,
-    count_admissible,
-    finitely_primitive_witness,
-)
+from ifsdim.symbolic import comparison_distance, count_admissible
 from ifsdim.systems import InvalidSystem, SystemSpec
 
-from reference import enumerate_admissible
+from reference import enumerate_admissible, reaching_pairs
 
 FIB = np.array(((1, 1), (1, 0)), dtype=bool)
 PAIR = ((0.0, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0, 2.0))  # the branches 1/(1+x), 1/(2+x)
@@ -85,13 +82,13 @@ def test_count_is_exact_for_huge_word_sets():
 
 
 def test_incidence_is_one_read_only_bool_array():
-    system = SystemSpec(PAIR, ((True, 0), (1.0, 1)))
+    system = SystemSpec(PAIR, ((True, 1), (1.0, 0)))
     assert system.incidence.dtype == bool
-    assert system.incidence.tolist() == [[True, False], [True, True]]
+    assert system.incidence.tolist() == [[True, True], [True, False]]
     with pytest.raises(ValueError):
-        system.incidence[0, 1] = True
+        system.incidence[1, 1] = True
     # equality goes by the entries, whatever they were built from
-    for same in (((1, 0), (1, 1)), np.array([[True, False], [True, True]])):
+    for same in (((1, 1), (1, 0)), np.array([[True, True], [True, False]])):
         assert system == SystemSpec(PAIR, same)
         assert hash(system) == hash(SystemSpec(PAIR, same))
     assert system != SystemSpec(PAIR, ((1, 1), (1, 1)))
@@ -121,58 +118,26 @@ def test_incidence_rejects_bad_rows(rows, message):
         SystemSpec(PAIR, rows)
 
 
-def _connecting_lengths(matrix):
-    """Lengths p in 1..8 at which every ordered pair (e, e') admits a word w
-    of length p with e-w-e' admissible, by composing admissible steps."""
-    n = len(matrix)
-    steps = {(a, b) for a in range(n) for b in range(n) if matrix[a, b]}
-    ends = {(a, a) for a in range(n)}  # (first, last) symbols of length-p words
-    found = []
-    for p in range(1, 9):
-        linked = {
-            (e, e2)
-            for a, b in ends
-            for e in range(n)
-            for e2 in range(n)
-            if (e, a) in steps and (b, e2) in steps
-        }
-        if len(linked) == n * n:
-            found.append(p)
-        ends = {(a, c) for a, b in ends for b2, c in steps if b2 == b}
-    return found
-
-
-def _positive_power_lengths(matrix):
-    """Lengths p in 1..8 with every entry of A^(p+1) positive."""
-    arr = matrix.astype(np.int64)
-    return [p for p in range(1, 9) if (np.linalg.matrix_power(arr, p + 1) > 0).all()]
-
-
-def test_witness_full_shift():
-    assert finitely_primitive_witness(full(3)) == 1
-
-
-def test_witness_fibonacci():
-    # A^2 = [[2, 1], [1, 1]] is positive; 1 -> 1 needs the connecting word 0
-    assert finitely_primitive_witness(FIB) == 1
-    assert _connecting_lengths(FIB)[0] == 1
-
-
-def test_witness_identity_has_none():
-    assert finitely_primitive_witness(np.eye(2, dtype=bool)) is None
-
-
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example([[1, 1, 1]] * 3)  # the full shift, written out
+@example([[1, 1], [1, 0]])  # Fibonacci
+@example([[0, 1], [1, 0]])  # parity: periodic, irreducible all the same
+@example([[1, 0], [0, 1]])  # the identity: no map reaches the other
+@example([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 0, 0, 0]])  # Wielandt: primitive, exponent 17
 @given(
-    st.integers(2, 4).flatmap(
+    st.integers(2, 5).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
 )
-def test_witness_words_always_chain(rows):
-    # p is the smallest length with every entry of A^(p+1) positive, which is
-    # the smallest length of connecting words for every ordered pair
-    matrix = np.array(rows, dtype=bool)
-    positive = _positive_power_lengths(matrix)
-    assert positive == _connecting_lengths(matrix)
-    assert finitely_primitive_witness(matrix) == (positive[0] if positive else None)
+def test_spec_admits_exactly_the_irreducible_incidences(rows):
+    maps = [(0.5 / len(rows), e / len(rows), 0.0, 1.0) for e in range(len(rows))]
+    reach = reaching_pairs(rows)
+    if len(reach) == len(rows) ** 2:
+        assert SystemSpec(maps, rows).incidence.tolist() == np.array(rows, dtype=bool).tolist()
+        return
+    with pytest.raises(InvalidSystem, match=r"^incidence is not irreducible: map \d does not reach map \d$") as err:
+        SystemSpec(maps, rows)
+    # the pair named is one that does not reach
+    assert tuple(int(e) for e in re.findall(r"\d", str(err.value))) not in reach

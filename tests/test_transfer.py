@@ -8,14 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ifsdim.pressure import ConvergenceFailure, Eigenpair, _power_iterate, bowen_solve, collocate
 from ifsdim.symbolic import count_admissible
-from ifsdim.systems import SystemSpec, cantor_system, continued_fraction_family, golden_family
-from ifsdim.transfer import (
-    DegenerateSystemError,
-    ReducibilityError,
-    cylinder_masses,
-    gibbs_state,
-    require_primitive,
-)
+from ifsdim.systems import InvalidSystem, SystemSpec, cantor_system, continued_fraction_family, golden_family
+from ifsdim.transfer import DegenerateSystemError, cylinder_masses, gibbs_state
 
 from reference import cylinder_operator_root, enumerate_admissible, pressure, quadrature_masses
 
@@ -164,9 +158,16 @@ def test_similitude_weights_are_exact_ratio_powers():
 
 
 def test_reducible_incidence_is_rejected():
-    with pytest.raises(ReducibilityError):
-        require_primitive(np.eye(2, dtype=bool))
-    require_primitive(fibonacci_system().incidence)
+    rows = fibonacci_system().coefficients
+    with pytest.raises(InvalidSystem, match="^incidence is not irreducible: map 0 does not reach map 1$"):
+        SystemSpec(rows, np.eye(2, dtype=bool))
+    # parity is periodic but irreducible: shifted by the identity, its
+    # collocation still has the one leading eigenvalue (0.4^s 0.3^s)^(1/2)
+    pair = collocate(SystemSpec(rows, ((0, 1), (1, 0)))).eigenpair(0.5)
+    assert pair.eigenvalue == pytest.approx(0.12**0.25, rel=1e-14)
+    state = gibbs_state(pair)
+    assert state.lyapunov == pytest.approx(-0.5 * math.log(0.12), rel=1e-14)
+    assert state.entropy == pytest.approx(0.0, abs=1e-14)
 
 
 def test_operator_argument_validation():

@@ -4,7 +4,7 @@ checkouts write bit-identical reports.
 Runs ``ifsdim.cli.main`` in-process on the six ``configs/*.cfg`` (the
 command is the last dash-separated part of the file name), on the first
 ``--cases`` timed inputs of each benchmark workload (``perfbench/inputs.py``)
-for each of ``--seeds``, on ``bowen``, ``gibbs`` and ``dimension`` of four
+for each of ``--seeds``, on ``bowen``, ``gibbs`` and ``dimension`` of six
 graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark input
 is a full shift, and on one ``gibbs`` whose masses table spans more than
 one of the row blocks ``cli`` formats a table in (``DEEP_TABLE``).  Prints
@@ -45,8 +45,15 @@ INCIDENCE_SYSTEMS = {
     "fibonacci": ("similitude:0.4:0; similitude:0.3:0.5", "11;10"),
     "moebius-cycle": ("moebius:1; moebius:2; moebius:3", "011;101;110"),
     "moebius-fibonacci": ("moebius:2; moebius:3", "11;10"),
-    # 0 and 1 alternate: not primitive, so gibbs exits 4
+    # 0 and 1 alternate: periodic, yet irreducible
     "parity": ("similitude:0.4:0; similitude:0.3:0.5", "01;10"),
+    # primitive with exponent 17: rho^5 = rho + 1
+    "wielandt": (
+        "; ".join(f"similitude:0.15:{e / 5}" for e in range(5)),
+        "01000;00100;00010;00001;11000",
+    ),
+    # 1 never reaches 0: every command refuses it in the plan
+    "reducible": ("similitude:0.4:0; similitude:0.4:0.6", "11;01"),
 }
 # 3^9 = 19,683 masses rows
 DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 9\n"
