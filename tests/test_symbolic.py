@@ -118,11 +118,35 @@ def test_incidence_rejects_bad_rows(rows, message):
         SystemSpec(PAIR, rows)
 
 
+def _maps(size):
+    """``size`` disjoint similitudes of ratio 0.5/size on [0, 1]."""
+    return [(0.5 / size, e / size, 0.0, 1.0) for e in range(size)]
+
+
+def test_witness_full_shift():
+    # written out, the full shift is checked and admitted as given
+    rows = [[1, 1, 1]] * 3
+    assert reaching_pairs(rows) == set(itertools.product(range(3), repeat=2))
+    assert SystemSpec(_maps(3), rows).incidence.tolist() == full(3).tolist()
+
+
+def test_witness_fibonacci():
+    # 1 -> 1 needs the connecting word 0; every other pair chains directly
+    assert reaching_pairs(FIB) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert (1, 0, 1) in enumerate_admissible(FIB, 3)
+    assert SystemSpec(_maps(2), FIB).incidence.tolist() == FIB.tolist()
+
+
+def test_witness_identity_has_none():
+    # no admissible word leads from one map to the other: refused, naming the pair
+    identity = np.eye(2, dtype=bool)
+    assert reaching_pairs(identity) == {(0, 0), (1, 1)}
+    with pytest.raises(InvalidSystem, match=r"^incidence is not irreducible: map 0 does not reach map 1$"):
+        SystemSpec(_maps(2), identity)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@example([[1, 1, 1]] * 3)  # the full shift, written out
-@example([[1, 1], [1, 0]])  # Fibonacci
 @example([[0, 1], [1, 0]])  # parity: periodic, irreducible all the same
-@example([[1, 0], [0, 1]])  # the identity: no map reaches the other
 @example([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 0, 0, 0]])  # Wielandt: primitive, exponent 17
 @given(
     st.integers(2, 5).flatmap(
@@ -131,13 +155,13 @@ def test_incidence_rejects_bad_rows(rows, message):
         )
     )
 )
-def test_spec_admits_exactly_the_irreducible_incidences(rows):
-    maps = [(0.5 / len(rows), e / len(rows), 0.0, 1.0) for e in range(len(rows))]
+def test_witness_words_always_chain(rows):
+    # SystemSpec admits exactly the incidences in which admissible words chain
+    # every map to every map, and a refusal names a pair that does not chain
     reach = reaching_pairs(rows)
     if len(reach) == len(rows) ** 2:
-        assert SystemSpec(maps, rows).incidence.tolist() == np.array(rows, dtype=bool).tolist()
+        assert SystemSpec(_maps(len(rows)), rows).incidence.tolist() == np.array(rows, dtype=bool).tolist()
         return
     with pytest.raises(InvalidSystem, match=r"^incidence is not irreducible: map \d does not reach map \d$") as err:
-        SystemSpec(maps, rows)
-    # the pair named is one that does not reach
+        SystemSpec(_maps(len(rows)), rows)
     assert tuple(int(e) for e in re.findall(r"\d", str(err.value))) not in reach
