@@ -36,7 +36,6 @@ from .measures import (
     CylinderMeasure,
     LineMeasure,
     MeasureFamily,
-    beside,
     gallery,
     sample,
     setwise_discrepancy,
@@ -680,13 +679,11 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
                 warnings.append(f"entropy/lyapunov ratio unavailable: {err}")
 
         cloud = sample(measure, count, seed=seed)
-        # the worker thread evaluates the density field while this one counts pairs
-        with beside(density_field, measure, cloud[:density_points], d_rmin, d_rmax) as density:
-            curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
+        curve = correlation_curve(cloud, r_min, r_max, count=r_count, fit_window=fit_window)
         if curve.degenerate:
             warnings.append("sample cloud is a single point; slope pinned to zero")
 
-        fld = density.result()
+        fld = density_field(measure, cloud[:density_points], d_rmin, d_rmax)
         crit = young_criterion(fld)
         bounds = scaling_quantile_bounds(fld)
 

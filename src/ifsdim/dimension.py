@@ -228,8 +228,7 @@ def density_field(
     at = pts[order]
     # the least and the greatest ratio over the ladder, NaN where no radius
     # gives one; np.fmin and np.fmax skip NaN and warn about nothing, so
-    # the field runs on a worker thread without touching the
-    # process-global warning filters
+    # the field leaves the process-global warning filters alone
     low, high = np.full((2, pts.size), np.nan)
     for j, r in enumerate(radii):
         left, right = at - r, at + r

@@ -31,17 +31,12 @@ Three convergence gauges with strictly decreasing strength:
                              bounded support it metrizes weak convergence.
 
 Sampling uses a counter-based generator (Philox) so draws are reproducible
-from (measure, seed) alone and independent of evaluation order.  The
-cylinder sampler has each next block of draws filled on a worker thread
-while it consumes the current one; the generator draws the same blocks in
-the same order, so the samples are those of serial draws, bit for bit.
+from (measure, seed) alone and independent of evaluation order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -67,7 +62,6 @@ __all__ = [
     "setwise_discrepancy",
     "w1_distance",
     "sample",
-    "beside",
     "gallery",
 ]
 
@@ -404,11 +398,8 @@ def sample(measure, count: int, seed: int) -> np.ndarray:
     of the current symbol; exact on similitude full shifts, first-order
     otherwise), until the widest image interval of the batch is shorter
     than 1e-9; then each midpoint is emitted.  So every sample takes the
-    batch's step count.  The worker thread fills each next block of uniform
-    draws while this thread consumes the current one, in the order serial
-    draws would take, so the points do not depend on the thread.  Its work
-    arrays hold eight floats, two word indices and a flag per sample,
-    besides the points it returns.
+    batch's step count.  Its work arrays hold seven floats, two word
+    indices and a flag per sample, besides the points it returns.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -438,48 +429,6 @@ def _sample_line(measure: LineMeasure, count: int, rng) -> np.ndarray:
     idx = np.minimum(idx, len(w) - 1)
     frac = (target - (cum[idx] - w[idx])) / w[idx]
     return lo[idx] + frac * (hi[idx] - lo[idx])
-
-
-@functools.cache
-def _worker():
-    """The one worker thread beside the main thread, as an executor that
-    runs its tasks one at a time in the order given.  Started on first use
-    and kept for the life of the process; only ``dimension`` runs use it,
-    so no other command imports ``concurrent.futures``."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ifsdim")
-
-
-@contextlib.contextmanager
-def beside(fn: Callable, *args):
-    """Run ``fn(*args)`` on the worker thread while the block runs on this
-    thread; yields its future, to be read after the block.  The block ends
-    only once the task has, so no task outlives it; when the block raises,
-    the task's own error is left unread."""
-    future = _worker().submit(fn, *args)
-    try:
-        yield future
-    finally:
-        future.exception()  # waits, raising nothing
-
-
-def _uniform_blocks(rng, rows: np.ndarray):
-    """Blocks of ``rng.random`` draws, written into the two ``rows`` in
-    turn: the worker fills the next block while the caller reads the one
-    just yielded, which stays intact until the caller asks for the next.
-    The generator draws the same blocks in the same order as serial
-    calls would, so only the last block, never read, is extra.  Close it
-    to wait for that block."""
-    fill = functools.partial(_worker().submit, rng.random)
-    pending = fill(out=rows[0])
-    try:
-        for k in itertools.cycle((0, 1)):
-            pending.result()
-            pending = fill(out=rows[1 - k])
-            yield rows[k]
-    finally:
-        pending.exception()  # waits for the look-ahead block, which no draw reads
 
 
 def _push(M: list, digits: np.ndarray, mats: np.ndarray, spare: list, work) -> None:
@@ -556,54 +505,51 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     m = measure.system.alphabet_size
     mats = measure.system.coefficients.T.copy()  # rows a, b, c, d
     # the work arrays, allocated once: the samples' products M, two spare
-    # rows, two blocks of uniform draws, two word indices and a mask; the
+    # rows, a block of uniform draws, two word indices and a mask; the
     # cloud doubles as a scratch row.  Takes into them use mode="wrap":
     # with out= the default mode copies through a temporary, and every
     # index is in range.
-    floats = np.empty((8, count))
+    floats = np.empty((7, count))
     cloud = np.empty(count)
-    spare = list(floats[4:6])
+    spare, u = list(floats[4:6]), floats[6]
     idx, nxt = np.zeros((2, count), dtype=np.int64)
     mask = np.empty(count, dtype=bool)
-    with contextlib.closing(_uniform_blocks(rng, floats[6:8])) as draws:
-        # exact joint draw of the stored digits, level by level from the
-        # empty word; each word's product is pushed once, and samples
-        # gather theirs
-        words = np.eye(2).reshape(4, 1)
-        for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
-            _draw_children(_level(measure.masses[d - 1], cs), idx, nxt, next(draws), cloud, mask)
-            idx, nxt = nxt, idx
-            parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
-            grown = np.empty((8, parent.size))
-            np.take(words, parent, axis=1, out=grown[0:4], mode="wrap")
-            rows = list(grown[0:4])
-            _push(rows, measure.last_symbols[d - 1], mats, list(grown[4:6]), grown[6:8])
-            words = np.stack(rows)
-        np.take(words, idx, axis=1, out=floats[0:4], mode="wrap")
-        M = list(floats[0:4])
 
-        # beyond the stored depth each digit is a level-2 child of the
-        # current symbol; at depth 1, level 2 weighs each successor by its
-        # level-1 mass
-        if measure.depth >= 2:
-            last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
-        else:
-            (_, last), (cs,) = _extension_tables(measure.system, 2)
-            two = measure.masses[0][last]
-        level = _level(two, cs)
-        cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")
-        for _ in range(500):
-            (A, B, C, D), (x0, x1), gap = M, spare, cloud
-            np.divide(B, D, out=x0)
-            np.divide(np.add(A, B, out=x1), np.add(C, D, out=gap), out=x1)
-            if float(np.abs(np.subtract(x1, x0, out=gap), out=gap).max(initial=0.0)) < 1e-9:
-                np.add(x0, x1, out=cloud)
-                return np.multiply(cloud, 0.5, out=cloud)
-            # the block just drawn is the product's scratch once its children are chosen
-            u = next(draws)
-            _draw_children(level, cur, idx, u, cloud, mask)
-            np.take(last, idx, out=cur, mode="wrap")
-            _push(M, cur, mats, spare, (u, cloud))
+    # exact joint draw of the stored digits, level by level from the empty
+    # word; each word's product is pushed once, and samples gather theirs
+    words = np.eye(2).reshape(4, 1)
+    for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
+        _draw_children(_level(measure.masses[d - 1], cs), idx, nxt, rng.random(out=u), cloud, mask)
+        idx, nxt = nxt, idx
+        parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
+        grown = np.empty((8, parent.size))
+        np.take(words, parent, axis=1, out=grown[0:4], mode="wrap")
+        rows = list(grown[0:4])
+        _push(rows, measure.last_symbols[d - 1], mats, list(grown[4:6]), grown[6:8])
+        words = np.stack(rows)
+    np.take(words, idx, axis=1, out=floats[0:4], mode="wrap")
+    M = list(floats[0:4])
+
+    # beyond the stored depth each digit is a level-2 child of the current
+    # symbol; at depth 1, level 2 weighs each successor by its level-1 mass
+    if measure.depth >= 2:
+        last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
+    else:
+        (_, last), (cs,) = _extension_tables(measure.system, 2)
+        two = measure.masses[0][last]
+    level = _level(two, cs)
+    cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")
+    for _ in range(500):
+        (A, B, C, D), (x0, x1), gap = M, spare, cloud
+        np.divide(B, D, out=x0)
+        np.divide(np.add(A, B, out=x1), np.add(C, D, out=gap), out=x1)
+        if float(np.abs(np.subtract(x1, x0, out=gap), out=gap).max(initial=0.0)) < 1e-9:
+            np.add(x0, x1, out=cloud)
+            return np.multiply(cloud, 0.5, out=cloud)
+        # the block of draws is the product's scratch once its children are chosen
+        _draw_children(level, cur, idx, rng.random(out=u), cloud, mask)
+        np.take(last, idx, out=cur, mode="wrap")
+        _push(M, cur, mats, spare, (u, cloud))
     raise ConvergenceFailure("cylinder images failed to contract below 1e-9")
 
 

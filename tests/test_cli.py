@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -522,7 +521,9 @@ def test_dimension_run_leaves_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_only_dimension_starts_the_worker_thread(tmp_path):
+def test_every_command_runs_on_one_thread(tmp_path):
+    # dimension ran its density field and its next block of draws on a
+    # worker thread, which concurrent.futures started and kept
     env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
     configs = Path(__file__).resolve().parent.parent / "configs"
     runs = [(c, str(configs / f"{name}.cfg")) for c, name in (
@@ -542,8 +543,7 @@ def test_only_dimension_starts_the_worker_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr
     threads = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
     assert threads == [
-        "after bowen 1 False", "after gibbs 1 False", "after scan 1 False",
-        "after converge 1 False", "after dimension 2 True",
+        f"after {command} 1 False" for command in ("bowen", "gibbs", "scan", "converge", "dimension")
     ]
 
 
@@ -777,26 +777,6 @@ def test_dimension_flatness_table_lists_every_radius(tmp_path, monkeypatch):
     assert (_cells(rows) == np.column_stack((flat.radii, flat.bounds, flat.exponents))).all()
 
 
-@pytest.fixture
-def worker_tasks(monkeypatch):
-    """Every future handed to the worker thread, each task held back 5 ms,
-    so that the main thread reaches its next step with the task pending."""
-    executor = ifsdim.measures._worker()
-    futures = []
-    submit = executor.submit
-
-    def held_back(fn, *args, **kwargs):
-        def task():
-            time.sleep(0.005)
-            return fn(*args, **kwargs)
-
-        futures.append(submit(task))
-        return futures[-1]
-
-    monkeypatch.setattr(executor, "submit", held_back)
-    return futures
-
-
 def _failing(err):
     def fail(*args, **kwargs):
         raise err
@@ -812,41 +792,29 @@ def _report_files(out: Path) -> dict:
     return {**files, "report": json.dumps(report, sort_keys=True).encode()}
 
 
-def test_a_sampler_failure_with_a_draw_pending_exits_3_writing_nothing(
-    tmp_path, monkeypatch, worker_tasks, capsys
-):
-    pending_at_failure = []
-
-    def failing_push(*args):
-        pending_at_failure.extend(f for f in worker_tasks if not f.done())
-        raise ifsdim.cli.ConvergenceFailure("cylinder images failed to contract below 1e-9")
-
-    monkeypatch.setattr(ifsdim.measures, "_push", failing_push)
+# the next three test ids date from when dimension ran a worker thread;
+# they check that a failure at each step of the run exits 3, writes
+# nothing and leaves the next run in the process as a fresh process's
+def test_a_sampler_failure_with_a_draw_pending_exits_3_writing_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ifsdim.measures, "_push", _failing(
+        ifsdim.cli.ConvergenceFailure("cylinder images failed to contract below 1e-9")
+    ))
     code, report = run(tmp_path, "dimension", CANTOR_DIM_CFG)
     assert code == 3 and report is None
     assert "non-convergence" in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")]
-    assert pending_at_failure  # the next block of draws was being filled
-    assert worker_tasks and all(f.done() for f in worker_tasks)
 
 
-# the density field fails on the worker, or the pair counts fail on the
-# main thread while the density field is pending there
 @pytest.mark.parametrize("name", ["density_field", "correlation_curve"])
-def test_a_probe_failure_beside_the_worker_exits_3_writing_nothing(
-    tmp_path, monkeypatch, worker_tasks, capsys, name
-):
+def test_a_probe_failure_beside_the_worker_exits_3_writing_nothing(tmp_path, monkeypatch, capsys, name):
     monkeypatch.setattr(ifsdim.cli, name, _failing(ValueError(f"{name} failed")))
     code, report = run(tmp_path, "dimension", CANTOR_DIM_CFG)
     assert code == 3 and report is None
     assert f"run failed: {name} failed" in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")]
-    assert worker_tasks and all(f.done() for f in worker_tasks)
 
 
-def test_dimension_after_worker_failures_writes_what_a_fresh_process_writes(
-    tmp_path, monkeypatch, worker_tasks
-):
+def test_dimension_after_worker_failures_writes_what_a_fresh_process_writes(tmp_path, monkeypatch):
     failures = {
         "sampler": (ifsdim.measures, "_push", ifsdim.cli.ConvergenceFailure("no contraction")),
         "density": (ifsdim.cli, "density_field", ValueError("no field")),
@@ -859,7 +827,6 @@ def test_dimension_after_worker_failures_writes_what_a_fresh_process_writes(
     after, fresh = tmp_path / "after", tmp_path / "fresh"
     after.mkdir()
     assert run(after, "dimension", CANTOR_DIM_CFG)[0] == 0
-    assert all(f.done() for f in worker_tasks)
     env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
     argv = ["dimension", "--config", str(after / "run.cfg"), "--out", str(fresh)]
     script = f"from ifsdim.cli import main; raise SystemExit(main({argv!r}))"
