@@ -522,8 +522,6 @@ def test_dimension_run_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_every_command_runs_on_one_thread(tmp_path):
-    # dimension ran its density field and its next block of draws on a
-    # worker thread, which concurrent.futures started and kept
     env = dict(os.environ, PYTHONPATH=str(Path(ifsdim.__file__).parent.parent))
     configs = Path(__file__).resolve().parent.parent / "configs"
     runs = [(c, str(configs / f"{name}.cfg")) for c, name in (
@@ -542,9 +540,7 @@ def test_every_command_runs_on_one_thread(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     threads = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
-    assert threads == [
-        f"after {command} 1 False" for command in ("bowen", "gibbs", "scan", "converge", "dimension")
-    ]
+    assert threads == [f"after {command} 1 False" for command, _ in runs]
 
 
 def test_bowen_gibbs_and_scan_leave_openssl_unloaded(tmp_path):
@@ -795,7 +791,9 @@ def _report_files(out: Path) -> dict:
 # the next three test ids date from when dimension ran a worker thread;
 # they check that a failure at each step of the run exits 3, writes
 # nothing and leaves the next run in the process as a fresh process's
-def test_a_sampler_failure_with_a_draw_pending_exits_3_writing_nothing(tmp_path, monkeypatch, capsys):
+def test_a_sampler_failure_with_a_draw_pending_exits_3_writing_nothing(
+    tmp_path, monkeypatch, capsys
+):
     monkeypatch.setattr(ifsdim.measures, "_push", _failing(
         ifsdim.cli.ConvergenceFailure("cylinder images failed to contract below 1e-9")
     ))
@@ -806,7 +804,9 @@ def test_a_sampler_failure_with_a_draw_pending_exits_3_writing_nothing(tmp_path,
 
 
 @pytest.mark.parametrize("name", ["density_field", "correlation_curve"])
-def test_a_probe_failure_beside_the_worker_exits_3_writing_nothing(tmp_path, monkeypatch, capsys, name):
+def test_a_probe_failure_beside_the_worker_exits_3_writing_nothing(
+    tmp_path, monkeypatch, capsys, name
+):
     monkeypatch.setattr(ifsdim.cli, name, _failing(ValueError(f"{name} failed")))
     code, report = run(tmp_path, "dimension", CANTOR_DIM_CFG)
     assert code == 3 and report is None
@@ -814,7 +814,9 @@ def test_a_probe_failure_beside_the_worker_exits_3_writing_nothing(tmp_path, mon
     assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv")]
 
 
-def test_dimension_after_worker_failures_writes_what_a_fresh_process_writes(tmp_path, monkeypatch):
+def test_dimension_after_worker_failures_writes_what_a_fresh_process_writes(
+    tmp_path, monkeypatch
+):
     failures = {
         "sampler": (ifsdim.measures, "_push", ifsdim.cli.ConvergenceFailure("no contraction")),
         "density": (ifsdim.cli, "density_field", ValueError("no field")),

@@ -268,8 +268,8 @@ def test_density_field_leaves_the_warning_filters_alone(monkeypatch):
     # at 0.5, in the gap of the depth-1 ternary measure, the largest ball
     # meets both cylinders and holds neither, and the smaller balls meet
     # none: its upper row has no ratio, where np.nanmax would warn.  At 3
-    # no ball meets the support.  The field runs on the worker thread, and
-    # swapping the process-global warning filters there races the caller.
+    # no ball meets the support.  The field warns about neither and leaves
+    # the caller's process-global warning filters as they are.
     measure = conformal_measure(cantor_system((1 / 3, 1 / 3)), TERNARY_H, depth=1)
 
     def refuse(*args, **kwargs):

@@ -765,8 +765,9 @@ def test_cylinder_sampler_matches_the_per_sample_reference_bit_for_bit(
 
 
 def test_cylinder_sampler_matches_the_reference_under_a_fast_thread_switch():
-    # 5,000 samples take each system through many blocks of draws; the id
-    # dates from when a worker thread filled each next block
+    # the property above draws at most 300 samples; these draw 5,000 on
+    # every sampler system.  The id dates from when a worker thread filled
+    # each next block of draws.
     for name, seed in itertools.product(sorted(SAMPLER_SYSTEMS), range(3)):
         measure = conformal_measure(SAMPLER_SYSTEMS[name], 0.7, 3)
         want = _per_sample_reference(measure, 5000, seed)
