@@ -670,8 +670,9 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
             collocation = collocate(source)
             sol = bowen_solve(source, depth=word_depth, collocation=collocation)
             bowen_root = sol.h
-            masses = cylinder_masses(collocation, sol.state, source.incidence, cyl_depth)
-            measure = CylinderMeasure(source, cyl_depth, masses.eigenmeasure)
+            # the eigenmeasure alone outlives the masses record and its word tree
+            deepest = cylinder_masses(collocation, sol.state, source.incidence, cyl_depth).eigenmeasure
+            measure = CylinderMeasure(source, cyl_depth, deepest)
             # the ratio is read off the eigenpair of the root itself
             try:
                 ratio = gibbs_state(sol.state).ratio
@@ -756,7 +757,9 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
             pair = collocation.eigenpair(exponent)
         state = gibbs_state(pair)
         masses = cylinder_masses(collocation, pair, source.incidence, depth)
-        count = len(masses.words)
+        defect, words = masses.shift_invariance_defect(), masses.words  # one expansion, cached
+        eigenmeasure, invariant = masses.eigenmeasure, masses.invariant
+        del masses  # the word tree goes before the table
         results = {
             "exponent": pair.s,
             "eigenvalue": pair.eigenvalue,
@@ -765,14 +768,14 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
             "lyapunov": state.lyapunov,
             "ratio": state.ratio,
             "dimension_interpretation": abs(pair.eigenvalue - 1.0) < 1e-6,
-            "states": count,
+            "states": len(words),
             "regular": True,
         }
         # words hold only digits and dots, so no cell needs quoting
         table = _table(
             "word,eigenmeasure,invariant",
             ".".join(["%d"] * depth) + ",%.17g,%.17g",
-            *masses.words.T, masses.eigenmeasure, masses.invariant,
+            *words.T, eigenmeasure, invariant,
         )
         return {
             "results": results,
@@ -780,7 +783,7 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
                 "residual": pair.residual,
                 "density_residual": pair.density_residual,
                 "iterations": pair.passes,
-                "shift_invariance_defect": masses.shift_invariance_defect(),
+                "shift_invariance_defect": defect,
                 **root_diagnostics,
             },
             "tables": {"masses": table},

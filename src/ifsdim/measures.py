@@ -346,7 +346,7 @@ def _extension_tables(system: SystemSpec, depth: int):
     for _ in range(2, depth + 1):
         prev = last[-1]
         starts.append(np.concatenate(([0], np.cumsum(counts[prev]))))
-        last.append(np.nonzero(allowed[prev])[1])
+        last.append(np.nonzero(allowed[prev])[1].copy())  # a view would hold both index rows
     return last, starts
 
 
@@ -399,7 +399,9 @@ def sample(measure, count: int, seed: int) -> np.ndarray:
     otherwise), until the widest image interval of the batch is shorter
     than 1e-9; then each midpoint is emitted.  So every sample takes the
     batch's step count.  Its work arrays hold seven floats, two word
-    indices and a flag per sample, besides the points it returns.
+    indices and a flag per sample, besides the points it returns, and
+    eight floats per word of the stored level it pushes; the deepest
+    level's go before the samples' two spare rows come.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -504,31 +506,25 @@ def _level(masses: np.ndarray, cs: np.ndarray) -> tuple:
 def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     m = measure.system.alphabet_size
     mats = measure.system.coefficients.T.copy()  # rows a, b, c, d
-    # the work arrays, allocated once: the samples' products M, two spare
-    # rows, a block of uniform draws, two word indices and a mask; the
-    # cloud doubles as a scratch row.  Takes into them use mode="wrap":
-    # with out= the default mode copies through a temporary, and every
-    # index is in range.
-    floats = np.empty((7, count))
-    cloud = np.empty(count)
-    spare, u = list(floats[4:6]), floats[6]
+    # the draws, word indices and mask now, the products M and spare rows
+    # after the stored levels; the cloud doubles as a scratch row.  Takes
+    # into them use mode="wrap": with out= the default mode copies through
+    # a temporary, and every index is in range.
+    cloud, u = np.empty(count), np.empty(count)
     idx, nxt = np.zeros((2, count), dtype=np.int64)
     mask = np.empty(count, dtype=bool)
 
     # exact joint draw of the stored digits, level by level from the empty
     # word; each word's product is pushed once, and samples gather theirs
-    words = np.eye(2).reshape(4, 1)
+    words = [np.ones(1), np.zeros(1), np.zeros(1), np.ones(1)]  # rows A, B, C, D
     for d, cs in enumerate((np.array([0, m]),) + measure.child_starts, start=1):
         _draw_children(_level(measure.masses[d - 1], cs), idx, nxt, rng.random(out=u), cloud, mask)
         idx, nxt = nxt, idx
-        parent = np.repeat(np.arange(len(cs) - 1), np.diff(cs))
-        grown = np.empty((8, parent.size))
-        np.take(words, parent, axis=1, out=grown[0:4], mode="wrap")
-        rows = list(grown[0:4])
-        _push(rows, measure.last_symbols[d - 1], mats, list(grown[4:6]), grown[6:8])
-        words = np.stack(rows)
-    np.take(words, idx, axis=1, out=floats[0:4], mode="wrap")
-    M = list(floats[0:4])
+        words = [np.repeat(row, np.diff(cs)) for row in words]  # each word's parent's rows
+        _push(words, measure.last_symbols[d - 1], mats, list(np.empty((2, cs[-1]))), np.empty((2, cs[-1])))
+    M = [np.take(row, idx) for row in words]
+    del words  # the deepest level goes before the spare rows come
+    spare = list(np.empty((2, count)))
 
     # beyond the stored depth each digit is a level-2 child of the current
     # symbol; at depth 1, level 2 weighs each successor by its level-1 mass

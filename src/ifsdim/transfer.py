@@ -21,14 +21,16 @@ the invariant (shift-stationary) measure.  Both come from one prepend
 recursion over the branch blocks B_e[k, l] = |s_e'(x_k)|^s
 interpolation[k, e, l]: the row a_e = sum_{g fed by e} l_g B_e, then
 a_(e w) = a_w B_e, with every row in the last step contracted against the
-columns 1 and rho of its first symbol's grid instead.  At the Bowen root
-these eigenmeasure masses are the package's one h-conformal mass: ``gibbs``
-reports them and ``dimension`` samples them as a
-``measures.CylinderMeasure``.
+columns 1 and rho of its first symbol's grid instead.  Of the words it
+keeps only each step's index pairs (e, row of w), the word tree that
+``CylinderMasses.words`` expands.  At the Bowen root these eigenmeasure
+masses are the package's one h-conformal mass: ``gibbs`` reports them and
+``dimension`` samples them as a ``measures.CylinderMeasure``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,15 +90,28 @@ def gibbs_state(pair: Eigenpair) -> GibbsState:
 
 @dataclass(frozen=True, eq=False)
 class CylinderMasses:
-    """The admissible depth-n ``words``, in lexicographic order, with their
-    ``eigenmeasure`` and ``invariant`` masses, each of total mass one;
-    ``tail[j]`` is the row of ``words[j][1:]`` among the depth-(n-1) words
-    (all 0 at depth 1, the empty word)."""
+    """The admissible depth-n words, in lexicographic order, with their
+    ``eigenmeasure`` and ``invariant`` masses, each of total mass one.  The
+    words are held as the prepend recursion's tree: ``tree[j - 1]`` pairs
+    the first symbol of each depth-j word with the row of its tail among
+    the depth-(j-1) words (all 0 at depth 1, the empty word)."""
 
-    words: np.ndarray = field(repr=False)
-    tail: np.ndarray = field(repr=False)
+    tree: tuple = field(repr=False)
     eigenmeasure: np.ndarray = field(repr=False)
     invariant: np.ndarray = field(repr=False)
+
+    @property
+    def tail(self) -> np.ndarray:  # the row of each word's tail among the shorter words
+        return self.tree[-1][1]
+
+    @functools.cached_property
+    def words(self) -> np.ndarray:
+        """The (words, n) digit matrix, expanded from the tree once."""
+        words, row = np.empty((len(self.tail), len(self.tree)), dtype=np.intp), np.arange(len(self.tail))
+        for j, (first, tail) in enumerate(reversed(self.tree)):
+            words[:, j] = first[row]
+            row = tail[row]
+        return words
 
     def shift_invariance_defect(self) -> float:
         """max over depth-(n-1) words v of |mu[v .] - mu[. v]|, the invariant
@@ -111,11 +126,11 @@ class CylinderMasses:
 
 
 def masses_entries(incidence: np.ndarray, depth: int, grids: int, nodes: int) -> int:
-    """The most entries one array of ``cylinder_masses`` holds at ``depth``:
-    the depth-n words, or a step's product of the depth-(j-1) rows with the
-    blocks of all m branches, rows x m x nodes, in the last step
-    (j = depth) with their two columns, rows x m x 2.  At depth 0 the rows
-    are the ``grids``."""
+    """The most entries one array of the masses holds at ``depth``: the
+    depth-n digit matrix that ``words`` expands, or a step's product of the
+    depth-(j-1) rows with the blocks of all m branches, rows x m x nodes,
+    in the last step (j = depth) with their two columns, rows x m x 2.  At
+    depth 0 the rows are the ``grids``."""
     m = len(incidence)
     rows = [grids] + [count_admissible(incidence, j) for j in range(1, depth + 1)]
     products = [rows[j - 1] * m * (2 if j == depth else nodes) for j in range(1, depth + 1)]
@@ -130,8 +145,8 @@ def cylinder_masses(
     docstring: the words come out in lexicographic order, the order in
     which ``systems.level_geometry`` prepends them, with one
     (words, nodes) @ (nodes, m nodes) product per depth, and the deepest
-    rows are never formed.  A non-positive mass raises
-    :class:`ConvergenceFailure`."""
+    rows are never formed; each step keeps two index rows, the word tree.
+    A non-positive mass raises :class:`ConvergenceFailure`."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     nodes, grids = collocation.factors.shape[0], len(collocation.bounds) - 1
@@ -142,18 +157,19 @@ def cylinder_masses(
     rho = pair.right.reshape(grids, nodes)[grid]
     ends = np.stack((blocks.sum(axis=2), np.einsum("kel,el->ke", blocks, rho)), axis=2)
     m = branch.size
-    rows = pair.left.reshape(grids, nodes)  # depth 0: one row per grid
+    rows, tree = pair.left.reshape(grids, nodes), []  # depth 0: one row per grid
     for level in range(1, depth + 1):
         columns = ends if level == depth else blocks
-        product = (rows @ columns.reshape(nodes, -1)).reshape(len(rows), m, -1)
+        rows = (rows @ columns.reshape(nodes, -1)).reshape(len(rows), m, -1)  # the step's product
         if level == 1:  # branch e sums the grids it feeds
-            rows = np.einsum("ge,gec->ec", collocation.feeds[:, branch], product)
-            words, tail = np.arange(m)[:, None], np.zeros(m, dtype=np.intp)
+            rows = np.einsum("ge,gec->ec", collocation.feeds[:, branch], rows)
+            first, tail = np.arange(m), np.zeros(m, dtype=np.intp)
         else:  # e goes before the words whose first symbol may follow it
-            first, tail = np.nonzero(incidence[:, words[:, 0]])
-            rows = product[tail, first]
-            words = np.column_stack((first, words[tail]))
-    masses = rows / rows.sum(axis=0)
-    if not (masses > 0.0).all():
+            first, tail = np.nonzero(incidence[:, first])
+            rows = rows[tail, first]
+        tree.append((first, tail))
+    total = rows.sum(axis=0)
+    eigenmeasure, invariant = rows[:, 0] / total[0], rows[:, 1] / total[1]
+    if not ((eigenmeasure > 0.0).all() and (invariant > 0.0).all()):
         raise ConvergenceFailure(f"a cylinder mass at s = {pair.s!r} is not positive")
-    return CylinderMasses(words=words, tail=tail, eigenmeasure=masses[:, 0], invariant=masses[:, 1])
+    return CylinderMasses(tuple(tree), eigenmeasure, invariant)

@@ -775,18 +775,27 @@ def test_cylinder_sampler_matches_the_reference_under_a_fast_thread_switch():
 
 
 @pytest.mark.parametrize(
-    "system", [cantor_system((1 / 3, 1 / 3)), continued_fraction_family().truncate(2)], ids=["cantor", "cf12"]
+    "system, depth, count",
+    [
+        (cantor_system((1 / 3, 1 / 3)), 8, 100_000),
+        (continued_fraction_family().truncate(2), 8, 100_000),
+        (cantor_system((1 / 3, 1 / 3)), 14, 20_000),
+    ],
+    ids=["cantor", "cf12", "cantor-depth14"],
 )
-def test_cylinder_sampler_peaks_at_81_bytes_per_sample(system):
+def test_cylinder_sampler_peaks_at_81_bytes_per_sample(system, depth, count):
     # seven work floats, the cloud, two int64 word indices and a bool mask;
-    # 128 KiB covers the stored levels' products at depth 8 and the Python
-    # objects.  Two blocks of draws made it 90 B/sample.
-    count, allowance = 100_000, 2**17
-    measure = conformal_measure(system, bowen_solve(system, depth=8).h, 8)
+    # 128 KiB covers the Python objects and the shallow levels' products.
+    # A stored level takes eight floats per word while it is pushed, and the
+    # deepest level's four product rows go before the two spare rows come:
+    # at 20,000 samples of 16,384 words that is 13 B per deepest word, and
+    # 32 allows it; stacked copies of the products took 120.  Two blocks of
+    # draws made it 90 B/sample.
+    measure = conformal_measure(system, bowen_solve(system, depth=8).h, depth)
     sample(measure, 10, seed=1)  # first-use caches stay out of the peak
     points, peak = _traced_peak(sample, measure, count, 1)
     assert points.size == count
-    assert peak <= 81 * count + allowance
+    assert peak <= 81 * count + 2**17 + 32 * measure.level(depth).size
 def _with_neighbours(values: np.ndarray) -> np.ndarray:
     """Each value and the floats just below and above it."""
     return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))

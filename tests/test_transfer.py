@@ -191,10 +191,29 @@ def test_no_operator_array_grows_with_the_square_of_the_states():
     finally:
         tracemalloc.stop()
     assert len(masses.words) == 4096 and masses.words.shape == (4096, 12)
-    # the largest array is the words; the deepest rows x nodes never exist
+    # the largest arrays are the last steps' products of rows x m x nodes;
+    # the deepest rows x nodes never exist, nor does the digit matrix
     assert peak < 4 * masses.words.nbytes
     # one dense words x words float array alone would take 134 MB
     assert peak < 8 * len(masses.words) ** 2 / 20
+
+
+def test_masses_keep_two_index_rows_per_level_not_the_digit_matrix():
+    # a similitude system has one node, so the word tree is most of the peak:
+    # two int64 rows per word at each level, 24 B/word over three maps.  The
+    # last step's product or rows and the two mass columns add 16 B/word
+    # each (57 B/word in all); a (words x depth) matrix at every level took 224.
+    system = cantor_system((0.2, 0.25, 0.3))
+    col = collocate(system)
+    pair = col.eigenpair(0.6)
+    tracemalloc.start()
+    try:
+        masses = cylinder_masses(col, pair, system.incidence, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(masses.tail) == 3**10
+    assert peak <= 64 * 3**10
 
 
 # ---------------------------------------------------------------------------
