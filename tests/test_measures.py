@@ -785,17 +785,18 @@ def test_cylinder_sampler_matches_the_reference_under_a_fast_thread_switch():
 )
 def test_cylinder_sampler_peaks_at_81_bytes_per_sample(system, depth, count):
     # seven work floats, the cloud, two int64 word indices and a bool mask;
-    # 128 KiB covers the Python objects and the shallow levels' products.
+    # 120 KiB covers the Python objects and the shallow levels' products,
+    # and 32 B per word the deepest level (so 128 KiB in all at depth 8).
     # A stored level takes eight floats per word while it is pushed, and the
     # deepest level's four product rows go before the two spare rows come:
-    # at 20,000 samples of 16,384 words that is 13 B per deepest word, and
-    # 32 allows it; stacked copies of the products took 120.  Two blocks of
-    # draws made it 90 B/sample.
+    # at 20,000 samples of 16,384 words that is 13 B per deepest word, where
+    # stacked copies of the products took 120.  Two blocks of draws made it
+    # 90 B/sample.
     measure = conformal_measure(system, bowen_solve(system, depth=8).h, depth)
     sample(measure, 10, seed=1)  # first-use caches stay out of the peak
     points, peak = _traced_peak(sample, measure, count, 1)
     assert points.size == count
-    assert peak <= 81 * count + 2**17 + 32 * measure.level(depth).size
+    assert peak <= 81 * count + 120 * 1024 + 32 * measure.level(depth).size
 def _with_neighbours(values: np.ndarray) -> np.ndarray:
     """Each value and the floats just below and above it."""
     return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
