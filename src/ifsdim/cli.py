@@ -50,7 +50,6 @@ from .pressure import (
     collocate,
     collocation_shape,
     default_depth,
-    truncation_scan,
 )
 from .symbolic import count_admissible
 from .systems import (
@@ -455,10 +454,11 @@ def cmd_scan(cfg: RunConfig) -> Callable[[], dict]:
 
     def run():
         rows = []
-        solutions = truncation_scan(source, levels, depths=depths)
-        for n, d, sol in zip(levels, depths, solutions):
-            if isinstance(sol, Exception):  # the level failed; the scan moved on
-                rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(sol)])
+        for n, d in zip(levels, depths):
+            try:
+                sol = bowen_solve(source.truncate(n), d)
+            except (ConvergenceFailure, ValueError) as err:  # the level failed; the scan moves on
+                rows.append([n, math.nan, math.nan, math.nan, math.nan, math.nan, False, d, str(err)])
             else:
                 rows.append([n, sol.h, *sol.bracket, sol.gap, sol.residual, sol.regular, sol.depth, ""])
         hs = [row[1] for row in rows if not math.isnan(row[1])]
@@ -518,11 +518,7 @@ def cmd_converge(cfg: RunConfig) -> Callable[[], dict]:
                 ],
             }
         h = limit_sol.h
-        roots = {}
-        for n, sol in zip(levels, truncation_scan(source, levels, [1] * len(levels))):
-            if isinstance(sol, Exception):
-                raise sol
-            roots[n] = sol.h
+        roots = {n: bowen_solve(source.truncate(n), depth=1).h for n in levels}
         h_top = roots[top]
 
         rows = []
@@ -744,13 +740,17 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
             ) from None
         if not math.isfinite(exponent):
             raise ConfigError(f"gibbs.exponent: must be finite, got {raw_exp!r}")
+    # the table's (words, depth) digit matrix as well as the recursion
     entries = masses_entries(source.incidence, depth, *collocation_shape(source))
+    entries = max(entries, count_admissible(source.incidence, depth) * depth)
     _check_budget("gibbs.depth", f"depth {depth} makes", entries, "masses-recursion entries")
 
     def run():
         collocation = collocate(source)
         root_diagnostics = {}
-        if raw_exp == "bowen":  # the root call of bowen_solve, from 1, without the word bracket
+        # the collocation root from 1, with no word bracket; bowen_solve starts
+        # at its bracket's upper end, so bowen's h may differ in the last digits
+        if raw_exp == "bowen":
             pair, evals = collocation.root()
             root_diagnostics["root_evaluations"] = evals
         else:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "collocate",
     "collocation_shape",
     "default_depth",
-    "truncation_scan",
 ]
 
 EXACT_ZERO = 1e-15  # |pressure| below this counts as an exact hit
@@ -409,22 +408,6 @@ class Collocation:
         h, _, evals = _find_root(log_eigenvalue, ROOT_TOL, MAX_EVALUATIONS, label, certified)
         return pairs[h], evals
 
-    def truncate(self, branches: int) -> Collocation:
-        """The collocation of the full shift on this one's first
-        ``branches`` branches.  On a full shift every branch feeds the one
-        grid, and its weights depend on its own map alone, so they are this
-        one's, copied."""
-        if not self.full_shift:
-            raise ValueError("only a full shift's collocation truncates to its first branches")
-        return Collocation(
-            order=self.order[:branches],
-            factors=np.ascontiguousarray(self.factors[..., :branches]),
-            interpolation=np.ascontiguousarray(self.interpolation[:, :branches]),
-            feeds=self.feeds[:, :branches],
-            bounds=(0, branches),
-            full_shift=True,
-        )
-
 
 def collocate(system: SystemSpec) -> Collocation:
     """The collocation of L_s on ``system``: COLLOCATION_NODES Chebyshev
@@ -549,32 +532,3 @@ def analytic_bowen_solve(family: MapFamily) -> BowenSolution:
         iterations=evals,
         method="analytic",
     )
-
-
-# ---------------------------------------------------------------------------
-# truncation ladders
-
-
-def truncation_scan(
-    family: MapFamily, levels: Iterable[int], depths: Iterable[int]
-) -> list[BowenSolution | Exception]:
-    """``bowen_solve`` on ``family.truncate(n)`` at each level n, in order,
-    at the word depth ``depths`` gives that level: the solution, or the
-    exception the level raised, and the scan moves on.
-
-    Every level is a full shift on the widest level's first maps, so the
-    widest level is collocated once and each level solves on that
-    collocation truncated (``Collocation.truncate``): the same arrays,
-    without rebuilding them level by level.
-    """
-    levels = list(levels)
-    if any(n < 2 for n in levels):
-        raise ValueError("truncation levels must be >= 2")
-    shared = collocate(family.truncate(max(levels)))
-    solutions: list[BowenSolution | Exception] = []
-    for n, d in zip(levels, depths, strict=True):
-        try:
-            solutions.append(bowen_solve(family.truncate(n), d, collocation=shared.truncate(n)))
-        except (ConvergenceFailure, ValueError) as err:
-            solutions.append(err)
-    return solutions

@@ -126,15 +126,14 @@ class CylinderMasses:
 
 
 def masses_entries(incidence: np.ndarray, depth: int, grids: int, nodes: int) -> int:
-    """The most entries one array of the masses holds at ``depth``: the
-    depth-n digit matrix that ``words`` expands, or a step's product of the
-    depth-(j-1) rows with the blocks of all m branches, rows x m x nodes,
-    in the last step (j = depth) with their two columns, rows x m x 2.  At
-    depth 0 the rows are the ``grids``."""
+    """The most entries one array of the masses recursion holds at
+    ``depth``: a step's product of the depth-(j-1) rows with the blocks of
+    all m branches, rows x m x nodes, in the last step (j = depth) with
+    their two columns, rows x m x 2.  At depth 0 the rows are the
+    ``grids``.  The digit matrix that ``words`` expands is not counted."""
     m = len(incidence)
-    rows = [grids] + [count_admissible(incidence, j) for j in range(1, depth + 1)]
-    products = [rows[j - 1] * m * (2 if j == depth else nodes) for j in range(1, depth + 1)]
-    return max(rows[depth] * depth, *products)
+    rows = [grids] + [count_admissible(incidence, j) for j in range(1, depth)]
+    return max(rows[j - 1] * m * (2 if j == depth else nodes) for j in range(1, depth + 1))
 
 
 def cylinder_masses(

@@ -24,7 +24,7 @@ from ifsdim.measures import (
     truncation_singularity,
     tv_distance,
 )
-from ifsdim.pressure import analytic_bowen_solve, bowen_solve, collocate, truncation_scan
+from ifsdim.pressure import analytic_bowen_solve, bowen_solve, collocate
 from ifsdim.symbolic import comparison_distance
 from ifsdim.systems import (
     cantor_system,
@@ -65,7 +65,7 @@ def test_c2_family_limit_and_monotone_ladder():
     limit = analytic_bowen_solve(family)
     assert limit.regular
     assert limit.h == pytest.approx(GOLDEN_LIMIT, abs=1e-8)
-    roots = [sol.h for sol in truncation_scan(family, range(2, 13), [1] * 11)]
+    roots = [bowen_solve(family.truncate(n), depth=1).h for n in range(2, 13)]
     assert all(a <= b for a, b in zip(roots, roots[1:]))
     assert all(h <= limit.h for h in roots)
     assert limit.h - roots[-1] < 1e-2

@@ -379,7 +379,7 @@ def test_golden_levels_past_1073_exit_2_before_any_solve(
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran past the level check")
 
-    for name in ("truncation_scan", "analytic_bowen_solve", "bowen_solve"):
+    for name in ("analytic_bowen_solve", "bowen_solve"):
         monkeypatch.setattr(ifsdim.cli, name, solved)
     code, report = run(tmp_path, command, text)
     assert code == 2 and report is None
@@ -390,12 +390,16 @@ def test_golden_levels_past_1073_exit_2_before_any_solve(
 
 
 def test_golden_level_1073_reaches_the_solve(tmp_path, monkeypatch):
-    def reached(*args, **kwargs):
+    reached = []
+
+    def solve(system, *args, **kwargs):
+        reached.append(system.alphabet_size)
         raise ifsdim.cli.ConvergenceFailure("reached the solve")
 
-    monkeypatch.setattr(ifsdim.cli, "truncation_scan", reached)
+    monkeypatch.setattr(ifsdim.cli, "bowen_solve", solve)
     code, report = run(tmp_path, "scan", "system.family = golden\nscan.levels = 1072:1073\n")
-    assert code == 3 and report is None
+    assert code == 0 and reached == [1072, 1073]
+    assert report["results"]["first_h"] is None  # each level's note row holds the failure
 
 
 def test_golden_level_510_solves_at_word_depth_2(tmp_path):
@@ -409,14 +413,14 @@ def test_golden_level_510_solves_at_word_depth_2(tmp_path):
 
 def test_a_failed_scan_level_writes_its_note_quoted(tmp_path, monkeypatch):
     note = 'root "0.5" outside its certified bracket [0.1, 0.2]'
-    real = ifsdim.cli.truncation_scan
+    real = ifsdim.cli.bowen_solve
 
-    def failing(source, levels, **kwargs):
-        solutions = real(source, levels, **kwargs)
-        solutions[1] = ifsdim.cli.ConvergenceFailure(note)
-        return solutions
+    def failing(system, *args, **kwargs):
+        if system.alphabet_size == 3:
+            raise ifsdim.cli.ConvergenceFailure(note)
+        return real(system, *args, **kwargs)
 
-    monkeypatch.setattr(ifsdim.cli, "truncation_scan", failing)
+    monkeypatch.setattr(ifsdim.cli, "bowen_solve", failing)
     code, _ = run(tmp_path, "scan", "system.family = golden\nscan.levels = 2,3,4\n")
     assert code == 0
     text = (tmp_path / "scan-levels.csv").read_text()
@@ -596,21 +600,20 @@ def test_converge_golden_cylinder_table(tmp_path):
 
 def test_converge_solves_each_level_once(tmp_path, monkeypatch):
     solved = []
-    real = ifsdim.pressure.bowen_solve
+    real = ifsdim.cli.bowen_solve
 
     def counted(system, *args, **kwargs):
         solved.append(system.alphabet_size)
         return real(system, *args, **kwargs)
 
-    monkeypatch.setattr(ifsdim.pressure, "bowen_solve", counted)  # the scan's solve
+    monkeypatch.setattr(ifsdim.cli, "bowen_solve", counted)
     code, _ = run(tmp_path, "converge", "system.family = golden\nconverge.levels = 2:12\n")
     assert code == 0
     assert solved == list(range(2, 13))
 
 
 def test_converge_h_column_is_each_truncation_root(tmp_path):
-    # converge reads its h_n off the scan's shared collocation, bit for bit
-    # the root of each level's own depth-1 solve
+    # converge's h_n is each level's own depth-1 solve, bit for bit
     code, report = run(tmp_path, "converge", "system.family = golden\nconverge.levels = 2:40\n")
     assert code == 0
     rows = [line.split(",") for line in report["tables"]["levels"].splitlines()[1:]]
@@ -1238,28 +1241,29 @@ MOEBIUS5 = "system.family = custom\nsystem.maps = moebius:1; moebius:2; moebius:
             "system.family = golden\nscan.levels = 2:3\nscan.depth = 24\n",
             "scan.depth: level 3 at depth 24 makes 282429536481 words",
         ),
-        # the masses table's 5^9 words of 9 symbols
+        # the depth-9 step's product: 5^8 rows x 5 branches x 32 nodes
         (
             "dimension",
-            CF5 + "sample.seed = 1\ndimension.depth = 9\n",
-            "dimension.depth: depth 9 makes 17578125 masses-recursion entries",
+            CF5 + "sample.seed = 1\ndimension.depth = 10\n",
+            "dimension.depth: depth 10 makes 62500000 masses-recursion entries",
         ),
         (
             "dimension",
-            MOEBIUS5 + "sample.seed = 1\ndimension.depth = 9\n",
-            "dimension.depth: depth 9 makes 17578125 masses-recursion entries",
+            MOEBIUS5 + "sample.seed = 1\ndimension.depth = 10\n",
+            "dimension.depth: depth 10 makes 62500000 masses-recursion entries",
         ),
+        # the last step's product: 3^15 rows x 3 branches x 2 columns
         (
             "dimension",
             "system.family = cantor\nsystem.ratios = 0.2, 0.2, 0.2\n"
             "sample.seed = 1\ndimension.depth = 16\n",
-            "dimension.depth: depth 16 makes 688747536 masses-recursion entries",
+            "dimension.depth: depth 16 makes 86093442 masses-recursion entries",
         ),
-        # the masses table's 4^11 words of 11 symbols
+        # the depth-10 step's product: 4^9 rows x 4 branches x 32 nodes
         (
             "dimension",
             "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\ndimension.depth = 11\n",
-            "dimension.depth: depth 11 makes 46137344 masses-recursion entries, over the budget of 16777216",
+            "dimension.depth: depth 11 makes 33554432 masses-recursion entries, over the budget of 16777216",
         ),
         (
             "gibbs",
@@ -1293,13 +1297,35 @@ def test_work_budget_rejects_before_any_geometry(
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        # the last step's product: 4^10 rows x 4 branches x 2 columns
+        "system.family = cantor\nsystem.ratios = 0.2, 0.2, 0.2, 0.2\ndimension.depth = 11\n",
+        # the depth-8 step's product: 5^7 rows x 5 branches x 32 nodes
+        CF5 + "dimension.depth = 9\n",
+    ],
+    ids=["cantor4-depth-11", "cf5-depth-9"],
+)
+def test_dimension_plan_charges_only_the_masses_recursion(monkeypatch, text):
+    # the plan alone: no (words x depth) digit matrix is charged, since
+    # dimension never expands one
+    calls = []
+    for name in ("sample", "bowen_solve", "collocate"):
+        monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    cfg = ifsdim.config.RunConfig(ifsdim.config.parse_config(text + "sample.seed = 1\n"))
+    run = ifsdim.cli.COMMANDS["dimension"](cfg)
+    cfg.check_read("dimension")
+    assert callable(run) and calls == []
+
+
+@pytest.mark.parametrize(
     "command,text",
     [
         ("bowen", "system.family = continued-fraction\nsystem.size = 4\n"),
         ("bowen", "system.family = custom\nsystem.maps = moebius:1; moebius:2\nbowen.depth = 24\n"),
         ("scan", "system.family = borderline\nscan.levels = 4096\nscan.depth = 2\n"),
         ("converge", "system.family = borderline\nconverge.levels = 4096\nconverge.cylinder_depths = 2\n"),
-        # the masses tables of 4^10, 3^12 and 5^8 words
+        # the masses recursions of four digits at depth 10, three at 12 and five at 8
         (
             "dimension",
             "system.family = continued-fraction\nsystem.size = 4\nsample.seed = 1\ndimension.depth = 10\n",
@@ -1330,11 +1356,12 @@ def test_work_budget_rejects_before_any_geometry(
 )
 def test_work_budget_admits_work_at_its_edge(tmp_path, monkeypatch, command, text):
     # 4096^2 = 2^24 = 4^12: each case reaches its first solve, or builds its
-    # first gallery member, stubbed to stop there
+    # first gallery member, stubbed to stop there; scan notes its stubbed
+    # level and stops at the limit's solve
     def reached(*args, **kwargs):
         raise ifsdim.cli.ConvergenceFailure("reached the solve")
 
-    for name in ("bowen_solve", "truncation_scan", "analytic_bowen_solve", "collocate"):
+    for name in ("bowen_solve", "analytic_bowen_solve", "collocate"):
         monkeypatch.setattr(ifsdim.cli, name, reached)
     monkeypatch.setattr(ifsdim.measures.MeasureFamily, "at", reached)
     code, report = run(tmp_path, command, text)
@@ -1813,7 +1840,7 @@ def test_sample_configs_refuse_an_unread_key_before_any_solve(
     command = cfg.stem.rsplit("-", 1)[1]
     key = f"{command if section == 'command' else 'system'}.bogus"
     calls = []
-    for name in ("sample", "bowen_solve", "collocate", "analytic_bowen_solve", "truncation_scan"):
+    for name in ("sample", "bowen_solve", "collocate", "analytic_bowen_solve"):
         monkeypatch.setattr(ifsdim.cli, name, lambda *a, _name=name, **k: calls.append(_name))
     monkeypatch.setattr(ifsdim.measures.MeasureFamily, "at", lambda *a: calls.append("at"))
     code, report = run(tmp_path, command, cfg.read_text() + f"{key} = 1\n")

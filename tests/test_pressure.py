@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import ifsdim.cli
 import ifsdim.pressure
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,6 @@ from ifsdim.pressure import (
     bowen_solve,
     collocate,
     collocation_shape,
-    truncation_scan,
     _find_root,
     _grids,
 )
@@ -115,7 +115,7 @@ def test_touching_cantor_has_dimension_one():
 
 def test_golden_truncation_scan_matches_oracle():
     levels = range(2, 13)
-    scan = truncation_scan(golden_family(), levels, [1] * len(levels))
+    scan = [bowen_solve(golden_family().truncate(n), depth=1) for n in levels]
     for n, sol in zip(levels, scan):
         assert sol.regular and sol.depth == 1
         assert sol.gap == pytest.approx(0.0, abs=1e-13)
@@ -126,22 +126,42 @@ def test_golden_truncation_scan_matches_oracle():
     assert roots == sorted(roots)  # truncations only gain mass
 
 
+def _scan_rows(tmp_path, text):
+    """The exit code of ``cli.main`` ``scan`` on ``text``, and the level rows
+    it writes, split."""
+    (tmp_path / "run.cfg").write_text(text)
+    code = ifsdim.cli.main(["scan", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)])
+    return code, [row.split(",") for row in (tmp_path / "scan-levels.csv").read_text().splitlines()[1:]]
+
+
 @pytest.mark.parametrize(
-    "family", [golden_family(), borderline_family(), continued_fraction_family()], ids=lambda f: f.name
+    "family, depth",
+    [("golden", "scan.depth = 3\n"), ("borderline", "scan.depth = 3\n"), ("continued-fraction", "")],
+    ids=["golden", "borderline", "continued-fraction"],
 )
-def test_scan_rows_are_the_roots_of_their_own_levels(monkeypatch, family):
-    calls = []
-    real = ifsdim.pressure.collocate
-    monkeypatch.setattr(ifsdim.pressure, "collocate", lambda s: calls.append(s) or real(s))
-    levels = [4, 2, 6]
-    scan = truncation_scan(family, levels, [3, 3, 3])
-    assert len(calls) == 1  # each level's maps are the widest one's first
-    monkeypatch.undo()
-    for n, row in zip(levels, scan):
-        sol = bowen_solve(family.truncate(n), depth=3)
-        assert (row.h, row.bracket, row.residual, row.gap, row.depth) == (
-            sol.h, sol.bracket, sol.residual, sol.gap, 3
+def test_scan_rows_are_the_roots_of_their_own_levels(tmp_path, family, depth):
+    # each row is, bit for bit, what bowen reports on that level alone at
+    # that row's depth (continued fractions: the scan's own per-level depths)
+    code, rows = _scan_rows(tmp_path, f"system.family = {family}\nscan.levels = 2, 4, 6\n{depth}")
+    assert code == (4 if family == "borderline" else 0)  # borderline's limit is irregular
+    assert [int(row[0]) for row in rows] == [2, 4, 6]
+    for level, h, lo, hi, gap, residual, regular, row_depth, note in rows:
+        (tmp_path / level).mkdir()
+        code, report = _bowen_report(
+            tmp_path / level, f"system.family = {family}\nsystem.size = {level}\nbowen.depth = {row_depth}\n"
         )
+        assert code == 0 and regular == "true" and note == ""
+        results = report["results"]
+        assert [float(v) for v in (h, lo, hi, gap, residual)] == [
+            results[key] for key in ("h", "bracket_lo", "bracket_hi", "pressure_gap", "residual")
+        ]
+        assert int(row_depth) == results["depth"]
+
+
+def _bowen_report(out, text):
+    (out / "run.cfg").write_text(text)
+    code = ifsdim.cli.main(["bowen", "--config", str(out / "run.cfg"), "--out", str(out)])
+    return code, json.loads((out / "bowen-report.json").read_text())
 
 
 def test_analytic_golden_root():
@@ -153,7 +173,7 @@ def test_analytic_golden_root():
 
 def test_truncation_roots_converge_to_analytic_limit():
     limit = analytic_bowen_solve(golden_family()).h
-    scan = truncation_scan(golden_family(), [2, 4, 8, 16, 32], [1] * 5)
+    scan = [bowen_solve(golden_family().truncate(n), depth=1) for n in (2, 4, 8, 16, 32)]
     errs = [limit - sol.h for sol in scan]
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
@@ -216,32 +236,27 @@ def test_bowen_solve_iteration_budget(monkeypatch):
         bowen_solve(continued_fraction_family().truncate(2), depth=6)
 
 
-def test_truncation_scan_records_failures_and_continues(monkeypatch):
-    real = ifsdim.pressure.bowen_solve
-    broken = ConvergenceFailure("level 3 is broken on purpose")
+def test_truncation_scan_records_failures_and_continues(tmp_path, monkeypatch):
+    real = ifsdim.cli.bowen_solve
 
     def solve(system, *args, **kwargs):
         if system.alphabet_size == 3:
-            raise broken
+            raise ConvergenceFailure("level 3 is broken on purpose")
         return real(system, *args, **kwargs)
 
-    monkeypatch.setattr(ifsdim.pressure, "bowen_solve", solve)
-    first, failed, last = truncation_scan(golden_family(), [2, 3, 4], [1, 1, 1])
-    assert failed is broken
-    for n, sol in ((2, first), (4, last)):  # the levels around the failure still solve
-        assert sol.regular and sol.h == real(golden_family().truncate(n), depth=1).h
-
-
-def test_truncation_scan_rejects_levels_below_two():
-    with pytest.raises(ValueError):
-        truncation_scan(golden_family(), [1, 2], [1, 1])
+    monkeypatch.setattr(ifsdim.cli, "bowen_solve", solve)
+    code, (first, failed, last) = _scan_rows(tmp_path, "system.family = golden\nscan.levels = 2, 3, 4\n")
+    assert code == 0
+    assert failed[1:] == ["nan"] * 5 + ["false", "1", "level 3 is broken on purpose"]
+    for n, row in ((2, first), (4, last)):  # the levels around the failure still solve
+        assert row[-1] == "" and float(row[1]) == real(golden_family().truncate(n), depth=1).h
 
 
 def test_borderline_truncations_solve_below_an_irregular_limit():
     limit = analytic_bowen_solve(borderline_family())
     assert limit.h == pytest.approx(0.5, abs=1e-6)
     assert limit.regular is False
-    roots = truncation_scan(borderline_family(), [2, 3], [1, 1])
+    roots = [bowen_solve(borderline_family().truncate(n), depth=1) for n in (2, 3)]
     assert all(sol.regular and sol.h < limit.h for sol in roots)  # every finite stage still solves
 
 

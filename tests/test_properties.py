@@ -1,17 +1,21 @@
-"""Random custom systems through ``cli.main``: properties every run keeps.
+"""Random systems through ``cli.main``: properties every run keeps.
 
 Each example draws two to four separated similitudes or distinct Möbius
 branches, under the full shift or under a random 0/1 incidence, and runs
 ``bowen``, ``gibbs`` at ``exponent = bowen`` and ``dimension`` on it at small
 depths and sample counts.  Whatever the system, no run exits 3; a refused
 one exits 2, writes nothing and names a ``system.*`` key; and a ``bowen``
-that exits 0 reports an h inside its own bracket.  The examples are
-derandomized, so the suite draws the same systems on every run.
+that exits 0 reports an h inside its own bracket.  The same commands run on
+``cantor`` and ``continued-fraction`` configs, whose refusals may also name
+the command's own depth key, and ``scan`` on continued-fraction ladders
+exits 0 with every root in its bracket and the roots rising.  The examples
+are derandomized, so the suite draws the same systems on every run.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -57,9 +61,22 @@ def run(command: str, text: str) -> tuple[int, dict | None, list[str], str]:
     return code, body, written, err.getvalue()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(custom_systems(), st.integers(1, 6), st.integers(1, 4))
-def test_random_custom_systems_exit_0_2_or_4_and_bowen_stays_in_its_bracket(system, word_depth, cyl_depth):
+@st.composite
+def family_systems(draw) -> str:
+    """The ``system.*`` lines of a ``cantor`` config, two to four ratios
+    log-uniform between 1e-12 and 1/m, or of a ``continued-fraction`` config
+    of two to eight digits."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 4))
+        ratios = [10.0 ** -draw(st.floats(math.log10(m), 12.0)) for _ in range(m)]
+        return f"system.family = cantor\nsystem.ratios = {', '.join(map(repr, ratios))}\n"
+    return f"system.family = continued-fraction\nsystem.size = {draw(st.integers(2, 8))}\n"
+
+
+def check_commands(system: str, word_depth: int, cyl_depth: int, refusal: str) -> None:
+    """``bowen``, ``gibbs`` and ``dimension`` on ``system`` exit 0, 4, or 2
+    naming a key that ``refusal`` matches (the command's name stands in for
+    ``{command}``), and a ``bowen`` that exits 0 has h in its bracket."""
     for command, keys in (
         ("bowen", f"bowen.depth = {word_depth}\n"),
         ("gibbs", "gibbs.exponent = bowen\n"),
@@ -69,7 +86,32 @@ def test_random_custom_systems_exit_0_2_or_4_and_bowen_stays_in_its_bracket(syst
         assert code in (0, 2, 4), err
         if code == 2:
             assert report is None and written == []
-            assert re.match(r"config error: system\.\w+: ", err), err
+            assert re.match(r"config error: (" + refusal.format(command=command) + r"): ", err), err
         if code == 0 and command == "bowen":
             res = report["results"]
             assert res["bracket_lo"] <= res["h"] <= res["bracket_hi"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(custom_systems(), st.integers(1, 6), st.integers(1, 4))
+def test_random_custom_systems_exit_0_2_or_4_and_bowen_stays_in_its_bracket(system, word_depth, cyl_depth):
+    check_commands(system, word_depth, cyl_depth, r"system\.\w+")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(family_systems(), st.integers(1, 6), st.integers(1, 4))
+def test_random_family_configs_exit_0_2_or_4_and_bowen_stays_in_its_bracket(system, word_depth, cyl_depth):
+    check_commands(system, word_depth, cyl_depth, r"system\.\w+|{command}\.depth")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=5, unique=True).map(sorted))
+def test_continued_fraction_scans_exit_0_with_rising_roots_in_their_brackets(levels):
+    text = f"system.family = continued-fraction\nscan.levels = {', '.join(map(str, levels))}\n"
+    code, report, _, err = run("scan", text)
+    assert code == 0, err
+    rows = [row.split(",") for row in report["tables"]["levels"].splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == levels
+    for _, h, lo, hi, *_ in rows:
+        assert float(lo) <= float(h) <= float(hi)
+    assert report["results"]["monotone"] is True

@@ -1,7 +1,7 @@
 """Smoke test of ``tools/report_digest.py``, the tool that tells whether two
 checkouts write bit-identical reports: one case per workload, the
-graph-directed cases and the deep gibbs table, run twice in one process,
-must digest the same both times."""
+graph-directed cases, the deep gibbs table and the two scan ladders, run
+twice in one process, must digest the same both times."""
 
 import importlib.util
 import os
@@ -30,12 +30,14 @@ def test_report_digest_runs_every_case_and_repeats_itself(monkeypatch, capsys):
         sys.modules.pop("inputs", None)  # the benchmark's module the tool imports
     # the six configs, one timed case of each of the three workloads,
     # bowen, gibbs and dimension on six graph-directed systems, of which
-    # only the reducible one is refused, and one gibbs table of more than
-    # one format block
-    assert len(runs[0]) == 28
+    # only the reducible one is refused, one gibbs table of more than
+    # one format block, and two scan ladders, borderline's irregular
+    assert len(runs[0]) == 30
     codes = {line.split()[0] + " " + line.split()[1]: line.split()[2] for line in runs[0]}
     assert [codes.pop(f"incidence:reducible {command}") for command in ("bowen", "gibbs", "dimension")] == ["2"] * 3
     assert codes.pop("incidence:parity gibbs") == "0"
     assert codes.pop("deep-table gibbs") == "0"
+    assert codes.pop("ladder:continued-fraction scan") == "0"
+    assert codes.pop("ladder:borderline scan") == "4"
     assert list(codes.values()) == ["0"] * 23
     assert runs[1] == runs[0]

@@ -6,8 +6,10 @@ command is the last dash-separated part of the file name), on the first
 ``--cases`` timed inputs of each benchmark workload (``perfbench/inputs.py``)
 for each of ``--seeds``, on ``bowen``, ``gibbs`` and ``dimension`` of six
 graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark input
-is a full shift, and on one ``gibbs`` whose masses table spans more than
-one of the row blocks ``cli`` formats a table in (``DEEP_TABLE``).  Prints
+is a full shift, on one ``gibbs`` whose masses table spans more than one
+of the row blocks ``cli`` formats a table in (``DEEP_TABLE``), and on
+``scan`` ladders of a Möbius family and of an irregular one (``LADDERS``),
+which no config or benchmark input scans.  Prints
 one line per command: its label, the command, its exit code and a sha256
 over the exit code, stdout and stderr (the temporary directory masked), the
 report without its ``timestamp``, and every CSV's name and bytes.
@@ -57,6 +59,9 @@ INCIDENCE_SYSTEMS = {
 }
 # 3^9 = 19,683 masses rows
 DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 9\n"
+# family: scan.levels; Möbius levels at their own default depths, and an
+# irregular limit (exit 4)
+LADDERS = {"continued-fraction": "2:16", "borderline": "2:8"}
 
 
 def digest(command: str, config: str) -> tuple[str, str]:
@@ -111,6 +116,8 @@ def main() -> None:
         )
         runs += [(f"incidence:{name}", command, config) for command in ("bowen", "gibbs", "dimension")]
     runs.append(("deep-table", "gibbs", DEEP_TABLE))
+    for name, levels in LADDERS.items():
+        runs.append((f"ladder:{name}", "scan", f"system.family = {name}\nscan.levels = {levels}\n"))
     for label, command, config in runs:
         code, sha = digest(command, config)
         print(label, command, code, sha, flush=True)
