@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .measures import CylinderMeasure, LineMeasure
-from .systems import level_geometry
+from .systems import level_images
 
 __all__ = [
     "CorrelationCurve",
@@ -195,11 +195,11 @@ def _dyadic_ladder(r_min: float, r_max: float) -> np.ndarray:
 
 def _cylinder_interval_table(measure: CylinderMeasure):
     """Deepest-level image intervals sorted by position, with mass prefix sums."""
-    lg = level_geometry(measure.system, measure.depth)
+    image_lo, image_hi = level_images(measure.system, measure.depth)
     masses = measure.level(measure.depth)
-    order = np.argsort(lg.image_lo)
-    los = lg.image_lo[order]
-    his = lg.image_hi[order]
+    order = np.argsort(image_lo)
+    los = image_lo[order]
+    his = image_hi[order]
     pref = np.concatenate([[0.0], np.cumsum(masses[order])])
     return los, his, pref
 

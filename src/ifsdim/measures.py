@@ -44,12 +44,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .pressure import ConvergenceFailure
-from .systems import (
-    MapFamily,
-    SystemSpec,
-    cantor_system,
-    level_geometry,
-)
+from .systems import MapFamily, SystemSpec, cantor_system, level_images, level_log_derivatives
 
 __all__ = [
     "LineMeasure",
@@ -359,11 +354,11 @@ def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeas
         raise ValueError("mass distributions are only defined for similitude systems")
     if n < 1:
         raise ValueError(f"stage must be >= 1, got {n}")
-    lg = level_geometry(system, n)
-    weights = np.exp(h * lg.log_sup)
+    weights = np.exp(h * level_log_derivatives(system, n)[0])  # log_sup: the log ratio
     weights /= weights.sum()
-    density = weights / (lg.image_hi - lg.image_lo)
-    return LineMeasure(pieces=np.column_stack((lg.image_lo, lg.image_hi, density)))
+    image_lo, image_hi = level_images(system, n)
+    density = weights / (image_hi - image_lo)
+    return LineMeasure(pieces=np.column_stack((image_lo, image_hi, density)))
 
 
 def truncation_singularity(

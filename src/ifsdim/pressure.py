@@ -43,7 +43,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .systems import MapFamily, SystemSpec, level_geometry
+from .systems import MapFamily, SystemSpec, level_log_derivatives
 
 __all__ = [
     "ConvergenceFailure",
@@ -469,8 +469,9 @@ def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | 
     An ``h`` outside the bracket contradicts the certificate:
     ``ConvergenceFailure``.
     """
-    lg = level_geometry(system, depth)
-    sup, inf = np.sort(lg.log_sup), np.sort(lg.log_inf)
+    sup, inf = level_log_derivatives(system, depth)
+    sup.sort()
+    inf.sort()
     label = f"bowen_solve({system.label or 'system'})"
     if collocation is None:
         collocation = collocate(system)

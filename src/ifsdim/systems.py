@@ -12,11 +12,13 @@ Two map kinds are supported:
 
 A system holds its branches as one (m, 4) array of coefficient rows
 (a, b, c, d), row e acting as x -> (a x + b)/(c x + d) with |derivative|
-|ad - bc| / (c x + d)^2.  Everything downstream that works on words (the
-pressure bracket, the similitude mass stages) consumes the certified
-per-word derivative bounds produced here.  A word's composite is again such
-a map, so its |derivative| is monotone on [0, 1] and its sup and inf are
-the values at 0 and 1, evaluated exactly by the chain rule.  Their logs are
+|ad - bc| / (c x + d)^2.  A whole level of admissible words is read in two
+ways, each built afresh for its one reader: ``level_images`` gives the
+words' image intervals (the density table, the similitude mass stages) and
+``level_log_derivatives`` their certified derivative bounds (the pressure
+bracket, the similitude mass stages).  A word's composite is again such a
+map, so its |derivative| is monotone on [0, 1] and its sup and inf are the
+values at 0 and 1, evaluated exactly by the chain rule.  Their logs are
 padded outward by ``|log g| + 4 * depth`` units of roundoff, except on
 similitude systems, whose derivatives are constant products of ratios.
 """
@@ -34,10 +36,10 @@ __all__ = [
     "InvalidSystem",
     "SeparationError",
     "SystemSpec",
-    "LevelGeometry",
     "MapFamily",
     "ensure_separation",
-    "level_geometry",
+    "level_images",
+    "level_log_derivatives",
     "golden_family",
     "borderline_family",
     "cantor_system",
@@ -156,41 +158,14 @@ class SystemSpec:
 # bulk geometry: all admissible words of one depth at once
 
 
-@dataclass
-class LevelGeometry:
-    """Vectorized word geometry for every admissible word of one depth,
-    aligned with the lexicographic enumeration order."""
-
-    log_sup: np.ndarray
-    log_inf: np.ndarray
-    image_lo: np.ndarray
-    image_hi: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.log_sup.shape[0]
-
-
-# One level: dimension's word bracket and density field read the same level
-# of a system with a moebius map up to depth 12, while levels of earlier
-# commands would only hold memory.
-@functools.lru_cache(maxsize=1)
-def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
-    """Exact images and certified derivative bounds for all depth-n words.
-
-    One prepend pass, in lexicographic order, carries each word's images of
-    the endpoints 0 and 1 and, by the chain rule, |s_w'| there.  The
-    composite s_w has a matrix M_w, so
-    |s_w'(x)| = |det M_w| / (c_w x + d_w)^2 is monotone on [0, 1] and
-    the endpoint values are its sup and inf.  The running products have
-    positive factors and cannot cancel.
-
-    The level is built in place and, under the full shift, peaks at 48
-    bytes per admissible word: the last prepend writes two fresh (W, 2)
-    arrays beside the previous level's pair, and the results go into two
-    (2, W) arrays, each written while one (W, 2) pair is still read.  Under
-    an incidence each prepend's admissible rows are copied out as well.
-    """
+def _prepend(system: SystemSpec, depth: int, images: bool) -> np.ndarray:
+    """Every admissible depth-n word's images of the endpoints 0 and 1 if
+    ``images``, else its |s_w'| there, as one (W, 2) array in lexicographic
+    order.  One prepend pass carries the images; the derivatives, running
+    products of positive factors, read those of the level before, so the
+    last level's images are formed only for ``images``, and derivatives
+    never are for it.  Under an incidence each prepend's admissible rows
+    are copied out."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     allowed = system.incidence
@@ -199,31 +174,58 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     a, b, c, d = system.coefficients.T[:, :, None, None]
     det = np.abs(a * d - b * c)
 
-    def prepend(x: np.ndarray, g: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    def prepend(x: np.ndarray, g: np.ndarray | float | None, last: bool) -> tuple:
         # the ufuncs of (a x + b) / den and g * (det / den**2) (numpy squares
         # as den * den; g = 1.0 on the first level is an exact product), in
-        # two fresh arrays; symbol outermost, the (m, W) order is already
-        # lexicographic
+        # fresh arrays, each formed only where it is read; symbol outermost,
+        # the (m, W) order is already lexicographic
         den = c * x
         den += d
-        y = a * x
-        y += b
-        y /= den
-        np.multiply(den, den, out=den)
-        np.divide(det, den, out=den)
-        return y.reshape(-1, 2), np.multiply(g, den, out=den).reshape(-1, 2)
+        y = None
+        if images or not last:
+            y = a * x
+            y += b
+            y = np.divide(y, den, out=y).reshape(-1, 2)
+        if g is not None:
+            np.multiply(den, den, out=den)
+            np.divide(det, den, out=den)
+            g = np.multiply(g, den, out=den).reshape(-1, 2)
+        return y, g
 
-    # per word: images y and |s_w'| g at the endpoints 0 and 1
-    y, g = prepend(np.array((0.0, 1.0)), 1.0)
+    y, g = prepend(np.array((0.0, 1.0)), None if images else 1.0, depth == 1)
     first = np.arange(system.alphabet_size)
     full = depth > 1 and allowed.all()
-    for _ in range(depth - 1):
-        y, g = prepend(y, g)
+    for level in range(2, depth + 1):
+        y, g = prepend(y, g, level == depth)
         if not full:  # e goes before the words whose first symbol may follow it
             keep = np.flatnonzero(allowed[:, first])
             first = keep // len(first)
-            y, g = y.take(keep, axis=0), g.take(keep, axis=0)
+            y, g = (v if v is None else v.take(keep, axis=0) for v in (y, g))
+    return y if images else g
 
+
+def level_images(system: SystemSpec, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact image intervals ``(image_lo, image_hi)`` of all admissible
+    depth-n words, in lexicographic order.  Under the full shift of two
+    maps they peak at 40 bytes per word: the last prepend forms the (W, 2)
+    images beside their denominators and the level before, and the results
+    go into one (2, W) array while the images are read."""
+    y = _prepend(system, depth, images=True)
+    image_lo, image_hi = np.empty((2, len(y)))
+    np.minimum(y[:, 0], y[:, 1], out=image_lo)
+    np.maximum(y[:, 0], y[:, 1], out=image_hi)
+    return image_lo, image_hi
+
+
+def level_log_derivatives(system: SystemSpec, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds ``(log_sup, log_inf)`` of log |s_w'| over [0, 1] for
+    all admissible depth-n words, in lexicographic order, in fresh rows the
+    caller may sort in place.  The composite s_w has a matrix M_w, so
+    |s_w'(x)| = |det M_w| / (c_w x + d_w)^2 is monotone on [0, 1] and its
+    endpoint values are its sup and inf.  Under the full shift the rows
+    peak at 32 bytes per word: the last prepend forms one (W, 2) array and
+    no images, and the results go into one (2, W) array while it is read."""
+    g = _prepend(system, depth, images=False)
     # Outward pad in log space: |log g| roundoffs cover the log's own
     # rounding (half an ulp), 4 per composition step the rounding of the
     # endpoint images and of the derivative products; against exact rational
@@ -241,10 +243,7 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     np.log(log_inf, out=log_inf)
     log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
     log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
-    image_lo, image_hi = np.empty((2, len(y)))
-    np.minimum(y[:, 0], y[:, 1], out=image_lo)
-    np.maximum(y[:, 0], y[:, 1], out=image_hi)
-    return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
+    return log_sup, log_inf
 
 
 # ---------------------------------------------------------------------------

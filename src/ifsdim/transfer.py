@@ -23,7 +23,9 @@ interpolation[k, e, l]: the row a_e = sum_{g fed by e} l_g B_e, then
 a_(e w) = a_w B_e, with every row in the last step contracted against the
 columns 1 and rho of its first symbol's grid instead.  Of the words it
 keeps only each step's index pairs (e, row of w), the word tree that
-``CylinderMasses.words`` expands.  At the Bowen root these eigenmeasure
+``CylinderMasses.words`` expands, in the lexicographic order of the levels
+of ``systems.level_images`` and ``systems.level_log_derivatives``, so each
+mass lines up with its word's image.  At the Bowen root these eigenmeasure
 masses are the package's one h-conformal mass: ``gibbs`` reports them and
 ``dimension`` samples them as a ``measures.CylinderMeasure``.
 """
@@ -141,8 +143,7 @@ def cylinder_masses(
 ) -> CylinderMasses:
     """The eigenmeasure and invariant masses of the admissible depth-``depth``
     words at ``pair``'s exponent, by the prepend recursion of the module
-    docstring: the words come out in lexicographic order, the order in
-    which ``systems.level_geometry`` prepends them, with one
+    docstring: the words come out in lexicographic order, with one
     (words, nodes) @ (nodes, m nodes) product per depth, and the deepest
     rows are never formed; each step keeps two index rows, the word tree.
     A non-positive mass raises :class:`ConvergenceFailure`."""

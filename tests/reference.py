@@ -1,15 +1,15 @@
 """Per-word reference implementations for the tests.
 
-The package works on whole levels of words at once (``level_geometry``,
-the sorted level sums in ``bowen_solve``, the masses recursion in
-``transfer``) and on whole arrays of intervals (``LineMeasure``).  These
-are the one-word-at-a-time and one-interval-at-a-time versions the tests
-hold that code to, exact rational values of line-measure functionals, and
-a cylinder transfer operator whose root is an independent check of the
-collocation root.  ``conformal_measure`` builds the ``CylinderMeasure``
+The package works on whole levels of words at once (``level_images`` and
+``level_log_derivatives``, the sorted level sums in ``bowen_solve``, the
+masses recursion in ``transfer``) and on whole arrays of intervals
+(``LineMeasure``).  These are the one-word-at-a-time and
+one-interval-at-a-time versions the tests hold that code to, exact rational
+values of line-measure functionals, and a cylinder transfer operator whose
+root is an independent check of the collocation root.  ``conformal_measure`` builds the ``CylinderMeasure``
 that ``dimension`` samples, at any exponent, and ``level_geometry`` is the
-package's level in whole-array expressions, which its in-place build must
-match bit for bit.
+package's level in whole-array expressions, which its two in-place readers
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from ifsdim import systems
 from ifsdim.measures import CylinderMeasure, LineMeasure
 from ifsdim.pressure import Collocation, Eigenpair, _chebyshev, _log_sum, collocate
-from ifsdim.systems import _ROUNDOFF, LevelGeometry, SystemSpec
+from ifsdim.systems import _ROUNDOFF, SystemSpec
 from ifsdim.transfer import cylinder_masses
 
 
@@ -33,8 +33,8 @@ def enumerate_admissible(incidence: np.ndarray, depth: int) -> Iterator[tuple[in
     lexicographic order.
 
     The stream is lazy: callers can consume a prefix without paying for the
-    whole level.  The reference for the words of ``level_geometry`` and of
-    ``transfer.cylinder_masses``.
+    whole level.  The reference for the words of the ``systems`` levels and
+    of ``transfer.cylinder_masses``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -63,7 +63,7 @@ def reaching_pairs(incidence) -> set[tuple[int, int]]:
 
 def word_image(system: SystemSpec, word: tuple[int, ...]) -> tuple[float, float]:
     """Exact image interval of one word (maps composed innermost-first), one
-    word at a time: the reference for ``LevelGeometry.image_lo``/``image_hi``."""
+    word at a time: the reference for ``systems.level_images``."""
     _check_word(system, word)
     lo, hi = 0.0, 1.0
     for s in reversed(word):
@@ -73,10 +73,12 @@ def word_image(system: SystemSpec, word: tuple[int, ...]) -> tuple[float, float]
     return lo, hi
 
 
-def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
-    """``systems.level_geometry`` as whole-array expressions, each result a
-    fresh array: the same ufuncs in the same order, so the level it builds
-    must be bit for bit the one built in place, at 88 bytes per word."""
+def level_geometry(system: SystemSpec, depth: int) -> tuple[np.ndarray, ...]:
+    """``(log_sup, log_inf, image_lo, image_hi)`` of the depth-n level as
+    whole-array expressions, each result a fresh array: the same ufuncs in
+    the same order as ``systems.level_log_derivatives`` and
+    ``systems.level_images``, so what they build in place must be bit for
+    bit these rows, which take 88 bytes per word."""
     allowed = system.incidence
     a, b, c, d = system.coefficients.T[:, :, None, None]
     det = np.abs(a * d - b * c)
@@ -101,7 +103,7 @@ def level_geometry(system: SystemSpec, depth: int) -> LevelGeometry:
     log_sup += roundoff * (np.abs(log_sup) + 4 * depth)
     log_inf -= roundoff * (np.abs(log_inf) + 4 * depth)
     image_lo, image_hi = np.minimum(y[:, 0], y[:, 1]), np.maximum(y[:, 0], y[:, 1])
-    return LevelGeometry(log_sup, log_inf, image_lo, image_hi)
+    return log_sup, log_inf, image_lo, image_hi
 
 
 def _check_word(system: SystemSpec, word: tuple[int, ...]) -> None:
@@ -137,8 +139,7 @@ def pressure(system: SystemSpec, t: float, depth: int = 12) -> PressureEstimate:
     bracket its root."""
     if t < 0:
         raise ValueError(f"exponent must be >= 0, got {t}")
-    lg = systems.level_geometry(system, depth)
-    upper, lower = (_log_sum(np.sort(a), t)[0] for a in (lg.log_sup, lg.log_inf))
+    upper, lower = (_log_sum(np.sort(a), t)[0] for a in systems.level_log_derivatives(system, depth))
     return PressureEstimate(upper=upper / depth, lower=lower / depth)
 
 

@@ -30,7 +30,8 @@ from ifsdim.systems import (
     cantor_system,
     continued_fraction_family,
     golden_family,
-    level_geometry,
+    level_images,
+    level_log_derivatives,
 )
 from ifsdim.transfer import gibbs_state
 
@@ -220,8 +221,8 @@ def test_c8_property_suite():
     # bounded distortion: derivative sup/inf ratio at most 4 per cylinder
     cf2 = continued_fraction_family().truncate(2)
     for depth in range(1, 7):
-        geometry = level_geometry(cf2, depth)
-        assert np.all(geometry.log_sup - geometry.log_inf <= math.log(4.0) + 1e-12)
+        log_sup, log_inf = level_log_derivatives(cf2, depth)
+        assert np.all(log_sup - log_inf <= math.log(4.0) + 1e-12)
 
     # word comparison metric is an ultrametric
     rng = np.random.Generator(np.random.Philox(88))
@@ -249,10 +250,10 @@ def test_c8_property_suite():
     root = bowen_solve(skewed, depth=1).h
     masses2 = conformal_measure(skewed, root, depth=4)
     cloud = sample(masses2, 100_000, seed=909)
-    geometry = level_geometry(skewed, 2)
+    image_lo, image_hi = level_images(skewed, 2)
     expected = masses2.level(2)
-    for i in range(geometry.count):
-        inside = (cloud >= geometry.image_lo[i]) & (cloud <= geometry.image_hi[i])
+    for i in range(len(image_lo)):
+        inside = (cloud >= image_lo[i]) & (cloud <= image_hi[i])
         freq = inside.mean()
         sigma = math.sqrt(expected[i] * (1.0 - expected[i]) / len(cloud))
         assert abs(freq - expected[i]) <= 3.0 * sigma, f"cylinder {i}"

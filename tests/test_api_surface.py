@@ -99,7 +99,6 @@ def test_every_public_name_has_a_caller_besides_its_tests(module):
 # public methods that nothing under src/ calls: the tests, or the benchmark
 UNCALLED = {
     "Report.canonical_body": "the determinism contract: the report tests pin it",
-    "LevelGeometry.count": "the benchmark tracer's words-per-level counter reads it",
 }
 
 

@@ -1283,10 +1283,12 @@ def test_work_budget_rejects_before_any_geometry(
 
     def refused(*args, **kwargs):
         calls.append(args)
-        raise RuntimeError("level_geometry ran past the budget check")
+        raise RuntimeError("a level was built past the budget check")
 
-    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.dimension):
-        monkeypatch.setattr(module, "level_geometry", refused)
+    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.dimension, ifsdim.measures):
+        for name in ("level_images", "level_log_derivatives"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
     # gibbs reads no word geometry: its first work is the collocation
     monkeypatch.setattr(ifsdim.cli, "collocate", refused)
     code, report = run(tmp_path, command, text)
@@ -1374,10 +1376,9 @@ def test_one_shift_gives_one_answer_under_both_spellings(tmp_path):
     spellings = {"cf": "system.family = continued-fraction\nsystem.size = 2\n", "custom": custom}
     built = ifsdim.cli._build_source(ifsdim.config.RunConfig(ifsdim.config.parse_config(custom)))
     assert built.incidence.strides == cf.incidence.strides == (0, 0) and cf.incidence.shape == (2, 2)
-    ifsdim.systems.level_geometry.cache_clear()
-    a, b = (ifsdim.systems.level_geometry(s, 12) for s in (cf, built))
-    for field in ("log_sup", "log_inf", "image_lo", "image_hi"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    for reader in (ifsdim.systems.level_log_derivatives, ifsdim.systems.level_images):
+        for a, b in zip(*(reader(s, 12) for s in (cf, built))):
+            assert a.tobytes() == b.tobytes()
     for command, extra in [
         ("bowen", ""),
         ("gibbs", "gibbs.depth = 4\n"),
@@ -1586,14 +1587,19 @@ def test_dimension_builds_one_collocation(tmp_path, monkeypatch):
 )
 def test_dimension_reads_no_level_deeper_than_its_measure(tmp_path, monkeypatch, system, depths):
     asked = []
-    real = ifsdim.systems.level_geometry
 
-    def spied(system, depth):
-        asked.append(depth)
-        return real(system, depth)
+    def spy(real):
+        def spied(system, depth):
+            asked.append(depth)
+            return real(system, depth)
 
-    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.dimension):
-        monkeypatch.setattr(module, "level_geometry", spied)
+        return spied
+
+    readers = {name: spy(getattr(ifsdim.systems, name)) for name in ("level_images", "level_log_derivatives")}
+    for module in (ifsdim.systems, ifsdim.pressure, ifsdim.dimension, ifsdim.measures):
+        for name, spied in readers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spied)
     code, _ = run(tmp_path, "dimension", f"{system}sample.seed = 1\nsample.count = 100\n")
     assert code == 0 and asked == depths
 

@@ -27,8 +27,10 @@ from ifsdim.systems import (
     cantor_system,
     continued_fraction_family,
     golden_family,
-    level_geometry,
+    level_images,
+    level_log_derivatives,
 )
+from ifsdim.symbolic import count_admissible
 
 from reference import cylinder_operator_root, pressure
 
@@ -86,7 +88,6 @@ def test_pressure_rejects_negative_exponent():
 )
 @settings(max_examples=30, deadline=None)
 def test_pressure_strictly_decreasing_in_exponent(ratios, t, dt):
-    level_geometry.cache_clear()
     sys_ = cantor_system(tuple(r / (2 * sum(ratios)) for r in ratios))
     a = pressure(sys_, t, depth=2).value
     b = pressure(sys_, t + dt, depth=2).value
@@ -345,7 +346,7 @@ def _sort_per_call_logsumexp(a):
 
 
 def _axis_reduction_geometry(system, depth):
-    """level_geometry as first written, with its extremes reduced along the
+    """The level as first written, with its extremes reduced along the
     endpoint axis, and every map's prepend masked by its incidence row."""
     allowed = system.incidence
     first = np.arange(system.alphabet_size)
@@ -375,16 +376,15 @@ def _axis_reduction_geometry(system, depth):
 @settings(max_examples=60, deadline=None)
 def test_pressure_matches_the_sort_per_call_formula_bit_for_bit(system, depth, t):
     est = pressure(system, t, depth)
-    lg = level_geometry(system, depth)
-    assert est.upper == _sort_per_call_logsumexp(t * lg.log_sup) / depth
-    assert est.lower == _sort_per_call_logsumexp(t * lg.log_inf) / depth
+    log_sup, log_inf = level_log_derivatives(system, depth)
+    assert est.upper == _sort_per_call_logsumexp(t * log_sup) / depth
+    assert est.lower == _sort_per_call_logsumexp(t * log_inf) / depth
 
 
 @given(word_systems(), st.integers(1, 7))
 @settings(max_examples=40, deadline=None)
 def test_level_geometry_matches_axis_reductions_bit_for_bit(system, depth):
-    lg = level_geometry(system, depth)
-    got = (lg.log_sup, lg.log_inf, lg.image_lo, lg.image_hi)
+    got = level_log_derivatives(system, depth) + level_images(system, depth)
     for a, b in zip(got, _axis_reduction_geometry(system, depth)):
         assert a.tobytes() == b.tobytes()
 
@@ -435,24 +435,31 @@ def _traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize(
-    "system, depth",
+    "system, depth, ceilings",
     [
-        (continued_fraction_family().truncate(2), 15),
-        (SystemSpec([(0.0, 1.0, 1.0, q) for q in (2.0, 3.0, 7.0)]), 9),
+        (continued_fraction_family().truncate(2), 15, (40, 32, 32)),
+        (SystemSpec([(0.0, 1.0, 1.0, q) for q in (2.0, 3.0, 7.0)]), 9, (40, 32, 32)),
+        # each prepend forms all m W' rows and copies the admissible ones out
+        (
+            SystemSpec([(0.0, 1.0, 1.0, q) for q in (1.0, 2.0, 3.0)], ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+            14,
+            (64, 56, 56),
+        ),
     ],
-    ids=["cf12", "moebius-2-3-7"],
+    ids=["cf12", "moebius-2-3-7", "moebius-cycle"],
 )
-def test_a_level_peaks_at_48_bytes_per_word_and_its_bracket_solve_at_56(system, depth):
-    # the level holds two (2, W) arrays, and builds them from one (W, 2)
-    # pair; the solve adds the two sorted copies and one row of _log_sum.
-    # 32 KiB covers the small arrays and Python objects of both.
-    words, allowance = len(system.coefficients) ** depth, 2**15
+def test_level_readers_and_bracket_solve_peak_under_byte_ceilings(system, depth, ceilings):
+    # the images come as one (2, W) array, built from one (W, 2) array of
+    # images and its denominators; the log-derivatives as one (2, W) array,
+    # built from one (W, 2) array of derivatives, which the solve sorts in
+    # place, adding one row of _log_sum.  32 KiB covers the small arrays and
+    # Python objects of each.
+    words, allowance = count_admissible(system.incidence, depth), 2**15
     collocation = collocate(system)
-    level_geometry.cache_clear()
-    assert _traced_peak(lambda: level_geometry(system, depth)) <= 48 * words + allowance
-    level_geometry.cache_clear()
-    assert _traced_peak(lambda: bowen_solve(system, depth, collocation)) <= 56 * words + allowance
-    level_geometry.cache_clear()
+    images, logs, solve = ceilings
+    assert _traced_peak(lambda: level_images(system, depth)) <= images * words + allowance
+    assert _traced_peak(lambda: level_log_derivatives(system, depth)) <= logs * words + allowance
+    assert _traced_peak(lambda: bowen_solve(system, depth, collocation)) <= solve * words + allowance
 
 
 def test_bracket_falls_back_to_one_when_a_word_does_not_contract():

@@ -1,7 +1,5 @@
-import gc
 import math
 import re
-import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,7 +16,8 @@ from ifsdim.systems import (
     cantor_system,
     continued_fraction_family,
     golden_family,
-    level_geometry,
+    level_images,
+    level_log_derivatives,
 )
 
 import reference
@@ -134,21 +133,23 @@ def test_word_image_exact():
     sys_ = cantor_system((1 / 3, 1 / 3))
     lo, hi = word_image(sys_, (0, 1))
     assert (lo, hi) == (pytest.approx(2 / 9), pytest.approx(1 / 3))
-    lg = level_geometry(sys_, 2)  # words 00, 01, 10, 11
-    assert lg.log_sup[1] == lg.log_inf[1] == pytest.approx(math.log(1 / 9))
-    assert (lg.image_lo[1], lg.image_hi[1]) == (lo, hi)
+    log_sup, log_inf = level_log_derivatives(sys_, 2)  # words 00, 01, 10, 11
+    image_lo, image_hi = level_images(sys_, 2)
+    assert log_sup[1] == log_inf[1] == pytest.approx(math.log(1 / 9))
+    assert (image_lo[1], image_hi[1]) == (lo, hi)
 
 
 def test_level_geometry_similitude_is_exact():
     sys_ = golden_family().truncate(3)
-    lg = level_geometry(sys_, 2)
-    assert lg.count == 9
-    assert np.array_equal(lg.log_sup, lg.log_inf)
+    log_sup, log_inf = level_log_derivatives(sys_, 2)
+    image_lo, image_hi = level_images(sys_, 2)
+    assert len(log_sup) == len(image_lo) == 9
+    assert np.array_equal(log_sup, log_inf)
     ratios = sys_.coefficients[:, 0]
     for k, w in enumerate(enumerate_admissible(sys_.incidence, 2)):
         ratio = ratios[w[0]] * ratios[w[1]]
-        assert lg.log_sup[k] == pytest.approx(math.log(ratio), abs=1e-12)
-        assert (lg.image_lo[k], lg.image_hi[k]) == word_image(sys_, w)
+        assert log_sup[k] == pytest.approx(math.log(ratio), abs=1e-12)
+        assert (image_lo[k], image_hi[k]) == word_image(sys_, w)
 
 
 @given(
@@ -157,28 +158,16 @@ def test_level_geometry_similitude_is_exact():
 )
 @settings(max_examples=25, deadline=None)
 def test_level_log_derivatives_are_sums(ratios, depth):
-    level_geometry.cache_clear()
     sys_ = cantor_system(tuple(r / (2 * sum(ratios)) for r in ratios))
-    lg = level_geometry(sys_, depth)
+    log_sup, _ = level_log_derivatives(sys_, depth)
     logs = np.log(sys_.coefficients[:, 0])
     for k, w in enumerate(enumerate_admissible(sys_.incidence, depth)):
-        assert lg.log_sup[k] == pytest.approx(logs[list(w)].sum(), abs=1e-12)
-
-
-def test_level_geometry_cache_holds_one_level():
-    # a command reuses its level; a level of an earlier command is freed
-    sys_ = cantor_system((0.3, 0.25))
-    level = level_geometry(sys_, 4)
-    assert level_geometry(sys_, 4) is level
-    gone = weakref.ref(level)
-    del level
-    level_geometry(sys_, 5)
-    gc.collect()
-    assert gone() is None
+        assert log_sup[k] == pytest.approx(logs[list(w)].sum(), abs=1e-12)
 
 
 # one system per path through the level: the full shift, two incidences,
-# similitudes alone and maps of both kinds
+# similitudes alone and maps of both kinds (moebius:2; moebius:3;
+# similitude:0.2:0)
 OUT_OF_PLACE_SYSTEMS = {
     "full-shift": (continued_fraction_family().coefficients(3), None),
     "cycle": (continued_fraction_family().coefficients(3), ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
@@ -188,14 +177,15 @@ OUT_OF_PLACE_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("depth", [1, 2, 7])
+@pytest.mark.parametrize("depth", range(1, 9))
 @pytest.mark.parametrize("name", OUT_OF_PLACE_SYSTEMS)
 def test_level_built_in_place_is_the_out_of_place_level(name, depth):
+    # each reader builds only its own half of the level, byte for byte
     system = SystemSpec(*OUT_OF_PLACE_SYSTEMS[name])
-    level_geometry.cache_clear()
-    level, want = level_geometry(system, depth), reference.level_geometry(system, depth)
-    for field in ("log_sup", "log_inf", "image_lo", "image_hi"):
-        assert np.array_equal(getattr(level, field), getattr(want, field)), field
+    level = level_log_derivatives(system, depth) + level_images(system, depth)
+    want = reference.level_geometry(system, depth)
+    for field, got, expected in zip(("log_sup", "log_inf", "image_lo", "image_hi"), level, want):
+        assert got.tobytes() == expected.tobytes(), field
 
 
 # --- word geometry: continued-fraction branches ----------------------------
@@ -211,13 +201,14 @@ def test_continued_fraction_layout():
 
 def test_moebius_word_bounds_bracket_truth():
     sys_ = continued_fraction_family().truncate(2)
-    lg = level_geometry(sys_, 2)  # word 00 comes first
+    log_sup, log_inf = level_log_derivatives(sys_, 2)  # word 00 comes first
+    image_lo, image_hi = level_images(sys_, 2)
     # |d/dx 1/(1 + 1/(1+x))| ranges over exactly [1/9, 1/4] for x in [0, 1]
-    assert math.log(1 / 9) >= lg.log_inf[0] and lg.log_sup[0] >= math.log(0.25)
-    assert math.exp(lg.log_sup[0]) == pytest.approx(0.25, rel=1e-14)
-    assert math.exp(lg.log_inf[0]) == pytest.approx(1 / 9, rel=1e-14)
-    assert (lg.image_lo[0], lg.image_hi[0]) == (pytest.approx(0.5), pytest.approx(2 / 3))
-    assert lg.log_sup[0] - lg.log_inf[0] < math.log(4.0)  # one-step distortion (1 + 1/q)^2 <= 4
+    assert math.log(1 / 9) >= log_inf[0] and log_sup[0] >= math.log(0.25)
+    assert math.exp(log_sup[0]) == pytest.approx(0.25, rel=1e-14)
+    assert math.exp(log_inf[0]) == pytest.approx(1 / 9, rel=1e-14)
+    assert (image_lo[0], image_hi[0]) == (pytest.approx(0.5), pytest.approx(2 / 3))
+    assert log_sup[0] - log_inf[0] < math.log(4.0)  # one-step distortion (1 + 1/q)^2 <= 4
 
 
 def test_moebius_image_is_exact_fixed_points():
@@ -273,11 +264,12 @@ def branch_systems(draw):
 @given(branch_systems(), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_level_geometry_matches_per_word_composition(sys_, depth):
-    lg = level_geometry(sys_, depth)
+    log_sup, log_inf = level_log_derivatives(sys_, depth)
+    image_lo, image_hi = level_images(sys_, depth)
     words = list(enumerate_admissible(sys_.incidence, depth))
-    assert lg.count == len(words)
+    assert len(log_sup) == len(image_lo) == len(words)
     deriv = chain_rule_derivatives(sys_, words)
-    sup, inf = np.exp(lg.log_sup), np.exp(lg.log_inf)
+    sup, inf = np.exp(log_sup), np.exp(log_inf)
     # 1e-14 covers the reference's own rounding and the exp/log round trip
     assert np.all(deriv <= sup[:, None] * (1 + 1e-14))
     assert np.all(deriv >= inf[:, None] * (1 - 1e-14))
@@ -285,24 +277,24 @@ def test_level_geometry_matches_per_word_composition(sys_, depth):
     np.testing.assert_allclose(ends.max(axis=1), sup, rtol=1e-14)
     np.testing.assert_allclose(ends.min(axis=1), inf, rtol=1e-14)
     if sys_.is_similitude():
-        assert np.array_equal(lg.log_sup, lg.log_inf)
+        assert np.array_equal(log_sup, log_inf)
     for k, w in enumerate(words):
-        assert (lg.image_lo[k], lg.image_hi[k]) == word_image(sys_, w)
+        assert (image_lo[k], image_hi[k]) == word_image(sys_, w)
 
 
 def test_word_contraction_bounds_word_derivatives():
     sys_ = continued_fraction_family().truncate(3)
     for depth in (2, 3, 4, 5):
-        lg = level_geometry(sys_, depth)
+        log_sup, _ = level_log_derivatives(sys_, depth)
         bound = (4 / 9) ** (depth // 2)  # the 1-1 pair dominates the two-step contraction
-        assert np.exp(lg.log_sup).max() <= bound * (1 + 1e-12)
+        assert np.exp(log_sup).max() <= bound * (1 + 1e-12)
 
 
 def test_distortion_bound_certified_on_words():
     sys_ = continued_fraction_family().truncate(3)
     for depth in (1, 2, 4, 6):
-        lg = level_geometry(sys_, depth)
-        worst = np.exp(lg.log_sup - lg.log_inf).max()
+        log_sup, log_inf = level_log_derivatives(sys_, depth)
+        worst = np.exp(log_sup - log_inf).max()
         # the certified bounds carry a deliberate outward pad of ~1e-14
         assert worst <= 4.0 * (1 + 1e-12)
 
@@ -365,17 +357,17 @@ MIXED_ROWS = ((0.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 3.0), (0.2, 0.0, 0.0, 1.0), 
     ids=["cf12@12", "cf123@6", "mixed@6", "partial-rows@6"],
 )
 def test_log_brackets_contain_exact_endpoint_logs(system, depth):
-    lg = level_geometry(system, depth)
+    log_sup, log_inf = level_log_derivatives(system, depth)
     exact = exact_log_derivatives(system, depth)
     words = list(enumerate_admissible(system.incidence, depth))
-    assert lg.count == len(exact) == len(words)
+    assert len(log_sup) == len(exact) == len(words)
     misses = 0
     for k, w in enumerate(words):
         lo, hi = min(exact[w]), max(exact[w])
-        misses += not (Decimal(float(lg.log_inf[k])) <= lo and hi <= Decimal(float(lg.log_sup[k])))
+        misses += not (Decimal(float(log_inf[k])) <= lo and hi <= Decimal(float(log_sup[k])))
         # the pad stays a few hundred roundoffs, far inside any real slack
-        assert float(Decimal(float(lg.log_sup[k])) - hi) < 1e-13
-        assert float(lo - Decimal(float(lg.log_inf[k]))) < 1e-13
+        assert float(Decimal(float(log_sup[k])) - hi) < 1e-13
+        assert float(lo - Decimal(float(log_inf[k]))) < 1e-13
     assert misses == 0
 
 
@@ -401,10 +393,8 @@ def test_specs_differing_in_one_coefficient_share_no_level():
     moved[1, 1] = 0.55  # shifts the image of map 1
     a, b = (SystemSpec(r) for r in (rows, moved))
     assert a != b and hash(a) == hash(b)  # a hash reads no entries
-    level_geometry.cache_clear()
-    assert level_geometry(a, 1).image_lo.tolist() == [0.0, 0.5, 0.75]
-    assert level_geometry(b, 1).image_lo.tolist() == [0.0, 0.55, 0.75]
-    assert level_geometry.cache_info().misses == 2
+    assert level_images(a, 1)[0].tolist() == [0.0, 0.5, 0.75]
+    assert level_images(b, 1)[0].tolist() == [0.0, 0.55, 0.75]
     with pytest.raises(ValueError):
         b.coefficients[0, 0] = 0.3
     moved[1, 1] = 0.5  # the spec holds its own copy
@@ -415,20 +405,17 @@ def test_specs_differing_in_their_incidence_share_no_level():
     rows = continued_fraction_family().coefficients(2)
     shift, fibonacci = SystemSpec(rows), SystemSpec(rows, ((1, 1), (1, 0)))
     assert shift != fibonacci and hash(shift) == hash(fibonacci)
-    level_geometry.cache_clear()
-    assert level_geometry(shift, 4).count == 16
-    assert level_geometry(fibonacci, 4).count == 8
-    assert level_geometry.cache_info().misses == 2
+    assert len(level_images(shift, 4)[0]) == 16
+    assert len(level_images(fibonacci, 4)[0]) == 8
 
 
 def test_a_spec_holds_its_own_incidence():
     allowed = np.ones((2, 2), dtype=bool)
     system = SystemSpec(continued_fraction_family().coefficients(2), allowed)
-    level_geometry.cache_clear()
-    assert level_geometry(system, 4).count == 16
+    assert len(level_images(system, 4)[0]) == 16
     allowed[1, 1] = False  # the caller's array, not the system's
     assert system.incidence.all() and not np.shares_memory(system.incidence, allowed)
-    assert level_geometry(system, 4).count == level_geometry.__wrapped__(system, 4).count == 16
+    assert len(level_images(system, 4)[0]) == 16
     with pytest.raises(ValueError):
         system.incidence[1, 1] = False
 
@@ -437,11 +424,12 @@ def test_golden_level_1073_geometry_is_the_closed_form():
     rows = golden_family().coefficients(1073)
     ratio, offset = rows[:, 0], rows[:, 1]
     assert ratio.tolist() == [2.0 ** -(i + 1) for i in range(1, 1074)]
-    lg = level_geometry(golden_family().truncate(1073), 1)
-    assert np.array_equal(lg.log_sup, np.log(ratio))
-    assert np.array_equal(lg.log_inf, np.log(ratio))
-    assert np.array_equal(lg.image_lo, offset)
-    assert np.array_equal(lg.image_hi, offset + ratio)
+    log_sup, log_inf = level_log_derivatives(golden_family().truncate(1073), 1)
+    image_lo, image_hi = level_images(golden_family().truncate(1073), 1)
+    assert np.array_equal(log_sup, np.log(ratio))
+    assert np.array_equal(log_inf, np.log(ratio))
+    assert np.array_equal(image_lo, offset)
+    assert np.array_equal(image_hi, offset + ratio)
 
 
 # --- borderline family ------------------------------------------------------

@@ -7,16 +7,26 @@ command is the last dash-separated part of the file name), on the first
 for each of ``--seeds``, on ``bowen``, ``gibbs`` and ``dimension`` of six
 graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark input
 is a full shift, on one ``gibbs`` whose masses table spans more than one
-of the row blocks ``cli`` formats a table in (``DEEP_TABLE``), and on
-``scan`` ladders of a Möbius family and of an irregular one (``LADDERS``),
-which no config or benchmark input scans.  Prints
-one line per command: its label, the command, its exit code and a sha256
-over the exit code, stdout and stderr (the temporary directory masked), the
-report without its ``timestamp``, and every CSV's name and bytes.
+of the row blocks ``cli`` formats a table in (``DEEP_TABLE``), on ``scan``
+ladders of a Möbius family and of an irregular one (``LADDERS``), which no
+config or benchmark input scans, and on ``dimension`` of one
+``gallery:cantor-mass-stages`` member with the flatness detector on and
+off (``STAGES``), the one reader of ``measures.mass_distribution_sequence``.
+
+The first line names the host (``host``): numpy's version, the machine
+and the CPU targets numpy dispatches to.  Then it prints one line per
+command: its label, the command, its exit code, a sha256 over the exit
+code, stdout and stderr (the temporary directory masked), the report
+without its ``timestamp``, and every CSV's name and bytes, and a second
+sha256 over the exit code and the report's ``results`` with every float
+rounded to 12 significant digits (``_rounded``).  The first digest can
+move with the host's SIMD loops; the second should not.
 
     python3 tools/report_digest.py [--cases 60] [--seeds 1,2] > digest.txt
 
 Run it from each checkout and compare the two files with ``diff``.
+``tests/oracles/report_digests.txt`` holds the output for
+``--cases 20 --seeds 1``, which ``tests/test_report_digest.py`` checks.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -40,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
+import numpy as np  # noqa: E402
 from ifsdim import cli  # noqa: E402
 
 # name: (system.maps, system.incidence)
@@ -62,11 +74,35 @@ DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth =
 # family: scan.levels; Möbius levels at their own default depths, and an
 # irregular limit (exit 4)
 LADDERS = {"continued-fraction": "2:16", "borderline": "2:8"}
+# 2^8 pieces of the middle-thirds mass distribution
+STAGES = "system.family = gallery:cantor-mass-stages\ndimension.member = 8\nsample.count = 2000\nsample.seed = 1\n"
 
 
-def digest(command: str, config: str) -> tuple[str, str]:
-    """Run one command on ``config`` text; return (exit code, sha256 hex)."""
-    h = hashlib.sha256()
+def host() -> str:
+    """numpy's version, the machine and the CPU targets numpy dispatches
+    to on it."""
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    targets = [t for t in umath.__cpu_baseline__ + umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__} {platform.machine()} {' '.join(targets)}"
+
+
+def _rounded(value):
+    """``value`` with every float in it rounded to 12 significant digits,
+    and those within 1e-12 of zero read as zero: a residual at a root is
+    roundoff, and its bits differ between SIMD loops."""
+    if isinstance(value, float):
+        return 0.0 if abs(value) < 1e-12 else float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def digest(command: str, config: str) -> tuple[str, str, str]:
+    """Run one command on ``config`` text; return its exit code, the sha256
+    hex of its output and that of its exit code and rounded results."""
+    h, stable = hashlib.sha256(), hashlib.sha256()
 
     def part(name: str, data: bytes) -> None:
         h.update(f"{name}\0{len(data)}\0".encode())
@@ -84,6 +120,7 @@ def digest(command: str, config: str) -> tuple[str, str]:
             except Exception as err:  # a crash is an outcome to compare too
                 code = f"raised:{err!r}"
         part("code", code.encode())
+        stable.update(code.encode())
         part("stdout", stdout.getvalue().replace(tmp, "<tmp>").encode())
         part("stderr", stderr.getvalue().replace(tmp, "<tmp>").encode())
         report = out / f"{command}-report.json"
@@ -91,24 +128,23 @@ def digest(command: str, config: str) -> tuple[str, str]:
             body = json.loads(report.read_text())
             body.pop("timestamp", None)
             part("report", json.dumps(body, sort_keys=True).encode())
+            stable.update(json.dumps(_rounded(body.get("results")), sort_keys=True).encode())
         for table in sorted(out.glob("*.csv")):
             part(table.name, table.read_bytes())
-    return code, h.hexdigest()
+    return code, h.hexdigest(), stable.hexdigest()
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cases", type=int, default=60, help="timed inputs per workload and seed")
-    parser.add_argument("--seeds", default="1,2", help="comma-separated benchmark seeds")
-    args = parser.parse_args()
+def lines(cases: int, seeds: list[int]):
+    """The host line, then one line per command, as ``main`` prints them."""
+    yield f"# {host()}"
     runs = [
         (path.name, path.stem.rsplit("-", 1)[-1], path.read_text())
         for path in sorted((ROOT / "configs").glob("*.cfg"))
     ]
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for seed in seeds:
         for workload in inputs.WORKLOADS:
-            cases = inputs.timed(workload, seed)[: args.cases]
-            runs += [(f"{workload}:{seed}:{i}", c.command, c.config) for i, c in enumerate(cases)]
+            timed = inputs.timed(workload, seed)[:cases]
+            runs += [(f"{workload}:{seed}:{i}", c.command, c.config) for i, c in enumerate(timed)]
     for name, (maps, rows) in INCIDENCE_SYSTEMS.items():
         config = (
             f"system.family = custom\nsystem.maps = {maps}\nsystem.incidence = {rows}\n"
@@ -118,9 +154,19 @@ def main() -> None:
     runs.append(("deep-table", "gibbs", DEEP_TABLE))
     for name, levels in LADDERS.items():
         runs.append((f"ladder:{name}", "scan", f"system.family = {name}\nscan.levels = {levels}\n"))
+    for flatness in ("on", "off"):
+        runs.append((f"stages:flatness-{flatness}", "dimension", f"{STAGES}dimension.flatness = {flatness}\n"))
     for label, command, config in runs:
-        code, sha = digest(command, config)
-        print(label, command, code, sha, flush=True)
+        yield " ".join((label, command) + digest(command, config))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", type=int, default=60, help="timed inputs per workload and seed")
+    parser.add_argument("--seeds", default="1,2", help="comma-separated benchmark seeds")
+    args = parser.parse_args()
+    for line in lines(args.cases, [int(s) for s in args.seeds.split(",")]):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
