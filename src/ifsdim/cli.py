@@ -666,9 +666,7 @@ def cmd_dimension(cfg: RunConfig) -> Callable[[], dict]:
             collocation = collocate(source)
             sol = bowen_solve(source, depth=word_depth, collocation=collocation)
             bowen_root = sol.h
-            # the eigenmeasure alone outlives the masses record and its word tree
-            deepest = cylinder_masses(collocation, sol.state, source.incidence, cyl_depth).eigenmeasure
-            measure = CylinderMeasure(source, cyl_depth, deepest)
+            measure = cylinder_masses(collocation, sol.state, source, cyl_depth)
             # the ratio is read off the eigenpair of the root itself
             try:
                 ratio = gibbs_state(sol.state).ratio
@@ -756,10 +754,8 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
         else:
             pair = collocation.eigenpair(exponent)
         state = gibbs_state(pair)
-        masses = cylinder_masses(collocation, pair, source.incidence, depth)
-        defect, words = masses.shift_invariance_defect(), masses.words  # one expansion, cached
-        eigenmeasure, invariant = masses.eigenmeasure, masses.invariant
-        del masses  # the word tree goes before the table
+        masses = cylinder_masses(collocation, pair, source, depth)
+        words = masses.words
         results = {
             "exponent": pair.s,
             "eigenvalue": pair.eigenvalue,
@@ -775,7 +771,7 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
         table = _table(
             "word,eigenmeasure,invariant",
             ".".join(["%d"] * depth) + ",%.17g,%.17g",
-            *words.T, eigenmeasure, invariant,
+            *words.T, masses.eigenmeasure, masses.invariant,
         )
         return {
             "results": results,
@@ -783,7 +779,7 @@ def cmd_gibbs(cfg: RunConfig) -> Callable[[], dict]:
                 "residual": pair.residual,
                 "density_residual": pair.density_residual,
                 "iterations": pair.passes,
-                "shift_invariance_defect": defect,
+                "shift_invariance_defect": masses.shift_invariance_defect(),
                 **root_diagnostics,
             },
             "tables": {"masses": table},

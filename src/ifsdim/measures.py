@@ -14,9 +14,12 @@ Two concrete measure representations cover everything the package needs:
 * ``CylinderMeasure`` — masses on the cylinder algebra of a finite system,
                         stored per depth with exact additivity (each word's
                         mass is the sum of its extensions' masses by
-                        construction).  Its deepest level is given: for
-                        the h-conformal measure, the eigenmeasure column of
-                        ``transfer.cylinder_masses`` at the Bowen root.
+                        construction), beside each level's last symbols
+                        and child starts.  ``transfer.cylinder_masses``
+                        builds it, its deepest level the eigenmeasure
+                        masses and with them the invariant ones: at the
+                        Bowen root, the h-conformal table that ``gibbs``
+                        reports and ``dimension`` samples.
 
 Three convergence gauges with strictly decreasing strength:
 
@@ -300,49 +303,70 @@ def setwise_discrepancy(m1: LineMeasure, m2: LineMeasure, sets: Iterable[tuple])
 class CylinderMeasure:
     """Masses on the admissible words of depth 1..depth, lexicographic order.
 
-    Built from ``system``, ``depth`` and the depth-``depth`` masses
-    ``deepest`` of total one, in the word order of
-    ``transfer.cylinder_masses``.  ``masses[d-1]`` holds the depth-d
-    cylinder masses: each shallower level is the exact child-sum of the
-    level below it, reduced from ``deepest``, so additivity holds to float
-    addition error rather than to a normalization tolerance.
+    Built by ``transfer.cylinder_masses`` from ``system``, the last symbols
+    of each level, and the deepest level's tails and masses:
+    ``last_symbols[d-1]`` holds the last symbol of each depth-d word,
+    ``tail`` the row of each depth-``depth`` word's tail among the shorter
+    words (all 0 at depth 1, the empty word), and ``eigenmeasure`` and
+    ``invariant`` their two masses, each of total one.  ``masses[d-1]``
+    holds the depth-d eigenmeasure masses: each shallower level is the
+    exact child-sum of the level below it, reduced from ``eigenmeasure``,
+    so additivity holds to float addition error rather than to a
+    normalization tolerance.
 
-    ``last_symbols[d-1]`` holds the last symbol of each depth-d word, and
-    ``child_starts[d-1][i]`` the index in level d+1 of the first extension
-    of word i; extensions of a word are contiguous and in symbol order
-    because the levels are lexicographic.
+    ``child_starts[d-1][i]`` is the index in level d+1 of the first
+    extension of word i (``_child_starts``); extensions of a word are
+    contiguous and in symbol order because the levels are lexicographic.
     """
 
-    def __init__(self, system: SystemSpec, depth: int, deepest: np.ndarray) -> None:
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        last, starts = _extension_tables(system, depth)
-        levels = [deepest]
-        for d in range(depth - 1, 0, -1):
-            levels.append(np.add.reduceat(levels[-1], starts[d - 1][:-1]))
-        self.system, self.depth = system, depth
+    def __init__(
+        self, system: SystemSpec, last_symbols: list, tail: np.ndarray, eigenmeasure: np.ndarray,
+        invariant: np.ndarray,
+    ) -> None:
+        starts = [_child_starts(system.incidence, last) for last in last_symbols[:-1]]
+        levels = [eigenmeasure]
+        for cs in reversed(starts):
+            levels.append(np.add.reduceat(levels[-1], cs[:-1]))
+        self.system, self.depth = system, len(last_symbols)
         self.masses = tuple(reversed(levels))
-        self.last_symbols, self.child_starts = tuple(last), tuple(starts)
+        self.last_symbols, self.child_starts = tuple(last_symbols), tuple(starts)
+        self.tail, self.eigenmeasure, self.invariant = tail, eigenmeasure, invariant
 
     def level(self, d: int) -> np.ndarray:
         if not 1 <= d <= self.depth:
             raise ValueError(f"stored depths are 1..{self.depth}, got {d}")
         return self.masses[d - 1]
 
+    @functools.cached_property
+    def words(self) -> np.ndarray:
+        """The (words, depth) digit matrix of the deepest level, in the
+        narrowest unsigned type that holds a symbol: column d-1 repeats each
+        depth-d word's last symbol over its deepest extensions."""
+        digit = np.min_scalar_type(self.system.alphabet_size - 1)
+        words = np.empty((len(self.tail), self.depth), dtype=digit)
+        words[:, -1] = self.last_symbols[-1]
+        ends = np.arange(len(self.tail) + 1)  # where each word's deepest extensions start
+        for d in range(self.depth - 1, 0, -1):
+            ends = ends[self.child_starts[d - 1]]
+            words[:, d - 1] = np.repeat(self.last_symbols[d - 1], np.diff(ends))
+        return words
 
-def _extension_tables(system: SystemSpec, depth: int):
-    """last_symbols and child_starts arrays for levels 1..depth.  The
-    extensions of a level are the row-major nonzeros of the incidence rows
-    of its last symbols."""
-    allowed = system.incidence
-    counts = allowed.sum(axis=1)
-    last = [np.arange(system.alphabet_size, dtype=np.int64)]
-    starts = []
-    for _ in range(2, depth + 1):
-        prev = last[-1]
-        starts.append(np.concatenate(([0], np.cumsum(counts[prev]))))
-        last.append(np.nonzero(allowed[prev])[1].copy())  # a view would hold both index rows
-    return last, starts
+    def shift_invariance_defect(self) -> float:
+        """max over depth-(n-1) words v of |mu[v .] - mu[. v]|, the invariant
+        masses summed over the last and over the first symbol (0 at depth 1,
+        where both sums are the total mass)."""
+        if self.depth == 1:
+            return 0.0
+        cs = self.child_starts[-1]
+        head = np.repeat(np.arange(len(cs) - 1), np.diff(cs))  # the row of each word's head w[:-1]
+        marginals = np.bincount(head, self.invariant) - np.bincount(self.tail, self.invariant)
+        return float(np.abs(marginals).max())
+
+
+def _child_starts(incidence: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Where each word's extensions start in the next level, then that
+    level's size: the cumulative incidence row counts of the last symbols."""
+    return np.concatenate(([0], np.cumsum(incidence.sum(axis=1)[last])))
 
 
 def mass_distribution_sequence(system: SystemSpec, h: float, n: int) -> LineMeasure:
@@ -526,7 +550,8 @@ def _sample_cylinders(measure: CylinderMeasure, count: int, rng) -> np.ndarray:
     if measure.depth >= 2:
         last, cs, two = measure.last_symbols[1], measure.child_starts[0], measure.masses[1]
     else:
-        (_, last), (cs,) = _extension_tables(measure.system, 2)
+        allowed = measure.system.incidence
+        last, cs = np.nonzero(allowed)[1], _child_starts(allowed, np.arange(m))
         two = measure.masses[0][last]
     level = _level(two, cs)
     cur = np.take(measure.last_symbols[measure.depth - 1], idx, out=nxt, mode="wrap")

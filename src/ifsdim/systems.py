@@ -74,9 +74,7 @@ class SystemSpec:
     cannot change the system; without one it is the full shift, one True
     broadcast to m x m.  A given incidence must be irreducible, every map
     reaching every map through admissible words, as a CGDMS's incidence is
-    (for a finite alphabet, finitely irreducible is irreducible).  Systems
-    compare by their entries and hash by their shapes, so a hash reads no
-    entries.
+    (for a finite alphabet, finitely irreducible is irreducible).
     """
 
     coefficients: np.ndarray
@@ -133,18 +131,6 @@ class SystemSpec:
                 raise InvalidSystem("incidence is not irreducible: " + pair.format(int(np.argmin(reached))))
         incidence.setflags(write=False)
         object.__setattr__(self, "incidence", incidence)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SystemSpec):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and np.array_equal(self.incidence, other.incidence)
-            and np.array_equal(self.coefficients, other.coefficients)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients.shape, self.label))
 
     @property
     def alphabet_size(self) -> int:

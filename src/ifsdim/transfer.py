@@ -21,28 +21,30 @@ the invariant (shift-stationary) measure.  Both come from one prepend
 recursion over the branch blocks B_e[k, l] = |s_e'(x_k)|^s
 interpolation[k, e, l]: the row a_e = sum_{g fed by e} l_g B_e, then
 a_(e w) = a_w B_e, with every row in the last step contracted against the
-columns 1 and rho of its first symbol's grid instead.  Of the words it
-keeps only each step's index pairs (e, row of w), the word tree that
-``CylinderMasses.words`` expands, in the lexicographic order of the levels
-of ``systems.level_images`` and ``systems.level_log_derivatives``, so each
-mass lines up with its word's image.  At the Bowen root these eigenmeasure
-masses are the package's one h-conformal mass: ``gibbs`` reports them and
-``dimension`` samples them as a ``measures.CylinderMeasure``.
+columns 1 and rho of its first symbol's grid instead.  Each step pairs
+every new word e w with the row of its tail w, so the words come out in
+the lexicographic order of the levels of ``systems.level_images`` and
+``systems.level_log_derivatives`` and each mass lines up with its word's
+image; the last symbol of e w is that of w.  Of the words the recursion
+keeps each level's last symbols and the deepest level's tails, and hands
+them with the masses to the one cylinder table, ``measures.CylinderMeasure``.
+At the Bowen root its eigenmeasure masses are the package's one
+h-conformal mass: ``gibbs`` reports the table and ``dimension`` samples it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import CylinderMeasure
 from .pressure import Collocation, ConvergenceFailure, Eigenpair
 from .symbolic import count_admissible
+from .systems import SystemSpec
 
 __all__ = [
-    "CylinderMasses",
     "DegenerateSystemError",
     "GibbsState",
     "cylinder_masses",
@@ -90,43 +92,6 @@ def gibbs_state(pair: Eigenpair) -> GibbsState:
     return GibbsState(entropy=math.log(pair.eigenvalue) + pair.s * lyapunov, lyapunov=lyapunov)
 
 
-@dataclass(frozen=True, eq=False)
-class CylinderMasses:
-    """The admissible depth-n words, in lexicographic order, with their
-    ``eigenmeasure`` and ``invariant`` masses, each of total mass one.  The
-    words are held as the prepend recursion's tree: ``tree[j - 1]`` pairs
-    the first symbol of each depth-j word with the row of its tail among
-    the depth-(j-1) words (all 0 at depth 1, the empty word)."""
-
-    tree: tuple = field(repr=False)
-    eigenmeasure: np.ndarray = field(repr=False)
-    invariant: np.ndarray = field(repr=False)
-
-    @property
-    def tail(self) -> np.ndarray:  # the row of each word's tail among the shorter words
-        return self.tree[-1][1]
-
-    @functools.cached_property
-    def words(self) -> np.ndarray:
-        """The (words, n) digit matrix, expanded from the tree once."""
-        words, row = np.empty((len(self.tail), len(self.tree)), dtype=np.intp), np.arange(len(self.tail))
-        for j, (first, tail) in enumerate(reversed(self.tree)):
-            words[:, j] = first[row]
-            row = tail[row]
-        return words
-
-    def shift_invariance_defect(self) -> float:
-        """max over depth-(n-1) words v of |mu[v .] - mu[. v]|, the invariant
-        masses summed over the last and over the first symbol (0 at depth 1,
-        where both sums are the total mass)."""
-        # an irreducible incidence gives every word a child, so the heads
-        # w[:-1] of the lexicographic level run through the shorter words
-        changed = (self.words[1:, :-1] != self.words[:-1, :-1]).any(axis=1)
-        head = np.concatenate(([0], np.cumsum(changed)))
-        marginals = np.bincount(head, self.invariant) - np.bincount(self.tail, self.invariant)
-        return float(np.abs(marginals).max())
-
-
 def masses_entries(incidence: np.ndarray, depth: int, grids: int, nodes: int) -> int:
     """The most entries one array of the masses recursion holds at
     ``depth``: a step's product of the depth-(j-1) rows with the blocks of
@@ -139,14 +104,15 @@ def masses_entries(incidence: np.ndarray, depth: int, grids: int, nodes: int) ->
 
 
 def cylinder_masses(
-    collocation: Collocation, pair: Eigenpair, incidence: np.ndarray, depth: int
-) -> CylinderMasses:
+    collocation: Collocation, pair: Eigenpair, system: SystemSpec, depth: int
+) -> CylinderMeasure:
     """The eigenmeasure and invariant masses of the admissible depth-``depth``
     words at ``pair``'s exponent, by the prepend recursion of the module
     docstring: the words come out in lexicographic order, with one
     (words, nodes) @ (nodes, m nodes) product per depth, and the deepest
-    rows are never formed; each step keeps two index rows, the word tree.
-    A non-positive mass raises :class:`ConvergenceFailure`."""
+    rows are never formed.  Each step keeps its words' last symbols, those
+    of their tails; only the deepest step keeps its tails.  A non-positive
+    mass raises :class:`ConvergenceFailure`."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     nodes, grids = collocation.factors.shape[0], len(collocation.bounds) - 1
@@ -157,19 +123,24 @@ def cylinder_masses(
     rho = pair.right.reshape(grids, nodes)[grid]
     ends = np.stack((blocks.sum(axis=2), np.einsum("kel,el->ke", blocks, rho)), axis=2)
     m = branch.size
-    rows, tree = pair.left.reshape(grids, nodes), []  # depth 0: one row per grid
+    rows, last = pair.left.reshape(grids, nodes), []  # depth 0: one row per grid
     for level in range(1, depth + 1):
         columns = ends if level == depth else blocks
         rows = (rows @ columns.reshape(nodes, -1)).reshape(len(rows), m, -1)  # the step's product
         if level == 1:  # branch e sums the grids it feeds
             rows = np.einsum("ge,gec->ec", collocation.feeds[:, branch], rows)
             first, tail = np.arange(m), np.zeros(m, dtype=np.intp)
+            last.append(first)
         else:  # e goes before the words whose first symbol may follow it
-            first, tail = np.nonzero(incidence[:, first])
+            first, tail = np.nonzero(system.incidence[:, first])
             rows = rows[tail, first]
-        tree.append((first, tail))
+            last.append(last[-1][tail])
+    # nonzero's two index rows are views of one array: the tails' copy frees the first symbols
+    tail = tail.copy()
+    del first
     total = rows.sum(axis=0)
     eigenmeasure, invariant = rows[:, 0] / total[0], rows[:, 1] / total[1]
+    del rows  # before the measure sums the shallower levels
     if not ((eigenmeasure > 0.0).all() and (invariant > 0.0).all()):
         raise ConvergenceFailure(f"a cylinder mass at s = {pair.s!r} is not positive")
-    return CylinderMasses(tuple(tree), eigenmeasure, invariant)
+    return CylinderMeasure(system, last, tail, eigenmeasure, invariant)

@@ -7,7 +7,8 @@ masses recursion in ``transfer``) and on whole arrays of intervals
 one-interval-at-a-time versions the tests hold that code to, exact rational
 values of line-measure functionals, and a cylinder transfer operator whose
 root is an independent check of the collocation root.  ``conformal_measure`` builds the ``CylinderMeasure``
-that ``dimension`` samples, at any exponent, and ``level_geometry`` is the
+that ``dimension`` samples, at any exponent, ``extension_tables`` enumerates
+its word tables from the incidence, and ``level_geometry`` is the
 package's level in whole-array expressions, which its two in-place readers
 must match bit for bit.
 """
@@ -231,13 +232,29 @@ def quadrature_masses(
     return masses[:, 0], masses[:, 1]
 
 
+def extension_tables(system: SystemSpec, depth: int):
+    """last_symbols and child_starts arrays for levels 1..depth.  The
+    extensions of a level are the row-major nonzeros of the incidence rows
+    of its last symbols.  The reference for the tables of
+    ``measures.CylinderMeasure``, which ``transfer.cylinder_masses`` reads
+    off its prepend recursion instead."""
+    allowed = system.incidence
+    counts = allowed.sum(axis=1)
+    last = [np.arange(system.alphabet_size, dtype=np.int64)]
+    starts = []
+    for _ in range(2, depth + 1):
+        prev = last[-1]
+        starts.append(np.concatenate(([0], np.cumsum(counts[prev]))))
+        last.append(np.nonzero(allowed[prev])[1].copy())  # a view would hold both index rows
+    return last, starts
+
+
 def conformal_measure(system: SystemSpec, s: float, depth: int) -> CylinderMeasure:
     """The ``CylinderMeasure`` of the collocation eigenmeasure at ``s`` to
     ``depth``: at the Bowen root, the masses ``dimension`` samples and the
     ``gibbs`` masses table reports."""
     collocation = collocate(system)
-    masses = cylinder_masses(collocation, collocation.eigenpair(s), system.incidence, depth)
-    return CylinderMeasure(system, depth, masses.eigenmeasure)
+    return cylinder_masses(collocation, collocation.eigenpair(s), system, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from ifsdim.measures import (
     _child_choice,
     _draw_children,
     _level,
-    CylinderMeasure,
     LineMeasure,
     gallery,
     mass_distribution_sequence,
@@ -481,12 +480,6 @@ def test_cylinder_additivity_is_machine_exact():
         for d in range(1, depth):
             kids = np.add.reduceat(cm.level(d + 1), cm.child_starts[d - 1][:-1])
             np.testing.assert_allclose(kids, cm.level(d), rtol=0.0, atol=1e-15)
-
-
-def test_cylinder_measure_argument_guards():
-    sys_ = cantor_system((1 / 3, 1 / 3))
-    with pytest.raises(ValueError, match="depth must be >= 1"):
-        CylinderMeasure(sys_, 0, np.ones(1))
 
 
 def test_fibonacci_cylinder_tables_follow_the_incidence():

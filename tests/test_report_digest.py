@@ -46,12 +46,13 @@ def test_report_digest_runs_every_case_and_repeats_itself(tool, monkeypatch, cap
         runs.append(capsys.readouterr().out.splitlines())
     # the host line, then the six configs, one timed case of each of the
     # three workloads, bowen, gibbs and dimension on six graph-directed
-    # systems, of which only the reducible one is refused, one gibbs table
-    # of more than one format block, two scan ladders, borderline's
-    # irregular, and a gallery stage with the flatness detector on and off
+    # systems, of which only the reducible one is refused, dimension at
+    # depth 1 on two of them, one gibbs table of more than one format block,
+    # two scan ladders, borderline's irregular, and a gallery stage with the
+    # flatness detector on and off
     host, *lines = runs[0]
     assert host == f"# {tool.host()}"
-    assert len(lines) == 32
+    assert len(lines) == 34
     codes = {line.split()[0] + " " + line.split()[1]: line.split()[2] for line in lines}
     assert [codes.pop(f"incidence:reducible {command}") for command in ("bowen", "gibbs", "dimension")] == ["2"] * 3
     assert codes.pop("incidence:parity gibbs") == "0"
@@ -59,6 +60,7 @@ def test_report_digest_runs_every_case_and_repeats_itself(tool, monkeypatch, cap
     assert codes.pop("ladder:continued-fraction scan") == "0"
     assert codes.pop("ladder:borderline scan") == "4"
     assert codes.pop("stages:flatness-on dimension") == codes.pop("stages:flatness-off dimension") == "0"
+    assert codes.pop("depth-one:fibonacci dimension") == codes.pop("depth-one:moebius-cycle dimension") == "0"
     assert list(codes.values()) == ["0"] * 23
     assert runs[1] == runs[0]
 

@@ -381,18 +381,11 @@ def test_admissibility_checked_on_word_helpers():
         word_image(sys_, (5,))
 
 
-def test_spec_is_hashable():
-    a = golden_family().truncate(3)
-    b = golden_family().truncate(3)
-    assert hash(a) == hash(b) and a == b
-
-
 def test_specs_differing_in_one_coefficient_share_no_level():
     rows = golden_family().coefficients(3)
     moved = rows.copy()
     moved[1, 1] = 0.55  # shifts the image of map 1
     a, b = (SystemSpec(r) for r in (rows, moved))
-    assert a != b and hash(a) == hash(b)  # a hash reads no entries
     assert level_images(a, 1)[0].tolist() == [0.0, 0.5, 0.75]
     assert level_images(b, 1)[0].tolist() == [0.0, 0.55, 0.75]
     with pytest.raises(ValueError):
@@ -404,7 +397,6 @@ def test_specs_differing_in_one_coefficient_share_no_level():
 def test_specs_differing_in_their_incidence_share_no_level():
     rows = continued_fraction_family().coefficients(2)
     shift, fibonacci = SystemSpec(rows), SystemSpec(rows, ((1, 1), (1, 0)))
-    assert shift != fibonacci and hash(shift) == hash(fibonacci)
     assert len(level_images(shift, 4)[0]) == 16
     assert len(level_images(fibonacci, 4)[0]) == 8
 

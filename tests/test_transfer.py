@@ -4,14 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ifsdim.pressure import ConvergenceFailure, Eigenpair, _power_iterate, bowen_solve, collocate
 from ifsdim.symbolic import count_admissible
 from ifsdim.systems import InvalidSystem, SystemSpec, cantor_system, continued_fraction_family, golden_family
 from ifsdim.transfer import DegenerateSystemError, cylinder_masses, gibbs_state
 
-from reference import cylinder_operator_root, enumerate_admissible, pressure, quadrature_masses
+from reference import (
+    cylinder_operator_root,
+    enumerate_admissible,
+    extension_tables,
+    pressure,
+    quadrature_masses,
+    reaching_pairs,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 TERNARY_H = math.log(2.0) / math.log(3.0)
@@ -25,7 +32,7 @@ def fibonacci_system():
 
 def _masses(system, t, depth):
     col = collocate(system)
-    return cylinder_masses(col, col.eigenpair(t), system.incidence, depth)
+    return cylinder_masses(col, col.eigenpair(t), system, depth)
 
 
 def _dense(col, t):
@@ -104,7 +111,7 @@ def test_array_operator_matches_the_per_word_reference(system, depth, t):
         depth -= 1
     col = collocate(system)
     pair = col.eigenpair(t)
-    masses = cylinder_masses(col, pair, system.incidence, depth)
+    masses = cylinder_masses(col, pair, system, depth)
     conformal, invariant = quadrature_masses(system, col, pair, depth)
     words = list(enumerate_admissible(system.incidence, depth))
     assert [tuple(w) for w in masses.words.tolist()] == words
@@ -113,6 +120,36 @@ def test_array_operator_matches_the_per_word_reference(system, depth, t):
     assert masses.shift_invariance_defect() == pytest.approx(
         _dict_defect(masses.words, masses.invariant), abs=1e-16
     )
+
+
+@st.composite
+def irreducible_incidences(draw):
+    """2-4 symbols with each entry 1 two times in three, as
+    ``test_properties.custom_systems`` draws them; reducible draws are
+    assumed away."""
+    m = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from((0, 1, 1)), min_size=m, max_size=m), min_size=m, max_size=m))
+    assume(len(reaching_pairs(rows)) == m * m)
+    return rows
+
+
+@given(irreducible_incidences(), st.integers(1, 6), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_cylinder_tables_match_the_incidence_enumeration(incidence, depth, t):
+    # the recursion's tables against the level-by-level extensions of the
+    # incidence rows and the per-word enumeration of the admissible words
+    m = len(incidence)
+    system = SystemSpec([(0.8 / m, e / m, 0.0, 1.0) for e in range(m)], incidence)
+    measure = _masses(system, t, depth)
+    last, starts = extension_tables(system, depth)
+    assert [a.tolist() for a in measure.last_symbols] == [a.tolist() for a in last]
+    assert [a.tolist() for a in measure.child_starts] == [a.tolist() for a in starts]
+    words = list(enumerate_admissible(system.incidence, depth))
+    assert [tuple(w) for w in measure.words.tolist()] == words
+    shorter = enumerate_admissible(system.incidence, depth - 1) if depth > 1 else [()]
+    row = {w: k for k, w in enumerate(shorter)}
+    assert measure.tail.tolist() == [row[w[1:]] for w in words]
+    assert measure.shift_invariance_defect() == _dict_defect(measure.words, measure.invariant)
 
 
 def _on_incidence(system, rows):
@@ -141,7 +178,7 @@ SOLVE_IDS = ["cf2-incidence-11-10-d1", "cf3-incidence-011-111-111-d1", "fibonacc
 def test_masses_recursion_matches_the_quadrature(system, depth):
     col = collocate(system)
     pair, _ = col.root()
-    masses = cylinder_masses(col, pair, system.incidence, depth)
+    masses = cylinder_masses(col, pair, system, depth)
     assert len(masses.words) == count_admissible(system.incidence, depth)
     conformal, invariant = quadrature_masses(system, col, pair, depth)
     assert np.abs(masses.eigenmeasure / conformal - 1.0).max() <= 1e-13
@@ -174,7 +211,7 @@ def test_operator_argument_validation():
     sys_ = cantor_system((1 / 3, 1 / 3))
     col = collocate(sys_)
     with pytest.raises(ValueError):
-        cylinder_masses(col, col.eigenpair(0.5), sys_.incidence, 0)
+        cylinder_masses(col, col.eigenpair(0.5), sys_, 0)
     for exponent in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             col.eigenpair(exponent)
@@ -186,34 +223,39 @@ def test_no_operator_array_grows_with_the_square_of_the_states():
     pair = col.eigenpair(0.53)
     tracemalloc.start()
     try:
-        masses = cylinder_masses(col, pair, cf.incidence, 12)
+        masses = cylinder_masses(col, pair, cf, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(masses.words) == 4096 and masses.words.shape == (4096, 12)
     # the largest arrays are the last steps' products of rows x m x nodes;
-    # the deepest rows x nodes never exist, nor does the digit matrix
-    assert peak < 4 * masses.words.nbytes
+    # the deepest rows x nodes never exist, nor does the digit matrix (one
+    # byte per digit here), so the peak stays under four int64 digit matrices
+    assert masses.words.dtype == np.uint8
+    assert peak < 4 * 8 * masses.words.size
     # one dense words x words float array alone would take 134 MB
     assert peak < 8 * len(masses.words) ** 2 / 20
 
 
 def test_masses_keep_two_index_rows_per_level_not_the_digit_matrix():
-    # a similitude system has one node, so the word tree is most of the peak:
-    # two int64 rows per word at each level, 24 B/word over three maps.  The
-    # last step's product or rows and the two mass columns add 16 B/word
-    # each (57 B/word in all); a (words x depth) matrix at every level took 224.
+    # a similitude system has one node, so the last step's index rows are
+    # most of the peak.  While it gathers its rows it holds its product
+    # (rows x 3 maps x 2 columns), the (first, tail) index pairs and the
+    # gathered rows, 16 B/word each, beside the shallower levels' last
+    # symbols, 4 B/word over three maps: 52 B/word in all.  The word tree of
+    # every level's index pairs read 57, and a (words x depth) matrix at
+    # every level 224.
     system = cantor_system((0.2, 0.25, 0.3))
     col = collocate(system)
     pair = col.eigenpair(0.6)
     tracemalloc.start()
     try:
-        masses = cylinder_masses(col, pair, system.incidence, 10)
+        masses = cylinder_masses(col, pair, system, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(masses.tail) == 3**10
-    assert peak <= 64 * 3**10
+    assert peak <= 53 * 3**10
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +272,7 @@ def test_fibonacci_zero_potential_eigenpair_is_golden_ratio():
     col = collocate(fibonacci_system())
     pair = col.eigenpair(0.0)
     assert pair.eigenvalue == pytest.approx(PHI, abs=1e-12)
-    masses = cylinder_masses(col, pair, fibonacci_system().incidence, 1)
+    masses = cylinder_masses(col, pair, fibonacci_system(), 1)
     assert masses.eigenmeasure[0] / masses.eigenmeasure[1] == pytest.approx(PHI, abs=1e-12)
     # symbol 0 may follow both symbols, symbol 1 only 0: two grids of one node
     rho = pair.right[np.searchsorted(col.bounds, np.argsort(col.order), side="right") - 1]
@@ -302,9 +344,9 @@ def test_eigenmeasure_matches_the_dense_eigendecomposition(system, depth, t):
     assert np.abs(pair.left - ell).max() <= 1e-12 * np.abs(ell).max()
     assert np.abs(pair.right - rho).max() <= 1e-12 * rho.max()
     # and the masses those vectors give
-    masses = cylinder_masses(col, pair, system.incidence, depth)
+    masses = cylinder_masses(col, pair, system, depth)
     exact = cylinder_masses(
-        col, dataclasses.replace(pair, left=ell, right=rho), system.incidence, depth
+        col, dataclasses.replace(pair, left=ell, right=rho), system, depth
     )
     assert np.abs(masses.eigenmeasure / exact.eigenmeasure - 1.0).max() <= 1e-11
     assert np.abs(masses.invariant / exact.invariant - 1.0).max() <= 1e-11
@@ -372,7 +414,7 @@ def test_entropy_is_the_block_entropy_limit_of_the_invariant_masses(system, t):
         depth += 1
     blocks = []
     for d in (depth - 1, depth):
-        mu = cylinder_masses(col, col.eigenpair(t), system.incidence, d).invariant
+        mu = cylinder_masses(col, col.eigenpair(t), system, d).invariant
         blocks.append(float(-(mu * np.log(mu)).sum()))
     conditional = blocks[1] - blocks[0]
     assert state.entropy <= conditional + 1e-12

@@ -6,8 +6,10 @@ command is the last dash-separated part of the file name), on the first
 ``--cases`` timed inputs of each benchmark workload (``perfbench/inputs.py``)
 for each of ``--seeds``, on ``bowen``, ``gibbs`` and ``dimension`` of six
 graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark input
-is a full shift, on one ``gibbs`` whose masses table spans more than one
-of the row blocks ``cli`` formats a table in (``DEEP_TABLE``), on ``scan``
+is a full shift, on ``dimension`` of two of them at depth 1
+(``DEPTH_ONE``), where the sampler reads level 2 off the incidence, on one
+``gibbs`` whose masses table spans more than one of the row blocks ``cli``
+formats a table in (``DEEP_TABLE``), on ``scan``
 ladders of a Möbius family and of an irregular one (``LADDERS``), which no
 config or benchmark input scans, and on ``dimension`` of one
 ``gallery:cantor-mass-stages`` member with the flatness detector on and
@@ -69,6 +71,8 @@ INCIDENCE_SYSTEMS = {
     # 1 never reaches 0: every command refuses it in the plan
     "reducible": ("similitude:0.4:0; similitude:0.4:0.6", "11;01"),
 }
+# one stored level: every sampled digit after the first is a level-2 child
+DEPTH_ONE = ("fibonacci", "moebius-cycle")
 # 3^9 = 19,683 masses rows
 DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 9\n"
 # family: scan.levels; Möbius levels at their own default depths, and an
@@ -76,6 +80,15 @@ DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth =
 LADDERS = {"continued-fraction": "2:16", "borderline": "2:8"}
 # 2^8 pieces of the middle-thirds mass distribution
 STAGES = "system.family = gallery:cantor-mass-stages\ndimension.member = 8\nsample.count = 2000\nsample.seed = 1\n"
+
+
+def _graph_directed(name: str, depth: int) -> str:
+    """The config of ``INCIDENCE_SYSTEMS[name]`` at ``dimension.depth``."""
+    maps, rows = INCIDENCE_SYSTEMS[name]
+    return (
+        f"system.family = custom\nsystem.maps = {maps}\nsystem.incidence = {rows}\n"
+        f"dimension.depth = {depth}\nsample.count = 2000\nsample.seed = 1\n"
+    )
 
 
 def host() -> str:
@@ -145,12 +158,10 @@ def lines(cases: int, seeds: list[int]):
         for workload in inputs.WORKLOADS:
             timed = inputs.timed(workload, seed)[:cases]
             runs += [(f"{workload}:{seed}:{i}", c.command, c.config) for i, c in enumerate(timed)]
-    for name, (maps, rows) in INCIDENCE_SYSTEMS.items():
-        config = (
-            f"system.family = custom\nsystem.maps = {maps}\nsystem.incidence = {rows}\n"
-            "dimension.depth = 6\nsample.count = 2000\nsample.seed = 1\n"
-        )
+    for name in INCIDENCE_SYSTEMS:
+        config = _graph_directed(name, 6)
         runs += [(f"incidence:{name}", command, config) for command in ("bowen", "gibbs", "dimension")]
+    runs += [(f"depth-one:{name}", "dimension", _graph_directed(name, 1)) for name in DEPTH_ONE]
     runs.append(("deep-table", "gibbs", DEEP_TABLE))
     for name, levels in LADDERS.items():
         runs.append((f"ladder:{name}", "scan", f"system.family = {name}\nscan.levels = {levels}\n"))
