@@ -28,9 +28,9 @@ t * log(distortion bound) / depth.
 form for log sum |a_i|^t, including the irregular ones whose pressure jumps
 past zero without a root; it bisects, as that form has no slope.
 
-All roots come from ``_find_root`` and all leading eigenvectors from
-``_power_iterate``.  ``Collocation.eigenpair`` is the one eigen-solve: the
-roots read its eigenvalue and slope, and ``transfer`` reads the Gibbs data,
+All roots come from ``_find_root``.  ``Collocation.eigenpair`` is the one
+eigen-solve, one power iteration for every system: the roots read its
+eigenvalue and slope, and ``transfer`` reads the Gibbs data,
 cylinder masses, entropy and Lyapunov exponent, off the same record.
 """
 
@@ -210,38 +210,6 @@ def _find_root(
     return 0.5 * (lo + hi), (lo, hi), evals
 
 
-def _power_iterate(
-    apply: Callable[[np.ndarray], np.ndarray],
-    shape: Union[int, tuple[int, ...]],
-    tol: float,
-    max_iters: int,
-) -> tuple[np.ndarray, int]:
-    """Power iteration of the linear map ``apply`` on arrays of ``shape``,
-    from the uniform array, each image normalised to sum one, until two
-    successive arrays differ by at most ``tol`` anywhere; returns (array,
-    passes)."""
-    vec = np.full(shape, 1.0)
-    vec /= vec.size
-    drift = math.inf
-    for it in range(1, max_iters + 1):
-        nxt = apply(vec)
-        total = float(nxt.sum())
-        if total <= 0 or not math.isfinite(total):
-            raise ConvergenceFailure(
-                f"power iteration produced a non-positive image (sum={total}) "
-                f"at pass {it}"
-            )
-        nxt /= total
-        drift = float(np.abs(nxt - vec).max())
-        vec = nxt
-        if drift <= tol:
-            return vec, it
-    raise ConvergenceFailure(
-        f"power iteration did not settle within {max_iters} passes "
-        f"(last drift {drift:.3e})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev collocation of the transfer operator
 
@@ -264,21 +232,21 @@ def _chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, weights
 
 
-def _grids(system: SystemSpec) -> tuple[np.ndarray, tuple[int, ...], bool]:
+def _grids(system: SystemSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     """Symbols share a collocation grid when the same symbols may precede
     them (equal incidence columns).  Returns the symbols sorted by grid,
     grid h holding the symbols ``bounds[h]:bounds[h + 1]`` of that order,
-    then ``bounds``, and whether the incidence is the full shift."""
+    then ``bounds``."""
     allowed, m = system.incidence, system.alphabet_size
     if allowed.strides == (0, 0) or allowed.all():
         # the full shift needs no sort: the default broadcast True or all
         # ones, so every column is the same
-        return np.arange(m), (0, m), True
+        return np.arange(m), (0, m)
     keys = np.packbits(allowed, axis=0)  # column j: its bits
     order = np.lexsort(keys)
     ranked = keys[:, order]
     starts = np.flatnonzero(np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0))))
-    return order, tuple(starts.tolist()) + (order.size,), False
+    return order, tuple(starts.tolist()) + (order.size,)
 
 
 def collocation_shape(system: SystemSpec) -> tuple[int, int]:
@@ -335,19 +303,22 @@ class Collocation:
     interpolation: np.ndarray = field(repr=False)
     feeds: np.ndarray = field(repr=False)
     bounds: tuple[int, ...]
-    full_shift: bool
 
     def eigenpair(self, s: float) -> Eigenpair:
         """The leading eigen-data of the collocation matrix L at ``s``.
 
-        Both vectors come from one ``_power_iterate``, on the pair (P, P^T),
-        P = L^32 by COLLOCATION_SQUARINGS squarings of L scaled to a leading
-        eigenvalue near one, whatever the number n of unknowns.  Off the
-        full shift P is first shifted by the identity, so that the leading
-        eigenvalue stays alone on top even where the incidence is periodic.
-        L and D share one (2, n, n) array, as do P and P^T.  A non-finite
-        ``s`` raises ``ValueError``, an ``s`` whose weights |s_e'(x_k)|^s
-        overflow, or all underflow, ``ConvergenceFailure``."""
+        Both vectors come from one power iteration on the pair (P, P^T),
+        P = (L' + I)^32 by COLLOCATION_SQUARINGS squarings, L' being L
+        scaled to a leading eigenvalue near one, whatever the number n of
+        unknowns.  The identity keeps the leading eigenvalue alone on top,
+        on every system: where the incidence is periodic, and where a
+        negative discretisation eigenvalue of L outgrows the Perron root.
+        From the uniform pair, each image is normalised to sum one, until
+        two successive pairs differ by at most 1e-14 anywhere.  L and D
+        share one (2, n, n) array, as do P and P^T.  A non-finite ``s``
+        raises ``ValueError``; an ``s`` whose weights |s_e'(x_k)|^s
+        overflow, or all underflow, or whose iteration meets a non-positive
+        image or runs past 5000 passes, ``ConvergenceFailure``."""
         if not math.isfinite(s):
             raise ValueError(f"exponent must be finite, got {s!r}")
         with np.errstate(over="ignore"):
@@ -366,13 +337,27 @@ class Collocation:
         if not mass > 0.0:
             raise ConvergenceFailure(f"exponent s = {s!r} underflows the collocation weights |s_e'|^s")
         power = matrices[0] * (n / mass)
-        if not self.full_shift:
-            power.flat[:: n + 1] += 1.0
+        power.flat[:: n + 1] += 1.0
         for _ in range(COLLOCATION_SQUARINGS):
             power = power @ power
         pair = np.array((power, power.T))
         del power
-        vectors, passes = _power_iterate(lambda v: pair @ v, (2, n, 1), 1e-14, 5000)
+        vectors, drift, passes = np.full((2, n, 1), 0.5 / n), math.inf, 0
+        while drift > 1e-14:
+            passes += 1
+            if passes > 5000:
+                raise ConvergenceFailure(
+                    f"power iteration did not settle within 5000 passes at s = {s!r} (last drift {drift:.3e})"
+                )
+            image = pair @ vectors
+            total = float(image.sum())
+            if not 0.0 < total < math.inf:
+                raise ConvergenceFailure(
+                    f"power iteration produced a non-positive image (sum={total}) at pass {passes}, s = {s!r}"
+                )
+            image /= total
+            drift = float(np.abs(image - vectors).max())
+            vectors = image
         right, left = vectors.reshape(2, n)
         images = matrices @ right  # L r and D r
         total, slope = images @ left
@@ -415,7 +400,7 @@ def collocate(system: SystemSpec) -> Collocation:
     eigenfunction is then constant on each grid.  Symbols share a grid when
     the same symbols may precede them (see ``_grids``), so the full shift
     has one grid."""
-    order, bounds, full = _grids(system)
+    order, bounds = _grids(system)
     t, weights = _chebyshev(1 if system.is_similitude() else COLLOCATION_NODES)
     a, b, c, d = system.coefficients[order].T
     x = t[:, None]  # [k, 1]: every branch's domain is [0, 1]
@@ -440,7 +425,6 @@ def collocate(system: SystemSpec) -> Collocation:
         interpolation=interpolation,
         feeds=system.incidence[order[:, None], order[list(bounds[:-1])]].T.astype(float),
         bounds=bounds,
-        full_shift=full,
     )
 
 
@@ -480,7 +464,7 @@ def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | 
         return lambda t: tuple(v / depth for v in _log_sum(a, t))
 
     lo, lower_evals = 0.0, 0
-    if collocation.full_shift:
+    if system.incidence.all():
         _, (lo, _), lower_evals = _find_root(alone(inf), BRACKET_TOL, MAX_EVALUATIONS, f"{label} lower")
     upper, hi, upper_evals = 1.0, 1.0, 0  # a word's sup |s_w'| reaching 1 bounds nothing
     if sup[-1] < 0.0:

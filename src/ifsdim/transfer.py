@@ -7,7 +7,8 @@ log lambda(s) + s chi, the variational identity for that state
 (``gibbs_state``).  At the Bowen root h, where lambda(h) = 1, their ratio is
 h itself.  ``SystemSpec`` admits only irreducible incidences, so the
 positive eigenpair is unique; a periodic incidence needs no primitivity,
-since the collocation shifts by the identity off the full shift.
+since the collocation's power iteration shifts by the identity on every
+system.
 
 The cylinder masses come from the same eigenpair (``cylinder_masses``).  The
 left eigenvector l is a quadrature for the eigenmeasure nu and the right

@@ -30,7 +30,7 @@ import ifsdim.systems
 from ifsdim.cli import main
 from ifsdim.systems import continued_fraction_family, golden_family
 
-from reference import cylinder_operator_root
+from reference import cylinder_operator_root, pressure
 
 TERNARY_H = math.log(2.0) / math.log(3.0)
 GOLDEN_H6 = 0.669031641539660
@@ -1786,6 +1786,62 @@ def test_gibbs_exponent_out_of_float_range_exits_3_naming_the_exponent(
     err = capsys.readouterr().err
     assert message in err and "incidence" not in err
     assert "Warning" not in err and [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("exponent", [4.5, 5.0, 8.0])
+def test_gibbs_on_cf2_far_from_the_root_matches_the_partition_ratios(tmp_path, exponent):
+    # here a negative eigenvalue of the 32-node collocation outgrows the
+    # Perron root in modulus: the identity shift keeps the Perron root on top
+    code, report = run(
+        tmp_path, "gibbs", f"system.family = continued-fraction\nsystem.size = 2\ngibbs.exponent = {exponent}\n"
+    )
+    assert code == 0
+    cf2 = continued_fraction_family().truncate(2)
+    deep, shallow = pressure(cf2, exponent, 16), pressure(cf2, exponent, 15)
+    for figure in ("upper", "lower"):
+        ratio = math.exp(16 * getattr(deep, figure) - 15 * getattr(shallow, figure))
+        assert report["results"]["eigenvalue"] == pytest.approx(ratio, rel=1e-5), figure
+
+
+@pytest.mark.parametrize(
+    "digits, eigenvalue",
+    [
+        ((1, 2, 3, 4), 3609.280465458367),
+        # found by a seeded search (random.Random(40), 200 draws of four
+        # distinct digits in 1..40): 175 draws exit 3 this way.  The
+        # residual max |lL - lambda l| = 1.79e-7 is 6.3e-16 of lambda, at
+        # roundoff, but RESIDUAL_LIMIT is absolute (ROADMAP item 19, defect 3)
+        pytest.param(
+            (34, 9, 4, 13),
+            285843449.4208549,
+            marks=pytest.mark.xfail(strict=True, reason="absolute residual guard at a large eigenvalue"),
+        ),
+    ],
+    ids=["1-2-3-4", "34-9-4-13"],
+)
+def test_gibbs_at_a_negative_exponent_exits_0(tmp_path, digits, eigenvalue):
+    code, report = run(
+        tmp_path,
+        "gibbs",
+        f"system.family = custom\nsystem.maps = {'; '.join(f'moebius:{q}' for q in digits)}\n"
+        "system.incidence = 1110;1010;1011;1011\ngibbs.exponent = -2.76\n",
+    )
+    assert code == 0
+    assert report["results"]["eigenvalue"] == pytest.approx(eigenvalue, rel=1e-12)
+
+
+def test_gibbs_past_the_iteration_budget_exits_3_naming_the_exponent(tmp_path, capsys):
+    # a periodic incidence whose iteration on (L' + I)^32 still needs more
+    # than 5000 passes at s = 4.5
+    code, report = run(
+        tmp_path,
+        "gibbs",
+        "system.family = custom\nsystem.maps = moebius:4; moebius:39\n"
+        "system.incidence = 01;10\ngibbs.exponent = 4.5\n",
+    )
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert "5000 passes" in err and "s = 4.5" in err
 
 
 # ---------------------------------------------------------------------------

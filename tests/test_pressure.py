@@ -536,26 +536,25 @@ def test_the_full_shift_has_one_grid_however_it_is_written():
     explicit = _moebius((1, 2), ((1, 1), (1, 1)))
     broadcast = continued_fraction_family().truncate(2)
     assert collocation_shape(explicit) == collocation_shape(broadcast) == (1, 32)
-    assert collocate(explicit).full_shift and collocate(broadcast).full_shift
+    assert collocate(explicit).bounds == collocate(broadcast).bounds == (0, 2)
     assert bowen_solve(explicit).h == bowen_solve(broadcast).h
 
 
 @pytest.mark.parametrize(
-    "system, grids, full, shape",
+    "system, grids, shape",
     [
-        (continued_fraction_family().truncate(3), [[0, 1, 2]], True, (1, 32)),
+        (continued_fraction_family().truncate(3), [[0, 1, 2]], (1, 32)),
         # columns 1 and 2 are all ones, column 0 is not
-        (_moebius((1, 2, 3), ((0, 1, 1), (1, 1, 1), (1, 1, 1))), [[0], [1, 2]], False, (2, 32)),
-        (FIBONACCI["fibonacci-2"], [[0], [1]], False, (2, 1)),
-        (_moebius((1, 2, 3), ((0, 1, 1), (1, 0, 1), (1, 1, 0))), [[0], [1], [2]], False, (3, 32)),
+        (_moebius((1, 2, 3), ((0, 1, 1), (1, 1, 1), (1, 1, 1))), [[0], [1, 2]], (2, 32)),
+        (FIBONACCI["fibonacci-2"], [[0], [1]], (2, 1)),
+        (_moebius((1, 2, 3), ((0, 1, 1), (1, 0, 1), (1, 1, 0))), [[0], [1], [2]], (3, 32)),
     ],
     ids=["full-shift", "011;111;111", "fibonacci", "011;101;110"],
 )
-def test_symbols_share_a_grid_exactly_when_their_incidence_columns_agree(system, grids, full, shape):
-    order, bounds, full_shift = _grids(system)
+def test_symbols_share_a_grid_exactly_when_their_incidence_columns_agree(system, grids, shape):
+    order, bounds = _grids(system)
     assert sorted(order.tolist()) == list(range(system.alphabet_size))
     assert sorted(sorted(order[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])) == grids
-    assert full_shift is full
     assert collocation_shape(system) == shape
     collocation = collocate(system)
     assert collocation.bounds == bounds and collocation.factors.shape == (shape[1], 2, 1, system.alphabet_size)

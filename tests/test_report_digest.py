@@ -2,7 +2,7 @@
 write bit-identical reports.
 
 A smoke test runs one case per workload, the graph-directed cases, the
-deep gibbs table, the two scan ladders and the two gallery stages twice in
+deep gibbs table, the gibbs far from the root, the two scan ladders and the two gallery stages twice in
 one process, and requires the same digests both times.  The frozen test
 reruns ``--cases 20 --seeds 1`` against ``tests/oracles/report_digests.txt``
 and names every case whose line moved.  Exit codes and the rounded results
@@ -48,15 +48,16 @@ def test_report_digest_runs_every_case_and_repeats_itself(tool, monkeypatch, cap
     # three workloads, bowen, gibbs and dimension on six graph-directed
     # systems, of which only the reducible one is refused, dimension at
     # depth 1 on two of them, one gibbs table of more than one format block,
-    # two scan ladders, borderline's irregular, and a gallery stage with the
+    # one gibbs far from the Bowen root, two scan ladders, borderline's irregular, and a gallery stage with the
     # flatness detector on and off
     host, *lines = runs[0]
     assert host == f"# {tool.host()}"
-    assert len(lines) == 34
+    assert len(lines) == 35
     codes = {line.split()[0] + " " + line.split()[1]: line.split()[2] for line in lines}
     assert [codes.pop(f"incidence:reducible {command}") for command in ("bowen", "gibbs", "dimension")] == ["2"] * 3
     assert codes.pop("incidence:parity gibbs") == "0"
     assert codes.pop("deep-table gibbs") == "0"
+    assert codes.pop("far-exponent gibbs") == "0"
     assert codes.pop("ladder:continued-fraction scan") == "0"
     assert codes.pop("ladder:borderline scan") == "4"
     assert codes.pop("stages:flatness-on dimension") == codes.pop("stages:flatness-off dimension") == "0"

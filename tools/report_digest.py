@@ -9,7 +9,9 @@ graph-directed systems (``INCIDENCE_SYSTEMS``), since every benchmark input
 is a full shift, on ``dimension`` of two of them at depth 1
 (``DEPTH_ONE``), where the sampler reads level 2 off the incidence, on one
 ``gibbs`` whose masses table spans more than one of the row blocks ``cli``
-formats a table in (``DEEP_TABLE``), on ``scan``
+formats a table in (``DEEP_TABLE``), on one ``gibbs`` away from the
+Bowen root, where a negative discretisation eigenvalue of the collocation
+outgrows the Perron root (``FAR_EXPONENT``), on ``scan``
 ladders of a Möbius family and of an irregular one (``LADDERS``), which no
 config or benchmark input scans, and on ``dimension`` of one
 ``gallery:cantor-mass-stages`` member with the flatness detector on and
@@ -75,6 +77,8 @@ INCIDENCE_SYSTEMS = {
 DEPTH_ONE = ("fibonacci", "moebius-cycle")
 # 3^9 = 19,683 masses rows
 DEEP_TABLE = "system.family = continued-fraction\nsystem.size = 3\ngibbs.depth = 9\n"
+# CF{1,2} at s = 6: lambda = 0.0031, the 32-node artefact -0.0115
+FAR_EXPONENT = "system.family = continued-fraction\nsystem.size = 2\ngibbs.exponent = 6\n"
 # family: scan.levels; Möbius levels at their own default depths, and an
 # irregular limit (exit 4)
 LADDERS = {"continued-fraction": "2:16", "borderline": "2:8"}
@@ -163,6 +167,7 @@ def lines(cases: int, seeds: list[int]):
         runs += [(f"incidence:{name}", command, config) for command in ("bowen", "gibbs", "dimension")]
     runs += [(f"depth-one:{name}", "dimension", _graph_directed(name, 1)) for name in DEPTH_ONE]
     runs.append(("deep-table", "gibbs", DEEP_TABLE))
+    runs.append(("far-exponent", "gibbs", FAR_EXPONENT))
     for name, levels in LADDERS.items():
         runs.append((f"ladder:{name}", "scan", f"system.family = {name}\nscan.levels = {levels}\n"))
     for flatness in ("on", "off"):
