@@ -2,9 +2,9 @@
 
 Each run reads one flat config file (dotted keys), validates it fully
 before computing anything, executes a single subcommand, and writes a JSON
-report plus CSV tables.  Reports embed the sha256 of the canonical config
-text and the seed, and are byte-identical across repeat runs up to the
-timestamp field.
+report plus one CSV per table.  Reports embed the sha256 of the canonical
+config text, the seed and the sha256 of each CSV, and are byte-identical
+across repeat runs up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, sha256
 from .dimension import (
     consistency_report,
     correlation_curve,
@@ -233,10 +233,13 @@ def _json_safe(value):
 class Report:
     """One command's full output: results, diagnostics, and CSV tables.
 
-    ``canonical_body`` excludes the timestamp, so two runs with the same
-    config and seed produce identical bytes there — the determinism contract
-    the golden-file tests pin down.  Both bodies write a non-finite float of
-    ``results`` or ``diagnostics`` as null.
+    ``write`` puts each table on disk once, as ``<command>-<name>.csv`` in
+    UTF-8, and the report last; the report's ``tables`` maps each name to
+    the sha256 hex of that file's bytes.  ``canonical_body`` excludes the
+    timestamp, so two runs with the same config and seed produce identical
+    bytes there, every table byte included through its hash — the
+    determinism contract the golden-file tests pin down.  Both bodies write
+    a non-finite float of ``results`` or ``diagnostics`` as null.
     """
 
     command: str
@@ -257,7 +260,7 @@ class Report:
             "seed": self.seed,
             "results": _json_safe(self.results),
             "diagnostics": _json_safe(self.diagnostics),
-            "tables": self.tables,
+            "tables": {name: sha256(text.encode()).hexdigest() for name, text in self.tables.items()},
             "warnings": self.warnings,
         }
 
@@ -269,15 +272,16 @@ class Report:
         blob["timestamp"] = self.timestamp
         return json.dumps(blob, sort_keys=True, indent=2, allow_nan=False)
 
-    def write(self, out_dir: Path, fmt: str) -> list[Path]:
+    def write(self, out_dir: Path) -> list[Path]:
+        """Write every table, then the report: a report on disk has the
+        tables it hashes beside it."""
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = [out_dir / f"{self.command}-report.json"]
-        paths[0].write_text(self.to_json() + "\n")
-        if fmt == "csv":
-            for name, text in sorted(self.tables.items()):
-                path = out_dir / f"{self.command}-{name}.csv"
-                path.write_text(text)
-                paths.append(path)
+        paths = []
+        for name, text in sorted(self.tables.items()):
+            paths.append(out_dir / f"{self.command}-{name}.csv")
+            paths[-1].write_bytes(text.encode())
+        paths.append(out_dir / f"{self.command}-report.json")
+        paths[-1].write_text(self.to_json() + "\n")
         return paths
 
 
@@ -822,9 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="dotted-key config file")
         cmd.add_argument("--seed", type=int, default=None, help="overrides sample.seed")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
-        cmd.add_argument(
-            "--format", choices=("csv", "json"), default=None, help="table output format"
-        )
     sub.add_parser("gallery-list", help="list the built-in measure families")
     return parser
 
@@ -858,8 +859,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             raw["sample.seed"] = str(args.seed)
         if args.out is not None:
             raw["out.dir"] = str(args.out)
-        if args.format is not None:
-            raw["out.format"] = args.format
         cfg = RunConfig(raw)
         out_dir = Path(cfg.get_str("out.dir", default="."))
         # the report is written only once the run is done: a file in the
@@ -867,7 +866,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         blocked = [p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()]
         if blocked:
             raise ConfigError(f"out.dir: {blocked[0]} is not a directory")
-        fmt = cfg.get_str("out.format", default="csv", choices=("csv", "json"))
         seed = cfg.get_int("sample.seed", lo=0) if cfg.has("sample.seed") else None
         run = COMMANDS[args.command](cfg)
         cfg.check_read(args.command)
@@ -893,7 +891,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"), **body,
     )
     try:
-        paths = report.write(out_dir, fmt)
+        paths = report.write(out_dir)
     except OSError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILED

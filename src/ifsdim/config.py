@@ -70,11 +70,11 @@ class RunConfig:
         return key in self.raw
 
     def check_read(self, command: str) -> None:
-        """Reject the first key, in sorted order, under ``system.`` or the
-        command's own section that no getter has read: ``cli.main`` calls
-        this between a command's plan and its run."""
+        """Reject the first key, in sorted order, under ``system.``,
+        ``out.`` or the command's own section that no getter has read:
+        ``cli.main`` calls this between a command's plan and its run."""
         for key in sorted(self.raw):
-            if key.startswith(("system.", command + ".")) and key not in self._read:
+            if key.startswith(("system.", "out.", command + ".")) and key not in self._read:
                 family = self.raw.get("system.family")
                 raise ConfigError(f"{key}: not read for system.family = {family}")
 

@@ -6,6 +6,7 @@ exit codes, report JSON, and CSV tables — the same surface a shell user sees.
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -310,7 +311,7 @@ def test_scan_solves_wide_truncations(tmp_path):
     assert code == 4  # the borderline family's limit has no Bowen root
     assert report["results"]["levels"] == [4096, 8192]
     assert 0.39 < report["results"]["first_h"] < report["results"]["last_h"] < 0.5
-    assert report["tables"]["levels"].count(",true,1,") == 2  # both levels solved at depth 1
+    assert (tmp_path / "scan-levels.csv").read_text().count(",true,1,") == 2  # both levels solved at depth 1
 
 
 def test_scan_reversed_levels_exit_2(tmp_path):
@@ -616,7 +617,7 @@ def test_converge_h_column_is_each_truncation_root(tmp_path):
     # converge's h_n is each level's own depth-1 solve, bit for bit
     code, report = run(tmp_path, "converge", "system.family = golden\nconverge.levels = 2:40\n")
     assert code == 0
-    rows = [line.split(",") for line in report["tables"]["levels"].splitlines()[1:]]
+    rows = [line.split(",") for line in (tmp_path / "converge-levels.csv").read_text().splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(2, 41))
     for level, h, *_ in rows:
         assert float(h) == ifsdim.pressure.bowen_solve(golden_family().truncate(int(level)), depth=1).h
@@ -1171,6 +1172,11 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.family = golden\nscan.levels = 2:4\nscan.tol = 1e-12\n",
             "scan.tol: not read for system.family = golden",
         ),
+        (
+            "gibbs",
+            "system.family = golden\nsystem.size = 3\nout.format = json\n",
+            "out.format: not read for system.family = golden",
+        ),
         # word derivatives past the smallest normal double: their logs would
         # be -inf and the word bracket [0, 1]
         (
@@ -1208,7 +1214,7 @@ MOEBIUS_NO_REPEATS_91 = (
         "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
         "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
         "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size", "dimension-tolerance",
-        "custom-label", "bowen-tol", "scan-tol", "bowen-tiny-words", "scan-tiny-words",
+        "custom-label", "bowen-tol", "scan-tol", "out-format", "bowen-tiny-words", "scan-tiny-words",
         "dimension-tiny-words", "dimension-tiny-cylinders",
     ],
 )
@@ -1878,9 +1884,9 @@ def test_sample_configs_run_reproducibly(tmp_path, monkeypatch, cfg):
     reports = []
     write = ifsdim.cli.Report.write
 
-    def kept(report, out_dir, fmt):
+    def kept(report, out_dir):
         reports.append(report)
-        return write(report, out_dir, fmt)
+        return write(report, out_dir)
 
     monkeypatch.setattr(ifsdim.cli.Report, "write", kept)
     outs = (tmp_path / "first", tmp_path / "second")
@@ -1976,15 +1982,38 @@ def test_report_bodies_write_every_non_finite_float_as_null():
     assert report.results["h"][0] == math.inf  # stdout still prints the value
 
 
-def test_json_format_embeds_tables_without_csv_files(tmp_path):
-    cfg = tmp_path / "g.cfg"
+@pytest.mark.parametrize("cfg", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_report_tables_are_the_sha256_of_the_csvs_written(tmp_path, cfg):
+    # each table is on disk once, as a CSV, and the report keeps its hash
+    command = cfg.stem.rsplit("-", 1)[1]
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{command}-report.json").read_text())
+    written = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+    assert report["tables"] and {f"{command}-{name}.csv" for name in report["tables"]} == written.keys()
+    for name, digest in report["tables"].items():
+        assert digest == hashlib.sha256(written[f"{command}-{name}.csv"]).hexdigest()
+
+
+def test_the_format_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
     cfg.write_text("system.family = golden\nsystem.size = 3\n")
-    assert main(
-        ["gibbs", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]
-    ) == 0
-    report = json.loads((tmp_path / "gibbs-report.json").read_text())
-    assert "masses" in report["tables"]
-    assert not list(tmp_path.glob("*.csv"))
+    with pytest.raises(SystemExit) as stop:
+        main(["gibbs", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+    assert stop.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_tables_are_written_before_the_report(tmp_path, monkeypatch, capsys):
+    # a table that cannot be written leaves no report hashing it
+    def refuse(path, data):
+        raise OSError(f"{path.name}: disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    code, report = run(tmp_path, "gibbs", "system.family = golden\nsystem.size = 3\n")
+    assert code == 3 and report is None
+    assert list(tmp_path.glob("*-report.json")) == []
+    assert capsys.readouterr().err == "run failed: gibbs-masses.csv: disk full\n"
 
 
 def test_gallery_list_names_every_family(capsys):

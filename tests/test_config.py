@@ -108,13 +108,17 @@ def test_check_read_names_the_first_unread_key_in_scope():
     # a getter reads its key even when it falls back to the default
     assert cfg.get_int("scan.depth", default=1) == 1
     assert cfg.has("scan.tol")  # has() alone reads nothing
+    # out.* is in scope too: cli.main reads out.dir before the plan
+    with pytest.raises(ConfigError, match=r"^out.dir: not read for system.family = golden$"):
+        cfg.check_read("scan")
+    cfg.get_str("out.dir")
     with pytest.raises(ConfigError, match=r"^scan.tol: not read for system.family = golden$"):
         cfg.check_read("scan")
     cfg.get_float("scan.tol", default=1e-10)
     with pytest.raises(ConfigError, match=r"^system.size: not read for system.family = golden$"):
         cfg.check_read("scan")
     cfg.get_int("system.size")
-    # another command's section, sample.*, out.* and other sections are out of scope
+    # another command's section, sample.* and other sections are out of scope
     cfg.check_read("scan")
     with pytest.raises(ConfigError, match=r"^bowen.depth: "):
         cfg.check_read("bowen")

@@ -49,9 +49,9 @@ def custom_systems(draw) -> str:
     return text
 
 
-def run(command: str, text: str) -> tuple[int, dict | None, list[str], str]:
-    """Exit code, report (None if none was written), the files written and
-    stderr of one ``main`` run in a fresh directory."""
+def run(command: str, text: str) -> tuple[int, dict | None, dict[str, str], str]:
+    """Exit code, report (None if none was written), the text of each file
+    written by name and stderr of one ``main`` run in a fresh directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
         cfg.write_text(text)
@@ -60,7 +60,7 @@ def run(command: str, text: str) -> tuple[int, dict | None, list[str], str]:
             code = main([command, "--config", str(cfg), "--out", str(out)])
         report = out / f"{command}-report.json"
         body = json.loads(report.read_text()) if report.exists() else None
-        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        written = {p.name: p.read_text() for p in out.iterdir()} if out.exists() else {}
     return code, body, written, err.getvalue()
 
 
@@ -96,7 +96,7 @@ def check_commands(system: str, word_depth: int, cyl_depth: int, refusal: str, e
         code, report, written, err = run(command, system + keys)
         assert code in ((0, 2) if command == "gibbs" and at != "bowen" else (0, 2, 4)), err
         if code == 2:
-            assert report is None and written == []
+            assert report is None and written == {}
             assert re.match(r"config error: (" + refusal.format(command=command) + r"): ", err), err
         if code == 0 and command == "bowen":
             res = report["results"]
@@ -119,9 +119,9 @@ def test_random_family_configs_exit_0_2_or_4_and_bowen_stays_in_its_bracket(syst
 @given(st.lists(st.integers(2, 12), min_size=1, max_size=5, unique=True).map(sorted))
 def test_continued_fraction_scans_exit_0_with_rising_roots_in_their_brackets(levels):
     text = f"system.family = continued-fraction\nscan.levels = {', '.join(map(str, levels))}\n"
-    code, report, _, err = run("scan", text)
+    code, report, written, err = run("scan", text)
     assert code == 0, err
-    rows = [row.split(",") for row in report["tables"]["levels"].splitlines()[1:]]
+    rows = [row.split(",") for row in written["scan-levels.csv"].splitlines()[1:]]
     assert [int(row[0]) for row in rows] == levels
     for _, h, lo, hi, *_ in rows:
         assert float(lo) <= float(h) <= float(hi)

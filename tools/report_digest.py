@@ -24,7 +24,9 @@ code, stdout and stderr (the temporary directory masked), the report
 without its ``timestamp``, and every CSV's name and bytes, and a second
 sha256 over the exit code and the report's ``results`` with every float
 rounded to 12 significant digits (``_rounded``).  The first digest can
-move with the host's SIMD loops; the second should not.
+move with the host's SIMD loops; the second should not.  A report whose
+``tables`` are not the sha256 of the CSVs written beside it stops the
+tool, naming the command's label.
 
     python3 tools/report_digest.py [--cases 60] [--seeds 1,2] > digest.txt
 
@@ -116,9 +118,11 @@ def _rounded(value):
     return value
 
 
-def digest(command: str, config: str) -> tuple[str, str, str]:
+def digest(label: str, command: str, config: str) -> tuple[str, str, str]:
     """Run one command on ``config`` text; return its exit code, the sha256
-    hex of its output and that of its exit code and rounded results."""
+    hex of its output and that of its exit code and rounded results.  Raise,
+    naming ``label``, if the report's table hashes are not those of the
+    CSVs written."""
     h, stable = hashlib.sha256(), hashlib.sha256()
 
     def part(name: str, data: bytes) -> None:
@@ -141,13 +145,19 @@ def digest(command: str, config: str) -> tuple[str, str, str]:
         part("stdout", stdout.getvalue().replace(tmp, "<tmp>").encode())
         part("stderr", stderr.getvalue().replace(tmp, "<tmp>").encode())
         report = out / f"{command}-report.json"
+        hashed, written = {}, {}
         if report.exists():
             body = json.loads(report.read_text())
             body.pop("timestamp", None)
             part("report", json.dumps(body, sort_keys=True).encode())
             stable.update(json.dumps(_rounded(body.get("results")), sort_keys=True).encode())
+            hashed = {f"{command}-{name}.csv": sha for name, sha in body["tables"].items()}
         for table in sorted(out.glob("*.csv")):
-            part(table.name, table.read_bytes())
+            data = table.read_bytes()
+            part(table.name, data)
+            written[table.name] = hashlib.sha256(data).hexdigest()
+    if hashed != written:
+        raise ValueError(f"{label}: report tables {hashed} are not the sha256 of the CSVs written, {written}")
     return code, h.hexdigest(), stable.hexdigest()
 
 
@@ -173,7 +183,7 @@ def lines(cases: int, seeds: list[int]):
     for flatness in ("on", "off"):
         runs.append((f"stages:flatness-{flatness}", "dimension", f"{STAGES}dimension.flatness = {flatness}\n"))
     for label, command, config in runs:
-        yield " ".join((label, command) + digest(command, config))
+        yield " ".join((label, command) + digest(label, command, config))
 
 
 def main() -> None:
