@@ -235,11 +235,11 @@ class Report:
 
     ``write`` puts each table on disk once, as ``<command>-<name>.csv`` in
     UTF-8, and the report last; the report's ``tables`` maps each name to
-    the sha256 hex of that file's bytes.  ``canonical_body`` excludes the
-    timestamp, so two runs with the same config and seed produce identical
-    bytes there, every table byte included through its hash — the
-    determinism contract the golden-file tests pin down.  Both bodies write
-    a non-finite float of ``results`` or ``diagnostics`` as null.
+    the sha256 hex of that file's bytes.  ``body_dict`` is the report
+    without its timestamp, so two runs with the same config and seed give
+    equal bodies, every table byte included through its hash — the
+    determinism contract the golden-file tests pin down.  A non-finite
+    float of ``results`` or ``diagnostics`` is written as null.
     """
 
     command: str
@@ -263,9 +263,6 @@ class Report:
             "tables": {name: sha256(text.encode()).hexdigest() for name, text in self.tables.items()},
             "warnings": self.warnings,
         }
-
-    def canonical_body(self) -> str:
-        return json.dumps(self.body_dict(), sort_keys=True, indent=2, allow_nan=False)
 
     def to_json(self) -> str:
         blob = self.body_dict()
@@ -824,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in helps.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="dotted-key config file")
-        cmd.add_argument("--seed", type=int, default=None, help="overrides sample.seed")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
     sub.add_parser("gallery-list", help="list the built-in measure families")
     return parser
@@ -855,17 +851,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             except (OSError, UnicodeDecodeError) as err:
                 raise ConfigError(f"--config: {err}") from None
             raw = parse_config(text)
-        if args.seed is not None:
-            raw["sample.seed"] = str(args.seed)
-        if args.out is not None:
-            raw["out.dir"] = str(args.out)
         cfg = RunConfig(raw)
-        out_dir = Path(cfg.get_str("out.dir", default="."))
+        out_dir = args.out or Path(".")
         # the report is written only once the run is done: a file in the
-        # way of out.dir is refused now
+        # way of --out is refused now
         blocked = [p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()]
         if blocked:
-            raise ConfigError(f"out.dir: {blocked[0]} is not a directory")
+            raise ConfigError(f"--out: {blocked[0]} is not a directory")
         seed = cfg.get_int("sample.seed", lo=0) if cfg.has("sample.seed") else None
         run = COMMANDS[args.command](cfg)
         cfg.check_read(args.command)
@@ -883,11 +875,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILED
 
-    # out.* keys steer where the report lands, not what it says; keeping them
-    # out of the echoed config makes bodies byte-stable across output dirs
-    analysis = RunConfig({k: v for k, v in cfg.raw.items() if not k.startswith("out.")})
     report = Report(
-        args.command, analysis.digest(), dict(sorted(analysis.raw.items())), seed,
+        args.command, cfg.digest(), dict(sorted(cfg.raw.items())), seed,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"), **body,
     )
     try:

@@ -3,7 +3,7 @@
 One file per run, lines of ``section.key = value``; ``#`` starts a comment.
 The canonical text (sorted keys, normalised spacing) is what gets hashed
 into reports, so identical configurations hash identically no matter how
-the file was formatted or which flags supplied the overrides.
+the file was formatted.
 """
 
 from __future__ import annotations
@@ -90,16 +90,8 @@ class RunConfig:
             raise ConfigError(f"{key}: required")
         return value
 
-    def get_str(
-        self,
-        key: str,
-        default: Optional[str] = None,
-        choices: Optional[Sequence[str]] = None,
-    ) -> str:
-        value = self._require(key, default)
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{key}: must be one of {sorted(choices)}, got {value!r}")
-        return value
+    def get_str(self, key: str, default: Optional[str] = None) -> str:
+        return self._require(key, default)
 
     def get_int(
         self, key: str, default: Optional[int] = None,
@@ -108,10 +100,9 @@ class RunConfig:
         return self._number(key, default, lo, hi, int, "an integer")
 
     def get_float(
-        self, key: str, default: Optional[float] = None,
-        lo: Optional[float] = None, hi: Optional[float] = None,
+        self, key: str, default: Optional[float] = None, lo: Optional[float] = None,
     ) -> float:
-        return self._number(key, default, lo, hi, float, "a number")
+        return self._number(key, default, lo, None, float, "a number")
 
     def _number(self, key: str, default, lo, hi, parse: Callable, noun: str):
         raw = self._get(key)

@@ -216,7 +216,9 @@ def density_field(
     the deepest stored cylinder level (inner: cylinders contained in the
     ball; outer: cylinders meeting it), and the bracket is folded into the
     [lower, upper] estimates.  Ladder radii finer than the cylinder
-    resolution contribute nothing to the bracket and are skipped.
+    resolution are evaluated too: their inner mass is 0, so they add
+    nothing to ``upper``, but their outer mass enters ``lower`` through the
+    minimum over the ladder and pulls it toward 0.
     """
     pts = np.asarray(points, dtype=float)
     radii = _dyadic_ladder(r_min, r_max)

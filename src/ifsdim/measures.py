@@ -132,12 +132,12 @@ class LineMeasure:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def point_mass(cls, loc: float, weight: float = 1.0) -> "LineMeasure":
-        return cls(atoms=((loc, weight),))
+    def point_mass(cls, loc: float) -> "LineMeasure":
+        return cls(atoms=((loc, 1.0),))
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, mass: float = 1.0) -> "LineMeasure":
-        return cls(pieces=((lo, hi, mass / (hi - lo)),))
+    def uniform(cls, lo: float, hi: float) -> "LineMeasure":
+        return cls(pieces=((lo, hi, 1.0 / (hi - lo)),))
 
     # -- basic functionals ---------------------------------------------------
 

@@ -472,7 +472,7 @@ def bowen_solve(system: SystemSpec, depth: int = 12, collocation: Collocation | 
     if upper > 1.0:  # the line's dimension bounds h more tightly
         hi = 1.0
     # log lambda_N(hi) <= 0 too, unless h breaks the bracket
-    pair, evals = collocation.root(label, (lo, hi or 1.0))
+    pair, evals = collocation.root(label, (lo, hi))
     h = pair.s
     if not lo <= h <= hi:
         raise ConvergenceFailure(f"{label}: root {h!r} outside its certified bracket [{lo!r}, {hi!r}]")

@@ -10,10 +10,10 @@ a module-level UPPER_CASE constant that nothing under ``src/`` reads, and
 a dataclass field that nothing there reads as an attribute outside its own
 class's ``__post_init__``.  A default that no call under ``src/``
 overrides is an option with no user: every defaulted parameter of a public
-function, and every defaulted init field of a public dataclass, is passed
-by some call there.  README's list of config keys
-names exactly the keys the code reads.  Only ``cli.main`` checks that a
-plan read every key, and no run holds the config.
+function or of a public method of a public class, and every defaulted init
+field of a public dataclass, is passed by some call there.  README's list
+of config keys names exactly the keys the code reads.  Only ``cli.main``
+checks that a plan read every key, and no run holds the config.
 """
 
 import ast
@@ -97,9 +97,7 @@ def test_every_public_name_has_a_caller_besides_its_tests(module):
 
 
 # public methods that nothing under src/ calls: the tests, or the benchmark
-UNCALLED = {
-    "Report.canonical_body": "the determinism contract: the report tests pin it",
-}
+UNCALLED: dict[str, str] = {}
 
 
 def _public_methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -218,19 +216,28 @@ UNPASSED = {
 
 
 def _defaulted_parameters(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
-    """Per public function or dataclass of ``__all__``, its defaulted
-    parameters or init fields, each with its positional index (None when
-    keyword-only)."""
+    """Per public function or dataclass of ``__all__``, and per public
+    method (``Class.method``) of a class there, its defaulted parameters or
+    init fields, each with its positional index among the arguments a call
+    passes (None when keyword-only)."""
     public = set(_exports(tree))
     defaulted = {}
+
+    def parameters(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        skip = 1 if bound else 0  # self or cls: a call never spells it
+        return [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first] + [
+            (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+
+    for method, fn in _public_methods(tree).items():
+        static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+        defaulted[method] = parameters(fn, bound=not static)
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in public:
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            defaulted[node.name] = [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
-                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-            ]
+            defaulted[node.name] = parameters(node, bound=False)
         elif isinstance(node, ast.ClassDef) and node.name in public and any(
             ast.unparse(d).startswith("dataclass") for d in node.decorator_list
         ):
@@ -262,7 +269,11 @@ def _callee(node: ast.expr) -> str | None:
 def _passed_parameters(defaulted: dict) -> set[str]:
     """``function.parameter`` for each defaulted parameter that a call under
     src/ passes by position, by keyword, through ``**`` or ``*`` unpacking,
-    or through ``functools.partial``.  Callees match by name alone."""
+    or through ``functools.partial``.  Callees match by name alone, a
+    method by its own name."""
+    by_callee: dict[str, list[str]] = {}
+    for qualified in defaulted:
+        by_callee.setdefault(qualified.rsplit(".", 1)[-1], []).append(qualified)
     passed = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -275,9 +286,10 @@ def _passed_parameters(defaulted: dict) -> set[str]:
                 k.arg is None for k in node.keywords
             )
             keywords = {k.arg for k in node.keywords}
-            for parameter, index in defaulted.get(name, ()):
-                if unpacked or parameter in keywords or (index is not None and index < len(args)):
-                    passed.add(f"{name}.{parameter}")
+            for qualified in by_callee.get(name, ()):
+                for parameter, index in defaulted[qualified]:
+                    if unpacked or parameter in keywords or (index is not None and index < len(args)):
+                        passed.add(f"{qualified}.{parameter}")
     return passed
 
 

@@ -218,7 +218,7 @@ def test_out_dir_blocked_by_a_file_exits_2_before_the_plan(tmp_path, monkeypatch
     afile.write_text("")
     for out in (afile / "sub", afile, afile / "sub" / "deeper"):
         assert main(["bowen", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: out.dir: {afile} is not a directory\n"
+        assert capsys.readouterr().err == f"config error: --out: {afile} is not a directory\n"
     assert calls == [] and sorted(tmp_path.iterdir()) == [afile, cfg]
 
 
@@ -865,13 +865,11 @@ def test_bad_seed_exits_2_before_the_bowen_solve(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
-@pytest.mark.parametrize(
-    "seed,extra", [("sample.seed = -5\n", ()), ("", ("--seed", "-3"))], ids=["config", "flag"]
-)
-def test_negative_seed_exits_2_before_sampling(tmp_path, capsys, seed, extra):
+@pytest.mark.parametrize("seed", ["sample.seed = -5\n"], ids=["config"])
+def test_negative_seed_exits_2_before_sampling(tmp_path, capsys, seed):
     # it passed the plan, then failed at sampling with exit 3
     text = "system.family = cantor\nsystem.ratios = 0.3, 0.3\n" + seed
-    code, report = run(tmp_path, "dimension", text, extra)
+    code, report = run(tmp_path, "dimension", text)
     assert code == 2 and report is None
     assert "config error: sample.seed: must be >= 0, got -" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
@@ -1177,6 +1175,11 @@ MOEBIUS_NO_REPEATS_91 = (
             "system.family = golden\nsystem.size = 3\nout.format = json\n",
             "out.format: not read for system.family = golden",
         ),
+        (
+            "bowen",
+            "system.family = golden\nsystem.size = 3\nout.dir = x\n",
+            "out.dir: not read for system.family = golden",
+        ),
         # word derivatives past the smallest normal double: their logs would
         # be -inf and the word bracket [0, 1]
         (
@@ -1214,7 +1217,7 @@ MOEBIUS_NO_REPEATS_91 = (
         "cantor-stages-budget", "cantor-stages-flatness-budget", "gallery-depth", "system-member",
         "gallery-singularity-depth", "gallery-cylinder-depths", "gallery-size", "gallery-ratios",
         "gallery-scale", "system-scale", "bowen-depth-closed-form", "scan-size", "dimension-tolerance",
-        "custom-label", "bowen-tol", "scan-tol", "out-format", "bowen-tiny-words", "scan-tiny-words",
+        "custom-label", "bowen-tol", "scan-tol", "out-format", "out-dir", "bowen-tiny-words", "scan-tiny-words",
         "dimension-tiny-words", "dimension-tiny-cylinders",
     ],
 )
@@ -1855,12 +1858,13 @@ def test_gibbs_past_the_iteration_budget_exits_3_naming_the_exponent(tmp_path, c
 
 
 def test_reports_are_deterministic_up_to_timestamp(tmp_path):
-    cfg = tmp_path / "d.cfg"
+    cfg, reseeded = tmp_path / "d.cfg", tmp_path / "e.cfg"
     cfg.write_text(CANTOR_DIM_CFG)
+    reseeded.write_text(CANTOR_DIM_CFG + "sample.seed = 777\n")
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["dimension", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["dimension", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert main(["dimension", "--config", str(cfg), "--out", str(out3), "--seed", "777"]) == 0
+    assert main(["dimension", "--config", str(reseeded), "--out", str(out3)]) == 0
     a = json.loads((out1 / "dimension-report.json").read_text())
     b = json.loads((out2 / "dimension-report.json").read_text())
     c = json.loads((out3 / "dimension-report.json").read_text())
@@ -1893,7 +1897,7 @@ def test_sample_configs_run_reproducibly(tmp_path, monkeypatch, cfg):
     for out in outs:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     first, second = reports
-    assert first.canonical_body() == second.canonical_body()
+    assert first.body_dict() == second.body_dict()
     tables = [sorted(out.glob("*.csv")) for out in outs]
     assert tables[0] and [p.name for p in tables[0]] == [p.name for p in tables[1]]
     for a, b in zip(*tables):
@@ -1975,8 +1979,7 @@ def test_report_bodies_write_every_non_finite_float_as_null():
     report = ifsdim.cli.Report(
         "bowen", "0" * 64, {}, None, {"h": [math.inf, {"gap": math.nan}], "n": 2}, {"w": -math.inf}
     )
-    for text in (report.canonical_body(), report.to_json()):
-        blob = json.loads(text, parse_constant=_refuse)
+    for blob in (report.body_dict(), json.loads(report.to_json(), parse_constant=_refuse)):
         assert blob["results"] == {"h": [None, {"gap": None}], "n": 2}
         assert blob["diagnostics"] == {"w": None}
     assert report.results["h"][0] == math.inf  # stdout still prints the value
@@ -2002,6 +2005,17 @@ def test_the_format_flag_exits_2(tmp_path, capsys):
     assert stop.value.code == 2
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_the_seed_flag_exits_2(tmp_path, capsys):
+    # sample.seed is the one spelling of the seed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CANTOR_THIRDS + "sample.seed = 1\n")
+    with pytest.raises(SystemExit) as stop:
+        main(["dimension", "--config", str(cfg), "--out", str(tmp_path), "--seed", "5"])
+    assert stop.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_tables_are_written_before_the_report(tmp_path, monkeypatch, capsys):

@@ -53,7 +53,7 @@ def test_get_int_and_float_ranges():
     with pytest.raises(ConfigError):
         cfg.get_int("k.n", lo=8)
     with pytest.raises(ConfigError):
-        cfg.get_float("k.x", hi=0.1)
+        cfg.get_float("k.x", lo=0.5)
 
 
 def test_get_bool_spellings():
@@ -108,7 +108,7 @@ def test_check_read_names_the_first_unread_key_in_scope():
     # a getter reads its key even when it falls back to the default
     assert cfg.get_int("scan.depth", default=1) == 1
     assert cfg.has("scan.tol")  # has() alone reads nothing
-    # out.* is in scope too: cli.main reads out.dir before the plan
+    # out.* is in scope too: no run reads an out.* key, so a stale one exits 2
     with pytest.raises(ConfigError, match=r"^out.dir: not read for system.family = golden$"):
         cfg.check_read("scan")
     cfg.get_str("out.dir")

@@ -319,7 +319,7 @@ def _w1_pairs():
         if name.startswith("cantor-mass-stages-"):
             pairs[name] = (measure, stages.at(int(name.rsplit("-", 1)[1]) + 1))
     mixed = REFERENCE_MEMBERS["mixed"]
-    pairs["mixed"] = (mixed, LineMeasure.uniform(0.0, 1.0, mixed.total))
+    pairs["mixed"] = (mixed, LineMeasure(pieces=((0.0, 1.0, mixed.total),)))
     return pairs
 
 
@@ -583,7 +583,7 @@ def test_sampling_point_mass_and_empty_cloud():
     with pytest.raises(ValueError):
         sample(LineMeasure.uniform(0.0, 1.0), -1, seed=1)
     with pytest.raises(ValueError):
-        sample(LineMeasure.uniform(0.0, 2.0, mass=2.0), 10, seed=1)  # not normalized
+        sample(LineMeasure(pieces=((0.0, 2.0, 1.0),)), 10, seed=1)  # not normalized
 
 
 def test_sampling_is_reproducible_and_seed_sensitive():
